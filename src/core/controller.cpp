@@ -14,8 +14,8 @@ Controller::Controller(target::Device& device)
 
 control::Status Controller::load_program(std::string_view source, std::string name) {
     try {
-        const auto prog = p4::compile_source(source, std::move(name));
-        return device_.load(*prog);
+        // The compiled program becomes the device's shared image as is.
+        return device_.load(p4::compile_source(source, std::move(name)));
     } catch (const util::CompileError& e) {
         return control::Status::failure(e.what());
     }

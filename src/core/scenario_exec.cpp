@@ -76,7 +76,10 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
                           std::size_t batch_size, const MgmtLink* mgmt,
                           ChannelAccounting* acct) {
     DeviceRun run;
-    if (!dev.load(*sc.compiled)) {
+    // Hands over the scenario's shared image: a device that already holds it
+    // (every triage replay after the detection run) resets in place
+    // instead of rebuilding its tables and engines.
+    if (!dev.load(sc.compiled)) {
         throw std::runtime_error("campaign: device refused catalogue program " +
                                  sc.program);
     }

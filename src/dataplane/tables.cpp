@@ -783,6 +783,7 @@ std::unique_ptr<MatchEngine> make_naive_ternary_engine(int total_width,
 TableSet::TableSet(const p4::ir::Program& prog, int size_clamp,
                    bool inverted_priority) {
     slots_.reserve(prog.tables.size());
+    declared_defaults_.reserve(prog.tables.size());
     for (const auto& t : prog.tables) {
         Slot slot;
         std::size_t cap = static_cast<std::size_t>(std::max<std::int64_t>(t.size, 1));
@@ -801,6 +802,7 @@ TableSet::TableSet(const p4::ir::Program& prog, int size_clamp,
             slot.kind = p4::ir::MatchKind::exact;
         }
         slot.default_action = {t.default_action, t.default_args};
+        declared_defaults_.push_back(slot.default_action);
         slots_.push_back(std::move(slot));
     }
 }
@@ -872,6 +874,15 @@ void TableSet::clear(int table_id) {
 
 void TableSet::reset_stats() {
     for (auto& slot : slots_) slot.stats = {};
+}
+
+void TableSet::reset() {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        Slot& slot = slots_[i];
+        slot.engine->clear();
+        slot.default_action = declared_defaults_[i];
+        slot.stats = {};
+    }
 }
 
 }  // namespace ndb::dataplane

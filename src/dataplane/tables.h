@@ -153,8 +153,14 @@ public:
     void clear(int table_id);
     void reset_stats();
 
+    // Returns every table to its freshly constructed state: no entries, the
+    // program's declared default action, zero statistics.  Slot handles
+    // stay valid.
+    void reset();
+
 private:
     std::vector<Slot> slots_;
+    std::vector<ActionEntry> declared_defaults_;  // parallel to slots_
 };
 
 }  // namespace ndb::dataplane

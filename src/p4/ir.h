@@ -277,7 +277,8 @@ struct Program {
     const Action* action_by_name(std::string_view name) const;
     const ExternDecl* extern_by_name(std::string_view name) const;
 
-    // Deep copy (the vendor backend mutates a clone, never the original).
+    // Deep copy: how target::Device::load(const Program&) makes a shared
+    // image that outlives the caller's program.
     Program clone() const;
 
     std::string to_string() const;

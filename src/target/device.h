@@ -81,10 +81,26 @@ class Device : public control::RuntimeApi {
 public:
     ~Device() override = default;
 
-    // Installs a compiled program.  The device keeps its own copy of the
-    // image (callers may discard `prog` immediately); any previously loaded
-    // program, its tables and its dynamic state are replaced.
-    virtual control::Status load(const p4::ir::Program& prog) = 0;
+    // Installs a compiled program image.  The image is shared and
+    // immutable: the device keeps the pointer, not a copy, so many devices
+    // (and worker threads) may hold one image at once.  Loading a different
+    // image replaces the previous program, its tables and its dynamic
+    // state.  Loading the image the device already holds returns it to its
+    // freshly loaded state in place -- no entries, declared default
+    // actions, zeroed extern cells, counters, queues, taps and digests --
+    // without rebuilding the engines.  Either way every handle resolved
+    // before the call goes stale.  A null image is refused.
+    virtual control::Status load(
+        std::shared_ptr<const p4::ir::Program> image) = 0;
+
+    // Convenience for callers that own a plain program: copies `prog` once
+    // into a new shared image and loads that, so `prog` may be discarded
+    // as soon as this returns.  A new image never matches the held one, so
+    // this path always rebuilds.
+    control::Status load(const p4::ir::Program& prog) {
+        return load(std::make_shared<const p4::ir::Program>(prog.clone()));
+    }
+
     virtual bool loaded() const = 0;
 
     // The installed image.  Throws std::logic_error when nothing is loaded.

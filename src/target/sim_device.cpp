@@ -38,9 +38,22 @@ SimDevice::SimDevice(DeviceConfig config) : config_(std::move(config)) {
     port_counters_.resize(static_cast<std::size_t>(config_.num_ports));
 }
 
-Status SimDevice::load(const p4::ir::Program& prog) {
+Status SimDevice::load(std::shared_ptr<const p4::ir::Program> image) {
+    if (!image) return Status::failure("load: null program image");
     ++generation_;  // invalidates every handle issued against the old image
-    prog_ = std::make_unique<p4::ir::Program>(prog.clone());
+    if (image == prog_) {
+        // The image the engines were built from: everything they derived
+        // from it (table layout, extern shapes, compiled code) still holds,
+        // so only the dynamic state goes back to its freshly loaded values.
+        tables_->reset();
+        reset_state();
+        return Status::success();
+    }
+    // Tear down what references the old image before it can be released.
+    pipeline_.reset();
+    stateful_.reset();
+    tables_.reset();
+    prog_ = std::move(image);
     tables_ = std::make_unique<dataplane::TableSet>(
         *prog_, config_.quirks.table_size_clamp,
         config_.quirks.ternary_priority_inverted);
@@ -52,7 +65,7 @@ Status SimDevice::load(const p4::ir::Program& prog) {
     options.capture_digests = digests_enabled_;
     pipeline_ = std::make_unique<dataplane::Pipeline>(*prog_, *tables_, *stateful_,
                                                       std::move(options));
-    // load() replaces the pipeline wholesale, so coverage mode must be
+    // A new image replaces the pipeline wholesale, so coverage mode must be
     // re-applied here for the setting to survive an image swap.
     pipeline_->set_coverage(coverage_, cov_salt_);
     clear_dynamic_state();
@@ -65,8 +78,8 @@ void SimDevice::set_coverage(coverage::CoverageMap* map) {
 }
 
 void SimDevice::set_engine(dataplane::Engine engine) {
-    // Stored in the config so the choice survives load() (which rebuilds
-    // the pipeline), mirroring the coverage re-apply above.
+    // Stored in the config so the choice survives loading a new image
+    // (which rebuilds the pipeline), mirroring the coverage re-apply above.
     config_.engine = engine;
     if (pipeline_) pipeline_->set_engine(engine);
 }

@@ -26,7 +26,8 @@ public:
     explicit SimDevice(DeviceConfig config);
 
     // Device.
-    control::Status load(const p4::ir::Program& prog) override;
+    using Device::load;
+    control::Status load(std::shared_ptr<const p4::ir::Program> image) override;
     bool loaded() const override { return pipeline_ != nullptr; }
     const p4::ir::Program& program() const override;
     const DeviceConfig& config() const override { return config_; }
@@ -126,7 +127,7 @@ private:
 
     DeviceConfig config_;
 
-    std::unique_ptr<p4::ir::Program> prog_;
+    std::shared_ptr<const p4::ir::Program> prog_;  // shared, never mutated
     std::unique_ptr<dataplane::TableSet> tables_;
     std::unique_ptr<dataplane::StatefulSet> stateful_;
     std::unique_ptr<dataplane::Pipeline> pipeline_;
@@ -152,7 +153,8 @@ private:
 
     std::uint64_t clock_ns_ = 0;
 
-    // Bumped by every load(): the validity epoch of issued handles.
+    // Bumped by every load(), same-image reloads included: the validity
+    // epoch of issued handles.
     std::uint64_t generation_ = 0;
 };
 

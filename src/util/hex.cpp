@@ -50,7 +50,9 @@ std::vector<std::uint8_t> from_hex(std::string_view text) {
 
 std::string hex_dump(std::span<const std::uint8_t> bytes) {
     std::string s;
-    char offset[16];
+    // At least 8 hex digits, up to one per nibble of a size_t, then two
+    // spaces and the terminator.
+    char offset[sizeof(std::size_t) * 2 + 3];
     for (std::size_t row = 0; row < bytes.size(); row += 16) {
         std::snprintf(offset, sizeof offset, "%08zx  ", row);
         s += offset;
