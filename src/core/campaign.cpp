@@ -108,7 +108,7 @@ CampaignReport CampaignEngine::run() {
     report.base_seed = config_.base_seed;
     report.scenarios = config_.scenarios;
     report.programs = gen.programs();
-    report.engine = dataplane::engine_name(config_.engine);
+    report.engine = dataplane::engine_name(dataplane::default_engine());
     for (const auto& d : duts) report.backends.push_back(d.label);
     report.coverage_enabled = config_.coverage;
     report.concolic_enabled = config_.concolic;
@@ -152,7 +152,7 @@ CampaignReport CampaignEngine::run() {
                 try {
                     if (!contexts[slot]) {
                         contexts[slot] = std::make_unique<WorkerContext>(
-                            config_.reference_backend, duts, config_.engine);
+                            config_.reference_backend, duts);
                     }
                     while (!failed.load(std::memory_order_relaxed)) {
                         const std::uint64_t index = next.fetch_add(1);
@@ -277,9 +277,8 @@ CampaignReport CampaignEngine::run() {
             ConcolicRecipe recipe;
         };
         std::vector<PendingSeed> pending;
-        // Relight oracle: a dedicated reference instance pinned to the
-        // interpreter (the engine whose semantics the verify layer models).
-        // Its salt is what EdgeIndex must be built with -- the campaign's
+        // Relight oracle: a dedicated reference instance.  Its salt is what
+        // EdgeIndex must be built with -- the campaign's
         // own reference devices fold the identical salt into their maps, so
         // "dark in `global`" and "dark for this oracle" agree.
         std::unique_ptr<target::Device> oracle;
@@ -291,7 +290,6 @@ CampaignReport CampaignEngine::run() {
                     "campaign: unknown reference backend '" +
                     config_.reference_backend + "'");
             }
-            oracle->set_engine(dataplane::Engine::interpreter);
             ref_salt = oracle->coverage_salt();
         }
         const std::uint64_t round_cap =

@@ -44,7 +44,6 @@
 
 #include "core/localize.h"
 #include "core/specgen.h"
-#include "dataplane/engine.h"
 #include "dataplane/quirks.h"
 
 namespace ndb::coverage {
@@ -75,11 +74,6 @@ struct CampaignConfig {
     bool localize = true;  // replay divergences through FaultLocalizer
     bool minimize = true;  // reduce to the shortest reproducing prefix
 
-    // Execution engine applied to every device (reference and DUTs).  The
-    // report is byte-identical across engines apart from its provenance
-    // field; the compiled engine is simply faster.
-    dataplane::Engine engine = dataplane::default_engine();
-
     // Coverage-guided adaptive seed scheduling (see file header).  Off by
     // default: the uniform sweep remains the corpus-replay contract.
     bool coverage = false;
@@ -108,7 +102,7 @@ struct CampaignConfig {
     // never-lit coverage slots back to IR sites (coverage::EdgeIndex), asks
     // the symbolic layer to solve a packet + default-action programming
     // reaching each, verifies that every solved seed actually lights its
-    // target slot on an interpreter-engine reference device, and schedules
+    // target slot on a dedicated reference device, and schedules
     // the survivors ahead of the next round's plan as high-energy corpus
     // entries.  Synthesis consumes only barrier-merged state, so the report
     // keeps the byte-identical-across-thread-counts contract.

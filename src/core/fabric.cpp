@@ -212,8 +212,7 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
                         if (!r.u64(start) || !r.u32(count) || !r.done()) break;
                         if (!ctx) {
                             ctx = std::make_unique<WorkerContext>(
-                                cfg.campaign.reference_backend, duts,
-                                cfg.campaign.engine);
+                                cfg.campaign.reference_backend, duts);
                         }
                         wire::Writer w;
                         w.u64(frame.seq);  // shard id
@@ -311,7 +310,7 @@ CampaignReport FabricEngine::run() {
     report.base_seed = cc.base_seed;
     report.scenarios = cc.scenarios;
     report.programs = gen.programs();
-    report.engine = dataplane::engine_name(cc.engine);
+    report.engine = dataplane::engine_name(dataplane::default_engine());
     for (const auto& d : duts) report.backends.push_back(d.label);
     report.mgmt_enabled = exec.mgmt.enabled;
     report.fabric_enabled = true;

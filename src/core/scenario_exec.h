@@ -27,6 +27,7 @@
 #include "core/campaign.h"
 #include "coverage/coverage.h"
 #include "dataplane/digest.h"
+#include "dataplane/engine.h"
 #include "packet/packet.h"
 #include "target/device.h"
 
@@ -87,9 +88,11 @@ struct WorkerContext {
     std::unique_ptr<target::Device> reference;
     std::vector<std::unique_ptr<target::Device>> duts;  // parallel to specs
 
+    // The trailing Engine is accepted and ignored: the interpreter is the
+    // only engine, and the parameter goes once no caller passes it.
     WorkerContext(const std::string& reference_backend,
                   const std::vector<BackendSpec>& specs,
-                  dataplane::Engine engine);
+                  dataplane::Engine = dataplane::Engine::interpreter);
 };
 
 // A DUT's management-channel configuration: the fault plan applied to its

@@ -1,35 +1,19 @@
-// Execution-engine selection for the data plane.
+// The data plane's execution engine: the tree-walking Interpreter is the
+// only one, and the semantics the symbolic executor and the concolic
+// relight check model.
 //
-// Two engines execute the same IR behind the Pipeline interface:
-//
-//   * Engine::interpreter -- the tree-walking Interpreter, the trusted
-//     semantic oracle every fast path is differentially tested against;
-//   * Engine::compiled    -- the threaded-code CompiledPipeline (the
-//     production default), a per-program specialization of the IR into a
-//     flat instruction stream (src/dataplane/compile.h).
-//
-// The process-wide default is overridable with NDB_ENGINE=interp|compiled,
-// which is how CI sweeps the whole test suite under both engines without
-// per-test plumbing.
+// The enum remains as a one-value provenance tag: campaign reports name
+// the engine that ran them, and core::WorkerContext still accepts one.
 #pragma once
-
-#include <optional>
-#include <string_view>
 
 namespace ndb::dataplane {
 
 enum class Engine {
     interpreter = 0,
-    compiled = 1,
 };
 
-const char* engine_name(Engine engine);
+inline const char* engine_name(Engine /*engine*/) { return "interpreter"; }
 
-// Parses "interp"/"interpreter"/"compiled"; nullopt on anything else.
-std::optional<Engine> engine_from_name(std::string_view name);
-
-// The process default: NDB_ENGINE when set to a valid name (read once),
-// otherwise Engine::compiled.
-Engine default_engine();
+inline Engine default_engine() { return Engine::interpreter; }
 
 }  // namespace ndb::dataplane

@@ -39,18 +39,6 @@ Bitvec eval_expr(const p4::ir::Program& prog, const p4::ir::Expr& e,
                  const PacketState& state, const Frame& frame,
                  const Quirks& quirks);
 
-// Re-initializes a pooled frame's local slots to zeroes of the declared
-// widths, reusing storage when the widths already line up.  Shared by both
-// execution engines so locals always start from the identical state.
-void reset_frame_locals(Frame& frame, std::span<const int> widths);
-
-// IPv4-style checksum recompute shared by both execution engines: serialize
-// `header` with the checksum field forced to zero, RFC-1071 sum the byte
-// image (streamed through `bytes_scratch`), store into the checksum field.
-void checksum_update_field(const p4::ir::Program& prog, PacketState& state,
-                           int header, int checksum_field,
-                           std::vector<std::uint8_t>& bytes_scratch);
-
 // Executes ingress/egress controls over a PacketState.
 //
 // The execution machinery (call frames, table-key scratch, extern byte

@@ -8,12 +8,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "dataplane/digest.h"
-#include "dataplane/engine.h"
 #include "dataplane/interp.h"
 #include "dataplane/parser_engine.h"
 #include "dataplane/quirks.h"
@@ -28,8 +26,6 @@ class CoverageMap;
 }  // namespace ndb::coverage
 
 namespace ndb::dataplane {
-
-class CompiledPipeline;
 
 enum class Disposition {
     forwarded,
@@ -86,7 +82,6 @@ struct PipelineResult {
 
 struct PipelineOptions {
     Quirks quirks;
-    Engine engine = default_engine();  // which executor runs the stages
     bool capture_taps = false;     // full PacketState copies (replay/localize)
     bool capture_digests = false;  // in-place stage hashes (campaign hot path)
 
@@ -110,17 +105,8 @@ class Pipeline {
 public:
     Pipeline(const p4::ir::Program& prog, TableSet& tables, StatefulSet& stateful,
              PipelineOptions options = {});
-    ~Pipeline();  // out of line: CompiledPipeline is incomplete here
 
     PipelineResult process(const packet::Packet& in);
-
-    // Switches the stage executor.  The compiled image is built lazily on
-    // first use and kept; switching back and forth recompiles nothing.
-    // Everything around the stages (counters, taps, digests, hooks, traffic
-    // manager, deparser) is shared orchestration in process(), so only the
-    // stage execution itself changes engine.
-    void set_engine(Engine engine);
-    Engine engine() const { return options_.engine; }
 
     const p4::ir::Program& program() const { return prog_; }
     const StageCounters& counters() const { return counters_; }
@@ -129,23 +115,17 @@ public:
     void set_capture_digests(bool on) { options_.capture_digests = on; }
 
     // Coverage mode: routes parser-edge/table/action/branch events from the
-    // execution engines into `map`.  Off (nullptr) by default; when off the
-    // only cost is a null check per instrumentation site, and when on no
-    // per-packet allocation is ever made (the map is a fixed array).
+    // parser and the interpreter into `map`.  Off (nullptr) by default; when
+    // off the only cost is a null check per instrumentation site, and when
+    // on no per-packet allocation is ever made (the map is a fixed array).
     void set_coverage(coverage::CoverageMap* map, std::uint64_t salt = 0);
-    coverage::CoverageMap* coverage() const { return coverage_; }
 
 private:
     const p4::ir::Program& prog_;
-    TableSet& tables_;
-    StatefulSet& stateful_;
     PipelineOptions options_;
     ParserEngine parser_;
     Interpreter interp_;
-    std::unique_ptr<CompiledPipeline> compiled_;  // lazily built threaded code
     StageCounters counters_;
-    coverage::CoverageMap* coverage_ = nullptr;
-    std::uint64_t cov_salt_ = 0;  // remembered for late engine switches
     // expiry_off_by_one is active AND the program reads the aging clock
     // (precomputed IR scan; see program_reads_timestamp in pipeline.cpp).
     bool quirk_expiry_clock_ = false;

@@ -6,6 +6,8 @@
 #include <optional>
 #include <stdexcept>
 
+#include "obs/metrics.h"
+
 namespace ndb::dataplane {
 
 const char* insert_status_name(InsertStatus status) {
@@ -821,12 +823,22 @@ void TableSet::set_default_action(int table_id, ActionEntry entry) {
 
 const ActionEntry& TableSet::lookup(int table_id, std::span<const Bitvec> keys,
                                     bool& hit) {
-    return lookup_slot(slots_.at(static_cast<std::size_t>(table_id)), keys, hit);
+    Slot& slot = slots_.at(static_cast<std::size_t>(table_id));
+    if (obs::metrics_on()) [[unlikely]] {
+        return lookup_timed(slot, keys, hit);
+    }
+    if (const ActionEntry* found = slot.engine->lookup(keys)) {
+        hit = true;
+        ++slot.stats.hits;
+        return *found;
+    }
+    hit = false;
+    ++slot.stats.misses;
+    return slot.default_action;
 }
 
-const ActionEntry& TableSet::lookup_slot_timed(Slot& slot,
-                                               std::span<const Bitvec> keys,
-                                               bool& hit) {
+const ActionEntry& TableSet::lookup_timed(Slot& slot, std::span<const Bitvec> keys,
+                                          bool& hit) {
     obs::Counter counter = obs::Counter::lookups_exact;
     obs::Hist hist = obs::Hist::lookup_ns_exact;
     switch (slot.kind) {

@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "p4/ir.h"
 #include "util/bitvec.h"
 
@@ -94,9 +93,27 @@ public:
     // `size_clamp` models vendor table-capacity limits (0 = none).
     TableSet(const p4::ir::Program& prog, int size_clamp, bool inverted_priority);
 
-    // One table's engine plus its default action and statistics.  Exposed so
-    // the compiled pipeline can resolve a table id to a stable handle once at
-    // compile time and skip the per-lookup id indirection.
+    InsertStatus insert(int table_id, const TableEntry& entry);
+    bool erase(int table_id, const TableEntry& entry);
+    void set_default_action(int table_id, ActionEntry entry);
+
+    // Lookup; falls back to the table's default action on miss.
+    // `hit` reports whether an entry matched.  The reference stays valid
+    // until the table is next mutated.
+    const ActionEntry& lookup(int table_id, std::span<const Bitvec> keys, bool& hit);
+
+    const Stats& stats(int table_id) const;
+    std::size_t entry_count(int table_id) const;
+    std::size_t capacity(int table_id) const;
+    void clear(int table_id);
+    void reset_stats();
+
+    // Returns every table to its freshly constructed state: no entries, the
+    // program's declared default action, zero statistics.
+    void reset();
+
+private:
+    // One table's engine plus its default action and statistics.
     struct Slot {
         std::unique_ptr<MatchEngine> engine;
         ActionEntry default_action;
@@ -107,58 +124,12 @@ public:
         p4::ir::MatchKind kind = p4::ir::MatchKind::exact;
     };
 
-    InsertStatus insert(int table_id, const TableEntry& entry);
-    bool erase(int table_id, const TableEntry& entry);
-    void set_default_action(int table_id, ActionEntry entry);
-
-    // Lookup; falls back to the table's default action on miss.
-    // `hit` reports whether an entry matched.  The reference stays valid
-    // until the table is next mutated.
-    const ActionEntry& lookup(int table_id, std::span<const Bitvec> keys, bool& hit);
-
-    // Stable per-table handle: slots_ never resizes after construction, so
-    // the pointer stays valid (and tracks entry/default-action updates) for
-    // the TableSet's lifetime.
-    Slot* slot_ptr(int table_id) {
-        return &slots_.at(static_cast<std::size_t>(table_id));
-    }
-
-    // lookup() against a resolved handle; identical semantics (hit/miss
-    // statistics, default-action fallback) with the id lookup hoisted out.
-    static const ActionEntry& lookup_slot(Slot& slot, std::span<const Bitvec> keys,
-                                          bool& hit) {
-        if (obs::metrics_on()) [[unlikely]] {
-            return lookup_slot_timed(slot, keys, hit);
-        }
-        if (const ActionEntry* found = slot.engine->lookup(keys)) {
-            hit = true;
-            ++slot.stats.hits;
-            return *found;
-        }
-        hit = false;
-        ++slot.stats.misses;
-        return slot.default_action;
-    }
-
-    // lookup_slot() with telemetry: per-kind lookup counters (exact) plus a
-    // 1/64-sampled latency histogram.  Out of line so the instrumented path
+    // lookup() with telemetry: per-kind lookup counters (exact) plus a
+    // 1/64-sampled latency histogram.  Separate so the instrumented path
     // costs the fast path nothing but the one enabled check.
-    static const ActionEntry& lookup_slot_timed(Slot& slot,
-                                                std::span<const Bitvec> keys,
-                                                bool& hit);
+    static const ActionEntry& lookup_timed(Slot& slot, std::span<const Bitvec> keys,
+                                           bool& hit);
 
-    const Stats& stats(int table_id) const;
-    std::size_t entry_count(int table_id) const;
-    std::size_t capacity(int table_id) const;
-    void clear(int table_id);
-    void reset_stats();
-
-    // Returns every table to its freshly constructed state: no entries, the
-    // program's declared default action, zero statistics.  Slot handles
-    // stay valid.
-    void reset();
-
-private:
     std::vector<Slot> slots_;
     std::vector<ActionEntry> declared_defaults_;  // parallel to slots_
 };

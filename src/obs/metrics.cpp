@@ -61,14 +61,10 @@ const char* gauge_name(Gauge g) {
 
 const char* hist_name(Hist h) {
     switch (h) {
-        case Hist::parse_ns_interp: return "parse_ns_interp";
-        case Hist::match_action_ns_interp: return "match_action_ns_interp";
-        case Hist::deparse_ns_interp: return "deparse_ns_interp";
-        case Hist::packet_ns_interp: return "packet_ns_interp";
-        case Hist::parse_ns_compiled: return "parse_ns_compiled";
-        case Hist::match_action_ns_compiled: return "match_action_ns_compiled";
-        case Hist::deparse_ns_compiled: return "deparse_ns_compiled";
-        case Hist::packet_ns_compiled: return "packet_ns_compiled";
+        case Hist::parse_ns: return "parse_ns";
+        case Hist::match_action_ns: return "match_action_ns";
+        case Hist::deparse_ns: return "deparse_ns";
+        case Hist::packet_ns: return "packet_ns";
         case Hist::lookup_ns_exact: return "lookup_ns_exact";
         case Hist::lookup_ns_lpm: return "lookup_ns_lpm";
         case Hist::lookup_ns_ternary: return "lookup_ns_ternary";

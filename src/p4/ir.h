@@ -288,10 +288,10 @@ struct Program {
 inline constexpr std::uint64_t kDropPort = 511;
 
 // Stable pre-order ordinal for every if_stmt in the program, walking
-// ingress, then egress, then actions by id.  Both execution engines (the
-// tree-walking interpreter and the threaded-code compiler) derive their
-// branch-coverage slots from this single walk, so the ordinals can never
-// drift between them.
+// ingress, then egress, then actions by id.  The interpreter's runtime
+// branch-coverage slots and coverage::EdgeIndex's static site list both
+// derive from this single walk, so the ordinals can never drift between
+// them.
 std::unordered_map<const Stmt*, std::uint32_t> number_branches(const Program& prog);
 
 }  // namespace ndb::p4::ir

@@ -1,5 +1,6 @@
 #include "p4/lexer.h"
 
+#include <algorithm>
 #include <cctype>
 #include <unordered_map>
 
@@ -220,7 +221,10 @@ Token Lexer::lex_number() {
     // A decimal run followed by 'w' is a width prefix: 8w255, 16w0xFFFF.
     if (base == 10 && peek() == 'w' && !digits.empty()) {
         advance();
-        width = std::stoi(digits);
+        // Saturate instead of overflowing: any prefix past 4096 is rejected
+        // below, however many digits it has.
+        width = 0;
+        for (const char c : digits) width = std::min(width * 10 + (c - '0'), 4097);
         digits.clear();
         if (width <= 0 || width > 4096) {
             diags_.error(tok_start_, "bad width prefix in literal");

@@ -176,10 +176,13 @@ ast::TypeRef P4Parser::parse_type() {
         t.kind = ast::TypeRef::Kind::bits;
         expect(TokKind::l_angle, "after 'bit'");
         const Token& n = expect(TokKind::number, "as bit width");
-        t.width = static_cast<int>(n.value.to_u64());
-        if (t.width <= 0 || t.width > 4096) {
+        // Range-check the full literal before narrowing it to int.
+        const std::uint64_t width = n.value.fits_u64() ? n.value.to_u64() : 0;
+        if (width == 0 || width > 4096) {
             diags_.error(n.loc, "bit width must be in [1, 4096]");
             t.width = 1;
+        } else {
+            t.width = static_cast<int>(width);
         }
         expect_close_angle("after bit width");
     } else if (accept(TokKind::kw_bool)) {

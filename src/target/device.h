@@ -64,10 +64,6 @@ struct DeviceConfig {
 
     // Backend behaviour deviations; all-defaults = faithful P4 semantics.
     dataplane::Quirks quirks;
-
-    // Which executor runs the pipeline stages (semantically identical by
-    // construction; see src/dataplane/engine.h).
-    dataplane::Engine engine = dataplane::default_engine();
 };
 
 // One traced packet: the stimulus as injected plus everything the pipeline
@@ -88,7 +84,7 @@ public:
     // state.  Loading the image the device already holds returns it to its
     // freshly loaded state in place -- no entries, declared default
     // actions, zeroed extern cells, counters, queues, taps and digests --
-    // without rebuilding the engines.  Either way every handle resolved
+    // without rebuilding the pipeline.  Either way every handle resolved
     // before the call goes stale.  A null image is refused.
     virtual control::Status load(
         std::shared_ptr<const p4::ir::Program> image) = 0;
@@ -174,14 +170,6 @@ public:
     // be built with the same salt to map slots back to IR sites; the
     // default matches the un-instrumented set_coverage() default above.
     virtual std::uint64_t coverage_salt() const { return 0; }
-
-    // Execution-engine selection, same no-op default contract as
-    // set_coverage(): backends that only have one executor ignore it and
-    // report Engine::interpreter.  On SimDevice the setting survives load().
-    virtual void set_engine(dataplane::Engine /*engine*/) {}
-    virtual dataplane::Engine engine() const {
-        return dataplane::Engine::interpreter;
-    }
 
     // Deterministic virtual device clock.
     virtual std::uint64_t now_ns() const = 0;

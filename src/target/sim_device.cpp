@@ -42,9 +42,9 @@ Status SimDevice::load(std::shared_ptr<const p4::ir::Program> image) {
     if (!image) return Status::failure("load: null program image");
     ++generation_;  // invalidates every handle issued against the old image
     if (image == prog_) {
-        // The image the engines were built from: everything they derived
-        // from it (table layout, extern shapes, compiled code) still holds,
-        // so only the dynamic state goes back to its freshly loaded values.
+        // The image the device was built from: everything derived from it
+        // (table layout, extern shapes, pipeline) still holds, so only the
+        // dynamic state goes back to its freshly loaded values.
         tables_->reset();
         reset_state();
         return Status::success();
@@ -60,7 +60,6 @@ Status SimDevice::load(std::shared_ptr<const p4::ir::Program> image) {
     stateful_ = std::make_unique<dataplane::StatefulSet>(*prog_);
     dataplane::PipelineOptions options;
     options.quirks = config_.quirks;
-    options.engine = config_.engine;
     options.capture_taps = taps_enabled_;
     options.capture_digests = digests_enabled_;
     pipeline_ = std::make_unique<dataplane::Pipeline>(*prog_, *tables_, *stateful_,
@@ -75,13 +74,6 @@ Status SimDevice::load(std::shared_ptr<const p4::ir::Program> image) {
 void SimDevice::set_coverage(coverage::CoverageMap* map) {
     coverage_ = map;
     if (pipeline_) pipeline_->set_coverage(map, cov_salt_);
-}
-
-void SimDevice::set_engine(dataplane::Engine engine) {
-    // Stored in the config so the choice survives loading a new image
-    // (which rebuilds the pipeline), mirroring the coverage re-apply above.
-    config_.engine = engine;
-    if (pipeline_) pipeline_->set_engine(engine);
 }
 
 void SimDevice::clear_dynamic_state() {

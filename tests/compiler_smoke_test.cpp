@@ -1,11 +1,16 @@
 // End-to-end smoke: every sample program compiles, loads on the reference
-// device, and a basic packet round-trips.
+// device, and a basic packet round-trips.  Bit widths outside [1, 4096]
+// are refused with a diagnostic.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <string_view>
 
 #include "p4/compiler.h"
 #include "p4/programs.h"
 #include "packet/protocols.h"
 #include "target/device.h"
+#include "util/diag.h"
 
 namespace {
 
@@ -78,6 +83,42 @@ TEST(CompilerSmoke, RejectFilterForwardsNonIpv4OnSdnet) {
     pkt.meta.ingress_port = 0;
     device->inject(pkt);
     EXPECT_EQ(device->drain_port(1).size(), 1u);  // wrongly forwarded
+}
+
+// Bit widths outside [1, 4096] come back from try_compile_source as a
+// diagnostic, never as an exception or a silently narrowed width.
+TEST(CompilerSmoke, OutOfRangeBitWidthsAreDiagnostics) {
+    struct Case {
+        const char* from;  // text of the passthrough sample to replace
+        const char* to;
+        const char* diagnostic;
+    };
+    const Case cases[] = {
+        // Too large for int: the width prefix must not throw out_of_range.
+        {"9w1;", "99999999999w1;", "bad width prefix"},
+        // 2^32 + 1 and a sized 2^64 + 1 narrow to 1, which is in range, so
+        // the check must look at the whole literal.
+        {"bit<48> dstAddr;", "bit<4294967297> dstAddr;",
+         "bit width must be in [1, 4096]"},
+        {"bit<48> dstAddr;", "bit<72w0x10000000000000001> dstAddr;",
+         "bit width must be in [1, 4096]"},
+        {"bit<48> dstAddr;", "bit<4097> dstAddr;", "bit width must be in [1, 4096]"},
+        {"bit<48> dstAddr;", "bit<0> dstAddr;", "bit width must be in [1, 4096]"},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.to);
+        std::string src(p4::programs::passthrough());
+        const std::size_t pos = src.find(c.from);
+        ASSERT_NE(pos, std::string::npos);
+        src.replace(pos, std::string_view(c.from).size(), c.to);
+
+        util::DiagEngine diags;
+        p4::CompileResult result;
+        EXPECT_NO_THROW(result = p4::try_compile_source(src, "width_probe", diags));
+        EXPECT_FALSE(result.ok);
+        EXPECT_NE(diags.report().find(c.diagnostic), std::string::npos)
+            << diags.report();
+    }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "core/campaign.h"
 #include "coverage/coverage.h"
+#include "dataplane/engine.h"
 
 #ifndef NDB_CORPUS_DIR
 #error "NDB_CORPUS_DIR must point at tests/corpus"
@@ -100,14 +101,12 @@ std::vector<CorpusEntry> load_corpus() {
     return entries;
 }
 
-// Parameterized over the execution engine: every committed corpus entry
-// must replay identically through the tree-walking interpreter and the
-// threaded-code CompiledPipeline.
+// One instance, on the data plane's only engine; the suite keeps its
+// Engines/.../interpreter name so the test's history stays continuous.
 class CorpusReplay : public ::testing::TestWithParam<dataplane::Engine> {};
 
 INSTANTIATE_TEST_SUITE_P(Engines, CorpusReplay,
-                         ::testing::Values(dataplane::Engine::interpreter,
-                                           dataplane::Engine::compiled),
+                         ::testing::Values(dataplane::Engine::interpreter),
                          [](const auto& info) {
                              return std::string(
                                  dataplane::engine_name(info.param));
@@ -127,7 +126,6 @@ TEST_P(CorpusReplay, EveryKnownDivergenceStillTriggers) {
         config.threads = 1;
         config.programs = {entry.program};
         config.duts = {core::BackendSpec{entry.backend, quirks, "dut"}};
-        config.engine = GetParam();
         // "" = fresh-seed replay; the mutate/concolic grammars are mutually
         // unparseable ('#' vs '@' head), so one field carries either.
         config.mutation_recipe =
@@ -142,7 +140,7 @@ TEST_P(CorpusReplay, EveryKnownDivergenceStillTriggers) {
 
         if (!entry.concolic.empty()) {
             // A concolic entry's seed IS its target coverage slot; the
-            // replayed scenario must still light it on this engine.
+            // replayed scenario must still light it.
             EXPECT_EQ(report.scenarios_concolic, 1u);
             EXPECT_GT(map.count(static_cast<std::uint32_t>(entry.seed)), 0u)
                 << "synthesized seed no longer lights its target slot";

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/campaign.h"
-#include "dataplane/engine.h"
 #include "dataplane/quirks.h"
 
 namespace ndb_test {
@@ -19,17 +18,12 @@ namespace ndb_test {
 struct FlagFixture {
     std::vector<std::string> programs;
     std::vector<ndb::core::BackendSpec> duts;
-    // Execution engine the sweep should run under.  Defaults to the
-    // process-wide selection, so NDB_ENGINE=interp|compiled re-runs every
-    // fixture-based acceptance test against either engine without edits.
-    ndb::dataplane::Engine engine = ndb::dataplane::default_engine();
 };
 
 // Applies the fixture's common knobs onto a campaign config.
 inline void apply_fixture(const FlagFixture& fx, ndb::core::CampaignConfig& cfg) {
     cfg.programs = fx.programs;
     cfg.duts = fx.duts;
-    cfg.engine = fx.engine;
 }
 
 inline FlagFixture seven_flag_fixture() {

@@ -1,8 +1,8 @@
 // Stateful network functions at production flow counts.
 //
 // Four classic NF shapes (NAT, per-flow firewall, maglev-style load
-// balancer, learning bridge) run under both execution engines, their
-// register/extern state driven through the handle-based runtime API, and
+// balancer, learning bridge) run with their register/extern state driven
+// through the handle-based runtime API, and
 // the state-quirk family (stale_entry, expiry_off_by_one,
 // hash_collision_misdirect) is detected, minimized, fingerprinted and
 // localized by the campaign with the usual determinism contract: one
@@ -27,9 +27,6 @@ namespace {
 using namespace ndb;
 using util::Bitvec;
 
-const std::vector<std::string> kNfPrograms = {
-    "nat_gateway", "flow_firewall", "maglev_lb", "learning_bridge"};
-
 // The fabric accounting block is the report's one timing-dependent part;
 // byte-identity is asserted on everything else.
 std::string json_without_fabric(core::CampaignReport r) {
@@ -45,34 +42,6 @@ core::CampaignConfig fixture_config(std::uint64_t scenarios) {
     cfg.threads = 1;
     ndb_test::apply_fixture(ndb_test::state_quirk_fixture(), cfg);
     return cfg;
-}
-
-// --- engine differential ------------------------------------------------------
-
-TEST(StatefulNf, InterpAndCompiledAgreeOnEveryNfProgram) {
-    for (const std::string& prog : kNfPrograms) {
-        const core::SpecGenerator gen({prog});
-        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-            const core::Scenario sc = gen.make(seed);
-            const std::vector<packet::Packet> packets =
-                core::scenario_packets(sc);
-
-            auto interp = target::make_device("reference");
-            interp->set_engine(dataplane::Engine::interpreter);
-            auto compiled = target::make_device("reference");
-            compiled->set_engine(dataplane::Engine::compiled);
-
-            const core::DeviceRun a =
-                core::run_scenario_on(*interp, sc, packets, 8, nullptr, nullptr);
-            const core::DeviceRun b = core::run_scenario_on(*compiled, sc,
-                                                            packets, 8, nullptr,
-                                                            nullptr);
-            const auto div = core::diff_runs(b, a);
-            EXPECT_FALSE(div.has_value())
-                << prog << " seed " << seed << ": engines diverge ("
-                << div->kind << "): " << div->detail;
-        }
-    }
 }
 
 // --- flow state driven through resolved handles -------------------------------

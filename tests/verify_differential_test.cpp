@@ -16,8 +16,7 @@
 //
 // Layer 2 (program level): every seed the concolic synthesizer produces
 // for a catalogue program must actually light its target coverage slot
-// when the decoded packet+config runs on a real device -- under both
-// execution engines.  Plus the campaign acceptance bar: on the seven-flag
+// when the decoded packet+config runs on a real device.  Plus the campaign acceptance bar: on the seven-flag
 // quirk fixture, a concolic-assisted guided campaign lights coverage
 // slots that stay dark under pure greybox at the same scenario budget,
 // and every injected `concolic=` recipe replays deterministically to
@@ -36,6 +35,7 @@
 #include "core/specgen.h"
 #include "coverage/coverage.h"
 #include "coverage/edge_index.h"
+#include "dataplane/engine.h"
 #include "quirk_fixture.h"
 #include "target/device.h"
 #include "verify/concolic.h"
@@ -355,13 +355,14 @@ TEST(SymExecBudget, PathsExhaustedIsSurfaced) {
     EXPECT_TRUE(result.paths_exhausted);
 }
 
-// --- layer 2: concolic end-to-end under both engines --------------------------
+// --- layer 2: concolic end-to-end ---------------------------------------------
 
+// One instance, on the data plane's only engine; the suite keeps its
+// Engines/.../interpreter name so the test's history stays continuous.
 class ConcolicEndToEnd : public ::testing::TestWithParam<dataplane::Engine> {};
 
 INSTANTIATE_TEST_SUITE_P(Engines, ConcolicEndToEnd,
-                         ::testing::Values(dataplane::Engine::interpreter,
-                                           dataplane::Engine::compiled),
+                         ::testing::Values(dataplane::Engine::interpreter),
                          [](const auto& info) {
                              return std::string(
                                  dataplane::engine_name(info.param));
@@ -417,7 +418,6 @@ TEST_P(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
             const core::Scenario sc = mutator.apply_concolic(*reparsed);
             coverage::CoverageMap map;
             auto dev = target::make_device("reference");
-            dev->set_engine(GetParam());
             dev->set_coverage(&map);
             ASSERT_TRUE(dev->load(*sc.compiled));
             for (const auto& op : sc.config) core::apply_config_op(*dev, op);
@@ -439,11 +439,11 @@ TEST_P(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
 
 // --- layer 2: campaign acceptance on the seven-flag fixture -------------------
 
+// Named like ConcolicEndToEnd above, for the same reason.
 class ConcolicCampaign : public ::testing::TestWithParam<dataplane::Engine> {};
 
 INSTANTIATE_TEST_SUITE_P(Engines, ConcolicCampaign,
-                         ::testing::Values(dataplane::Engine::interpreter,
-                                           dataplane::Engine::compiled),
+                         ::testing::Values(dataplane::Engine::interpreter),
                          [](const auto& info) {
                              return std::string(
                                  dataplane::engine_name(info.param));
@@ -456,7 +456,6 @@ TEST_P(ConcolicCampaign, LightsEdgesDarkUnderPureGreyboxAtEqualBudget) {
     const auto run = [&](bool concolic, coverage::CoverageMap* map_out) {
         core::CampaignConfig config;
         ndb_test::apply_fixture(fx, config);
-        config.engine = GetParam();
         config.scenarios = kBudget;
         config.threads = 2;
         config.mutate = true;
@@ -496,7 +495,6 @@ TEST_P(ConcolicCampaign, LightsEdgesDarkUnderPureGreyboxAtEqualBudget) {
         SCOPED_TRACE(text);
         core::CampaignConfig config;
         ndb_test::apply_fixture(fx, config);
-        config.engine = GetParam();
         config.mutation_recipe = text;
         config.coverage = true;
         coverage::CoverageMap replay_map;

@@ -2,15 +2,21 @@
 //
 //   ndb_campaign [--seeds N] [--seed BASE] [--threads T] [--batch B]
 //                [--programs a,b,...] [--backends a,b,...]
-//                [--engine interp|compiled]
 //                [--no-localize] [--no-minimize] [--out BENCH_campaign.json]
 //                [--coverage] [--mutate] [--mutation-rate F]
-//                [--soak N] [--corpus-dir DIR]
+//                [--concolic] [--concolic-per-round N]
+//                [--soak N] [--corpus-dir DIR] [--replay RECIPE]
+//                [--mgmt-fault-plan SPEC]
+//                [--workers N] [--fault-plan SPEC] [--shard-size N]
+//                [--kill-worker-after N]
+//                [--metrics-out FILE] [--trace-out FILE]
 //
 // Runs N seeded scenarios differentially against every selected backend,
 // prints the triaged divergence report, and writes a benchmark JSON with
 // both the deterministic findings and the wall-clock throughput numbers
 // (scenarios/sec, packets/sec) so the perf trajectory is measurable.
+// Every device runs its pipeline on the interpreter, the data plane's one
+// execution engine; the report names it in its "engine" field.
 //
 // --coverage switches the engine to coverage-guided adaptive seed
 // scheduling: programs earning fresh coverage edges or fingerprints get
@@ -83,7 +89,6 @@ int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--seeds N] [--seed BASE] [--threads T] [--batch B]\n"
                  "          [--programs a,b,...] [--backends a,b,...]\n"
-                 "          [--engine interp|compiled]\n"
                  "          [--no-localize] [--no-minimize] [--out FILE]\n"
                  "          [--coverage] [--mutate] [--mutation-rate F]\n"
                  "          [--concolic] [--concolic-per-round N]\n"
@@ -152,18 +157,6 @@ int main(int argc, char** argv) {
             for (const auto& name : split_csv(value())) {
                 config.duts.push_back(core::BackendSpec{name, std::nullopt, name});
             }
-        } else if (arg == "--engine") {
-            // Defaults to dataplane::default_engine() (compiled, or the
-            // NDB_ENGINE override); both engines produce the identical
-            // report, the flag exists for oracle runs and A/B timing.
-            const char* text = value();
-            const auto parsed = dataplane::engine_from_name(text);
-            if (!parsed) {
-                std::fprintf(stderr, "--engine wants interp or compiled, got '%s'\n",
-                             text);
-                return 2;
-            }
-            config.engine = *parsed;
         } else if (arg == "--coverage") {
             config.coverage = true;
         } else if (arg == "--mutate") {
