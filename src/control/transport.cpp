@@ -312,6 +312,15 @@ bool WireChannel::wait_for(std::uint64_t seq, std::uint32_t ticks,
     return false;
 }
 
+namespace {
+
+// Backoff between a timed-out attempt and the next: kBackoffBaseTicks <<
+// attempt, capped at kBackoffCapTicks.
+constexpr std::uint64_t kBackoffBaseTicks = 1;
+constexpr std::uint64_t kBackoffCapTicks = 16;
+
+}  // namespace
+
 Response WireChannel::transact(const Request& request) {
     ++stats_.requests;
     // Telemetry shadows ChannelStats (which feed the deterministic report);
@@ -345,9 +354,8 @@ Response WireChannel::transact(const Request& request) {
         ++stats_.frames_sent;
         if (wait_for(seq, policy_.timeout_ticks, resp)) return resp;
         if (attempt + 1 < attempts) {
-            const std::uint64_t backoff = std::min<std::uint64_t>(
-                static_cast<std::uint64_t>(policy_.backoff_base_ticks) << attempt,
-                policy_.backoff_cap_ticks);
+            const std::uint64_t backoff =
+                std::min(kBackoffBaseTicks << attempt, kBackoffCapTicks);
             // Keep listening during the backoff: the response may just be slow.
             if (backoff > 0 &&
                 wait_for(seq, static_cast<std::uint32_t>(backoff), resp)) {

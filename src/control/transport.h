@@ -201,14 +201,13 @@ private:
 
 // --- resilient client channel -------------------------------------------------
 
-// Retry/timeout knobs for WireChannel.  Timeouts and backoff are measured
-// in transport ticks (virtual for loopback, ~1ms polls for fd), so the
-// same policy is deterministic in-process and sane cross-process.
+// Retry/timeout knobs for WireChannel.  Timeouts (and the fixed backoff
+// between tries, 1<<attempt ticks capped at 16) are measured in transport
+// ticks (virtual for loopback, ~1ms polls for fd), so the same policy is
+// deterministic in-process and sane cross-process.
 struct RetryPolicy {
     std::uint32_t max_attempts = 4;       // total tries, including the first
     std::uint32_t timeout_ticks = 16;     // per-attempt response wait
-    std::uint32_t backoff_base_ticks = 1; // wait base<<attempt between tries...
-    std::uint32_t backoff_cap_ticks = 16; // ...capped here
 };
 
 // Client-side channel counters, surfaced in campaign reports.

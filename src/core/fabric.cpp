@@ -28,6 +28,20 @@ namespace {
 namespace wire = control::wire;
 using Clock = std::chrono::steady_clock;
 
+// The parent heartbeats every worker at this cadence.
+constexpr std::chrono::milliseconds kHeartbeatInterval{50};
+// A worker with a shard in flight and no frame for this long is declared
+// hung, SIGKILLed and replaced.  Must exceed the worst-case shard execution
+// time.
+constexpr std::chrono::milliseconds kHeartbeatTimeout{10'000};
+// A worker that answers heartbeats *after* its job was sent but returns no
+// result is idle -- the job or result frame was lost on a faulty link; the
+// job is retransmitted at this cadence.
+constexpr std::chrono::milliseconds kJobResend{200};
+// A worker slot that keeps dying past this many respawns aborts the
+// campaign (it is failing deterministically, not crashing by injection).
+constexpr int kMaxRestartsPerWorker = 3;
+
 // --- outcome serialization ----------------------------------------------------
 //
 // A job_result payload carries the shard's ScenarioOutcomes: everything the
@@ -339,12 +353,6 @@ CampaignReport FabricEngine::run() {
     std::uint64_t hb_seq = 0;
     bool kill_fired = false;
 
-    const auto hb_interval =
-        std::chrono::milliseconds(config_.heartbeat_interval_ms);
-    const auto hb_timeout =
-        std::chrono::milliseconds(config_.heartbeat_timeout_ms);
-    const auto resend_after = std::chrono::milliseconds(config_.job_resend_ms);
-
     std::vector<WorkerSlot> slots(static_cast<std::size_t>(config_.workers));
 
     // Link-layer accounting survives a slot's respawn by folding the dying
@@ -473,7 +481,7 @@ CampaignReport FabricEngine::run() {
                 pending.pop_front();
                 send_job(s);
             }
-            if (now - s.last_hb >= hb_interval) {
+            if (now - s.last_hb >= kHeartbeatInterval) {
                 send_frame(s, {wire::FrameKind::heartbeat, ++hb_seq, {}});
                 s.last_hb = now;
             }
@@ -482,7 +490,7 @@ CampaignReport FabricEngine::run() {
             // frame died on the link -- retransmit (execution is safe to
             // repeat; shard dedup keeps the first result).
             if (s.inflight && s.last_ack > s.job_sent &&
-                now - s.job_sent >= resend_after) {
+                now - s.job_sent >= kJobResend) {
                 ++report.fabric.jobs_resent;
                 send_job(s);
             }
@@ -524,7 +532,7 @@ CampaignReport FabricEngine::run() {
                 dead = true;
             }
             if (!dead && !s.transport->alive()) dead = true;
-            if (!dead && s.inflight && now - s.last_frame > hb_timeout) {
+            if (!dead && s.inflight && now - s.last_frame > kHeartbeatTimeout) {
                 dead = true;
             }
             if (!dead) continue;
@@ -545,7 +553,7 @@ CampaignReport FabricEngine::run() {
                 s.inflight.reset();
                 ++report.fabric.shards_redispatched;
             }
-            if (++s.restarts > config_.max_restarts_per_worker) {
+            if (++s.restarts > kMaxRestartsPerWorker) {
                 throw std::runtime_error(util::format(
                     "fabric: worker slot %zu died %d times; a worker that "
                     "keeps dying is failing deterministically, not crashing "

@@ -38,20 +38,6 @@ struct FabricConfig {
     // directions, per-endpoint salted seeds).  Empty or "none" = clean.
     std::string link_fault_plan;
 
-    std::uint32_t heartbeat_interval_ms = 50;
-    // A worker with a shard in flight and no frame for this long is
-    // declared hung, SIGKILLed and replaced.  Must exceed the worst-case
-    // shard execution time.
-    std::uint32_t heartbeat_timeout_ms = 10'000;
-    // A worker that answers heartbeats *after* its job was sent but returns
-    // no result is idle -- the job or result frame was lost on a faulty
-    // link; the job is retransmitted at this cadence.
-    std::uint32_t job_resend_ms = 200;
-
-    // A worker slot that keeps dying past this many respawns aborts the
-    // campaign (it is failing deterministically, not crashing by injection).
-    int max_restarts_per_worker = 3;
-
     // Test/CI hook: SIGKILL worker 0 once, after this many job results have
     // been received (-1 = never).  Exercises the respawn + re-dispatch path
     // deterministically enough for assertions on worker_restarts.

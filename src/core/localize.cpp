@@ -19,9 +19,8 @@ std::string LocalizeResult::to_string() const {
                         static_cast<unsigned long long>(packets_replayed));
 }
 
-FaultLocalizer::FaultLocalizer(target::Device& dut, target::Device& golden,
-                               std::uint64_t trigger_period)
-    : dut_(dut), golden_(golden), trigger_period_(std::max<std::uint64_t>(1, trigger_period)) {}
+FaultLocalizer::FaultLocalizer(target::Device& dut, target::Device& golden)
+    : dut_(dut), golden_(golden) {}
 
 namespace {
 
@@ -59,6 +58,50 @@ const std::optional<dataplane::PacketState>* tap_of(
     return nullptr;
 }
 
+// Compares one replay's pipeline results, DUT against golden, at every
+// stage up to and including `stage`; returns the first difference, if any.
+std::optional<std::string> diff_results(const p4::ir::Program& prog,
+                                        const dataplane::PipelineResult& rd,
+                                        const dataplane::PipelineResult& rg,
+                                        Stage stage) {
+    // Header states can agree while the verdicts do not (the SDNet reject
+    // bug extracts identical headers and then mis-accepts).  The parser
+    // precedes every probed stage, so this check runs unconditionally:
+    // probe() must report divergence at-or-before the probed stage or
+    // localize_binary's bisection loses monotonicity.
+    if (rd.parser_verdict != rg.parser_verdict) {
+        return util::format("parser verdict differs: dut=%s golden=%s",
+                            dataplane::parser_verdict_name(rd.parser_verdict),
+                            dataplane::parser_verdict_name(rg.parser_verdict));
+    }
+    // Compare every tap at-or-before the probed stage, front to back: a
+    // divergence confined to an early tap may be overwritten by later
+    // stages, and reporting the earliest observable one is what keeps the
+    // bisection monotone.
+    for (int s = 0; s <= static_cast<int>(stage); ++s) {
+        const Stage at = static_cast<Stage>(s);
+        const auto* tap_d = tap_of(rd, at);
+        const auto* tap_g = tap_of(rg, at);
+        if (!tap_d || !tap_g) continue;
+        if (tap_d->has_value() != tap_g->has_value()) {
+            return util::format("packet reached %s on only one device",
+                                dataplane::stage_name(at));
+        }
+        if (tap_d->has_value()) {
+            if (auto diff = diff_states(prog, **tap_d, **tap_g)) return diff;
+        }
+    }
+    // No tap divergence up to the probed stage; when neither pipeline
+    // reached it, the dispositions are the remaining signal.
+    const auto* probed = tap_of(rd, stage);
+    if (probed && !probed->has_value() && rd.disposition != rg.disposition) {
+        return util::format("disposition differs: dut=%s golden=%s",
+                            dataplane::disposition_name(rd.disposition),
+                            dataplane::disposition_name(rg.disposition));
+    }
+    return std::nullopt;
+}
+
 // Final description for a run in which no probe reported a divergence.
 const char* settled_description(bool conclusive) {
     return conclusive ? "no stage diverged"
@@ -79,73 +122,20 @@ std::optional<std::string> FaultLocalizer::probe(Stage stage,
     dut_.clear_tap_records();
     golden_.clear_tap_records();
 
+    dut_.inject(stimulus);
+    golden_.inject(stimulus);
+    accounting.packets_replayed += 2;
+    dut_.flush();
+    golden_.flush();
     std::optional<std::string> divergence;
-    for (std::uint64_t i = 0; i < trigger_period_; ++i) {
-        packet::Packet p1 = stimulus;
-        packet::Packet p2 = stimulus;
-        dut_.inject(std::move(p1));
-        golden_.inject(std::move(p2));
-        accounting.packets_replayed += 2;
-        dut_.flush();
-        golden_.flush();
-        const auto& taps_dut = dut_.tap_records();
-        const auto& taps_gold = golden_.tap_records();
-        if (taps_dut.empty() || taps_gold.empty()) {
-            // Recording is deterministic per device: an empty ring right
-            // after an injection means it cannot record, so further
-            // replays of this probe cannot become observable either.
-            break;
-        }
+    const auto& taps_dut = dut_.tap_records();
+    const auto& taps_gold = golden_.tap_records();
+    // An empty ring right after an injection means that device cannot
+    // record: the comparison sees nothing and stays inconclusive.
+    if (!taps_dut.empty() && !taps_gold.empty()) {
         accounting.conclusive = true;
-        const auto& rd = taps_dut.back().result;
-        const auto& rg = taps_gold.back().result;
-
-        // A packet that vanished on the DUT before this stage is the
-        // strongest possible divergence signal.
-        if (rd.silent_drop && static_cast<int>(rd.silent_drop_stage) <=
-                                  static_cast<int>(stage)) {
-            divergence = util::format("packet silently vanished after %s",
-                                      dataplane::stage_name(rd.silent_drop_stage));
-            break;
-        }
-        // Header states can agree while the verdicts do not (the SDNet
-        // reject bug extracts identical headers and then mis-accepts).
-        // The parser precedes every probed stage, so this check runs
-        // unconditionally: probe() must report divergence at-or-before the
-        // probed stage or localize_binary's bisection loses monotonicity.
-        if (rd.parser_verdict != rg.parser_verdict) {
-            divergence = util::format(
-                "parser verdict differs: dut=%s golden=%s",
-                dataplane::parser_verdict_name(rd.parser_verdict),
-                dataplane::parser_verdict_name(rg.parser_verdict));
-            break;
-        }
-        // Compare every tap at-or-before the probed stage, front to back:
-        // a divergence confined to an early tap may be overwritten by later
-        // stages, and reporting the earliest observable one is what keeps
-        // the bisection monotone.
-        for (int s = 0; s <= static_cast<int>(stage) && !divergence; ++s) {
-            const Stage at = static_cast<Stage>(s);
-            const auto* tap_d = tap_of(rd, at);
-            const auto* tap_g = tap_of(rg, at);
-            if (!tap_d || !tap_g) continue;
-            if (tap_d->has_value() != tap_g->has_value()) {
-                divergence = util::format("packet reached %s on only one device",
-                                          dataplane::stage_name(at));
-            } else if (tap_d->has_value()) {
-                divergence = diff_states(dut_.program(), **tap_d, **tap_g);
-            }
-        }
-        if (divergence) break;
-        // No tap divergence up to the probed stage; when neither pipeline
-        // reached it, the dispositions are the remaining signal.
-        const auto* probed = tap_of(rd, stage);
-        if (probed && !probed->has_value() && rd.disposition != rg.disposition) {
-            divergence = util::format("disposition differs: dut=%s golden=%s",
-                                      dataplane::disposition_name(rd.disposition),
-                                      dataplane::disposition_name(rg.disposition));
-            break;
-        }
+        divergence = diff_results(dut_.program(), taps_dut.back().result,
+                                  taps_gold.back().result, stage);
     }
     dut_.set_taps_enabled(dut_taps_before);
     golden_.set_taps_enabled(golden_taps_before);

@@ -37,14 +37,11 @@ class FaultLocalizer {
 public:
     // Both devices must run the same source program (the backends may
     // differ; header layouts are identical by construction).
-    // `trigger_period`: replay this many packets per probe so that
-    // every-Nth faults fire at least once.
     //
     // Probing restores each device's taps-enabled flag on exit, but the
     // tap RINGS are working storage: any records the caller collected
     // before localization are cleared by the replays.
-    FaultLocalizer(target::Device& dut, target::Device& golden,
-                   std::uint64_t trigger_period = 1);
+    FaultLocalizer(target::Device& dut, target::Device& golden);
 
     // Probe every stage front to back.
     LocalizeResult localize_linear(const packet::Packet& stimulus);
@@ -54,7 +51,7 @@ public:
 
 private:
     // Replays the stimulus on both devices and reports whether the states
-    // at `stage` differ (or the packet already vanished on the DUT).
+    // at or before `stage` differ.
     // Marks `accounting.conclusive` once a replay produced tap records on
     // both devices, i.e. the comparison actually saw something.
     std::optional<std::string> probe(dataplane::Stage stage,
@@ -63,7 +60,6 @@ private:
 
     target::Device& dut_;
     target::Device& golden_;
-    std::uint64_t trigger_period_;
 };
 
 }  // namespace ndb::core

@@ -90,7 +90,6 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
         control::LoopbackTransport transport(dev.runtime());
         transport.set_fault_plan(mgmt->plan);
         control::WireChannel channel(transport);
-        channel.set_retry_policy(mgmt->retry);
         control::RuntimeClient client(channel);
         // The whole scenario's configuration rides one ApplyConfigReq frame;
         // per-op Status comes back in the response, so the accounting below

@@ -96,11 +96,10 @@ struct WorkerContext {
 };
 
 // A DUT's management-channel configuration: the fault plan applied to its
-// config delivery plus the client's retry budget.
+// config delivery (the client retries under WireChannel's default budget).
 struct MgmtLink {
     bool enabled = false;
     control::FaultPlan plan;
-    control::RetryPolicy retry;
 };
 
 // The scenario's packet stream on the fixed kEpochNs/kSlotNs timeline.

@@ -59,19 +59,6 @@ std::shared_ptr<const p4::ir::Program> compile(std::string_view source,
         p4::compile_source(source, std::move(name)));
 }
 
-control::Status add_default_route(control::RuntimeApi& rt, std::uint32_t port) {
-    const packet::Mac next_hop = host_mac(2);
-    control::EntrySpec entry;
-    entry.key_values = {util::Bitvec(32, 0)};
-    entry.prefix_len = 0;
-    entry.action = "ipv4_forward";
-    entry.action_args = {
-        util::Bitvec::from_bytes(
-            std::span<const std::uint8_t>(next_hop.data(), next_hop.size()), 48),
-        util::Bitvec(9, port)};
-    return rt.add_entry("ipv4_lpm", entry);
-}
-
 control::Status add_l2_entry(control::RuntimeApi& rt, const packet::Mac& dst,
                              std::uint32_t port) {
     control::EntrySpec entry;

@@ -32,8 +32,7 @@ packet::Packet label_stack_packet(int depth = 8);
 std::shared_ptr<const p4::ir::Program> compile(std::string_view source,
                                                std::string name);
 
-// Canonical routes / entries.
-control::Status add_default_route(control::RuntimeApi& rt, std::uint32_t port);
+// Canonical entries.
 control::Status add_l2_entry(control::RuntimeApi& rt, const packet::Mac& dst,
                              std::uint32_t port);
 control::Status add_acl_allow_udp(control::RuntimeApi& rt, std::uint16_t dst_port,

@@ -163,16 +163,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         result.cycles = state.cycles;
         return result;
     }
-    if (options_.stage_hook) {
-        options_.stage_hook(Stage::parser, state);
-        if (state.vanished) {
-            result.silent_drop = true;
-            result.silent_drop_stage = Stage::parser;
-            result.disposition = Disposition::dropped_parser;
-            result.cycles = state.cycles;
-            return result;
-        }
-    }
+    if (options_.stage_hook) options_.stage_hook(Stage::parser, state);
 
     interp_.clear_applies();
     interp_.run_control(prog_.ingress, state);
@@ -187,17 +178,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         result.cycles = state.cycles;
         return result;
     }
-    if (options_.stage_hook) {
-        options_.stage_hook(Stage::ingress, state);
-        if (state.vanished) {
-            result.silent_drop = true;
-            result.silent_drop_stage = Stage::ingress;
-            result.disposition = Disposition::dropped_ingress;
-            result.applies = interp_.applies();
-            result.cycles = state.cycles;
-            return result;
-        }
-    }
+    if (options_.stage_hook) options_.stage_hook(Stage::ingress, state);
 
     // Traffic manager: commit egress_spec to egress_port.
     const std::uint64_t port = state.egress_spec(prog_);
@@ -218,17 +199,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
             return result;
         }
     }
-    if (options_.stage_hook) {
-        options_.stage_hook(Stage::egress, state);
-        if (state.vanished) {
-            result.silent_drop = true;
-            result.silent_drop_stage = Stage::egress;
-            result.disposition = Disposition::dropped_egress;
-            result.applies = interp_.applies();
-            result.cycles = state.cycles;
-            return result;
-        }
-    }
+    if (options_.stage_hook) options_.stage_hook(Stage::egress, state);
 
     // Match-action covers everything between the parser mark and here
     // (ingress + traffic manager + egress); drop paths fold their partial

@@ -64,11 +64,6 @@ struct PipelineResult {
     std::uint64_t cycles = 0;
     std::vector<TableApply> applies;
 
-    // An injected fault swallowed the packet after this stage; the device's
-    // own counters do NOT see such losses (that is what makes them silent).
-    bool silent_drop = false;
-    Stage silent_drop_stage = Stage::parser;
-
     // Stage taps (populated when tracing is enabled).
     std::optional<PacketState> tap_after_parser;
     std::optional<PacketState> tap_after_ingress;
@@ -85,8 +80,9 @@ struct PipelineOptions {
     bool capture_taps = false;     // full PacketState copies (replay/localize)
     bool capture_digests = false;  // in-place stage hashes (campaign hot path)
 
-    // Fault-injection hook, called after each stage with the live state.
-    // Setting PacketState::vanished makes the packet disappear silently.
+    // Called after each stage with the live state, which the hook may
+    // rewrite (the test-packet generator stamps its sequence number into
+    // the mutator program's metadata after the parser).
     std::function<void(Stage, PacketState&)> stage_hook;
 };
 

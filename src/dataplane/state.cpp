@@ -44,7 +44,6 @@ void PacketState::reset(const p4::ir::Program& prog, const packet::PacketMeta& m
     parser_verdict = ParserVerdict::accept;
     cycles = 0;
     exited = false;
-    vanished = false;
     payload.clear();
     for (std::size_t hi = 0; hi < prog.headers.size(); ++hi) {
         const auto& h = prog.headers[hi];

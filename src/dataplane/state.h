@@ -37,7 +37,6 @@ struct PacketState {
     ParserVerdict parser_verdict = ParserVerdict::accept;
     std::uint64_t cycles = 0;  // accumulated processing cost
     bool exited = false;       // an `exit` statement fired
-    bool vanished = false;     // injected fault: packet silently lost here
 
     // Builds the initial state for `prog`: all header field slots allocated,
     // metadata headers valid and zeroed, standard metadata populated from

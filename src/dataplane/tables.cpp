@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <optional>
 #include <stdexcept>
 
@@ -69,18 +68,6 @@ public:
         for (int i = 0; i < nwords_; ++i) w[i] &= m[i];
     }
 
-    // Clears the low `drop` bits (LPM prefix masking: keep the top bits).
-    void clear_low_bits(int drop) {
-        std::uint64_t* w = data();
-        for (int i = 0; i < nwords_ && drop > 0; ++i, drop -= 64) {
-            if (drop >= 64) {
-                w[i] = 0;
-            } else {
-                w[i] &= ~0ull << drop;
-            }
-        }
-    }
-
     std::span<const std::uint64_t> words() const {
         return {data(), static_cast<std::size_t>(nwords_)};
     }
@@ -96,13 +83,23 @@ public:
     }
 
     std::size_t hash() const {
-        std::size_t h = 0xcbf29ce484222325ull;
+        std::uint64_t h = 0xcbf29ce484222325ull;
         const std::uint64_t* w = data();
         for (int i = 0; i < nwords_; ++i) {
             h ^= w[i];
             h *= 0x100000001b3ull;
             h ^= h >> 29;
         }
+        // Full-avalanche finalizer (murmur3 fmix64).  A multiply only
+        // carries bits upward, so without it keys that differ only above
+        // their low ~16 bits (a /16 network, a field with constant low
+        // bits) share the low hash bits FlatKeyMap indexes slots by, and
+        // linear probing degenerates into one long cluster.
+        h ^= h >> 33;
+        h *= 0xff51afd7ed558ccdull;
+        h ^= h >> 33;
+        h *= 0xc4ceb9fe1a85ec53ull;
+        h ^= h >> 33;
         return h;
     }
 
@@ -196,7 +193,6 @@ public:
     }
 
     std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
 
     void clear() {
         slots_.clear();
@@ -284,33 +280,17 @@ private:
     FlatKeyMap map_;
 };
 
-// --- indexed lpm --------------------------------------------------------------
+// --- lpm ----------------------------------------------------------------------
 
-// One hash table per installed prefix length, probed longest length first:
-// the classic software-LPM layout.  Every map key is the lookup key with
-// its low (width - length) bits cleared.
-//
-// Bitmap-guided probe order (the ROADMAP's many-distinct-lengths fix):
-//
-//   * active lengths live in a bitmap (bit L set <=> length L holds
-//     entries) walked top word down with one count-leading-zeros per
-//     candidate, replacing the sorted-vector scan;
-//   * each active length additionally keeps a 256-bit *guard* filter over
-//     the top min(8, L) bits of its installed prefixes.  A lookup computes
-//     its own top bits once and tests one guard bit before committing to a
-//     hash probe, so the dominant cost of the ~25-active-lengths shape --
-//     a full hash-and-miss per length -- collapses to a shift-and-AND for
-//     every length that cannot possibly match.  Guards are conservative
-//     (erase leaves bits set until a length empties), which only costs a
-//     wasted probe, never a wrong result.
-class IndexedLpmEngine final : public MatchEngine {
+// Binary trie over the key bits, most significant bit first.  The longest
+// prefix on the lookup path wins, so a lookup costs at most key_width node
+// steps however many prefixes and distinct lengths the table holds.
+class TrieLpmEngine final : public MatchEngine {
 public:
-    IndexedLpmEngine(int key_width, std::size_t capacity)
-        : key_width_(key_width), capacity_(capacity),
-          guard_bits_(std::min(key_width, 8)),
-          by_len_(static_cast<std::size_t>(key_width) + 1),
-          active_bits_((static_cast<std::size_t>(key_width) + 64) / 64, 0),
-          guards_(static_cast<std::size_t>(key_width) + 1) {}
+    TrieLpmEngine(int key_width, std::size_t capacity)
+        : key_width_(key_width), capacity_(capacity) {
+        nodes_.push_back(Node{});  // root
+    }
 
     InsertStatus insert(const TableEntry& entry) override {
         if (entry.key_values.size() != 1 || entry.prefix_len < 0 ||
@@ -318,12 +298,26 @@ public:
             return InsertStatus::bad_entry;
         }
         if (count_ >= capacity_) return InsertStatus::table_full;
-        PackedKey key = masked_key(entry.key_values[0], entry.prefix_len);
-        auto& map = by_len_[static_cast<std::size_t>(entry.prefix_len)];
-        if (map.contains(key)) return InsertStatus::duplicate;
-        if (map.empty()) set_active(entry.prefix_len, true);
-        set_guard(entry.prefix_len, guard_index(top_bits(key), entry.prefix_len));
-        map.insert(std::move(key), ActionEntry{entry.action_id, entry.action_args});
+        const Bitvec value = entry.key_values[0].resize(key_width_);
+        std::size_t node = 0;
+        for (int i = 0; i < entry.prefix_len; ++i) {
+            const bool bit = value.bit(key_width_ - 1 - i);
+            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
+            if (child == 0) {
+                const std::size_t fresh = nodes_.size();
+                nodes_.push_back(Node{});
+                if (bit) {
+                    nodes_[node].one = fresh;
+                } else {
+                    nodes_[node].zero = fresh;
+                }
+                node = fresh;
+            } else {
+                node = child;
+            }
+        }
+        if (nodes_[node].entry) return InsertStatus::duplicate;
+        nodes_[node].entry = ActionEntry{entry.action_id, entry.action_args};
         ++count_;
         return InsertStatus::ok;
     }
@@ -333,113 +327,53 @@ public:
             entry.prefix_len > key_width_) {
             return false;
         }
-        auto& map = by_len_[static_cast<std::size_t>(entry.prefix_len)];
-        if (!map.erase(masked_key(entry.key_values[0], entry.prefix_len))) {
-            return false;
+        const Bitvec value = entry.key_values[0].resize(key_width_);
+        std::size_t node = 0;
+        for (int i = 0; i < entry.prefix_len; ++i) {
+            const bool bit = value.bit(key_width_ - 1 - i);
+            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
+            if (child == 0) return false;
+            node = child;
         }
+        if (!nodes_[node].entry) return false;
+        nodes_[node].entry.reset();
         --count_;
-        if (map.empty()) {
-            set_active(entry.prefix_len, false);
-            guards_[static_cast<std::size_t>(entry.prefix_len)] = {};
-        }
         return true;
     }
 
     const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
         if (keys.size() != 1) return nullptr;
-        PackedKey key;
-        key.pack(keys.subspan(0, 1), key_width_);
-        // Masking clears low bits only, so the key's top guard_bits_ are
-        // invariant across every candidate length: compute them once.
-        const std::uint32_t top = top_bits(key);
-        int masked_to = key_width_;  // bits still intact (from the top)
-        // Bitmap-guided probe order: walk set bits from the highest word
-        // down, longest prefix first.
-        for (std::size_t w = active_bits_.size(); w-- > 0;) {
-            std::uint64_t bits = active_bits_[w];
-            while (bits != 0) {
-                const int hi = 63 - std::countl_zero(bits);
-                bits &= ~(1ull << hi);
-                const int len = static_cast<int>(w) * 64 + hi;
-                if (!test_guard(len, guard_index(top, len))) continue;
-                // Lengths are visited descending, so masking is monotone:
-                // clear a few more low bits each step instead of re-packing.
-                if (len < masked_to) {
-                    key.clear_low_bits(key_width_ - len);
-                    masked_to = len;
-                }
-                if (const ActionEntry* found =
-                        by_len_[static_cast<std::size_t>(len)].find(key)) {
-                    return found;
-                }
-            }
+        const Bitvec key = keys[0].resize(key_width_);
+        const ActionEntry* best = nullptr;
+        std::size_t node = 0;
+        if (nodes_[0].entry) best = &*nodes_[0].entry;
+        for (int i = 0; i < key_width_; ++i) {
+            const bool bit = key.bit(key_width_ - 1 - i);
+            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
+            if (child == 0) break;
+            node = child;
+            if (nodes_[node].entry) best = &*nodes_[node].entry;
         }
-        return nullptr;
+        return best;
     }
 
     std::size_t entry_count() const override { return count_; }
 
     void clear() override {
-        for (auto& map : by_len_) map.clear();
-        std::fill(active_bits_.begin(), active_bits_.end(), 0);
-        std::fill(guards_.begin(), guards_.end(), Guard{});
+        nodes_.clear();
+        nodes_.push_back(Node{});
         count_ = 0;
     }
 
 private:
-    PackedKey masked_key(const Bitvec& value, int prefix_len) const {
-        PackedKey key;
-        key.pack(std::span<const Bitvec>(&value, 1), key_width_);
-        key.clear_low_bits(key_width_ - prefix_len);
-        return key;
-    }
-
-    void set_active(int len, bool on) {
-        auto& word = active_bits_[static_cast<std::size_t>(len) / 64];
-        const std::uint64_t bit = 1ull << (static_cast<std::size_t>(len) % 64);
-        word = on ? (word | bit) : (word & ~bit);
-    }
-
-    // Top min(8, key_width) bits of a packed key image.
-    std::uint32_t top_bits(const PackedKey& key) const {
-        const auto words = key.words();
-        if (guard_bits_ == 0) return 0;
-        const int lo = key_width_ - guard_bits_;  // lowest extracted bit
-        const std::size_t word = static_cast<std::size_t>(lo) / 64;
-        const int off = lo % 64;
-        std::uint64_t v = words[word] >> off;
-        if (off > 64 - guard_bits_ && word + 1 < words.size()) {
-            v |= words[word + 1] << (64 - off);
-        }
-        return static_cast<std::uint32_t>(v & ((1u << guard_bits_) - 1));
-    }
-
-    // Guard bit index for prefix length `len`: the top min(len, guard_bits_)
-    // bits.  Shorter prefixes collapse onto coarser buckets, so a stored
-    // /L prefix and a lookup key agreeing on those bits share the index.
-    std::uint32_t guard_index(std::uint32_t top, int len) const {
-        const int significant = std::min(len, guard_bits_);
-        return top >> (guard_bits_ - significant);
-    }
-
-    void set_guard(int len, std::uint32_t index) {
-        guards_[static_cast<std::size_t>(len)][index / 64] |=
-            1ull << (index % 64);
-    }
-    bool test_guard(int len, std::uint32_t index) const {
-        return (guards_[static_cast<std::size_t>(len)][index / 64] >>
-                (index % 64)) &
-               1;
-    }
-
-    using Guard = std::array<std::uint64_t, 4>;  // 256 bits: all top-8 values
-
+    struct Node {
+        std::size_t zero = 0;  // 0 = absent (root is never a child)
+        std::size_t one = 0;
+        std::optional<ActionEntry> entry;
+    };
     int key_width_;
     std::size_t capacity_;
-    int guard_bits_;  // min(8, key_width): bits each guard filter keys on
-    std::vector<FlatKeyMap> by_len_;
-    std::vector<std::uint64_t> active_bits_;  // bit L <=> length L non-empty
-    std::vector<Guard> guards_;               // per-length presence filters
+    std::vector<Node> nodes_;
     std::size_t count_ = 0;
 };
 
@@ -577,102 +511,6 @@ private:
     std::unordered_map<Bitvec, ActionEntry, util::BitvecHash> map_;
 };
 
-// --- naive lpm (reference) ----------------------------------------------------
-
-// Binary trie over the key bits, most significant bit first.  The longest
-// prefix on the lookup path wins.
-class NaiveLpmEngine final : public MatchEngine {
-public:
-    NaiveLpmEngine(int key_width, std::size_t capacity)
-        : key_width_(key_width), capacity_(capacity) {
-        nodes_.push_back(Node{});  // root
-    }
-
-    InsertStatus insert(const TableEntry& entry) override {
-        if (entry.key_values.size() != 1 || entry.prefix_len < 0 ||
-            entry.prefix_len > key_width_) {
-            return InsertStatus::bad_entry;
-        }
-        if (count_ >= capacity_) return InsertStatus::table_full;
-        const Bitvec value = entry.key_values[0].resize(key_width_);
-        std::size_t node = 0;
-        for (int i = 0; i < entry.prefix_len; ++i) {
-            const bool bit = value.bit(key_width_ - 1 - i);
-            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
-            if (child == 0) {
-                const std::size_t fresh = nodes_.size();
-                nodes_.push_back(Node{});
-                if (bit) {
-                    nodes_[node].one = fresh;
-                } else {
-                    nodes_[node].zero = fresh;
-                }
-                node = fresh;
-            } else {
-                node = child;
-            }
-        }
-        if (nodes_[node].entry) return InsertStatus::duplicate;
-        nodes_[node].entry = ActionEntry{entry.action_id, entry.action_args};
-        ++count_;
-        return InsertStatus::ok;
-    }
-
-    bool erase(const TableEntry& entry) override {
-        if (entry.key_values.size() != 1 || entry.prefix_len < 0 ||
-            entry.prefix_len > key_width_) {
-            return false;
-        }
-        const Bitvec value = entry.key_values[0].resize(key_width_);
-        std::size_t node = 0;
-        for (int i = 0; i < entry.prefix_len; ++i) {
-            const bool bit = value.bit(key_width_ - 1 - i);
-            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
-            if (child == 0) return false;
-            node = child;
-        }
-        if (!nodes_[node].entry) return false;
-        nodes_[node].entry.reset();
-        --count_;
-        return true;
-    }
-
-    const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
-        if (keys.size() != 1) return nullptr;
-        const Bitvec key = keys[0].resize(key_width_);
-        const ActionEntry* best = nullptr;
-        std::size_t node = 0;
-        if (nodes_[0].entry) best = &*nodes_[0].entry;
-        for (int i = 0; i < key_width_; ++i) {
-            const bool bit = key.bit(key_width_ - 1 - i);
-            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
-            if (child == 0) break;
-            node = child;
-            if (nodes_[node].entry) best = &*nodes_[node].entry;
-        }
-        return best;
-    }
-
-    std::size_t entry_count() const override { return count_; }
-
-    void clear() override {
-        nodes_.clear();
-        nodes_.push_back(Node{});
-        count_ = 0;
-    }
-
-private:
-    struct Node {
-        std::size_t zero = 0;  // 0 = absent (root is never a child)
-        std::size_t one = 0;
-        std::optional<ActionEntry> entry;
-    };
-    int key_width_;
-    std::size_t capacity_;
-    std::vector<Node> nodes_;
-    std::size_t count_ = 0;
-};
-
 // --- naive ternary (reference) ------------------------------------------------
 
 class NaiveTernaryEngine final : public MatchEngine {
@@ -754,7 +592,7 @@ std::unique_ptr<MatchEngine> make_exact_engine(int total_width, std::size_t capa
 }
 
 std::unique_ptr<MatchEngine> make_lpm_engine(int key_width, std::size_t capacity) {
-    return std::make_unique<IndexedLpmEngine>(key_width, capacity);
+    return std::make_unique<TrieLpmEngine>(key_width, capacity);
 }
 
 std::unique_ptr<MatchEngine> make_ternary_engine(int total_width, std::size_t capacity,
@@ -766,11 +604,6 @@ std::unique_ptr<MatchEngine> make_ternary_engine(int total_width, std::size_t ca
 std::unique_ptr<MatchEngine> make_naive_exact_engine(int total_width,
                                                      std::size_t capacity) {
     return std::make_unique<NaiveExactEngine>(total_width, capacity);
-}
-
-std::unique_ptr<MatchEngine> make_naive_lpm_engine(int key_width,
-                                                   std::size_t capacity) {
-    return std::make_unique<NaiveLpmEngine>(key_width, capacity);
 }
 
 std::unique_ptr<MatchEngine> make_naive_ternary_engine(int total_width,

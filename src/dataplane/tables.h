@@ -3,19 +3,20 @@
 // The control plane programs entries through TableSet; the interpreter
 // performs lookups with key values it evaluated from the packet state.
 //
-// Two engine families implement the same MatchEngine contract:
+// One production engine per match kind implements the MatchEngine contract:
 //
-//   * the indexed engines (the default) keep the lookup path off the heap
-//     and off linear scans: exact match hashes the concatenated key image,
-//     LPM keeps one hash table per installed prefix length probed longest
-//     first, and ternary keeps its rows priority-sorted so the first match
-//     wins and the scan exits early;
-//   * the naive engines are the original straight-line implementations,
-//     retained as the semantic reference for differential tests and
-//     benchmarks (make_naive_*).
+//   * exact hashes the concatenated key image into an open-addressing
+//     FlatKeyMap;
+//   * LPM walks a binary trie over the key bits, most significant first;
+//   * ternary keeps its rows priority-sorted so the first match wins and
+//     the scan exits early.
 //
-// Both families are byte-identical in behaviour, including the quirk
-// interplay (ternary_priority_inverted, table_size_clamp).
+// Exact and ternary also keep their original straight-line implementations
+// (make_naive_*) as the semantic reference for differential tests and
+// benchmarks, byte-identical in behaviour including the quirk interplay
+// (ternary_priority_inverted, table_size_clamp).  LPM needs no reference of
+// its own: a prefix of length L is the ternary row whose mask keeps the top
+// L bits at priority L, so the naive ternary engine checks the trie.
 #pragma once
 
 #include <cstdint>
@@ -66,17 +67,16 @@ public:
     virtual void clear() = 0;
 };
 
-// Indexed engines (the hot-path default).
+// Production engines.
 std::unique_ptr<MatchEngine> make_exact_engine(int total_width, std::size_t capacity);
 std::unique_ptr<MatchEngine> make_lpm_engine(int key_width, std::size_t capacity);
 std::unique_ptr<MatchEngine> make_ternary_engine(int total_width, std::size_t capacity,
                                                  bool inverted_priority);
 
-// Naive reference engines (linear/bit-at-a-time; for differential testing).
+// Naive reference engines (unordered_map / linear scan; for differential
+// testing).
 std::unique_ptr<MatchEngine> make_naive_exact_engine(int total_width,
                                                      std::size_t capacity);
-std::unique_ptr<MatchEngine> make_naive_lpm_engine(int key_width,
-                                                   std::size_t capacity);
 std::unique_ptr<MatchEngine> make_naive_ternary_engine(int total_width,
                                                        std::size_t capacity,
                                                        bool inverted_priority);

@@ -302,11 +302,6 @@ void Metrics::gauge_set(Gauge g, std::int64_t value) {
         value, std::memory_order_relaxed);
 }
 
-void Metrics::gauge_add(Gauge g, std::int64_t delta) {
-    registry().gauges[static_cast<std::size_t>(g)].fetch_add(
-        delta, std::memory_order_relaxed);
-}
-
 void count(Counter c, std::uint64_t n) {
     Shard& s = local_shard();
     s.counters[static_cast<std::size_t>(c)].fetch_add(

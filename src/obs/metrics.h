@@ -165,7 +165,6 @@ public:
     void reset();
 
     void gauge_set(Gauge g, std::int64_t value);
-    void gauge_add(Gauge g, std::int64_t delta);
 
 private:
     Metrics() = default;

@@ -41,14 +41,6 @@ ExprPtr make_const(const Bitvec& value) {
     return e;
 }
 
-ExprPtr make_field(FieldRef fref, int width) {
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::field;
-    e->width = width;
-    e->fref = fref;
-    return e;
-}
-
 std::string Expr::to_string() const {
     switch (kind) {
         case Kind::constant: return cvalue.to_string();
@@ -172,15 +164,6 @@ ParserState ParserState::clone() const {
 
 // --- tables -----------------------------------------------------------------------
 
-const char* match_kind_name(MatchKind kind) {
-    switch (kind) {
-        case MatchKind::exact: return "exact";
-        case MatchKind::lpm: return "lpm";
-        case MatchKind::ternary: return "ternary";
-    }
-    return "?";
-}
-
 int Table::total_key_width() const {
     int w = 0;
     for (const auto& k : keys) w += k.width;
@@ -208,14 +191,6 @@ int Program::header_index(std::string_view instance_name) const {
         if (headers[i].name == instance_name) return static_cast<int>(i);
     }
     return -1;
-}
-
-FieldRef Program::field_ref(std::string_view header, std::string_view field) const {
-    const int h = header_index(header);
-    if (h < 0) return {};
-    const int f = headers[static_cast<std::size_t>(h)].field_index(field);
-    if (f < 0) return {};
-    return {h, f};
 }
 
 const Field& Program::field(FieldRef ref) const {

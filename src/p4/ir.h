@@ -87,7 +87,6 @@ struct Expr {
 };
 
 ExprPtr make_const(const Bitvec& value);
-ExprPtr make_field(FieldRef fref, int width);
 
 // --- statements -----------------------------------------------------------------
 
@@ -196,8 +195,6 @@ struct ParserState {
 
 enum class MatchKind { exact, lpm, ternary };
 
-const char* match_kind_name(MatchKind kind);
-
 struct TableKey {
     ExprPtr expr;
     MatchKind kind = MatchKind::exact;
@@ -270,7 +267,6 @@ struct Program {
     FieldRef f_timestamp;
 
     int header_index(std::string_view instance_name) const;
-    FieldRef field_ref(std::string_view header, std::string_view field) const;
     const Field& field(FieldRef ref) const;
     std::string field_name(FieldRef ref) const;   // "hdr.field" for messages
     const Table* table_by_name(std::string_view name) const;

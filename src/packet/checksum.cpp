@@ -26,17 +26,6 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> bytes) {
     return fold_checksum(ones_complement_sum(bytes));
 }
 
-std::uint16_t incremental_checksum_update(std::uint16_t old_checksum,
-                                          std::uint16_t old_word,
-                                          std::uint16_t new_word) {
-    // RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m')
-    std::uint32_t sum = static_cast<std::uint16_t>(~old_checksum);
-    sum += static_cast<std::uint16_t>(~old_word);
-    sum += new_word;
-    while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-    return static_cast<std::uint16_t>(~sum & 0xffff);
-}
-
 namespace {
 std::array<std::uint32_t, 256> make_crc_table() {
     std::array<std::uint32_t, 256> table{};

@@ -18,12 +18,6 @@ std::uint32_t ones_complement_sum(std::span<const std::uint8_t> bytes,
 // Folds a 32-bit ones-complement accumulator to 16 bits and complements it.
 std::uint16_t fold_checksum(std::uint32_t sum);
 
-// Incremental update per RFC 1624: recompute a checksum after a 16-bit word
-// at some even offset changed from `old_word` to `new_word`.
-std::uint16_t incremental_checksum_update(std::uint16_t old_checksum,
-                                          std::uint16_t old_word,
-                                          std::uint16_t new_word);
-
 // IEEE 802.3 CRC32 (reflected, polynomial 0xEDB88320).
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 

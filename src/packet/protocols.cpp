@@ -189,15 +189,6 @@ TcpHeader TcpHeader::read(const Packet& p, std::size_t offset) {
     return h;
 }
 
-void IcmpHeader::write(Packet& p, std::size_t offset) const {
-    const std::size_t b = offset * 8;
-    p.set_u(b, 8, type);
-    p.set_u(b + 8, 8, code);
-    p.set_u(b + 16, 16, checksum);
-    p.set_u(b + 32, 16, identifier);
-    p.set_u(b + 48, 16, sequence);
-}
-
 IcmpHeader IcmpHeader::read(const Packet& p, std::size_t offset) {
     const std::size_t b = offset * 8;
     IcmpHeader h;
@@ -303,15 +294,6 @@ PacketBuilder& PacketBuilder::tcp(std::uint16_t src_port, std::uint16_t dst_port
     return *this;
 }
 
-PacketBuilder& PacketBuilder::icmp_echo(std::uint16_t identifier, std::uint16_t sequence) {
-    Layer l{};
-    l.kind = Layer::Kind::icmp;
-    l.icmp.identifier = identifier;
-    l.icmp.sequence = sequence;
-    layers_.push_back(l);
-    return *this;
-}
-
 PacketBuilder& PacketBuilder::arp(const ArpMessage& msg) {
     Layer l{};
     l.kind = Layer::Kind::arp;
@@ -344,7 +326,6 @@ Packet PacketBuilder::build() const {
             case Layer::Kind::ipv6: size += Ipv6Header::kSize; break;
             case Layer::Kind::udp: size += UdpHeader::kSize; break;
             case Layer::Kind::tcp: size += TcpHeader::kSize; break;
-            case Layer::Kind::icmp: size += IcmpHeader::kSize; break;
             case Layer::Kind::arp: size += ArpMessage::kSize; break;
         }
     }
@@ -383,7 +364,6 @@ Packet PacketBuilder::build() const {
                 if (has_next && l.ip4.protocol == 0) {
                     if (next_kind == Layer::Kind::udp) l.ip4.protocol = kIpProtoUdp;
                     if (next_kind == Layer::Kind::tcp) l.ip4.protocol = kIpProtoTcp;
-                    if (next_kind == Layer::Kind::icmp) l.ip4.protocol = kIpProtoIcmp;
                 }
                 l.ip4.write(p, offsets[i]);
                 const std::uint16_t csum = Ipv4Header::compute_checksum(p, offsets[i]);
@@ -401,16 +381,6 @@ Packet PacketBuilder::build() const {
             case Layer::Kind::tcp:
                 l.tcp.write(p, offsets[i]);
                 break;
-            case Layer::Kind::icmp: {
-                l.icmp.write(p, offsets[i]);
-                // Checksum over ICMP header + payload with the field zeroed.
-                std::vector<std::uint8_t> region(p.bytes().begin() + static_cast<long>(offsets[i]),
-                                                 p.bytes().end());
-                region[2] = 0;
-                region[3] = 0;
-                p.set_u((offsets[i] + 2) * 8, 16, internet_checksum(region));
-                break;
-            }
             case Layer::Kind::arp:
                 l.arp.write(p, offsets[i]);
                 break;

@@ -127,7 +127,6 @@ struct IcmpHeader {
     std::uint16_t identifier = 0;
     std::uint16_t sequence = 0;
 
-    void write(Packet& p, std::size_t offset) const;
     static IcmpHeader read(const Packet& p, std::size_t offset);
 };
 
@@ -165,7 +164,6 @@ public:
     PacketBuilder& udp(std::uint16_t src_port, std::uint16_t dst_port);
     PacketBuilder& tcp(std::uint16_t src_port, std::uint16_t dst_port,
                        std::uint32_t seq = 0, std::uint8_t flags = 0x02);
-    PacketBuilder& icmp_echo(std::uint16_t identifier, std::uint16_t sequence);
     PacketBuilder& arp(const ArpMessage& msg);
     PacketBuilder& payload(std::span<const std::uint8_t> bytes);
     PacketBuilder& payload_size(std::size_t n, std::uint8_t fill = 0);
@@ -175,14 +173,13 @@ public:
 
 private:
     struct Layer {
-        enum class Kind { ethernet, vlan, ipv4, ipv6, udp, tcp, icmp, arp } kind;
+        enum class Kind { ethernet, vlan, ipv4, ipv6, udp, tcp, arp } kind;
         EthernetHeader eth;
         VlanTag vlan;
         Ipv4Header ip4;
         Ipv6Header ip6;
         UdpHeader udp;
         TcpHeader tcp;
-        IcmpHeader icmp;
         ArpMessage arp;
     };
     std::vector<Layer> layers_;

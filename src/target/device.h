@@ -45,18 +45,18 @@ class CoverageMap;
 
 namespace ndb::target {
 
+// Deterministic virtual clock, the same on every device: now_ns() starts at
+// kClockEpochNs and advances kNsPerPacket per injected packet, so every run
+// of a campaign produces the identical timeline.  Forwarded packets are
+// stamped rx_time + cycles * kNsPerCycle on egress.
+inline constexpr std::uint64_t kClockEpochNs = 1'000'000;
+inline constexpr std::uint64_t kNsPerPacket = 672;  // 84 wire bytes at 1 Gb/s
+inline constexpr std::uint64_t kNsPerCycle = 4;
+
 // Static device parameters, fixed for the lifetime of one device instance.
 struct DeviceConfig {
     std::string backend;  // filled in by the factory when left empty
     int num_ports = 4;
-
-    // Deterministic virtual clock: now_ns() starts at epoch_ns and advances
-    // ns_per_packet per injected packet, so every run of a campaign produces
-    // the identical timeline.  Forwarded packets are stamped
-    // rx_time + cycles * ns_per_cycle on egress.
-    std::uint64_t epoch_ns = 1'000'000;
-    std::uint64_t ns_per_packet = 672;  // 84 wire bytes at 1 Gb/s (8 ns/byte)
-    std::uint64_t ns_per_cycle = 4;
 
     // Tap ring size; the oldest half is discarded when it fills, and 0
     // disables recording entirely.

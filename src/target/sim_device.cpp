@@ -32,7 +32,7 @@ SimDevice::SimDevice(DeviceConfig config) : config_(std::move(config)) {
     config_.num_ports = std::max(config_.num_ports, 1);
     cov_salt_ = util::fnv1a_64(config_.backend) ^
                 util::fnv1a_64(config_.quirks.signature());
-    clock_ns_ = config_.epoch_ns;
+    clock_ns_ = kClockEpochNs;
     egress_queues_.resize(static_cast<std::size_t>(config_.num_ports));
     for (auto& q : egress_queues_) q.reserve(kEgressQueueReserve);
     port_counters_.resize(static_cast<std::size_t>(config_.num_ports));
@@ -98,7 +98,7 @@ void SimDevice::inject(packet::Packet pkt) {
     if (pkt.meta.rx_time_ns == 0) pkt.meta.rx_time_ns = clock_ns_;
     // The virtual clock tracks the line: one packet slot per injection, and
     // never behind the newest admitted packet.
-    clock_ns_ = std::max(clock_ns_, pkt.meta.rx_time_ns) + config_.ns_per_packet;
+    clock_ns_ = std::max(clock_ns_, pkt.meta.rx_time_ns) + kNsPerPacket;
 
     if (pkt.meta.ingress_port < static_cast<std::uint32_t>(config_.num_ports)) {
         auto& rx = port_counters_[pkt.meta.ingress_port];
@@ -110,7 +110,7 @@ void SimDevice::inject(packet::Packet pkt) {
 
     if (result.disposition == dataplane::Disposition::forwarded) {
         result.output.meta.tx_time_ns =
-            pkt.meta.rx_time_ns + result.cycles * config_.ns_per_cycle;
+            pkt.meta.rx_time_ns + result.cycles * kNsPerCycle;
     }
 
     if (taps_enabled_ && config_.max_tap_records > 0) {

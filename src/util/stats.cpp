@@ -1,22 +1,9 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace ndb::util {
-
-void RunningStats::add(double x) {
-    ++count_;
-    sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 namespace {
 int bucket_index(std::uint64_t value) {
@@ -58,16 +45,6 @@ std::string LatencyHistogram::to_string() const {
         s += line;
     }
     return s;
-}
-
-double exact_percentile(std::vector<double> samples, double p) {
-    if (samples.empty()) return 0.0;
-    std::sort(samples.begin(), samples.end());
-    const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
 }  // namespace ndb::util

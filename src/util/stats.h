@@ -1,33 +1,12 @@
-// Streaming statistics used by the checker and the performance use-case.
+// Streaming latency statistics used by the checker and the performance
+// use-case.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace ndb::util {
-
-// Running mean / min / max / count with O(1) updates.
-class RunningStats {
-public:
-    void add(double x);
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    // Population variance via Welford's algorithm.
-    double variance() const { return count_ ? m2_ / static_cast<double>(count_) : 0.0; }
-    double stddev() const;
-
-private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // Log-scaled latency histogram: constant memory, approximate percentiles.
 // Buckets are [2^k, 2^{k+1}) over a fixed dynamic range, which is the usual
@@ -50,8 +29,5 @@ private:
     std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_ = 0;
 };
-
-// Exact percentile helper for offline analysis (benchmarks, reports).
-double exact_percentile(std::vector<double> samples, double p);
 
 }  // namespace ndb::util

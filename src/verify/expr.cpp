@@ -1,7 +1,6 @@
 #include "verify/expr.h"
 
 #include <stdexcept>
-#include <unordered_set>
 
 namespace ndb::verify {
 
@@ -282,32 +281,10 @@ std::string sv_to_string(const SExpr& e) {
     return "?";
 }
 
-namespace {
-void count_nodes(const Node* n, std::unordered_set<const Node*>& seen) {
-    if (!n || seen.count(n)) return;
-    seen.insert(n);
-    count_nodes(n->a.get(), seen);
-    count_nodes(n->b.get(), seen);
-    count_nodes(n->c.get(), seen);
-}
-}  // namespace
-
-std::size_t sv_size(const SExpr& e) {
-    std::unordered_set<const Node*> seen;
-    count_nodes(e.get(), seen);
-    return seen.size();
-}
-
 SExpr VarPool::fresh(int width, std::string name) {
     const int id = next_++;
     vars_.emplace_back(name, width);
     return sv_var(id, width, std::move(name));
-}
-
-SExpr VarPool::fresh_bool(std::string name) {
-    const int id = next_++;
-    vars_.emplace_back(name, 1);
-    return sv_bool_var(id, std::move(name));
 }
 
 SExpr VarPool::get(const std::string& name, int width) {

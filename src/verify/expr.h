@@ -84,14 +84,10 @@ bool sv_is_false(const SExpr& e);
 
 std::string sv_to_string(const SExpr& e);
 
-// Counts DAG nodes (per unique node).
-std::size_t sv_size(const SExpr& e);
-
 // Hands out fresh variable ids and remembers (id -> name, width).
 class VarPool {
 public:
     SExpr fresh(int width, std::string name);
-    SExpr fresh_bool(std::string name);
 
     // Name-keyed variable: repeated calls with the same name return the SAME
     // variable.  Two programs executed against one pool therefore see the

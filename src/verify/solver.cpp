@@ -8,16 +8,4 @@ SatResult Solver::check(std::uint64_t max_conflicts) {
     return sat_.solve(max_conflicts);
 }
 
-bool Solver::is_satisfiable(const SExpr& constraint) {
-    Solver s;
-    s.add(constraint);
-    return s.check() == SatResult::sat;
-}
-
-bool Solver::is_valid(const SExpr& constraint) {
-    Solver s;
-    s.add(sv_lnot(constraint));
-    return s.check() == SatResult::unsat;
-}
-
 }  // namespace ndb::verify

@@ -25,10 +25,6 @@ public:
     std::size_t clauses() const { return sat_.clause_count(); }
     int variables() const { return sat_.var_count(); }
 
-    // One-shot helpers.
-    static bool is_satisfiable(const SExpr& constraint);
-    static bool is_valid(const SExpr& constraint);  // true iff !constraint unsat
-
 private:
     SatSolver sat_;
     BitBlaster blaster_;

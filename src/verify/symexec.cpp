@@ -535,15 +535,4 @@ SExpr SymExec::egress_spec(const SymPath& path) const {
         .fields[static_cast<std::size_t>(prog_.f_egress_spec.field)];
 }
 
-SExpr SymExec::wire_image(const SymPath& path) const {
-    SExpr image = sv_const(Bitvec(0));
-    for (const int h : prog_.deparse_order) {
-        if (!path.headers[static_cast<std::size_t>(h)].valid) continue;
-        for (const auto& f : path.headers[static_cast<std::size_t>(h)].fields) {
-            image = sv_concat(image, f);
-        }
-    }
-    return image;
-}
-
 }  // namespace ndb::verify

@@ -99,8 +99,6 @@ public:
     SExpr field(const SymPath& path, p4::ir::FieldRef ref) const;
     // Symbolic egress_spec at the end of a path.
     SExpr egress_spec(const SymPath& path) const;
-    // Concatenated wire image of the path's deparsed headers (valid ones).
-    SExpr wire_image(const SymPath& path) const;
 
     int paths_truncated() const { return truncated_; }
 

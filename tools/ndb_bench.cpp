@@ -13,14 +13,17 @@
 //                  coverage-overhead row (the cost of the CoverageMap hooks
 //                  when enabled);
 //   * tables    -- lookups/sec per match-engine kind on populated engines
-//                  (1k-entry exact, 1k-prefix LPM, 256-row ternary);
+//                  (64k-entry exact and its naive reference, 64k exact keys
+//                  with zero low bits, 64k-prefix LPM, 256-row ternary and
+//                  its naive reference);
 //   * campaign  -- scenarios/sec and packets/sec of a bounded differential
 //                  campaign sweep (the end-to-end number CI tracks).
 //
 // --baseline FILE compares the run against committed reference numbers and
 // exits non-zero when aggregate pipeline packets/sec regresses by more than
-// 30% or a program with its own floor_<program>_pps key falls below it, so
-// CI catches hot-path regressions without flaking on machine variance.
+// 30%, a program with its own floor_<program>_pps key falls below it, or
+// the exact_lowbits row looks up at less than 25% of the exact row's rate,
+// so CI catches hot-path regressions without flaking on machine variance.
 // --coverage-gate PCT additionally fails the run when the enabled-coverage
 // pass costs more than PCT percent of aggregate pipeline throughput.
 // --metrics-gate PCT does the same for the telemetry layer: a third
@@ -158,9 +161,9 @@ std::vector<EngineBench> bench_tables(std::uint64_t target_lookups) {
     using namespace ndb::dataplane;
     std::vector<EngineBench> out;
 
-    {  // exact: 1k entries over a 48-bit key, probes alternate hit/miss
+    {  // exact: 64k entries over a 48-bit key, probes alternate hit/miss
         constexpr int kWidth = 48;
-        constexpr std::size_t kEntries = 1024;
+        constexpr std::size_t kEntries = 65536;
         auto indexed = make_exact_engine(kWidth, kEntries);
         auto naive = make_naive_exact_engine(kWidth, kEntries);
         for (std::size_t i = 0; i < kEntries; ++i) {
@@ -179,11 +182,31 @@ std::vector<EngineBench> bench_tables(std::uint64_t target_lookups) {
                                    target_lookups / 8));
     }
 
-    {  // lpm: 1k prefixes across lengths 8..32 on a 32-bit key
+    {  // exact_lowbits: 64k 48-bit keys i << 16, whose low 16 bits are all
+       // zero (a /16-network shape), probed like exact.  The baseline gate
+       // holds this row near exact's rate.
+        constexpr int kWidth = 48;
+        constexpr std::size_t kEntries = 65536;
+        auto engine = make_exact_engine(kWidth, kEntries);
+        for (std::size_t i = 0; i < kEntries; ++i) {
+            TableEntry e;
+            e.key_values = {Bitvec(kWidth, i << 16)};
+            e.action_id = static_cast<int>(i & 7);
+            engine->insert(e);
+        }
+        std::vector<std::vector<Bitvec>> probes;
+        for (std::size_t i = 0; i < 256; ++i) {
+            const std::uint64_t key = (mix(i) % kEntries) << 16;
+            probes.push_back({Bitvec(kWidth, i % 2 ? key : key + 1)});
+        }
+        out.push_back(
+            bench_engine("exact_lowbits", *engine, kEntries, probes, target_lookups));
+    }
+
+    {  // lpm: 64k prefixes across lengths 8..32 on a 32-bit key
         constexpr int kWidth = 32;
-        constexpr std::size_t kEntries = 1024;
-        auto indexed = make_lpm_engine(kWidth, kEntries);
-        auto naive = make_naive_lpm_engine(kWidth, kEntries);
+        constexpr std::size_t kEntries = 65536;
+        auto engine = make_lpm_engine(kWidth, kEntries);
         std::size_t inserted = 0;
         for (std::size_t i = 0; inserted < kEntries; ++i) {
             TableEntry e;
@@ -191,16 +214,13 @@ std::vector<EngineBench> bench_tables(std::uint64_t target_lookups) {
             e.key_values = {Bitvec(kWidth, mix(i) & (~0ull << (kWidth - plen)))};
             e.prefix_len = plen;
             e.action_id = static_cast<int>(i & 7);
-            if (indexed->insert(e) == InsertStatus::ok) ++inserted;
-            naive->insert(e);
+            if (engine->insert(e) == InsertStatus::ok) ++inserted;
         }
         std::vector<std::vector<Bitvec>> probes;
         for (std::size_t i = 0; i < 256; ++i) {
             probes.push_back({Bitvec(kWidth, mix(i * 3))});
         }
-        out.push_back(bench_engine("lpm", *indexed, kEntries, probes, target_lookups));
-        out.push_back(bench_engine("lpm_naive", *naive, kEntries, probes,
-                                   target_lookups / 8));
+        out.push_back(bench_engine("lpm", *engine, kEntries, probes, target_lookups));
     }
 
     {  // ternary: 256 overlapping masked rows over a 48-bit key
@@ -516,6 +536,28 @@ int main(int argc, char** argv) {
                     return 1;
                 }
             }
+        }
+        // Hash-quality gate, relative so it holds on any machine: keys that
+        // differ only above their low 16 bits must look up about as fast as
+        // scattered keys.  A hash whose low bits ignore the high key bits
+        // packs them into one probe cluster and drops the ratio below 0.01.
+        const auto lps_of = [&engines](const char* kind) {
+            for (const auto& e : engines) {
+                if (e.kind == kind) return e.lps;
+            }
+            return 0.0;
+        };
+        const double lowbits_ratio =
+            lps_of("exact") > 0 ? lps_of("exact_lowbits") / lps_of("exact") : 0;
+        std::printf("baseline gate: exact_lowbits/exact lookups %.2f "
+                    "(floor 0.25)\n",
+                    lowbits_ratio);
+        if (lowbits_ratio < 0.25) {
+            std::fprintf(stderr,
+                         "FAIL: exact lookups on keys with zero low bits run at "
+                         "%.2f of the exact rate (floor 0.25)\n",
+                         lowbits_ratio);
+            return 1;
         }
     }
 
