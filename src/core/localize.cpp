@@ -31,16 +31,20 @@ std::optional<std::string> diff_states(const p4::ir::Program& prog,
                                        const dataplane::PacketState& b) {
     for (std::size_t h = 0; h < prog.headers.size(); ++h) {
         const auto& hdr = prog.headers[h];
-        if (a.headers[h].valid != b.headers[h].valid) {
+        const int header = static_cast<int>(h);
+        const bool valid = a.header_valid(header);
+        if (valid != b.header_valid(header)) {
             return "validity of header '" + hdr.name + "' differs";
         }
-        if (!a.headers[h].valid && !hdr.is_metadata) continue;
+        if (!valid && !hdr.is_metadata) continue;
         for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
-            if (a.headers[h].fields[f] != b.headers[h].fields[f]) {
+            const p4::ir::FieldRef ref{header, static_cast<int>(f)};
+            const util::Bitvec va = a.get(ref);
+            const util::Bitvec vb = b.get(ref);
+            if (va != vb) {
                 return util::format("field %s.%s: dut=%s golden=%s", hdr.name.c_str(),
-                                    hdr.fields[f].name.c_str(),
-                                    a.headers[h].fields[f].to_hex().c_str(),
-                                    b.headers[h].fields[f].to_hex().c_str());
+                                    hdr.fields[f].name.c_str(), va.to_hex().c_str(),
+                                    vb.to_hex().c_str());
             }
         }
     }

@@ -158,7 +158,10 @@ std::string ConcolicRecipe::encode() const {
                                    ingress_port, hex_encode(packet).c_str());
     for (const Default& def : defaults) {
         out += util::format("|def:%s:%s", def.table.c_str(), def.action.c_str());
-        for (const auto& arg : def.args) out += ":" + hex_encode(arg);
+        for (const auto& arg : def.args) {
+            out += ':';
+            out += hex_encode(arg);
+        }
     }
     return out;
 }

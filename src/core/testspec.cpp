@@ -1,5 +1,7 @@
 #include "core/testspec.h"
 
+#include <algorithm>
+
 #include "util/random.h"
 #include "util/strings.h"
 
@@ -48,11 +50,10 @@ packet::Packet instantiate(const PacketTemplate& tmpl, std::uint64_t seq) {
             case FieldMutation::Mode::random: {
                 util::Rng rng(tmpl.seed ^ (seq * 0x9e3779b97f4a7c15ull) ^
                               (m.bit_offset << 16));
+                // One draw per 64-bit word, least significant word first.
                 for (int i = 0; i < m.width; i += 64) {
-                    const std::uint64_t bits = rng.next_u64();
-                    for (int b = 0; b < 64 && i + b < m.width; ++b) {
-                        v.set_bit(i + b, (bits >> b) & 1);
-                    }
+                    const int chunk = std::min(64, m.width - i);
+                    v.set_slice(i + chunk - 1, i, util::Bitvec(chunk, rng.next_u64()));
                 }
                 break;
             }

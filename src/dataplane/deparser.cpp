@@ -1,5 +1,7 @@
 #include "dataplane/deparser.h"
 
+#include <algorithm>
+
 namespace ndb::dataplane {
 
 packet::Packet deparse(const p4::ir::Program& prog, const PacketState& state) {
@@ -12,21 +14,16 @@ packet::Packet deparse(const p4::ir::Program& prog, const PacketState& state) {
     }
     const std::size_t header_bytes = (total_bits + 7) / 8;
     packet::Packet out = packet::Packet::zeros(header_bytes + state.payload.size());
+    const std::span<std::uint8_t> bytes = out.bytes_mut();
 
     std::size_t cursor = 0;
     for (const int h : prog.deparse_order) {
         if (!state.header_valid(h)) continue;
-        const auto& hdr = prog.headers[static_cast<std::size_t>(h)];
-        const auto& inst = state.headers[static_cast<std::size_t>(h)];
-        for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
-            out.deposit_bits(cursor + static_cast<std::size_t>(hdr.fields[f].offset),
-                             inst.fields[f]);
-        }
-        cursor += static_cast<std::size_t>(hdr.size_bits);
+        state.emit_header(h, bytes.first(header_bytes), cursor);
+        cursor += static_cast<std::size_t>(prog.headers[static_cast<std::size_t>(h)].size_bits);
     }
-    for (std::size_t i = 0; i < state.payload.size(); ++i) {
-        out.set_byte(header_bytes + i, state.payload[i]);
-    }
+    std::copy(state.payload.begin(), state.payload.end(),
+              bytes.begin() + static_cast<long>(header_bytes));
     out.meta = state.meta;
     return out;
 }

@@ -1,26 +1,21 @@
 #include "dataplane/digest.h"
 
+#include <bit>
 
 namespace ndb::dataplane {
 
 namespace {
 
-inline std::uint64_t fnv1a_byte(std::uint64_t h, unsigned char b) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-    return h;
+inline std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+    return std::rotl((h ^ word) * 0xc2b2ae3d27d4eb4full, 31);
 }
 
-// Folds in the exact character sequence of v.to_hex() without building it;
-// digit count and values come from the same Bitvec accessors to_hex() uses,
-// so the two renderings cannot drift apart.
-std::uint64_t fnv1a_hex(std::uint64_t h, const util::Bitvec& v) {
-    static const char* digits = "0123456789abcdef";
-    h = fnv1a_byte(h, '0');
-    h = fnv1a_byte(h, 'x');
-    for (int i = v.hex_digit_count() - 1; i >= 0; --i) {
-        h = fnv1a_byte(h, static_cast<unsigned char>(digits[v.nibble(i)]));
-    }
+inline std::uint64_t fmix64(std::uint64_t h) {
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
     return h;
 }
 
@@ -29,15 +24,13 @@ std::uint64_t fnv1a_hex(std::uint64_t h, const util::Bitvec& v) {
 std::uint64_t hash_packet_state(const p4::ir::Program& prog,
                                 const PacketState& state) {
     std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint64_t word : state.valid_words()) h = fold(h, word);
     for (std::size_t i = 0; i < prog.headers.size(); ++i) {
-        const auto& inst = state.headers[i];
-        h = fnv1a_byte(h, inst.valid ? 1 : 0);
-        if (!inst.valid && !prog.headers[i].is_metadata) continue;
-        for (const auto& field : inst.fields) {
-            h = fnv1a_hex(h, field);
-        }
+        const int header = static_cast<int>(i);
+        if (!prog.headers[i].is_metadata && !state.header_valid(header)) continue;
+        for (const std::uint64_t word : state.header_words(header)) h = fold(h, word);
     }
-    return h;
+    return fmix64(h);
 }
 
 }  // namespace ndb::dataplane

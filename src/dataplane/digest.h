@@ -1,12 +1,13 @@
 // Streaming per-stage state digests.
 //
-// hash_packet_state() is the in-place form of the campaign engine's
-// copy-based tap hashing: an order-sensitive FNV-1a over header validity
-// plus every field value (metadata headers included, mirroring
-// FaultLocalizer's comparison).  Field values are folded in as the exact
-// character sequence of Bitvec::to_hex() -- streamed nibble by nibble, so
-// the digest of a live PacketState is bit-identical to hashing a deep copy
-// while never materializing one.
+// hash_packet_state() hashes a live PacketState in place, word by word: the
+// validity bitmap first, then the padded wire image (PacketState::
+// header_words) of every valid header and every metadata header, in header
+// order.  Each 64-bit word costs one multiply, `h = rotl((h ^ w) * K, 31)`,
+// and one murmur3 fmix64 finalizes the sum.  Pad bits are always zero, so
+// two states digest equal when their validity and field values agree (the
+// comparison FaultLocalizer makes), and a difference confined to one word
+// always changes the digest: every fold step is a bijection of `h`.
 //
 // Timing (cycles) is deliberately excluded: quirked paths may legitimately
 // cost different cycle counts without being behaviourally wrong.

@@ -112,49 +112,22 @@ void reset_frame_locals(Frame& frame, std::span<const int> widths) {
     }
 }
 
-// IPv4-style checksum recompute: serialize `header` with the checksum field
-// forced to zero, RFC-1071 sum the byte image (streamed through
-// `bytes_scratch`), store into the checksum field.
+// IPv4-style checksum recompute: RFC 1071 sum of `header`'s wire image with
+// the checksum field's bits cleared (the image is copied into
+// `bytes_scratch` to clear them), stored into the checksum field.
 void checksum_update_field(const Program& prog, PacketState& state, int header,
                            int checksum_field,
                            std::vector<std::uint8_t>& bytes_scratch) {
     const auto& hdr = prog.headers.at(static_cast<std::size_t>(header));
-    const auto& inst = state.headers.at(static_cast<std::size_t>(header));
-    // Serialize the header with the checksum field forced to zero, then take
-    // the RFC 1071 checksum of the byte image.  The image is streamed
-    // MSB-first into the byte scratch instead of built from O(fields^2)
-    // Bitvec concatenations.
-    bytes_scratch.assign(static_cast<std::size_t>((hdr.size_bits + 7) / 8), 0);
-    std::size_t bitpos = 0;  // wire position, MSB-first
-    for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
-        const int w = hdr.fields[f].width;
-        if (static_cast<int>(f) == checksum_field) {
-            bitpos += static_cast<std::size_t>(w);  // scratch is pre-zeroed
-            continue;
-        }
-        const Bitvec& v = inst.fields[f];
-        // Deposit in <=32-bit chunks, high bits of the field first; the
-        // buffer is pre-zeroed, so OR-ing whole covering bytes suffices.
-        int remaining = w;
-        while (remaining > 0) {
-            const int chunk = std::min(remaining, 32);
-            const std::uint64_t bits =
-                v.slice(remaining - 1, remaining - chunk).to_u64();
-            const std::size_t end = bitpos + static_cast<std::size_t>(chunk);
-            const std::size_t first = bitpos / 8;
-            const std::size_t last = (end + 7) / 8;  // exclusive
-            std::uint64_t acc = bits << (8 * last - end);
-            for (std::size_t i = last; i-- > first;) {
-                bytes_scratch[i] |= static_cast<std::uint8_t>(acc);
-                acc >>= 8;
-            }
-            bitpos = end;
-            remaining -= chunk;
-        }
+    const auto& field = hdr.fields.at(static_cast<std::size_t>(checksum_field));
+    const std::span<const std::uint8_t> image = state.header_bytes(header);
+    bytes_scratch.assign(image.begin(), image.end());
+    for (int b = field.offset; b < field.offset + field.width; ++b) {
+        bytes_scratch[static_cast<std::size_t>(b / 8)] &=
+            static_cast<std::uint8_t>(~(0x80u >> (b % 8)));
     }
     const std::uint16_t csum = packet::internet_checksum(bytes_scratch);
-    const int w = hdr.fields[static_cast<std::size_t>(checksum_field)].width;
-    state.set({header, checksum_field}, Bitvec(16, csum).resize(w));
+    state.set({header, checksum_field}, Bitvec(16, csum).resize(field.width));
 }
 
 }  // namespace
@@ -266,7 +239,6 @@ void Interpreter::exec(const Stmt& s, PacketState& state, Frame& frame) {
                                   cov_salt_ ^ static_cast<std::uint64_t>(s.table),
                                   hit ? 1 : 0);
             }
-            applies_.push_back({s.table, hit, entry.action_id});
             run_action(entry.action_id, entry.args, state);
             return;
         }
@@ -282,8 +254,7 @@ void Interpreter::exec(const Stmt& s, PacketState& state, Frame& frame) {
             return;
         }
         case Stmt::Kind::set_valid:
-            state.headers.at(static_cast<std::size_t>(s.dst.header)).valid =
-                s.make_valid;
+            state.set_header_valid(s.dst.header, s.make_valid);
             return;
         case Stmt::Kind::extern_op:
             exec_extern(s, state, frame);

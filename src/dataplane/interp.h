@@ -25,13 +25,6 @@ struct Frame {
     std::vector<Bitvec> params;
 };
 
-// One table application observed while a control ran.
-struct TableApply {
-    int table = -1;
-    bool hit = false;
-    int action = -1;
-};
-
 // Evaluates `e` against packet state and frame.  Shared by the parser
 // engine (select keys), the interpreter and tests.  Honours the quirks
 // that affect expression semantics (shift miscompilation).
@@ -49,14 +42,11 @@ public:
     Interpreter(const p4::ir::Program& prog, TableSet& tables, StatefulSet& stateful,
                 Quirks quirks = {});
 
-    // Runs a control body; table applies are appended to `applies_`.
+    // Runs a control body.
     void run_control(const p4::ir::Control& control, PacketState& state);
 
     // Runs one action directly (used for table results and direct calls).
     void run_action(int action_id, std::span<const Bitvec> args, PacketState& state);
-
-    const std::vector<TableApply>& applies() const { return applies_; }
-    void clear_applies() { applies_.clear(); }
 
     // Coverage instrumentation: when a map is set, table hits/misses,
     // action invocations and branch edges are recorded into it, salted by
@@ -83,7 +73,6 @@ private:
     TableSet& tables_;
     StatefulSet& stateful_;
     Quirks quirks_;
-    std::vector<TableApply> applies_;
 
     std::deque<Frame> frames_;  // deque: references stay valid while growing
     std::size_t depth_ = 0;

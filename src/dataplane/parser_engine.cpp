@@ -14,7 +14,7 @@ void ParserEngine::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) 
 }
 
 ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
-                                int* states_visited) const {
+                                int* states_visited) {
     std::size_t cursor = 0;  // bit offset into the packet
     const std::size_t total_bits = pkt.size() * 8;
     int visited = 0;
@@ -70,15 +70,7 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
                     if (cursor + static_cast<std::size_t>(hdr.size_bits) > total_bits) {
                         return finish(ParserVerdict::error_truncated);
                     }
-                    auto& inst =
-                        state.headers.at(static_cast<std::size_t>(op.header));
-                    for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
-                        const auto& field = hdr.fields[f];
-                        inst.fields[f] = pkt.extract_bits(
-                            cursor + static_cast<std::size_t>(field.offset),
-                            field.width);
-                    }
-                    inst.valid = true;
+                    state.extract_header(op.header, pkt.bytes(), cursor);
                     cursor += static_cast<std::size_t>(hdr.size_bits);
                     ++extracts;
                     state.cycles += 1;
@@ -109,8 +101,8 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
             continue;
         }
         // Select: evaluate keys once, then first matching case wins.
-        std::vector<Bitvec> keys;
-        keys.reserve(t.keys.size());
+        std::vector<Bitvec>& keys = keys_scratch_;
+        keys.clear();
         for (const auto& k : t.keys) {
             keys.push_back(eval_expr(prog_, *k, state, empty_frame, quirks_));
         }

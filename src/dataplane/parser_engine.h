@@ -1,6 +1,8 @@
 // Programmable parser engine: executes the IR parser state machine.
 #pragma once
 
+#include <vector>
+
 #include "dataplane/quirks.h"
 #include "dataplane/state.h"
 #include "p4/ir.h"
@@ -30,7 +32,7 @@ public:
     // leave the state as-is and report `accept` -- modeling a target that
     // never implemented the reject path.
     ParserVerdict run(const packet::Packet& pkt, PacketState& state,
-                      int* states_visited = nullptr) const;
+                      int* states_visited = nullptr);
 
     // Cycle guard so malformed state machines cannot loop forever.
     static constexpr int kMaxStates = 256;
@@ -40,6 +42,8 @@ private:
     Quirks quirks_;
     coverage::CoverageMap* coverage_ = nullptr;
     std::uint64_t cov_salt_ = 0;  // program_salt(prog_.name) ^ device salt
+    // Select keys, reused across transitions and packets (capacity kept).
+    std::vector<util::Bitvec> keys_scratch_;
 };
 
 }  // namespace ndb::dataplane

@@ -124,7 +124,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         }
     } packet_timer{timed, t_mark, obs::pipeline_hist(3)};
 
-    state_.ensure_shape(prog_);
     state_.reset(prog_, in.meta, static_cast<std::uint32_t>(in.size()),
                  options_.quirks.metadata_clobber);
     if (quirk_expiry_clock_) {
@@ -165,7 +164,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     }
     if (options_.stage_hook) options_.stage_hook(Stage::parser, state);
 
-    interp_.clear_applies();
     interp_.run_control(prog_.ingress, state);
     if (options_.capture_taps) result.tap_after_ingress = state;
     if (options_.capture_digests) {
@@ -174,7 +172,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     if (state.drop_flagged(prog_)) {
         ++counters_.ingress_dropped;
         result.disposition = Disposition::dropped_ingress;
-        result.applies = interp_.applies();
         result.cycles = state.cycles;
         return result;
     }
@@ -194,7 +191,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         if (state.drop_flagged(prog_)) {
             ++counters_.egress_dropped;
             result.disposition = Disposition::dropped_egress;
-            result.applies = interp_.applies();
             result.cycles = state.cycles;
             return result;
         }
@@ -216,7 +212,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     result.output.meta.egress_port = static_cast<std::uint32_t>(port);
     result.egress_port = static_cast<std::uint32_t>(port);
     result.disposition = Disposition::forwarded;
-    result.applies = interp_.applies();
     result.cycles = state.cycles + 1;  // deparser cycle
     ++counters_.forwarded;
     return result;

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "dataplane/digest.h"
 #include "dataplane/interp.h"
@@ -43,8 +42,8 @@ inline constexpr int kStageCount = 4;
 const char* stage_name(Stage stage);
 
 // Compact per-packet view of the internal stage taps, hashed in place by
-// the pipeline (streaming mode): the same values the campaign engine used
-// to derive from full PacketState copies, at none of the copy cost.
+// the pipeline (streaming mode): the values hashing full PacketState
+// copies would give, at none of the copy cost.
 struct TapDigest {
     ParserVerdict verdict = ParserVerdict::accept;
     Disposition disposition = Disposition::forwarded;
@@ -62,7 +61,6 @@ struct PipelineResult {
     packet::Packet output;                 // meaningful when forwarded
     std::uint32_t egress_port = 0;
     std::uint64_t cycles = 0;
-    std::vector<TableApply> applies;
 
     // Stage taps (populated when tracing is enabled).
     std::optional<PacketState> tap_after_parser;

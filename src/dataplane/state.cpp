@@ -1,10 +1,66 @@
 #include "dataplane/state.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
-#include "util/strings.h"
-
 namespace ndb::dataplane {
+
+namespace {
+
+// Big-endian 8-byte load/store: wire bit i of the window is value bit 63-i.
+std::uint64_t load_be64(const std::uint8_t* p) {
+    std::uint64_t x;
+    std::memcpy(&x, p, sizeof x);
+    if constexpr (std::endian::native == std::endian::little) x = __builtin_bswap64(x);
+    return x;
+}
+
+void store_be64(std::uint8_t* p, std::uint64_t x) {
+    if constexpr (std::endian::native == std::endian::little) x = __builtin_bswap64(x);
+    std::memcpy(p, &x, sizeof x);
+}
+
+// Reads the `width` (1..64) bits starting at wire bit `bit`.  Touches bytes
+// [bit/8, bit/8 + 9) at most; the trailing zero word keeps that in bounds.
+std::uint64_t read_bits(const std::uint8_t* bytes, std::size_t bit, int width) {
+    const std::uint8_t* p = bytes + bit / 8;
+    const unsigned shift = bit % 8;
+    std::uint64_t x = load_be64(p) << shift;
+    if (shift + static_cast<unsigned>(width) > 64) x |= p[8] >> (8 - shift);
+    return x >> (64 - width);
+}
+
+// Writes the low `width` (1..64) bits of `value` at wire bit `bit`, leaving
+// every other bit as it was.
+void write_bits(std::uint8_t* bytes, std::size_t bit, int width, std::uint64_t value) {
+    std::uint8_t* p = bytes + bit / 8;
+    const unsigned shift = bit % 8;
+    const unsigned w = static_cast<unsigned>(width);
+    const std::uint64_t x = load_be64(p);
+    if (shift + w <= 64) {
+        const unsigned low = 64 - shift - w;  // bits after the field
+        const std::uint64_t mask = (~0ull >> (64 - w)) << low;
+        store_be64(p, (x & ~mask) | ((value << low) & mask));
+        return;
+    }
+    // The field runs into a ninth byte: its top 64 - shift bits end the
+    // window, the remaining `spill` bits lead byte 8.
+    const unsigned spill = shift + w - 64;  // 1..7
+    const std::uint64_t mask = ~0ull >> shift;
+    store_be64(p, (x & ~mask) | ((value >> spill) & mask));
+    const auto byte_mask = static_cast<std::uint8_t>(0xff << (8 - spill));
+    p[8] = static_cast<std::uint8_t>((p[8] & ~byte_mask) |
+                                     ((value << (8 - spill)) & byte_mask));
+}
+
+// Mask of the wire bits a header's last image byte holds (pad bits clear).
+std::uint8_t last_byte_mask(std::size_t bits) {
+    return bits % 8 == 0 ? 0xff : static_cast<std::uint8_t>(0xff << (8 - bits % 8));
+}
+
+}  // namespace
 
 const char* parser_verdict_name(ParserVerdict verdict) {
     switch (verdict) {
@@ -16,71 +72,184 @@ const char* parser_verdict_name(ParserVerdict verdict) {
     return "?";
 }
 
+void PacketState::throw_bad_header() {
+    throw std::out_of_range("PacketState: header index out of range");
+}
+
+void PacketState::throw_bad_field() {
+    throw std::out_of_range("PacketState: field reference out of range");
+}
+
 PacketState PacketState::initial(const p4::ir::Program& prog,
                                  const packet::PacketMeta& meta,
                                  std::uint32_t packet_len, bool clobber_meta) {
     PacketState st;
-    st.ensure_shape(prog);
     st.reset(prog, meta, packet_len, clobber_meta);
     return st;
 }
 
-void PacketState::ensure_shape(const p4::ir::Program& prog) {
-    if (shaped_for == &prog) return;
-    headers.clear();
-    headers.reserve(prog.headers.size());
+void PacketState::shape(const p4::ir::Program& prog) {
+    auto layout = std::make_shared<Layout>();
+    std::size_t word = 0;
     for (const auto& h : prog.headers) {
-        HeaderInstance inst;
-        inst.fields.reserve(h.fields.size());
-        for (const auto& f : h.fields) inst.fields.emplace_back(f.width);
-        headers.push_back(std::move(inst));
+        Layout::Header lh;
+        lh.word = word;
+        lh.bits = static_cast<std::size_t>(h.size_bits);
+        lh.first_field = layout->fields.size();
+        lh.field_count = h.fields.size();
+        std::size_t end = lh.bits;
+        for (const auto& f : h.fields) {
+            const std::size_t field_end = static_cast<std::size_t>(f.offset + f.width);
+            end = std::max(end, field_end);
+            layout->fields.push_back(
+                {word * 64 + static_cast<std::size_t>(f.offset), f.width});
+        }
+        lh.words = (end + 63) / 64;
+        word += lh.words;
+        layout->headers.push_back(lh);
     }
-    shaped_for = &prog;
+    const std::size_t image_words = word + 1;  // plus the trailing zero word
+
+    layout->initial_valid.assign((prog.headers.size() + 63) / 64, 0);
+    layout->clobber_image.assign(image_words, 0);
+    auto* clobber = reinterpret_cast<std::uint8_t*>(layout->clobber_image.data());
+    for (std::size_t hi = 0; hi < prog.headers.size(); ++hi) {
+        const auto& h = prog.headers[hi];
+        if (!h.is_metadata) continue;
+        layout->initial_valid[hi / 64] |= 1ull << (hi % 64);
+        if (h.name == "standard_metadata") continue;
+        // Alternate bit pattern (value bits 0, 2, 4, ...) models
+        // uninitialized device memory.
+        for (std::size_t fi = 0; fi < h.fields.size(); ++fi) {
+            const Layout::Field& f = layout->fields[layout->headers[hi].first_field + fi];
+            for (int lo = 0; lo < f.width; lo += 64) {
+                const int chunk = std::min(64, f.width - lo);
+                write_bits(clobber, f.bit + static_cast<std::size_t>(f.width - lo - chunk),
+                           chunk, 0x5555555555555555ull);
+            }
+        }
+    }
+
+    image_.assign(image_words, 0);
+    valid_ = layout->initial_valid;
+    layout_ = std::move(layout);
+    shaped_for_ = &prog;
 }
 
 void PacketState::reset(const p4::ir::Program& prog, const packet::PacketMeta& m,
                         std::uint32_t packet_len, bool clobber_meta) {
+    if (shaped_for_ != &prog) shape(prog);
     meta = m;
     parser_verdict = ParserVerdict::accept;
     cycles = 0;
     exited = false;
     payload.clear();
-    for (std::size_t hi = 0; hi < prog.headers.size(); ++hi) {
-        const auto& h = prog.headers[hi];
-        auto& inst = headers[hi];
-        inst.valid = h.is_metadata;
-        const bool clobber =
-            clobber_meta && h.is_metadata && h.name != "standard_metadata";
-        for (std::size_t fi = 0; fi < h.fields.size(); ++fi) {
-            util::Bitvec& v = inst.fields[fi];
-            v.zero();
-            if (clobber) {
-                // Alternate bit pattern models uninitialized device memory.
-                for (int i = 0; i < h.fields[fi].width; i += 2) v.set_bit(i, true);
-            }
-        }
+    if (clobber_meta) {
+        std::copy(layout_->clobber_image.begin(), layout_->clobber_image.end(),
+                  image_.begin());
+    } else {
+        std::fill(image_.begin(), image_.end(), 0);
     }
+    std::copy(layout_->initial_valid.begin(), layout_->initial_valid.end(),
+              valid_.begin());
     set(prog.f_ingress_port, util::Bitvec(9, m.ingress_port));
     set(prog.f_packet_length, util::Bitvec(32, packet_len));
     set(prog.f_timestamp, util::Bitvec(48, m.rx_time_ns / 1000));  // usec
 }
 
-const util::Bitvec& PacketState::get(p4::ir::FieldRef ref) const {
-    return headers.at(static_cast<std::size_t>(ref.header))
-        .fields.at(static_cast<std::size_t>(ref.field));
+util::Bitvec PacketState::get(p4::ir::FieldRef ref) const {
+    if (!layout_) throw_bad_header();
+    const Layout::Field& f = layout_->field(ref);
+    if (f.width <= 64) return util::Bitvec(f.width, read_bits(bytes(), f.bit, f.width));
+    // Wide field: assemble it a word at a time, least significant first.
+    util::Bitvec v(f.width);
+    for (int lo = 0; lo < f.width; lo += 64) {
+        const int chunk = std::min(64, f.width - lo);
+        const std::size_t at = f.bit + static_cast<std::size_t>(f.width - lo - chunk);
+        v.set_slice(lo + chunk - 1, lo, util::Bitvec(chunk, read_bits(bytes(), at, chunk)));
+    }
+    return v;
 }
 
-void PacketState::set(p4::ir::FieldRef ref, util::Bitvec value) {
-    auto& slot = headers.at(static_cast<std::size_t>(ref.header))
-                     .fields.at(static_cast<std::size_t>(ref.field));
-    if (slot.width() != value.width()) {
+void PacketState::set(p4::ir::FieldRef ref, const util::Bitvec& value) {
+    if (!layout_) throw_bad_header();
+    const Layout::Field& f = layout_->field(ref);
+    if (f.width != value.width()) {
         throw std::invalid_argument("PacketState::set: width mismatch");
     }
-    slot = std::move(value);
+    if (f.width <= 64) {
+        write_bits(bytes(), f.bit, f.width, value.to_u64());
+        return;
+    }
+    const auto words = value.word_span();
+    for (int lo = 0; lo < f.width; lo += 64) {
+        const int chunk = std::min(64, f.width - lo);
+        const std::size_t at = f.bit + static_cast<std::size_t>(f.width - lo - chunk);
+        write_bits(bytes(), at, chunk, words[static_cast<std::size_t>(lo / 64)]);
+    }
 }
 
-bool PacketState::header_valid(int header) const {
-    return headers.at(static_cast<std::size_t>(header)).valid;
+void PacketState::set_header_valid(int header, bool valid) {
+    const std::size_t h = header_slot(header);
+    const std::uint64_t bit = 1ull << (h % 64);
+    valid_[h / 64] = valid ? (valid_[h / 64] | bit) : (valid_[h / 64] & ~bit);
+}
+
+void PacketState::extract_header(int header, std::span<const std::uint8_t> bytes_in,
+                                 std::size_t bit_offset) {
+    const std::size_t slot = header_slot(header);
+    const Layout::Header& h = layout_->headers[slot];
+    if (bit_offset + h.bits > bytes_in.size() * 8) {
+        throw std::out_of_range("PacketState::extract_header: past end of packet");
+    }
+    const std::size_t n = (h.bits + 7) / 8;
+    std::uint8_t* dst = bytes() + h.word * 8;
+    const std::uint8_t* src = bytes_in.data() + bit_offset / 8;
+    const unsigned shift = bit_offset % 8;
+    if (shift == 0) {
+        std::memcpy(dst, src, n);
+    } else {
+        // Each image byte takes the low 8 - shift bits of one packet byte
+        // and the high `shift` bits of the next; the packet may end inside
+        // the last image byte's pad bits.
+        const std::size_t avail = bytes_in.size() - bit_offset / 8;
+        for (std::size_t i = 0; i < n; ++i) {
+            const unsigned next = i + 1 < avail ? src[i + 1] : 0;
+            dst[i] = static_cast<std::uint8_t>((src[i] << shift) | (next >> (8 - shift)));
+        }
+    }
+    if (n > 0) dst[n - 1] &= last_byte_mask(h.bits);
+    set_header_valid(header, true);
+}
+
+void PacketState::emit_header(int header, std::span<std::uint8_t> out,
+                              std::size_t bit_offset) const {
+    const std::size_t slot = header_slot(header);
+    const Layout::Header& h = layout_->headers[slot];
+    if (bit_offset + h.bits > out.size() * 8) {
+        throw std::out_of_range("PacketState::emit_header: past end of buffer");
+    }
+    const std::size_t n = (h.bits + 7) / 8;
+    const std::uint8_t* src = bytes() + h.word * 8;
+    std::uint8_t* dst = out.data() + bit_offset / 8;
+    const unsigned shift = bit_offset % 8;
+    if (shift == 0) {
+        std::memcpy(dst, src, n);
+        return;
+    }
+    // Pad bits are zero, so spilling the last byte's low bits past the
+    // header's end (or dropping them at the buffer's end) changes nothing.
+    const std::size_t room = out.size() - bit_offset / 8;
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] |= static_cast<std::uint8_t>(src[i] >> shift);
+        if (i + 1 < room) dst[i + 1] |= static_cast<std::uint8_t>(src[i] << (8 - shift));
+    }
+}
+
+std::span<const std::uint8_t> PacketState::header_bytes(int header) const {
+    const std::size_t slot = header_slot(header);
+    const Layout::Header& h = layout_->headers[slot];
+    return {bytes() + h.word * 8, (h.bits + 7) / 8};
 }
 
 std::uint64_t PacketState::egress_spec(const p4::ir::Program& prog) const {
@@ -89,17 +258,6 @@ std::uint64_t PacketState::egress_spec(const p4::ir::Program& prog) const {
 
 bool PacketState::drop_flagged(const p4::ir::Program& prog) const {
     return egress_spec(prog) == p4::ir::kDropPort;
-}
-
-std::string PacketState::summary(const p4::ir::Program& prog) const {
-    std::string s = util::format("verdict=%s egress_spec=%llu",
-                                 parser_verdict_name(parser_verdict),
-                                 static_cast<unsigned long long>(egress_spec(prog)));
-    for (std::size_t h = 0; h < headers.size(); ++h) {
-        if (!headers[h].valid || prog.headers[h].is_metadata) continue;
-        s += " " + prog.headers[h].name;
-    }
-    return s;
 }
 
 }  // namespace ndb::dataplane

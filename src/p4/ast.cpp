@@ -1,5 +1,7 @@
 #include "p4/ast.h"
 
+#include "util/strings.h"
+
 namespace ndb::p4::ast {
 
 const char* un_op_name(UnOp op) {
@@ -61,11 +63,11 @@ std::string Expr::to_string() const {
         case Kind::unary:
             return std::string(un_op_name(un)) + "(" + lhs->to_string() + ")";
         case Kind::binary:
-            return "(" + lhs->to_string() + " " + bin_op_name(bin) + " " +
-                   rhs->to_string() + ")";
+            return util::format("(%s %s %s)", lhs->to_string().c_str(), bin_op_name(bin),
+                                rhs->to_string().c_str());
         case Kind::ternary:
-            return "(" + cond->to_string() + " ? " + lhs->to_string() + " : " +
-                   rhs->to_string() + ")";
+            return util::format("(%s ? %s : %s)", cond->to_string().c_str(),
+                                lhs->to_string().c_str(), rhs->to_string().c_str());
         case Kind::call: {
             std::string s = callee->to_string() + "(";
             for (std::size_t i = 0; i < args.size(); ++i) {
@@ -75,7 +77,8 @@ std::string Expr::to_string() const {
             return s + ")";
         }
         case Kind::cast:
-            return "(" + cast_type.to_string() + ")(" + lhs->to_string() + ")";
+            return util::format("(%s)(%s)", cast_type.to_string().c_str(),
+                                lhs->to_string().c_str());
     }
     return "?";
 }

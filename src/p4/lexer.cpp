@@ -235,7 +235,7 @@ Token Lexer::lex_number() {
     }
     if (digits.empty()) {
         diags_.error(tok_start_, "malformed number literal");
-        digits = "0";
+        digits.assign(1, '0');  // `= "0"` draws a false GCC 12 -Wrestrict
     }
 
     // Accumulate into a wide bitvec so 128-bit literals (IPv6) work.

@@ -209,11 +209,13 @@ std::vector<std::uint8_t> Bitvec::to_bytes() const {
 
 std::string Bitvec::to_hex() const {
     static const char* digits = "0123456789abcdef";
-    const int n = hex_digit_count();
+    const int n = width_ < 4 ? 1 : (width_ + 3) / 4;  // at least one digit
     std::string s = "0x";
     s.reserve(2 + static_cast<std::size_t>(n));
+    const std::uint64_t* w = words();
     for (int i = n - 1; i >= 0; --i) {
-        s.push_back(digits[nibble(i)]);
+        const int bit = i * 4;  // 4-aligned: a digit never straddles words
+        s.push_back(bit >= width_ ? '0' : digits[(w[bit / 64] >> (bit % 64)) & 0xf]);
     }
     return s;
 }

@@ -81,17 +81,6 @@ public:
     std::string to_hex() const;           // e.g. "0x0a00_0001" without separators
     std::string to_string() const;        // e.g. "32w0x0a000001"
 
-    // Number of hex digits to_hex() renders (always at least one).
-    int hex_digit_count() const { return width_ < 4 ? 1 : (width_ + 3) / 4; }
-
-    // Value of to_hex()'s digit `i`, 0 = least significant.  Shared by
-    // to_hex() and the streaming digest hasher so the two can never drift.
-    int nibble(int i) const {
-        const int bit = i * 4;  // 4-aligned: a nibble never straddles words
-        if (bit >= width_) return 0;
-        return static_cast<int>((words()[bit / 64] >> (bit % 64)) & 0xf);
-    }
-
     bool is_zero() const;
     bool is_ones() const;
 

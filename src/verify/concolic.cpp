@@ -144,8 +144,8 @@ TargetStatus ConcolicSynthesizer::solve_path(const SymPath& path,
     }
 
     // Decode the wire: walk the chunks the parser consumed, depositing each
-    // extracted field's model value at its offset (MSB-first, like
-    // ParserEngine::run's extract_bits).  Advanced-over and padding bytes
+    // extracted field's model value at its offset (MSB-first, the wire order
+    // ParserEngine::run copies headers in).  Advanced-over and padding bytes
     // stay zero -- unconstrained variables read back as zero from the
     // blaster, so the two agree.
     packet::Packet pkt = packet::Packet::zeros(static_cast<std::size_t>(length));

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/strings.h"
+
 namespace ndb::verify {
 
 namespace {
@@ -249,34 +251,38 @@ SExpr sv_resize(SExpr a, int width) {
 }
 
 std::string sv_to_string(const SExpr& e) {
+    const auto infix = [&](const char* op) {
+        return util::format("(%s %s %s)", sv_to_string(e->a).c_str(), op,
+                            sv_to_string(e->b).c_str());
+    };
     switch (e->op) {
         case Op::var: return e->name;
         case Op::bool_var: return e->name;
         case Op::constant: return e->value.to_string();
         case Op::bool_const: return e->value.is_zero() ? "false" : "true";
-        case Op::add: return "(" + sv_to_string(e->a) + " + " + sv_to_string(e->b) + ")";
-        case Op::sub: return "(" + sv_to_string(e->a) + " - " + sv_to_string(e->b) + ")";
-        case Op::mul: return "(" + sv_to_string(e->a) + " * " + sv_to_string(e->b) + ")";
-        case Op::band: return "(" + sv_to_string(e->a) + " & " + sv_to_string(e->b) + ")";
-        case Op::bor: return "(" + sv_to_string(e->a) + " | " + sv_to_string(e->b) + ")";
-        case Op::bxor: return "(" + sv_to_string(e->a) + " ^ " + sv_to_string(e->b) + ")";
-        case Op::bnot: return "~" + sv_to_string(e->a);
-        case Op::shl: return "(" + sv_to_string(e->a) + " << " + sv_to_string(e->b) + ")";
-        case Op::lshr: return "(" + sv_to_string(e->a) + " >> " + sv_to_string(e->b) + ")";
-        case Op::eq: return "(" + sv_to_string(e->a) + " == " + sv_to_string(e->b) + ")";
-        case Op::ult: return "(" + sv_to_string(e->a) + " <u " + sv_to_string(e->b) + ")";
-        case Op::ule: return "(" + sv_to_string(e->a) + " <=u " + sv_to_string(e->b) + ")";
-        case Op::bool_and: return "(" + sv_to_string(e->a) + " && " + sv_to_string(e->b) + ")";
-        case Op::bool_or: return "(" + sv_to_string(e->a) + " || " + sv_to_string(e->b) + ")";
-        case Op::bool_not: return "!" + sv_to_string(e->a);
+        case Op::add: return infix("+");
+        case Op::sub: return infix("-");
+        case Op::mul: return infix("*");
+        case Op::band: return infix("&");
+        case Op::bor: return infix("|");
+        case Op::bxor: return infix("^");
+        case Op::bnot: return util::format("~%s", sv_to_string(e->a).c_str());
+        case Op::shl: return infix("<<");
+        case Op::lshr: return infix(">>");
+        case Op::eq: return infix("==");
+        case Op::ult: return infix("<u");
+        case Op::ule: return infix("<=u");
+        case Op::bool_and: return infix("&&");
+        case Op::bool_or: return infix("||");
+        case Op::bool_not: return util::format("!%s", sv_to_string(e->a).c_str());
         case Op::ite:
-            return "(" + sv_to_string(e->c) + " ? " + sv_to_string(e->a) + " : " +
-                   sv_to_string(e->b) + ")";
+            return util::format("(%s ? %s : %s)", sv_to_string(e->c).c_str(),
+                                sv_to_string(e->a).c_str(), sv_to_string(e->b).c_str());
         case Op::slice:
-            return sv_to_string(e->a) + "[" + std::to_string(e->hi) + ":" +
-                   std::to_string(e->lo) + "]";
-        case Op::concat: return "(" + sv_to_string(e->a) + " ++ " + sv_to_string(e->b) + ")";
-        case Op::zext: return "zext" + std::to_string(e->width) + "(" + sv_to_string(e->a) + ")";
+            return util::format("%s[%d:%d]", sv_to_string(e->a).c_str(), e->hi, e->lo);
+        case Op::concat: return infix("++");
+        case Op::zext:
+            return util::format("zext%d(%s)", e->width, sv_to_string(e->a).c_str());
     }
     return "?";
 }

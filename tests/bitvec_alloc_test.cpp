@@ -1,13 +1,19 @@
 // Bitvec representation tests: the inline small-value storage contract
 // (widths <= 64 never allocate) and word-level operation correctness
-// against a bit-at-a-time reference.
+// against a bit-at-a-time reference.  Plus the packet path's allocation
+// budget: once warm, a device allocates only each forwarded packet's
+// output bytes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <iostream>
 #include <new>
 #include <vector>
 
+#include "core/generator.h"
+#include "core/specgen.h"
+#include "target/device.h"
 #include "util/bitvec.h"
 #include "util/random.h"
 
@@ -108,6 +114,68 @@ TEST(BitvecAlloc, WideValuesStillWork) {
     EXPECT_EQ(Bitvec::concat(a.slice(127, 64), a.slice(63, 0)), a);
     EXPECT_EQ(a.resize(64).to_u64(), a.to_u64());
     EXPECT_EQ(a.resize(200).resize(128), a);
+}
+
+TEST(PacketPathAlloc, WarmDeviceAllocatesOnlyForwardedOutputBytes) {
+    // Every catalogue program: one warm-up stream grows the device's pooled
+    // buffers (parse state, select keys, digest ring), then the same stream
+    // again may allocate once per forwarded packet -- its deparsed output --
+    // and never for a dropped one.  Each packet is drained as soon as it is
+    // injected, so egress queue growth stays out of the count.
+    constexpr std::uint64_t kStream = 128;
+    const ndb::core::SpecGenerator gen;
+    std::uint64_t packets = 0;
+    std::uint64_t total = 0;
+    for (std::size_t p = 0; p < gen.programs().size(); ++p) {
+        const ndb::core::Scenario sc = gen.make_for(p, 11);
+        SCOPED_TRACE(sc.program);
+        auto dev = ndb::target::make_device("reference");
+        ASSERT_NE(dev, nullptr);
+        ASSERT_TRUE(dev->load(sc.compiled));
+        for (const auto& op : sc.config) ndb::core::apply_config_op(*dev, op);
+        dev->set_digests_enabled(true);
+
+        ndb::core::TestPacketGenerator pgen(sc.spec);
+        std::vector<ndb::packet::Packet> stream;
+        for (std::uint64_t seq = 1; seq <= kStream; ++seq) {
+            stream.push_back(pgen.make_packet(seq, 1'000'000 + (seq - 1) * 672));
+        }
+        std::vector<ndb::packet::Packet> drained;
+        drained.reserve(kStream);
+        const auto drain = [&] {
+            for (int port = 0; port < dev->config().num_ports; ++port) {
+                dev->drain_port_into(static_cast<std::uint32_t>(port), drained);
+            }
+            drained.clear();
+        };
+
+        for (const auto& pkt : stream) {
+            dev->inject(pkt);
+            drain();
+        }
+        ASSERT_TRUE(dev->reset_state());  // registers, queues, digest ring
+
+        std::vector<ndb::packet::Packet> again = stream;
+        std::uint64_t program_total = 0;
+        for (std::size_t i = 0; i < again.size(); ++i) {
+            const std::uint64_t before = allocations();
+            dev->inject(std::move(again[i]));
+            drain();
+            const std::uint64_t used = allocations() - before;
+            ASSERT_EQ(dev->digest_records().size(), i + 1);
+            const bool forwarded = dev->digest_records().back().disposition ==
+                                   ndb::dataplane::Disposition::forwarded;
+            EXPECT_LE(used, forwarded ? 1u : 0u) << "packet " << i + 1;
+            program_total += used;
+        }
+        std::cout << sc.program << ": "
+                  << static_cast<double>(program_total) / kStream
+                  << " allocations per packet\n";
+        total += program_total;
+        packets += kStream;
+    }
+    std::cout << "catalogue: " << static_cast<double>(total) / static_cast<double>(packets)
+              << " allocations per packet\n";
 }
 
 // Bit-at-a-time reference implementations of the word-level kernels.

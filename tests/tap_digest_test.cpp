@@ -4,7 +4,9 @@
 // and hash the copies; the pipeline now hashes the live state in place.
 // These tests pin the values: for every corpus seed (and both the golden
 // and quirked device images), the in-place TapDigest must be bit-identical
-// to hashing materialized tap copies with the original algorithm.
+// to hashing materialized tap copies with the reference digest of
+// digest_reference.h, which rebuilds every header's wire image field by
+// field from the copy's get() values.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,6 +18,7 @@
 #include "core/generator.h"
 #include "core/specgen.h"
 #include "dataplane/digest.h"
+#include "digest_reference.h"
 #include "target/device.h"
 
 #ifndef NDB_CORPUS_DIR
@@ -26,32 +29,13 @@ namespace {
 
 using namespace ndb;
 
-// --- the original copy-based hash, kept verbatim as the reference -------------
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
+// The digest of a materialized tap copy, rebuilt from its get() values.
 std::uint64_t copy_based_hash(const p4::ir::Program& prog,
                               const std::optional<dataplane::PacketState>& tap) {
     if (!tap) return 0x9e3779b97f4a7c15ull;  // sentinel: stage never reached
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < prog.headers.size(); ++i) {
-        const auto& inst = tap->headers[i];
-        const unsigned char valid = inst.valid ? 1 : 0;
-        h = fnv1a(h, &valid, 1);
-        if (!inst.valid && !prog.headers[i].is_metadata) continue;
-        for (const auto& field : inst.fields) {
-            const std::string hex = field.to_hex();
-            h = fnv1a(h, hex.data(), hex.size());
-        }
-    }
-    return h;
+    return testutil::reference_digest(
+        prog, [&](int h) { return tap->header_valid(h); },
+        [&](int h, int f) { return tap->get({h, f}); });
 }
 
 // --- corpus plumbing ----------------------------------------------------------

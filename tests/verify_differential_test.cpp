@@ -38,6 +38,7 @@
 #include "dataplane/engine.h"
 #include "quirk_fixture.h"
 #include "target/device.h"
+#include "util/strings.h"
 #include "verify/concolic.h"
 #include "verify/solver.h"
 #include "verify/symexec.h"
@@ -139,7 +140,7 @@ TestVars make_vars(std::uint64_t& rng) {
     const int count = 2 + static_cast<int>(splitmix64(rng) % 3);  // 2..4
     for (int i = 0; i < count; ++i) {
         const int w = kWidths[splitmix64(rng) % std::size(kWidths)];
-        tv.vars.push_back(verify::sv_var(i, w, "v" + std::to_string(i)));
+        tv.vars.push_back(verify::sv_var(i, w, util::format("v%d", i)));
         tv.widths.push_back(w);
     }
     return tv;
