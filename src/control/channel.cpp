@@ -1,7 +1,5 @@
 #include "control/channel.h"
 
-#include <stdexcept>
-
 #include "control/transport.h"
 #include "util/strings.h"
 
@@ -61,23 +59,6 @@ Response dispatch(RuntimeApi& device, const Request& request) {
     return resp;
 }
 
-Response Channel::transact(const Request& request) {
-    // An unbound handler is a caller error, but it must surface as a
-    // diagnostic Status -- invoking the empty std::function would throw
-    // std::bad_function_call out of every management call site.
-    if (!handler_) {
-        Response resp;
-        resp.status = Status::failure("control channel not bound to a device");
-        return resp;
-    }
-    ++requests_;
-    return handler_(request);
-}
-
-Response RuntimeClient::transact(const Request& request) {
-    return channel_ ? channel_->transact(request) : wire_->transact(request);
-}
-
 Status RuntimeClient::expect_payload(const Response& response,
                                      Response::Payload want) {
     if (!response.status.ok) return response.status;
@@ -91,31 +72,31 @@ Status RuntimeClient::expect_payload(const Response& response,
 }
 
 Status RuntimeClient::add_entry(const std::string& table, const EntrySpec& entry) {
-    return transact(AddEntryReq{table, entry}).status;
+    return channel_->transact(AddEntryReq{table, entry}).status;
 }
 
 Status RuntimeClient::delete_entry(const std::string& table, const EntrySpec& entry) {
-    return transact(DeleteEntryReq{table, entry}).status;
+    return channel_->transact(DeleteEntryReq{table, entry}).status;
 }
 
 Status RuntimeClient::set_default_action(const std::string& table,
                                          const std::string& action,
                                          const std::vector<Bitvec>& args) {
-    return transact(SetDefaultReq{table, action, args}).status;
+    return channel_->transact(SetDefaultReq{table, action, args}).status;
 }
 
 Status RuntimeClient::clear_table(const std::string& table) {
-    return transact(ClearTableReq{table}).status;
+    return channel_->transact(ClearTableReq{table}).status;
 }
 
 Status RuntimeClient::write_register(const std::string& name, std::uint64_t index,
                                      const Bitvec& value) {
-    return transact(WriteRegisterReq{name, index, value}).status;
+    return channel_->transact(WriteRegisterReq{name, index, value}).status;
 }
 
 Status RuntimeClient::read_register(const std::string& name, std::uint64_t index,
                                     Bitvec& out) {
-    const Response resp = transact(ReadRegisterReq{name, index});
+    const Response resp = channel_->transact(ReadRegisterReq{name, index});
     const Status st = expect_payload(resp, Response::Payload::register_value);
     if (st.ok) out = resp.register_value;
     return st;
@@ -123,7 +104,7 @@ Status RuntimeClient::read_register(const std::string& name, std::uint64_t index
 
 Status RuntimeClient::read_counter(const std::string& name, std::uint64_t index,
                                    CounterValue& out) {
-    const Response resp = transact(ReadCounterReq{name, index});
+    const Response resp = channel_->transact(ReadCounterReq{name, index});
     const Status st = expect_payload(resp, Response::Payload::counter_value);
     if (st.ok) out = resp.counter_value;
     return st;
@@ -131,14 +112,14 @@ Status RuntimeClient::read_counter(const std::string& name, std::uint64_t index,
 
 Status RuntimeClient::configure_meter(const std::string& name, std::uint64_t index,
                                       const MeterConfig& config) {
-    return transact(ConfigureMeterReq{name, index, config}).status;
+    return channel_->transact(ConfigureMeterReq{name, index, config}).status;
 }
 
 std::vector<Status> RuntimeClient::apply(std::span<const ConfigOp> ops) {
     if (ops.empty()) return {};
     ApplyConfigReq req;
     req.ops.assign(ops.begin(), ops.end());
-    const Response resp = transact(req);
+    const Response resp = channel_->transact(req);
     Status st = expect_payload(resp, Response::Payload::op_statuses);
     if (st.ok && resp.op_statuses.size() != ops.size()) {
         st = Status::failure(
@@ -158,13 +139,13 @@ StatusSnapshot RuntimeClient::snapshot() {
     // snapshot() has no Status in its RuntimeApi signature; a response with
     // the wrong payload yields the empty snapshot (all-zero counters), which
     // campaign detection treats like any other observable difference.
-    const Response resp = transact(SnapshotReq{});
+    const Response resp = channel_->transact(SnapshotReq{});
     if (resp.payload != Response::Payload::snapshot) return StatusSnapshot{};
     return resp.snapshot;
 }
 
 Status RuntimeClient::reset_state() {
-    return transact(ResetReq{}).status;
+    return channel_->transact(ResetReq{}).status;
 }
 
 }  // namespace ndb::control

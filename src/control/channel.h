@@ -1,15 +1,14 @@
-// Message-based control channel.
+// Management-plane messages and the typed client that sends them.
 //
 // Models the paper's dedicated host<->device management interface: requests
 // are explicit messages, a device-side dispatcher executes them against a
 // RuntimeApi, and RuntimeClient gives the host tool the same typed API over
-// the channel.  Keeping the wire format explicit lets tests fault the link
-// and lets the channel be logged.
+// a WireChannel (control/transport.h), which carries every message as a
+// control/wire.h frame over a faultable byte-stream link.  Keeping the
+// messages explicit is what lets tests and campaigns fault that link.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <span>
 #include <string>
 #include <variant>
@@ -98,37 +97,17 @@ const char* payload_name(Response::Payload payload);
 // Executes one request against a device runtime.
 Response dispatch(RuntimeApi& device, const Request& request);
 
-// In-process request/response channel with observable traffic counters.
-class Channel {
-public:
-    using Handler = std::function<Response(const Request&)>;
-
-    // Binds the device side of the channel.
-    void bind(Handler handler) { handler_ = std::move(handler); }
-
-    // Host side: send a request, wait for the response (synchronous model).
-    Response transact(const Request& request);
-
-    std::uint64_t requests_sent() const { return requests_; }
-
-private:
-    Handler handler_;
-    std::uint64_t requests_ = 0;
-};
-
 class WireChannel;  // control/transport.h: the faultable wire-protocol channel
 
-// RuntimeApi implementation that tunnels every call through a channel,
-// giving the host tool location transparency.  Two bindings exist: the
-// in-process Channel above (a direct function call), and WireChannel
-// (control/transport.h), which serializes every request into a wire frame,
-// survives injected link faults via sequence-numbered retries, and returns
-// first-class Status failures -- "wire: request timed out", "wire: response
-// carried the wrong payload" -- instead of default-constructed garbage.
+// RuntimeApi implementation that tunnels every call through a WireChannel,
+// giving the host tool location transparency.  The channel serializes every
+// request into a wire frame, survives injected link faults via
+// sequence-numbered retries, and returns first-class Status failures --
+// "wire: request ... timed out", "response carried payload ..." -- instead
+// of default-constructed garbage.
 class RuntimeClient final : public RuntimeApi {
 public:
-    explicit RuntimeClient(Channel& channel) : channel_(&channel) {}
-    explicit RuntimeClient(WireChannel& channel) : wire_(&channel) {}
+    explicit RuntimeClient(WireChannel& channel) : channel_(&channel) {}
 
     Status add_entry(const std::string& table, const EntrySpec& entry) override;
     Status delete_entry(const std::string& table, const EntrySpec& entry) override;
@@ -152,15 +131,12 @@ public:
     Status reset_state() override;
 
 private:
-    // Sends through whichever channel this client was bound to.
-    Response transact(const Request& request);
     // Shared guard for the read-style calls: a success response whose
     // payload discriminator does not match `want` is a protocol error.
     static Status expect_payload(const Response& response,
                                  Response::Payload want);
 
-    Channel* channel_ = nullptr;
-    WireChannel* wire_ = nullptr;
+    WireChannel* channel_;
 };
 
 }  // namespace ndb::control

@@ -1,46 +1,29 @@
-// Test packet generator: the first of NetDebug's two in-device hardware
-// modules (paper Figure 1).
+// Test packet generator: the in-device packet source of paper Figure 1.
 //
-// Generates a deterministic packet stream from a TestSpec -- template field
-// mutations, optional P4 mutator program, sequence/timestamp stamps -- and
-// injects it directly into the data plane under test, bypassing the
-// external interfaces.  Generation runs at a configured rate up to line
-// rate; the injected timeline is what the device's timing model sees.
+// Builds a deterministic packet stream from a TestSpec -- template field
+// mutations plus sequence/timestamp stamps -- one packet at a time.  The
+// campaign loop builds each scenario's stream once and injects it into the
+// reference and every DUT on the same timeline; Figure 1's other module,
+// the output checker, is that loop's diff of each DUT against the
+// reference (core/scenario_exec.h).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/testspec.h"
-#include "dataplane/pipeline.h"
-#include "dataplane/stateful.h"
-#include "dataplane/tables.h"
-#include "target/device.h"
 
 namespace ndb::core {
 
 // Payload stamp layout (from the packet tail): 8-byte seq, 8-byte timestamp.
 inline constexpr std::size_t kStampBytes = 16;
 
-struct GeneratorStats {
-    std::uint64_t injected = 0;
-    std::uint64_t first_inject_ns = 0;
-    std::uint64_t last_inject_ns = 0;
-    double offered_pps = 0.0;
-
-    std::string to_string() const;
-};
-
 class TestPacketGenerator {
 public:
-    explicit TestPacketGenerator(const TestSpec& spec);
-    ~TestPacketGenerator();
+    explicit TestPacketGenerator(const TestSpec& spec) : spec_(spec) {}
 
-    // Builds packet number `seq` (without injecting it).
-    packet::Packet make_packet(std::uint64_t seq, std::uint64_t inject_ns);
-
-    // Runs the whole stream into the device.
-    GeneratorStats run(target::Device& device);
+    // Builds packet number `seq`, stamped and timed for injection at
+    // `inject_ns` (without injecting it).
+    packet::Packet make_packet(std::uint64_t seq, std::uint64_t inject_ns) const;
 
     static void write_stamp(packet::Packet& pkt, std::uint64_t seq,
                             std::uint64_t t_ns);
@@ -49,13 +32,6 @@ public:
 
 private:
     const TestSpec& spec_;
-
-    // P4 mutator execution state (reference semantics, no quirks).
-    std::unique_ptr<dataplane::TableSet> mut_tables_;
-    std::unique_ptr<dataplane::StatefulSet> mut_stateful_;
-    std::unique_ptr<dataplane::Pipeline> mut_pipeline_;
-    p4::ir::FieldRef mut_seq_field_;
-    std::uint64_t current_seq_ = 0;
 };
 
 }  // namespace ndb::core

@@ -3,31 +3,8 @@
 #include <algorithm>
 
 #include "util/random.h"
-#include "util/strings.h"
 
 namespace ndb::core {
-
-std::string Expectation::describe() const {
-    switch (kind) {
-        case Kind::forwarded_on_port:
-            return util::format("forwarded on port %u", port);
-        case Kind::all_dropped:
-            return "all packets dropped";
-        case Kind::field_equals:
-            return util::format("field@%zu:%d == %s", bit_offset, width,
-                                value.to_hex().c_str());
-        case Kind::field_preserved:
-            return util::format("field@%zu:%d preserved", bit_offset, width);
-        case Kind::latency_below_ns:
-            return util::format("latency < %llu ns",
-                                static_cast<unsigned long long>(latency_ns));
-        case Kind::seq_contiguous:
-            return "sequence numbers contiguous";
-        case Kind::min_delivery:
-            return util::format("delivery >= %.0f%%", fraction * 100.0);
-    }
-    return "?";
-}
 
 packet::Packet instantiate(const PacketTemplate& tmpl, std::uint64_t seq) {
     packet::Packet pkt = tmpl.base;

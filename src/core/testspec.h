@@ -1,15 +1,14 @@
-// Test specifications: packet templates, field mutations and expectations.
+// Test specifications: packet templates and field mutations.
 //
-// A TestSpec describes one validation campaign: what the generator injects
-// (template + per-sequence mutations, optionally refined by a P4 mutator
-// program) and what the checker must observe on the way out.
+// A TestSpec describes the stream one scenario injects: a template packet,
+// per-sequence field mutations, the ingress port, the packet count and the
+// rate.  What the stream must produce is not part of the spec: the campaign
+// loop derives it by running the same stream on the reference backend.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "p4/ir.h"
 #include "packet/packet.h"
 #include "util/bitvec.h"
 
@@ -38,46 +37,12 @@ struct PacketTemplate {
     std::uint64_t seed = 0x5eed;
 };
 
-// One per-packet or aggregate expectation the checker enforces.
-struct Expectation {
-    enum class Kind {
-        forwarded_on_port,  // every observed packet leaves on `port`
-        all_dropped,        // nothing may come out at all
-        field_equals,       // output field at (bit_offset,width) == value
-        field_preserved,    // output field equals the injected packet's field
-        latency_below_ns,   // per-packet latency bound (needs stamps)
-        seq_contiguous,     // no sequence gaps/duplicates (needs stamps)
-        min_delivery,       // at least `fraction` of injected packets observed
-    };
-
-    Kind kind = Kind::forwarded_on_port;
-    std::uint32_t port = 0;
-    std::size_t bit_offset = 0;
-    int width = 0;
-    util::Bitvec value;
-    std::uint64_t latency_ns = 0;
-    double fraction = 1.0;
-
-    std::string describe() const;
-};
-
 struct TestSpec {
     std::string name;
     PacketTemplate tmpl;
     std::uint32_t inject_port = 0;
     std::uint64_t count = 1;
     double rate_pps = 0;  // 0 = back-to-back
-    std::vector<Expectation> expectations;
-
-    // Optional P4 mutator: a compiled NdpSwitch program the generator runs
-    // on each template packet; the user metadata field named `seq` (when
-    // present) receives the sequence number, so test-packet generation is
-    // itself programmable in P4, as the paper requires.
-    std::shared_ptr<const p4::ir::Program> mutator;
-
-    // Optional P4 checker: output packets are run through this program; a
-    // program that DROPS the packet flags a violation.
-    std::shared_ptr<const p4::ir::Program> checker;
 };
 
 // Builds the generated packet for sequence number `seq` (mutations applied;

@@ -91,6 +91,8 @@ Pipeline::Pipeline(const p4::ir::Program& prog, TableSet& tables,
         options_.quirks.expiry_off_by_one && program_reads_timestamp(prog_);
 }
 
+Pipeline::~Pipeline() = default;
+
 void Pipeline::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
     parser_.set_coverage(map, salt);
     interp_.set_coverage(map, salt);
@@ -162,7 +164,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         result.cycles = state.cycles;
         return result;
     }
-    if (options_.stage_hook) options_.stage_hook(Stage::parser, state);
 
     interp_.run_control(prog_.ingress, state);
     if (options_.capture_taps) result.tap_after_ingress = state;
@@ -175,7 +176,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         result.cycles = state.cycles;
         return result;
     }
-    if (options_.stage_hook) options_.stage_hook(Stage::ingress, state);
 
     // Traffic manager: commit egress_spec to egress_port.
     const std::uint64_t port = state.egress_spec(prog_);
@@ -195,7 +195,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
             return result;
         }
     }
-    if (options_.stage_hook) options_.stage_hook(Stage::egress, state);
 
     // Match-action covers everything between the parser mark and here
     // (ingress + traffic manager + egress); drop paths fold their partial

@@ -2,12 +2,13 @@
 //
 // This is the "data plane under test" of the paper's Figure 1.  The
 // optional stage traces ("taps") are the internal observation points that
-// give NetDebug its visibility advantage over external testers.
+// give NetDebug its visibility advantage over external testers, which see
+// only what leaves the ports: the campaign diffs tap digests beside the
+// output streams, and the fault localizer diffs full tap copies.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "dataplane/digest.h"
@@ -35,7 +36,7 @@ enum class Disposition {
 
 const char* disposition_name(Disposition d);
 
-// Pipeline stages, used to address taps and fault injection points.
+// Pipeline stages, used to address taps and name localized divergences.
 enum class Stage { parser = 0, ingress = 1, egress = 2, deparser = 3 };
 
 inline constexpr int kStageCount = 4;
@@ -77,11 +78,6 @@ struct PipelineOptions {
     Quirks quirks;
     bool capture_taps = false;     // full PacketState copies (replay/localize)
     bool capture_digests = false;  // in-place stage hashes (campaign hot path)
-
-    // Called after each stage with the live state, which the hook may
-    // rewrite (the test-packet generator stamps its sequence number into
-    // the mutator program's metadata after the parser).
-    std::function<void(Stage, PacketState&)> stage_hook;
 };
 
 // Aggregate per-stage counters: the device's internal status registers.
@@ -99,6 +95,11 @@ class Pipeline {
 public:
     Pipeline(const p4::ir::Program& prog, TableSet& tables, StatefulSet& stateful,
              PipelineOptions options = {});
+    // Defined out of line on purpose: with g++ 12 -O3 the inlined teardown
+    // bloats every caller that replaces a pipeline (SimDevice::load, on each
+    // program switch), which cost the guided campaign benchmark ~5% of its
+    // scenario rate on a 4-core x86-64 host.
+    ~Pipeline();
 
     PipelineResult process(const packet::Packet& in);
 

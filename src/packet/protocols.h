@@ -1,10 +1,11 @@
 // Protocol header definitions, builders and a decoder.
 //
-// These model the concrete wire formats the examples, workload generators
-// and the external-tester substrate speak.  The P4 data plane itself never
-// uses these structs: it works from the header layouts in the P4 program,
-// which is exactly the separation the paper's framework relies on (the
-// checker compares what the *program* should do with what the *device* did).
+// These model the concrete wire formats the examples, the scenario toolkit
+// and the workload generators speak.  The P4 data plane itself never uses
+// these structs: it works from the header layouts in the P4 program, which
+// is exactly the separation the paper's framework relies on (the campaign
+// diff compares what the *program* should do, as the reference executes
+// it, with what the *device* did).
 #pragma once
 
 #include <array>

@@ -8,11 +8,10 @@
 //   * the data path       -- inject() / drain_port(), per-port egress queues;
 //   * the management path -- the full control::RuntimeApi (a Device IS a
 //                            RuntimeApi, so control::dispatch and therefore
-//                            RuntimeClient message traffic work end-to-end --
-//                            in-process over control::Channel, or serialized
-//                            as control/wire.h frames over a faultable
-//                            control/transport.h link, which is how the
-//                            multi-process campaign fabric and the
+//                            RuntimeClient message traffic work end-to-end,
+//                            serialized as control/wire.h frames over a
+//                            faultable control/transport.h link, which is
+//                            how the multi-process campaign fabric and the
 //                            management-plane fuzzing mode drive a device);
 //   * the debug path      -- stage taps (tap_records()) that give NetDebug
 //                            the internal visibility external testers lack.

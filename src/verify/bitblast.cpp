@@ -145,8 +145,7 @@ std::vector<Lit> BitBlaster::blast(const SExpr& e) {
             }
             break;
         }
-        case Op::var:
-        case Op::bool_var: {
+        case Op::var: {
             auto& bits = var_bits_[e->var_id];
             if (bits.empty()) {
                 bits.resize(static_cast<std::size_t>(e->width));

@@ -62,14 +62,6 @@ SExpr sv_var(int var_id, int width, std::string name) {
     return n;
 }
 
-SExpr sv_bool_var(int var_id, std::string name) {
-    auto n = make(Op::bool_var, 1, true);
-    auto* m = const_cast<Node*>(n.get());
-    m->var_id = var_id;
-    m->name = std::move(name);
-    return n;
-}
-
 bool sv_is_const(const SExpr& e) {
     return e->op == Op::constant || e->op == Op::bool_const;
 }
@@ -257,7 +249,6 @@ std::string sv_to_string(const SExpr& e) {
     };
     switch (e->op) {
         case Op::var: return e->name;
-        case Op::bool_var: return e->name;
         case Op::constant: return e->value.to_string();
         case Op::bool_const: return e->value.is_zero() ? "false" : "true";
         case Op::add: return infix("+");

@@ -26,7 +26,7 @@ enum class Op {
     band, bor, bxor, bnot,
     shl, lshr,  // b is the (symbolic) shift amount
     eq, ult, ule,          // -> bool
-    bool_and, bool_or, bool_not, bool_const, bool_var,
+    bool_and, bool_or, bool_not, bool_const,
     ite,        // c ? a : b   (a,b bit-vectors or bools)
     slice,      // a[hi:lo]
     concat,     // a ++ b (a high)
@@ -38,7 +38,7 @@ struct Node {
     int width = 1;            // bools have width 1 and is_bool
     bool is_bool = false;
     Bitvec value;             // constant / bool_const (bit 0)
-    int var_id = -1;          // var / bool_var
+    int var_id = -1;          // var
     std::string name;         // var name for models & diagnostics
     SExpr a, b, c;
     int hi = 0, lo = 0;
@@ -52,7 +52,6 @@ SExpr sv_bool(bool value);
 
 // Fresh variables are numbered by the caller (VarPool below helps).
 SExpr sv_var(int var_id, int width, std::string name);
-SExpr sv_bool_var(int var_id, std::string name);
 
 SExpr sv_add(SExpr a, SExpr b);
 SExpr sv_sub(SExpr a, SExpr b);

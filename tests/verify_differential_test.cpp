@@ -73,7 +73,6 @@ struct RefEval {
         const auto& n = *e;
         switch (n.op) {
             case Op::var:
-            case Op::bool_var:
                 return env.at(n.var_id);
             case Op::constant:
             case Op::bool_const:

@@ -1,14 +1,14 @@
 // Wire codec: randomized round-trips for every request/response variant,
 // adversarial decoding (truncation, bit flips, hostile length fields, wrong
 // version), FrameReader resynchronization over a mangled stream, and the
-// Response payload-discriminator / unbound-channel regression tests.
+// RuntimeClient payload-discriminator regression test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "control/channel.h"
+#include "control/transport.h"
 #include "control/wire.h"
 #include "util/random.h"
 
@@ -568,35 +568,50 @@ TEST(FrameReader, CorruptFrameDoesNotPoisonSuccessors) {
     EXPECT_FALSE(reader.stats().last_error.empty());
 }
 
-// --- channel regressions ------------------------------------------------------
+// --- client regressions -------------------------------------------------------
 
-TEST(Channel, TransactOnUnboundChannelFailsCleanly) {
-    // Regression: transact() on a channel nobody bind()-ed must return a
-    // failure Status, not call an empty std::function.
-    Channel ch;
-    const Response r = ch.transact(SnapshotReq{});
-    EXPECT_FALSE(r.status.ok);
-    EXPECT_NE(r.status.message.find("not bound"), std::string::npos)
-        << r.status.message;
-    EXPECT_EQ(r.payload, Response::Payload::none);
-}
-
-TEST(Channel, PayloadDiscriminatorMismatchIsAProtocolError) {
-    // A handler that answers a register read with the wrong payload kind:
-    // the typed client must surface a protocol error, not hand back a
-    // default-constructed Bitvec.
-    Channel ch;
-    ch.bind([](const Request&) {
+// A device end that answers every request frame with a counter-value
+// response, whatever the request asked for.
+class CounterAnsweringTransport final : public Transport {
+public:
+    void send(std::span<const std::uint8_t> bytes) override {
+        wire::Frame request;
+        if (!wire::decode_frame(bytes, request)) return;
         Response r;
         r.payload = Response::Payload::counter_value;
         r.counter_value = {5, 5};
-        return r;
-    });
-    RuntimeClient client(ch);
+        wire::Frame reply;
+        reply.kind = wire::FrameKind::control_response;
+        reply.seq = request.seq;
+        reply.payload = wire::encode_response(r);
+        const std::vector<std::uint8_t> frame = wire::encode_frame(reply);
+        pending_.insert(pending_.end(), frame.begin(), frame.end());
+    }
+    bool receive(std::vector<std::uint8_t>& out) override {
+        if (pending_.empty()) return false;
+        out.insert(out.end(), pending_.begin(), pending_.end());
+        pending_.clear();
+        return true;
+    }
+    void tick() override {}
+
+private:
+    std::vector<std::uint8_t> pending_;
+};
+
+TEST(RuntimeClient, PayloadDiscriminatorMismatchIsAProtocolError) {
+    // A well-formed response with the wrong payload kind for a register
+    // read: the typed client must surface a protocol error, not hand back
+    // a default-constructed Bitvec.
+    CounterAnsweringTransport transport;
+    WireChannel channel(transport);
+    RuntimeClient client(channel);
     util::Bitvec out;
     const Status st = client.read_register("reg", 0, out);
     EXPECT_FALSE(st.ok);
     EXPECT_NE(st.message.find("payload"), std::string::npos) << st.message;
+    EXPECT_EQ(channel.stats().timeouts, 0u);
+    EXPECT_EQ(channel.stats().decode_errors, 0u);
 }
 
 }  // namespace
