@@ -21,17 +21,7 @@ Response dispatch(RuntimeApi& device, const Request& request) {
     std::visit(
         [&](const auto& req) {
             using T = std::decay_t<decltype(req)>;
-            if constexpr (std::is_same_v<T, AddEntryReq>) {
-                resp.status = device.add_entry(req.table, req.entry);
-            } else if constexpr (std::is_same_v<T, DeleteEntryReq>) {
-                resp.status = device.delete_entry(req.table, req.entry);
-            } else if constexpr (std::is_same_v<T, SetDefaultReq>) {
-                resp.status = device.set_default_action(req.table, req.action, req.args);
-            } else if constexpr (std::is_same_v<T, ClearTableReq>) {
-                resp.status = device.clear_table(req.table);
-            } else if constexpr (std::is_same_v<T, WriteRegisterReq>) {
-                resp.status = device.write_register(req.name, req.index, req.value);
-            } else if constexpr (std::is_same_v<T, ReadRegisterReq>) {
+            if constexpr (std::is_same_v<T, ReadRegisterReq>) {
                 resp.status = device.read_register(req.name, req.index,
                                                    resp.register_value);
                 if (resp.status.ok) {
@@ -43,8 +33,6 @@ Response dispatch(RuntimeApi& device, const Request& request) {
                 if (resp.status.ok) {
                     resp.payload = Response::Payload::counter_value;
                 }
-            } else if constexpr (std::is_same_v<T, ConfigureMeterReq>) {
-                resp.status = device.configure_meter(req.name, req.index, req.config);
             } else if constexpr (std::is_same_v<T, SnapshotReq>) {
                 resp.snapshot = device.snapshot();
                 resp.payload = Response::Payload::snapshot;
@@ -71,29 +59,6 @@ Status RuntimeClient::expect_payload(const Response& response,
     return Status::success();
 }
 
-Status RuntimeClient::add_entry(const std::string& table, const EntrySpec& entry) {
-    return channel_->transact(AddEntryReq{table, entry}).status;
-}
-
-Status RuntimeClient::delete_entry(const std::string& table, const EntrySpec& entry) {
-    return channel_->transact(DeleteEntryReq{table, entry}).status;
-}
-
-Status RuntimeClient::set_default_action(const std::string& table,
-                                         const std::string& action,
-                                         const std::vector<Bitvec>& args) {
-    return channel_->transact(SetDefaultReq{table, action, args}).status;
-}
-
-Status RuntimeClient::clear_table(const std::string& table) {
-    return channel_->transact(ClearTableReq{table}).status;
-}
-
-Status RuntimeClient::write_register(const std::string& name, std::uint64_t index,
-                                     const Bitvec& value) {
-    return channel_->transact(WriteRegisterReq{name, index, value}).status;
-}
-
 Status RuntimeClient::read_register(const std::string& name, std::uint64_t index,
                                     Bitvec& out) {
     const Response resp = channel_->transact(ReadRegisterReq{name, index});
@@ -108,11 +73,6 @@ Status RuntimeClient::read_counter(const std::string& name, std::uint64_t index,
     const Status st = expect_payload(resp, Response::Payload::counter_value);
     if (st.ok) out = resp.counter_value;
     return st;
-}
-
-Status RuntimeClient::configure_meter(const std::string& name, std::uint64_t index,
-                                      const MeterConfig& config) {
-    return channel_->transact(ConfigureMeterReq{name, index, config}).status;
 }
 
 std::vector<Status> RuntimeClient::apply(std::span<const ConfigOp> ops) {

@@ -20,27 +20,6 @@ namespace ndb::control {
 
 // --- request messages ---------------------------------------------------------
 
-struct AddEntryReq {
-    std::string table;
-    EntrySpec entry;
-};
-struct DeleteEntryReq {
-    std::string table;
-    EntrySpec entry;
-};
-struct SetDefaultReq {
-    std::string table;
-    std::string action;
-    std::vector<Bitvec> args;
-};
-struct ClearTableReq {
-    std::string table;
-};
-struct WriteRegisterReq {
-    std::string name;
-    std::uint64_t index = 0;
-    Bitvec value;
-};
 struct ReadRegisterReq {
     std::string name;
     std::uint64_t index = 0;
@@ -49,23 +28,16 @@ struct ReadCounterReq {
     std::string name;
     std::uint64_t index = 0;
 };
-struct ConfigureMeterReq {
-    std::string name;
-    std::uint64_t index = 0;
-    MeterConfig config;
-};
 struct SnapshotReq {};
 struct ResetReq {};
-// Batched configuration: every op of a scenario in one frame-level round
-// trip instead of one frame per op.  The response carries one Status per op
-// (Payload::op_statuses), so callers keep per-op accounting.
+// Every write: a scenario's whole configuration in one frame-level round
+// trip.  The response carries one Status per op (Payload::op_statuses), so
+// callers keep per-op accounting.
 struct ApplyConfigReq {
     std::vector<ConfigOp> ops;
 };
 
-using Request = std::variant<AddEntryReq, DeleteEntryReq, SetDefaultReq,
-                             ClearTableReq, WriteRegisterReq, ReadRegisterReq,
-                             ReadCounterReq, ConfigureMeterReq, SnapshotReq,
+using Request = std::variant<ReadRegisterReq, ReadCounterReq, SnapshotReq,
                              ResetReq, ApplyConfigReq>;
 
 // --- response -------------------------------------------------------------------
@@ -109,24 +81,15 @@ class RuntimeClient final : public RuntimeApi {
 public:
     explicit RuntimeClient(WireChannel& channel) : channel_(&channel) {}
 
-    Status add_entry(const std::string& table, const EntrySpec& entry) override;
-    Status delete_entry(const std::string& table, const EntrySpec& entry) override;
-    Status set_default_action(const std::string& table, const std::string& action,
-                              const std::vector<Bitvec>& args) override;
-    Status clear_table(const std::string& table) override;
-    Status write_register(const std::string& name, std::uint64_t index,
-                          const Bitvec& value) override;
-    Status read_register(const std::string& name, std::uint64_t index,
-                         Bitvec& out) override;
-    Status read_counter(const std::string& name, std::uint64_t index,
-                        CounterValue& out) override;
-    Status configure_meter(const std::string& name, std::uint64_t index,
-                           const MeterConfig& config) override;
     // One ApplyConfigReq frame for the whole batch.  A transport-level
     // failure (timeout, wrong payload) is reported on every op, so per-op
     // accounting -- including the "wire:" failure-message convention --
     // survives the batching.
     std::vector<Status> apply(std::span<const ConfigOp> ops) override;
+    Status read_register(const std::string& name, std::uint64_t index,
+                         Bitvec& out) override;
+    Status read_counter(const std::string& name, std::uint64_t index,
+                        CounterValue& out) override;
     StatusSnapshot snapshot() override;
     Status reset_state() override;
 

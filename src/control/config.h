@@ -50,10 +50,11 @@ struct MeterConfig {
     std::uint64_t excess_burst = 0;
 };
 
-// One replayable control-plane programming step.  Scenarios carry these
-// instead of side effects so the identical configuration can be applied to
-// the reference device and every DUT in the sweep -- and shipped as one
-// batched wire request (RuntimeApi::apply).
+// One replayable control-plane programming step, and the only way to write
+// to a device.  Scenarios carry these instead of side effects so the
+// identical configuration can be applied to the reference device and every
+// DUT in the sweep -- and shipped as one batched wire request
+// (RuntimeApi::apply).
 struct ConfigOp {
     enum class Kind { add_entry, set_default_action, write_register, configure_meter };
 
@@ -67,10 +68,5 @@ struct ConfigOp {
     Bitvec value;                     // write_register
     MeterConfig meter;                // configure_meter
 };
-
-class RuntimeApi;
-
-// Executes one op against a runtime surface.
-Status apply_config_op(RuntimeApi& rt, const ConfigOp& op);
 
 }  // namespace ndb::control

@@ -16,7 +16,7 @@
 //
 // The device side is ControlServer: it decodes request frames, executes
 // them, and keeps a bounded seq->response cache so a retry of a
-// non-idempotent op (AddEntryReq) is answered from cache instead of being
+// non-idempotent op (ApplyConfigReq) is answered from cache instead of being
 // executed twice -- exactly-once effects under at-least-once delivery.
 #pragma once
 
@@ -158,9 +158,6 @@ public:
     void tick() override;
 
     const ControlServer::Stats& server_stats() const { return server_.stats(); }
-    const wire::FrameReader::Stats& server_reader_stats() const {
-        return server_reader_.stats();
-    }
     std::uint64_t faults_injected() const {
         return to_server_.faults() + to_client_.faults();
     }
@@ -231,14 +228,10 @@ public:
     explicit WireChannel(Transport& transport) : transport_(&transport) {}
 
     void set_retry_policy(const RetryPolicy& policy) { policy_ = policy; }
-    const RetryPolicy& retry_policy() const { return policy_; }
 
     Response transact(const Request& request);
 
     const ChannelStats& stats() const { return stats_; }
-    const wire::FrameReader::Stats& reader_stats() const {
-        return reader_.stats();
-    }
 
 private:
     // Waits up to `ticks` for the response to `seq`; true on arrival.

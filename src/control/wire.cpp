@@ -511,28 +511,10 @@ std::vector<std::uint8_t> encode_request(const Request& request) {
     std::visit(
         [&](const auto& req) {
             using T = std::decay_t<decltype(req)>;
-            if constexpr (std::is_same_v<T, AddEntryReq> ||
-                          std::is_same_v<T, DeleteEntryReq>) {
-                w.str(req.table);
-                write_entry(w, req.entry);
-            } else if constexpr (std::is_same_v<T, SetDefaultReq>) {
-                w.str(req.table);
-                w.str(req.action);
-                write_bitvec_seq(w, req.args);
-            } else if constexpr (std::is_same_v<T, ClearTableReq>) {
-                w.str(req.table);
-            } else if constexpr (std::is_same_v<T, WriteRegisterReq>) {
+            if constexpr (std::is_same_v<T, ReadRegisterReq> ||
+                          std::is_same_v<T, ReadCounterReq>) {
                 w.str(req.name);
                 w.u64(req.index);
-                w.bitvec(req.value);
-            } else if constexpr (std::is_same_v<T, ReadRegisterReq> ||
-                                 std::is_same_v<T, ReadCounterReq>) {
-                w.str(req.name);
-                w.u64(req.index);
-            } else if constexpr (std::is_same_v<T, ConfigureMeterReq>) {
-                w.str(req.name);
-                w.u64(req.index);
-                write_meter(w, req.config);
             } else if constexpr (std::is_same_v<T, ApplyConfigReq>) {
                 w.u32(static_cast<std::uint32_t>(req.ops.size()));
                 for (const ConfigOp& op : req.ops) write_config_op(w, op);
@@ -550,57 +532,20 @@ Decode decode_request(std::span<const std::uint8_t> payload, Request& out) {
     bool ok = true;
     switch (tag) {
         case 0: {
-            AddEntryReq req;
-            ok = r.str(req.table) && read_entry(r, req.entry);
-            out = std::move(req);
-            break;
-        }
-        case 1: {
-            DeleteEntryReq req;
-            ok = r.str(req.table) && read_entry(r, req.entry);
-            out = std::move(req);
-            break;
-        }
-        case 2: {
-            SetDefaultReq req;
-            ok = r.str(req.table) && r.str(req.action) &&
-                 read_bitvec_seq(r, req.args);
-            out = std::move(req);
-            break;
-        }
-        case 3: {
-            ClearTableReq req;
-            ok = r.str(req.table);
-            out = std::move(req);
-            break;
-        }
-        case 4: {
-            WriteRegisterReq req;
-            ok = r.str(req.name) && r.u64(req.index) && r.bitvec(req.value);
-            out = std::move(req);
-            break;
-        }
-        case 5: {
             ReadRegisterReq req;
             ok = r.str(req.name) && r.u64(req.index);
             out = std::move(req);
             break;
         }
-        case 6: {
+        case 1: {
             ReadCounterReq req;
             ok = r.str(req.name) && r.u64(req.index);
             out = std::move(req);
             break;
         }
-        case 7: {
-            ConfigureMeterReq req;
-            ok = r.str(req.name) && r.u64(req.index) && read_meter(r, req.config);
-            out = std::move(req);
-            break;
-        }
-        case 8: out = SnapshotReq{}; break;
-        case 9: out = ResetReq{}; break;
-        case 10: {
+        case 2: out = SnapshotReq{}; break;
+        case 3: out = ResetReq{}; break;
+        case 4: {
             ApplyConfigReq req;
             std::uint32_t n = 0;
             ok = r.count(n);

@@ -35,7 +35,7 @@
 namespace ndb::control::wire {
 
 inline constexpr std::uint32_t kMagic = 0x4244'4e57u;  // "WNDB" on the wire
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 26;
 inline constexpr std::size_t kMaxPayloadBytes = 1u << 20;
 
@@ -102,7 +102,6 @@ public:
     bool next(Frame& out);
 
     const Stats& stats() const { return stats_; }
-    std::size_t buffered_bytes() const { return buffer_.size() - pos_; }
 
 private:
     std::vector<std::uint8_t> buffer_;

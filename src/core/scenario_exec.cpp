@@ -87,7 +87,7 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
         // Deliver the configuration the way the paper's management
         // interface would: serialized frames over a (faultable) link, with
         // the resilient client retrying under its budget.
-        control::LoopbackTransport transport(dev.runtime());
+        control::LoopbackTransport transport(dev);
         transport.set_fault_plan(mgmt->plan);
         control::WireChannel channel(transport);
         control::RuntimeClient client(channel);

@@ -23,10 +23,9 @@
 namespace ndb::core {
 
 // The replayable programming step lives with the control-plane value types
-// (control/config.h) so the wire codec can batch it; these aliases keep the
+// (control/config.h) so the wire codec can batch it; this alias keeps the
 // campaign-side spelling that scenario synthesis and the corpus grew up on.
 using ConfigOp = control::ConfigOp;
-using control::apply_config_op;
 
 struct Scenario {
     std::uint64_t seed = 0;

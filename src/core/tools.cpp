@@ -61,26 +61,28 @@ std::shared_ptr<const p4::ir::Program> compile(std::string_view source,
 
 control::Status add_l2_entry(control::RuntimeApi& rt, const packet::Mac& dst,
                              std::uint32_t port) {
-    control::EntrySpec entry;
-    entry.key_values = {
+    control::ConfigOp op;
+    op.target = "dmac";
+    op.entry.key_values = {
         util::Bitvec::from_bytes(std::span<const std::uint8_t>(dst.data(), 6), 48)};
-    entry.action = "forward";
-    entry.action_args = {util::Bitvec(9, port)};
-    return rt.add_entry("dmac", entry);
+    op.entry.action = "forward";
+    op.entry.action_args = {util::Bitvec(9, port)};
+    return rt.apply({&op, 1}).front();
 }
 
 control::Status add_acl_allow_udp(control::RuntimeApi& rt, std::uint16_t dst_port,
                                   std::uint32_t egress_port) {
-    control::EntrySpec entry;
-    entry.key_values = {util::Bitvec(32, 0), util::Bitvec(32, 0),
-                        util::Bitvec(8, packet::kIpProtoUdp),
-                        util::Bitvec(16, dst_port)};
-    entry.key_masks = {util::Bitvec(32, 0), util::Bitvec(32, 0),
-                       util::Bitvec(8, 0xff), util::Bitvec(16, 0xffff)};
-    entry.priority = 10;
-    entry.action = "allow";
-    entry.action_args = {util::Bitvec(9, egress_port)};
-    return rt.add_entry("acl", entry);
+    control::ConfigOp op;
+    op.target = "acl";
+    op.entry.key_values = {util::Bitvec(32, 0), util::Bitvec(32, 0),
+                           util::Bitvec(8, packet::kIpProtoUdp),
+                           util::Bitvec(16, dst_port)};
+    op.entry.key_masks = {util::Bitvec(32, 0), util::Bitvec(32, 0),
+                          util::Bitvec(8, 0xff), util::Bitvec(16, 0xffff)};
+    op.entry.priority = 10;
+    op.entry.action = "allow";
+    op.entry.action_args = {util::Bitvec(9, egress_port)};
+    return rt.apply({&op, 1}).front();
 }
 
 }  // namespace ndb::core::scenario

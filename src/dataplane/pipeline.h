@@ -96,7 +96,7 @@ public:
     Pipeline(const p4::ir::Program& prog, TableSet& tables, StatefulSet& stateful,
              PipelineOptions options = {});
     // Defined out of line on purpose: with g++ 12 -O3 the inlined teardown
-    // bloats every caller that replaces a pipeline (SimDevice::load, on each
+    // bloats every caller that replaces a pipeline (Device::load, on each
     // program switch), which cost the guided campaign benchmark ~5% of its
     // scenario rate on a 4-core x86-64 host.
     ~Pipeline();

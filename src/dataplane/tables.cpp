@@ -126,10 +126,11 @@ struct PackedKeyHash {
 };
 
 // Open-addressing hash map from PackedKey to ActionEntry: power-of-two
-// capacity, linear probing, tombstoned erase.  A lookup is one hash, a
-// couple of contiguous slot probes and zero pointer chasing -- the node
-// allocations and bucket indirection of std::unordered_map are what kept
-// the previous exact engine an order of magnitude below line rate.
+// capacity, linear probing, insert-only (it empties only through clear()).
+// A lookup is one hash, a couple of contiguous slot probes and zero pointer
+// chasing -- the node allocations and bucket indirection of
+// std::unordered_map are what kept the previous exact engine an order of
+// magnitude below line rate.
 //
 // Two slot-diet refinements close the one-word-key gap against the inline
 // Bitvec naive engine (ROADMAP item):
@@ -138,7 +139,7 @@ struct PackedKeyHash {
 //     recomputing a single hash;
 //   * ActionEntry values live in a side pool addressed by a 32-bit index
 //     ("indirect ActionEntry"), keeping the probed slot array dense --
-//     a slot is state + hash + index + key image, no vector payloads.
+//     a slot is a full flag + hash + index + key image, no vector payloads.
 class FlatKeyMap {
 public:
     const ActionEntry* find(const PackedKey& k) const {
@@ -147,10 +148,8 @@ public:
         std::size_t i = h & mask_;
         for (;;) {
             const Slot& s = slots_[i];
-            if (s.state == kEmpty) return nullptr;
-            if (s.state == kFull && s.hash == h && s.key == k) {
-                return &values_[s.value];
-            }
+            if (!s.full) return nullptr;
+            if (s.hash == h && s.key == k) return &values_[s.value];
             i = (i + 1) & mask_;
         }
     }
@@ -159,54 +158,24 @@ public:
 
     // Precondition: !contains(k).
     void insert(PackedKey k, ActionEntry v) {
-        if ((used_ + 1) * 10 >= slots_.size() * 7) grow();
+        if ((values_.size() + 1) * 10 >= slots_.size() * 7) grow();
         const std::size_t h = k.hash();
-        std::uint32_t index;
-        if (!free_.empty()) {
-            index = free_.back();
-            free_.pop_back();
-            values_[index] = std::move(v);
-        } else {
-            index = static_cast<std::uint32_t>(values_.size());
-            values_.push_back(std::move(v));
-        }
+        const auto index = static_cast<std::uint32_t>(values_.size());
+        values_.push_back(std::move(v));
         place(std::move(k), h, index);
-        ++size_;
     }
 
-    bool erase(const PackedKey& k) {
-        if (slots_.empty()) return false;
-        const std::size_t h = k.hash();
-        std::size_t i = h & mask_;
-        for (;;) {
-            Slot& s = slots_[i];
-            if (s.state == kEmpty) return false;
-            if (s.state == kFull && s.hash == h && s.key == k) {
-                s.state = kTombstone;
-                values_[s.value] = ActionEntry{};
-                free_.push_back(s.value);
-                --size_;
-                return true;
-            }
-            i = (i + 1) & mask_;
-        }
-    }
-
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return values_.size(); }
 
     void clear() {
         slots_.clear();
         values_.clear();
-        free_.clear();
         mask_ = 0;
-        size_ = 0;
-        used_ = 0;
     }
 
 private:
-    enum State : std::uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
     struct Slot {
-        State state = kEmpty;
+        bool full = false;
         std::uint32_t value = 0;  // index into values_
         std::size_t hash = 0;     // cached key hash
         PackedKey key;
@@ -214,10 +183,9 @@ private:
 
     void place(PackedKey k, std::size_t h, std::uint32_t index) {
         std::size_t i = h & mask_;
-        while (slots_[i].state == kFull) i = (i + 1) & mask_;
+        while (slots_[i].full) i = (i + 1) & mask_;
         Slot& s = slots_[i];
-        if (s.state == kEmpty) ++used_;  // tombstones are re-used
-        s.state = kFull;
+        s.full = true;
         s.hash = h;
         s.value = index;
         s.key = std::move(k);
@@ -228,19 +196,15 @@ private:
         std::vector<Slot> old = std::move(slots_);
         slots_.assign(cap, Slot{});
         mask_ = cap - 1;
-        used_ = 0;
         // Re-place using the cached hashes; the value pool is untouched.
         for (auto& s : old) {
-            if (s.state == kFull) place(std::move(s.key), s.hash, s.value);
+            if (s.full) place(std::move(s.key), s.hash, s.value);
         }
     }
 
     std::vector<Slot> slots_;
-    std::vector<ActionEntry> values_;   // indirect payloads, index-stable
-    std::vector<std::uint32_t> free_;   // recycled value-pool indices
+    std::vector<ActionEntry> values_;  // indirect payloads, one per entry
     std::size_t mask_ = 0;
-    std::size_t size_ = 0;
-    std::size_t used_ = 0;  // full + tombstoned slots (probe-chain length bound)
 };
 
 // --- indexed exact ------------------------------------------------------------
@@ -257,12 +221,6 @@ public:
         if (map_.size() >= capacity_) return InsertStatus::table_full;
         map_.insert(std::move(key), ActionEntry{entry.action_id, entry.action_args});
         return InsertStatus::ok;
-    }
-
-    bool erase(const TableEntry& entry) override {
-        PackedKey key;
-        key.pack(entry.key_values, total_width_);
-        return map_.erase(key);
     }
 
     const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
@@ -320,25 +278,6 @@ public:
         nodes_[node].entry = ActionEntry{entry.action_id, entry.action_args};
         ++count_;
         return InsertStatus::ok;
-    }
-
-    bool erase(const TableEntry& entry) override {
-        if (entry.key_values.size() != 1 || entry.prefix_len < 0 ||
-            entry.prefix_len > key_width_) {
-            return false;
-        }
-        const Bitvec value = entry.key_values[0].resize(key_width_);
-        std::size_t node = 0;
-        for (int i = 0; i < entry.prefix_len; ++i) {
-            const bool bit = value.bit(key_width_ - 1 - i);
-            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
-            if (child == 0) return false;
-            node = child;
-        }
-        if (!nodes_[node].entry) return false;
-        nodes_[node].entry.reset();
-        --count_;
-        return true;
     }
 
     const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
@@ -403,18 +342,6 @@ public:
             [this](const Row& a, const Row& b) { return wins(a, b); });
         rows_.insert(pos, std::move(row));
         return InsertStatus::ok;
-    }
-
-    bool erase(const TableEntry& entry) override {
-        PackedKey value, mask;
-        make_row_key(entry, value, mask);
-        for (auto it = rows_.begin(); it != rows_.end(); ++it) {
-            if (it->value == value && it->mask == mask) {
-                rows_.erase(it);
-                return true;
-            }
-        }
-        return false;
     }
 
     const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
@@ -491,11 +418,6 @@ public:
         return InsertStatus::ok;
     }
 
-    bool erase(const TableEntry& entry) override {
-        const Bitvec key = concat_keys(entry.key_values).resize(total_width_);
-        return map_.erase(key) > 0;
-    }
-
     const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
         const Bitvec key = concat_keys(keys).resize(total_width_);
         const auto it = map_.find(key);
@@ -537,21 +459,6 @@ public:
         }
         entries_.push_back(std::move(row));
         return InsertStatus::ok;
-    }
-
-    bool erase(const TableEntry& entry) override {
-        Bitvec value = concat_keys(entry.key_values).resize(total_width_);
-        Bitvec mask = entry.key_masks.empty()
-                          ? Bitvec::ones(total_width_)
-                          : concat_keys(entry.key_masks).resize(total_width_);
-        value = value.band(mask);
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->value == value && it->mask == mask) {
-                entries_.erase(it);
-                return true;
-            }
-        }
-        return false;
     }
 
     const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
@@ -646,10 +553,6 @@ InsertStatus TableSet::insert(int table_id, const TableEntry& entry) {
     return slots_.at(static_cast<std::size_t>(table_id)).engine->insert(entry);
 }
 
-bool TableSet::erase(int table_id, const TableEntry& entry) {
-    return slots_.at(static_cast<std::size_t>(table_id)).engine->erase(entry);
-}
-
 void TableSet::set_default_action(int table_id, ActionEntry entry) {
     slots_.at(static_cast<std::size_t>(table_id)).default_action = std::move(entry);
 }
@@ -711,10 +614,6 @@ std::size_t TableSet::entry_count(int table_id) const {
 
 std::size_t TableSet::capacity(int table_id) const {
     return slots_.at(static_cast<std::size_t>(table_id)).capacity;
-}
-
-void TableSet::clear(int table_id) {
-    slots_.at(static_cast<std::size_t>(table_id)).engine->clear();
 }
 
 void TableSet::reset_stats() {

@@ -59,7 +59,6 @@ class MatchEngine {
 public:
     virtual ~MatchEngine() = default;
     virtual InsertStatus insert(const TableEntry& entry) = 0;
-    virtual bool erase(const TableEntry& entry) = 0;  // match on key part only
     // Returns the matched action, or nullptr on miss.  The pointer stays
     // valid until the engine is next mutated.
     virtual const ActionEntry* lookup(std::span<const Bitvec> keys) const = 0;
@@ -94,7 +93,6 @@ public:
     TableSet(const p4::ir::Program& prog, int size_clamp, bool inverted_priority);
 
     InsertStatus insert(int table_id, const TableEntry& entry);
-    bool erase(int table_id, const TableEntry& entry);
     void set_default_action(int table_id, ActionEntry entry);
 
     // Lookup; falls back to the table's default action on miss.
@@ -105,7 +103,6 @@ public:
     const Stats& stats(int table_id) const;
     std::size_t entry_count(int table_id) const;
     std::size_t capacity(int table_id) const;
-    void clear(int table_id);
     void reset_stats();
 
     // Returns every table to its freshly constructed state: no entries, the

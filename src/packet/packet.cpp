@@ -83,10 +83,6 @@ void Packet::set_u(std::size_t bit_offset, int width, std::uint64_t value) {
     deposit_bits(bit_offset, util::Bitvec(width, value));
 }
 
-void Packet::append(std::span<const std::uint8_t> more) {
-    data_.insert(data_.end(), more.begin(), more.end());
-}
-
 std::string Packet::dump() const { return util::hex_dump(data_); }
 
 }  // namespace ndb::packet

@@ -49,7 +49,6 @@ public:
     std::uint64_t u(std::size_t bit_offset, int width) const;
     void set_u(std::size_t bit_offset, int width, std::uint64_t value);
 
-    void append(std::span<const std::uint8_t> more);
     void resize(std::size_t n) { data_.resize(n, 0); }
 
     // Structural equality on bytes only (metadata excluded).

@@ -1,12 +1,419 @@
 #include "target/device.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 
-#include "target/sim_device.h"
+#include "util/strings.h"
 
 namespace ndb::target {
+
+using control::Status;
+using util::Bitvec;
+
+namespace {
+// Egress queues keep at least this much capacity so steady-state batched
+// traffic never grows them packet by packet.
+constexpr std::size_t kEgressQueueReserve = 64;
+
+// Shared ring policy for the tap and digest records: evict the oldest half
+// in one move when the cap is hit, so sustained traffic at the cap stays
+// amortized O(1) per packet.
+template <typename T>
+void push_ring(std::vector<T>& ring, std::size_t cap, T record) {
+    if (ring.size() >= cap) {
+        ring.erase(ring.begin(),
+                   ring.begin() + static_cast<long>(ring.size() / 2 + 1));
+    }
+    ring.push_back(std::move(record));
+}
+
+const char* cell_kind_name(p4::ir::ExternDecl::Kind kind) {
+    switch (kind) {
+        case p4::ir::ExternDecl::Kind::reg: return "register";
+        case p4::ir::ExternDecl::Kind::counter: return "counter";
+        case p4::ir::ExternDecl::Kind::meter: return "meter";
+    }
+    return "extern";
+}
+}  // namespace
+
+Device::Device(DeviceConfig config) : config_(std::move(config)) {
+    config_.num_ports = std::max(config_.num_ports, 1);
+    cov_salt_ = util::fnv1a_64(config_.backend) ^
+                util::fnv1a_64(config_.quirks.signature());
+    clock_ns_ = kClockEpochNs;
+    egress_queues_.resize(static_cast<std::size_t>(config_.num_ports));
+    for (auto& q : egress_queues_) q.reserve(kEgressQueueReserve);
+    port_counters_.resize(static_cast<std::size_t>(config_.num_ports));
+}
+
+Status Device::load(std::shared_ptr<const p4::ir::Program> image) {
+    if (!image) return Status::failure("load: null program image");
+    if (image == prog_) {
+        // The image the device was built from: everything derived from it
+        // (table layout, extern shapes, pipeline) still holds, so only the
+        // dynamic state goes back to its freshly loaded values.
+        tables_->reset();
+        reset_state();
+        return Status::success();
+    }
+    // Tear down what references the old image before it can be released.
+    pipeline_.reset();
+    stateful_.reset();
+    tables_.reset();
+    prog_ = std::move(image);
+    tables_ = std::make_unique<dataplane::TableSet>(
+        *prog_, config_.quirks.table_size_clamp,
+        config_.quirks.ternary_priority_inverted);
+    stateful_ = std::make_unique<dataplane::StatefulSet>(*prog_);
+    dataplane::PipelineOptions options;
+    options.quirks = config_.quirks;
+    options.capture_taps = taps_enabled_;
+    options.capture_digests = digests_enabled_;
+    pipeline_ = std::make_unique<dataplane::Pipeline>(*prog_, *tables_, *stateful_,
+                                                      std::move(options));
+    // A new image replaces the pipeline wholesale, so coverage mode must be
+    // re-applied here for the setting to survive an image swap.
+    pipeline_->set_coverage(coverage_, cov_salt_);
+    clear_dynamic_state();
+    return Status::success();
+}
+
+void Device::set_coverage(coverage::CoverageMap* map) {
+    coverage_ = map;
+    if (pipeline_) pipeline_->set_coverage(map, cov_salt_);
+}
+
+void Device::clear_dynamic_state() {
+    for (auto& q : egress_queues_) q.clear();
+    std::fill(port_counters_.begin(), port_counters_.end(),
+              control::PortCounters{});
+    misdirected_ = 0;
+    taps_.clear();
+    digests_.clear();
+}
+
+const p4::ir::Program& Device::program() const {
+    if (!prog_) {
+        throw std::logic_error("target::Device: no program loaded");
+    }
+    return *prog_;
+}
+
+void Device::inject(packet::Packet pkt) {
+    if (!pipeline_) return;  // no image: the wire is dead
+
+    if (pkt.meta.rx_time_ns == 0) pkt.meta.rx_time_ns = clock_ns_;
+    // The virtual clock tracks the line: one packet slot per injection, and
+    // never behind the newest admitted packet.
+    clock_ns_ = std::max(clock_ns_, pkt.meta.rx_time_ns) + kNsPerPacket;
+
+    if (pkt.meta.ingress_port < static_cast<std::uint32_t>(config_.num_ports)) {
+        auto& rx = port_counters_[pkt.meta.ingress_port];
+        ++rx.rx_packets;
+        rx.rx_bytes += pkt.size();
+    }
+
+    dataplane::PipelineResult result = pipeline_->process(pkt);
+
+    if (result.disposition == dataplane::Disposition::forwarded) {
+        result.output.meta.tx_time_ns =
+            pkt.meta.rx_time_ns + result.cycles * kNsPerCycle;
+    }
+
+    if (taps_enabled_ && config_.max_tap_records > 0) {
+        push_ring(taps_, config_.max_tap_records, TapRecord{pkt, result});
+    }
+
+    if (digests_enabled_ && config_.max_tap_records > 0) {
+        dataplane::TapDigest digest;
+        digest.verdict = result.parser_verdict;
+        digest.disposition = result.disposition;
+        digest.egress_port =
+            result.disposition == dataplane::Disposition::forwarded
+                ? result.egress_port
+                : 0;
+        digest.stage_hash = result.stage_hash;
+        push_ring(digests_, config_.max_tap_records, digest);
+    }
+
+    if (result.disposition == dataplane::Disposition::forwarded) {
+        if (result.egress_port < static_cast<std::uint32_t>(config_.num_ports)) {
+            auto& tx = port_counters_[result.egress_port];
+            ++tx.tx_packets;
+            tx.tx_bytes += result.output.size();
+            egress_queues_[result.egress_port].push_back(std::move(result.output));
+        } else {
+            // Models real hardware: a forwarded packet whose egress port does
+            // not exist is discarded on the way to the queues.
+            ++misdirected_;
+        }
+    }
+}
+
+std::vector<packet::Packet> Device::drain_port(std::uint32_t port) {
+    std::vector<packet::Packet> out;
+    drain_port_into(port, out);
+    return out;
+}
+
+void Device::drain_port_into(std::uint32_t port, std::vector<packet::Packet>& out) {
+    if (port >= egress_queues_.size()) return;
+    auto& q = egress_queues_[port];
+    out.insert(out.end(), std::make_move_iterator(q.begin()),
+               std::make_move_iterator(q.end()));
+    q.clear();  // keeps capacity: the queue never re-grows in steady state
+}
+
+void Device::set_taps_enabled(bool on) {
+    taps_enabled_ = on;
+    if (pipeline_) pipeline_->set_capture_taps(on);
+}
+
+void Device::set_digests_enabled(bool on) {
+    digests_enabled_ = on;
+    if (pipeline_) pipeline_->set_capture_digests(on);
+}
+
+// --- management plane ---------------------------------------------------------
+
+std::vector<Status> Device::apply(std::span<const control::ConfigOp> ops) {
+    std::vector<Status> statuses;
+    statuses.reserve(ops.size());
+    for (const control::ConfigOp& op : ops) {
+        switch (op.kind) {
+            case control::ConfigOp::Kind::add_entry:
+                statuses.push_back(add_entry(op));
+                continue;
+            case control::ConfigOp::Kind::set_default_action:
+                statuses.push_back(set_default_action(op));
+                continue;
+            case control::ConfigOp::Kind::write_register:
+                statuses.push_back(write_register(op));
+                continue;
+            case control::ConfigOp::Kind::configure_meter:
+                statuses.push_back(configure_meter(op));
+                continue;
+        }
+        statuses.push_back(Status::failure("unknown config op"));
+    }
+    return statuses;
+}
+
+Status Device::find_table(const std::string& name,
+                          const p4::ir::Table*& out) const {
+    if (!prog_) return Status::failure("no program loaded");
+    out = prog_->table_by_name(name);
+    if (!out) return Status::failure("unknown table '" + name + "'");
+    return Status::success();
+}
+
+Status Device::find_cell(const std::string& name, p4::ir::ExternDecl::Kind kind,
+                         std::uint64_t index,
+                         const p4::ir::ExternDecl*& out) const {
+    if (!prog_) return Status::failure("no program loaded");
+    out = prog_->extern_by_name(name);
+    if (!out) return Status::failure("unknown extern '" + name + "'");
+    if (out->kind != kind) {
+        return Status::failure("extern '" + name + "' has the wrong kind");
+    }
+    if (index >= static_cast<std::uint64_t>(out->array_size)) {
+        return Status::failure(util::format("%s '%s': index %llu out of range",
+                                            cell_kind_name(kind), name.c_str(),
+                                            static_cast<unsigned long long>(index)));
+    }
+    return Status::success();
+}
+
+Status Device::translate_entry(const p4::ir::Table& table,
+                               const control::EntrySpec& entry,
+                               dataplane::TableEntry& out) const {
+    if (entry.key_values.size() != table.keys.size()) {
+        return Status::failure(util::format(
+            "table '%s' expects %zu key(s), got %zu", table.name.c_str(),
+            table.keys.size(), entry.key_values.size()));
+    }
+    if (!entry.key_masks.empty() &&
+        entry.key_masks.size() != table.keys.size()) {
+        return Status::failure(util::format(
+            "table '%s': %zu mask(s) for %zu key(s)", table.name.c_str(),
+            entry.key_masks.size(), table.keys.size()));
+    }
+    out = {};
+    for (std::size_t i = 0; i < table.keys.size(); ++i) {
+        out.key_values.push_back(entry.key_values[i].resize(table.keys[i].width));
+        if (!entry.key_masks.empty()) {
+            out.key_masks.push_back(entry.key_masks[i].resize(table.keys[i].width));
+        }
+    }
+    out.prefix_len = entry.prefix_len;
+    if (table.has_lpm() && out.prefix_len < 0) {
+        out.prefix_len = table.keys[0].width;  // exact-as-lpm convenience
+    }
+    out.priority = entry.priority;
+
+    dataplane::ActionEntry resolved;
+    if (Status s = resolve_action(table, entry.action, entry.action_args, resolved);
+        !s) {
+        return s;
+    }
+    out.action_id = resolved.action_id;
+    out.action_args = std::move(resolved.args);
+    return Status::success();
+}
+
+Status Device::resolve_action(const p4::ir::Table& table,
+                              const std::string& action,
+                              const std::vector<Bitvec>& args,
+                              dataplane::ActionEntry& out) const {
+    const p4::ir::Action* a = prog_->action_by_name(action);
+    if (!a) return Status::failure("unknown action '" + action + "'");
+    if (std::find(table.actions.begin(), table.actions.end(), a->id) ==
+        table.actions.end()) {
+        return Status::failure("action '" + action + "' not permitted on table '" +
+                               table.name + "'");
+    }
+    if (args.size() != a->param_widths.size()) {
+        return Status::failure(util::format("action '%s' expects %zu arg(s), got %zu",
+                                            action.c_str(), a->param_widths.size(),
+                                            args.size()));
+    }
+    out.action_id = a->id;
+    out.args.clear();
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        out.args.push_back(args[i].resize(a->param_widths[i]));
+    }
+    return Status::success();
+}
+
+Status Device::add_entry(const control::ConfigOp& op) {
+    const p4::ir::Table* t = nullptr;
+    if (Status s = find_table(op.target, t); !s) return s;
+    if (op.entry.action.empty()) {
+        return Status::failure("add_entry requires an action");
+    }
+    dataplane::TableEntry translated;
+    if (Status s = translate_entry(*t, op.entry, translated); !s) return s;
+    const dataplane::InsertStatus result = tables_->insert(t->id, translated);
+    if (result != dataplane::InsertStatus::ok) {
+        return Status::failure(util::format("insert into '%s' failed: %s",
+                                            t->name.c_str(),
+                                            dataplane::insert_status_name(result)));
+    }
+    return Status::success();
+}
+
+Status Device::set_default_action(const control::ConfigOp& op) {
+    const p4::ir::Table* t = nullptr;
+    if (Status s = find_table(op.target, t); !s) return s;
+    dataplane::ActionEntry entry;
+    if (Status s = resolve_action(*t, op.action, op.action_args, entry); !s) {
+        return s;
+    }
+    tables_->set_default_action(t->id, std::move(entry));
+    return Status::success();
+}
+
+Status Device::write_register(const control::ConfigOp& op) {
+    const p4::ir::ExternDecl* e = nullptr;
+    if (Status s = find_cell(op.target, p4::ir::ExternDecl::Kind::reg, op.index, e);
+        !s) {
+        return s;
+    }
+    stateful_->register_write(e->id, op.index, op.value);
+    return Status::success();
+}
+
+Status Device::configure_meter(const control::ConfigOp& op) {
+    const p4::ir::ExternDecl* e = nullptr;
+    if (Status s = find_cell(op.target, p4::ir::ExternDecl::Kind::meter, op.index, e);
+        !s) {
+        return s;
+    }
+    // Rates arrive from the management wire as raw doubles; NaN, infinite
+    // or negative ones would poison the token buckets.
+    const control::MeterConfig& m = op.meter;
+    for (const auto& [which, rate] : {std::pair{"committed", m.committed_rate_bps},
+                                      std::pair{"excess", m.excess_rate_bps}}) {
+        if (!std::isfinite(rate) || rate < 0) {
+            return Status::failure(util::format(
+                "meter '%s': %s rate %g is not finite and non-negative",
+                e->name.c_str(), which, rate));
+        }
+    }
+    stateful_->meter_configure(e->id, op.index, m.committed_rate_bps,
+                               m.committed_burst, m.excess_rate_bps,
+                               m.excess_burst);
+    return Status::success();
+}
+
+Status Device::read_register(const std::string& name, std::uint64_t index,
+                             Bitvec& out) {
+    const p4::ir::ExternDecl* e = nullptr;
+    if (Status s = find_cell(name, p4::ir::ExternDecl::Kind::reg, index, e); !s) {
+        return s;
+    }
+    out = stateful_->register_read(e->id, index);
+    return Status::success();
+}
+
+Status Device::read_counter(const std::string& name, std::uint64_t index,
+                            control::CounterValue& out) {
+    const p4::ir::ExternDecl* e = nullptr;
+    if (Status s = find_cell(name, p4::ir::ExternDecl::Kind::counter, index, e);
+        !s) {
+        return s;
+    }
+    out.packets = stateful_->counter_packets(e->id, index);
+    out.bytes = stateful_->counter_bytes(e->id, index);
+    return Status::success();
+}
+
+control::StatusSnapshot Device::snapshot() {
+    control::StatusSnapshot snap;
+    snap.taken_at_ns = clock_ns_;
+    snap.ports = port_counters_;
+    snap.misdirected = misdirected_;
+    if (pipeline_) snap.stages = pipeline_->counters();
+    if (prog_ && tables_) {
+        snap.tables.reserve(prog_->tables.size());
+        for (const auto& t : prog_->tables) {
+            control::TableStatus status;
+            status.name = t.name;
+            status.hits = tables_->stats(t.id).hits;
+            status.misses = tables_->stats(t.id).misses;
+            status.entries = tables_->entry_count(t.id);
+            status.capacity = tables_->capacity(t.id);
+            snap.tables.push_back(std::move(status));
+        }
+    }
+    if (stateful_) {
+        for (auto& inf : stateful_->info()) {
+            control::ExternStatus status;
+            status.name = std::move(inf.name);
+            status.kind = std::move(inf.kind);
+            status.cells = inf.cells;
+            status.state_hash = inf.state_hash;
+            status.unconfigured_meters = inf.unconfigured_meters;
+            snap.externs.push_back(std::move(status));
+        }
+    }
+    return snap;
+}
+
+Status Device::reset_state() {
+    clear_dynamic_state();
+    if (pipeline_) pipeline_->reset_counters();
+    if (tables_) tables_->reset_stats();
+    if (stateful_) stateful_->reset_state();
+    return Status::success();
+}
+
+// --- backends -----------------------------------------------------------------
 
 dataplane::Quirks sdnet_quirks() {
     dataplane::Quirks q;
@@ -60,8 +467,7 @@ void ensure_builtin_backends() {
             DeviceConfig cfg;
             cfg.backend = "sdnet";
             cfg.quirks = q ? *q : sdnet_quirks();
-            return std::unique_ptr<Device>(
-                std::make_unique<SimDevice>(std::move(cfg)));
+            return std::make_unique<Device>(std::move(cfg));
         });
         return true;
     }();
@@ -72,13 +478,13 @@ void ensure_builtin_backends() {
 
 std::unique_ptr<Device> make_reference_device(DeviceConfig config) {
     if (config.backend.empty()) config.backend = "reference";
-    return std::make_unique<SimDevice>(std::move(config));
+    return std::make_unique<Device>(std::move(config));
 }
 
 std::unique_ptr<Device> make_sdnet_device(DeviceConfig config) {
     if (config.backend.empty()) config.backend = "sdnet";
     if (!config.quirks.any()) config.quirks = sdnet_quirks();
-    return std::make_unique<SimDevice>(std::move(config));
+    return std::make_unique<Device>(std::move(config));
 }
 
 bool register_backend(const std::string& name, DeviceFactory factory) {

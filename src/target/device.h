@@ -28,13 +28,17 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "control/runtime.h"
+#include "control/snapshot.h"
 #include "dataplane/pipeline.h"
 #include "dataplane/quirks.h"
+#include "dataplane/stateful.h"
+#include "dataplane/tables.h"
 #include "p4/ir.h"
 #include "packet/packet.h"
 
@@ -72,9 +76,15 @@ struct TapRecord {
     dataplane::PipelineResult result;
 };
 
-class Device : public control::RuntimeApi {
+// One switch instance: a dataplane::Pipeline plus the table/stateful
+// stores behind it, per-port egress queues, port and stage counters, a tap
+// ring and a deterministic virtual clock.  Backend identity lives entirely
+// in DeviceConfig (name + quirks), so the reference and SDNet-like devices
+// are the same machine configured differently -- exactly how one vendor
+// toolchain produces differently-buggy images from the same source.
+class Device final : public control::RuntimeApi {
 public:
-    ~Device() override = default;
+    explicit Device(DeviceConfig config);
 
     // Installs a compiled program image.  The image is shared and
     // immutable: the device keeps the pointer, not a copy, so many devices
@@ -83,10 +93,8 @@ public:
     // state.  Loading the image the device already holds returns it to its
     // freshly loaded state in place -- no entries, declared default
     // actions, zeroed extern cells, counters, queues, taps and digests --
-    // without rebuilding the pipeline.  Either way every handle resolved
-    // before the call goes stale.  A null image is refused.
-    virtual control::Status load(
-        std::shared_ptr<const p4::ir::Program> image) = 0;
+    // without rebuilding the pipeline.  A null image is refused.
+    control::Status load(std::shared_ptr<const p4::ir::Program> image);
 
     // Convenience for callers that own a plain program: copies `prog` once
     // into a new shared image and loads that, so `prog` may be discarded
@@ -96,27 +104,21 @@ public:
         return load(std::make_shared<const p4::ir::Program>(prog.clone()));
     }
 
-    virtual bool loaded() const = 0;
+    bool loaded() const { return pipeline_ != nullptr; }
 
     // The installed image.  Throws std::logic_error when nothing is loaded.
-    virtual const p4::ir::Program& program() const = 0;
+    const p4::ir::Program& program() const;
 
-    virtual const DeviceConfig& config() const = 0;
+    const DeviceConfig& config() const { return config_; }
 
     // --- data path ----------------------------------------------------------
-    virtual void inject(packet::Packet pkt) = 0;
-    virtual std::vector<packet::Packet> drain_port(std::uint32_t port) = 0;
+    void inject(packet::Packet pkt);
+    std::vector<packet::Packet> drain_port(std::uint32_t port);
 
     // Appends everything pending on `port` to `out` (callers reuse one
     // buffer across batched inject/drain rounds instead of receiving a
-    // fresh vector per round).  Backends should override with a move-out
-    // implementation; the default adapts drain_port().
-    virtual void drain_port_into(std::uint32_t port,
-                                 std::vector<packet::Packet>& out) {
-        auto drained = drain_port(port);
-        out.insert(out.end(), std::make_move_iterator(drained.begin()),
-                   std::make_move_iterator(drained.end()));
-    }
+    // fresh vector per round).
+    void drain_port_into(std::uint32_t port, std::vector<packet::Packet>& out);
 
     // Drains and discards everything pending on every port.
     void flush() {
@@ -129,53 +131,110 @@ public:
     // Recording is synchronous: while taps are enabled (and the ring has
     // capacity), every inject() appends its record before returning, so an
     // empty ring right after an injection means this device cannot record.
-    // FaultLocalizer relies on this to tell "clean" from "unobservable";
-    // backends wrapping asynchronous hardware must buffer until records
-    // are available rather than return an empty ring early.
-    virtual void set_taps_enabled(bool on) = 0;
-    virtual bool taps_enabled() const = 0;
-    virtual const std::vector<TapRecord>& tap_records() const = 0;
-    virtual void clear_tap_records() = 0;
+    // FaultLocalizer relies on this to tell "clean" from "unobservable".
+    void set_taps_enabled(bool on);
+    bool taps_enabled() const { return taps_enabled_; }
+    const std::vector<TapRecord>& tap_records() const { return taps_; }
+    void clear_tap_records() { taps_.clear(); }
 
     // Streaming digest mode: per-packet TapDigest records hashed in place
     // by the pipeline, with the same synchronous-recording contract as the
     // full tap ring but none of the PacketState copies.  This is what the
     // campaign engine's detection loop runs on; full taps remain for
     // replay-based tools (FaultLocalizer).
-    virtual void set_digests_enabled(bool on) = 0;
-    virtual bool digests_enabled() const = 0;
-    virtual const std::vector<dataplane::TapDigest>& digest_records() const = 0;
-    virtual void clear_digest_records() = 0;
+    void set_digests_enabled(bool on);
+    const std::vector<dataplane::TapDigest>& digest_records() const {
+        return digests_;
+    }
 
     // Moves the digest ring out and leaves it empty: the hot-path accessor
     // for consumers that would otherwise copy the records per scenario.
-    virtual std::vector<dataplane::TapDigest> take_digest_records() {
-        std::vector<dataplane::TapDigest> out = digest_records();
-        clear_digest_records();
+    std::vector<dataplane::TapDigest> take_digest_records() {
+        std::vector<dataplane::TapDigest> out;
+        out.swap(digests_);
         return out;
     }
 
     // Coverage mode: execution-edge events (parser transitions, table
     // hits/misses, action ids, branch edges) stream into `map` while
     // packets flow; nullptr turns instrumentation off.  The setting
-    // survives load() on backends that support it.  The default is a no-op
-    // so external backends without instrumentation keep compiling; the
-    // campaign scheduler treats their (never-written) maps as zero delta.
-    virtual void set_coverage(coverage::CoverageMap* /*map*/) {}
-    virtual coverage::CoverageMap* coverage() const { return nullptr; }
+    // survives load().
+    void set_coverage(coverage::CoverageMap* map);
 
-    // The salt this backend folds into its coverage slot operands (on
-    // SimDevice: backend name ^ quirk signature).  coverage::EdgeIndex must
-    // be built with the same salt to map slots back to IR sites; the
-    // default matches the un-instrumented set_coverage() default above.
-    virtual std::uint64_t coverage_salt() const { return 0; }
+    // The salt folded into every coverage slot operand: fnv(backend name)
+    // ^ fnv(quirk signature).  coverage::EdgeIndex must be built with the
+    // same salt to map slots back to IR sites.
+    std::uint64_t coverage_salt() const { return cov_salt_; }
 
     // Deterministic virtual device clock.
-    virtual std::uint64_t now_ns() const = 0;
+    std::uint64_t now_ns() const { return clock_ns_; }
 
-    // The management surface, for callers that want the role spelled out
-    // (control::dispatch also accepts the Device itself).
-    control::RuntimeApi& runtime() { return *this; }
+    // --- management path (control::RuntimeApi) ------------------------------
+    std::vector<control::Status> apply(
+        std::span<const control::ConfigOp> ops) override;
+    control::Status read_register(const std::string& name, std::uint64_t index,
+                                  util::Bitvec& out) override;
+    control::Status read_counter(const std::string& name, std::uint64_t index,
+                                 control::CounterValue& out) override;
+    control::StatusSnapshot snapshot() override;
+
+    // Clears dynamic state (queues, counters, registers, taps) but keeps the
+    // loaded image and installed table entries, like a hardware soft-reset.
+    control::Status reset_state() override;
+
+private:
+    // One ConfigOp kind each; apply() dispatches on the op's kind.
+    control::Status add_entry(const control::ConfigOp& op);
+    control::Status set_default_action(const control::ConfigOp& op);
+    control::Status write_register(const control::ConfigOp& op);
+    control::Status configure_meter(const control::ConfigOp& op);
+
+    // By-name lookups against the loaded image, failing with a message
+    // that names what is missing.  find_cell also checks the extern's kind
+    // and that `index` addresses one of its cells.
+    control::Status find_table(const std::string& name,
+                               const p4::ir::Table*& out) const;
+    control::Status find_cell(const std::string& name,
+                              p4::ir::ExternDecl::Kind kind, std::uint64_t index,
+                              const p4::ir::ExternDecl*& out) const;
+    // Maps a control-plane EntrySpec onto the table's engine entry.
+    control::Status translate_entry(const p4::ir::Table& table,
+                                    const control::EntrySpec& entry,
+                                    dataplane::TableEntry& out) const;
+    // Resolves an action name + args against a table's permitted actions.
+    control::Status resolve_action(const p4::ir::Table& table,
+                                   const std::string& action,
+                                   const std::vector<util::Bitvec>& args,
+                                   dataplane::ActionEntry& out) const;
+    // Clears queues, port counters and taps (shared by load and soft reset).
+    void clear_dynamic_state();
+
+    DeviceConfig config_;
+
+    std::shared_ptr<const p4::ir::Program> prog_;  // shared, never mutated
+    std::unique_ptr<dataplane::TableSet> tables_;
+    std::unique_ptr<dataplane::StatefulSet> stateful_;
+    std::unique_ptr<dataplane::Pipeline> pipeline_;
+
+    // Per-port egress queues: pre-reserved vectors drained by moving the
+    // elements out and keeping the capacity, so batched inject/drain rounds
+    // stop reallocating.
+    std::vector<std::vector<packet::Packet>> egress_queues_;
+    std::vector<control::PortCounters> port_counters_;
+    std::uint64_t misdirected_ = 0;
+
+    bool taps_enabled_ = false;
+    std::vector<TapRecord> taps_;
+    bool digests_enabled_ = false;
+    std::vector<dataplane::TapDigest> digests_;
+    coverage::CoverageMap* coverage_ = nullptr;  // not owned
+    // Per-backend coverage salt (see coverage_salt()).  Two devices tracing
+    // the identical path light different slots when they are different
+    // backends, which is what lets the campaign scheduler see DUT-side
+    // (quirk-divergent) novelty as distinct from reference novelty.
+    std::uint64_t cov_salt_ = 0;
+
+    std::uint64_t clock_ns_ = 0;
 };
 
 // The paper's bug catalogue for the SDNet-like backend, headed by the

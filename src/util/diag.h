@@ -34,7 +34,6 @@ public:
     void note(SourceLoc loc, std::string message);
 
     bool has_errors() const { return error_count_ > 0; }
-    int error_count() const { return error_count_; }
     const std::vector<Diagnostic>& all() const { return diags_; }
 
     // Joins every diagnostic into one report string.

@@ -108,7 +108,7 @@ TargetStatus ConcolicSynthesizer::solve_path(const SymPath& path,
 
     Solver solver;
     solver.add(path.condition);
-    // Pin the execution environment to what SimDevice + the generator
+    // Pin the execution environment to what target::Device + the generator
     // actually present: otherwise the model picks, say, port 300, and the
     // synthesized seed dies in injection instead of lighting its edge.
     const SExpr port = pool_.get("std.ingress_port", 9);

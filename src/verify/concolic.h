@@ -32,7 +32,7 @@ struct ConcolicOptions {
     int max_paths = 4096;            // symexec exploration budget
     std::uint64_t max_conflicts = 200'000;  // SAT budget per candidate path
     int max_attempts_per_site = 4;   // candidate paths tried per dark site
-    // Concrete environment the model must live in (mirrors SimDevice +
+    // Concrete environment the model must live in (mirrors target::Device +
     // Generator defaults: 4 ports, stamps written at virtual time 1ms).
     int num_ports = 4;
     std::uint64_t timestamp_us = 1000;

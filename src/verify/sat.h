@@ -69,7 +69,6 @@ private:
     Lit pick_branch();
     void bump_var(int var);
     void decay_activity();
-    bool watch_clause(int ci);
 
     std::vector<Clause> clauses_;
     std::vector<std::vector<int>> watchers_;  // per literal: clause indices

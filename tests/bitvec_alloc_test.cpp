@@ -132,7 +132,7 @@ TEST(PacketPathAlloc, WarmDeviceAllocatesOnlyForwardedOutputBytes) {
         auto dev = ndb::target::make_device("reference");
         ASSERT_NE(dev, nullptr);
         ASSERT_TRUE(dev->load(sc.compiled));
-        for (const auto& op : sc.config) ndb::core::apply_config_op(*dev, op);
+        dev->apply(sc.config);
         dev->set_digests_enabled(true);
 
         ndb::core::TestPacketGenerator pgen(sc.spec);

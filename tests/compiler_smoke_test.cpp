@@ -1,16 +1,20 @@
 // End-to-end smoke: every sample program compiles, loads on the reference
 // device, and a basic packet round-trips.  Bit widths outside [1, 4096]
-// are refused with a diagnostic.
+// and hostile (truncated or byte-mutated) sources are refused with a
+// diagnostic.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
 
+#include "core/tools.h"
 #include "p4/compiler.h"
 #include "p4/programs.h"
 #include "packet/protocols.h"
 #include "target/device.h"
 #include "util/diag.h"
+#include "util/random.h"
 
 namespace {
 
@@ -118,6 +122,52 @@ TEST(CompilerSmoke, OutOfRangeBitWidthsAreDiagnostics) {
         EXPECT_FALSE(result.ok);
         EXPECT_NE(diags.report().find(c.diagnostic), std::string::npos)
             << diags.report();
+    }
+}
+
+// The front end's negative class: every catalogue source truncated every
+// 31 bytes, plus 50 seeded mutants per source with 1-4 bytes overwritten.
+// try_compile_source never throws, every refusal carries an error
+// diagnostic, and an input that still compiles loads on the reference
+// device and takes two probe packets.
+TEST(CompilerSmoke, HostileSourcesFailWithDiagnostics) {
+    util::Rng rng(0x0bad'5eed);
+    const auto check = [](const std::string& src, const std::string& what) {
+        SCOPED_TRACE(what);
+        util::DiagEngine diags;
+        p4::CompileResult result;
+        ASSERT_NO_THROW(result = p4::try_compile_source(src, "hostile", diags));
+        if (!result.ok) {
+            EXPECT_TRUE(diags.has_errors()) << "refused without an error";
+            return;
+        }
+        ASSERT_NE(result.program, nullptr);
+        auto device = target::make_reference_device();
+        ASSERT_TRUE(device->load(
+            std::shared_ptr<const p4::ir::Program>(std::move(result.program))));
+        for (packet::Packet pkt :
+             {core::scenario::ipv4_udp_packet(), core::scenario::arp_packet()}) {
+            pkt.meta.ingress_port = 0;
+            device->inject(std::move(pkt));
+        }
+        device->flush();
+        EXPECT_EQ(device->snapshot().stages.parser_in, 2u);
+    };
+    for (const auto& sample : p4::programs::all_samples()) {
+        const std::string source(sample.source);
+        for (std::size_t len = 0; len < source.size(); len += 31) {
+            check(source.substr(0, len),
+                  sample.name + " cut at byte " + std::to_string(len));
+        }
+        for (int m = 0; m < 50; ++m) {
+            std::string mutant = source;
+            const std::uint64_t changes = 1 + rng.next_below(4);
+            for (std::uint64_t c = 0; c < changes; ++c) {
+                mutant[rng.next_below(mutant.size())] =
+                    static_cast<char>(rng.next_below(256));
+            }
+            check(mutant, sample.name + " mutant " + std::to_string(m));
+        }
     }
 }
 

@@ -42,7 +42,7 @@ coverage::CoverageMap run_scenario_coverage(std::uint64_t seed,
     auto dev = target::make_device("reference");
     dev->set_coverage(&map);  // before load(): must survive the image swap
     EXPECT_TRUE(dev->load(*sc.compiled));
-    for (const auto& op : sc.config) core::apply_config_op(*dev, op);
+    dev->apply(sc.config);
     if (digests) dev->set_digests_enabled(true);
 
     core::TestPacketGenerator pgen(sc.spec);
@@ -100,7 +100,7 @@ TEST(CoverageMap, InstrumentationDoesNotPerturbDigests) {
 
         auto plain = target::make_device("reference");
         ASSERT_TRUE(plain->load(*sc.compiled));
-        for (const auto& op : sc.config) core::apply_config_op(*plain, op);
+        plain->apply(sc.config);
         plain->set_digests_enabled(true);
         for (std::uint64_t seq = 1; seq <= sc.spec.count; ++seq) {
             plain->inject(pgen.make_packet(seq, 1'000'000 + (seq - 1) * 672));

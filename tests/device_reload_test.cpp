@@ -2,7 +2,7 @@
 // resets in place instead of rebuilding its tables and engines.  These tests
 // pin that the shortcut is invisible -- a dirtied device reloaded with the
 // scenario's image runs the scenario exactly like a freshly built one -- and
-// that the load contract around it (stale handles, null images, callers
+// that the load contract around it (zeroed cells, null images, callers
 // discarding their program) still holds.
 #include <gtest/gtest.h>
 
@@ -48,37 +48,59 @@ std::vector<DeviceKind> device_kinds() {
 // Leaves traces of a previous run in every place a load must clear: extra
 // entries and a changed default action on every table, register writes, a
 // configured meter, taps on, and unread traffic in the queues, counters,
-// tap ring and digest ring.
+// tap ring and digest ring.  The writes go to the device as one batch.
 void dirty(target::Device& dev, const core::Scenario& sc,
            const std::vector<packet::Packet>& packets) {
     const p4::ir::Program& prog = *sc.compiled;
+    std::vector<control::ConfigOp> ops;
     for (const p4::ir::Table& t : prog.tables) {
         if (t.actions.empty()) continue;
         for (std::uint64_t k = 1; k <= 3; ++k) {
-            control::EntrySpec e;
+            control::ConfigOp op;
+            op.target = t.name;
             for (const auto& key : t.keys) {
-                e.key_values.push_back(Bitvec(key.width, 0x5a5a5a5a5a5a5a5aull * k));
-                if (t.has_ternary()) e.key_masks.push_back(Bitvec::ones(key.width));
+                op.entry.key_values.push_back(
+                    Bitvec(key.width, 0x5a5a5a5a5a5a5a5aull * k));
+                if (t.has_ternary()) {
+                    op.entry.key_masks.push_back(Bitvec::ones(key.width));
+                }
             }
-            e.priority = static_cast<int>(k);
+            op.entry.priority = static_cast<int>(k);
             const p4::ir::Action& a =
                 prog.actions[static_cast<std::size_t>(t.actions.back())];
-            e.action = a.name;
-            for (int w : a.param_widths) e.action_args.push_back(Bitvec::ones(w));
-            dev.add_entry(t.name, e);  // a full or clamped table may refuse
+            op.entry.action = a.name;
+            for (int w : a.param_widths) op.entry.action_args.push_back(Bitvec::ones(w));
+            ops.push_back(std::move(op));
         }
         const p4::ir::Action& a =
             prog.actions[static_cast<std::size_t>(t.actions.front())];
-        std::vector<Bitvec> args;
-        for (int w : a.param_widths) args.push_back(Bitvec::ones(w));
-        ASSERT_TRUE(dev.set_default_action(t.name, a.name, args)) << t.name;
+        control::ConfigOp op;
+        op.kind = control::ConfigOp::Kind::set_default_action;
+        op.target = t.name;
+        op.action = a.name;
+        for (int w : a.param_widths) op.action_args.push_back(Bitvec::ones(w));
+        ops.push_back(std::move(op));
     }
     for (const p4::ir::ExternDecl& e : prog.externs) {
+        control::ConfigOp op;
+        op.target = e.name;
         if (e.kind == p4::ir::ExternDecl::Kind::reg) {
-            ASSERT_TRUE(dev.write_register(e.name, 0, Bitvec::ones(e.elem_width)));
+            op.kind = control::ConfigOp::Kind::write_register;
+            op.value = Bitvec::ones(e.elem_width);
         } else if (e.kind == p4::ir::ExternDecl::Kind::meter) {
-            ASSERT_TRUE(dev.configure_meter(e.name, 0, {1e3, 64, 2e3, 128}));
+            op.kind = control::ConfigOp::Kind::configure_meter;
+            op.meter = {1e3, 64, 2e3, 128};
+        } else {
+            continue;
         }
+        ops.push_back(std::move(op));
+    }
+    const std::vector<control::Status> statuses = dev.apply(ops);
+    ASSERT_EQ(statuses.size(), ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        // A full or clamped table may refuse an insert; nothing else may fail.
+        if (ops[i].kind == control::ConfigOp::Kind::add_entry) continue;
+        ASSERT_TRUE(statuses[i]) << ops[i].target << ": " << statuses[i].message;
     }
     dev.set_taps_enabled(true);
     dev.set_digests_enabled(true);
@@ -178,34 +200,24 @@ TEST(DeviceReload, SameImageReloadMatchesAFreshDevice) {
     }
 }
 
-TEST(DeviceReload, HandlesGoStaleNullIsRefusedAndCopiesOutliveTheCaller) {
+TEST(DeviceReload, ReloadZeroesCellsNullIsRefusedAndCopiesOutliveTheCaller) {
     const core::SpecGenerator gen({"nat_gateway"});
     const core::Scenario sc = gen.make(5);
     auto dev = target::make_device("reference");
     ASSERT_TRUE(dev->load(sc.compiled));
 
-    // Handles resolved against the image go stale on a same-image reload,
-    // exactly as they do when a new image is loaded.
-    const std::string table = sc.compiled->tables.front().name;
-    const std::string reg = "nat_key";
-    const control::TableHandle th = dev->resolve_table(table);
-    const control::ExternHandle eh = dev->resolve_extern(reg);
-    ASSERT_TRUE(th.valid());
-    ASSERT_TRUE(eh.valid());
-    ASSERT_TRUE(dev->write_register(eh, 1, Bitvec(32, 7)));
-    ASSERT_TRUE(dev->load(sc.compiled));
-    const control::Status stale_table =
-        dev->set_default_action(th, "drop", {});
-    EXPECT_FALSE(stale_table);
-    EXPECT_NE(stale_table.message.find("stale"), std::string::npos)
-        << stale_table.message;
-    const control::Status stale_reg = dev->write_register(eh, 1, Bitvec(32, 7));
-    EXPECT_FALSE(stale_reg);
-    EXPECT_NE(stale_reg.message.find("stale"), std::string::npos)
-        << stale_reg.message;
-    // Freshly resolved handles work again, and the reload zeroed the cell.
+    // A same-image reload zeroes a register cell written before it.
+    control::ConfigOp write;
+    write.kind = control::ConfigOp::Kind::write_register;
+    write.target = "nat_key";
+    write.index = 1;
+    write.value = Bitvec(32, 7);
+    ASSERT_TRUE(dev->apply({&write, 1}).front());
     Bitvec cell;
-    ASSERT_TRUE(dev->read_register(dev->resolve_extern(reg), 1, cell));
+    ASSERT_TRUE(dev->read_register("nat_key", 1, cell));
+    EXPECT_EQ(cell.to_u64(), 7u);
+    ASSERT_TRUE(dev->load(sc.compiled));
+    ASSERT_TRUE(dev->read_register("nat_key", 1, cell));
     EXPECT_TRUE(cell.is_zero());
 
     // A null image is refused and leaves the loaded image in place.

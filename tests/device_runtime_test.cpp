@@ -5,6 +5,10 @@
 // registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "control/transport.h"
 #include "core/tools.h"
 #include "p4/compiler.h"
@@ -19,7 +23,7 @@ using namespace ndb;
 // clean loopback link.
 struct Rig {
     std::unique_ptr<target::Device> device = target::make_reference_device();
-    control::LoopbackTransport transport{device->runtime()};
+    control::LoopbackTransport transport{*device};
     control::WireChannel channel{transport};
     control::RuntimeClient client{channel};
 
@@ -54,17 +58,27 @@ TEST(DeviceRuntime, BadRequestsFailOverTheChannel) {
     Rig rig;
     rig.load(p4::programs::l2_switch(), "l2_switch");
 
-    control::EntrySpec entry;
-    entry.key_values = {util::Bitvec(48, 1)};
-    entry.action = "forward";
-    entry.action_args = {util::Bitvec(9, 1)};
-
-    EXPECT_FALSE(rig.client.add_entry("no_such_table", entry));
-    entry.action = "no_such_action";
-    EXPECT_FALSE(rig.client.add_entry("dmac", entry));
-    entry.action = "forward";
-    entry.action_args.clear();  // wrong arity
-    EXPECT_FALSE(rig.client.add_entry("dmac", entry));
+    // One request carries every op; each bad op fails on its own and the
+    // good one still lands.
+    std::vector<control::ConfigOp> ops(4);
+    for (control::ConfigOp& op : ops) {
+        op.target = "dmac";
+        op.entry.key_values = {util::Bitvec(48, 1)};
+        op.entry.action = "forward";
+        op.entry.action_args = {util::Bitvec(9, 1)};
+    }
+    ops[0].target = "no_such_table";
+    ops[1].entry.action = "no_such_action";
+    ops[2].entry.action_args.clear();  // wrong arity
+    const std::vector<control::Status> statuses = rig.client.apply(ops);
+    EXPECT_EQ(rig.channel.stats().requests, 1u);
+    ASSERT_EQ(statuses.size(), 4u);
+    EXPECT_FALSE(statuses[0]);
+    EXPECT_NE(statuses[0].message.find("no_such_table"), std::string::npos)
+        << statuses[0].message;
+    EXPECT_FALSE(statuses[1]);
+    EXPECT_FALSE(statuses[2]);
+    EXPECT_TRUE(statuses[3]) << statuses[3].message;
 
     util::Bitvec reg_out;
     EXPECT_FALSE(rig.client.read_register("no_such_register", 0, reg_out));
@@ -97,13 +111,66 @@ TEST(DeviceRuntime, RegisterCounterAndSnapshotRoundTrip) {
     EXPECT_EQ(snap.unaccounted_packets(), 0);
 
     // Host-side writes land in the data plane's storage.
-    ASSERT_TRUE(rig.client.write_register("port_pkts", 1, util::Bitvec(48, 41)));
+    control::ConfigOp write;
+    write.kind = control::ConfigOp::Kind::write_register;
+    write.target = "port_pkts";
+    write.index = 1;
+    write.value = util::Bitvec(48, 41);
+    ASSERT_TRUE(rig.client.apply({&write, 1}).front());
     rig.device->inject(pkt);
     ASSERT_TRUE(rig.client.read_register("port_pkts", 1, count));
     EXPECT_EQ(count.to_u64(), 42u);
 
     // Out-of-range indices are rejected, not silently absorbed.
     EXPECT_FALSE(rig.client.read_register("port_pkts", 1u << 20, count));
+}
+
+TEST(DeviceRuntime, MeterRatesMustBeFiniteAndNonNegative) {
+    Rig rig;
+    rig.load(p4::programs::metered_policer(), "metered_policer");
+
+    // Each bad value in each rate, then one good op on index 1.
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                          std::numeric_limits<double>::infinity()};
+    std::vector<control::ConfigOp> ops;
+    for (const bool committed : {true, false}) {
+        for (const double value : bad) {
+            control::ConfigOp op;
+            op.kind = control::ConfigOp::Kind::configure_meter;
+            op.target = "port_meter";
+            op.index = 0;
+            op.meter = {1e6, 1500, 2e6, 3000};
+            if (committed) {
+                op.meter.committed_rate_bps = value;
+            } else {
+                op.meter.excess_rate_bps = value;
+            }
+            ops.push_back(op);
+        }
+    }
+    control::ConfigOp good;
+    good.kind = control::ConfigOp::Kind::configure_meter;
+    good.target = "port_meter";
+    good.index = 1;
+    good.meter = {1e6, 1500, 2e6, 3000};
+    ops.push_back(good);
+
+    const std::vector<control::Status> statuses = rig.client.apply(ops);
+    ASSERT_EQ(statuses.size(), 7u);
+    for (std::size_t i = 0; i < 6; ++i) {
+        EXPECT_FALSE(statuses[i]) << "bad op #" << i << " was accepted";
+        EXPECT_NE(statuses[i].message.find("rate"), std::string::npos)
+            << statuses[i].message;
+    }
+    EXPECT_TRUE(statuses[6]) << statuses[6].message;
+
+    // Only the good op configured a cell.
+    const control::StatusSnapshot snap = rig.client.snapshot();
+    const auto meter = std::find_if(
+        snap.externs.begin(), snap.externs.end(),
+        [](const control::ExternStatus& e) { return e.name == "port_meter"; });
+    ASSERT_NE(meter, snap.externs.end());
+    EXPECT_EQ(meter->unconfigured_meters, meter->cells - 1);
 }
 
 TEST(DeviceRuntime, ResetStateClearsDynamicStateKeepsConfig) {

@@ -56,18 +56,19 @@ std::uint32_t acl_winner(target::Device& device) {
     EXPECT_TRUE(device.load(*prog));
 
     // Low-priority wildcard-everything entry -> port 3.
-    control::EntrySpec wildcard;
-    wildcard.key_values = {util::Bitvec(32, 0), util::Bitvec(32, 0),
-                           util::Bitvec(8, 0), util::Bitvec(16, 0)};
-    wildcard.key_masks = {util::Bitvec(32, 0), util::Bitvec(32, 0),
-                          util::Bitvec(8, 0), util::Bitvec(16, 0)};
-    wildcard.priority = 1;
-    wildcard.action = "allow";
-    wildcard.action_args = {util::Bitvec(9, 3)};
-    EXPECT_TRUE(device.add_entry("acl", wildcard));
+    control::ConfigOp wildcard;
+    wildcard.target = "acl";
+    wildcard.entry.key_values = {util::Bitvec(32, 0), util::Bitvec(32, 0),
+                                 util::Bitvec(8, 0), util::Bitvec(16, 0)};
+    wildcard.entry.key_masks = {util::Bitvec(32, 0), util::Bitvec(32, 0),
+                                util::Bitvec(8, 0), util::Bitvec(16, 0)};
+    wildcard.entry.priority = 1;
+    wildcard.entry.action = "allow";
+    wildcard.entry.action_args = {util::Bitvec(9, 3)};
+    EXPECT_TRUE(device.apply({&wildcard, 1}).front());
 
     // High-priority UDP-to-7000 entry -> port 2.
-    EXPECT_TRUE(core::scenario::add_acl_allow_udp(device.runtime(), 7000, 2));
+    EXPECT_TRUE(core::scenario::add_acl_allow_udp(device, 7000, 2));
 
     packet::Packet pkt = core::scenario::ipv4_udp_packet();
     pkt.meta.ingress_port = 0;

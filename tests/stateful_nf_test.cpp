@@ -2,7 +2,7 @@
 //
 // Four classic NF shapes (NAT, per-flow firewall, maglev-style load
 // balancer, learning bridge) run with their register/extern state driven
-// through the handle-based runtime API, and
+// through the runtime API, and
 // the state-quirk family (stale_entry, expiry_off_by_one,
 // hash_collision_misdirect) is detected, minimized, fingerprinted and
 // localized by the campaign with the usual determinism contract: one
@@ -44,19 +44,16 @@ core::CampaignConfig fixture_config(std::uint64_t scenarios) {
     return cfg;
 }
 
-// --- flow state driven through resolved handles -------------------------------
+// --- flow state driven through the runtime API --------------------------------
 
-TEST(StatefulNf, HandleApiDrivesNatBindingAndExpiry) {
+TEST(StatefulNf, RuntimeApiDrivesNatBindingAndExpiry) {
     auto dev = target::make_device("reference");
     const auto prog =
         core::scenario::compile(p4::programs::nat_gateway(), "nat_gateway");
     ASSERT_TRUE(dev->load(*prog).ok);
 
-    const control::ExternHandle nat_key = dev->resolve_extern("nat_key");
-    const control::ExternHandle nat_last = dev->resolve_extern("nat_last");
-    ASSERT_TRUE(nat_key.valid());
-    ASSERT_TRUE(nat_last.valid());
-    EXPECT_FALSE(dev->resolve_extern("no_such_register").valid());
+    Bitvec missing;
+    EXPECT_FALSE(dev->read_register("no_such_register", 0, missing).ok);
 
     // First packet of a fresh flow allocates a binding and translates.
     packet::Packet pkt = core::scenario::ipv4_udp_packet();
@@ -71,20 +68,29 @@ TEST(StatefulNf, HandleApiDrivesNatBindingAndExpiry) {
     EXPECT_EQ(out[0].data()[29], 0x01);
 
     // Find the flow's bucket by scanning the binding table through the
-    // handle-keyed read path.
+    // register read path.
     const std::uint32_t flow_src = core::scenario::host_ip(1);
     int bucket = -1;
     for (int i = 0; i < 64; ++i) {
         Bitvec cell;
-        ASSERT_TRUE(dev->read_register(nat_key, i, cell).ok);
+        ASSERT_TRUE(dev->read_register("nat_key", i, cell).ok);
         if (cell.to_u64() == flow_src) bucket = i;
     }
     ASSERT_GE(bucket, 0) << "allocated binding not found in nat_key";
 
     // Install a competing binding in that bucket: a different flow owns it
     // as of t=2000us.  Ours must now wait out the 64us idle timeout.
-    ASSERT_TRUE(dev->write_register(nat_key, bucket, Bitvec(32, 0x0a000063)).ok);
-    ASSERT_TRUE(dev->write_register(nat_last, bucket, Bitvec(48, 2000)).ok);
+    std::vector<control::ConfigOp> steal(2);
+    steal[0].kind = control::ConfigOp::Kind::write_register;
+    steal[0].target = "nat_key";
+    steal[0].index = static_cast<std::uint64_t>(bucket);
+    steal[0].value = Bitvec(32, 0x0a000063);
+    steal[1] = steal[0];
+    steal[1].target = "nat_last";
+    steal[1].value = Bitvec(48, 2000);
+    for (const control::Status& st : dev->apply(steal)) {
+        ASSERT_TRUE(st.ok) << st.message;
+    }
 
     pkt.meta.rx_time_ns = 2'063'000;  // age 63us: binding still live -> drop
     dev->inject(pkt);
@@ -95,15 +101,8 @@ TEST(StatefulNf, HandleApiDrivesNatBindingAndExpiry) {
     out = dev->drain_port(2);
     ASSERT_EQ(out.size(), 1u);
     Bitvec stolen;
-    ASSERT_TRUE(dev->read_register(nat_key, bucket, stolen).ok);
+    ASSERT_TRUE(dev->read_register("nat_key", bucket, stolen).ok);
     EXPECT_EQ(stolen.to_u64(), flow_src);
-
-    // Reloading the image invalidates previously-resolved handles.
-    ASSERT_TRUE(dev->load(*prog).ok);
-    Bitvec ignored;
-    const control::Status stale = dev->read_register(nat_key, bucket, ignored);
-    EXPECT_FALSE(stale.ok);
-    EXPECT_NE(stale.message.find("stale"), std::string::npos) << stale.message;
 }
 
 TEST(StatefulNf, FlowPlansStretchAcrossTheAgingTimeout) {

@@ -108,7 +108,7 @@ std::vector<CorpusEntry> load_corpus() {
 // enabled and asserts they describe the identical execution.
 void check_device(target::Device& dev, const core::Scenario& sc) {
     ASSERT_TRUE(dev.load(*sc.compiled));
-    for (const auto& op : sc.config) core::apply_config_op(dev, op);
+    dev.apply(sc.config);
 
     dev.set_taps_enabled(true);
     dev.set_digests_enabled(true);

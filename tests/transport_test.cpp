@@ -34,7 +34,7 @@ std::unique_ptr<target::Device> make_loaded_device() {
 // way a fabric worker's management plane does.
 struct WireRig {
     std::unique_ptr<target::Device> device = make_loaded_device();
-    LoopbackTransport transport{device->runtime()};
+    LoopbackTransport transport{*device};
     WireChannel channel{transport};
     RuntimeClient client{channel};
 };

@@ -420,7 +420,7 @@ TEST_P(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
             auto dev = target::make_device("reference");
             dev->set_coverage(&map);
             ASSERT_TRUE(dev->load(*sc.compiled));
-            for (const auto& op : sc.config) core::apply_config_op(*dev, op);
+            dev->apply(sc.config);
             core::TestPacketGenerator pgen(sc.spec);
             for (std::uint64_t seq = 1; seq <= sc.spec.count; ++seq) {
                 dev->inject(pgen.make_packet(seq, 1'000'000 + (seq - 1) * 672));
