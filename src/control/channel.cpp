@@ -1,6 +1,9 @@
 #include "control/channel.h"
 
+#include <algorithm>
+
 #include "control/transport.h"
+#include "control/wire.h"
 #include "util/strings.h"
 
 namespace ndb::control {
@@ -76,23 +79,35 @@ Status RuntimeClient::read_counter(const std::string& name, std::uint64_t index,
 }
 
 std::vector<Status> RuntimeClient::apply(std::span<const ConfigOp> ops) {
-    if (ops.empty()) return {};
-    ApplyConfigReq req;
-    req.ops.assign(ops.begin(), ops.end());
-    const Response resp = channel_->transact(req);
-    Status st = expect_payload(resp, Response::Payload::op_statuses);
-    if (st.ok && resp.op_statuses.size() != ops.size()) {
-        st = Status::failure(
-            util::format("response carried %zu status(es) for %zu op(s)",
-                         resp.op_statuses.size(), ops.size()));
+    std::vector<Status> statuses;
+    statuses.reserve(ops.size());
+    // The server decodes at most wire::kMaxSequenceItems ops per request,
+    // so a larger batch goes as consecutive requests, in order.
+    while (!ops.empty()) {
+        const std::span<const ConfigOp> chunk =
+            ops.first(std::min(ops.size(), wire::kMaxSequenceItems));
+        ops = ops.subspan(chunk.size());
+        ApplyConfigReq req;
+        req.ops.assign(chunk.begin(), chunk.end());
+        const Response resp = channel_->transact(req);
+        Status st = expect_payload(resp, Response::Payload::op_statuses);
+        if (st.ok && resp.op_statuses.size() != chunk.size()) {
+            st = Status::failure(
+                util::format("response carried %zu status(es) for %zu op(s)",
+                             resp.op_statuses.size(), chunk.size()));
+        }
+        if (!st.ok) {
+            // The whole frame failed (lost on the wire, oversized, or a
+            // protocol error): report the same failure on each of its ops so
+            // callers' per-op accounting -- and the "wire:" message prefix --
+            // is preserved.
+            statuses.insert(statuses.end(), chunk.size(), st);
+            continue;
+        }
+        statuses.insert(statuses.end(), resp.op_statuses.begin(),
+                        resp.op_statuses.end());
     }
-    if (!st.ok) {
-        // The whole frame failed (lost on the wire, or a protocol error):
-        // report the same failure on every op so callers' per-op accounting
-        // -- and the "wire:" message prefix -- is preserved.
-        return std::vector<Status>(ops.size(), st);
-    }
-    return resp.op_statuses;
+    return statuses;
 }
 
 StatusSnapshot RuntimeClient::snapshot() {

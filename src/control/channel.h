@@ -81,10 +81,11 @@ class RuntimeClient final : public RuntimeApi {
 public:
     explicit RuntimeClient(WireChannel& channel) : channel_(&channel) {}
 
-    // One ApplyConfigReq frame for the whole batch.  A transport-level
-    // failure (timeout, wrong payload) is reported on every op, so per-op
-    // accounting -- including the "wire:" failure-message convention --
-    // survives the batching.
+    // One ApplyConfigReq frame per wire::kMaxSequenceItems ops, sent in
+    // order.  A transport-level failure (timeout, oversized frame, wrong
+    // payload) is reported on every op of that frame, so per-op accounting
+    // -- including the "wire:" failure-message convention -- survives the
+    // batching.
     std::vector<Status> apply(std::span<const ConfigOp> ops) override;
     Status read_register(const std::string& name, std::uint64_t index,
                          Bitvec& out) override;

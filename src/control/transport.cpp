@@ -333,11 +333,20 @@ Response WireChannel::transact(const Request& request) {
         }
     } rtt{obs::metrics_on(), obs::metrics_on() ? obs::now_ns() : 0};
     if (rtt.on) obs::count(obs::Counter::wire_requests);
-    const std::uint64_t seq = ++next_seq_;
     wire::Frame frame;
     frame.kind = wire::FrameKind::control_request;
-    frame.seq = seq;
     frame.payload = wire::encode_request(request);
+    if (frame.payload.size() > wire::kMaxPayloadBytes) {
+        // The peer drops any frame above the cap, so sending it could only
+        // end in a timeout after every retry: fail now, naming the sizes.
+        Response resp;
+        resp.status = Status::failure(util::format(
+            "wire: request payload of %zu bytes exceeds the %zu-byte frame cap",
+            frame.payload.size(), wire::kMaxPayloadBytes));
+        return resp;
+    }
+    const std::uint64_t seq = ++next_seq_;
+    frame.seq = seq;
     const std::vector<std::uint8_t> bytes = wire::encode_frame(frame);
 
     const std::uint32_t attempts = std::max<std::uint32_t>(1, policy_.max_attempts);

@@ -222,7 +222,9 @@ struct ChannelStats {
 // dedup cache keeps non-idempotent ops exactly-once.  A request whose
 // retry budget is exhausted returns Status::failure("wire: request ...
 // timed out ..."), which the campaign engine treats as a management-plane
-// observable.
+// observable.  A request whose encoded payload exceeds
+// wire::kMaxPayloadBytes is never sent: it fails at once with a "wire:"
+// Status naming its size and the cap.
 class WireChannel {
 public:
     explicit WireChannel(Transport& transport) : transport_(&transport) {}

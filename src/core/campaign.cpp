@@ -214,14 +214,11 @@ CampaignReport CampaignEngine::run() {
         fold_outcome(outcomes[0]);
         if (config_.coverage) {
             coverage::CoverageMap global;
-            if (outcomes[0].coverage) {
-                report.coverage_edges_reference +=
-                    global.merge_new_from(*outcomes[0].coverage);
-            }
+            report.coverage_edges_reference +=
+                global.merge_new_from(outcomes[0].coverage);
             for (std::size_t d = 0; d < outcomes[0].dut_coverage.size(); ++d) {
-                if (!outcomes[0].dut_coverage[d]) continue;
                 report.coverage_edges_dut[d] +=
-                    global.merge_new_from(*outcomes[0].dut_coverage[d]);
+                    global.merge_new_from(outcomes[0].dut_coverage[d]);
             }
             report.coverage_edges =
                 static_cast<std::uint64_t>(global.edges_covered());
@@ -376,17 +373,14 @@ CampaignReport CampaignEngine::run() {
             std::vector<double> gain(plan.size(), 0.0);
             for (std::size_t i = 0; i < slots.size(); ++i) {
                 const bool fresh = fold_outcome(outcomes[i]);
-                std::size_t ref_edges = 0;
+                const std::size_t ref_edges =
+                    global.merge_new_from(outcomes[i].coverage);
+                report.coverage_edges_reference += ref_edges;
                 std::size_t dut_edges = 0;
-                if (outcomes[i].coverage) {
-                    ref_edges = global.merge_new_from(*outcomes[i].coverage);
-                    report.coverage_edges_reference += ref_edges;
-                }
                 for (std::size_t d = 0; d < outcomes[i].dut_coverage.size();
                      ++d) {
-                    if (!outcomes[i].dut_coverage[d]) continue;
                     const std::size_t fresh_dut =
-                        global.merge_new_from(*outcomes[i].dut_coverage[d]);
+                        global.merge_new_from(outcomes[i].dut_coverage[d]);
                     report.coverage_edges_dut[d] += fresh_dut;
                     dut_edges += fresh_dut;
                 }

@@ -343,19 +343,26 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         (obs::metrics_on() || obs::trace_on()) ? obs::now_ns() : 0;
     const std::vector<packet::Packet> packets = scenario_packets(sc);
 
-    // Guided mode: the reference detection run streams its execution
-    // edges into a per-scenario map (set before run_scenario_on so the
-    // load() inside re-applies it).  Triage replays below run with
-    // coverage off again -- they revisit the same behaviour and would
-    // only re-count edges.
+    // Guided mode: each detection run streams its execution edges into the
+    // worker's map (attached before run_scenario_on so the load() inside
+    // re-applies it), and the outcome keeps the lit slots.  Triage replays
+    // below run with coverage off again -- they revisit the same behaviour
+    // and would only re-count edges.
+    const auto record_coverage = [&](target::Device& dev) {
+        ctx.coverage.clear();
+        dev.set_coverage(&ctx.coverage);
+    };
+    const auto take_coverage = [&](target::Device& dev) {
+        dev.set_coverage(nullptr);
+        return ctx.coverage.take_hits();
+    };
     if (options.coverage) {
-        outcome.coverage = std::make_unique<coverage::CoverageMap>();
-        ctx.reference->set_coverage(outcome.coverage.get());
+        record_coverage(*ctx.reference);
         outcome.dut_coverage.resize(duts.size());
     }
     const DeviceRun ref_run =
         run_scenario_on(*ctx.reference, sc, packets, options.batch_size);
-    if (options.coverage) ctx.reference->set_coverage(nullptr);
+    if (options.coverage) outcome.coverage = take_coverage(*ctx.reference);
     outcome.packets += ref_run.injected;
 
     for (std::size_t d = 0; d < duts.size(); ++d) {
@@ -370,16 +377,13 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
             link.plan.seed = derive_mgmt_seed(options.mgmt, sc, d);
             mgmt = &link;
         }
-        // The DUT's detection run streams into its own per-scenario map
-        // (backend-salted inside the device); triage replays below run
-        // with coverage detached, like the reference's.
-        if (options.coverage) {
-            outcome.dut_coverage[d] = std::make_unique<coverage::CoverageMap>();
-            dut.set_coverage(outcome.dut_coverage[d].get());
-        }
+        // The DUT's detection run records the same way (backend-salted
+        // inside the device); triage replays below run with coverage
+        // detached, like the reference's.
+        if (options.coverage) record_coverage(dut);
         const DeviceRun dut_run = run_scenario_on(
             dut, sc, packets, options.batch_size, mgmt, &outcome.mgmt);
-        if (options.coverage) dut.set_coverage(nullptr);
+        if (options.coverage) outcome.dut_coverage[d] = take_coverage(dut);
         outcome.packets += dut_run.injected;
 
         const auto raw = diff_runs(dut_run, ref_run);

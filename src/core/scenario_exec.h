@@ -71,14 +71,15 @@ struct ScenarioOutcome {
     // Management-channel traffic of this scenario's DUT runs (zero when
     // mgmt fault injection is off).
     ChannelAccounting mgmt;
-    // Reference-device coverage of the detection run (guided mode only;
-    // heap-held so uniform sweeps don't pay 16 KiB per outcome slot).
-    std::unique_ptr<coverage::CoverageMap> coverage;
+    // Reference-device coverage of the detection run (guided mode only):
+    // just the lit slots, so an outcome costs what the run lit, not a
+    // whole map.
+    std::vector<coverage::SlotHits> coverage;
     // Per-DUT coverage of the same detection run, parallel to the sweep's
     // backend list.  Each device salts its edges by backend identity, so a
     // quirk that bends execution onto a different path lights slots no
     // reference run can -- DUT-side novelty the scheduler can reward.
-    std::vector<std::unique_ptr<coverage::CoverageMap>> dut_coverage;
+    std::vector<std::vector<coverage::SlotHits>> dut_coverage;
 };
 
 // Per-worker device pool: one reference instance plus one instance per DUT
@@ -87,6 +88,9 @@ struct ScenarioOutcome {
 struct WorkerContext {
     std::unique_ptr<target::Device> reference;
     std::vector<std::unique_ptr<target::Device>> duts;  // parallel to specs
+    // Guided mode: every detection run records here, and execute_scenario
+    // moves the lit slots into the outcome, which leaves the map empty.
+    coverage::CoverageMap coverage;
 
     // The trailing Engine is accepted and ignored: the interpreter is the
     // only engine, and the parameter goes once no caller passes it.

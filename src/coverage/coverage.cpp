@@ -1,6 +1,22 @@
 #include "coverage/coverage.h"
 
+#include <bit>
+
 namespace ndb::coverage {
+
+namespace {
+
+// Calls fn(slot) for every lit slot, in slot order.
+template <typename Bitmap, typename Fn>
+void for_each_lit(const Bitmap& lit, Fn&& fn) {
+    for (std::size_t w = 0; w < lit.size(); ++w) {
+        for (std::uint64_t word = lit[w]; word != 0; word &= word - 1) {
+            fn(static_cast<std::uint32_t>(w * 64 + std::countr_zero(word)));
+        }
+    }
+}
+
+}  // namespace
 
 std::size_t CoverageMap::edges_covered() const {
     std::size_t n = 0;
@@ -16,12 +32,38 @@ std::uint64_t CoverageMap::total_hits() const {
     return n;
 }
 
-std::size_t CoverageMap::merge_new_from(const CoverageMap& fresh) {
+std::vector<SlotHits> CoverageMap::hits() const {
+    std::size_t lit = 0;
+    for (const std::uint64_t word : lit_) {
+        lit += static_cast<std::size_t>(std::popcount(word));
+    }
+    std::vector<SlotHits> out;
+    out.reserve(lit);
+    for_each_lit(lit_, [&](std::uint32_t slot) {
+        out.push_back({slot, counts_[slot]});
+    });
+    return out;
+}
+
+std::vector<SlotHits> CoverageMap::take_hits() {
+    std::vector<SlotHits> out = hits();
+    clear();
+    return out;
+}
+
+void CoverageMap::clear() {
+    for_each_lit(lit_, [&](std::uint32_t slot) { counts_[slot] = 0; });
+    lit_.fill(0);
+}
+
+std::size_t CoverageMap::merge_new_from(std::span<const SlotHits> fresh) {
     std::size_t new_slots = 0;
-    for (std::size_t i = 0; i < kSlots; ++i) {
-        if (fresh.counts_[i] == 0) continue;
-        if (counts_[i] == 0) ++new_slots;
-        counts_[i] += fresh.counts_[i];
+    for (const SlotHits& h : fresh) {
+        if (h.count == 0) continue;
+        const std::uint32_t slot = h.slot & (kSlots - 1);
+        if (counts_[slot] == 0) ++new_slots;
+        counts_[slot] += h.count;
+        lit_[slot / 64] |= 1ull << (slot % 64);
     }
     return new_slots;
 }

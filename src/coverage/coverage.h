@@ -5,9 +5,16 @@
 // data plane -- a parser state transition, a table hit or miss, an action
 // invocation, a taken/not-taken branch edge -- hashes to one of kSlots
 // counters.  The map is a plain array, so recording a hit is one masked
-// index and one increment: allocation-free, branch-light, and cheap enough
-// to leave compiled into the hot path behind a null-pointer check (coverage
-// off = one predictable-untaken branch per site).
+// index, one increment and one OR into a bitmap of lit slots:
+// allocation-free, branch-light, and cheap enough to leave compiled into
+// the hot path behind a null-pointer check (coverage off = one
+// predictable-untaken branch per site).
+//
+// A run lights a few dozen of the 4096 slots, so the campaign never
+// copies or scans whole maps per scenario: each worker records into one
+// map, hands the lit (slot, count) pairs to the scenario's outcome with
+// take_hits(), and the round barrier folds those lists into the global
+// map with merge_new_from().
 //
 // Slot ids are a pure function of the site kind and its operands, so the
 // same program exercising the same behaviour fills the same slots on every
@@ -20,7 +27,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "util/strings.h"
 
@@ -44,6 +53,14 @@ enum class Site : std::uint64_t {
     branch = 5,         // a = static branch ordinal, b = taken (1) / not (0)
 };
 
+// One lit slot and its hit count.
+struct SlotHits {
+    std::uint32_t slot = 0;
+    std::uint32_t count = 0;
+
+    bool operator==(const SlotHits&) const = default;
+};
+
 class CoverageMap {
 public:
     // Power of two: slot masking is a single AND.
@@ -62,7 +79,11 @@ public:
         return static_cast<std::uint32_t>(x & (kSlots - 1));
     }
 
-    void hit(std::uint32_t slot_id) { ++counts_[slot_id & (kSlots - 1)]; }
+    void hit(std::uint32_t slot_id) {
+        slot_id &= kSlots - 1;
+        ++counts_[slot_id];
+        lit_[slot_id / 64] |= 1ull << (slot_id % 64);
+    }
     void record(Site site, std::uint64_t a, std::uint64_t b = 0) {
         hit(slot(site, a, b));
     }
@@ -76,16 +97,25 @@ public:
 
     std::uint64_t total_hits() const;
 
+    // The lit slots with their counts, in slot order.
+    std::vector<SlotHits> hits() const;
+
+    // hits(), then clears the map by zeroing only the lit slots.
+    std::vector<SlotHits> take_hits();
+
     // Folds `fresh` into this accumulated map and returns how many of its
     // slots were previously unseen here -- the scheduler's coverage delta.
-    std::size_t merge_new_from(const CoverageMap& fresh);
+    std::size_t merge_new_from(std::span<const SlotHits> fresh);
 
-    void clear() { counts_.fill(0); }
+    // Zeroes the lit slots only: the cost follows what was recorded.
+    void clear();
 
     bool operator==(const CoverageMap&) const = default;
 
 private:
     std::array<std::uint32_t, kSlots> counts_{};
+    // Bit s set iff counts_[s] != 0.
+    std::array<std::uint64_t, kSlots / 64> lit_{};
 };
 
 }  // namespace ndb::coverage

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "coverage/coverage.h"
+#include "obs/metrics.h"
 #include "packet/checksum.h"
 
 namespace ndb::dataplane {
@@ -290,8 +291,16 @@ void Interpreter::exec_extern(const Stmt& s, PacketState& state, Frame& frame) {
                 !stateful_.register_read(s.extern_id, index).is_zero()) {
                 return;
             }
-            stateful_.register_write(s.extern_id, index,
-                                     eval_expr(prog_, *s.value, state, frame, quirks_));
+            const Bitvec value = eval_expr(prog_, *s.value, state, frame, quirks_);
+            if (obs::metrics_on()) {
+                // Occupancy telemetry: a write that replaces live state (an
+                // evicted or rebound flow entry), not one that fills a cell.
+                const Bitvec old = stateful_.register_read(s.extern_id, index);
+                if (!old.is_zero() && old != value.resize(old.width())) {
+                    obs::count(obs::Counter::register_overwrites);
+                }
+            }
+            stateful_.register_write(s.extern_id, index, value);
             return;
         }
         case p4::ir::ExternKind::counter_count:

@@ -18,6 +18,27 @@ std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
     return h;
 }
 
+// base^n mod 2^64 by square-and-multiply.  FNV-1a over a zero byte is one
+// multiply by the prime, so folding k zero bytes multiplies by prime^k.
+std::uint64_t pow_mod64(std::uint64_t base, std::uint64_t n) {
+    std::uint64_t r = 1;
+    for (; n != 0; n >>= 1) {
+        if (n & 1) r *= base;
+        base *= base;
+    }
+    return r;
+}
+
+// Calls fn(index) for every set bit, in index order.
+template <typename Fn>
+void for_each_set(const std::vector<std::uint64_t>& bits, Fn&& fn) {
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+        for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+            fn(w * 64 + static_cast<std::uint64_t>(std::countr_zero(word)));
+        }
+    }
+}
+
 }  // namespace
 
 void MeterCell::configure(double committed_rate, std::uint64_t committed_burst,
@@ -74,18 +95,26 @@ StatefulSet::StatefulSet(const p4::ir::Program& prog) {
         slot.name = e.name;
         slot.elem_width = e.elem_width;
         const auto n = static_cast<std::size_t>(e.array_size);
+        slot.size = n;
+        slot.touched.assign((n + 63) / 64, 0);
+        // Zero bytes an untouched cell contributes to the info() fold.
+        std::uint64_t zero_bytes = 0;
         switch (e.kind) {
             case p4::ir::ExternDecl::Kind::reg:
                 slot.cells.assign(n, Bitvec(e.elem_width));
+                zero_bytes = 8 * Bitvec(e.elem_width).word_span().size();
                 break;
             case p4::ir::ExternDecl::Kind::counter:
                 slot.packets.assign(n, 0);
                 slot.bytes.assign(n, 0);
+                zero_bytes = 16;  // packets, then bytes
                 break;
             case p4::ir::ExternDecl::Kind::meter:
                 slot.meters.assign(n, MeterCell{});
+                zero_bytes = 8;  // fold_config of an unconfigured cell
                 break;
         }
+        slot.untouched_pow = pow_mod64(kFnvPrime, zero_bytes);
     }
 }
 
@@ -100,6 +129,7 @@ void StatefulSet::register_write(int extern_id, std::uint64_t index,
     auto& s = externs_.at(static_cast<std::size_t>(extern_id));
     if (index >= s.cells.size()) return;  // OOB writes are dropped
     s.cells[index] = value.resize(s.elem_width);
+    s.mark(index);
 }
 
 void StatefulSet::counter_count(int extern_id, std::uint64_t index,
@@ -108,6 +138,7 @@ void StatefulSet::counter_count(int extern_id, std::uint64_t index,
     if (index >= s.packets.size()) return;
     ++s.packets[index];
     s.bytes[index] += bytes;
+    s.mark(index);
 }
 
 std::uint64_t StatefulSet::counter_packets(int extern_id, std::uint64_t index) const {
@@ -127,12 +158,14 @@ void StatefulSet::meter_configure(int extern_id, std::uint64_t index,
     if (index >= s.meters.size()) return;
     s.meters[index].configure(committed_rate, committed_burst, excess_rate,
                               excess_burst);
+    s.mark(index);
 }
 
 MeterColor StatefulSet::meter_execute(int extern_id, std::uint64_t index,
                                       std::uint64_t now_ns, std::uint64_t bytes) {
     auto& s = externs_.at(static_cast<std::size_t>(extern_id));
     if (index >= s.meters.size()) return MeterColor::red;
+    s.mark(index);  // token buckets drain even on an unconfigured meter
     return s.meters[index].execute(now_ns, bytes);
 }
 
@@ -142,30 +175,36 @@ std::vector<StatefulSet::Info> StatefulSet::info() const {
     for (const auto& s : externs_) {
         Info inf;
         inf.name = s.name;
+        inf.cells = s.size;
         std::uint64_t h = kFnvOffset;
-        switch (s.kind) {
-            case p4::ir::ExternDecl::Kind::reg:
-                inf.kind = "register";
-                inf.cells = s.cells.size();
-                for (const auto& cell : s.cells) {
-                    for (const std::uint64_t w : cell.word_span()) h = fnv(h, w);
-                }
-                break;
-            case p4::ir::ExternDecl::Kind::counter:
-                inf.kind = "counter";
-                inf.cells = s.packets.size();
-                for (std::size_t i = 0; i < s.packets.size(); ++i) {
+        std::uint64_t next = 0;  // first cell the fold has not reached
+        std::uint64_t configured = 0;
+        for_each_set(s.touched, [&](std::uint64_t i) {
+            h *= pow_mod64(s.untouched_pow, i - next);
+            next = i + 1;
+            switch (s.kind) {
+                case p4::ir::ExternDecl::Kind::reg:
+                    for (const std::uint64_t w : s.cells[i].word_span()) {
+                        h = fnv(h, w);
+                    }
+                    break;
+                case p4::ir::ExternDecl::Kind::counter:
                     h = fnv(h, s.packets[i]);
                     h = fnv(h, s.bytes[i]);
-                }
-                break;
+                    break;
+                case p4::ir::ExternDecl::Kind::meter:
+                    h = s.meters[i].fold_config(h);
+                    if (s.meters[i].configured()) ++configured;
+                    break;
+            }
+        });
+        h *= pow_mod64(s.untouched_pow, s.size - next);
+        switch (s.kind) {
+            case p4::ir::ExternDecl::Kind::reg: inf.kind = "register"; break;
+            case p4::ir::ExternDecl::Kind::counter: inf.kind = "counter"; break;
             case p4::ir::ExternDecl::Kind::meter:
                 inf.kind = "meter";
-                inf.cells = s.meters.size();
-                for (const auto& m : s.meters) {
-                    h = m.fold_config(h);
-                    if (!m.configured()) ++inf.unconfigured_meters;
-                }
+                inf.unconfigured_meters = s.size - configured;
                 break;
         }
         inf.state_hash = h;
@@ -176,11 +215,28 @@ std::vector<StatefulSet::Info> StatefulSet::info() const {
 
 void StatefulSet::reset_state() {
     for (auto& s : externs_) {
-        for (auto& c : s.cells) c = Bitvec(s.elem_width);
-        std::fill(s.packets.begin(), s.packets.end(), 0);
-        std::fill(s.bytes.begin(), s.bytes.end(), 0);
-        for (auto& m : s.meters) m = MeterCell{};
+        for_each_set(s.touched, [&](std::uint64_t i) {
+            switch (s.kind) {
+                case p4::ir::ExternDecl::Kind::reg: s.cells[i].zero(); break;
+                case p4::ir::ExternDecl::Kind::counter:
+                    s.packets[i] = 0;
+                    s.bytes[i] = 0;
+                    break;
+                case p4::ir::ExternDecl::Kind::meter: s.meters[i] = MeterCell{}; break;
+            }
+        });
+        std::fill(s.touched.begin(), s.touched.end(), 0);
     }
+}
+
+std::uint64_t StatefulSet::touched_cells() const {
+    std::uint64_t n = 0;
+    for (const auto& s : externs_) {
+        for (const std::uint64_t word : s.touched) {
+            n += static_cast<std::uint64_t>(std::popcount(word));
+        }
+    }
+    return n;
 }
 
 }  // namespace ndb::dataplane

@@ -5,6 +5,12 @@
 // below are the only state surface the interpreter and the control
 // plane touch, so a snapshot of `info()` plus `reset_state()` fully
 // captures and clears a device's per-flow state.
+//
+// Each extern also keeps a bitmap of the cells touched since the last
+// reset: written, counted, configured or executed.  A run touches a
+// handful of cells out of hundreds declared, so `info()` folds only the
+// touched cells and `reset_state()` restores only those: both cost what
+// the run touched, not what the program declares.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +83,9 @@ public:
     // dynamic contents (register values, counter packets+bytes) and, for
     // meters, the configured parameters -- not the live token buckets, whose
     // floating-point residue would make byte-identical reports fragile.
+    // It is the FNV-1a fold of every declared cell in index order; an
+    // untouched cell folds only zero bytes, so the fold skips it with one
+    // multiply by a power of the FNV prime and the value stays exact.
     struct Info {
         std::string name;
         std::string kind;  // "register" | "counter" | "meter"
@@ -91,15 +100,27 @@ public:
     // state a freshly loaded program starts from.
     void reset_state();
 
+    // Cells touched since the last reset, summed over every extern.
+    std::uint64_t touched_cells() const;
+
 private:
     struct ExternState {
         p4::ir::ExternDecl::Kind kind = p4::ir::ExternDecl::Kind::reg;
         std::string name;
         int elem_width = 0;
+        std::uint64_t size = 0;              // declared cells
         std::vector<Bitvec> cells;           // registers
         std::vector<std::uint64_t> packets;  // counters
         std::vector<std::uint64_t> bytes;
         std::vector<MeterCell> meters;       // meters
+        // Bit i is set once cell i is touched; cleared by reset_state().
+        std::vector<std::uint64_t> touched;
+        // FNV prime raised to the zero-byte count an untouched cell folds.
+        std::uint64_t untouched_pow = 1;
+
+        void mark(std::uint64_t index) {
+            touched[index / 64] |= 1ull << (index % 64);
+        }
     };
 
     std::vector<ExternState> externs_;  // dense, indexed by extern id

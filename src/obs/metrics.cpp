@@ -45,6 +45,7 @@ const char* counter_name(Counter c) {
         case Counter::worker_spawns: return "worker_spawns";
         case Counter::worker_restarts: return "worker_restarts";
         case Counter::trace_events_dropped: return "trace_events_dropped";
+        case Counter::register_overwrites: return "register_overwrites";
         case Counter::count_: break;
     }
     return "?";
@@ -70,6 +71,7 @@ const char* hist_name(Hist h) {
         case Hist::lookup_ns_ternary: return "lookup_ns_ternary";
         case Hist::wire_rtt_ns: return "wire_rtt_ns";
         case Hist::scenario_ns: return "scenario_ns";
+        case Hist::stateful_touched_cells: return "stateful_touched_cells";
         case Hist::count_: break;
     }
     return "?";

@@ -57,6 +57,7 @@ enum class Counter : std::uint32_t {
     worker_spawns,
     worker_restarts,
     trace_events_dropped,
+    register_overwrites,  // datapath writes replacing a different non-zero cell
     count_,
 };
 inline constexpr std::size_t kNumCounters =
@@ -83,6 +84,7 @@ enum class Hist : std::uint32_t {
     lookup_ns_ternary,
     wire_rtt_ns,
     scenario_ns,
+    stateful_touched_cells,  // per snapshot: extern cells touched since reset
     count_,
 };
 inline constexpr std::size_t kNumHists = static_cast<std::size_t>(Hist::count_);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "util/strings.h"
 
 namespace ndb::target {
@@ -392,6 +393,10 @@ control::StatusSnapshot Device::snapshot() {
         }
     }
     if (stateful_) {
+        if (obs::metrics_on()) {
+            obs::record(obs::Hist::stateful_touched_cells,
+                        stateful_->touched_cells());
+        }
         for (auto& inf : stateful_->info()) {
             control::ExternStatus status;
             status.name = std::move(inf.name);

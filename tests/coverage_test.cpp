@@ -15,12 +15,14 @@
 
 #include "core/campaign.h"
 #include "core/generator.h"
+#include "core/scenario_exec.h"
 #include "core/soak.h"
 #include "core/specgen.h"
 #include "coverage/coverage.h"
 #include "coverage/scheduler.h"
 #include "quirk_fixture.h"
 #include "target/device.h"
+#include "util/random.h"
 
 namespace {
 
@@ -68,13 +70,54 @@ TEST(CoverageMap, SlotAccountingAndMerge) {
     coverage::CoverageMap fresh;
     fresh.record(coverage::Site::table, 3, 1);   // already known to `a`
     fresh.record(coverage::Site::branch, 0, 0);  // new
-    EXPECT_EQ(a.merge_new_from(fresh), 1u);
+    EXPECT_EQ(a.merge_new_from(fresh.hits()), 1u);
     EXPECT_EQ(a.edges_covered(), 3u);
-    EXPECT_EQ(a.merge_new_from(fresh), 0u);  // second merge: nothing new
+    EXPECT_EQ(a.merge_new_from(fresh.hits()), 0u);  // second merge: nothing new
 
     a.clear();
     EXPECT_EQ(a.edges_covered(), 0u);
     EXPECT_EQ(a, coverage::CoverageMap{});
+
+    // The lit-slot list: every lit slot once, in slot order, with its count.
+    util::Rng rng(0x5107);
+    coverage::CoverageMap run;
+    for (int i = 0; i < 300; ++i) {
+        run.hit(static_cast<std::uint32_t>(rng.next_below(coverage::CoverageMap::kSlots)));
+    }
+    const std::vector<coverage::SlotHits> lit = run.hits();
+    ASSERT_EQ(lit.size(), run.edges_covered());
+    for (std::size_t i = 0; i < lit.size(); ++i) {
+        if (i > 0) {
+            EXPECT_LT(lit[i - 1].slot, lit[i].slot);
+        }
+        EXPECT_GT(lit[i].count, 0u);
+        EXPECT_EQ(lit[i].count, run.count(lit[i].slot));
+    }
+
+    // Merging the list equals the dense slot-by-slot merge, counts and
+    // new-slot delta alike, into a map that already holds some of them.
+    coverage::CoverageMap sparse;
+    for (int i = 0; i < 200; ++i) {
+        sparse.hit(static_cast<std::uint32_t>(rng.next_below(coverage::CoverageMap::kSlots)));
+    }
+    std::vector<std::uint32_t> dense(coverage::CoverageMap::kSlots);
+    for (std::size_t s = 0; s < dense.size(); ++s) dense[s] = sparse.count(s);
+    std::size_t dense_new = 0;
+    for (std::size_t s = 0; s < dense.size(); ++s) {
+        if (run.count(s) == 0) continue;
+        if (dense[s] == 0) ++dense_new;
+        dense[s] += run.count(s);
+    }
+    EXPECT_EQ(sparse.merge_new_from(lit), dense_new);
+    EXPECT_GT(dense_new, 0u);
+    for (std::size_t s = 0; s < dense.size(); ++s) {
+        EXPECT_EQ(sparse.count(s), dense[s]) << "slot " << s;
+    }
+
+    // take_hits() hands over the same list and leaves an empty map.
+    EXPECT_EQ(run.take_hits(), lit);
+    EXPECT_EQ(run, coverage::CoverageMap{});
+    EXPECT_TRUE(run.hits().empty());
 }
 
 TEST(CoverageMap, SameSeedProducesTheSameMap) {
@@ -216,6 +259,40 @@ TEST(GuidedCampaign, ReportByteIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(last, r1.coverage_edges);
     EXPECT_EQ(r1.coverage_series.back().scenarios, r1.scenarios);
+}
+
+TEST(GuidedCampaign, WorkerCoverageDoesNotLeakAcrossScenarios) {
+    // Every detection run records into the worker's one map; what scenario
+    // A lit must not show up in scenario B's lists on the same worker.
+    const core::SpecGenerator gen({"nat_gateway", "l2_switch"});
+    const core::Scenario a = gen.make_for(0, 21);
+    const core::Scenario b = gen.make_for(1, 22);
+    dataplane::Quirks stale;
+    stale.stale_entry = true;
+    const std::vector<core::BackendSpec> duts = {
+        {"sdnet", std::nullopt, "sdnet"}, {"sdnet", stale, "sdnet_stale"}};
+    core::ExecOptions options;
+    options.coverage = true;
+
+    core::WorkerContext shared("reference", duts);
+    core::ScenarioOutcome first;
+    core::ScenarioOutcome second;
+    core::execute_scenario(shared, a, duts, options, first, "");
+    core::execute_scenario(shared, b, duts, options, second, "");
+    EXPECT_FALSE(first.coverage.empty());
+    EXPECT_EQ(shared.coverage, coverage::CoverageMap{});
+
+    core::WorkerContext fresh("reference", duts);
+    core::ScenarioOutcome alone;
+    core::execute_scenario(fresh, b, duts, options, alone, "");
+    EXPECT_FALSE(alone.coverage.empty());
+    EXPECT_EQ(second.coverage, alone.coverage);
+    ASSERT_EQ(second.dut_coverage.size(), duts.size());
+    ASSERT_EQ(alone.dut_coverage.size(), duts.size());
+    for (std::size_t d = 0; d < duts.size(); ++d) {
+        EXPECT_FALSE(alone.dut_coverage[d].empty()) << duts[d].label;
+        EXPECT_EQ(second.dut_coverage[d], alone.dut_coverage[d]) << duts[d].label;
+    }
 }
 
 // The seven-flag acceptance sweep (tests/quirk_fixture.h): one

@@ -1,8 +1,8 @@
 // Management-plane round trips: RuntimeClient -> WireChannel -> wire frames
 // -> ControlServer -> dispatch -> device.  Proves the paper's "dedicated
-// interface" works end-to-end as messages, not as direct calls; plus the
-// device's own data-path accounting, tap ring, egress timing and backend
-// registry.
+// interface" works end-to-end as messages, not as direct calls, including
+// batches above the wire caps; plus the device's own data-path accounting,
+// tap ring, egress timing and backend registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +10,12 @@
 #include <vector>
 
 #include "control/transport.h"
+#include "control/wire.h"
 #include "core/tools.h"
 #include "p4/compiler.h"
 #include "p4/programs.h"
 #include "target/device.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -82,6 +84,58 @@ TEST(DeviceRuntime, BadRequestsFailOverTheChannel) {
 
     util::Bitvec reg_out;
     EXPECT_FALSE(rig.client.read_register("no_such_register", 0, reg_out));
+}
+
+TEST(DeviceRuntime, OverCapBatchesSplitAndOversizeRequestsFailFast) {
+    Rig rig;
+    rig.load(p4::programs::wide_match(), "wide_match");
+
+    // More ops than one request may carry (wire::kMaxSequenceItems): the
+    // client sends them as consecutive requests, in order.
+    std::vector<control::ConfigOp> inserts(10'000);
+    for (std::size_t i = 0; i < inserts.size(); ++i) {
+        control::ConfigOp& op = inserts[i];
+        op.target = "flow_wide";
+        op.entry.key_values = {util::Bitvec(48, 2), util::Bitvec(48, 1),
+                               util::Bitvec(32, 0x0a000001),
+                               util::Bitvec(32, 0x0b000000 + i),
+                               util::Bitvec(8, 17)};
+        op.entry.action = "set_port";
+        op.entry.action_args = {util::Bitvec(9, 1)};
+    }
+    const std::uint64_t requests = rig.channel.stats().requests;
+    const std::vector<control::Status> statuses = rig.client.apply(inserts);
+    EXPECT_EQ(rig.channel.stats().requests - requests, 3u);
+    ASSERT_EQ(statuses.size(), inserts.size());
+    for (std::size_t i = 0; i < statuses.size(); ++i) {
+        ASSERT_TRUE(statuses[i]) << "op " << i << ": " << statuses[i].message;
+    }
+    const control::StatusSnapshot snap = rig.client.snapshot();
+    const auto wide = std::find_if(snap.tables.begin(), snap.tables.end(),
+                                   [](const control::TableStatus& t) {
+                                       return t.name == "flow_wide";
+                                   });
+    ASSERT_NE(wide, snap.tables.end());
+    EXPECT_EQ(wide->entries, 10'000u);
+
+    // A request above the frame payload cap would be dropped by the peer,
+    // so it is never sent: every op fails at once, naming the cap.
+    std::vector<control::ConfigOp> oversized(9);
+    for (control::ConfigOp& op : oversized) {
+        op.kind = control::ConfigOp::Kind::write_register;
+        op.target = "no_such_register";
+        op.value = util::Bitvec(1 << 20);  // 128 KiB on the wire
+    }
+    const std::uint64_t frames = rig.channel.stats().frames_sent;
+    const std::vector<control::Status> failed = rig.client.apply(oversized);
+    ASSERT_EQ(failed.size(), oversized.size());
+    const std::string cap = std::to_string(control::wire::kMaxPayloadBytes);
+    for (const control::Status& st : failed) {
+        EXPECT_FALSE(st);
+        EXPECT_TRUE(util::starts_with(st.message, "wire:")) << st.message;
+        EXPECT_NE(st.message.find(cap), std::string::npos) << st.message;
+    }
+    EXPECT_EQ(rig.channel.stats().frames_sent, frames);
 }
 
 TEST(DeviceRuntime, RegisterCounterAndSnapshotRoundTrip) {

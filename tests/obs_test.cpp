@@ -159,6 +159,39 @@ TEST(Metrics, CampaignReportByteIdenticalWithTelemetryOnOrOff) {
     }
 }
 
+TEST(Metrics, StatefulOccupancyAndOverwritesRecordOnlyWithMetricsOn) {
+    TelemetryGuard guard;
+    core::CampaignConfig cfg;
+    cfg.base_seed = 1;
+    cfg.scenarios = 32;
+    cfg.programs = {"nat_gateway"};
+    const auto touched = [](const obs::MetricsSnapshot& snap) {
+        return snap.hists[static_cast<std::size_t>(
+            obs::Hist::stateful_touched_cells)];
+    };
+    const auto overwrites = [](const obs::MetricsSnapshot& snap) {
+        return snap.counters[static_cast<std::size_t>(
+            obs::Counter::register_overwrites)];
+    };
+
+    obs::Telemetry::set_enabled(false, false);
+    obs::Telemetry::reset();
+    core::CampaignEngine(cfg).run();
+    const obs::MetricsSnapshot off = obs::Telemetry::merged_metrics();
+    EXPECT_EQ(touched(off).count(), 0u);
+    EXPECT_EQ(overwrites(off), 0u);
+
+    obs::Telemetry::set_enabled(true, false);
+    obs::Telemetry::reset();
+    core::CampaignEngine(cfg).run();
+    const obs::MetricsSnapshot on = obs::Telemetry::merged_metrics();
+    // Every snapshot records its touched-cell total, and NAT bindings
+    // refresh their last-seen stamps in place.
+    EXPECT_GT(touched(on).count(), 0u);
+    EXPECT_GT(touched(on).percentile(100), 0u);
+    EXPECT_GE(overwrites(on), 1u);
+}
+
 // Minimal JSON shape check: balanced braces/brackets outside string
 // literals, with escape handling.
 void expect_balanced_json(const std::string& doc) {
