@@ -234,7 +234,9 @@ void Interpreter::exec(const Stmt& s, PacketState& state, Frame& frame) {
                 keys_scratch_.push_back(eval_expr(prog_, *k.expr, state, frame, quirks_));
             }
             bool hit = false;
-            const ActionEntry& entry = tables_.lookup(s.table, keys_scratch_, hit);
+            // A view into the table; run_action copies the arguments into its
+            // frame before the action body runs.
+            const ActionRef entry = tables_.lookup(s.table, keys_scratch_, hit);
             if (coverage_) {
                 coverage_->record(coverage::Site::table,
                                   cov_salt_ ^ static_cast<std::uint64_t>(s.table),

@@ -82,18 +82,21 @@ public:
         return true;
     }
 
-    std::size_t hash() const {
+    std::size_t hash() const { return hash_words(words()); }
+
+    // The hash of a key image; the exact engine's index rehashes stored
+    // images with it.
+    static std::size_t hash_words(std::span<const std::uint64_t> words) {
         std::uint64_t h = 0xcbf29ce484222325ull;
-        const std::uint64_t* w = data();
-        for (int i = 0; i < nwords_; ++i) {
-            h ^= w[i];
+        for (const std::uint64_t w : words) {
+            h ^= w;
             h *= 0x100000001b3ull;
             h ^= h >> 29;
         }
         // Full-avalanche finalizer (murmur3 fmix64).  A multiply only
         // carries bits upward, so without it keys that differ only above
         // their low ~16 bits (a /16 network, a field with constant low
-        // bits) share the low hash bits FlatKeyMap indexes slots by, and
+        // bits) share the low hash bits the exact index picks slots by, and
         // linear probing degenerates into one long cluster.
         h ^= h >> 33;
         h *= 0xff51afd7ed558ccdull;
@@ -121,121 +124,131 @@ private:
     int nwords_ = 1;
 };
 
-struct PackedKeyHash {
-    std::size_t operator()(const PackedKey& k) const { return k.hash(); }
-};
-
-// Open-addressing hash map from PackedKey to ActionEntry: power-of-two
-// capacity, linear probing, insert-only (it empties only through clear()).
-// A lookup is one hash, a couple of contiguous slot probes and zero pointer
-// chasing -- the node allocations and bucket indirection of
-// std::unordered_map are what kept the previous exact engine an order of
-// magnitude below line rate.
-//
-// Two slot-diet refinements close the one-word-key gap against the inline
-// Bitvec naive engine (ROADMAP item):
-//   * the key hash is cached in each slot, so probe-chain walks compare one
-//     word before ever touching the key image, and grow() rehashes without
-//     recomputing a single hash;
-//   * ActionEntry values live in a side pool addressed by a 32-bit index
-//     ("indirect ActionEntry"), keeping the probed slot array dense --
-//     a slot is a full flag + hash + index + key image, no vector payloads.
-class FlatKeyMap {
-public:
-    const ActionEntry* find(const PackedKey& k) const {
-        if (slots_.empty()) return nullptr;
-        const std::size_t h = k.hash();
-        std::size_t i = h & mask_;
-        for (;;) {
-            const Slot& s = slots_[i];
-            if (!s.full) return nullptr;
-            if (s.hash == h && s.key == k) return &values_[s.value];
-            i = (i + 1) & mask_;
-        }
-    }
-
-    bool contains(const PackedKey& k) const { return find(k) != nullptr; }
-
-    // Precondition: !contains(k).
-    void insert(PackedKey k, ActionEntry v) {
-        if ((values_.size() + 1) * 10 >= slots_.size() * 7) grow();
-        const std::size_t h = k.hash();
-        const auto index = static_cast<std::uint32_t>(values_.size());
-        values_.push_back(std::move(v));
-        place(std::move(k), h, index);
-    }
-
-    std::size_t size() const { return values_.size(); }
-
-    void clear() {
-        slots_.clear();
-        values_.clear();
-        mask_ = 0;
-    }
-
-private:
-    struct Slot {
-        bool full = false;
-        std::uint32_t value = 0;  // index into values_
-        std::size_t hash = 0;     // cached key hash
-        PackedKey key;
-    };
-
-    void place(PackedKey k, std::size_t h, std::uint32_t index) {
-        std::size_t i = h & mask_;
-        while (slots_[i].full) i = (i + 1) & mask_;
-        Slot& s = slots_[i];
-        s.full = true;
-        s.hash = h;
-        s.value = index;
-        s.key = std::move(k);
-    }
-
-    void grow() {
-        const std::size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(cap, Slot{});
-        mask_ = cap - 1;
-        // Re-place using the cached hashes; the value pool is untouched.
-        for (auto& s : old) {
-            if (s.full) place(std::move(s.key), s.hash, s.value);
-        }
-    }
-
-    std::vector<Slot> slots_;
-    std::vector<ActionEntry> values_;  // indirect payloads, one per entry
-    std::size_t mask_ = 0;
-};
-
 // --- indexed exact ------------------------------------------------------------
 
+// Entries live once each, in insertion order, in flat arrays: the packed key
+// words (words_ per entry), the action values and one shared argument array.
+// An open-addressing index of 8-byte slots -- power-of-two size, linear
+// probing, load factor <= 0.7 -- maps a key to its entry: a slot holds the
+// high half of the key hash as a tag and the entry number + 1 (0 = empty),
+// and its position comes from the hash's low bits.  At 65,536 entries the
+// index is 1 MiB, and the tag rejects almost every non-matching slot before
+// the key words are read.
+//
+// clear() zeroes the index and truncates the arrays but keeps all their
+// capacity, so refilling a table after a same-image reload neither regrows
+// the index nor allocates.
 class IndexedExactEngine final : public MatchEngine {
 public:
     IndexedExactEngine(int total_width, std::size_t capacity)
-        : total_width_(total_width), capacity_(capacity) {}
+        : total_width_(total_width),
+          words_(static_cast<std::size_t>(PackedKey::words_for(total_width))),
+          capacity_(capacity),
+          index_(kMinSlots),
+          mask_(kMinSlots - 1) {}
 
     InsertStatus insert(const TableEntry& entry) override {
         PackedKey key;
         key.pack(entry.key_values, total_width_);
-        if (map_.contains(key)) return InsertStatus::duplicate;
-        if (map_.size() >= capacity_) return InsertStatus::table_full;
-        map_.insert(std::move(key), ActionEntry{entry.action_id, entry.action_args});
+        const auto kw = key.words();
+        const std::size_t h = key.hash();
+        std::size_t pos = 0;
+        if (probe(kw, h, pos)) return InsertStatus::duplicate;
+        if (values_.size() >= capacity_) return InsertStatus::table_full;
+        if ((values_.size() + 1) * 10 >= index_.size() * 7) {
+            grow();
+            probe(kw, h, pos);  // still absent: finds its slot in the new index
+        }
+        keys_.insert(keys_.end(), kw.begin(), kw.end());
+        values_.push_back({entry.action_id, static_cast<std::uint32_t>(args_.size()),
+                           static_cast<std::uint32_t>(entry.action_args.size())});
+        args_.insert(args_.end(), entry.action_args.begin(), entry.action_args.end());
+        index_[pos] = {tag_of(h), static_cast<std::uint32_t>(values_.size())};
         return InsertStatus::ok;
     }
 
-    const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
+    std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const override {
+        if (values_.empty()) return std::nullopt;
         PackedKey key;
         key.pack(keys, total_width_);
-        return map_.find(key);
+        std::size_t pos = 0;
+        if (!probe(key.words(), key.hash(), pos)) return std::nullopt;
+        const Value& v = values_[index_[pos].entry - 1];
+        return ActionRef{v.action_id, {args_.data() + v.first_arg, v.arg_count}};
     }
 
-    std::size_t entry_count() const override { return map_.size(); }
-    void clear() override { map_.clear(); }
+    std::size_t entry_count() const override { return values_.size(); }
+
+    void clear() override {
+        if (values_.empty()) return;
+        std::fill(index_.begin(), index_.end(), Slot{});
+        keys_.clear();
+        values_.clear();
+        args_.clear();
+    }
 
 private:
+    static constexpr std::size_t kMinSlots = 16;
+
+    struct Slot {
+        std::uint32_t tag = 0;
+        std::uint32_t entry = 0;  // entry number + 1; 0 = empty
+    };
+
+    struct Value {
+        int action_id = 0;
+        std::uint32_t first_arg = 0;  // index into args_
+        std::uint32_t arg_count = 0;
+    };
+
+    static std::uint32_t tag_of(std::size_t h) {
+        return static_cast<std::uint32_t>(h >> 32);
+    }
+
+    std::span<const std::uint64_t> key_of(std::size_t entry) const {
+        return {keys_.data() + entry * words_, words_};
+    }
+
+    // Walks the probe chain of `key` (hash `h`).  Returns true with `pos`
+    // at its slot when the key is present; otherwise false with `pos` at
+    // the empty slot that ends the chain.
+    bool probe(std::span<const std::uint64_t> key, std::size_t h,
+               std::size_t& pos) const {
+        const std::uint32_t tag = tag_of(h);
+        std::size_t i = h & mask_;
+        for (;;) {
+            const Slot s = index_[i];
+            if (s.entry == 0) break;
+            if (s.tag == tag && std::ranges::equal(key_of(s.entry - 1), key)) {
+                pos = i;
+                return true;
+            }
+            i = (i + 1) & mask_;
+        }
+        pos = i;
+        return false;
+    }
+
+    // Doubles the index and re-places every entry from its stored key words.
+    void grow() {
+        index_.assign(index_.size() * 2, Slot{});
+        mask_ = index_.size() - 1;
+        for (std::size_t e = 0; e < values_.size(); ++e) {
+            const std::size_t h = PackedKey::hash_words(key_of(e));
+            std::size_t i = h & mask_;
+            while (index_[i].entry != 0) i = (i + 1) & mask_;
+            index_[i] = {tag_of(h), static_cast<std::uint32_t>(e + 1)};
+        }
+    }
+
     int total_width_;
+    std::size_t words_;  // key words per entry
     std::size_t capacity_;
-    FlatKeyMap map_;
+    std::vector<Slot> index_;
+    std::size_t mask_;
+    std::vector<std::uint64_t> keys_;
+    std::vector<Value> values_;
+    std::vector<Bitvec> args_;
 };
 
 // --- lpm ----------------------------------------------------------------------
@@ -280,8 +293,8 @@ public:
         return InsertStatus::ok;
     }
 
-    const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
-        if (keys.size() != 1) return nullptr;
+    std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const override {
+        if (keys.size() != 1) return std::nullopt;
         const Bitvec key = keys[0].resize(key_width_);
         const ActionEntry* best = nullptr;
         std::size_t node = 0;
@@ -293,7 +306,8 @@ public:
             node = child;
             if (nodes_[node].entry) best = &*nodes_[node].entry;
         }
-        return best;
+        if (!best) return std::nullopt;
+        return best->ref();
     }
 
     std::size_t entry_count() const override { return count_; }
@@ -344,7 +358,7 @@ public:
         return InsertStatus::ok;
     }
 
-    const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
+    std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const override {
         PackedKey key;
         key.pack(keys, total_width_);
         const auto kw = key.words();
@@ -358,9 +372,9 @@ public:
                     break;
                 }
             }
-            if (match) return &row.action;  // best-first order: done
+            if (match) return row.action.ref();  // best-first order: done
         }
-        return nullptr;
+        return std::nullopt;
     }
 
     std::size_t entry_count() const override { return rows_.size(); }
@@ -418,10 +432,11 @@ public:
         return InsertStatus::ok;
     }
 
-    const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
+    std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const override {
         const Bitvec key = concat_keys(keys).resize(total_width_);
         const auto it = map_.find(key);
-        return it == map_.end() ? nullptr : &it->second;
+        if (it == map_.end()) return std::nullopt;
+        return it->second.ref();
     }
 
     std::size_t entry_count() const override { return map_.size(); }
@@ -461,7 +476,7 @@ public:
         return InsertStatus::ok;
     }
 
-    const ActionEntry* lookup(std::span<const Bitvec> keys) const override {
+    std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const override {
         const Bitvec key = concat_keys(keys).resize(total_width_);
         const Row* best = nullptr;
         for (const auto& row : entries_) {
@@ -473,7 +488,8 @@ public:
                 best = &row;
             }
         }
-        return best ? &best->action : nullptr;
+        if (!best) return std::nullopt;
+        return best->action.ref();
     }
 
     std::size_t entry_count() const override { return entries_.size(); }
@@ -557,24 +573,22 @@ void TableSet::set_default_action(int table_id, ActionEntry entry) {
     slots_.at(static_cast<std::size_t>(table_id)).default_action = std::move(entry);
 }
 
-const ActionEntry& TableSet::lookup(int table_id, std::span<const Bitvec> keys,
-                                    bool& hit) {
+ActionRef TableSet::lookup(int table_id, std::span<const Bitvec> keys, bool& hit) {
     Slot& slot = slots_.at(static_cast<std::size_t>(table_id));
     if (obs::metrics_on()) [[unlikely]] {
         return lookup_timed(slot, keys, hit);
     }
-    if (const ActionEntry* found = slot.engine->lookup(keys)) {
+    if (const std::optional<ActionRef> found = slot.engine->lookup(keys)) {
         hit = true;
         ++slot.stats.hits;
         return *found;
     }
     hit = false;
     ++slot.stats.misses;
-    return slot.default_action;
+    return slot.default_action.ref();
 }
 
-const ActionEntry& TableSet::lookup_timed(Slot& slot, std::span<const Bitvec> keys,
-                                          bool& hit) {
+ActionRef TableSet::lookup_timed(Slot& slot, std::span<const Bitvec> keys, bool& hit) {
     obs::Counter counter = obs::Counter::lookups_exact;
     obs::Hist hist = obs::Hist::lookup_ns_exact;
     switch (slot.kind) {
@@ -592,7 +606,7 @@ const ActionEntry& TableSet::lookup_timed(Slot& slot, std::span<const Bitvec> ke
     obs::count(counter);
     const bool timed = obs::sample_lookup();
     const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-    const ActionEntry* found = slot.engine->lookup(keys);
+    const std::optional<ActionRef> found = slot.engine->lookup(keys);
     if (timed) obs::record(hist, obs::now_ns() - t0);
     if (found) {
         hit = true;
@@ -601,7 +615,7 @@ const ActionEntry& TableSet::lookup_timed(Slot& slot, std::span<const Bitvec> ke
     }
     hit = false;
     ++slot.stats.misses;
-    return slot.default_action;
+    return slot.default_action.ref();
 }
 
 const TableSet::Stats& TableSet::stats(int table_id) const {

@@ -5,8 +5,11 @@
 //
 // One production engine per match kind implements the MatchEngine contract:
 //
-//   * exact hashes the concatenated key image into an open-addressing
-//     FlatKeyMap;
+//   * exact stores each entry once, in insertion order, in flat arrays (key
+//     words, action values, one shared argument array) and finds it through
+//     an open-addressing index of 8-byte slots; clear() keeps every array's
+//     capacity, so refilling a table after a reload neither regrows nor
+//     allocates;
 //   * LPM walks a binary trie over the key bits, most significant first;
 //   * ternary keeps its rows priority-sorted so the first match wins and
 //     the scan exits early.
@@ -21,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -43,10 +47,21 @@ struct TableEntry {
     std::vector<Bitvec> action_args;
 };
 
-// Result of a lookup: the action to run.
+// Result of a lookup: the action to run and a view of its arguments in the
+// table's own storage.  Valid until the table is next mutated (insert,
+// clear, reset or a default-action change).
+struct ActionRef {
+    int action_id = 0;
+    std::span<const Bitvec> args;
+};
+
+// An action with its own arguments: a default action, and the per-entry
+// storage of the LPM, ternary and naive engines.
 struct ActionEntry {
     int action_id = 0;
     std::vector<Bitvec> args;
+
+    ActionRef ref() const { return {action_id, args}; }
 };
 
 // Outcome of inserting an entry.
@@ -59,9 +74,9 @@ class MatchEngine {
 public:
     virtual ~MatchEngine() = default;
     virtual InsertStatus insert(const TableEntry& entry) = 0;
-    // Returns the matched action, or nullptr on miss.  The pointer stays
-    // valid until the engine is next mutated.
-    virtual const ActionEntry* lookup(std::span<const Bitvec> keys) const = 0;
+    // Returns the matched action, or nullopt on miss.  The view stays valid
+    // until the engine is next mutated.
+    virtual std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const = 0;
     virtual std::size_t entry_count() const = 0;
     virtual void clear() = 0;
 };
@@ -96,9 +111,9 @@ public:
     void set_default_action(int table_id, ActionEntry entry);
 
     // Lookup; falls back to the table's default action on miss.
-    // `hit` reports whether an entry matched.  The reference stays valid
-    // until the table is next mutated.
-    const ActionEntry& lookup(int table_id, std::span<const Bitvec> keys, bool& hit);
+    // `hit` reports whether an entry matched.  The view stays valid until
+    // the table is next mutated.
+    ActionRef lookup(int table_id, std::span<const Bitvec> keys, bool& hit);
 
     const Stats& stats(int table_id) const;
     std::size_t entry_count(int table_id) const;
@@ -124,8 +139,7 @@ private:
     // lookup() with telemetry: per-kind lookup counters (exact) plus a
     // 1/64-sampled latency histogram.  Separate so the instrumented path
     // costs the fast path nothing but the one enabled check.
-    static const ActionEntry& lookup_timed(Slot& slot, std::span<const Bitvec> keys,
-                                           bool& hit);
+    static ActionRef lookup_timed(Slot& slot, std::span<const Bitvec> keys, bool& hit);
 
     std::vector<Slot> slots_;
     std::vector<ActionEntry> declared_defaults_;  // parallel to slots_

@@ -244,9 +244,10 @@ Status Device::translate_entry(const p4::ir::Table& table,
             "table '%s': %zu mask(s) for %zu key(s)", table.name.c_str(),
             entry.key_masks.size(), table.keys.size()));
     }
-    out = {};
+    out.key_values.resize(table.keys.size());
+    out.key_masks.clear();
     for (std::size_t i = 0; i < table.keys.size(); ++i) {
-        out.key_values.push_back(entry.key_values[i].resize(table.keys[i].width));
+        out.key_values[i] = entry.key_values[i].resize(table.keys[i].width);
         if (!entry.key_masks.empty()) {
             out.key_masks.push_back(entry.key_masks[i].resize(table.keys[i].width));
         }
@@ -256,21 +257,14 @@ Status Device::translate_entry(const p4::ir::Table& table,
         out.prefix_len = table.keys[0].width;  // exact-as-lpm convenience
     }
     out.priority = entry.priority;
-
-    dataplane::ActionEntry resolved;
-    if (Status s = resolve_action(table, entry.action, entry.action_args, resolved);
-        !s) {
-        return s;
-    }
-    out.action_id = resolved.action_id;
-    out.action_args = std::move(resolved.args);
-    return Status::success();
+    return resolve_action(table, entry.action, entry.action_args, out.action_id,
+                          out.action_args);
 }
 
 Status Device::resolve_action(const p4::ir::Table& table,
                               const std::string& action,
-                              const std::vector<Bitvec>& args,
-                              dataplane::ActionEntry& out) const {
+                              const std::vector<Bitvec>& args, int& action_id,
+                              std::vector<Bitvec>& out_args) const {
     const p4::ir::Action* a = prog_->action_by_name(action);
     if (!a) return Status::failure("unknown action '" + action + "'");
     if (std::find(table.actions.begin(), table.actions.end(), a->id) ==
@@ -283,10 +277,10 @@ Status Device::resolve_action(const p4::ir::Table& table,
                                             action.c_str(), a->param_widths.size(),
                                             args.size()));
     }
-    out.action_id = a->id;
-    out.args.clear();
+    action_id = a->id;
+    out_args.clear();
     for (std::size_t i = 0; i < args.size(); ++i) {
-        out.args.push_back(args[i].resize(a->param_widths[i]));
+        out_args.push_back(args[i].resize(a->param_widths[i]));
     }
     return Status::success();
 }
@@ -297,9 +291,8 @@ Status Device::add_entry(const control::ConfigOp& op) {
     if (op.entry.action.empty()) {
         return Status::failure("add_entry requires an action");
     }
-    dataplane::TableEntry translated;
-    if (Status s = translate_entry(*t, op.entry, translated); !s) return s;
-    const dataplane::InsertStatus result = tables_->insert(t->id, translated);
+    if (Status s = translate_entry(*t, op.entry, entry_scratch_); !s) return s;
+    const dataplane::InsertStatus result = tables_->insert(t->id, entry_scratch_);
     if (result != dataplane::InsertStatus::ok) {
         return Status::failure(util::format("insert into '%s' failed: %s",
                                             t->name.c_str(),
@@ -312,7 +305,9 @@ Status Device::set_default_action(const control::ConfigOp& op) {
     const p4::ir::Table* t = nullptr;
     if (Status s = find_table(op.target, t); !s) return s;
     dataplane::ActionEntry entry;
-    if (Status s = resolve_action(*t, op.action, op.action_args, entry); !s) {
+    if (Status s = resolve_action(*t, op.action, op.action_args, entry.action_id,
+                                  entry.args);
+        !s) {
         return s;
     }
     tables_->set_default_action(t->id, std::move(entry));

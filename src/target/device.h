@@ -197,15 +197,20 @@ private:
     control::Status find_cell(const std::string& name,
                               p4::ir::ExternDecl::Kind kind, std::uint64_t index,
                               const p4::ir::ExternDecl*& out) const;
-    // Maps a control-plane EntrySpec onto the table's engine entry.
+    // Maps a control-plane EntrySpec onto the table's engine entry.  On
+    // success every field of `out` has been written, so nothing carries
+    // over from the entry it held before, and its vectors keep their
+    // capacity, so add_entry on a warm device translates without allocating.
     control::Status translate_entry(const p4::ir::Table& table,
                                     const control::EntrySpec& entry,
                                     dataplane::TableEntry& out) const;
-    // Resolves an action name + args against a table's permitted actions.
+    // Resolves an action name + args against a table's permitted actions,
+    // writing the action id and the args resized to its parameter widths.
     control::Status resolve_action(const p4::ir::Table& table,
                                    const std::string& action,
                                    const std::vector<util::Bitvec>& args,
-                                   dataplane::ActionEntry& out) const;
+                                   int& action_id,
+                                   std::vector<util::Bitvec>& out_args) const;
     // Clears queues, port counters and taps (shared by load and soft reset).
     void clear_dynamic_state();
 
@@ -235,6 +240,9 @@ private:
     std::uint64_t cov_salt_ = 0;
 
     std::uint64_t clock_ns_ = 0;
+
+    // add_entry's translation target, reused by every op.
+    dataplane::TableEntry entry_scratch_;
 };
 
 // The paper's bug catalogue for the SDNet-like backend, headed by the

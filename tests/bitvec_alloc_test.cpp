@@ -1,18 +1,21 @@
 // Bitvec representation tests: the inline small-value storage contract
 // (widths <= 64 never allocate) and word-level operation correctness
 // against a bit-at-a-time reference.  Plus the packet path's allocation
-// budget: once warm, a device allocates only each forwarded packet's
-// output bytes.
+// budget -- once warm, a device allocates only each forwarded packet's
+// output bytes -- and the control path's: re-applying exact entries after a
+// same-image reload allocates nothing per entry.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "core/generator.h"
 #include "core/specgen.h"
+#include "core/tools.h"
 #include "target/device.h"
 #include "util/bitvec.h"
 #include "util/random.h"
@@ -176,6 +179,52 @@ TEST(PacketPathAlloc, WarmDeviceAllocatesOnlyForwardedOutputBytes) {
     }
     std::cout << "catalogue: " << static_cast<double>(total) / static_cast<double>(packets)
               << " allocations per packet\n";
+}
+
+TEST(ControlPathAlloc, WarmReapplyAllocatesNothingPerExactEntry) {
+    // wide_match's scenario plus N distinct flow_wide entries.  Once a device
+    // has applied the batch, a same-image reload keeps every exact table's
+    // capacity and add_entry translates into a reused entry, so applying the
+    // batch again costs a fixed number of allocations whatever N is: the
+    // status vector and the ternary backup rows' argument vectors.
+    const ndb::core::SpecGenerator gen({"wide_match"});
+    const ndb::core::Scenario sc = gen.make_for(0, 11);
+    const auto mac = [](const ndb::packet::Mac& m) {
+        return Bitvec::from_bytes(std::span<const std::uint8_t>(m.data(), m.size()), 48);
+    };
+    std::vector<std::uint64_t> counts;
+    for (const std::uint32_t n : {1024u, 4096u}) {
+        SCOPED_TRACE(n);
+        std::vector<ndb::control::ConfigOp> batch = sc.config;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            ndb::control::ConfigOp op;
+            op.target = "flow_wide";
+            op.entry.key_values = {mac(ndb::core::scenario::host_mac(2)),
+                                   mac(ndb::core::scenario::host_mac(1)),
+                                   Bitvec(32, ndb::core::scenario::host_ip(1)),
+                                   Bitvec(32, 0xc0a80000u + i),  // 192.168.0.0/16
+                                   Bitvec(8, ndb::packet::kIpProtoUdp)};
+            op.entry.action = "set_port";
+            op.entry.action_args = {Bitvec(9, 1 + i % 3)};
+            batch.push_back(std::move(op));
+        }
+        auto dev = ndb::target::make_device("reference");
+        ASSERT_NE(dev, nullptr);
+        ASSERT_TRUE(dev->load(sc.compiled));
+        for (const auto& st : dev->apply(batch)) ASSERT_TRUE(st) << st.message;
+        ASSERT_TRUE(dev->load(sc.compiled));  // same image: reset in place
+
+        const std::uint64_t before = allocations();
+        const std::vector<ndb::control::Status> statuses = dev->apply(batch);
+        const std::uint64_t used = allocations() - before;
+        ASSERT_EQ(statuses.size(), batch.size());
+        for (const auto& st : statuses) ASSERT_TRUE(st) << st.message;
+        std::cout << n << " flow_wide entries: " << used
+                  << " allocations to re-apply " << batch.size() << " ops\n";
+        EXPECT_LE(used, 8u);
+        counts.push_back(used);
+    }
+    EXPECT_EQ(counts[0], counts[1]) << "allocations grow with the entry count";
 }
 
 // Bit-at-a-time reference implementations of the word-level kernels.

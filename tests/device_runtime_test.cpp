@@ -86,6 +86,78 @@ TEST(DeviceRuntime, BadRequestsFailOverTheChannel) {
     EXPECT_FALSE(rig.client.read_register("no_such_register", 0, reg_out));
 }
 
+TEST(DeviceRuntime, BatchedEntriesDoNotInheritFieldsFromEarlierOps) {
+    // The device translates every add_entry into one reused entry; no mask,
+    // priority or argument may leak from one op of a batch into the next.
+    Rig rig;
+    rig.load(p4::programs::wide_match(), "wide_match");
+
+    const auto backup = [](std::uint32_t dst, int priority) {
+        control::ConfigOp op;
+        op.target = "backup";
+        op.entry.key_values = {util::Bitvec(32, dst)};
+        op.entry.priority = priority;
+        op.entry.action = "set_port";
+        return op;
+    };
+    std::vector<control::ConfigOp> ops;
+    ops.push_back(backup(0x0a000000, 1));  // 10.0.0.0/8
+    ops.back().entry.key_masks = {util::Bitvec(32, 0xff000000)};
+    ops.back().entry.action_args = {util::Bitvec(9, 2)};
+    ops.push_back({});  // flow_wide takes five keys, not four
+    ops.back().target = "flow_wide";
+    ops.back().entry.key_values = {util::Bitvec(48, 2), util::Bitvec(48, 1),
+                                   util::Bitvec(32, 0x0a000001),
+                                   util::Bitvec(32, 0x0a000005)};
+    ops.back().entry.action = "set_port";
+    ops.back().entry.action_args = {util::Bitvec(9, 1)};
+    ops.push_back(backup(0x0a000005, 2));  // exact 10.0.0.5
+    ops.back().entry.action_args = {util::Bitvec(9, 3)};
+    ops.push_back(backup(0x0a000009, 3));  // no argument for set_port
+
+    const std::uint64_t requests = rig.channel.stats().requests;
+    const std::vector<control::Status> statuses = rig.client.apply(ops);
+    EXPECT_EQ(rig.channel.stats().requests - requests, 1u);
+    ASSERT_EQ(statuses.size(), 4u);
+    EXPECT_TRUE(statuses[0]) << statuses[0].message;
+    EXPECT_FALSE(statuses[1]);
+    EXPECT_NE(statuses[1].message.find("key(s)"), std::string::npos)
+        << statuses[1].message;
+    EXPECT_TRUE(statuses[2]) << statuses[2].message;
+    EXPECT_FALSE(statuses[3]);
+    EXPECT_NE(statuses[3].message.find("arg(s)"), std::string::npos)
+        << statuses[3].message;
+
+    const auto egress_of = [&rig](int host) {
+        packet::Packet pkt = packet::PacketBuilder()
+                                 .ethernet(core::scenario::host_mac(2),
+                                           core::scenario::host_mac(1))
+                                 .ipv4_raw(core::scenario::host_ip(1),
+                                           core::scenario::host_ip(host),
+                                           packet::kIpProtoUdp, 64)
+                                 .udp(5000, 7000)
+                                 .payload_size(64)
+                                 .build();
+        pkt.meta.ingress_port = 0;
+        rig.device->inject(pkt);
+        int port = -1;
+        for (int p = 0; p < rig.device->config().num_ports; ++p) {
+            if (!rig.device->drain_port(static_cast<std::uint32_t>(p)).empty()) port = p;
+        }
+        return port;
+    };
+    EXPECT_EQ(egress_of(7), 2);  // only the /8 row matches
+    EXPECT_EQ(egress_of(5), 3);  // the exact row wins at priority 2
+
+    const control::StatusSnapshot snap = rig.client.snapshot();
+    const auto table = std::find_if(snap.tables.begin(), snap.tables.end(),
+                                    [](const control::TableStatus& t) {
+                                        return t.name == "backup";
+                                    });
+    ASSERT_NE(table, snap.tables.end());
+    EXPECT_EQ(table->entries, 2u);
+}
+
 TEST(DeviceRuntime, OverCapBatchesSplitAndOversizeRequestsFailFast) {
     Rig rig;
     rig.load(p4::programs::wide_match(), "wide_match");

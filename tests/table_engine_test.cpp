@@ -1,5 +1,5 @@
 // Differential property tests for the production table engines: for random
-// insert/lookup sequences, the exact/LPM/ternary engines must agree
+// insert/lookup/clear sequences, the exact/LPM/ternary engines must agree
 // operation-for-operation with a naive reference -- including the
 // ternary_priority_inverted quirk and capacity (table_size_clamp style)
 // limits.  Exact and ternary have naive twins; the LPM trie is checked
@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <unordered_set>
 #include <vector>
 
 #include "dataplane/tables.h"
@@ -15,7 +17,7 @@
 namespace {
 
 using namespace ndb;
-using dataplane::ActionEntry;
+using dataplane::ActionRef;
 using dataplane::InsertStatus;
 using dataplane::MatchEngine;
 using dataplane::TableEntry;
@@ -65,9 +67,9 @@ std::vector<Bitvec> random_keys(Rng& rng, const KeyShape& shape) {
 
 void expect_same_lookup(const MatchEngine& engine, const MatchEngine& naive,
                         std::span<const Bitvec> keys, const char* what) {
-    const ActionEntry* a = engine.lookup(keys);
-    const ActionEntry* b = naive.lookup(keys);
-    ASSERT_EQ(a != nullptr, b != nullptr) << what << ": hit/miss disagreement";
+    const std::optional<ActionRef> a = engine.lookup(keys);
+    const std::optional<ActionRef> b = naive.lookup(keys);
+    ASSERT_EQ(a.has_value(), b.has_value()) << what << ": hit/miss disagreement";
     if (a && b) {
         EXPECT_EQ(a->action_id, b->action_id) << what;
         EXPECT_EQ(a->args.size(), b->args.size()) << what;
@@ -168,17 +170,90 @@ TEST(TableEngineDifferential, TernaryMatchesNaiveUnderBothPriorityOrders) {
     }
 }
 
+// Offers `count` distinct random keys to both engines, each once; statuses
+// must agree, table_full included.  Returns the keys offered.
+std::vector<std::vector<Bitvec>> offer_distinct(MatchEngine& engine, MatchEngine& naive,
+                                                Rng& rng, const KeyShape& shape,
+                                                std::size_t count, const char* what) {
+    std::unordered_set<Bitvec, util::BitvecHash> seen;
+    std::vector<std::vector<Bitvec>> offered;
+    while (offered.size() < count) {
+        TableEntry e;
+        Bitvec image;
+        for (const int w : shape.widths) {
+            e.key_values.push_back(random_value(rng, w));
+            image = Bitvec::concat(image, e.key_values.back());
+        }
+        if (!seen.insert(image).second) continue;
+        e.action_id = static_cast<int>(rng.next_below(8));
+        e.action_args = {Bitvec(9, rng.next_below(512))};
+        EXPECT_EQ(engine.insert(e), naive.insert(e)) << what << " key " << offered.size();
+        offered.push_back(std::move(e.key_values));
+    }
+    return offered;
+}
+
 TEST(TableEngineDifferential, ClearResetsBothFamilies) {
-    const KeyShape shape{{32}};
-    Rng rng(99);
-    auto indexed = dataplane::make_exact_engine(32, 64);
-    auto naive = dataplane::make_naive_exact_engine(32, 64);
-    drive_pair(*indexed, *naive, rng, shape, false, false, "pre-clear");
-    indexed->clear();
-    naive->clear();
-    EXPECT_EQ(indexed->entry_count(), 0u);
-    EXPECT_EQ(naive->entry_count(), 0u);
-    drive_pair(*indexed, *naive, rng, shape, false, false, "post-clear");
+    {
+        const KeyShape shape{{32}};
+        Rng rng(99);
+        auto indexed = dataplane::make_exact_engine(32, 64);
+        auto naive = dataplane::make_naive_exact_engine(32, 64);
+        drive_pair(*indexed, *naive, rng, shape, false, false, "pre-clear");
+        indexed->clear();
+        naive->clear();
+        EXPECT_EQ(indexed->entry_count(), 0u);
+        EXPECT_EQ(naive->entry_count(), 0u);
+        drive_pair(*indexed, *naive, rng, shape, false, false, "post-clear");
+    }
+    // Every key shape at a small and a large capacity: a first fill, then
+    // three clear -> refill cycles that each offer more distinct keys than
+    // the one before, so an index kept across clear() must grow past its
+    // old size, and the last cycle runs into table_full.
+    for (const auto& shape : kShapes) {
+        for (const std::size_t capacity : {64ul, 4096ul}) {
+            SCOPED_TRACE(testing::Message() << shape.total() << "-bit key, capacity "
+                                            << capacity);
+            Rng rng(shape.total() * 1000 + capacity + 99);
+            auto indexed = dataplane::make_exact_engine(shape.total(), capacity);
+            auto naive = dataplane::make_naive_exact_engine(shape.total(), capacity);
+            std::vector<std::vector<Bitvec>> offered = offer_distinct(
+                *indexed, *naive, rng, shape, capacity * 3 / 16, "fill");
+            for (const std::size_t count :
+                 {capacity * 3 / 8, capacity * 3 / 4, capacity * 5 / 4}) {
+                indexed->clear();
+                naive->clear();
+                ASSERT_EQ(indexed->entry_count(), 0u);
+                ASSERT_EQ(naive->entry_count(), 0u);
+                // Before any insert, nothing offered before the clear hits.
+                for (const auto& keys : offered) {
+                    ASSERT_FALSE(indexed->lookup(keys).has_value());
+                    ASSERT_FALSE(naive->lookup(keys).has_value());
+                }
+                const std::vector<std::vector<Bitvec>> previous = std::move(offered);
+                offered = offer_distinct(*indexed, *naive, rng, shape, count, "refill");
+                ASSERT_EQ(indexed->entry_count(), std::min(count, capacity));
+                ASSERT_EQ(naive->entry_count(), indexed->entry_count());
+                for (const auto& keys : offered) {
+                    expect_same_lookup(*indexed, *naive, keys, "refilled key");
+                }
+                for (const auto& keys : previous) {
+                    expect_same_lookup(*indexed, *naive, keys, "pre-clear key");
+                }
+                // Offered again: duplicate when installed, else table_full.
+                for (std::size_t i = 0; i < offered.size(); i += 7) {
+                    TableEntry again;
+                    again.key_values = offered[i];
+                    again.action_id = 1;
+                    EXPECT_EQ(indexed->insert(again), naive->insert(again))
+                        << "re-offered key " << i;
+                }
+            }
+            indexed->clear();
+            naive->clear();
+            drive_pair(*indexed, *naive, rng, shape, false, false, "post-clear");
+        }
+    }
 }
 
 TEST(TableEngineDifferential, TernaryTieBreaksOnInsertionOrder) {
@@ -201,8 +276,8 @@ TEST(TableEngineDifferential, TernaryTieBreaksOnInsertionOrder) {
             ASSERT_EQ(eng->insert(first), InsertStatus::ok);
             ASSERT_EQ(eng->insert(second), InsertStatus::ok);
             const std::vector<Bitvec> probe = {Bitvec(16, 0x1234)};  // matches both
-            const ActionEntry* hit = eng->lookup(probe);
-            ASSERT_NE(hit, nullptr);
+            const std::optional<ActionRef> hit = eng->lookup(probe);
+            ASSERT_TRUE(hit.has_value());
             EXPECT_EQ(hit->action_id, 1) << "inverted=" << inverted;
         }
     }

@@ -15,7 +15,9 @@
 //   * tables    -- lookups/sec per match-engine kind on populated engines
 //                  (64k-entry exact and its naive reference, 64k exact keys
 //                  with zero low bits, 64k-prefix LPM, 256-row ternary and
-//                  its naive reference);
+//                  its naive reference), plus inserts/sec refilling a
+//                  cleared 64k-entry exact engine with 168-bit keys (the
+//                  control plane's write path);
 //   * campaign  -- scenarios/sec and packets/sec of a bounded differential
 //                  campaign sweep (the end-to-end number CI tracks).
 //
@@ -30,6 +32,7 @@
 // interleaved pass runs with metrics + tracing enabled, reports each
 // program's sampled packet-latency percentiles (p50/p90/p99 ns), and fails
 // the run when telemetry costs more than PCT percent of throughput.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -120,10 +123,11 @@ ProgramBench bench_program(const std::string& name, std::uint64_t target_packets
 
 struct EngineBench {
     std::string kind;
+    const char* op = "lookups";  // what `count` and `rate` count
     std::size_t entries = 0;
-    std::uint64_t lookups = 0;
+    std::uint64_t count = 0;
     double seconds = 0;
-    double lps = 0;
+    double rate = 0;  // count per second
 };
 
 EngineBench bench_engine(const std::string& kind, ndb::dataplane::MatchEngine& eng,
@@ -135,14 +139,14 @@ EngineBench bench_engine(const std::string& kind, ndb::dataplane::MatchEngine& e
     out.entries = entries;
     std::uint64_t hits = 0;
     const auto t0 = Clock::now();
-    while (out.lookups < target_lookups) {
+    while (out.count < target_lookups) {
         for (const auto& probe : probes) {
             if (eng.lookup(probe)) ++hits;
-            ++out.lookups;
+            ++out.count;
         }
     }
     out.seconds = seconds_since(t0);
-    out.lps = out.seconds > 0 ? static_cast<double>(out.lookups) / out.seconds : 0;
+    out.rate = out.seconds > 0 ? static_cast<double>(out.count) / out.seconds : 0;
     if (hits == 0) std::fprintf(stderr, "bench: %s saw no hits\n", kind.c_str());
     return out;
 }
@@ -201,6 +205,44 @@ std::vector<EngineBench> bench_tables(std::uint64_t target_lookups) {
         }
         out.push_back(
             bench_engine("exact_lowbits", *engine, kEntries, probes, target_lookups));
+    }
+
+    {  // exact_refill: 64k entries with flow_wide's 168-bit five-element key,
+       // installed once, then cleared and refilled; the median of 5 timed
+       // refills.  The control plane's write path after a same-image reload.
+        constexpr std::size_t kEntries = 65536;
+        constexpr int kRounds = 5;
+        auto engine = make_exact_engine(48 + 48 + 32 + 32 + 8, kEntries);
+        std::vector<TableEntry> entries(kEntries);
+        for (std::size_t i = 0; i < kEntries; ++i) {
+            entries[i].key_values = {Bitvec(48, 0x020000000002ull),
+                                     Bitvec(48, 0x020000000001ull),
+                                     Bitvec(32, 0x0a000001),
+                                     Bitvec(32, 0x0b000000 + i), Bitvec(8, 17)};
+            entries[i].action_id = static_cast<int>(i & 7);
+            entries[i].action_args = {Bitvec(9, i & 3)};
+        }
+        for (const auto& e : entries) engine->insert(e);
+        std::vector<double> rounds;
+        for (int r = 0; r < kRounds; ++r) {
+            const auto t0 = Clock::now();
+            engine->clear();
+            for (const auto& e : entries) engine->insert(e);
+            rounds.push_back(seconds_since(t0));
+        }
+        if (engine->entry_count() != kEntries) {
+            std::fprintf(stderr, "bench: exact_refill holds %zu entries\n",
+                         engine->entry_count());
+        }
+        std::sort(rounds.begin(), rounds.end());
+        EngineBench row;
+        row.kind = "exact_refill";
+        row.op = "inserts";
+        row.entries = kEntries;
+        row.count = kEntries;
+        row.seconds = rounds[kRounds / 2];
+        row.rate = row.seconds > 0 ? static_cast<double>(kEntries) / row.seconds : 0;
+        out.push_back(row);
     }
 
     {  // lpm: 64k prefixes across lengths 8..32 on a 32-bit key
@@ -418,8 +460,8 @@ int main(int argc, char** argv) {
     // --- tables --------------------------------------------------------------
     const std::vector<EngineBench> engines = bench_tables(lookups);
     for (const auto& e : engines) {
-        std::printf("tables    %-16s %9.0f lookups/sec (%zu entries)\n",
-                    e.kind.c_str(), e.lps, e.entries);
+        std::printf("tables    %-16s %9.0f %s/sec (%zu entries)\n", e.kind.c_str(),
+                    e.rate, e.op, e.entries);
     }
 
     // --- campaign ------------------------------------------------------------
@@ -463,11 +505,11 @@ int main(int argc, char** argv) {
         const auto& e = engines[i];
         json += i ? ",\n    " : "\n    ";
         json += format("{\"kind\": \"%s\", \"entries\": %zu, "
-                       "\"lookups\": %llu, \"seconds\": %.6f, "
-                       "\"lookups_per_sec_%s\": %.1f}",
-                       e.kind.c_str(), e.entries,
-                       static_cast<unsigned long long>(e.lookups), e.seconds,
-                       e.kind.c_str(), e.lps);
+                       "\"%s\": %llu, \"seconds\": %.6f, "
+                       "\"%s_per_sec_%s\": %.1f}",
+                       e.kind.c_str(), e.entries, e.op,
+                       static_cast<unsigned long long>(e.count), e.seconds, e.op,
+                       e.kind.c_str(), e.rate);
     }
     json += "\n  ],\n";
     json += format("  \"campaign_scenarios\": %llu,\n",
@@ -543,7 +585,7 @@ int main(int argc, char** argv) {
         // packs them into one probe cluster and drops the ratio below 0.01.
         const auto lps_of = [&engines](const char* kind) {
             for (const auto& e : engines) {
-                if (e.kind == kind) return e.lps;
+                if (e.kind == kind) return e.rate;
             }
             return 0.0;
         };
