@@ -121,7 +121,11 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
     // copy (full taps stay reserved for FaultLocalizer replay).
     dev.set_digests_enabled(true);
     const std::size_t batch = std::max<std::size_t>(1, batch_size);
+    // Sized once for the stream: every packet leaves at most one output,
+    // and a drain round sees at most one batch of them.
+    run.observed.reserve(packets.size());
     std::vector<packet::Packet> drained;  // reused across every drain round
+    drained.reserve(std::min(batch, packets.size()));
     std::size_t i = 0;
     while (i < packets.size()) {
         const std::size_t end = std::min(i + batch, packets.size());

@@ -33,10 +33,10 @@ std::uint64_t CoverageMap::total_hits() const {
 }
 
 std::vector<SlotHits> CoverageMap::hits() const {
+    // Counted by walking the set bits: std::popcount is a libgcc call per
+    // word on a baseline x86-64 target, and most words are zero.
     std::size_t lit = 0;
-    for (const std::uint64_t word : lit_) {
-        lit += static_cast<std::size_t>(std::popcount(word));
-    }
+    for_each_lit(lit_, [&](std::uint32_t) { ++lit; });
     std::vector<SlotHits> out;
     out.reserve(lit);
     for_each_lit(lit_, [&](std::uint32_t slot) {

@@ -21,14 +21,17 @@ inline std::uint64_t fmix64(std::uint64_t h) {
 
 }  // namespace
 
-std::uint64_t hash_packet_state(const p4::ir::Program& prog,
-                                const PacketState& state) {
+std::uint64_t hash_packet_state(const PacketState& state) {
+    if (!state.layout_) PacketState::throw_bad_header();
+    const std::vector<std::uint64_t>& valid = state.valid_;
+    const std::uint64_t* image = state.image_.data();
     std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const std::uint64_t word : state.valid_words()) h = fold(h, word);
-    for (std::size_t i = 0; i < prog.headers.size(); ++i) {
-        const int header = static_cast<int>(i);
-        if (!prog.headers[i].is_metadata && !state.header_valid(header)) continue;
-        for (const std::uint64_t word : state.header_words(header)) h = fold(h, word);
+    for (const std::uint64_t word : valid) h = fold(h, word);
+    const auto& runs = state.layout_->digest;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const auto& run = runs[i];
+        if (!run.metadata && !((valid[i / 64] >> (i % 64)) & 1)) continue;
+        for (std::uint32_t k = 0; k < run.words; ++k) h = fold(h, image[run.word + k]);
     }
     return fmix64(h);
 }

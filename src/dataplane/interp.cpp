@@ -272,7 +272,8 @@ void Interpreter::exec_extern(const Stmt& s, PacketState& state, Frame& frame) {
     const auto index_of = [&](const p4::ir::ExprPtr& e) -> std::uint64_t {
         return e ? eval_expr(prog_, *e, state, frame, quirks_).to_u64() : 0;
     };
-    const std::uint64_t pkt_bytes = state.get(prog_.f_packet_length).to_u64();
+    // Only the counter and meter ops bill the packet's length.
+    const auto pkt_bytes = [&] { return state.get(prog_.f_packet_length).to_u64(); };
 
     switch (s.ext) {
         case p4::ir::ExternKind::mark_to_drop:
@@ -306,11 +307,11 @@ void Interpreter::exec_extern(const Stmt& s, PacketState& state, Frame& frame) {
             return;
         }
         case p4::ir::ExternKind::counter_count:
-            stateful_.counter_count(s.extern_id, index_of(s.index_expr), pkt_bytes);
+            stateful_.counter_count(s.extern_id, index_of(s.index_expr), pkt_bytes());
             return;
         case p4::ir::ExternKind::meter_execute: {
             const MeterColor color = stateful_.meter_execute(
-                s.extern_id, index_of(s.index_expr), state.meta.rx_time_ns, pkt_bytes);
+                s.extern_id, index_of(s.index_expr), state.meta.rx_time_ns, pkt_bytes());
             state.set(s.ext_dst, Bitvec(prog_.field(s.ext_dst).width,
                                         static_cast<std::uint64_t>(color)));
             return;

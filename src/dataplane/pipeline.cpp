@@ -98,7 +98,8 @@ void Pipeline::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
     interp_.set_coverage(map, salt);
 }
 
-PipelineResult Pipeline::process(const packet::Packet& in) {
+PipelineResult Pipeline::process(const packet::Packet& in,
+                                 const packet::PacketMeta& meta) {
     PipelineResult result;
     ++counters_.parser_in;
 
@@ -126,14 +127,14 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         }
     } packet_timer{timed, t_mark, obs::pipeline_hist(3)};
 
-    state_.reset(prog_, in.meta, static_cast<std::uint32_t>(in.size()),
+    state_.reset(prog_, meta, static_cast<std::uint32_t>(in.size()),
                  options_.quirks.metadata_clobber);
     if (quirk_expiry_clock_) {
         // expiry_off_by_one quirk: the aging clock latch loses its low
         // microsecond bit, so stored last-seen stamps and timeout deltas sit
         // one off the reference near the expiry boundary.
         state_.set(prog_.f_timestamp,
-                   util::Bitvec(48, (in.meta.rx_time_ns / 1000) & ~1ull));
+                   util::Bitvec(48, (meta.rx_time_ns / 1000) & ~1ull));
     }
     PacketState& state = state_;
 
@@ -157,7 +158,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     }
     if (options_.capture_taps) result.tap_after_parser = state;
     if (options_.capture_digests) {
-        result.stage_hash[0] = hash_packet_state(prog_, state);
+        result.stage_hash[0] = hash_packet_state(state);
     }
     if (verdict != ParserVerdict::accept) {
         result.disposition = Disposition::dropped_parser;
@@ -168,17 +169,16 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     interp_.run_control(prog_.ingress, state);
     if (options_.capture_taps) result.tap_after_ingress = state;
     if (options_.capture_digests) {
-        result.stage_hash[1] = hash_packet_state(prog_, state);
+        result.stage_hash[1] = hash_packet_state(state);
     }
-    if (state.drop_flagged(prog_)) {
+    // Traffic manager: drop, or commit egress_spec to egress_port.
+    const std::uint64_t port = state.egress_spec(prog_);
+    if (port == p4::ir::kDropPort) {
         ++counters_.ingress_dropped;
         result.disposition = Disposition::dropped_ingress;
         result.cycles = state.cycles;
         return result;
     }
-
-    // Traffic manager: commit egress_spec to egress_port.
-    const std::uint64_t port = state.egress_spec(prog_);
     state.set(prog_.f_egress_port, util::Bitvec(9, port));
 
     if (prog_.egress) {
@@ -186,7 +186,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         interp_.run_control(*prog_.egress, state);
         if (options_.capture_taps) result.tap_after_egress = state;
         if (options_.capture_digests) {
-            result.stage_hash[2] = hash_packet_state(prog_, state);
+            result.stage_hash[2] = hash_packet_state(state);
         }
         if (state.drop_flagged(prog_)) {
             ++counters_.egress_dropped;

@@ -101,7 +101,9 @@ public:
     // scenario rate on a 4-core x86-64 host.
     ~Pipeline();
 
-    PipelineResult process(const packet::Packet& in);
+    // Runs one packet: `in` supplies the bytes, `meta` the ingress port and
+    // rx time (the device's stamped copy; in.meta is not read).
+    PipelineResult process(const packet::Packet& in, const packet::PacketMeta& meta);
 
     const p4::ir::Program& program() const { return prog_; }
     const StageCounters& counters() const { return counters_; }

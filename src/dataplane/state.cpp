@@ -1,59 +1,11 @@
 #include "dataplane/state.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <stdexcept>
 
 namespace ndb::dataplane {
 
 namespace {
-
-// Big-endian 8-byte load/store: wire bit i of the window is value bit 63-i.
-std::uint64_t load_be64(const std::uint8_t* p) {
-    std::uint64_t x;
-    std::memcpy(&x, p, sizeof x);
-    if constexpr (std::endian::native == std::endian::little) x = __builtin_bswap64(x);
-    return x;
-}
-
-void store_be64(std::uint8_t* p, std::uint64_t x) {
-    if constexpr (std::endian::native == std::endian::little) x = __builtin_bswap64(x);
-    std::memcpy(p, &x, sizeof x);
-}
-
-// Reads the `width` (1..64) bits starting at wire bit `bit`.  Touches bytes
-// [bit/8, bit/8 + 9) at most; the trailing zero word keeps that in bounds.
-std::uint64_t read_bits(const std::uint8_t* bytes, std::size_t bit, int width) {
-    const std::uint8_t* p = bytes + bit / 8;
-    const unsigned shift = bit % 8;
-    std::uint64_t x = load_be64(p) << shift;
-    if (shift + static_cast<unsigned>(width) > 64) x |= p[8] >> (8 - shift);
-    return x >> (64 - width);
-}
-
-// Writes the low `width` (1..64) bits of `value` at wire bit `bit`, leaving
-// every other bit as it was.
-void write_bits(std::uint8_t* bytes, std::size_t bit, int width, std::uint64_t value) {
-    std::uint8_t* p = bytes + bit / 8;
-    const unsigned shift = bit % 8;
-    const unsigned w = static_cast<unsigned>(width);
-    const std::uint64_t x = load_be64(p);
-    if (shift + w <= 64) {
-        const unsigned low = 64 - shift - w;  // bits after the field
-        const std::uint64_t mask = (~0ull >> (64 - w)) << low;
-        store_be64(p, (x & ~mask) | ((value << low) & mask));
-        return;
-    }
-    // The field runs into a ninth byte: its top 64 - shift bits end the
-    // window, the remaining `spill` bits lead byte 8.
-    const unsigned spill = shift + w - 64;  // 1..7
-    const std::uint64_t mask = ~0ull >> shift;
-    store_be64(p, (x & ~mask) | ((value >> spill) & mask));
-    const auto byte_mask = static_cast<std::uint8_t>(0xff << (8 - spill));
-    p[8] = static_cast<std::uint8_t>((p[8] & ~byte_mask) |
-                                     ((value << (8 - spill)) & byte_mask));
-}
 
 // Mask of the wire bits a header's last image byte holds (pad bits clear).
 std::uint8_t last_byte_mask(std::size_t bits) {
@@ -80,6 +32,10 @@ void PacketState::throw_bad_field() {
     throw std::out_of_range("PacketState: field reference out of range");
 }
 
+void PacketState::throw_width_mismatch() {
+    throw std::invalid_argument("PacketState::set: width mismatch");
+}
+
 PacketState PacketState::initial(const p4::ir::Program& prog,
                                  const packet::PacketMeta& meta,
                                  std::uint32_t packet_len, bool clobber_meta) {
@@ -104,10 +60,22 @@ void PacketState::shape(const p4::ir::Program& prog) {
             layout->fields.push_back(
                 {word * 64 + static_cast<std::size_t>(f.offset), f.width});
         }
-        lh.words = (end + 63) / 64;
-        word += lh.words;
+        const std::size_t words = (end + 63) / 64;
         layout->headers.push_back(lh);
+        layout->digest.push_back({static_cast<std::uint32_t>(word),
+                                  static_cast<std::uint32_t>(words), h.is_metadata});
+        word += words;
     }
+    // reset() writes these without a per-packet lookup or width check, so
+    // both happen here, once per program.
+    const auto resolve = [&](p4::ir::FieldRef ref, int width) {
+        const Layout::Field& f = layout->field(ref);
+        if (f.width != width) throw_width_mismatch();
+        return f;
+    };
+    layout->ingress_port = resolve(prog.f_ingress_port, 9);
+    layout->packet_length = resolve(prog.f_packet_length, 32);
+    layout->timestamp = resolve(prog.f_timestamp, 48);
     const std::size_t image_words = word + 1;  // plus the trailing zero word
 
     layout->initial_valid.assign((prog.headers.size() + 63) / 64, 0);
@@ -152,16 +120,17 @@ void PacketState::reset(const p4::ir::Program& prog, const packet::PacketMeta& m
     }
     std::copy(layout_->initial_valid.begin(), layout_->initial_valid.end(),
               valid_.begin());
-    set(prog.f_ingress_port, util::Bitvec(9, m.ingress_port));
-    set(prog.f_packet_length, util::Bitvec(32, packet_len));
-    set(prog.f_timestamp, util::Bitvec(48, m.rx_time_ns / 1000));  // usec
+    const Layout& layout = *layout_;
+    write_bits(bytes(), layout.ingress_port.bit, layout.ingress_port.width,
+               m.ingress_port);
+    write_bits(bytes(), layout.packet_length.bit, layout.packet_length.width,
+               packet_len);
+    write_bits(bytes(), layout.timestamp.bit, layout.timestamp.width,
+               m.rx_time_ns / 1000);  // usec
 }
 
-util::Bitvec PacketState::get(p4::ir::FieldRef ref) const {
-    if (!layout_) throw_bad_header();
-    const Layout::Field& f = layout_->field(ref);
-    if (f.width <= 64) return util::Bitvec(f.width, read_bits(bytes(), f.bit, f.width));
-    // Wide field: assemble it a word at a time, least significant first.
+util::Bitvec PacketState::get_wide(const Layout::Field& f) const {
+    // Assemble the field a word at a time, least significant first.
     util::Bitvec v(f.width);
     for (int lo = 0; lo < f.width; lo += 64) {
         const int chunk = std::min(64, f.width - lo);
@@ -171,16 +140,7 @@ util::Bitvec PacketState::get(p4::ir::FieldRef ref) const {
     return v;
 }
 
-void PacketState::set(p4::ir::FieldRef ref, const util::Bitvec& value) {
-    if (!layout_) throw_bad_header();
-    const Layout::Field& f = layout_->field(ref);
-    if (f.width != value.width()) {
-        throw std::invalid_argument("PacketState::set: width mismatch");
-    }
-    if (f.width <= 64) {
-        write_bits(bytes(), f.bit, f.width, value.to_u64());
-        return;
-    }
+void PacketState::set_wide(const Layout::Field& f, const util::Bitvec& value) {
     const auto words = value.word_span();
     for (int lo = 0; lo < f.width; lo += 64) {
         const int chunk = std::min(64, f.width - lo);
@@ -250,14 +210,6 @@ std::span<const std::uint8_t> PacketState::header_bytes(int header) const {
     const std::size_t slot = header_slot(header);
     const Layout::Header& h = layout_->headers[slot];
     return {bytes() + h.word * 8, (h.bits + 7) / 8};
-}
-
-std::uint64_t PacketState::egress_spec(const p4::ir::Program& prog) const {
-    return get(prog.f_egress_spec).to_u64();
-}
-
-bool PacketState::drop_flagged(const p4::ir::Program& prog) const {
-    return egress_spec(prog) == p4::ir::kDropPort;
 }
 
 }  // namespace ndb::dataplane

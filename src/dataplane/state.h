@@ -5,14 +5,21 @@
 // a word-aligned offset; the bits between a header's last field and the
 // next word boundary are always zero, and one zero word trails the last
 // header so 8-byte field accesses never leave the buffer.  The layout is
-// built once per program and is private to this file and state.cpp:
-// everything else reads and writes fields through get()/set(), moves whole
-// headers in and out with extract_header()/emit_header(), and sees the raw
-// image only as the header bytes a checksum sums and the padded words a
-// digest folds.
+// built once per program and is private to this file, state.cpp and the
+// stage digest (hash_packet_state, a friend): everything else reads and
+// writes fields through get()/set(), moves whole headers in and out with
+// extract_header()/emit_header(), and sees the raw image only as the
+// header bytes a checksum sums.
+//
+// get()/set() of fields up to 64 bits wide -- every field of the catalogue
+// programs -- are defined here, so the per-packet path inlines the bounds
+// check, the width check and one shift/mask over an 8-byte load or store.
+// Wider fields take the word-at-a-time code in state.cpp.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -31,6 +38,11 @@ enum class ParserVerdict {
 };
 
 const char* parser_verdict_name(ParserVerdict verdict);
+
+struct PacketState;
+
+// The stage digest of dataplane/digest.h.
+std::uint64_t hash_packet_state(const PacketState& state);
 
 // The parsed representation plus metadata; one per packet in flight.
 struct PacketState {
@@ -51,15 +63,28 @@ struct PacketState {
     // Re-initializes the state in place, equivalent to initial() but
     // reusing every allocation: the pipeline's per-packet scratch path.
     // The layout is (re)built only when `prog` is not the program object
-    // the state was last shaped for.
+    // the state was last shaped for; ingress_port, packet_length and
+    // timestamp are then written straight into their resolved slots.
     void reset(const p4::ir::Program& prog, const packet::PacketMeta& m,
                std::uint32_t packet_len, bool clobber_meta = false);
 
     // Field access by value.  Fields of <= 64 bits are one shift/mask over
     // an 8-byte load and never allocate.  Throws std::out_of_range on a bad
     // reference; set() throws std::invalid_argument on a width mismatch.
-    util::Bitvec get(p4::ir::FieldRef ref) const;
-    void set(p4::ir::FieldRef ref, const util::Bitvec& value);
+    util::Bitvec get(p4::ir::FieldRef ref) const {
+        const Layout::Field& f = field(ref);
+        if (f.width <= 64) return util::Bitvec(f.width, read_bits(bytes(), f.bit, f.width));
+        return get_wide(f);
+    }
+    void set(p4::ir::FieldRef ref, const util::Bitvec& value) {
+        const Layout::Field& f = field(ref);
+        if (f.width != value.width()) throw_width_mismatch();
+        if (f.width <= 64) {
+            write_bits(bytes(), f.bit, f.width, value.to_u64());
+            return;
+        }
+        set_wide(f, value);
+    }
 
     bool header_valid(int header) const {
         const std::size_t h = header_slot(header);
@@ -81,21 +106,17 @@ struct PacketState {
     // `header`'s wire image: ceil(size_bits / 8) bytes, pad bits zero.
     std::span<const std::uint8_t> header_bytes(int header) const;
 
-    // The same image padded with zeros to whole 64-bit words (native
-    // loads of the byte image), and the validity bitmap (header h is bit
-    // h % 64 of word h / 64): what a stage digest folds.
-    std::span<const std::uint64_t> header_words(int header) const {
-        const std::size_t slot = header_slot(header);
-        const Layout::Header& h = layout_->headers[slot];
-        return std::span<const std::uint64_t>(image_).subspan(h.word, h.words);
-    }
-    std::span<const std::uint64_t> valid_words() const { return valid_; }
-
     // Reads egress_spec from standard metadata.
-    std::uint64_t egress_spec(const p4::ir::Program& prog) const;
-    bool drop_flagged(const p4::ir::Program& prog) const;
+    std::uint64_t egress_spec(const p4::ir::Program& prog) const {
+        return get(prog.f_egress_spec).to_u64();
+    }
+    bool drop_flagged(const p4::ir::Program& prog) const {
+        return egress_spec(prog) == p4::ir::kDropPort;
+    }
 
 private:
+    friend std::uint64_t hash_packet_state(const PacketState& state);
+
     // Where each header and field lives in image_, plus the initial image
     // and validity a reset restores.
     struct Layout {
@@ -105,15 +126,24 @@ private:
         };
         struct Header {
             std::size_t word = 0;   // first word of the image
-            std::size_t words = 0;  // padded length in words
             std::size_t bits = 0;   // size_bits: the wire length
             std::size_t first_field = 0;
             std::size_t field_count = 0;
         };
+        // What a stage digest folds for one header: its image padded to
+        // whole words, always for a metadata header, else only while valid.
+        struct DigestRun {
+            std::uint32_t word = 0;   // first word of the image
+            std::uint32_t words = 0;  // padded length in words
+            bool metadata = false;
+        };
         std::vector<Header> headers;
         std::vector<Field> fields;
+        std::vector<DigestRun> digest;  // parallel to headers
         std::vector<std::uint64_t> clobber_image;  // metadata_clobber's initial image
         std::vector<std::uint64_t> initial_valid;  // metadata headers set
+        // The standard metadata reset() writes for every packet.
+        Field ingress_port, packet_length, timestamp;
 
         // Bounds-checked slot lookup; throws std::out_of_range.
         const Field& field(p4::ir::FieldRef ref) const {
@@ -131,8 +161,72 @@ private:
         if (!layout_ || h >= layout_->headers.size()) throw_bad_header();
         return h;
     }
+    // Bounds-checked field slot; throws std::out_of_range.
+    const Layout::Field& field(p4::ir::FieldRef ref) const {
+        if (!layout_) throw_bad_header();
+        return layout_->field(ref);
+    }
     [[noreturn]] static void throw_bad_header();
     [[noreturn]] static void throw_bad_field();
+    [[noreturn]] static void throw_width_mismatch();
+
+    // The > 64-bit halves of get() and set(), a word at a time.
+    util::Bitvec get_wide(const Layout::Field& f) const;
+    void set_wide(const Layout::Field& f, const util::Bitvec& value);
+
+    // Big-endian 8-byte load/store: wire bit i of the window is value bit
+    // 63-i.
+    static std::uint64_t load_be64(const std::uint8_t* p) {
+        std::uint64_t x;
+        std::memcpy(&x, p, sizeof x);
+        if constexpr (std::endian::native == std::endian::little) {
+            x = __builtin_bswap64(x);
+        }
+        return x;
+    }
+    static void store_be64(std::uint8_t* p, std::uint64_t x) {
+        if constexpr (std::endian::native == std::endian::little) {
+            x = __builtin_bswap64(x);
+        }
+        std::memcpy(p, &x, sizeof x);
+    }
+
+    // Reads the `width` (1..64) bits starting at wire bit `bit`.  Touches
+    // bytes [bit/8, bit/8 + 9) at most; the trailing zero word keeps that
+    // in bounds.
+    static std::uint64_t read_bits(const std::uint8_t* bytes, std::size_t bit,
+                                   int width) {
+        const std::uint8_t* p = bytes + bit / 8;
+        const unsigned shift = bit % 8;
+        std::uint64_t x = load_be64(p) << shift;
+        if (shift + static_cast<unsigned>(width) > 64) x |= p[8] >> (8 - shift);
+        return x >> (64 - width);
+    }
+
+    // Writes the low `width` (1..64) bits of `value` at wire bit `bit`,
+    // leaving every other bit as it was.
+    static void write_bits(std::uint8_t* bytes, std::size_t bit, int width,
+                           std::uint64_t value) {
+        std::uint8_t* p = bytes + bit / 8;
+        const unsigned shift = bit % 8;
+        const unsigned w = static_cast<unsigned>(width);
+        const std::uint64_t x = load_be64(p);
+        if (shift + w <= 64) {
+            const unsigned low = 64 - shift - w;  // bits after the field
+            const std::uint64_t mask = (~0ull >> (64 - w)) << low;
+            store_be64(p, (x & ~mask) | ((value << low) & mask));
+            return;
+        }
+        // The field runs into a ninth byte: its top 64 - shift bits end the
+        // window, the remaining `spill` bits lead byte 8.
+        const unsigned spill = shift + w - 64;  // 1..7
+        const std::uint64_t mask = ~0ull >> shift;
+        store_be64(p, (x & ~mask) | ((value >> spill) & mask));
+        const auto byte_mask = static_cast<std::uint8_t>(0xff << (8 - spill));
+        p[8] = static_cast<std::uint8_t>((p[8] & ~byte_mask) |
+                                         ((value << (8 - spill)) & byte_mask));
+    }
+
     std::uint8_t* bytes() { return reinterpret_cast<std::uint8_t*>(image_.data()); }
     const std::uint8_t* bytes() const {
         return reinterpret_cast<const std::uint8_t*>(image_.data());

@@ -105,29 +105,31 @@ const p4::ir::Program& Device::program() const {
     return *prog_;
 }
 
-void Device::inject(packet::Packet pkt) {
+void Device::inject(const packet::Packet& pkt) {
     if (!pipeline_) return;  // no image: the wire is dead
 
-    if (pkt.meta.rx_time_ns == 0) pkt.meta.rx_time_ns = clock_ns_;
+    packet::PacketMeta meta = pkt.meta;
+    if (meta.rx_time_ns == 0) meta.rx_time_ns = clock_ns_;
     // The virtual clock tracks the line: one packet slot per injection, and
     // never behind the newest admitted packet.
-    clock_ns_ = std::max(clock_ns_, pkt.meta.rx_time_ns) + kNsPerPacket;
+    clock_ns_ = std::max(clock_ns_, meta.rx_time_ns) + kNsPerPacket;
 
-    if (pkt.meta.ingress_port < static_cast<std::uint32_t>(config_.num_ports)) {
-        auto& rx = port_counters_[pkt.meta.ingress_port];
+    if (meta.ingress_port < static_cast<std::uint32_t>(config_.num_ports)) {
+        auto& rx = port_counters_[meta.ingress_port];
         ++rx.rx_packets;
         rx.rx_bytes += pkt.size();
     }
 
-    dataplane::PipelineResult result = pipeline_->process(pkt);
+    dataplane::PipelineResult result = pipeline_->process(pkt, meta);
 
     if (result.disposition == dataplane::Disposition::forwarded) {
-        result.output.meta.tx_time_ns =
-            pkt.meta.rx_time_ns + result.cycles * kNsPerCycle;
+        result.output.meta.tx_time_ns = meta.rx_time_ns + result.cycles * kNsPerCycle;
     }
 
     if (taps_enabled_ && config_.max_tap_records > 0) {
-        push_ring(taps_, config_.max_tap_records, TapRecord{pkt, result});
+        TapRecord record{pkt, result};
+        record.input.meta = meta;  // the stimulus as the device stamped it
+        push_ring(taps_, config_.max_tap_records, std::move(record));
     }
 
     if (digests_enabled_ && config_.max_tap_records > 0) {

@@ -6,6 +6,8 @@
 // exposes the three surfaces the paper's architecture needs:
 //
 //   * the data path       -- inject() / drain_port(), per-port egress queues;
+//                            inject() borrows its stimulus, so a warm
+//                            device allocates only forwarded outputs;
 //   * the management path -- the full control::RuntimeApi (a Device IS a
 //                            RuntimeApi, so control::dispatch and therefore
 //                            RuntimeClient message traffic work end-to-end,
@@ -69,8 +71,9 @@ struct DeviceConfig {
     dataplane::Quirks quirks;
 };
 
-// One traced packet: the stimulus as injected plus everything the pipeline
-// did with it.  Only recorded while taps are enabled.
+// One traced packet: the stimulus as injected (its meta carrying the rx
+// time the device stamped) plus everything the pipeline did with it.  Only
+// recorded while taps are enabled.
 struct TapRecord {
     packet::Packet input;
     dataplane::PipelineResult result;
@@ -112,7 +115,11 @@ public:
     const DeviceConfig& config() const { return config_; }
 
     // --- data path ----------------------------------------------------------
-    void inject(packet::Packet pkt);
+    // Runs one packet through the pipeline.  The stimulus is borrowed, not
+    // copied: the device stamps rx_time (when pkt.meta.rx_time_ns is 0) into
+    // its own PacketMeta and never writes to `pkt`.  Only the tap ring, when
+    // enabled, keeps a copy, carrying the stamped meta.
+    void inject(const packet::Packet& pkt);
     std::vector<packet::Packet> drain_port(std::uint32_t port);
 
     // Appends everything pending on `port` to `out` (callers reuse one
@@ -147,11 +154,12 @@ public:
         return digests_;
     }
 
-    // Moves the digest ring out and leaves it empty: the hot-path accessor
-    // for consumers that would otherwise copy the records per scenario.
+    // Hands out the recorded digests in one exactly-sized vector and
+    // empties the ring.  The ring keeps its capacity, so a warm device
+    // records the next run without growing it again.
     std::vector<dataplane::TapDigest> take_digest_records() {
-        std::vector<dataplane::TapDigest> out;
-        out.swap(digests_);
+        std::vector<dataplane::TapDigest> out(digests_.begin(), digests_.end());
+        digests_.clear();
         return out;
     }
 

@@ -23,43 +23,22 @@ std::uint64_t top_mask(int width) {
 
 }  // namespace
 
-Bitvec::Bitvec(int width) : width_(width) {
-    if (width < 0) throw std::invalid_argument("Bitvec: negative width");
-    if (width <= 64) {
-        inline_ = 0;
-    } else {
-        heap_ = new std::uint64_t[static_cast<std::size_t>(words_for(width))]();
-    }
+void Bitvec::throw_width_mismatch(const char* what) {
+    throw std::invalid_argument(what);
 }
 
-Bitvec::Bitvec(int width, std::uint64_t value) : Bitvec(width) {
-    if (width > 0) {
-        words()[0] = value;
-        normalize();
-    }
+void Bitvec::init_wide() {
+    if (width_ < 0) throw std::invalid_argument("Bitvec: negative width");
+    heap_ = new std::uint64_t[static_cast<std::size_t>(words_for(width_))]();
 }
 
-Bitvec::Bitvec(const Bitvec& o) : width_(o.width_) {
-    if (is_inline()) {
-        inline_ = o.inline_;
-    } else {
-        const std::size_t n = static_cast<std::size_t>(word_count());
-        heap_ = new std::uint64_t[n];
-        std::memcpy(heap_, o.heap_, n * sizeof(std::uint64_t));
-    }
+void Bitvec::copy_wide(const std::uint64_t* src) {
+    const std::size_t n = static_cast<std::size_t>(word_count());
+    heap_ = new std::uint64_t[n];
+    std::memcpy(heap_, src, n * sizeof(std::uint64_t));
 }
 
-Bitvec::Bitvec(Bitvec&& o) noexcept : width_(o.width_) {
-    if (is_inline()) {
-        inline_ = o.inline_;
-    } else {
-        heap_ = o.heap_;
-        o.width_ = 0;
-        o.inline_ = 0;
-    }
-}
-
-Bitvec& Bitvec::operator=(const Bitvec& o) {
+Bitvec& Bitvec::assign_wide(const Bitvec& o) {
     if (this == &o) return *this;
     if (!is_inline() && !o.is_inline() && word_count() == o.word_count()) {
         // Same heap footprint: reuse the allocation.
@@ -82,20 +61,6 @@ Bitvec& Bitvec::operator=(const Bitvec& o) {
         inline_ = o.inline_;
     } else {
         heap_ = fresh;
-    }
-    return *this;
-}
-
-Bitvec& Bitvec::operator=(Bitvec&& o) noexcept {
-    if (this == &o) return *this;
-    if (!is_inline()) delete[] heap_;
-    width_ = o.width_;
-    if (is_inline()) {
-        inline_ = o.inline_;
-    } else {
-        heap_ = o.heap_;
-        o.width_ = 0;
-        o.inline_ = 0;
     }
     return *this;
 }
@@ -224,7 +189,7 @@ std::string Bitvec::to_string() const {
     return std::to_string(width_) + "w" + to_hex();
 }
 
-bool Bitvec::is_zero() const {
+bool Bitvec::is_zero_wide() const {
     const std::uint64_t* w = words();
     for (int i = 0; i < word_count(); ++i) {
         if (w[i] != 0) return false;
@@ -241,8 +206,7 @@ bool Bitvec::is_ones() const {
     return w[word_count() - 1] == top_mask(width_);
 }
 
-Bitvec Bitvec::add(const Bitvec& o) const {
-    if (o.width_ != width_) throw std::invalid_argument("Bitvec::add width mismatch");
+Bitvec Bitvec::add_wide(const Bitvec& o) const {
     Bitvec r(width_);
     const std::uint64_t* a = words();
     const std::uint64_t* b = o.words();
@@ -257,8 +221,6 @@ Bitvec Bitvec::add(const Bitvec& o) const {
     r.normalize();
     return r;
 }
-
-Bitvec Bitvec::sub(const Bitvec& o) const { return add(o.neg()); }
 
 Bitvec Bitvec::neg() const { return bnot().add(Bitvec(width_, width_ ? 1 : 0)); }
 
@@ -281,8 +243,7 @@ Bitvec Bitvec::mul(const Bitvec& o) const {
     return r;
 }
 
-Bitvec Bitvec::band(const Bitvec& o) const {
-    if (o.width_ != width_) throw std::invalid_argument("Bitvec::band width mismatch");
+Bitvec Bitvec::band_wide(const Bitvec& o) const {
     Bitvec r(width_);
     const std::uint64_t* a = words();
     const std::uint64_t* b = o.words();
@@ -291,8 +252,7 @@ Bitvec Bitvec::band(const Bitvec& o) const {
     return r;
 }
 
-Bitvec Bitvec::bor(const Bitvec& o) const {
-    if (o.width_ != width_) throw std::invalid_argument("Bitvec::bor width mismatch");
+Bitvec Bitvec::bor_wide(const Bitvec& o) const {
     Bitvec r(width_);
     const std::uint64_t* a = words();
     const std::uint64_t* b = o.words();
@@ -301,8 +261,7 @@ Bitvec Bitvec::bor(const Bitvec& o) const {
     return r;
 }
 
-Bitvec Bitvec::bxor(const Bitvec& o) const {
-    if (o.width_ != width_) throw std::invalid_argument("Bitvec::bxor width mismatch");
+Bitvec Bitvec::bxor_wide(const Bitvec& o) const {
     Bitvec r(width_);
     const std::uint64_t* a = words();
     const std::uint64_t* b = o.words();
@@ -311,7 +270,7 @@ Bitvec Bitvec::bxor(const Bitvec& o) const {
     return r;
 }
 
-Bitvec Bitvec::bnot() const {
+Bitvec Bitvec::bnot_wide() const {
     Bitvec r(width_);
     const std::uint64_t* a = words();
     std::uint64_t* out = r.words();
@@ -358,13 +317,7 @@ Bitvec Bitvec::lshr(int amount) const {
     return r;
 }
 
-bool Bitvec::eq(const Bitvec& o) const {
-    if (o.width_ != width_) throw std::invalid_argument("Bitvec::eq width mismatch");
-    return *this == o;
-}
-
-bool Bitvec::ult(const Bitvec& o) const {
-    if (o.width_ != width_) throw std::invalid_argument("Bitvec::ult width mismatch");
+bool Bitvec::ult_wide(const Bitvec& o) const {
     const std::uint64_t* a = words();
     const std::uint64_t* b = o.words();
     for (int i = word_count() - 1; i >= 0; --i) {
@@ -372,8 +325,6 @@ bool Bitvec::ult(const Bitvec& o) const {
     }
     return false;
 }
-
-bool Bitvec::ule(const Bitvec& o) const { return !o.ult(*this); }
 
 Bitvec Bitvec::slice(int hi, int lo) const {
     if (lo < 0 || hi >= width_ || hi < lo) throw std::out_of_range("Bitvec::slice");
@@ -444,7 +395,7 @@ Bitvec Bitvec::concat(const Bitvec& hi, const Bitvec& lo) {
     return r;
 }
 
-Bitvec Bitvec::resize(int new_width) const {
+Bitvec Bitvec::resize_wide(int new_width) const {
     Bitvec r(new_width);
     const std::uint64_t* a = words();
     std::uint64_t* out = r.words();

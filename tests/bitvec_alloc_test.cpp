@@ -2,8 +2,9 @@
 // (widths <= 64 never allocate) and word-level operation correctness
 // against a bit-at-a-time reference.  Plus the packet path's allocation
 // budget -- once warm, a device allocates only each forwarded packet's
-// output bytes -- and the control path's: re-applying exact entries after a
-// same-image reload allocates nothing per entry.
+// output bytes, and a whole scenario run only those plus a constant -- and
+// the control path's: re-applying exact entries after a same-image reload
+// allocates nothing per entry.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,9 +12,12 @@
 #include <iostream>
 #include <new>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/generator.h"
+#include "core/scenario_exec.h"
 #include "core/specgen.h"
 #include "core/tools.h"
 #include "target/device.h"
@@ -123,8 +127,9 @@ TEST(PacketPathAlloc, WarmDeviceAllocatesOnlyForwardedOutputBytes) {
     // Every catalogue program: one warm-up stream grows the device's pooled
     // buffers (parse state, select keys, digest ring), then the same stream
     // again may allocate once per forwarded packet -- its deparsed output --
-    // and never for a dropped one.  Each packet is drained as soon as it is
-    // injected, so egress queue growth stays out of the count.
+    // and never for a dropped one.  The stimuli are injected as lvalues: the
+    // device borrows them, so no copy is counted.  Each packet is drained as
+    // soon as it is injected, so egress queue growth stays out of the count.
     constexpr std::uint64_t kStream = 128;
     const ndb::core::SpecGenerator gen;
     std::uint64_t packets = 0;
@@ -158,11 +163,10 @@ TEST(PacketPathAlloc, WarmDeviceAllocatesOnlyForwardedOutputBytes) {
         }
         ASSERT_TRUE(dev->reset_state());  // registers, queues, digest ring
 
-        std::vector<ndb::packet::Packet> again = stream;
         std::uint64_t program_total = 0;
-        for (std::size_t i = 0; i < again.size(); ++i) {
+        for (std::size_t i = 0; i < stream.size(); ++i) {
             const std::uint64_t before = allocations();
-            dev->inject(std::move(again[i]));
+            dev->inject(stream[i]);
             drain();
             const std::uint64_t used = allocations() - before;
             ASSERT_EQ(dev->digest_records().size(), i + 1);
@@ -179,6 +183,47 @@ TEST(PacketPathAlloc, WarmDeviceAllocatesOnlyForwardedOutputBytes) {
     }
     std::cout << "catalogue: " << static_cast<double>(total) / static_cast<double>(packets)
               << " allocations per packet\n";
+}
+
+TEST(PacketPathAlloc, WarmRunAllocatesOnlyOutputsPlusAConstant) {
+    // Every catalogue program: a scenario run repeated on the device that
+    // already holds its image allocates one buffer per forwarded packet --
+    // its deparsed output -- plus a constant for the run's own vectors, the
+    // config statuses and the status snapshot.  The constant must not
+    // depend on the stream's length: the stimuli are borrowed, the digest
+    // ring keeps its capacity, and the run's output buffers are sized once.
+    const ndb::core::SpecGenerator gen;
+    for (std::size_t p = 0; p < gen.programs().size(); ++p) {
+        const ndb::core::Scenario sc = gen.make_for(p, 11);
+        SCOPED_TRACE(sc.program);
+        std::vector<std::uint64_t> constants;
+        for (const std::uint64_t length : {128u, 512u}) {
+            SCOPED_TRACE(length);
+            ndb::core::TestPacketGenerator pgen(sc.spec);
+            std::vector<ndb::packet::Packet> stream;
+            for (std::uint64_t seq = 1; seq <= length; ++seq) {
+                stream.push_back(pgen.make_packet(
+                    seq, ndb::core::kEpochNs + (seq - 1) * ndb::core::kSlotNs));
+            }
+            auto dev = ndb::target::make_device("reference");
+            ASSERT_NE(dev, nullptr);
+            (void)ndb::core::run_scenario_on(*dev, sc, stream, 8);  // warm-up
+
+            const std::uint64_t before = allocations();
+            const ndb::core::DeviceRun run =
+                ndb::core::run_scenario_on(*dev, sc, stream, 8);
+            const std::uint64_t used = allocations() - before;
+            ASSERT_EQ(run.injected, length);
+            const std::uint64_t forwarded = run.snapshot.stages.forwarded;
+            ASSERT_GE(used, forwarded);
+            std::cout << sc.program << " x" << length << ": " << used
+                      << " allocations, " << forwarded << " forwarded\n";
+            EXPECT_LE(used - forwarded, 16u);
+            constants.push_back(used - forwarded);
+        }
+        EXPECT_EQ(constants[0], constants[1])
+            << "allocations beyond the outputs grow with the stream";
+    }
 }
 
 TEST(ControlPathAlloc, WarmReapplyAllocatesNothingPerExactEntry) {
@@ -253,6 +298,62 @@ Bitvec ref_concat(const Bitvec& hi, const Bitvec& lo) {
     return r;
 }
 
+// Bit-at-a-time references for the ops with an inline <= 64-bit arm.
+Bitvec ref_add(const Bitvec& a, const Bitvec& b) {
+    Bitvec r(a.width());
+    int carry = 0;
+    for (int i = 0; i < a.width(); ++i) {
+        const int sum = a.bit(i) + b.bit(i) + carry;
+        r.set_bit(i, sum & 1);
+        carry = sum >> 1;
+    }
+    return r;
+}
+
+Bitvec ref_sub(const Bitvec& a, const Bitvec& b) {
+    Bitvec r(a.width());
+    int borrow = 0;
+    for (int i = 0; i < a.width(); ++i) {
+        const int diff = a.bit(i) - b.bit(i) - borrow;
+        r.set_bit(i, diff & 1);
+        borrow = diff < 0 ? 1 : 0;
+    }
+    return r;
+}
+
+template <typename Fn>
+Bitvec ref_bitwise(const Bitvec& a, const Bitvec& b, Fn fn) {
+    Bitvec r(a.width());
+    for (int i = 0; i < a.width(); ++i) r.set_bit(i, fn(a.bit(i), b.bit(i)));
+    return r;
+}
+
+Bitvec ref_not(const Bitvec& a) {
+    Bitvec r(a.width());
+    for (int i = 0; i < a.width(); ++i) r.set_bit(i, !a.bit(i));
+    return r;
+}
+
+bool ref_eq(const Bitvec& a, const Bitvec& b) {
+    for (int i = 0; i < a.width(); ++i) {
+        if (a.bit(i) != b.bit(i)) return false;
+    }
+    return true;
+}
+
+bool ref_ult(const Bitvec& a, const Bitvec& b) {
+    for (int i = a.width() - 1; i >= 0; --i) {
+        if (a.bit(i) != b.bit(i)) return b.bit(i);
+    }
+    return false;
+}
+
+Bitvec ref_resize(const Bitvec& a, int width) {
+    Bitvec r(width);
+    for (int i = 0; i < width && i < a.width(); ++i) r.set_bit(i, a.bit(i));
+    return r;
+}
+
 Bitvec random_bitvec(Rng& rng, int width) {
     Bitvec v(width);
     for (int i = 0; i < width; i += 64) {
@@ -303,6 +404,62 @@ TEST(BitvecWordOps, MatchBitwiseReferenceAcrossWidths) {
             EXPECT_EQ(Bitvec::from_hex(a.to_hex(), width), a) << width;
         }
     }
+
+    // The ops with an inline <= 64-bit arm, on both sides of the 64/65
+    // boundary.  operator== compares whole words, so a result that left
+    // bits set above its width fails here too.
+    for (const int width : {0, 1, 7, 9, 31, 48, 63, 64, 65, 128}) {
+        for (int round = 0; round < 24; ++round) {
+            const Bitvec a = random_bitvec(rng, width);
+            // Every fourth round compares equal values, every fourth a
+            // value one bit away.
+            Bitvec b = random_bitvec(rng, width);
+            if (round % 4 == 0) b = a;
+            if (round % 4 == 1 && width > 0) {
+                b = a;
+                const int bit = static_cast<int>(rng.next_below(
+                    static_cast<std::uint64_t>(width)));
+                b.set_bit(bit, !b.bit(bit));
+            }
+            EXPECT_EQ(a.add(b), ref_add(a, b)) << width;
+            EXPECT_EQ(a.sub(b), ref_sub(a, b)) << width;
+            EXPECT_EQ(a.neg(), ref_sub(Bitvec(width), a)) << width;
+            EXPECT_EQ(a.band(b), ref_bitwise(a, b, [](bool x, bool y) { return x && y; }))
+                << width;
+            EXPECT_EQ(a.bor(b), ref_bitwise(a, b, [](bool x, bool y) { return x || y; }))
+                << width;
+            EXPECT_EQ(a.bxor(b), ref_bitwise(a, b, [](bool x, bool y) { return x != y; }))
+                << width;
+            EXPECT_EQ(a.bnot(), ref_not(a)) << width;
+            EXPECT_EQ(a.eq(b), ref_eq(a, b)) << width;
+            EXPECT_EQ(a.ult(b), ref_ult(a, b)) << width;
+            EXPECT_EQ(a.ule(b), ref_ult(a, b) || ref_eq(a, b)) << width;
+            EXPECT_EQ(a.is_zero(), ref_eq(a, Bitvec(width))) << width;
+            for (const int to : {0, 1, 63, 64, 65, 128, width - 1, width + 1}) {
+                if (to < 0) continue;
+                EXPECT_EQ(a.resize(to), ref_resize(a, to)) << width << " -> " << to;
+            }
+
+            // Copy and move, constructed and assigned, into targets on
+            // either side of the boundary.
+            const Bitvec copied(a);
+            EXPECT_TRUE(copied.width() == width && ref_eq(copied, a)) << width;
+            Bitvec source(a);
+            const Bitvec moved(std::move(source));
+            EXPECT_TRUE(moved.width() == width && ref_eq(moved, a)) << width;
+            for (const int from : {9, 64, 65, 128}) {
+                Bitvec assigned = random_bitvec(rng, from);
+                assigned = a;
+                EXPECT_TRUE(assigned.width() == width && ref_eq(assigned, a))
+                    << from << " = " << width;
+                Bitvec move_assigned = random_bitvec(rng, from);
+                Bitvec donor(a);
+                move_assigned = std::move(donor);
+                EXPECT_TRUE(move_assigned.width() == width && ref_eq(move_assigned, a))
+                    << from << " = move " << width;
+            }
+        }
+    }
 }
 
 TEST(BitvecWordOps, EdgeBehaviourUnchanged) {
@@ -321,6 +478,30 @@ TEST(BitvecWordOps, EdgeBehaviourUnchanged) {
     EXPECT_THROW(Bitvec(8, 0).bit(8), std::out_of_range);
     EXPECT_THROW(Bitvec(8, 0).slice(8, 0), std::out_of_range);
     EXPECT_THROW(Bitvec(8, 0).add(Bitvec(9, 0)), std::invalid_argument);
+
+    // Every op with an inline arm checks widths before taking it, whether
+    // the operands are narrow, wide or straddle the boundary.
+    for (const auto& [wa, wb] :
+         {std::pair{0, 1}, std::pair{8, 9}, std::pair{64, 65}, std::pair{65, 64},
+          std::pair{128, 129}}) {
+        SCOPED_TRACE(std::to_string(wa) + " vs " + std::to_string(wb));
+        const Bitvec a(wa);
+        const Bitvec b(wb);
+        EXPECT_THROW(a.add(b), std::invalid_argument);
+        EXPECT_THROW(a.sub(b), std::invalid_argument);
+        EXPECT_THROW(a.band(b), std::invalid_argument);
+        EXPECT_THROW(a.bor(b), std::invalid_argument);
+        EXPECT_THROW(a.bxor(b), std::invalid_argument);
+        EXPECT_THROW(a.eq(b), std::invalid_argument);
+        EXPECT_THROW(a.ult(b), std::invalid_argument);
+        EXPECT_THROW(a.ule(b), std::invalid_argument);
+        EXPECT_THROW(a.ugt(b), std::invalid_argument);
+        EXPECT_THROW(a.uge(b), std::invalid_argument);
+    }
+    EXPECT_THROW(Bitvec(-1), std::invalid_argument);
+    EXPECT_THROW(Bitvec(-1, 1), std::invalid_argument);
+    EXPECT_THROW(Bitvec(8, 1).resize(-1), std::invalid_argument);
+    EXPECT_THROW(Bitvec(65, 1).resize(-1), std::invalid_argument);
 
     // Truncating constructor masks to width.
     EXPECT_EQ(Bitvec(4, 0xff).to_u64(), 0xfull);

@@ -395,6 +395,45 @@ TEST(DeviceRuntime, EgressStampAddsPipelineCycles) {
     }
 }
 
+TEST(DeviceRuntime, InjectBorrowsTheStimulusAndStampsItsOwnMeta) {
+    // inject() reads a const stimulus: the device stamps rx time into its
+    // own copy of the meta, which the tap record and the output carry,
+    // and the caller's packet comes back exactly as it went in.
+    auto device = target::make_reference_device();
+    const auto prog = p4::compile_source(p4::programs::passthrough(), "passthrough");
+    ASSERT_TRUE(device->load(*prog));
+    device->set_taps_enabled(true);
+
+    packet::Packet built = core::scenario::ipv4_udp_packet();
+    built.meta.ingress_port = 0;
+    built.meta.id = 7;
+    const packet::Packet stimulus = built;
+    ASSERT_EQ(stimulus.meta.rx_time_ns, 0u);
+
+    const std::uint64_t stamp = device->now_ns();
+    device->inject(stimulus);
+    EXPECT_EQ(device->now_ns(), stamp + target::kNsPerPacket);
+
+    ASSERT_EQ(device->tap_records().size(), 1u);
+    const target::TapRecord& record = device->tap_records().back();
+    EXPECT_EQ(record.input.meta.rx_time_ns, stamp);
+    EXPECT_EQ(record.input.meta.id, 7u);
+    EXPECT_TRUE(record.input.same_bytes(stimulus));
+
+    const auto out = device->drain_port(1);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].meta.rx_time_ns, stamp);
+    EXPECT_EQ(out[0].meta.tx_time_ns,
+              stamp + record.result.cycles * target::kNsPerCycle);
+
+    EXPECT_EQ(stimulus.data(), built.data());
+    EXPECT_EQ(stimulus.meta.ingress_port, 0u);
+    EXPECT_EQ(stimulus.meta.egress_port, 0u);
+    EXPECT_EQ(stimulus.meta.rx_time_ns, 0u);
+    EXPECT_EQ(stimulus.meta.tx_time_ns, 0u);
+    EXPECT_EQ(stimulus.meta.id, 7u);
+}
+
 TEST(DeviceRuntime, BackendRegistryListsAndBuilds) {
     const auto names = target::registered_backends();
     ASSERT_GE(names.size(), 2u);
