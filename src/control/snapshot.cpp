@@ -47,29 +47,6 @@ std::string StatusSnapshot::to_string() const {
     return s;
 }
 
-StatusSnapshot StatusSnapshot::delta_since(const StatusSnapshot& older) const {
-    StatusSnapshot d = *this;
-    d.stages.parser_in -= older.stages.parser_in;
-    d.stages.parser_accepted -= older.stages.parser_accepted;
-    d.stages.parser_rejected -= older.stages.parser_rejected;
-    d.stages.parser_errors -= older.stages.parser_errors;
-    d.stages.ingress_dropped -= older.stages.ingress_dropped;
-    d.stages.egress_dropped -= older.stages.egress_dropped;
-    d.stages.forwarded -= older.stages.forwarded;
-    d.misdirected -= older.misdirected;
-    for (std::size_t i = 0; i < d.ports.size() && i < older.ports.size(); ++i) {
-        d.ports[i].rx_packets -= older.ports[i].rx_packets;
-        d.ports[i].rx_bytes -= older.ports[i].rx_bytes;
-        d.ports[i].tx_packets -= older.ports[i].tx_packets;
-        d.ports[i].tx_bytes -= older.ports[i].tx_bytes;
-    }
-    for (std::size_t i = 0; i < d.tables.size() && i < older.tables.size(); ++i) {
-        d.tables[i].hits -= older.tables[i].hits;
-        d.tables[i].misses -= older.tables[i].misses;
-    }
-    return d;
-}
-
 std::int64_t StatusSnapshot::unaccounted_packets() const {
     const auto in = static_cast<std::int64_t>(stages.parser_in);
     // `forwarded` counts misdirected packets too, but they never left on a

@@ -56,9 +56,6 @@ struct StatusSnapshot {
 
     std::string to_string() const;
 
-    // Counter deltas between two snapshots (this - older).
-    StatusSnapshot delta_since(const StatusSnapshot& older) const;
-
     // Total packets that entered but neither left on a real port nor were
     // accounted as dropped: nonzero values indicate silent loss inside the
     // device.  Misdirected packets count as lost (the pipeline's `forwarded`

@@ -229,10 +229,6 @@ void Writer::bitvec(const util::Bitvec& v) {
     v.write_bytes(std::span(buf_).subspan(base));
 }
 
-void Writer::bytes(std::span<const std::uint8_t> b) {
-    buf_.insert(buf_.end(), b.begin(), b.end());
-}
-
 bool Reader::fail(std::string reason) {
     if (error_.empty()) error_ = std::move(reason);
     return false;
@@ -630,6 +626,81 @@ Decode decode_response(std::span<const std::uint8_t> payload, Response& out) {
     if (!r.done()) {
         return Decode::bad(util::format("trailing %zu byte(s) after the response",
                                         r.remaining()));
+    }
+    return Decode::good();
+}
+
+// --- telemetry delta payload codec --------------------------------------------
+
+std::vector<std::uint8_t> encode_telemetry_delta(const obs::TelemetryDelta& delta) {
+    Writer w;
+    w.u64(delta.pid);
+    w.u32(static_cast<std::uint32_t>(obs::kNumCounters));
+    for (const std::uint64_t c : delta.metrics.counters) w.u64(c);
+    w.u32(static_cast<std::uint32_t>(obs::kNumGauges));
+    for (const std::int64_t g : delta.metrics.gauges) {
+        w.u64(static_cast<std::uint64_t>(g));
+    }
+    w.u32(static_cast<std::uint32_t>(obs::kNumHists));
+    w.u32(static_cast<std::uint32_t>(obs::kHistBuckets));
+    for (const obs::HistogramData& h : delta.metrics.hists) {
+        for (const std::uint64_t b : h.buckets) w.u64(b);
+    }
+    w.u32(static_cast<std::uint32_t>(delta.events.size()));
+    for (const obs::TraceEventRecord& ev : delta.events) {
+        w.str(ev.name);
+        w.str(ev.arg0);
+        w.str(ev.arg1);
+        w.u64(ev.ts_ns);
+        w.u64(ev.dur_ns);
+        w.u64(ev.v0);
+        w.u64(ev.v1);
+        w.u32(ev.tid);
+    }
+    return w.take();
+}
+
+Decode decode_telemetry_delta(std::span<const std::uint8_t> payload,
+                              obs::TelemetryDelta& out) {
+    Reader r(payload);
+    // Reads a section's element count; it must equal this build's.
+    const auto expect = [&r](std::size_t want, const char* what) {
+        std::uint32_t n = 0;
+        if (r.u32(n) && n != want) {
+            r.fail(util::format("%s count %u, this build has %zu", what, n, want));
+        }
+    };
+    out = obs::TelemetryDelta{};
+    r.u64(out.pid);
+    expect(obs::kNumCounters, "counter");
+    for (std::uint64_t& c : out.metrics.counters) r.u64(c);
+    expect(obs::kNumGauges, "gauge");
+    for (std::int64_t& g : out.metrics.gauges) {
+        std::uint64_t raw = 0;
+        r.u64(raw);
+        g = static_cast<std::int64_t>(raw);
+    }
+    expect(obs::kNumHists, "histogram");
+    expect(obs::kHistBuckets, "histogram bucket");
+    for (obs::HistogramData& h : out.metrics.hists) {
+        for (std::uint64_t& b : h.buckets) r.u64(b);
+    }
+    std::uint32_t events = 0;
+    r.count(events, kMaxTelemetryEvents);
+    // Grown per decoded event, so a hostile count allocates nothing.
+    for (std::uint32_t i = 0; r.ok() && i < events; ++i) {
+        obs::TraceEventRecord ev;
+        if (r.str(ev.name) && r.str(ev.arg0) && r.str(ev.arg1) &&
+            r.u64(ev.ts_ns) && r.u64(ev.dur_ns) && r.u64(ev.v0) &&
+            r.u64(ev.v1) && r.u32(ev.tid)) {
+            ev.pid = out.pid;
+            out.events.push_back(std::move(ev));
+        }
+    }
+    if (!r.ok()) return Decode::bad("malformed telemetry delta: " + r.error());
+    if (!r.done()) {
+        return Decode::bad(util::format(
+            "trailing %zu byte(s) after the telemetry delta", r.remaining()));
     }
     return Decode::good();
 }

@@ -1,13 +1,14 @@
 // Wire-protocol frame codec for the management plane.
 //
 // Serializes control::Request/Response (and the campaign fabric's job
-// traffic) into length-prefixed, versioned, checksummed binary frames, so
-// the paper's "dedicated management interface" is a real byte protocol that
-// can cross a process boundary -- and, just as importantly, one that a
-// fault injector can drop, truncate, corrupt and reorder.  Decoding is
-// strict and diagnostic-rich: every malformed input is rejected with a
-// human-readable reason, never a crash or a silently-wrong value (the same
-// hardening recipe the corpus recipe parsers follow).
+// traffic and telemetry deltas) into length-prefixed, versioned,
+// checksummed binary frames, so the paper's "dedicated management
+// interface" is a real byte protocol that can cross a process boundary --
+// and, just as importantly, one that a fault injector can drop, truncate,
+// corrupt and reorder.  Decoding is strict and diagnostic-rich: every
+// malformed input is rejected with a human-readable reason, never a crash
+// or a silently-wrong value (the same hardening recipe the corpus recipe
+// parsers follow).
 //
 // Frame layout (all integers little-endian):
 //
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "control/channel.h"
+#include "obs/telemetry.h"
 
 namespace ndb::control::wire {
 
@@ -112,7 +114,7 @@ private:
 // --- payload primitives -------------------------------------------------------
 
 // Bounds-checked little-endian serializer, shared by the Request/Response
-// codec and the fabric's job/result messages.
+// codec, the telemetry delta codec and the fabric's job/result messages.
 class Writer {
 public:
     void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -122,7 +124,6 @@ public:
     void f64(double v);  // IEEE-754 bit pattern
     void str(std::string_view s);
     void bitvec(const util::Bitvec& v);
-    void bytes(std::span<const std::uint8_t> b);
 
     std::vector<std::uint8_t> take() { return std::move(buf_); }
     const std::vector<std::uint8_t>& data() const { return buf_; }
@@ -171,5 +172,20 @@ Decode decode_request(std::span<const std::uint8_t> payload, Request& out);
 
 std::vector<std::uint8_t> encode_response(const Response& response);
 Decode decode_response(std::span<const std::uint8_t> payload, Response& out);
+
+// --- telemetry delta payload codec --------------------------------------------
+
+// A fabric worker ships its obs::TelemetryDelta as a heartbeat ack's
+// payload.  The decoder is strict like the request codec: the counter,
+// gauge, histogram and bucket counts must equal this build's, at most
+// kMaxTelemetryEvents events may follow (a drain empties one ring per
+// recording thread), and every event is stamped with the shipping pid.
+inline constexpr std::size_t kMaxTelemetryEvents = 1u << 16;
+static_assert(kMaxTelemetryEvents >= obs::kTraceRingCapacity,
+              "a delta must hold at least one full trace ring");
+
+std::vector<std::uint8_t> encode_telemetry_delta(const obs::TelemetryDelta& delta);
+Decode decode_telemetry_delta(std::span<const std::uint8_t> payload,
+                              obs::TelemetryDelta& out);
 
 }  // namespace ndb::control::wire

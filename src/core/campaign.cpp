@@ -35,32 +35,12 @@ constexpr std::uint64_t kMutateCoinSalt = 0x636f696e666c6970ull;  // "coinflip"
 
 // --- JSON helpers -------------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    out += util::format("\\u%04x", c);
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
 std::string json_string_array(const std::vector<std::string>& items) {
     std::string out = "[";
     for (std::size_t i = 0; i < items.size(); ++i) {
         if (i) out += ", ";
         out += '"';
-        out += json_escape(items[i]);
+        out += util::json_escape(items[i]);
         out += '"';
     }
     return out + "]";
@@ -245,7 +225,18 @@ CampaignReport CampaignEngine::run() {
         const Mutator mutator(gen);
         ScenarioCorpus corpus;
         if (config_.mutate && !config_.corpus_dir.empty()) {
+            // A damaged recipe file is an error, like a malformed fault
+            // plan: refused before any scenario runs, never silently left
+            // out of the corpus.
             corpus.load_dir(config_.corpus_dir, gen.programs());
+            if (!corpus.diagnostics().empty()) {
+                std::string why = "campaign: corpus directory '" +
+                                  config_.corpus_dir + "' holds damaged files:";
+                for (const std::string& d : corpus.diagnostics()) {
+                    why += "\n  " + d;
+                }
+                throw std::invalid_argument(why);
+            }
         }
         struct GuidedSlot {
             std::size_t program = 0;
@@ -644,7 +635,7 @@ std::string CampaignReport::to_json() const {
                       static_cast<unsigned long long>(scenarios));
     s += "  \"programs\": " + json_string_array(programs) + ",\n";
     s += "  \"backends\": " + json_string_array(backends) + ",\n";
-    s += "  \"engine\": \"" + json_escape(engine) + "\",\n";
+    s += "  \"engine\": \"" + util::json_escape(engine) + "\",\n";
     s += util::format("  \"packets_injected\": %llu,\n",
                       static_cast<unsigned long long>(packets_injected));
     s += util::format("  \"findings_total\": %llu,\n",
@@ -689,7 +680,7 @@ std::string CampaignReport::to_json() const {
             if (i) s += ", ";
             s += util::format(
                 "{\"backend\": \"%s\", \"edges\": %llu}",
-                json_escape(i < backends.size() ? backends[i] : "").c_str(),
+                util::json_escape(i < backends.size() ? backends[i] : "").c_str(),
                 static_cast<unsigned long long>(coverage_edges_dut[i]));
         }
         s += "], ";
@@ -752,13 +743,13 @@ std::string CampaignReport::to_json() const {
         s += i ? ",\n    {" : "\n    {";
         s += util::format("\"seed\": %llu, ",
                           static_cast<unsigned long long>(d.seed));
-        s += "\"recipe\": \"" + json_escape(d.recipe) + "\", ";
-        s += "\"backend\": \"" + json_escape(d.backend) + "\", ";
-        s += "\"program\": \"" + json_escape(d.program) + "\", ";
-        s += "\"quirks\": \"" + json_escape(d.quirk_signature) + "\", ";
-        s += "\"kind\": \"" + json_escape(d.kind) + "\", ";
-        s += "\"detail\": \"" + json_escape(d.detail) + "\", ";
-        s += "\"fingerprint\": \"" + json_escape(d.fingerprint) + "\", ";
+        s += "\"recipe\": \"" + util::json_escape(d.recipe) + "\", ";
+        s += "\"backend\": \"" + util::json_escape(d.backend) + "\", ";
+        s += "\"program\": \"" + util::json_escape(d.program) + "\", ";
+        s += "\"quirks\": \"" + util::json_escape(d.quirk_signature) + "\", ";
+        s += "\"kind\": \"" + util::json_escape(d.kind) + "\", ";
+        s += "\"detail\": \"" + util::json_escape(d.detail) + "\", ";
+        s += "\"fingerprint\": \"" + util::json_escape(d.fingerprint) + "\", ";
         s += util::format("\"discovered_at\": %llu, ",
                           static_cast<unsigned long long>(d.discovered_at));
         s += util::format("\"first_diverging_packet\": %llu, ",
@@ -775,7 +766,7 @@ std::string CampaignReport::to_json() const {
         s += util::format(
             "\"stage\": \"%s\", ",
             d.localized.diverged ? dataplane::stage_name(d.localized.stage) : "");
-        s += "\"description\": \"" + json_escape(d.localized.description) + "\", ";
+        s += "\"description\": \"" + util::json_escape(d.localized.description) + "\", ";
         s += util::format("\"probes\": %d, ", d.localized.probes);
         s += util::format("\"conclusive\": %s}",
                           d.localized.conclusive ? "true" : "false");

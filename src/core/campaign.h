@@ -89,6 +89,8 @@ struct CampaignConfig {
     double mutation_rate = 0.5;
     // Directory of .corpus recipes preloaded into the mutation corpus
     // (empty = the corpus grows from this run's own retained scenarios).
+    // A file the corpus reader (core/corpus.h) rejects makes run() throw
+    // std::invalid_argument, naming it, before any scenario runs.
     std::string corpus_dir;
     // Single-scenario replay of one encoded recipe: when non-empty the
     // engine runs exactly that scenario (`scenarios` is ignored).  A '#'

@@ -195,7 +195,7 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
                             const obs::TelemetryDelta delta =
                                 obs::Telemetry::take_delta();
                             if (!delta.empty()) {
-                                ack.payload = obs::Telemetry::encode_delta(delta);
+                                ack.payload = wire::encode_telemetry_delta(delta);
                             }
                         }
                         send_frame(ack);
@@ -212,7 +212,7 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
                                 wire::Frame fin;
                                 fin.kind = wire::FrameKind::heartbeat_ack;
                                 fin.seq = frame.seq;
-                                fin.payload = obs::Telemetry::encode_delta(delta);
+                                fin.payload = wire::encode_telemetry_delta(delta);
                                 transport.send(wire::encode_frame(fin));
                             }
                         }
@@ -421,7 +421,7 @@ CampaignReport FabricEngine::run() {
     const auto import_telemetry = [](const wire::Frame& frame) {
         if (frame.payload.empty() || !obs::Telemetry::any_enabled()) return;
         obs::TelemetryDelta delta;
-        if (obs::Telemetry::decode_delta(frame.payload, delta)) {
+        if (wire::decode_telemetry_delta(frame.payload, delta)) {
             obs::Telemetry::import_delta(std::move(delta));
         }
     };

@@ -1,12 +1,10 @@
 #include "core/mutate.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <span>
 #include <stdexcept>
 
+#include "core/corpus.h"
 #include "coverage/coverage.h"
 #include "util/random.h"
 #include "util/strings.h"
@@ -235,113 +233,15 @@ std::optional<ConcolicRecipe> ConcolicRecipe::parse(std::string_view text) {
 
 std::size_t ScenarioCorpus::load_dir(const std::string& dir,
                                      const std::vector<std::string>& programs) {
-    diagnostics_.clear();
-    if (!std::filesystem::is_directory(dir)) return 0;
-    std::vector<std::filesystem::path> files;
-    for (const auto& file : std::filesystem::directory_iterator(dir)) {
-        if (file.path().extension() == ".corpus") files.push_back(file.path());
-    }
-    std::sort(files.begin(), files.end());
-
+    CorpusDir read = read_corpus_dir(dir);
+    diagnostics_ = std::move(read.diagnostics);
     std::size_t loaded = 0;
-    for (const auto& path : files) {
-        const std::string fname = path.filename().string();
-        const auto reject = [&](const std::string& why) {
-            diagnostics_.push_back(fname + ": " + why);
-        };
-        std::ifstream in(path);
-        std::string line, program, mutate_recipe, concolic_recipe;
-        std::uint64_t seed = 0;
-        bool seed_ok = false;
-        bool damaged = false;
-        int lineno = 0;
-        while (std::getline(in, line)) {
-            ++lineno;
-            if (line.empty() || line[0] == '#') continue;
-            const std::size_t eq = line.find('=');
-            if (eq == std::string::npos) {
-                reject(util::format("line %d: no '=' separator", lineno));
-                damaged = true;
-                break;
-            }
-            const std::string key = line.substr(0, eq);
-            const std::string value = line.substr(eq + 1);
-            // seed= gets the same strict parse as recipe operands: a
-            // damaged line must reject the entry, not load a different seed.
-            if (key == "seed") {
-                seed_ok = parse_u64(value, seed);
-                if (!seed_ok) {
-                    reject(util::format("line %d: unparseable seed '%s'",
-                                        lineno, value.c_str()));
-                    damaged = true;
-                    break;
-                }
-            } else if (key == "program") {
-                program = value;
-            } else if (key == "mutate") {
-                mutate_recipe = value;
-            } else if (key == "concolic") {
-                concolic_recipe = value;
-            } else if (key == "backend" || key == "quirks" || key == "stage") {
-                // Soak-mode provenance; informational only.
-            } else {
-                reject(util::format("line %d: unknown key '%s'", lineno,
-                                    key.c_str()));
-                damaged = true;
-                break;
-            }
-        }
-        if (damaged) continue;
-        if (program.empty() || !seed_ok) {
-            reject("missing program= or seed= line");
-            continue;
-        }
-        if (!mutate_recipe.empty() && !concolic_recipe.empty()) {
-            reject("both mutate= and concolic= present; an entry is one kind");
-            continue;
-        }
-        if (std::find(programs.begin(), programs.end(), program) ==
+    for (const CorpusRecord& rec : read.records) {
+        if (std::find(programs.begin(), programs.end(), rec.program) ==
             programs.end()) {
             continue;  // outside this campaign's catalogue slice
         }
-        if (!mutate_recipe.empty()) {
-            // The recipe must both parse and name the entry's own program:
-            // an inconsistent file would otherwise smuggle an out-of-
-            // catalogue (or misfiled) parent past the filter above and blow
-            // up a worker at apply() time.
-            const auto parsed = MutationRecipe::parse(mutate_recipe);
-            if (!parsed) {
-                reject("malformed mutate= recipe: " + mutate_recipe);
-                continue;
-            }
-            if (parsed->program != program) {
-                reject("mutate= recipe names program '" + parsed->program +
-                       "' but entry is for '" + program + "'");
-                continue;
-            }
-        }
-        if (!concolic_recipe.empty()) {
-            const auto parsed = ConcolicRecipe::parse(concolic_recipe);
-            if (!parsed) {
-                reject("malformed concolic= recipe: " + concolic_recipe);
-                continue;
-            }
-            if (parsed->program != program) {
-                reject("concolic= recipe names program '" + parsed->program +
-                       "' but entry is for '" + program + "'");
-                continue;
-            }
-            if (parsed->slot != seed) {
-                reject(util::format(
-                    "concolic= slot %llu disagrees with seed=%llu",
-                    static_cast<unsigned long long>(parsed->slot),
-                    static_cast<unsigned long long>(seed)));
-                continue;
-            }
-        }
-        const bool concolic = !concolic_recipe.empty();
-        const std::string& recipe = concolic ? concolic_recipe : mutate_recipe;
-        if (add(program, seed, recipe, concolic)) ++loaded;
+        if (add(rec.program, rec.seed, rec.recipe, rec.concolic)) ++loaded;
     }
     return loaded;
 }

@@ -129,18 +129,18 @@ struct CorpusEntry {
 // per-program vectors in insertion order, programs by name.
 class ScenarioCorpus {
 public:
-    // Loads every `.corpus` file under `dir` (sorted by file name) whose
-    // `program=` is in `programs`; a `mutate=` line makes the entry a
-    // mutant, a `concolic=` line a synthesized seed.  Missing directory is
-    // fine (returns 0).  Every malformed file or line is rejected with a
-    // message appended to diagnostics() -- never a crash, never a silent
-    // skip.  (Out-of-catalogue programs are the one silent case: they are
-    // valid files that simply belong to another campaign slice.)
+    // Loads every `.corpus` file under `dir` (sorted by file name, read by
+    // core/corpus.h's strict reader) whose `program=` is in `programs`; a
+    // `mutate=` line makes the entry a mutant, a `concolic=` line a
+    // synthesized seed.  Missing directory is fine (returns 0).  Every
+    // rejected file gets a message in diagnostics() -- never a crash, never
+    // a silent skip.  (Out-of-catalogue programs are the one silent case:
+    // they are valid files that simply belong to another campaign slice.)
     std::size_t load_dir(const std::string& dir,
                          const std::vector<std::string>& programs);
 
-    // Human-readable reasons for everything load_dir rejected or flagged,
-    // in file order.  Cleared by each load_dir call.
+    // "<file>: <reason>" for every file load_dir rejected, in file order.
+    // Cleared by each load_dir call.
     const std::vector<std::string>& diagnostics() const { return diagnostics_; }
 
     // Adds one entry; returns false when an identical (program, seed,

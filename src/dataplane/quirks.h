@@ -8,7 +8,9 @@
 // the parser reject state, so packets that must be dropped are forwarded.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace ndb::dataplane {
 
@@ -65,31 +67,14 @@ struct Quirks {
 
     // Canonical "+"-joined list of the active quirks ("none" when faithful),
     // stable across runs: campaign fingerprints and corpus entries key on it.
-    std::string signature() const {
-        std::string s;
-        const auto tag = [&s](const std::string& t) {
-            if (!s.empty()) s += '+';
-            s += t;
-        };
-        if (reject_as_accept) tag("reject_as_accept");
-        if (parser_depth_limit > 0) {
-            tag("parser_depth_limit=" + std::to_string(parser_depth_limit));
-        }
-        if (skip_checksum_update) tag("skip_checksum_update");
-        if (shift_miscompile) tag("shift_miscompile");
-        if (table_size_clamp > 0) {
-            tag("table_size_clamp=" + std::to_string(table_size_clamp));
-        }
-        if (ternary_priority_inverted) tag("ternary_priority_inverted");
-        if (metadata_clobber) tag("metadata_clobber");
-        if (stale_entry) tag("stale_entry");
-        if (expiry_off_by_one) tag("expiry_off_by_one");
-        if (hash_collision_misdirect > 0) {
-            tag("hash_collision_misdirect=" +
-                std::to_string(hash_collision_misdirect));
-        }
-        return s.empty() ? "none" : s;
-    }
+    std::string signature() const;
+
+    // Strict inverse of signature(): "none", or "+"-joined quirk names in
+    // any order, each integer quirk written name=N with N > 0.  An unknown
+    // name, a value on a boolean quirk, a missing, zero or non-decimal value
+    // on an integer quirk, a repeated quirk or an empty token rejects the
+    // whole text.
+    static std::optional<Quirks> parse(std::string_view signature);
 };
 
 }  // namespace ndb::dataplane

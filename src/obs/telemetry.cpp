@@ -14,73 +14,6 @@ namespace ndb::obs {
 
 namespace {
 
-// Delta wire format (independent of control/wire.h so the codec round-trips
-// in unit tests without a frame in sight): little-endian, magic + version
-// headed, length-prefixed strings capped well under kMaxPayloadBytes.
-constexpr std::uint32_t kDeltaMagic = 0x4e44'4254;  // "NDBT"
-constexpr std::uint16_t kDeltaVersion = 1;
-constexpr std::size_t kMaxString = 4096;
-constexpr std::size_t kMaxEvents = 1u << 20;
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-    put_u16(out, static_cast<std::uint16_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-struct Cursor {
-    const std::uint8_t* p;
-    std::size_t left;
-
-    bool u16(std::uint16_t& v) {
-        if (left < 2) return false;
-        v = static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-        p += 2;
-        left -= 2;
-        return true;
-    }
-    bool u32(std::uint32_t& v) {
-        if (left < 4) return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-        p += 4;
-        left -= 4;
-        return true;
-    }
-    bool u64(std::uint64_t& v) {
-        if (left < 8) return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-        p += 8;
-        left -= 8;
-        return true;
-    }
-    bool str(std::string& s) {
-        std::uint16_t n = 0;
-        if (!u16(n) || n > kMaxString || left < n) return false;
-        s.assign(reinterpret_cast<const char*>(p), n);
-        p += n;
-        left -= n;
-        return true;
-    }
-};
-
 // The imported accumulators + per-process delta baseline.  Leaked like the
 // other obs singletons (trace events may arrive while threads still exit).
 struct ImportState {
@@ -152,77 +85,6 @@ TelemetryDelta Telemetry::take_delta() {
     }
     delta.events = Trace::instance().drain();
     return delta;
-}
-
-std::vector<std::uint8_t> Telemetry::encode_delta(const TelemetryDelta& delta) {
-    std::vector<std::uint8_t> out;
-    put_u32(out, kDeltaMagic);
-    put_u16(out, kDeltaVersion);
-    put_u64(out, delta.pid);
-    put_u16(out, static_cast<std::uint16_t>(kNumCounters));
-    for (const std::uint64_t c : delta.metrics.counters) put_u64(out, c);
-    put_u16(out, static_cast<std::uint16_t>(kNumGauges));
-    for (const std::int64_t g : delta.metrics.gauges) {
-        put_u64(out, static_cast<std::uint64_t>(g));
-    }
-    put_u16(out, static_cast<std::uint16_t>(kNumHists));
-    put_u16(out, static_cast<std::uint16_t>(kHistBuckets));
-    for (const HistogramData& h : delta.metrics.hists) {
-        for (const std::uint64_t b : h.buckets) put_u64(out, b);
-    }
-    put_u32(out, static_cast<std::uint32_t>(delta.events.size()));
-    for (const TraceEventRecord& ev : delta.events) {
-        put_str(out, ev.name);
-        put_str(out, ev.arg0);
-        put_str(out, ev.arg1);
-        put_u64(out, ev.ts_ns);
-        put_u64(out, ev.dur_ns);
-        put_u64(out, ev.v0);
-        put_u64(out, ev.v1);
-        put_u32(out, ev.tid);
-    }
-    return out;
-}
-
-bool Telemetry::decode_delta(const std::vector<std::uint8_t>& bytes,
-                             TelemetryDelta& out) {
-    Cursor c{bytes.data(), bytes.size()};
-    std::uint32_t magic = 0;
-    std::uint16_t version = 0;
-    if (!c.u32(magic) || magic != kDeltaMagic) return false;
-    if (!c.u16(version) || version != kDeltaVersion) return false;
-    if (!c.u64(out.pid)) return false;
-    std::uint16_t n = 0;
-    if (!c.u16(n) || n != kNumCounters) return false;
-    for (std::uint64_t& v : out.metrics.counters) {
-        if (!c.u64(v)) return false;
-    }
-    if (!c.u16(n) || n != kNumGauges) return false;
-    for (std::int64_t& g : out.metrics.gauges) {
-        std::uint64_t raw = 0;
-        if (!c.u64(raw)) return false;
-        g = static_cast<std::int64_t>(raw);
-    }
-    std::uint16_t buckets = 0;
-    if (!c.u16(n) || n != kNumHists) return false;
-    if (!c.u16(buckets) || buckets != kHistBuckets) return false;
-    for (HistogramData& h : out.metrics.hists) {
-        for (std::uint64_t& b : h.buckets) {
-            if (!c.u64(b)) return false;
-        }
-    }
-    std::uint32_t events = 0;
-    if (!c.u32(events) || events > kMaxEvents) return false;
-    out.events.resize(events);
-    for (TraceEventRecord& ev : out.events) {
-        if (!c.str(ev.name) || !c.str(ev.arg0) || !c.str(ev.arg1)) return false;
-        if (!c.u64(ev.ts_ns) || !c.u64(ev.dur_ns) || !c.u64(ev.v0) ||
-            !c.u64(ev.v1) || !c.u32(ev.tid)) {
-            return false;
-        }
-        ev.pid = out.pid;
-    }
-    return c.left == 0;
 }
 
 void Telemetry::import_delta(TelemetryDelta delta) {

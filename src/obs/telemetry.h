@@ -1,6 +1,6 @@
 // Telemetry facade: one switch for the metrics registry + trace layer, the
-// merged export views, and the delta codec the campaign fabric ships over
-// its heartbeat frames.
+// merged export views, and the deltas the campaign fabric ships over its
+// heartbeat frames (encoded by control/wire.h's telemetry delta codec).
 //
 // Multi-process model: the parent enables telemetry before forking workers
 // (fork inherits the enable flags and the trace epoch).  Each worker resets
@@ -58,12 +58,6 @@ public:
 
     // Worker side: metrics-since-last-call + drained events.
     static TelemetryDelta take_delta();
-
-    static std::vector<std::uint8_t> encode_delta(const TelemetryDelta& delta);
-    // Strict: returns false (and leaves `out` unspecified) on any
-    // truncation, bad magic, or version mismatch.
-    static bool decode_delta(const std::vector<std::uint8_t>& bytes,
-                             TelemetryDelta& out);
 
     // Parent side: folds a decoded delta into the imported accumulators.
     static void import_delta(TelemetryDelta delta);

@@ -18,8 +18,6 @@ std::atomic<bool> g_trace_on{false};
 
 namespace {
 
-constexpr std::size_t kRingCapacity = 4096;
-
 // Ring slots hold static strings only: a push is slot writes under an
 // uncontended mutex, never an allocation.
 struct RawEvent {
@@ -34,7 +32,7 @@ struct RawEvent {
 
 struct Ring {
     std::mutex mu;
-    std::vector<RawEvent> events;  // reserve(kRingCapacity) at lease time
+    std::vector<RawEvent> events;  // reserve(kTraceRingCapacity) at lease time
     std::uint64_t dropped = 0;
     std::uint32_t tid = 0;
     bool leased = false;
@@ -65,7 +63,7 @@ Ring* acquire_ring() {
     Ring* r = st.rings.back().get();
     r->leased = true;
     r->tid = st.next_tid++;
-    r->events.reserve(kRingCapacity);
+    r->events.reserve(kTraceRingCapacity);
     return r;
 }
 
@@ -91,7 +89,7 @@ Ring& local_ring() {
 void push_event(const RawEvent& ev) {
     Ring& r = local_ring();
     const std::lock_guard<std::mutex> lock(r.mu);
-    if (r.events.size() >= kRingCapacity) {
+    if (r.events.size() >= kTraceRingCapacity) {
         ++r.dropped;
         if (metrics_on()) count(Counter::trace_events_dropped);
         return;
@@ -111,26 +109,6 @@ TraceEventRecord own_event(const RawEvent& ev, std::uint64_t pid,
     out.v1 = ev.v1;
     out.pid = pid;
     out.tid = tid;
-    return out;
-}
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    out += util::format("\\u%04x", c);
-                } else {
-                    out += c;
-                }
-        }
-    }
     return out;
 }
 
@@ -264,7 +242,7 @@ std::string trace_events_json(std::vector<TraceEventRecord> events) {
         // none) clamp to 0 rather than wrapping.
         const std::uint64_t rel = ev.ts_ns > epoch ? ev.ts_ns - epoch : 0;
         s += util::format("  {\"name\": \"%s\", \"cat\": \"ndb\", ",
-                          json_escape(ev.name).c_str());
+                          util::json_escape(ev.name).c_str());
         if (ev.instant()) {
             s += "\"ph\": \"i\", \"s\": \"t\", ";
         } else {
@@ -276,12 +254,12 @@ std::string trace_events_json(std::vector<TraceEventRecord> events) {
                           static_cast<unsigned long long>(ev.pid), ev.tid);
         s += "\"args\": {";
         if (!ev.arg0.empty()) {
-            s += util::format("\"%s\": %llu", json_escape(ev.arg0).c_str(),
+            s += util::format("\"%s\": %llu", util::json_escape(ev.arg0).c_str(),
                               static_cast<unsigned long long>(ev.v0));
         }
         if (!ev.arg1.empty()) {
             if (!ev.arg0.empty()) s += ", ";
-            s += util::format("\"%s\": %llu", json_escape(ev.arg1).c_str(),
+            s += util::format("\"%s\": %llu", util::json_escape(ev.arg1).c_str(),
                               static_cast<unsigned long long>(ev.v1));
         }
         s += "}}";

@@ -33,6 +33,9 @@ inline bool trace_on() {
     return detail::g_trace_on.load(std::memory_order_relaxed);
 }
 
+// Events one thread's ring holds before it drops the newest.
+inline constexpr std::size_t kTraceRingCapacity = 4096;
+
 // dur_ns sentinel distinguishing instant events ("i") from complete
 // events ("X") in the export.
 inline constexpr std::uint64_t kInstantDur = ~0ull;

@@ -83,77 +83,4 @@ std::string Expr::to_string() const {
     return "?";
 }
 
-namespace {
-std::string spaces(int n) { return std::string(static_cast<std::size_t>(n), ' '); }
-}  // namespace
-
-std::string Stmt::to_string(int indent) const {
-    const std::string pad = spaces(indent);
-    switch (kind) {
-        case Kind::assign:
-            return pad + lhs->to_string() + " = " + rhs->to_string() + ";\n";
-        case Kind::if_stmt: {
-            std::string s = pad + "if (" + cond->to_string() + ")\n";
-            s += then_branch->to_string(indent + 2);
-            if (else_branch) {
-                s += pad + "else\n" + else_branch->to_string(indent + 2);
-            }
-            return s;
-        }
-        case Kind::block: {
-            std::string s = pad + "{\n";
-            for (const auto& st : body) s += st->to_string(indent + 2);
-            return s + pad + "}\n";
-        }
-        case Kind::call:
-            return pad + call->to_string() + ";\n";
-        case Kind::exit:
-            return pad + "exit;\n";
-        case Kind::ret:
-            return pad + "return;\n";
-        case Kind::var_decl: {
-            std::string s = pad + var_type.to_string() + " " + var_name;
-            if (var_init) s += " = " + var_init->to_string();
-            return s + ";\n";
-        }
-    }
-    return pad + "?;\n";
-}
-
-std::string Program::to_string() const {
-    std::string s;
-    for (const auto& t : typedefs) {
-        s += "typedef " + t.type.to_string() + " " + t.name + ";\n";
-    }
-    for (const auto& c : consts) {
-        s += "const " + c.type.to_string() + " " + c.name + " = " +
-             c.value->to_string() + ";\n";
-    }
-    for (const auto& h : headers) {
-        s += "header " + h.name + " {\n";
-        for (const auto& f : h.fields) {
-            s += "  " + f.type.to_string() + " " + f.name + ";\n";
-        }
-        s += "}\n";
-    }
-    for (const auto& st : structs) {
-        s += "struct " + st.name + " {\n";
-        for (const auto& f : st.fields) {
-            s += "  " + f.type.to_string() + " " + f.name + ";\n";
-        }
-        s += "}\n";
-    }
-    for (const auto& p : parsers) {
-        s += "parser " + p.name + " { " + std::to_string(p.states.size()) + " states }\n";
-    }
-    for (const auto& c : controls) {
-        s += "control " + c.name + " { " + std::to_string(c.tables.size()) +
-             " tables, " + std::to_string(c.actions.size()) + " actions }\n";
-    }
-    if (package) {
-        s += package->package_name + "(...) main;\n";
-    }
-    return s;
-}
-
 }  // namespace ndb::p4::ast

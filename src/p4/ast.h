@@ -99,8 +99,6 @@ struct Stmt {
     TypeRef var_type;            // var_decl
     std::string var_name;
     ExprPtr var_init;            // may be null
-
-    std::string to_string(int indent = 0) const;
 };
 
 // --- declarations -------------------------------------------------------------
@@ -241,8 +239,6 @@ struct Program {
     std::vector<ParserDecl> parsers;
     std::vector<ControlDecl> controls;
     std::optional<PackageInst> package;
-
-    std::string to_string() const;
 };
 
 }  // namespace ndb::p4::ast

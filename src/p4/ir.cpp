@@ -1,8 +1,6 @@
 #include "p4/ir.h"
-
 #include <stdexcept>
 
-#include "util/strings.h"
 
 namespace ndb::p4::ir {
 
@@ -41,28 +39,6 @@ ExprPtr make_const(const Bitvec& value) {
     return e;
 }
 
-std::string Expr::to_string() const {
-    switch (kind) {
-        case Kind::constant: return cvalue.to_string();
-        case Kind::field:
-            return "f[" + std::to_string(fref.header) + "." + std::to_string(fref.field) + "]";
-        case Kind::param: return "p" + std::to_string(index);
-        case Kind::local: return "l" + std::to_string(index);
-        case Kind::is_valid: return "valid(h" + std::to_string(fref.header) + ")";
-        case Kind::unary:
-            return std::string(ast::un_op_name(un)) + a->to_string();
-        case Kind::binary:
-            return "(" + a->to_string() + " " + ast::bin_op_name(bin) + " " + b->to_string() + ")";
-        case Kind::ternary:
-            return "(" + c->to_string() + " ? " + a->to_string() + " : " + b->to_string() + ")";
-        case Kind::slice:
-            return a->to_string() + "[" + std::to_string(hi) + ":" + std::to_string(lo) + "]";
-        case Kind::cast:
-            return "(bit<" + std::to_string(width) + ">)" + a->to_string();
-    }
-    return "?";
-}
-
 // --- statements ------------------------------------------------------------------
 
 StmtPtr Stmt::clone() const {
@@ -95,42 +71,6 @@ std::vector<StmtPtr> clone_body(const std::vector<StmtPtr>& body) {
     out.reserve(body.size());
     for (const auto& s : body) out.push_back(s->clone());
     return out;
-}
-
-std::string Stmt::to_string(int indent) const {
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
-    switch (kind) {
-        case Kind::assign_field:
-            return pad + "f[" + std::to_string(dst.header) + "." + std::to_string(dst.field) +
-                   "] = " + value->to_string() + "\n";
-        case Kind::assign_local:
-            return pad + "l" + std::to_string(local_index) + " = " + value->to_string() + "\n";
-        case Kind::assign_slice:
-            return pad + "f[" + std::to_string(dst.header) + "." + std::to_string(dst.field) +
-                   "][" + std::to_string(hi) + ":" + std::to_string(lo) + "] = " +
-                   value->to_string() + "\n";
-        case Kind::if_stmt: {
-            std::string s = pad + "if " + cond->to_string() + "\n";
-            for (const auto& st : then_body) s += st->to_string(indent + 2);
-            if (!else_body.empty()) {
-                s += pad + "else\n";
-                for (const auto& st : else_body) s += st->to_string(indent + 2);
-            }
-            return s;
-        }
-        case Kind::apply_table:
-            return pad + "apply t" + std::to_string(table) + "\n";
-        case Kind::call_action:
-            return pad + "call a" + std::to_string(action) + "\n";
-        case Kind::set_valid:
-            return pad + (make_valid ? "setValid h" : "setInvalid h") +
-                   std::to_string(dst.header) + "\n";
-        case Kind::extern_op:
-            return pad + "extern op " + std::to_string(static_cast<int>(ext)) + "\n";
-        case Kind::exit_pipeline:
-            return pad + "exit\n";
-    }
-    return pad + "?\n";
 }
 
 // --- parser -----------------------------------------------------------------------
@@ -279,32 +219,6 @@ Program Program::clone() const {
     p.f_packet_length = f_packet_length;
     p.f_timestamp = f_timestamp;
     return p;
-}
-
-std::string Program::to_string() const {
-    std::string s = "program " + name + "\n";
-    for (const auto& h : headers) {
-        s += util::format("  header %s (%s, %d bits)%s\n", h.name.c_str(),
-                          h.type_name.c_str(), h.size_bits,
-                          h.is_metadata ? " [meta]" : "");
-    }
-    s += util::format("  parser: %zu states (start=%d)\n", parser_states.size(),
-                      start_state);
-    for (const auto& st : parser_states) {
-        s += "    state " + st.name + "\n";
-    }
-    for (const auto& t : tables) {
-        s += util::format("  table %s: %d-bit key, %zu actions, size %lld\n",
-                          t.name.c_str(), t.total_key_width(), t.actions.size(),
-                          static_cast<long long>(t.size));
-    }
-    for (const auto& a : actions) {
-        s += "  action " + a.name + "\n";
-    }
-    s += util::format("  ingress: %zu stmts\n", ingress.body.size());
-    if (egress) s += util::format("  egress: %zu stmts\n", egress->body.size());
-    s += util::format("  deparse: %zu headers\n", deparse_order.size());
-    return s;
 }
 
 namespace {

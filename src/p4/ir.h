@@ -83,7 +83,6 @@ struct Expr {
     int lo = 0;
 
     ExprPtr clone() const;
-    std::string to_string() const;
 };
 
 ExprPtr make_const(const Bitvec& value);
@@ -141,7 +140,6 @@ struct Stmt {
     int checksum_field = -1;     // field index of the checksum within that header
 
     StmtPtr clone() const;
-    std::string to_string(int indent = 0) const;
 };
 
 std::vector<StmtPtr> clone_body(const std::vector<StmtPtr>& body);
@@ -276,8 +274,6 @@ struct Program {
     // Deep copy: how target::Device::load(const Program&) makes a shared
     // image that outlives the caller's program.
     Program clone() const;
-
-    std::string to_string() const;
 };
 
 // Value of egress_spec that marks a packet for drop.

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/hex.h"
-
 namespace ndb::packet {
 
 util::Bitvec Packet::extract_bits(std::size_t bit_offset, int width) const {
@@ -73,16 +71,9 @@ void Packet::deposit_bits(std::size_t bit_offset, const util::Bitvec& value) {
     }
 }
 
-std::uint64_t Packet::u(std::size_t bit_offset, int width) const {
-    if (width > 64) throw std::invalid_argument("u: width > 64");
-    return extract_bits(bit_offset, width).to_u64();
-}
-
 void Packet::set_u(std::size_t bit_offset, int width, std::uint64_t value) {
     if (width > 64) throw std::invalid_argument("set_u: width > 64");
     deposit_bits(bit_offset, util::Bitvec(width, value));
 }
-
-std::string Packet::dump() const { return util::hex_dump(data_); }
 
 }  // namespace ndb::packet

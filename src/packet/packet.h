@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "util/bitvec.h"
@@ -46,15 +45,12 @@ public:
     void deposit_bits(std::size_t bit_offset, const util::Bitvec& value);
 
     // Convenience for fields of <= 64 bits.
-    std::uint64_t u(std::size_t bit_offset, int width) const;
     void set_u(std::size_t bit_offset, int width, std::uint64_t value);
 
     void resize(std::size_t n) { data_.resize(n, 0); }
 
     // Structural equality on bytes only (metadata excluded).
     bool same_bytes(const Packet& o) const { return data_ == o.data_; }
-
-    std::string dump() const;  // hexdump for diagnostics
 
     PacketMeta meta;
 

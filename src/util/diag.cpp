@@ -8,23 +8,11 @@ std::string SourceLoc::to_string() const {
 }
 
 std::string Diagnostic::to_string() const {
-    const char* sev = "error";
-    if (severity == DiagSeverity::warning) sev = "warning";
-    if (severity == DiagSeverity::note) sev = "note";
-    return loc.to_string() + ": " + sev + ": " + message;
+    return loc.to_string() + ": error: " + message;
 }
 
 void DiagEngine::error(SourceLoc loc, std::string message) {
-    diags_.push_back({DiagSeverity::error, loc, std::move(message)});
-    ++error_count_;
-}
-
-void DiagEngine::warning(SourceLoc loc, std::string message) {
-    diags_.push_back({DiagSeverity::warning, loc, std::move(message)});
-}
-
-void DiagEngine::note(SourceLoc loc, std::string message) {
-    diags_.push_back({DiagSeverity::note, loc, std::move(message)});
+    diags_.push_back({loc, std::move(message)});
 }
 
 std::string DiagEngine::report() const {

@@ -15,10 +15,7 @@ struct SourceLoc {
     bool known() const { return line > 0; }
 };
 
-enum class DiagSeverity { note, warning, error };
-
 struct Diagnostic {
-    DiagSeverity severity = DiagSeverity::error;
     SourceLoc loc;
     std::string message;
 
@@ -30,10 +27,8 @@ struct Diagnostic {
 class DiagEngine {
 public:
     void error(SourceLoc loc, std::string message);
-    void warning(SourceLoc loc, std::string message);
-    void note(SourceLoc loc, std::string message);
 
-    bool has_errors() const { return error_count_ > 0; }
+    bool has_errors() const { return !diags_.empty(); }
     const std::vector<Diagnostic>& all() const { return diags_; }
 
     // Joins every diagnostic into one report string.
@@ -41,7 +36,6 @@ public:
 
 private:
     std::vector<Diagnostic> diags_;
-    int error_count_ = 0;
 };
 
 // Thrown by frontend entry points when compilation cannot proceed.

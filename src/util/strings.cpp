@@ -77,10 +77,24 @@ std::string format(const char* fmt, ...) {
     return s;
 }
 
-std::string pad(std::string_view text, std::size_t width) {
-    std::string s{text.substr(0, width)};
-    s.resize(width, ' ');
-    return s;
+std::string json_escape(std::string_view text) {
+    std::string out;
+    out.reserve(text.size() + 2);
+    for (const char c : text) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    out += format("\\u%04x", c);
+                } else {
+                    out += c;
+                }
+        }
+    }
+    return out;
 }
 
 }  // namespace ndb::util

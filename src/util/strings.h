@@ -36,7 +36,8 @@ bool parse_double(std::string_view text, double& out);
 // printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-// Left-pads or truncates `text` to exactly `width` columns (for tables).
-std::string pad(std::string_view text, std::size_t width);
+// JSON string-body escape: quote, backslash, \n and \t by name, every other
+// control byte as \u00XX.  The campaign report and the trace export share it.
+std::string json_escape(std::string_view text);
 
 }  // namespace ndb::util

@@ -14,16 +14,6 @@ using coverage::Site;
 using p4::ir::kAccept;
 using p4::ir::kReject;
 
-const char* target_status_name(TargetStatus status) {
-    switch (status) {
-        case TargetStatus::solved: return "solved";
-        case TargetStatus::unsat: return "unsat";
-        case TargetStatus::unknown: return "unknown";
-        case TargetStatus::no_path: return "no_path";
-    }
-    return "?";
-}
-
 ConcolicSynthesizer::ConcolicSynthesizer(const p4::ir::Program& prog,
                                          ConcolicOptions options)
     : prog_(prog), options_(options) {}

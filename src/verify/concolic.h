@@ -65,8 +65,6 @@ enum class TargetStatus {
     no_path,   // symexec produced no path covering the site
 };
 
-const char* target_status_name(TargetStatus status);
-
 struct TargetOutcome {
     coverage::EdgeSite site;
     TargetStatus status = TargetStatus::no_path;

@@ -20,17 +20,6 @@ const char* path_end_name(PathEnd end) {
     return "?";
 }
 
-std::string SymPath::describe(const Program& prog) const {
-    std::string s = std::string(path_end_name(end)) + " when " +
-                    sv_to_string(condition);
-    for (const auto& [t, a] : table_choices) {
-        s += util::format(" [%s->%s]",
-                          prog.tables[static_cast<std::size_t>(t)].name.c_str(),
-                          prog.actions[static_cast<std::size_t>(a)].name.c_str());
-    }
-    return s;
-}
-
 SymExec::SymExec(const Program& prog, VarPool& pool, SymExecOptions options)
     : prog_(prog), pool_(pool), options_(options) {}
 
@@ -455,8 +444,6 @@ void SymExec::exec_body(const std::vector<p4::ir::StmtPtr>& body, std::size_t fr
     }
     out.push_back(std::move(state));
 }
-
-std::vector<SymPath> SymExec::run() { return explore().paths; }
 
 SymExecResult SymExec::explore() {
     std::vector<SymPath> finished;

@@ -64,8 +64,6 @@ struct SymPath {
     // table_choices.  Needed because fresh-var names embed a counter, so a
     // later model lookup by name cannot reconstruct them.
     std::vector<std::vector<SExpr>> table_args;
-
-    std::string describe(const p4::ir::Program& prog) const;
 };
 
 struct SymExecResult {
@@ -88,11 +86,9 @@ public:
     // which is what program-equivalence checking needs.
     SymExec(const p4::ir::Program& prog, VarPool& pool, SymExecOptions options = {});
 
-    // Explores the whole program; returns all syntactically feasible paths
-    // (callers filter with the solver if they need semantic feasibility).
-    std::vector<SymPath> run();
-
-    // Like run(), but also reports whether max_paths truncated the search.
+    // Explores the whole program: every syntactically feasible path (callers
+    // filter with the solver if they need semantic feasibility), and whether
+    // max_paths truncated the search.
     SymExecResult explore();
 
     // Final value of a field on a path.

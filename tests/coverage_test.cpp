@@ -7,16 +7,14 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/campaign.h"
+#include "core/corpus.h"
 #include "core/generator.h"
 #include "core/scenario_exec.h"
-#include "core/soak.h"
 #include "core/specgen.h"
 #include "coverage/coverage.h"
 #include "coverage/scheduler.h"
@@ -366,35 +364,28 @@ TEST(Soak, DeterministicCorpusGrowthAndReplay) {
     EXPECT_TRUE(second.written.empty());
     EXPECT_EQ(second.skipped_known, report.divergences.size());
 
-    // Every written recipe replays: one scenario, the recorded program and
-    // seed, the recorded backend under its catalogue quirks -- and the
-    // replay reproduces the recorded fingerprint, exactly the contract
-    // corpus_replay_test enforces for committed entries.
-    for (const auto& name : first.written) {
-        SCOPED_TRACE(name);
-        std::ifstream in(dir / name);
-        ASSERT_TRUE(in.good());
-        std::map<std::string, std::string> kv;
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty() || line[0] == '#') continue;
-            const std::size_t eq = line.find('=');
-            if (eq != std::string::npos) {
-                kv[line.substr(0, eq)] = line.substr(eq + 1);
-            }
-        }
+    // Every written recipe reads back cleanly and replays: one scenario,
+    // the recorded program and seed, the recorded backend under its
+    // catalogue quirks -- and the replay reproduces the recorded
+    // fingerprint, exactly the contract corpus_replay_test enforces for
+    // committed entries.
+    const core::CorpusDir written = core::read_corpus_dir(dir.string());
+    EXPECT_TRUE(written.diagnostics.empty())
+        << ::testing::PrintToString(written.diagnostics);
+    ASSERT_EQ(written.records.size(), first.written.size());
+    for (const core::CorpusRecord& rec : written.records) {
+        SCOPED_TRACE(rec.file);
         core::CampaignConfig replay;
-        replay.base_seed = std::stoull(kv.at("seed"));
+        replay.base_seed = rec.seed;
         replay.scenarios = 1;
         replay.threads = 1;
-        replay.programs = {kv.at("program")};
-        replay.duts = {
-            core::BackendSpec{kv.at("backend"), std::nullopt, "dut"}};
+        replay.programs = {rec.program};
+        replay.duts = {core::BackendSpec{rec.backend, std::nullopt, "dut"}};
         core::CampaignEngine replayer(replay);
         const core::CampaignReport rr = replayer.run();
         ASSERT_EQ(rr.divergences.size(), 1u) << rr.to_string();
         EXPECT_EQ(rr.divergences[0].fingerprint,
-                  "dut|" + kv.at("quirks") + "|" + kv.at("stage"));
+                  "dut|" + rec.quirks + "|" + rec.stage);
         EXPECT_TRUE(rr.divergences[0].minimized_reproduces);
     }
 

@@ -11,12 +11,13 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/campaign.h"
+#include "core/corpus.h"
 #include "core/mutate.h"
-#include "core/soak.h"
 #include "core/specgen.h"
 #include "core/testspec.h"
 #include "quirk_fixture.h"
@@ -199,6 +200,8 @@ TEST(ScenarioCorpus, MalformedFilesAreRejectedWithDiagnostics) {
           "seed=2\nprogram=reject_filter\nconcolic=reject_filter@1|port:0|pkt:00\n");
     write("i_truncated.corpus", "seed=\nprogram=reject_filter\n");
     write("j_binary_noise.corpus", "\x01\x02\xff\xfe no equals\n");
+    write("k_bad_quirks.corpus",
+          "seed=1\nprogram=reject_filter\nquirks=reject_as_accept=1\n");
 
     core::ScenarioCorpus corpus;
     EXPECT_EQ(corpus.load_dir(dir.string(), {"reject_filter"}), 1u);
@@ -207,18 +210,22 @@ TEST(ScenarioCorpus, MalformedFilesAreRejectedWithDiagnostics) {
     EXPECT_EQ(corpus.entries("reject_filter")[0].seed, 7u);
 
     // One diagnostic per damaged file, in file order, naming the file.
-    const auto& diags = corpus.diagnostics();
-    ASSERT_EQ(diags.size(), 9u);
-    const char* expect_prefix[] = {
-        "b_no_separator.corpus", "c_unknown_key.corpus",
-        "d_missing_seed.corpus", "e_bad_concolic.corpus",
-        "f_both_kinds.corpus",   "g_wrong_program.corpus",
-        "h_slot_mismatch.corpus", "i_truncated.corpus",
-        "j_binary_noise.corpus",
+    const std::vector<std::string> expected = {
+        "b_no_separator.corpus: line 3: no '=' separator",
+        "c_unknown_key.corpus: line 3: unknown key 'color'",
+        "d_missing_seed.corpus: missing program= or seed= line",
+        "e_bad_concolic.corpus: malformed concolic= recipe: "
+        "reject_filter@1|port:0|pkt:0g",
+        "f_both_kinds.corpus: both mutate= and concolic= present; an entry is "
+        "one kind",
+        "g_wrong_program.corpus: concolic= recipe names program 'deep_parser' "
+        "but entry is for 'reject_filter'",
+        "h_slot_mismatch.corpus: concolic= slot 1 disagrees with seed=2",
+        "i_truncated.corpus: line 1: unparseable seed ''",
+        "j_binary_noise.corpus: line 1: no '=' separator",
+        "k_bad_quirks.corpus: line 3: unparseable quirks 'reject_as_accept=1'",
     };
-    for (std::size_t i = 0; i < diags.size(); ++i) {
-        EXPECT_EQ(diags[i].rfind(expect_prefix[i], 0), 0u) << diags[i];
-    }
+    EXPECT_EQ(corpus.diagnostics(), expected);
 
     // A later clean load clears the previous run's diagnostics.
     std::filesystem::remove_all(dir);
@@ -402,6 +409,44 @@ TEST(MutateCampaign, EveryMutatedDivergenceReplaysFromItsRecipe) {
     }
 }
 
+TEST(MutateCampaign, DamagedCorpusFileFailsTheRunBeforeAnyScenario) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "ndb_mutate_damaged_corpus_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto write = [&dir](const char* name, const std::string& body) {
+        std::ofstream out(dir / name);
+        out << body;
+    };
+    write("a_good.corpus", "seed=5\nprogram=reject_filter\n");
+    write("b_junkseed.corpus", "seed=7junk\nprogram=reject_filter\n");
+
+    core::CampaignConfig config = mutate_config(8, 1);
+    config.programs = {"reject_filter"};
+    config.corpus_dir = dir.string();
+    core::CampaignEngine engine(config);
+    try {
+        engine.run();
+        ADD_FAILURE() << "a damaged corpus file did not fail the run";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("b_junkseed.corpus: line 1: unparseable seed '7junk'"),
+                  std::string::npos)
+            << what;
+        EXPECT_EQ(what.find("a_good.corpus"), std::string::npos) << what;
+    }
+
+    // A missing directory and an out-of-catalogue program stay silent.
+    std::filesystem::remove(dir / "b_junkseed.corpus");
+    write("c_other.corpus", "seed=3\nprogram=deep_parser\n");
+    core::CampaignEngine clean(config);
+    EXPECT_NO_THROW(clean.run());
+    config.corpus_dir = (dir / "nope").string();
+    core::CampaignEngine missing(config);
+    EXPECT_NO_THROW(missing.run());
+    std::filesystem::remove_all(dir);
+}
+
 // --- the seven-flag acceptance sweep (tests/quirk_fixture.h) ------------------
 
 TEST(MutateCampaign, FindsAllSevenWithinGuidedBudgetAndDutCoverageContributes) {
@@ -476,12 +521,13 @@ TEST(Soak, MutantRecipesCarryAMutateLine) {
         core::append_unique_corpus_entries(report, dir.string());
     ASSERT_EQ(grown.written.size(), 1u);
 
-    std::ifstream in(dir / grown.written[0]);
-    std::string line, mutate;
-    while (std::getline(in, line)) {
-        if (line.rfind("mutate=", 0) == 0) mutate = line.substr(7);
-    }
-    EXPECT_EQ(mutate, rec.recipe);
+    const core::CorpusDir written = core::read_corpus_dir(dir.string());
+    EXPECT_TRUE(written.diagnostics.empty())
+        << ::testing::PrintToString(written.diagnostics);
+    ASSERT_EQ(written.records.size(), 1u);
+    EXPECT_EQ(written.records[0].file, grown.written[0]);
+    EXPECT_FALSE(written.records[0].concolic);
+    EXPECT_EQ(written.records[0].recipe, rec.recipe);
     std::filesystem::remove_all(dir);
 }
 

@@ -1,7 +1,7 @@
 // Telemetry subsystem: histogram math against a naive reference, the
 // deterministic sharded merge, the observe-only contract (campaign reports
 // byte-identical with telemetry on or off), trace JSON
-// well-formedness, and the fabric delta codec.
+// well-formedness, and the worker-side delta take/import.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "control/wire.h"
 #include "core/campaign.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -247,54 +248,6 @@ TEST(Trace, ChromeTraceJsonIsWellFormed) {
     expect_balanced_json(obs::Telemetry::metrics_json());
 }
 
-TEST(Telemetry, DeltaCodecRoundTripsAndRejectsTruncation) {
-    obs::TelemetryDelta delta;
-    delta.pid = 4242;
-    delta.metrics.counters[static_cast<std::size_t>(obs::Counter::packets)] = 99;
-    delta.metrics.gauges[static_cast<std::size_t>(obs::Gauge::fabric_workers)] =
-        -3;
-    delta.metrics.hists[static_cast<std::size_t>(obs::Hist::scenario_ns)]
-        .buckets[12] = 5;
-    obs::TraceEventRecord ev;
-    ev.name = "scenario";
-    ev.arg0 = "seed";
-    ev.v0 = 17;
-    ev.arg1 = "findings";
-    ev.v1 = 2;
-    ev.ts_ns = 1000;
-    ev.dur_ns = 250;
-    ev.tid = 9;
-    delta.events.push_back(ev);
-
-    const std::vector<std::uint8_t> bytes = obs::Telemetry::encode_delta(delta);
-    obs::TelemetryDelta out;
-    ASSERT_TRUE(obs::Telemetry::decode_delta(bytes, out));
-    EXPECT_EQ(out.pid, 4242u);
-    EXPECT_EQ(out.metrics, delta.metrics);
-    ASSERT_EQ(out.events.size(), 1u);
-    EXPECT_EQ(out.events[0].name, "scenario");
-    EXPECT_EQ(out.events[0].v0, 17u);
-    EXPECT_EQ(out.events[0].dur_ns, 250u);
-    // Decoding stamps the shipping process's pid onto each event.
-    EXPECT_EQ(out.events[0].pid, 4242u);
-
-    // Any truncation fails whole; so do bad magic and trailing junk.
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        obs::TelemetryDelta scratch;
-        const std::vector<std::uint8_t> head(bytes.begin(),
-                                             bytes.begin() + cut);
-        EXPECT_FALSE(obs::Telemetry::decode_delta(head, scratch))
-            << "cut at " << cut;
-    }
-    std::vector<std::uint8_t> bad = bytes;
-    bad[0] ^= 0xff;
-    obs::TelemetryDelta scratch;
-    EXPECT_FALSE(obs::Telemetry::decode_delta(bad, scratch));
-    std::vector<std::uint8_t> padded = bytes;
-    padded.push_back(0);
-    EXPECT_FALSE(obs::Telemetry::decode_delta(padded, scratch));
-}
-
 TEST(Telemetry, TakeDeltaShipsOnceAndImportMerges) {
     TelemetryGuard guard;
     obs::Telemetry::set_enabled(true, true);
@@ -319,8 +272,8 @@ TEST(Telemetry, TakeDeltaShipsOnceAndImportMerges) {
     // pid onto every event.
     first.pid = 777;
     obs::TelemetryDelta shipped;
-    ASSERT_TRUE(obs::Telemetry::decode_delta(
-        obs::Telemetry::encode_delta(first), shipped));
+    ASSERT_TRUE(control::wire::decode_telemetry_delta(
+        control::wire::encode_telemetry_delta(first), shipped));
     obs::Telemetry::import_delta(shipped);
     const obs::MetricsSnapshot merged = obs::Telemetry::merged_metrics();
     EXPECT_EQ(merged.counters[static_cast<std::size_t>(

@@ -1,7 +1,12 @@
 // Reference vs. vendor-backend divergence for the quirk catalogue:
 // shift_miscompile at expression level, ternary_priority_inverted and
-// parser_depth_limit at device level (the latter localized through the taps).
+// parser_depth_limit at device level (the latter localized through the taps),
+// plus the quirk signature's strict parser.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/localize.h"
 #include "core/tools.h"
@@ -19,6 +24,68 @@ TEST(Quirks, SdnetCatalogueHeadlinedByRejectAsAccept) {
     EXPECT_TRUE(q.reject_as_accept);
     EXPECT_TRUE(q.any());
     EXPECT_FALSE(dataplane::Quirks{}.any());
+}
+
+TEST(Quirks, SignatureParseIsItsStrictInverse) {
+    // The faithful target, each of the ten single flags, and the catalogue.
+    std::vector<dataplane::Quirks> cases(1);
+    const auto with = [&cases](auto set) {
+        dataplane::Quirks q;
+        set(q);
+        cases.push_back(q);
+    };
+    with([](dataplane::Quirks& q) { q.reject_as_accept = true; });
+    with([](dataplane::Quirks& q) { q.parser_depth_limit = 4; });
+    with([](dataplane::Quirks& q) { q.skip_checksum_update = true; });
+    with([](dataplane::Quirks& q) { q.shift_miscompile = true; });
+    with([](dataplane::Quirks& q) { q.table_size_clamp = 2; });
+    with([](dataplane::Quirks& q) { q.ternary_priority_inverted = true; });
+    with([](dataplane::Quirks& q) { q.metadata_clobber = true; });
+    with([](dataplane::Quirks& q) { q.stale_entry = true; });
+    with([](dataplane::Quirks& q) { q.expiry_off_by_one = true; });
+    with([](dataplane::Quirks& q) { q.hash_collision_misdirect = 3; });
+    cases.push_back(target::sdnet_quirks());
+
+    std::set<std::string> distinct;
+    for (const dataplane::Quirks& q : cases) {
+        const std::string sig = q.signature();
+        SCOPED_TRACE(sig);
+        distinct.insert(sig);
+        const auto back = dataplane::Quirks::parse(sig);
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(back->signature(), sig);
+        EXPECT_EQ(back->any(), q.any());
+    }
+    EXPECT_EQ(distinct.size(), cases.size());
+    EXPECT_EQ(cases[0].signature(), "none");
+    EXPECT_EQ(target::sdnet_quirks().signature(),
+              "reject_as_accept+parser_depth_limit=4+shift_miscompile+"
+              "ternary_priority_inverted+stale_entry+expiry_off_by_one+"
+              "hash_collision_misdirect=3");
+    // Order is free; the signature stays canonical.
+    const auto reordered =
+        dataplane::Quirks::parse("table_size_clamp=7+reject_as_accept");
+    ASSERT_TRUE(reordered.has_value());
+    EXPECT_EQ(reordered->signature(), "reject_as_accept+table_size_clamp=7");
+
+    for (const char* bad : {
+             "bogus",                                     // unknown name
+             "none+reject_as_accept",                     // "none" stands alone
+             "reject_as_accept=1", "stale_entry=",        // value on a boolean
+             "parser_depth_limit", "table_size_clamp=",   // missing value
+             "hash_collision_misdirect",
+             "parser_depth_limit=0", "table_size_clamp=0",  // zero
+             "hash_collision_misdirect=0",
+             "parser_depth_limit=4x", "table_size_clamp=-2",  // junk value
+             "hash_collision_misdirect=3.0",
+             "parser_depth_limit=2147483648",             // beyond int
+             "stale_entry+stale_entry",                   // duplicate
+             "parser_depth_limit=4+parser_depth_limit=5",
+             "", "reject_as_accept+", "+reject_as_accept",  // empty token
+             "reject_as_accept++shift_miscompile",
+         }) {
+        EXPECT_FALSE(dataplane::Quirks::parse(bad).has_value()) << "'" << bad << "'";
+    }
 }
 
 TEST(Quirks, ShiftMiscompileTurnsRightShiftsLeft) {

@@ -9,12 +9,9 @@
 // field from the copy's get() values.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <optional>
-#include <string>
-#include <vector>
 
+#include "core/corpus.h"
 #include "core/generator.h"
 #include "core/specgen.h"
 #include "dataplane/digest.h"
@@ -36,72 +33,6 @@ std::uint64_t copy_based_hash(const p4::ir::Program& prog,
     return testutil::reference_digest(
         prog, [&](int h) { return tap->header_valid(h); },
         [&](int h, int f) { return tap->get({h, f}); });
-}
-
-// --- corpus plumbing ----------------------------------------------------------
-
-struct CorpusEntry {
-    std::string file;
-    std::uint64_t seed = 0;
-    std::string program;
-    std::string quirks_signature;
-};
-
-dataplane::Quirks parse_signature(const std::string& signature) {
-    dataplane::Quirks q;
-    if (signature == "none") return q;
-    std::size_t start = 0;
-    while (start <= signature.size()) {
-        const std::size_t plus = signature.find('+', start);
-        const std::string item = signature.substr(
-            start, plus == std::string::npos ? std::string::npos : plus - start);
-        const std::size_t eq = item.find('=');
-        const std::string key = item.substr(0, eq);
-        const int value =
-            eq == std::string::npos ? 0 : std::stoi(item.substr(eq + 1));
-        if (key == "reject_as_accept") q.reject_as_accept = true;
-        else if (key == "parser_depth_limit") q.parser_depth_limit = value;
-        else if (key == "skip_checksum_update") q.skip_checksum_update = true;
-        else if (key == "shift_miscompile") q.shift_miscompile = true;
-        else if (key == "table_size_clamp") q.table_size_clamp = value;
-        else if (key == "ternary_priority_inverted") q.ternary_priority_inverted = true;
-        else if (key == "metadata_clobber") q.metadata_clobber = true;
-        else if (key == "stale_entry") q.stale_entry = true;
-        else if (key == "expiry_off_by_one") q.expiry_off_by_one = true;
-        else if (key == "hash_collision_misdirect") q.hash_collision_misdirect = value;
-        else ADD_FAILURE() << "unknown quirk in corpus signature: " << key;
-        if (plus == std::string::npos) break;
-        start = plus + 1;
-    }
-    return q;
-}
-
-std::vector<CorpusEntry> load_corpus() {
-    std::vector<CorpusEntry> entries;
-    std::vector<std::filesystem::path> files;
-    for (const auto& file :
-         std::filesystem::directory_iterator(NDB_CORPUS_DIR)) {
-        if (file.path().extension() == ".corpus") files.push_back(file.path());
-    }
-    std::sort(files.begin(), files.end());
-    for (const auto& path : files) {
-        CorpusEntry entry;
-        entry.file = path.filename().string();
-        std::ifstream in(path);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty() || line[0] == '#') continue;
-            const std::size_t eq = line.find('=');
-            if (eq == std::string::npos) continue;
-            const std::string key = line.substr(0, eq);
-            const std::string value = line.substr(eq + 1);
-            if (key == "seed") entry.seed = std::stoull(value);
-            else if (key == "program") entry.program = value;
-            else if (key == "quirks") entry.quirks_signature = value;
-        }
-        entries.push_back(std::move(entry));
-    }
-    return entries;
 }
 
 // Runs a scenario's packet stream with BOTH full taps and streaming digests
@@ -140,11 +71,13 @@ void check_device(target::Device& dev, const core::Scenario& sc) {
 }
 
 TEST(TapDigest, CorpusSeedsHashIdenticallyToCopyBasedTaps) {
-    const std::vector<CorpusEntry> corpus = load_corpus();
-    ASSERT_FALSE(corpus.empty()) << "empty corpus dir: " << NDB_CORPUS_DIR;
+    const core::CorpusDir corpus = core::read_corpus_dir(NDB_CORPUS_DIR);
+    ASSERT_FALSE(corpus.records.empty()) << "empty corpus dir: " << NDB_CORPUS_DIR;
 
-    for (const auto& entry : corpus) {
+    for (const core::CorpusRecord& entry : corpus.records) {
         SCOPED_TRACE(entry.file);
+        const auto quirks = dataplane::Quirks::parse(entry.quirks);
+        ASSERT_TRUE(quirks.has_value()) << "no quirks= line";
         const core::SpecGenerator gen({entry.program});
         const core::Scenario sc = gen.make(entry.seed);
 
@@ -154,7 +87,7 @@ TEST(TapDigest, CorpusSeedsHashIdenticallyToCopyBasedTaps) {
         ASSERT_NE(golden, nullptr);
         check_device(*golden, sc);
 
-        auto dut = target::make_device("sdnet", parse_signature(entry.quirks_signature));
+        auto dut = target::make_device("sdnet", *quirks);
         ASSERT_NE(dut, nullptr);
         check_device(*dut, sc);
     }

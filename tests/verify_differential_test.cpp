@@ -35,7 +35,6 @@
 #include "core/specgen.h"
 #include "coverage/coverage.h"
 #include "coverage/edge_index.h"
-#include "dataplane/engine.h"
 #include "quirk_fixture.h"
 #include "target/device.h"
 #include "util/strings.h"
@@ -357,17 +356,6 @@ TEST(SymExecBudget, PathsExhaustedIsSurfaced) {
 
 // --- layer 2: concolic end-to-end ---------------------------------------------
 
-// One instance, on the data plane's only engine; the suite keeps its
-// Engines/.../interpreter name so the test's history stays continuous.
-class ConcolicEndToEnd : public ::testing::TestWithParam<dataplane::Engine> {};
-
-INSTANTIATE_TEST_SUITE_P(Engines, ConcolicEndToEnd,
-                         ::testing::Values(dataplane::Engine::interpreter),
-                         [](const auto& info) {
-                             return std::string(
-                                 dataplane::engine_name(info.param));
-                         });
-
 // Builds the replayable recipe for one synthesized seed, exactly as the
 // campaign's round-barrier synthesis does.
 core::ConcolicRecipe recipe_for(const std::string& program,
@@ -387,7 +375,7 @@ core::ConcolicRecipe recipe_for(const std::string& program,
     return recipe;
 }
 
-TEST_P(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
+TEST(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
     const core::SpecGenerator gen;
     const core::Mutator mutator(gen);
     std::size_t seeds_total = 0;
@@ -439,17 +427,7 @@ TEST_P(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
 
 // --- layer 2: campaign acceptance on the seven-flag fixture -------------------
 
-// Named like ConcolicEndToEnd above, for the same reason.
-class ConcolicCampaign : public ::testing::TestWithParam<dataplane::Engine> {};
-
-INSTANTIATE_TEST_SUITE_P(Engines, ConcolicCampaign,
-                         ::testing::Values(dataplane::Engine::interpreter),
-                         [](const auto& info) {
-                             return std::string(
-                                 dataplane::engine_name(info.param));
-                         });
-
-TEST_P(ConcolicCampaign, LightsEdgesDarkUnderPureGreyboxAtEqualBudget) {
+TEST(ConcolicCampaign, LightsEdgesDarkUnderPureGreyboxAtEqualBudget) {
     const ndb_test::FlagFixture fx = ndb_test::seven_flag_fixture();
     constexpr std::uint64_t kBudget = 48;
 

@@ -1,7 +1,8 @@
 // Wire codec: randomized round-trips for every request/response variant,
 // adversarial decoding (truncation, bit flips, hostile length fields, wrong
-// version), FrameReader resynchronization over a mangled stream, and the
-// RuntimeClient payload-discriminator regression test.
+// version), the fabric's telemetry delta payload, FrameReader
+// resynchronization over a mangled stream, and the RuntimeClient
+// payload-discriminator regression test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -473,6 +474,78 @@ TEST(WireCodec, BitvecWithDirtyExcessBitsRejected) {
 }
 
 // --- FrameReader resynchronization --------------------------------------------
+
+TEST(WireCodec, TelemetryDeltaRoundTripsAndRejectsTruncation) {
+    obs::TelemetryDelta delta;
+    delta.pid = 4242;
+    delta.metrics.counters[static_cast<std::size_t>(obs::Counter::packets)] = 99;
+    delta.metrics.gauges[static_cast<std::size_t>(obs::Gauge::fabric_workers)] =
+        -3;
+    delta.metrics.hists[static_cast<std::size_t>(obs::Hist::scenario_ns)]
+        .buckets[12] = 5;
+    obs::TraceEventRecord ev;
+    ev.name = "scenario";
+    ev.arg0 = "seed";
+    ev.v0 = 17;
+    ev.arg1 = "findings";
+    ev.v1 = 2;
+    ev.ts_ns = 1000;
+    ev.dur_ns = 250;
+    ev.tid = 9;
+    delta.events.push_back(ev);
+
+    const std::vector<std::uint8_t> bytes = wire::encode_telemetry_delta(delta);
+    obs::TelemetryDelta out;
+    const wire::Decode good = wire::decode_telemetry_delta(bytes, out);
+    ASSERT_TRUE(good) << good.reason;
+    EXPECT_EQ(out.pid, 4242u);
+    EXPECT_EQ(out.metrics, delta.metrics);
+    ASSERT_EQ(out.events.size(), 1u);
+    EXPECT_EQ(out.events[0].name, "scenario");
+    EXPECT_EQ(out.events[0].v0, 17u);
+    EXPECT_EQ(out.events[0].dur_ns, 250u);
+    // Decoding stamps the shipping process's pid onto each event.
+    EXPECT_EQ(out.events[0].pid, 4242u);
+
+    // Any truncation fails whole; so does a trailing byte.
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        obs::TelemetryDelta scratch;
+        const std::vector<std::uint8_t> head(bytes.begin(),
+                                             bytes.begin() + cut);
+        EXPECT_FALSE(wire::decode_telemetry_delta(head, scratch))
+            << "cut at " << cut;
+    }
+    obs::TelemetryDelta scratch;
+    std::vector<std::uint8_t> padded = bytes;
+    padded.push_back(0);
+    EXPECT_FALSE(wire::decode_telemetry_delta(padded, scratch));
+
+    // Each section count must match this build's: a sender built with one
+    // more counter, gauge, histogram or bucket is refused with a reason.
+    const std::size_t counters = 8;
+    const std::size_t gauges = counters + 4 + 8 * obs::kNumCounters;
+    const std::size_t hists = gauges + 4 + 8 * obs::kNumGauges;
+    const std::size_t buckets = hists + 4;
+    const std::size_t events =
+        buckets + 4 + 8 * obs::kNumHists * obs::kHistBuckets;
+    for (const std::size_t at : {counters, gauges, hists, buckets}) {
+        std::vector<std::uint8_t> skewed = bytes;
+        ++skewed[at];
+        const wire::Decode d = wire::decode_telemetry_delta(skewed, scratch);
+        EXPECT_FALSE(d) << "count at " << at;
+        EXPECT_NE(d.reason.find("this build has"), std::string::npos) << d.reason;
+    }
+
+    // An event count above the cap is refused before any event is read.
+    std::vector<std::uint8_t> flood = bytes;
+    const auto cap = static_cast<std::uint32_t>(wire::kMaxTelemetryEvents + 1);
+    for (int i = 0; i < 4; ++i) {
+        flood[events + i] = static_cast<std::uint8_t>(cap >> (8 * i));
+    }
+    const wire::Decode d = wire::decode_telemetry_delta(flood, scratch);
+    EXPECT_FALSE(d);
+    EXPECT_NE(d.reason.find("cap"), std::string::npos) << d.reason;
+}
 
 TEST(FrameReader, ExtractsFramesAcrossGarbageAndSplitFeeds) {
     util::Rng rng(777);

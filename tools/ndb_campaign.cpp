@@ -33,7 +33,10 @@
 // with a new unique fingerprint to the regression corpus (deterministic
 // soak_*.corpus recipes under --corpus-dir, default tests/corpus), where
 // corpus_replay_test replays them forever after -- mutate= recipe line
-// included when the finding came out of the mutation engine.
+// included when the finding came out of the mutation engine.  Existing
+// files are read by the strict corpus reader (src/core/corpus.h); one it
+// rejects holds no fingerprint and is named on stderr.  With --mutate, a
+// damaged --corpus-dir file is an error before any scenario runs.
 //
 // --concolic closes the hybrid loop (implies --coverage): at every guided
 // round barrier, coverage slots still dark on the reference device are
@@ -72,8 +75,8 @@
 #include <vector>
 
 #include "core/campaign.h"
+#include "core/corpus.h"
 #include "core/fabric.h"
-#include "core/soak.h"
 #include "obs/telemetry.h"
 #include "util/strings.h"
 
@@ -277,6 +280,10 @@ int main(int argc, char** argv) {
                     grown.skipped_known, corpus_dir.c_str());
         for (const auto& name : grown.written) {
             std::printf("  + %s\n", name.c_str());
+        }
+        for (const auto& why : grown.ignored) {
+            std::fprintf(stderr, "soak: ignored damaged corpus file %s\n",
+                         why.c_str());
         }
     }
 
