@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -206,10 +207,27 @@ CampaignReport CampaignEngine::run() {
             if (config_.coverage_map_out) *config_.coverage_map_out = global;
         }
     } else if (!config_.coverage) {
-        // Uniform sweep: every seed in [base, base + scenarios) once.
+        // Uniform sweep: every seed in [base, base + scenarios) once.  Jobs
+        // claim the seeds grouped by program (a stable sort, so seed order
+        // within a program), so a worker's devices build each image once
+        // and reset in place for the rest of that program's scenarios.
+        // Each outcome still lands at its seed's index and folds in seed
+        // order (the header says why run order cannot change it).
+        std::vector<std::uint32_t> program(config_.scenarios);
+        for (std::uint64_t i = 0; i < config_.scenarios; ++i) {
+            program[i] = static_cast<std::uint32_t>(
+                gen.program_of(config_.base_seed + i));
+        }
+        std::vector<std::uint64_t> order(config_.scenarios);
+        std::iota(order.begin(), order.end(), std::uint64_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&program](std::uint64_t a, std::uint64_t b) {
+                             return program[a] < program[b];
+                         });
         std::vector<ScenarioOutcome> outcomes(config_.scenarios);
         run_pool(config_.scenarios,
-                 [&](WorkerContext& ctx, std::uint64_t index) {
+                 [&](WorkerContext& ctx, std::uint64_t position) {
+                     const std::uint64_t index = order[position];
                      const Scenario sc = gen.make(config_.base_seed + index);
                      run_one(ctx, sc, outcomes[index], std::string());
                  });

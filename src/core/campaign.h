@@ -16,6 +16,14 @@
 // rates live in CampaignStats, which the ndb_campaign CLI writes to
 // BENCH_campaign.json.
 //
+// Run order and fold order differ.  The uniform sweep runs its seeds
+// grouped by the program each one picks (SpecGenerator::program_of), so a
+// worker's devices build each image once and reset in place for every later
+// scenario of that program; it still folds the outcomes in seed order.
+// This is safe because a scenario's outcome never depends on what its
+// devices ran before: rx times sit on a fixed timeline, and reloading the
+// held image leaves a device equal to a fresh one.
+//
 // Coverage-guided mode (config.coverage): instead of the uniform sweep,
 // scenarios are scheduled in deterministic rounds by a
 // coverage::CorpusScheduler -- programs whose recent scenarios lit fresh

@@ -20,6 +20,7 @@ std::string read_corpus_file(const std::filesystem::path& path,
     rec.file = path.filename().string();
     std::ifstream in(path);
     std::string line, mutate, concolic;
+    std::set<std::string> seen;
     bool seed_ok = false;
     int lineno = 0;
     while (std::getline(in, line)) {
@@ -31,6 +32,11 @@ std::string read_corpus_file(const std::filesystem::path& path,
         }
         const std::string key = line.substr(0, eq);
         const std::string value = line.substr(eq + 1);
+        // Each key once: a second value must not silently replace the first.
+        if (!seen.insert(key).second) {
+            return util::format("line %d: repeated key '%s'", lineno,
+                                key.c_str());
+        }
         // seed= and quirks= get the same strict parse as recipe operands: a
         // damaged line must reject the entry, not load a different one.
         if (key == "seed") {
@@ -51,10 +57,13 @@ std::string read_corpus_file(const std::filesystem::path& path,
             rec.quirks = value;
         } else if (key == "stage") {
             rec.stage = value;
-        } else if (key == "mutate") {
-            mutate = value;
-        } else if (key == "concolic") {
-            concolic = value;
+        } else if (key == "mutate" || key == "concolic") {
+            // An empty recipe would read as a fresh seed: a different entry.
+            if (value.empty()) {
+                return util::format("line %d: empty %s= recipe", lineno,
+                                    key.c_str());
+            }
+            (key == "mutate" ? mutate : concolic) = value;
         } else {
             return util::format("line %d: unknown key '%s'", lineno, key.c_str());
         }

@@ -11,11 +11,11 @@
 //   mutate=R      an encoded MutationRecipe naming P, or
 //   concolic=R    an encoded ConcolicRecipe naming P whose slot is N
 //
-// Any other key, a line without '=', a seed or quirk signature that does
-// not parse strictly, a missing seed= or program=, both recipe kinds at
-// once, a recipe that does not parse or names another program, or a
-// concolic slot other than the seed rejects the whole file with a
-// diagnostic.  The mutation engine (ScenarioCorpus::load_dir), soak mode
+// Any other key, a line without '=', a key given twice, a seed or quirk
+// signature that does not parse strictly, a missing seed= or program=,
+// both recipe kinds at once, an empty recipe, a recipe that does not parse
+// or names another program, or a concolic slot other than the seed rejects
+// the whole file with a diagnostic.  The mutation engine (ScenarioCorpus::load_dir), soak mode
 // and the regression replay test all read through read_corpus_dir, so a
 // file gets the same verdict in each.
 //

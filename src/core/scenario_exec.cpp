@@ -70,7 +70,7 @@ std::vector<packet::Packet> scenario_packets(const Scenario& sc) {
 }
 
 DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
-                          const std::vector<packet::Packet>& packets,
+                          std::span<const packet::Packet> packets,
                           std::size_t batch_size, const MgmtLink* mgmt,
                           ChannelAccounting* acct) {
     DeviceRun run;
@@ -406,8 +406,8 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         // Minimize: the shortest stimulus prefix that still diverges.
         if (options.minimize) {
             for (std::size_t k = 1; k <= packets.size(); ++k) {
-                const std::vector<packet::Packet> prefix(packets.begin(),
-                                                         packets.begin() + k);
+                const std::span<const packet::Packet> prefix =
+                    std::span(packets).first(k);
                 const DeviceRun r = run_scenario_on(*ctx.reference, sc, prefix,
                                                     options.batch_size);
                 const DeviceRun u = run_scenario_on(
@@ -425,8 +425,8 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         const std::uint64_t trigger =
             rec.minimized_count ? rec.minimized_count : packets.size();
         if (options.localize && trigger > 0) {
-            const std::vector<packet::Packet> warmup(
-                packets.begin(), packets.begin() + (trigger - 1));
+            const std::span<const packet::Packet> warmup =
+                std::span(packets).first(trigger - 1);
             const DeviceRun r = run_scenario_on(*ctx.reference, sc, warmup,
                                                 options.batch_size);
             const DeviceRun u = run_scenario_on(

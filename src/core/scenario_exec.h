@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "control/transport.h"
@@ -109,12 +110,13 @@ struct MgmtLink {
 // The scenario's packet stream on the fixed kEpochNs/kSlotNs timeline.
 std::vector<packet::Packet> scenario_packets(const Scenario& sc);
 
-// Runs one scenario on one device.  When `mgmt` is non-null and enabled,
-// configuration is applied through a faulted wire channel (accounting
-// accumulated into `acct` when non-null); otherwise config ops hit the
-// device runtime directly.
+// Runs one scenario on one device.  `packets` is borrowed, so a triage
+// replay passes a prefix of the stream without copying it.  When `mgmt` is
+// non-null and enabled, configuration is applied through a faulted wire
+// channel (accounting accumulated into `acct` when non-null); otherwise
+// config ops hit the device runtime directly.
 DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
-                          const std::vector<packet::Packet>& packets,
+                          std::span<const packet::Packet> packets,
                           std::size_t batch_size,
                           const MgmtLink* mgmt = nullptr,
                           ChannelAccounting* acct = nullptr);

@@ -481,10 +481,19 @@ SpecGenerator::SpecGenerator(std::vector<std::string> programs)
     }
 }
 
+std::size_t SpecGenerator::pick_program(Rng& rng) const {
+    return static_cast<std::size_t>(rng.next_below(programs_.size()));
+}
+
 Scenario SpecGenerator::make(std::uint64_t seed) const {
     Rng rng(seed);
-    const std::size_t which = rng.next_below(programs_.size());
+    const std::size_t which = pick_program(rng);
     return build(rng, which, seed);
+}
+
+std::size_t SpecGenerator::program_of(std::uint64_t seed) const {
+    Rng rng(seed);
+    return pick_program(rng);
 }
 
 Scenario SpecGenerator::make_for(std::size_t program_index,

@@ -50,6 +50,10 @@ public:
     // concurrently from every campaign worker.
     Scenario make(std::uint64_t seed) const;
 
+    // The index into programs() that make(seed) picks, without building the
+    // scenario: the uniform sweep orders its seeds by it.
+    std::size_t program_of(std::uint64_t seed) const;
+
     // Like make(), but the program is chosen by the caller instead of by
     // the seed -- the coverage-guided scheduler's entry point.  Consumes
     // exactly one RNG draw in place of the program pick, so
@@ -59,6 +63,9 @@ public:
     Scenario make_for(std::size_t program_index, std::uint64_t seed) const;
 
 private:
+    // The program pick make() and program_of() share: the seed stream's
+    // first draw.
+    std::size_t pick_program(util::Rng& rng) const;
     Scenario build(util::Rng& rng, std::size_t which, std::uint64_t seed) const;
 
     std::vector<std::string> programs_;

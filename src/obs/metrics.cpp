@@ -46,6 +46,7 @@ const char* counter_name(Counter c) {
         case Counter::worker_restarts: return "worker_restarts";
         case Counter::trace_events_dropped: return "trace_events_dropped";
         case Counter::register_overwrites: return "register_overwrites";
+        case Counter::image_builds: return "image_builds";
         case Counter::count_: break;
     }
     return "?";

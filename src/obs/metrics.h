@@ -58,6 +58,7 @@ enum class Counter : std::uint32_t {
     worker_restarts,
     trace_events_dropped,
     register_overwrites,  // datapath writes replacing a different non-zero cell
+    image_builds,  // Device::load calls that built for a different image
     count_,
 };
 inline constexpr std::size_t kNumCounters =

@@ -62,6 +62,7 @@ Status Device::load(std::shared_ptr<const p4::ir::Program> image) {
         reset_state();
         return Status::success();
     }
+    if (obs::metrics_on()) obs::count(obs::Counter::image_builds);
     // Tear down what references the old image before it can be released.
     pipeline_.reset();
     stateful_.reset();

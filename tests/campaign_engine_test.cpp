@@ -2,8 +2,13 @@
 // minimization, and registry-driven backend sweeps.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/campaign.h"
+#include "core/scenario_exec.h"
 #include "core/specgen.h"
+#include "dataplane/engine.h"
+#include "obs/telemetry.h"
 #include "target/device.h"
 
 namespace {
@@ -18,6 +23,32 @@ core::CampaignConfig default_config(std::uint64_t scenarios, int threads) {
     // Pin the DUT list: other tests may grow the process-global registry.
     config.duts = {core::BackendSpec{"sdnet", std::nullopt, "sdnet"}};
     return config;
+}
+
+// One sdnet DUT per single quirk flag, the state-quirk family included:
+// each one diverges on different programs, so a sweep over the catalogue
+// exercises triage on many image switches.
+std::vector<core::BackendSpec> ten_flag_duts() {
+    std::vector<core::BackendSpec> duts;
+    const auto add = [&duts](const char* label, auto set) {
+        dataplane::Quirks q;
+        set(q);
+        duts.push_back(core::BackendSpec{"sdnet", q, label});
+    };
+    add("reject_as_accept", [](dataplane::Quirks& q) { q.reject_as_accept = true; });
+    add("parser_depth_limit", [](dataplane::Quirks& q) { q.parser_depth_limit = 4; });
+    add("skip_checksum_update",
+        [](dataplane::Quirks& q) { q.skip_checksum_update = true; });
+    add("shift_miscompile", [](dataplane::Quirks& q) { q.shift_miscompile = true; });
+    add("table_size_clamp", [](dataplane::Quirks& q) { q.table_size_clamp = 2; });
+    add("ternary_priority_inverted",
+        [](dataplane::Quirks& q) { q.ternary_priority_inverted = true; });
+    add("metadata_clobber", [](dataplane::Quirks& q) { q.metadata_clobber = true; });
+    add("stale_entry", [](dataplane::Quirks& q) { q.stale_entry = true; });
+    add("expiry_off_by_one", [](dataplane::Quirks& q) { q.expiry_off_by_one = true; });
+    add("hash_collision_misdirect",
+        [](dataplane::Quirks& q) { q.hash_collision_misdirect = 3; });
+    return duts;
 }
 
 TEST(CampaignEngine, SameSeedSameReportRegardlessOfThreadCount) {
@@ -77,6 +108,7 @@ TEST(CampaignEngine, ScenariosAreAPureFunctionOfTheSeed) {
         const core::Scenario a = gen.make(seed);
         const core::Scenario b = gen.make(seed);
         EXPECT_EQ(a.program, b.program);
+        EXPECT_EQ(gen.programs()[gen.program_of(seed)], a.program);
         EXPECT_EQ(a.spec.count, b.spec.count);
         EXPECT_EQ(a.config.size(), b.config.size());
         for (std::uint64_t seq = 1; seq <= a.spec.count; ++seq) {
@@ -84,6 +116,75 @@ TEST(CampaignEngine, ScenariosAreAPureFunctionOfTheSeed) {
                             .same_bytes(core::instantiate(b.spec.tmpl, seq)));
         }
     }
+}
+
+TEST(CampaignEngine, UniformSweepBuildsEachImageOncePerDevice) {
+    // 72 seeds draw each of the 18 default programs about four times.  The
+    // sweep runs them program by program, so the reference and the DUT
+    // build each drawn image once and reset in place for the rest; run in
+    // seed order they would rebuild on nearly every scenario (about
+    // 2 x 72 x 17/18 builds).
+    const core::CampaignConfig config = default_config(72, 1);
+    std::set<std::string> drawn;
+    const core::SpecGenerator gen;
+    for (std::uint64_t i = 0; i < config.scenarios; ++i) {
+        drawn.insert(gen.make(config.base_seed + i).program);
+    }
+
+    obs::Telemetry::set_enabled(true, false);
+    obs::Telemetry::reset();
+    core::CampaignEngine engine(config);
+    const core::CampaignReport report = engine.run();
+    const obs::MetricsSnapshot snap = obs::Metrics::instance().snapshot();
+    obs::Telemetry::set_enabled(false, false);
+    obs::Telemetry::reset();
+
+    ASSERT_EQ(report.programs.size(), 18u);
+    EXPECT_FALSE(report.divergences.empty());
+    const std::uint64_t builds =
+        snap.counters[static_cast<std::size_t>(obs::Counter::image_builds)];
+    EXPECT_LE(builds, 18u * 2u);
+    EXPECT_EQ(builds, 2u * drawn.size());
+    EXPECT_EQ(snap.counters[static_cast<std::size_t>(obs::Counter::scenarios)],
+              72u);
+}
+
+TEST(CampaignEngine, UniformSweepMatchesSeedOrderExecution) {
+    // The sweep runs its seeds grouped by program; the report must equal
+    // the one a single worker produces running every seed in order, with
+    // the state quirks (stale entries, expiry, hash misdirection) in the
+    // DUT set so leftover per-flow state would show.
+    core::CampaignConfig config;
+    config.base_seed = 41;
+    config.scenarios = 216;
+    config.threads = 1;
+    config.duts = ten_flag_duts();
+    core::CampaignEngine engine(config);
+    const core::CampaignReport grouped = engine.run();
+
+    const core::SpecGenerator gen;
+    core::CampaignReport in_order;
+    in_order.base_seed = config.base_seed;
+    in_order.scenarios = config.scenarios;
+    in_order.programs = gen.programs();
+    in_order.engine = dataplane::engine_name(dataplane::default_engine());
+    for (const auto& d : config.duts) in_order.backends.push_back(d.label);
+    core::ExecOptions exec;
+    exec.batch_size = config.batch_size;
+    core::WorkerContext ctx(config.reference_backend, config.duts);
+    core::ReportBuilder builder(in_order);
+    for (std::uint64_t i = 0; i < config.scenarios; ++i) {
+        core::ScenarioOutcome outcome;
+        core::execute_scenario(ctx, gen.make(config.base_seed + i), config.duts,
+                               exec, outcome, std::string());
+        builder.fold(outcome);
+    }
+
+    std::set<std::string> kinds;
+    for (const auto& d : in_order.divergences) kinds.insert(d.kind);
+    EXPECT_TRUE(kinds.count("state")) << in_order.to_string();
+    EXPECT_GE(in_order.divergences.size(), 10u);
+    EXPECT_EQ(grouped.to_json(), in_order.to_json());
 }
 
 TEST(CampaignEngine, UnknownProgramOrBackendIsAnError) {

@@ -202,6 +202,8 @@ TEST(ScenarioCorpus, MalformedFilesAreRejectedWithDiagnostics) {
     write("j_binary_noise.corpus", "\x01\x02\xff\xfe no equals\n");
     write("k_bad_quirks.corpus",
           "seed=1\nprogram=reject_filter\nquirks=reject_as_accept=1\n");
+    write("l_repeated_key.corpus", "seed=1\nseed=2\nprogram=reject_filter\n");
+    write("m_empty_recipe.corpus", "seed=1\nprogram=reject_filter\nmutate=\n");
 
     core::ScenarioCorpus corpus;
     EXPECT_EQ(corpus.load_dir(dir.string(), {"reject_filter"}), 1u);
@@ -224,6 +226,8 @@ TEST(ScenarioCorpus, MalformedFilesAreRejectedWithDiagnostics) {
         "i_truncated.corpus: line 1: unparseable seed ''",
         "j_binary_noise.corpus: line 1: no '=' separator",
         "k_bad_quirks.corpus: line 3: unparseable quirks 'reject_as_accept=1'",
+        "l_repeated_key.corpus: line 2: repeated key 'seed'",
+        "m_empty_recipe.corpus: line 3: empty mutate= recipe",
     };
     EXPECT_EQ(corpus.diagnostics(), expected);
 
