@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -208,22 +207,13 @@ CampaignReport CampaignEngine::run() {
         }
     } else if (!config_.coverage) {
         // Uniform sweep: every seed in [base, base + scenarios) once.  Jobs
-        // claim the seeds grouped by program (a stable sort, so seed order
-        // within a program), so a worker's devices build each image once
-        // and reset in place for the rest of that program's scenarios.
-        // Each outcome still lands at its seed's index and folds in seed
-        // order (the header says why run order cannot change it).
-        std::vector<std::uint32_t> program(config_.scenarios);
-        for (std::uint64_t i = 0; i < config_.scenarios; ++i) {
-            program[i] = static_cast<std::uint32_t>(
-                gen.program_of(config_.base_seed + i));
-        }
-        std::vector<std::uint64_t> order(config_.scenarios);
-        std::iota(order.begin(), order.end(), std::uint64_t{0});
-        std::stable_sort(order.begin(), order.end(),
-                         [&program](std::uint64_t a, std::uint64_t b) {
-                             return program[a] < program[b];
-                         });
+        // claim the seeds grouped by program (seed order within a program),
+        // so a worker's devices build each image once and reset in place
+        // for the rest of that program's scenarios.  Each outcome still
+        // lands at its seed's index and folds in seed order (the header
+        // says why run order cannot change it).
+        const std::vector<std::uint64_t> order =
+            gen.program_grouped_order(config_.base_seed, config_.scenarios);
         std::vector<ScenarioOutcome> outcomes(config_.scenarios);
         run_pool(config_.scenarios,
                  [&](WorkerContext& ctx, std::uint64_t position) {

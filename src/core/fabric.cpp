@@ -156,6 +156,10 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
         control::FaultInjector out(link_plan, link_salt);
         wire::FrameReader reader;
         const SpecGenerator gen(cfg.campaign.programs);
+        // The parent's run order, rebuilt here: a job's start and count
+        // name positions in it.
+        const std::vector<std::uint64_t> order = gen.program_grouped_order(
+            cfg.campaign.base_seed, cfg.campaign.scenarios);
         std::unique_ptr<WorkerContext> ctx;
         // Injector decisions already reported to the parent (each result
         // frame carries the delta, so the parent can aggregate link faults
@@ -223,7 +227,10 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
                         std::uint32_t count = 0;
                         // A malformed job is dropped; the parent's
                         // retransmit path recovers it.
-                        if (!r.u64(start) || !r.u32(count) || !r.done()) break;
+                        if (!r.u64(start) || !r.u32(count) || !r.done() ||
+                            start > order.size() || count > order.size() - start) {
+                            break;
+                        }
                         if (!ctx) {
                             ctx = std::make_unique<WorkerContext>(
                                 cfg.campaign.reference_backend, duts);
@@ -234,8 +241,8 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
                         faults_reported = out.faults();
                         w.u32(count);
                         for (std::uint32_t k = 0; k < count; ++k) {
-                            const Scenario sc =
-                                gen.make(cfg.campaign.base_seed + start + k);
+                            const Scenario sc = gen.make(
+                                cfg.campaign.base_seed + order[start + k]);
                             ScenarioOutcome outcome;
                             execute_scenario(*ctx, sc, duts, exec, outcome,
                                              std::string());
@@ -265,7 +272,7 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
 
 struct Shard {
     std::uint64_t id = 0;     // ordinal; doubles as the job frame seq
-    std::uint64_t start = 0;  // first scenario index
+    std::uint64_t start = 0;  // first position in the run order
     std::uint32_t count = 0;
 };
 
@@ -334,8 +341,13 @@ CampaignReport FabricEngine::run() {
                                            config_.workers);
     }
 
-    // The shard plan: fixed up front, so a shard id names the same scenario
-    // range no matter which worker (or respawn generation) runs it.
+    // The shard plan: fixed up front, so a shard id names the same scenarios
+    // no matter which worker (or respawn generation) runs it.  Shards cut
+    // the sweep's program-grouped run order (the one CampaignEngine runs),
+    // so each worker meets the programs in order and its devices build
+    // each image once; outcomes land at their seed's index.
+    const std::vector<std::uint64_t> order =
+        gen.program_grouped_order(cc.base_seed, cc.scenarios);
     std::deque<Shard> pending;
     const std::uint64_t total_shards =
         (cc.scenarios + config_.shard_size - 1) / config_.shard_size;
@@ -465,7 +477,7 @@ CampaignReport FabricEngine::run() {
         shard_done[shard_id] = true;
         --shards_left;
         for (std::uint32_t k = 0; k < count; ++k) {
-            outcomes[start + k] =
+            outcomes[order[start + k]] =
                 std::make_unique<ScenarioOutcome>(std::move(decoded[k]));
         }
     };

@@ -2,10 +2,12 @@
 //
 // FabricEngine runs the uniform campaign sweep across forked worker
 // subprocesses that speak the wire protocol (control/wire.h) over
-// socketpairs: the parent dispatches shards of scenario indices as `job`
-// frames, workers execute them through the same execute_scenario() core
-// the in-process engine uses and stream back `job_result` frames, and a
-// heartbeat watchdog detects hung or killed workers.  A worker that dies
+// socketpairs: the parent dispatches shards of the sweep's program-grouped
+// run order (SpecGenerator::program_grouped_order, the order CampaignEngine
+// runs) as `job` frames, workers execute them through the same
+// execute_scenario() core the in-process engine uses and stream back
+// `job_result` frames, and a heartbeat watchdog detects hung or killed
+// workers.  A worker that dies
 // mid-shard is respawned and its shard re-dispatched, so a SIGKILL costs
 // latency, never correctness: outcomes are folded in scenario order at the
 // end, which keeps the CampaignReport byte-identical to the single-process

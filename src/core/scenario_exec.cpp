@@ -138,8 +138,8 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
             drained.clear();
             dev.drain_port_into(static_cast<std::uint32_t>(p), drained);
             for (auto& out : drained) {
-                run.observed.push_back(
-                    {static_cast<std::uint32_t>(p), std::move(out)});
+                run.observed.emplace_back(static_cast<std::uint32_t>(p),
+                                          std::move(out));
             }
         }
     }

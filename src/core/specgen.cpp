@@ -1,5 +1,7 @@
 #include "core/specgen.h"
 
+#include <algorithm>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 
@@ -73,7 +75,7 @@ packet::Packet tunnel_packet(std::uint16_t dst_id) {
     bytes.push_back(static_cast<std::uint8_t>(dst_id >> 8));
     bytes.push_back(static_cast<std::uint8_t>(dst_id & 0xff));
     bytes.insert(bytes.end(), inner.data().begin() + 14, inner.data().end());
-    return packet::Packet(std::move(bytes));
+    return packet::Packet(bytes);
 }
 
 // --- per-program synthesis ----------------------------------------------------
@@ -494,6 +496,21 @@ Scenario SpecGenerator::make(std::uint64_t seed) const {
 std::size_t SpecGenerator::program_of(std::uint64_t seed) const {
     Rng rng(seed);
     return pick_program(rng);
+}
+
+std::vector<std::uint64_t> SpecGenerator::program_grouped_order(
+    std::uint64_t base_seed, std::uint64_t scenarios) const {
+    std::vector<std::uint32_t> program(scenarios);
+    for (std::uint64_t i = 0; i < scenarios; ++i) {
+        program[i] = static_cast<std::uint32_t>(program_of(base_seed + i));
+    }
+    std::vector<std::uint64_t> order(scenarios);
+    std::iota(order.begin(), order.end(), std::uint64_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&program](std::uint64_t a, std::uint64_t b) {
+                         return program[a] < program[b];
+                     });
+    return order;
 }
 
 Scenario SpecGenerator::make_for(std::size_t program_index,

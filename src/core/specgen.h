@@ -54,6 +54,14 @@ public:
     // scenario: the uniform sweep orders its seeds by it.
     std::size_t program_of(std::uint64_t seed) const;
 
+    // The uniform sweep's run order over the seeds base_seed + i, i in
+    // [0, scenarios): the indices i, stable-sorted by program_of, so each
+    // program's seeds run together and in seed order.  CampaignEngine's
+    // threads and FabricEngine's worker processes all claim positions in
+    // this order.
+    std::vector<std::uint64_t> program_grouped_order(std::uint64_t base_seed,
+                                                     std::uint64_t scenarios) const;
+
     // Like make(), but the program is chosen by the caller instead of by
     // the seed -- the coverage-guided scheduler's entry point.  Consumes
     // exactly one RNG draw in place of the program pick, so

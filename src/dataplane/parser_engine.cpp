@@ -34,7 +34,7 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
         // Unparsed remainder becomes the payload (from the next whole byte).
         const std::size_t byte_cursor = (cursor + 7) / 8;
         if (byte_cursor < pkt.size()) {
-            const auto bytes = pkt.bytes();
+            const auto bytes = pkt.data();
             state.payload.assign(bytes.begin() + static_cast<long>(byte_cursor),
                                  bytes.end());
         }
@@ -70,7 +70,7 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
                     if (cursor + static_cast<std::size_t>(hdr.size_bits) > total_bits) {
                         return finish(ParserVerdict::error_truncated);
                     }
-                    state.extract_header(op.header, pkt.bytes(), cursor);
+                    state.extract_header(op.header, pkt.data(), cursor);
                     cursor += static_cast<std::size_t>(hdr.size_bits);
                     ++extracts;
                     state.cycles += 1;

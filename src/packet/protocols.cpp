@@ -56,8 +56,8 @@ void Ipv4Header::write(Packet& p, std::size_t offset) const {
 
 std::uint16_t Ipv4Header::compute_checksum(const Packet& p, std::size_t offset) {
     // Checksum field (bytes 10-11) counts as zero during computation.
-    std::vector<std::uint8_t> hdr(p.bytes().begin() + static_cast<long>(offset),
-                                  p.bytes().begin() + static_cast<long>(offset + kSize));
+    std::vector<std::uint8_t> hdr(p.data().begin() + static_cast<long>(offset),
+                                  p.data().begin() + static_cast<long>(offset + kSize));
     hdr[10] = 0;
     hdr[11] = 0;
     return internet_checksum(hdr);

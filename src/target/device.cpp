@@ -17,8 +17,11 @@ using util::Bitvec;
 
 namespace {
 // Egress queues keep at least this much capacity so steady-state batched
-// traffic never grows them packet by packet.
-constexpr std::size_t kEgressQueueReserve = 64;
+// traffic never grows them packet by packet.  It covers run_scenario_on's
+// default batch of 8 twice over; a packet keeps its bytes inline, so each
+// slot is a whole packet and a deeper reserve makes every device (and so
+// every WorkerContext) slower to build.
+constexpr std::size_t kEgressQueueReserve = 16;
 
 // Shared ring policy for the tap and digest records: evict the oldest half
 // in one move when the cap is hit, so sustained traffic at the cap stays
@@ -127,11 +130,9 @@ void Device::inject(const packet::Packet& pkt) {
         result.output.meta.tx_time_ns = meta.rx_time_ns + result.cycles * kNsPerCycle;
     }
 
-    if (taps_enabled_ && config_.max_tap_records > 0) {
-        TapRecord record{pkt, result};
-        record.input.meta = meta;  // the stimulus as the device stamped it
-        push_ring(taps_, config_.max_tap_records, std::move(record));
-    }
+    // The tap record, when kept, takes the whole result last, by move; the
+    // digest and the egress queue read it first.
+    const bool record_tap = taps_enabled_ && config_.max_tap_records > 0;
 
     if (digests_enabled_ && config_.max_tap_records > 0) {
         dataplane::TapDigest digest;
@@ -150,12 +151,23 @@ void Device::inject(const packet::Packet& pkt) {
             auto& tx = port_counters_[result.egress_port];
             ++tx.tx_packets;
             tx.tx_bytes += result.output.size();
-            egress_queues_[result.egress_port].push_back(std::move(result.output));
+            auto& queue = egress_queues_[result.egress_port];
+            if (record_tap) {
+                queue.push_back(result.output);
+            } else {
+                queue.push_back(std::move(result.output));
+            }
         } else {
             // Models real hardware: a forwarded packet whose egress port does
             // not exist is discarded on the way to the queues.
             ++misdirected_;
         }
+    }
+
+    if (record_tap) {
+        TapRecord record{pkt, std::move(result)};
+        record.input.meta = meta;  // the stimulus as the device stamped it
+        push_ring(taps_, config_.max_tap_records, std::move(record));
     }
 }
 

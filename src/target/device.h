@@ -6,8 +6,9 @@
 // exposes the three surfaces the paper's architecture needs:
 //
 //   * the data path       -- inject() / drain_port(), per-port egress queues;
-//                            inject() borrows its stimulus, so a warm
-//                            device allocates only forwarded outputs;
+//                            inject() borrows its stimulus and packets keep
+//                            their bytes inline, so a warm device forwards
+//                            and drops without allocating;
 //   * the management path -- the full control::RuntimeApi (a Device IS a
 //                            RuntimeApi, so control::dispatch and therefore
 //                            RuntimeClient message traffic work end-to-end,
@@ -127,11 +128,10 @@ public:
     // fresh vector per round).
     void drain_port_into(std::uint32_t port, std::vector<packet::Packet>& out);
 
-    // Drains and discards everything pending on every port.
+    // Drains and discards everything pending on every port; the queues
+    // keep their capacity.
     void flush() {
-        for (int port = 0; port < config().num_ports; ++port) {
-            drain_port(static_cast<std::uint32_t>(port));
-        }
+        for (auto& q : egress_queues_) q.clear();
     }
 
     // --- debug path ---------------------------------------------------------

@@ -154,7 +154,7 @@ TargetStatus ConcolicSynthesizer::solve_path(const SymPath& path,
         }
         cursor += static_cast<std::size_t>(hdr.size_bits);
     }
-    seed.packet = pkt.data();
+    seed.packet.assign(pkt.data().begin(), pkt.data().end());
     seed.ingress_port =
         static_cast<std::uint32_t>(solver.eval(port).to_u64());
 

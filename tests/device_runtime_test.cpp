@@ -426,7 +426,7 @@ TEST(DeviceRuntime, InjectBorrowsTheStimulusAndStampsItsOwnMeta) {
     EXPECT_EQ(out[0].meta.tx_time_ns,
               stamp + record.result.cycles * target::kNsPerCycle);
 
-    EXPECT_EQ(stimulus.data(), built.data());
+    EXPECT_TRUE(stimulus.same_bytes(built));
     EXPECT_EQ(stimulus.meta.ingress_port, 0u);
     EXPECT_EQ(stimulus.meta.egress_port, 0u);
     EXPECT_EQ(stimulus.meta.rx_time_ns, 0u);

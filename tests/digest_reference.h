@@ -50,7 +50,7 @@ std::uint64_t reference_digest(const p4::ir::Program& prog, ValidFn valid,
         }
         for (std::size_t at = 0; at < image.size(); at += 8) {
             std::uint64_t word;
-            std::memcpy(&word, image.bytes().data() + at, sizeof word);
+            std::memcpy(&word, image.data().data() + at, sizeof word);
             h = digest_fold(h, word);
         }
     }

@@ -176,6 +176,43 @@ TEST(Fabric, TelemetryDeltasMergeAcrossWorkersWithoutTouchingTheReport) {
     obs::Telemetry::reset();
 }
 
+TEST(Fabric, UniformSweepBuildsEachImageOncePerProgramPerWorker) {
+    // Shards cut the sweep's program-grouped run order, so each worker meets
+    // the programs in order and its devices build each image at most once.
+    // Cut in seed order, the shards would rebuild on nearly every scenario
+    // (about 2 x 144 x 17/18 builds).
+    CampaignConfig cfg = base_config();
+    cfg.scenarios = 144;
+    CampaignEngine single(cfg);
+    const CampaignReport a = single.run();
+
+    obs::Telemetry::set_enabled(true, false);
+    obs::Telemetry::reset();
+    FabricConfig f;
+    f.campaign = cfg;
+    f.workers = 2;
+    FabricEngine fabric(f);
+    const CampaignReport b = fabric.run();
+    const obs::MetricsSnapshot merged = obs::Telemetry::merged_metrics();
+    obs::Telemetry::set_enabled(false, false);
+    obs::Telemetry::reset();
+
+    EXPECT_EQ(a.to_json(), json_without_fabric(b));
+    ASSERT_EQ(b.programs.size(), 18u);
+    const std::uint64_t devices = 1 + b.backends.size();  // reference + DUTs
+    ASSERT_EQ(devices, 2u);
+    // A re-sent or re-dispatched shard may run on a worker whose devices
+    // have moved on to later programs.
+    const std::uint64_t slack =
+        (b.fabric.jobs_resent + b.fabric.shards_redispatched) * devices *
+        f.shard_size;
+    const std::uint64_t builds =
+        merged.counters[static_cast<std::size_t>(obs::Counter::image_builds)];
+    EXPECT_LE(builds, 2u * devices * 18u + slack);
+    EXPECT_GE(merged.counters[static_cast<std::size_t>(obs::Counter::scenarios)],
+              cfg.scenarios);
+}
+
 TEST(Fabric, RejectsModesThatNeedASharedFeedbackLoop) {
     FabricConfig f;
     f.campaign = base_config();
