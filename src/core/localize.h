@@ -2,14 +2,13 @@
 //
 // "If a bug prevents packets from being correctly forwarded ... users can
 // find where the fault occurred, even inside the data plane" (paper,
-// Section 2).  The localizer replays a stimulus through the device under
-// test and a golden reference, compares the tap snapshots stage by stage,
-// and names the first diverging stage.  Two probe strategies model the
-// hardware cost of arming taps: linear scan and binary search (the
-// ablation measured by bench/xloc_localization).
+// Section 2).  The localizer traces a stimulus once through the device
+// under test and once through a golden reference (target::Device::trace),
+// walks the two traces parser -> ingress -> egress, and names the first
+// stage whose tap, parser verdict or reach differs.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <string>
 
 #include "dataplane/pipeline.h"
@@ -22,12 +21,11 @@ struct LocalizeResult {
     bool diverged = false;
     dataplane::Stage stage = dataplane::Stage::parser;
     std::string description;
-    int probes = 0;              // tap-arm/replay rounds
+    int probes = 0;              // traced rounds: 1 once a localization ran
     std::uint64_t packets_replayed = 0;
 
-    // False when no probe captured tap records on both devices (e.g. a tap
-    // ring is disabled): the comparison saw nothing, so a non-diverged
-    // result is NOT a clean bill of health.
+    // True once a localization ran: each device traced the stimulus, so a
+    // non-diverged result means the two traces agree at every stage.
     bool conclusive = false;
 
     std::string to_string() const;
@@ -35,29 +33,22 @@ struct LocalizeResult {
 
 class FaultLocalizer {
 public:
-    // Both devices must run the same source program (the backends may
-    // differ; header layouts are identical by construction).
-    //
-    // Probing restores each device's taps-enabled flag on exit, but the
-    // tap RINGS are working storage: any records the caller collected
-    // before localization are cleared by the replays.
+    // Both devices must have the same source program loaded (the backends
+    // may differ; header layouts are identical by construction).
     FaultLocalizer(target::Device& dut, target::Device& golden);
 
-    // Probe every stage front to back.
-    LocalizeResult localize_linear(const packet::Packet& stimulus);
+    // Traces `stimulus` once on each device -- one packet each, counted,
+    // clocked and digested like any inject(), its output flushed -- and
+    // names the first stage, parser -> ingress -> egress, at which the
+    // traces differ.  Throws std::logic_error when the DUT has no program.
+    LocalizeResult localize(const packet::Packet& stimulus);
 
-    // Binary search over the tap points (fewer armed-tap rounds).
-    LocalizeResult localize_binary(const packet::Packet& stimulus);
+    // The former name of localize(), still called by the benchmark harness.
+    LocalizeResult localize_binary(const packet::Packet& stimulus) {
+        return localize(stimulus);
+    }
 
 private:
-    // Replays the stimulus on both devices and reports whether the states
-    // at or before `stage` differ.
-    // Marks `accounting.conclusive` once a replay produced tap records on
-    // both devices, i.e. the comparison actually saw something.
-    std::optional<std::string> probe(dataplane::Stage stage,
-                                     const packet::Packet& stimulus,
-                                     LocalizeResult& accounting);
-
     target::Device& dut_;
     target::Device& golden_;
 };

@@ -118,7 +118,7 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
     }
     // Streaming digest mode: the pipeline hashes each stage's state in
     // place, so detection gets the tap signal without a single PacketState
-    // copy (full taps stay reserved for FaultLocalizer replay).
+    // copy (only FaultLocalizer's traced trigger makes stage copies).
     dev.set_digests_enabled(true);
     const std::size_t batch = std::max<std::size_t>(1, batch_size);
     // Sized once for the stream: every packet leaves at most one output,
@@ -144,7 +144,7 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
         }
     }
     // Collect the digest ring (synchronous recording: one record per
-    // injection when the device can record at all).
+    // injection, unless the stream outran the ring's kMaxDigestRecords).
     std::vector<TapDigest> records = dev.take_digest_records();
     if (records.size() == packets.size()) {
         run.taps = std::move(records);
@@ -421,7 +421,7 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
             }
         }
 
-        // Localize: replay the minimized trigger through the stage taps.
+        // Localize: replay the warm-up, then trace the minimized trigger.
         const std::uint64_t trigger =
             rec.minimized_count ? rec.minimized_count : packets.size();
         if (options.localize && trigger > 0) {
@@ -433,7 +433,7 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
                 dut, sc, warmup, options.batch_size, mgmt, &outcome.mgmt);
             outcome.packets += r.injected + u.injected;
             FaultLocalizer localizer(dut, *ctx.reference);
-            rec.localized = localizer.localize_binary(packets[trigger - 1]);
+            rec.localized = localizer.localize(packets[trigger - 1]);
             outcome.packets += rec.localized.packets_replayed;
         }
 

@@ -54,7 +54,7 @@ struct DeviceRun {
     // decode error on the management channel), not in the device runtime.
     std::vector<bool> config_wire_fail;
     std::vector<StreamItem> observed;
-    std::vector<dataplane::TapDigest> taps;  // empty when the device cannot record
+    std::vector<dataplane::TapDigest> taps;  // empty when the stream outran the ring
     control::StatusSnapshot snapshot;
     std::uint64_t injected = 0;
 };

@@ -20,7 +20,6 @@ const char* stage_name(Stage stage) {
         case Stage::parser: return "parser";
         case Stage::ingress: return "ingress";
         case Stage::egress: return "egress";
-        case Stage::deparser: return "deparser";
     }
     return "?";
 }
@@ -99,7 +98,7 @@ void Pipeline::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
 }
 
 PipelineResult Pipeline::process(const packet::Packet& in,
-                                 const packet::PacketMeta& meta) {
+                                 const packet::PacketMeta& meta, bool taps) {
     PipelineResult result;
     ++counters_.parser_in;
 
@@ -156,7 +155,7 @@ PipelineResult Pipeline::process(const packet::Packet& in,
             ++counters_.parser_errors;
             break;
     }
-    if (options_.capture_taps) result.tap_after_parser = state;
+    if (taps) result.tap_after_parser = state;
     if (options_.capture_digests) {
         result.stage_hash[0] = hash_packet_state(state);
     }
@@ -167,7 +166,7 @@ PipelineResult Pipeline::process(const packet::Packet& in,
     }
 
     interp_.run_control(prog_.ingress, state);
-    if (options_.capture_taps) result.tap_after_ingress = state;
+    if (taps) result.tap_after_ingress = state;
     if (options_.capture_digests) {
         result.stage_hash[1] = hash_packet_state(state);
     }
@@ -184,7 +183,7 @@ PipelineResult Pipeline::process(const packet::Packet& in,
     if (prog_.egress) {
         state.exited = false;
         interp_.run_control(*prog_.egress, state);
-        if (options_.capture_taps) result.tap_after_egress = state;
+        if (taps) result.tap_after_egress = state;
         if (options_.capture_digests) {
             result.stage_hash[2] = hash_packet_state(state);
         }

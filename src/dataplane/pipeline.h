@@ -4,7 +4,8 @@
 // optional stage traces ("taps") are the internal observation points that
 // give NetDebug its visibility advantage over external testers, which see
 // only what leaves the ports: the campaign diffs tap digests beside the
-// output streams, and the fault localizer diffs full tap copies.
+// output streams, and the fault localizer diffs the full tap copies of one
+// traced packet.
 #pragma once
 
 #include <array>
@@ -37,9 +38,8 @@ enum class Disposition {
 const char* disposition_name(Disposition d);
 
 // Pipeline stages, used to address taps and name localized divergences.
-enum class Stage { parser = 0, ingress = 1, egress = 2, deparser = 3 };
+enum class Stage { parser = 0, ingress = 1, egress = 2 };
 
-inline constexpr int kStageCount = 4;
 const char* stage_name(Stage stage);
 
 // Compact per-packet view of the internal stage taps, hashed in place by
@@ -63,7 +63,8 @@ struct PipelineResult {
     std::uint32_t egress_port = 0;
     std::uint64_t cycles = 0;
 
-    // Stage taps (populated when tracing is enabled).
+    // Stage taps: copies of the state after each stage the packet reached,
+    // made only when process() is asked for them.
     std::optional<PacketState> tap_after_parser;
     std::optional<PacketState> tap_after_ingress;
     std::optional<PacketState> tap_after_egress;
@@ -76,7 +77,6 @@ struct PipelineResult {
 
 struct PipelineOptions {
     Quirks quirks;
-    bool capture_taps = false;     // full PacketState copies (replay/localize)
     bool capture_digests = false;  // in-place stage hashes (campaign hot path)
 };
 
@@ -102,13 +102,15 @@ public:
     ~Pipeline();
 
     // Runs one packet: `in` supplies the bytes, `meta` the ingress port and
-    // rx time (the device's stamped copy; in.meta is not read).
-    PipelineResult process(const packet::Packet& in, const packet::PacketMeta& meta);
+    // rx time (the device's stamped copy; in.meta is not read).  With
+    // `taps`, the result also carries a copy of the state after each stage
+    // the packet reached.
+    PipelineResult process(const packet::Packet& in, const packet::PacketMeta& meta,
+                           bool taps);
 
     const p4::ir::Program& program() const { return prog_; }
     const StageCounters& counters() const { return counters_; }
     void reset_counters() { counters_ = {}; }
-    void set_capture_taps(bool on) { options_.capture_taps = on; }
     void set_capture_digests(bool on) { options_.capture_digests = on; }
 
     // Coverage mode: routes parser-edge/table/action/branch events from the

@@ -23,16 +23,15 @@ namespace {
 // every WorkerContext) slower to build.
 constexpr std::size_t kEgressQueueReserve = 16;
 
-// Shared ring policy for the tap and digest records: evict the oldest half
-// in one move when the cap is hit, so sustained traffic at the cap stays
-// amortized O(1) per packet.
-template <typename T>
-void push_ring(std::vector<T>& ring, std::size_t cap, T record) {
-    if (ring.size() >= cap) {
+// Digest ring policy: evict the oldest half in one move when the cap is
+// hit, so sustained traffic at the cap stays amortized O(1) per packet.
+void push_ring(std::vector<dataplane::TapDigest>& ring,
+               const dataplane::TapDigest& record) {
+    if (ring.size() >= kMaxDigestRecords) {
         ring.erase(ring.begin(),
                    ring.begin() + static_cast<long>(ring.size() / 2 + 1));
     }
-    ring.push_back(std::move(record));
+    ring.push_back(record);
 }
 
 const char* cell_kind_name(p4::ir::ExternDecl::Kind kind) {
@@ -77,7 +76,6 @@ Status Device::load(std::shared_ptr<const p4::ir::Program> image) {
     stateful_ = std::make_unique<dataplane::StatefulSet>(*prog_);
     dataplane::PipelineOptions options;
     options.quirks = config_.quirks;
-    options.capture_taps = taps_enabled_;
     options.capture_digests = digests_enabled_;
     pipeline_ = std::make_unique<dataplane::Pipeline>(*prog_, *tables_, *stateful_,
                                                       std::move(options));
@@ -98,7 +96,6 @@ void Device::clear_dynamic_state() {
     std::fill(port_counters_.begin(), port_counters_.end(),
               control::PortCounters{});
     misdirected_ = 0;
-    taps_.clear();
     digests_.clear();
 }
 
@@ -109,9 +106,19 @@ const p4::ir::Program& Device::program() const {
     return *prog_;
 }
 
+// With no image the wire is dead.  The check stays out of run_packet so
+// that its one return is the named result, which the compiler builds in
+// the caller's frame instead of moving the whole result out per packet.
 void Device::inject(const packet::Packet& pkt) {
-    if (!pipeline_) return;  // no image: the wire is dead
+    if (pipeline_) run_packet(pkt, false);
+}
 
+dataplane::PipelineResult Device::trace(const packet::Packet& pkt) {
+    if (!pipeline_) return {};
+    return run_packet(pkt, true);
+}
+
+dataplane::PipelineResult Device::run_packet(const packet::Packet& pkt, bool taps) {
     packet::PacketMeta meta = pkt.meta;
     if (meta.rx_time_ns == 0) meta.rx_time_ns = clock_ns_;
     // The virtual clock tracks the line: one packet slot per injection, and
@@ -124,17 +131,13 @@ void Device::inject(const packet::Packet& pkt) {
         rx.rx_bytes += pkt.size();
     }
 
-    dataplane::PipelineResult result = pipeline_->process(pkt, meta);
+    dataplane::PipelineResult result = pipeline_->process(pkt, meta, taps);
 
     if (result.disposition == dataplane::Disposition::forwarded) {
         result.output.meta.tx_time_ns = meta.rx_time_ns + result.cycles * kNsPerCycle;
     }
 
-    // The tap record, when kept, takes the whole result last, by move; the
-    // digest and the egress queue read it first.
-    const bool record_tap = taps_enabled_ && config_.max_tap_records > 0;
-
-    if (digests_enabled_ && config_.max_tap_records > 0) {
+    if (digests_enabled_) {
         dataplane::TapDigest digest;
         digest.verdict = result.parser_verdict;
         digest.disposition = result.disposition;
@@ -143,7 +146,7 @@ void Device::inject(const packet::Packet& pkt) {
                 ? result.egress_port
                 : 0;
         digest.stage_hash = result.stage_hash;
-        push_ring(digests_, config_.max_tap_records, digest);
+        push_ring(digests_, digest);
     }
 
     if (result.disposition == dataplane::Disposition::forwarded) {
@@ -152,7 +155,8 @@ void Device::inject(const packet::Packet& pkt) {
             ++tx.tx_packets;
             tx.tx_bytes += result.output.size();
             auto& queue = egress_queues_[result.egress_port];
-            if (record_tap) {
+            // A traced packet stays in the result as well.
+            if (taps) {
                 queue.push_back(result.output);
             } else {
                 queue.push_back(std::move(result.output));
@@ -163,12 +167,7 @@ void Device::inject(const packet::Packet& pkt) {
             ++misdirected_;
         }
     }
-
-    if (record_tap) {
-        TapRecord record{pkt, std::move(result)};
-        record.input.meta = meta;  // the stimulus as the device stamped it
-        push_ring(taps_, config_.max_tap_records, std::move(record));
-    }
+    return result;
 }
 
 std::vector<packet::Packet> Device::drain_port(std::uint32_t port) {
@@ -183,11 +182,6 @@ void Device::drain_port_into(std::uint32_t port, std::vector<packet::Packet>& ou
     out.insert(out.end(), std::make_move_iterator(q.begin()),
                std::make_move_iterator(q.end()));
     q.clear();  // keeps capacity: the queue never re-grows in steady state
-}
-
-void Device::set_taps_enabled(bool on) {
-    taps_enabled_ = on;
-    if (pipeline_) pipeline_->set_capture_taps(on);
 }
 
 void Device::set_digests_enabled(bool on) {

@@ -16,8 +16,10 @@
 //                            faultable control/transport.h link, which is
 //                            how the multi-process campaign fabric and the
 //                            management-plane fuzzing mode drive a device);
-//   * the debug path      -- stage taps (tap_records()) that give NetDebug
-//                            the internal visibility external testers lack.
+//   * the debug path      -- trace(), an inject() that also hands back the
+//                            packet's stage taps, and the streaming digest
+//                            ring: the internal visibility external testers
+//                            lack.
 //
 // Backends differ only in how faithfully they execute P4: the reference
 // backend implements the language semantics exactly, the SDNet-like backend
@@ -59,33 +61,24 @@ inline constexpr std::uint64_t kClockEpochNs = 1'000'000;
 inline constexpr std::uint64_t kNsPerPacket = 672;  // 84 wire bytes at 1 Gb/s
 inline constexpr std::uint64_t kNsPerCycle = 4;
 
+// Digest ring size; the oldest half is discarded when it fills.
+inline constexpr std::size_t kMaxDigestRecords = 4096;
+
 // Static device parameters, fixed for the lifetime of one device instance.
 struct DeviceConfig {
     std::string backend;  // filled in by the factory when left empty
     int num_ports = 4;
 
-    // Tap ring size; the oldest half is discarded when it fills, and 0
-    // disables recording entirely.
-    std::size_t max_tap_records = 4096;
-
     // Backend behaviour deviations; all-defaults = faithful P4 semantics.
     dataplane::Quirks quirks;
 };
 
-// One traced packet: the stimulus as injected (its meta carrying the rx
-// time the device stamped) plus everything the pipeline did with it.  Only
-// recorded while taps are enabled.
-struct TapRecord {
-    packet::Packet input;
-    dataplane::PipelineResult result;
-};
-
 // One switch instance: a dataplane::Pipeline plus the table/stateful
-// stores behind it, per-port egress queues, port and stage counters, a tap
-// ring and a deterministic virtual clock.  Backend identity lives entirely
-// in DeviceConfig (name + quirks), so the reference and SDNet-like devices
-// are the same machine configured differently -- exactly how one vendor
-// toolchain produces differently-buggy images from the same source.
+// stores behind it, per-port egress queues, port and stage counters, a
+// digest ring and a deterministic virtual clock.  Backend identity lives
+// entirely in DeviceConfig (name + quirks), so the reference and SDNet-like
+// devices are the same machine configured differently -- exactly how one
+// vendor toolchain produces differently-buggy images from the same source.
 class Device final : public control::RuntimeApi {
 public:
     explicit Device(DeviceConfig config);
@@ -96,7 +89,7 @@ public:
     // image replaces the previous program, its tables and its dynamic
     // state.  Loading the image the device already holds returns it to its
     // freshly loaded state in place -- no entries, declared default
-    // actions, zeroed extern cells, counters, queues, taps and digests --
+    // actions, zeroed extern cells, counters, queues and digests --
     // without rebuilding the pipeline.  A null image is refused.
     control::Status load(std::shared_ptr<const p4::ir::Program> image);
 
@@ -118,8 +111,8 @@ public:
     // --- data path ----------------------------------------------------------
     // Runs one packet through the pipeline.  The stimulus is borrowed, not
     // copied: the device stamps rx_time (when pkt.meta.rx_time_ns is 0) into
-    // its own PacketMeta and never writes to `pkt`.  Only the tap ring, when
-    // enabled, keeps a copy, carrying the stamped meta.
+    // its own PacketMeta, which the forwarded packet carries, and never
+    // writes to `pkt`.  With no image loaded the wire is dead: nothing runs.
     void inject(const packet::Packet& pkt);
     std::vector<packet::Packet> drain_port(std::uint32_t port);
 
@@ -135,20 +128,20 @@ public:
     }
 
     // --- debug path ---------------------------------------------------------
-    // Recording is synchronous: while taps are enabled (and the ring has
-    // capacity), every inject() appends its record before returning, so an
-    // empty ring right after an injection means this device cannot record.
-    // FaultLocalizer relies on this to tell "clean" from "unobservable".
-    void set_taps_enabled(bool on);
-    bool taps_enabled() const { return taps_enabled_; }
-    const std::vector<TapRecord>& tap_records() const { return taps_; }
-    void clear_tap_records() { taps_.clear(); }
+    // Injects `pkt` exactly as inject() does -- the clock, counters, egress
+    // queues and digest ring move the same way -- and returns everything
+    // the pipeline did with it, including a copy of the state after each
+    // stage the packet reached.  A forwarded packet is queued as usual and
+    // also stays in the result's `output`.  FaultLocalizer traces one
+    // stimulus on each of its two devices.  With no image loaded nothing
+    // runs and the result is default-constructed, no stage reached.
+    dataplane::PipelineResult trace(const packet::Packet& pkt);
 
     // Streaming digest mode: per-packet TapDigest records hashed in place
-    // by the pipeline, with the same synchronous-recording contract as the
-    // full tap ring but none of the PacketState copies.  This is what the
-    // campaign engine's detection loop runs on; full taps remain for
-    // replay-based tools (FaultLocalizer).
+    // by the pipeline, with none of trace()'s PacketState copies.  Recording
+    // is synchronous: inject() and trace() append the packet's digest before
+    // returning, and the ring keeps the newest kMaxDigestRecords.  This is
+    // what the campaign engine's detection loop runs on.
     void set_digests_enabled(bool on);
     const std::vector<dataplane::TapDigest>& digest_records() const {
         return digests_;
@@ -186,11 +179,17 @@ public:
                                  control::CounterValue& out) override;
     control::StatusSnapshot snapshot() override;
 
-    // Clears dynamic state (queues, counters, registers, taps) but keeps the
-    // loaded image and installed table entries, like a hardware soft-reset.
+    // Clears dynamic state (queues, counters, registers, digests) but keeps
+    // the loaded image and installed table entries, like a hardware
+    // soft-reset.
     control::Status reset_state() override;
 
 private:
+    // The body of inject() and trace() on a loaded device: `taps` asks the
+    // pipeline for its stage copies and keeps the forwarded packet in the
+    // result.
+    dataplane::PipelineResult run_packet(const packet::Packet& pkt, bool taps);
+
     // One ConfigOp kind each; apply() dispatches on the op's kind.
     control::Status add_entry(const control::ConfigOp& op);
     control::Status set_default_action(const control::ConfigOp& op);
@@ -219,7 +218,7 @@ private:
                                    const std::vector<util::Bitvec>& args,
                                    int& action_id,
                                    std::vector<util::Bitvec>& out_args) const;
-    // Clears queues, port counters and taps (shared by load and soft reset).
+    // Clears queues, port counters and digests (shared by load and soft reset).
     void clear_dynamic_state();
 
     DeviceConfig config_;
@@ -236,8 +235,6 @@ private:
     std::vector<control::PortCounters> port_counters_;
     std::uint64_t misdirected_ = 0;
 
-    bool taps_enabled_ = false;
-    std::vector<TapRecord> taps_;
     bool digests_enabled_ = false;
     std::vector<dataplane::TapDigest> digests_;
     coverage::CoverageMap* coverage_ = nullptr;  // not owned

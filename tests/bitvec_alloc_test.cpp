@@ -2,7 +2,7 @@
 // (widths <= 64 never allocate) and word-level operation correctness
 // against a bit-at-a-time reference.  Plus the packet path's allocation
 // budget -- once warm, a device forwards and drops without allocating, a
-// whole scenario run allocates a constant, and a tapped inject only its
+// whole scenario run allocates a constant, and a traced inject only its
 // stage-tap copies -- and the control path's: re-applying exact entries
 // after a same-image reload allocates nothing per entry.
 #include <gtest/gtest.h>
@@ -226,11 +226,11 @@ TEST(PacketPathAlloc, WarmRunAllocatesAConstantWhateverItForwards) {
 }
 
 TEST(PacketPathAlloc, WarmTappedInjectAllocatesOnlyItsStageCopies) {
-    // Every catalogue program with full taps on, as a localize probe runs
-    // it: once warm, an inject allocates only the stage-tap PacketState
-    // copies the pipeline makes.  The record takes the pipeline result by
-    // move and the stimulus and output copies stay inline, so at most six
-    // allocations remain whether the packet is forwarded or dropped.
+    // Every catalogue program traced, as the localizer traces its trigger:
+    // once warm, a trace() allocates only the stage-tap PacketState copies
+    // the pipeline makes.  The result comes back by value and the queued
+    // output copy stays inline, so at most six allocations remain whether
+    // the packet is forwarded or dropped.
     constexpr std::uint64_t kStream = 128;
     const ndb::core::SpecGenerator gen;
     std::uint64_t total = 0;
@@ -242,35 +242,33 @@ TEST(PacketPathAlloc, WarmTappedInjectAllocatesOnlyItsStageCopies) {
         ASSERT_NE(dev, nullptr);
         ASSERT_TRUE(dev->load(sc.compiled));
         dev->apply(sc.config);
-        dev->set_taps_enabled(true);
         const std::vector<ndb::packet::Packet> stream = catalogue_stream(sc, kStream);
         std::vector<ndb::packet::Packet> drained;
         drained.reserve(kStream);
 
         for (const auto& pkt : stream) {
-            dev->inject(pkt);
+            (void)dev->trace(pkt);
             drain_all(*dev, drained);
         }
-        dev->clear_tap_records();  // keeps the ring's capacity
 
         std::uint64_t program_total = 0;
         for (std::size_t i = 0; i < stream.size(); ++i) {
             const std::uint64_t before = allocations();
-            dev->inject(stream[i]);
+            const ndb::dataplane::PipelineResult traced = dev->trace(stream[i]);
             drain_all(*dev, drained);
             const std::uint64_t used = allocations() - before;
-            ASSERT_EQ(dev->tap_records().size(), i + 1);
+            ASSERT_TRUE(traced.tap_after_parser.has_value()) << "packet " << i + 1;
             EXPECT_LE(used, 6u) << "packet " << i + 1;
             program_total += used;
         }
         std::cout << sc.program << ": "
                   << static_cast<double>(program_total) / kStream
-                  << " allocations per tapped inject\n";
+                  << " allocations per traced inject\n";
         total += program_total;
         packets += kStream;
     }
     std::cout << "catalogue: " << static_cast<double>(total) / static_cast<double>(packets)
-              << " allocations per tapped inject\n";
+              << " allocations per traced inject\n";
 }
 
 TEST(ControlPathAlloc, WarmReapplyAllocatesNothingPerExactEntry) {

@@ -47,8 +47,8 @@ std::vector<DeviceKind> device_kinds() {
 
 // Leaves traces of a previous run in every place a load must clear: extra
 // entries and a changed default action on every table, register writes, a
-// configured meter, taps on, and unread traffic in the queues, counters,
-// tap ring and digest ring.  The writes go to the device as one batch.
+// configured meter, and unread traffic in the queues, counters and digest
+// ring.  The writes go to the device as one batch.
 void dirty(target::Device& dev, const core::Scenario& sc,
            const std::vector<packet::Packet>& packets) {
     const p4::ir::Program& prog = *sc.compiled;
@@ -102,7 +102,6 @@ void dirty(target::Device& dev, const core::Scenario& sc,
         if (ops[i].kind == control::ConfigOp::Kind::add_entry) continue;
         ASSERT_TRUE(statuses[i]) << ops[i].target << ": " << statuses[i].message;
     }
-    dev.set_taps_enabled(true);
     dev.set_digests_enabled(true);
     for (const auto& pkt : packets) dev.inject(pkt);
     dev.set_digests_enabled(false);
@@ -188,10 +187,8 @@ TEST(DeviceReload, SameImageReloadMatchesAFreshDevice) {
                 ASSERT_TRUE(reused->load(sc.compiled)) << where;
                 dirty(*reused, sc, packets);
                 ASSERT_TRUE(reused->load(sc.compiled)) << where;
-                // The device holds the scenario's image itself, not a copy,
-                // and the reload emptied the tap ring it had filled.
+                // The device holds the scenario's image itself, not a copy.
                 EXPECT_EQ(&reused->program(), sc.compiled.get()) << where;
-                EXPECT_TRUE(reused->tap_records().empty()) << where;
                 const core::DeviceRun got =
                     core::run_scenario_on(*reused, sc, packets, 8);
                 expect_same_run(got, want, where);

@@ -2,7 +2,7 @@
 // -> ControlServer -> dispatch -> device.  Proves the paper's "dedicated
 // interface" works end-to-end as messages, not as direct calls, including
 // batches above the wire caps; plus the device's own data-path accounting,
-// tap ring, egress timing and backend registry.
+// traced injects, digest ring, egress timing and backend registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -346,33 +346,24 @@ TEST(DeviceRuntime, MisdirectedPacketsAreCountedFirstClass) {
     EXPECT_EQ(device->snapshot().misdirected, 0u);
 }
 
-TEST(DeviceRuntime, TapRingKeepsNewestRecordsAndHonoursZeroCap) {
+TEST(DeviceRuntime, DigestRingStaysWithinItsCapAndTheDeviceForwards) {
     const auto prog = p4::compile_source(p4::programs::passthrough(), "passthrough");
     packet::Packet pkt = core::scenario::ipv4_udp_packet();
     pkt.meta.ingress_port = 0;
 
-    target::DeviceConfig small;
-    small.max_tap_records = 4;
-    auto device = target::make_reference_device(small);
+    auto device = target::make_reference_device();
     ASSERT_TRUE(device->load(*prog));
-    device->set_taps_enabled(true);
-    for (std::uint64_t seq = 1; seq <= 10; ++seq) {
-        pkt.meta.id = seq;
+    device->set_digests_enabled(true);
+    constexpr std::size_t kSent = target::kMaxDigestRecords + 10;
+    std::size_t forwarded = 0;
+    for (std::size_t i = 0; i < kSent; ++i) {
         device->inject(pkt);
+        forwarded += device->drain_port(1).size();
     }
-    ASSERT_FALSE(device->tap_records().empty());
-    EXPECT_LE(device->tap_records().size(), 4u);
-    // The newest record survives eviction (the localizer reads back()).
-    EXPECT_EQ(device->tap_records().back().input.meta.id, 10u);
-
-    target::DeviceConfig none;
-    none.max_tap_records = 0;
-    auto quiet = target::make_reference_device(none);
-    ASSERT_TRUE(quiet->load(*prog));
-    quiet->set_taps_enabled(true);
-    quiet->inject(pkt);  // must not crash or record
-    EXPECT_TRUE(quiet->tap_records().empty());
-    EXPECT_EQ(quiet->drain_port(1).size(), 1u);
+    EXPECT_FALSE(device->digest_records().empty());
+    EXPECT_LE(device->digest_records().size(), target::kMaxDigestRecords);
+    EXPECT_EQ(forwarded, kSent);
+    EXPECT_EQ(device->snapshot().stages.forwarded, kSent);
 }
 
 TEST(DeviceRuntime, EgressStampAddsPipelineCycles) {
@@ -397,12 +388,12 @@ TEST(DeviceRuntime, EgressStampAddsPipelineCycles) {
 
 TEST(DeviceRuntime, InjectBorrowsTheStimulusAndStampsItsOwnMeta) {
     // inject() reads a const stimulus: the device stamps rx time into its
-    // own copy of the meta, which the tap record and the output carry,
-    // and the caller's packet comes back exactly as it went in.
+    // own copy of the meta, which the output carries, and the caller's
+    // packet comes back exactly as it went in.  trace() injects the same
+    // way and also returns the output.
     auto device = target::make_reference_device();
     const auto prog = p4::compile_source(p4::programs::passthrough(), "passthrough");
     ASSERT_TRUE(device->load(*prog));
-    device->set_taps_enabled(true);
 
     packet::Packet built = core::scenario::ipv4_udp_packet();
     built.meta.ingress_port = 0;
@@ -411,20 +402,28 @@ TEST(DeviceRuntime, InjectBorrowsTheStimulusAndStampsItsOwnMeta) {
     ASSERT_EQ(stimulus.meta.rx_time_ns, 0u);
 
     const std::uint64_t stamp = device->now_ns();
-    device->inject(stimulus);
+    const dataplane::PipelineResult traced = device->trace(stimulus);
     EXPECT_EQ(device->now_ns(), stamp + target::kNsPerPacket);
 
-    ASSERT_EQ(device->tap_records().size(), 1u);
-    const target::TapRecord& record = device->tap_records().back();
-    EXPECT_EQ(record.input.meta.rx_time_ns, stamp);
-    EXPECT_EQ(record.input.meta.id, 7u);
-    EXPECT_TRUE(record.input.same_bytes(stimulus));
+    ASSERT_EQ(traced.disposition, dataplane::Disposition::forwarded);
+    EXPECT_EQ(traced.output.meta.rx_time_ns, stamp);
+    EXPECT_EQ(traced.output.meta.id, 7u);
+    EXPECT_EQ(traced.output.meta.tx_time_ns,
+              stamp + traced.cycles * target::kNsPerCycle);
+    ASSERT_TRUE(traced.tap_after_parser.has_value());
 
     const auto out = device->drain_port(1);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].meta.rx_time_ns, stamp);
-    EXPECT_EQ(out[0].meta.tx_time_ns,
-              stamp + record.result.cycles * target::kNsPerCycle);
+    EXPECT_EQ(out[0].meta.id, 7u);
+    EXPECT_EQ(out[0].meta.tx_time_ns, traced.output.meta.tx_time_ns);
+    EXPECT_TRUE(out[0].same_bytes(traced.output));
+
+    device->inject(stimulus);
+    const auto again = device->drain_port(1);
+    ASSERT_EQ(again.size(), 1u);
+    EXPECT_EQ(again[0].meta.rx_time_ns, stamp + target::kNsPerPacket);
+    EXPECT_TRUE(again[0].same_bytes(traced.output));
 
     EXPECT_TRUE(stimulus.same_bytes(built));
     EXPECT_EQ(stimulus.meta.ingress_port, 0u);

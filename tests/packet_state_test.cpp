@@ -319,15 +319,14 @@ void expect_wide_pipeline_matches_model(std::vector<packet::Packet> sent) {
     auto dev = target::make_device("reference");
     ASSERT_NE(dev, nullptr);
     ASSERT_TRUE(dev->load(prog));
-    dev->set_taps_enabled(true);
     dev->set_digests_enabled(true);
 
+    std::vector<dataplane::PipelineResult> traced;
     for (std::size_t i = 0; i < sent.size(); ++i) {
         sent[i].meta.ingress_port = 0;
         sent[i].meta.rx_time_ns = 1'000'000 + i * 672;
-        dev->inject(sent[i]);
+        traced.push_back(dev->trace(sent[i]));
     }
-    ASSERT_EQ(dev->tap_records().size(), sent.size());
     ASSERT_EQ(dev->digest_records().size(), sent.size());
     const std::vector<packet::Packet> out = dev->drain_port(1);
     ASSERT_EQ(out.size(), sent.size());
@@ -336,7 +335,7 @@ void expect_wide_pipeline_matches_model(std::vector<packet::Packet> sent) {
         const std::string where =
             "packet " + std::to_string(i) + " (" + std::to_string(sent[i].size()) + "B)";
         const packet::Packet& pkt = sent[i];
-        const auto& r = dev->tap_records()[i].result;
+        const dataplane::PipelineResult& r = traced[i];
         const auto& d = dev->digest_records()[i];
         ASSERT_EQ(r.disposition, dataplane::Disposition::forwarded) << where;
 
@@ -360,7 +359,7 @@ void expect_wide_pipeline_matches_model(std::vector<packet::Packet> sent) {
         expect_agree(*prog, *r.tap_after_ingress, model, where + " after ingress");
         EXPECT_EQ(d.stage_hash[1], model_digest(*prog, model)) << where;
 
-        // The tap record's output and the drained one are the same packet.
+        // The traced output and the drained one are the same packet.
         const packet::Packet want = model_deparse(*prog, model);
         EXPECT_TRUE(r.output.same_bytes(want)) << where << ": deparsed bytes";
         EXPECT_TRUE(out[i].same_bytes(want)) << where << ": drained bytes";

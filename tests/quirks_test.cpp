@@ -1,7 +1,8 @@
 // Reference vs. vendor-backend divergence for the quirk catalogue:
 // shift_miscompile at expression level, ternary_priority_inverted and
 // parser_depth_limit at device level (the latter localized through the taps),
-// plus the quirk signature's strict parser.
+// the localizer's one traced packet per device, plus the quirk signature's
+// strict parser.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -173,25 +174,21 @@ TEST(Quirks, RejectAsAcceptLocalizesToTheParserStage) {
     arp.meta.ingress_port = 0;
 
     core::FaultLocalizer localizer(*dut, *golden);
-    const core::LocalizeResult result = localizer.localize_linear(arp);
+    const core::LocalizeResult result = localizer.localize(arp);
     EXPECT_TRUE(result.diverged);
     EXPECT_EQ(result.stage, dataplane::Stage::parser) << result.to_string();
     EXPECT_NE(result.description.find("verdict"), std::string::npos)
         << result.description;
-
-    // Bisection must agree with the linear scan (probe reports divergence
-    // at-or-before the probed stage, keeping the search monotone).
-    const core::LocalizeResult bisected = localizer.localize_binary(arp);
-    EXPECT_TRUE(bisected.diverged);
-    EXPECT_EQ(bisected.stage, dataplane::Stage::parser) << bisected.to_string();
+    // One localization injects exactly one packet into each device.
+    EXPECT_EQ(dut->snapshot().stages.parser_in, 1u);
+    EXPECT_EQ(golden->snapshot().stages.parser_in, 1u);
 }
 
-TEST(Quirks, MetadataClobberConfinedToParserIsFoundByBothStrategies) {
+TEST(Quirks, MetadataClobberConfinedToParserIsFound) {
     // metadata_clobber diverges only at the parser tap: stats_monitor's
     // ingress overwrites meta.pkt_count from a register before any use, so
-    // ingress/egress taps and dispositions all agree.  Bisection (which
-    // never probes the parser unless an earlier divergence points there)
-    // must still find it.
+    // ingress/egress taps and dispositions all agree.  The walk must not
+    // let the later agreement hide it.
     const auto prog =
         p4::compile_source(p4::programs::stats_monitor(), "stats_monitor");
     dataplane::Quirks clobber;
@@ -205,38 +202,49 @@ TEST(Quirks, MetadataClobberConfinedToParserIsFoundByBothStrategies) {
     pkt.meta.ingress_port = 0;
 
     core::FaultLocalizer localizer(*dut, *golden);
-    const core::LocalizeResult linear = localizer.localize_linear(pkt);
-    EXPECT_TRUE(linear.diverged) << linear.to_string();
-    EXPECT_EQ(linear.stage, dataplane::Stage::parser);
-
-    const core::LocalizeResult binary = localizer.localize_binary(pkt);
-    EXPECT_TRUE(binary.diverged) << binary.to_string();
-    EXPECT_EQ(binary.stage, dataplane::Stage::parser);
+    const core::LocalizeResult result = localizer.localize(pkt);
+    EXPECT_TRUE(result.diverged) << result.to_string();
+    EXPECT_EQ(result.stage, dataplane::Stage::parser);
 }
 
-TEST(Quirks, LocalizerReportsInconclusiveWhenTapsCannotRecord) {
-    // A DUT whose tap ring is disabled gives the localizer nothing to
-    // compare; that must not read as a clean bill of health.
-    const auto prog =
-        p4::compile_source(p4::programs::reject_filter(), "reject_filter");
-    target::DeviceConfig no_taps;
-    no_taps.max_tap_records = 0;
-    auto dut = target::make_sdnet_device(no_taps);
+TEST(Quirks, LocalizeTracesTheTriggerOncePerDevice) {
+    // A stale_entry DUT never refreshes an occupied register cell.  With
+    // port_pkts[0] written through the management plane, the trigger reads
+    // the same count on both devices and only the write back differs,
+    // which shows in the register state, not in any stage tap.  A second
+    // injection would read that difference back and blame a stage.
+    const auto stats =
+        p4::compile_source(p4::programs::stats_monitor(), "stats_monitor");
+    dataplane::Quirks stale;
+    stale.stale_entry = true;
+    auto dut = target::make_device("sdnet", stale);
     auto golden = target::make_reference_device();
-    ASSERT_TRUE(dut->load(*prog));
-    ASSERT_TRUE(golden->load(*prog));
+    control::ConfigOp seed_count;
+    seed_count.kind = control::ConfigOp::Kind::write_register;
+    seed_count.target = "port_pkts";
+    seed_count.index = 0;
+    seed_count.value = util::Bitvec(48, 5);
+    for (target::Device* dev : {dut.get(), golden.get()}) {
+        ASSERT_TRUE(dev->load(*stats));
+        ASSERT_TRUE(dev->apply({&seed_count, 1}).front());
+    }
+    packet::Packet pkt = core::scenario::ipv4_udp_packet();
+    pkt.meta.ingress_port = 0;
 
-    packet::Packet arp = core::scenario::arp_packet();
-    arp.meta.ingress_port = 0;
-
-    core::FaultLocalizer localizer(*dut, *golden);
-    const core::LocalizeResult result = localizer.localize_linear(arp);
-    EXPECT_FALSE(result.diverged);
-    EXPECT_FALSE(result.conclusive);
-    EXPECT_NE(result.description.find("inconclusive"), std::string::npos)
-        << result.description;
-    // Blind probes bail out early instead of replaying every stage.
+    const core::LocalizeResult result =
+        core::FaultLocalizer(*dut, *golden).localize(pkt);
+    EXPECT_FALSE(result.diverged) << result.to_string();
+    EXPECT_TRUE(result.conclusive);
     EXPECT_EQ(result.probes, 1);
+    EXPECT_EQ(result.packets_replayed, 2u);
+    EXPECT_EQ(dut->snapshot().stages.parser_in, 1u);
+    EXPECT_EQ(golden->snapshot().stages.parser_in, 1u);
+    util::Bitvec dut_count;
+    util::Bitvec golden_count;
+    ASSERT_TRUE(dut->read_register("port_pkts", 0, dut_count));
+    ASSERT_TRUE(golden->read_register("port_pkts", 0, golden_count));
+    EXPECT_EQ(dut_count.to_u64(), 5u);
+    EXPECT_EQ(golden_count.to_u64(), 6u);
 }
 
 TEST(Quirks, ParserDepthLimitLocalizesToTheParserStage) {
@@ -253,22 +261,17 @@ TEST(Quirks, ParserDepthLimitLocalizesToTheParserStage) {
     stimulus.meta.ingress_port = 0;
 
     core::FaultLocalizer localizer(*dut, *golden);
-    const core::LocalizeResult linear = localizer.localize_linear(stimulus);
-    EXPECT_TRUE(linear.diverged) << linear.to_string();
-    EXPECT_EQ(linear.stage, dataplane::Stage::parser) << linear.to_string();
+    const core::LocalizeResult result = localizer.localize(stimulus);
+    EXPECT_TRUE(result.diverged) << result.to_string();
+    EXPECT_EQ(result.stage, dataplane::Stage::parser) << result.to_string();
+    EXPECT_EQ(result.probes, 1);
 
-    const core::LocalizeResult binary = localizer.localize_binary(stimulus);
-    EXPECT_TRUE(binary.diverged);
-    EXPECT_EQ(binary.stage, dataplane::Stage::parser);
-    // Bisection over {parser, ingress, egress} needs at most 2 probes.
-    EXPECT_LE(binary.probes, 2);
-
-    // A shallow stack fits the hardware parser: no divergence, and the
-    // probes actually observed tap records, so the verdict is conclusive.
+    // A shallow stack fits the hardware parser: the traces agree at every
+    // stage.
     packet::Packet shallow = core::scenario::label_stack_packet(3);
     shallow.meta.ingress_port = 0;
-    const core::LocalizeResult clean = localizer.localize_linear(shallow);
-    EXPECT_FALSE(clean.diverged);
+    const core::LocalizeResult clean = localizer.localize(shallow);
+    EXPECT_FALSE(clean.diverged) << clean.to_string();
     EXPECT_TRUE(clean.conclusive);
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "core/corpus.h"
 #include "core/generator.h"
@@ -35,29 +36,29 @@ std::uint64_t copy_based_hash(const p4::ir::Program& prog,
         [&](int h, int f) { return tap->get({h, f}); });
 }
 
-// Runs a scenario's packet stream with BOTH full taps and streaming digests
-// enabled and asserts they describe the identical execution.
+// Traces a scenario's packet stream with streaming digests enabled and
+// asserts each digest describes the identical execution as the traced
+// stage copies.
 void check_device(target::Device& dev, const core::Scenario& sc) {
     ASSERT_TRUE(dev.load(*sc.compiled));
     dev.apply(sc.config);
 
-    dev.set_taps_enabled(true);
     dev.set_digests_enabled(true);
 
     core::TestPacketGenerator pgen(sc.spec);
+    std::vector<dataplane::PipelineResult> traced;
     for (std::uint64_t seq = 1; seq <= sc.spec.count; ++seq) {
-        dev.inject(pgen.make_packet(seq, 1'000'000 + (seq - 1) * 672));
+        traced.push_back(dev.trace(pgen.make_packet(seq, 1'000'000 + (seq - 1) * 672)));
     }
     dev.flush();
 
-    const auto& taps = dev.tap_records();
     const auto& digests = dev.digest_records();
-    ASSERT_EQ(taps.size(), sc.spec.count);
+    ASSERT_EQ(traced.size(), sc.spec.count);
     ASSERT_EQ(digests.size(), sc.spec.count);
 
     const p4::ir::Program& prog = dev.program();
-    for (std::size_t i = 0; i < taps.size(); ++i) {
-        const dataplane::PipelineResult& r = taps[i].result;
+    for (std::size_t i = 0; i < traced.size(); ++i) {
+        const dataplane::PipelineResult& r = traced[i];
         const dataplane::TapDigest& d = digests[i];
         EXPECT_EQ(d.verdict, r.parser_verdict) << "packet " << i + 1;
         EXPECT_EQ(d.disposition, r.disposition) << "packet " << i + 1;
