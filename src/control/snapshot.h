@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "dataplane/pipeline.h"
+#include "dataplane/stateful.h"
 
 namespace ndb::control {
 
@@ -25,21 +26,9 @@ struct TableStatus {
     std::uint64_t capacity = 0;
 };
 
-// Per-extern state summary: the device's view of its own per-flow state.
-// `state_hash` digests register contents / counter values, so two devices
-// that processed the same traffic but aged, dropped, or misplaced flow
-// entries differently disagree here even when every packet still came out
-// identical -- the "state" divergence class.
-struct ExternStatus {
-    std::string name;
-    std::string kind;  // "register" | "counter" | "meter"
-    std::uint64_t cells = 0;
-    std::uint64_t state_hash = 0;
-    // Meters only: cells still coloring everything green because no
-    // control-plane configure ever reached them.  A policer with a nonzero
-    // value here enforces nothing.
-    std::uint64_t unconfigured_meters = 0;
-};
+// Per-extern state summary (see dataplane::ExternInfo): the stateful store
+// writes it straight into a snapshot's `externs`.
+using ExternStatus = dataplane::ExternInfo;
 
 struct StatusSnapshot {
     std::uint64_t taken_at_ns = 0;

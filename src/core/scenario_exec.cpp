@@ -51,7 +51,7 @@ WorkerContext::WorkerContext(const std::string& reference_backend,
     }
 }
 
-std::vector<packet::Packet> scenario_packets(const Scenario& sc) {
+void scenario_packets(const Scenario& sc, std::vector<packet::Packet>& out) {
     // Build the stream once; every backend sees byte-identical stimuli on
     // an identical timeline.  A spec-level rate stretches the slot so
     // stateful scenarios can straddle aging timeouts within one stream;
@@ -61,11 +61,16 @@ std::vector<packet::Packet> scenario_packets(const Scenario& sc) {
             ? static_cast<std::uint64_t>(1e9 / sc.spec.rate_pps + 0.5)
             : kSlotNs;
     TestPacketGenerator pgen(sc.spec);
-    std::vector<packet::Packet> packets;
-    packets.reserve(sc.spec.count);
+    out.clear();
+    out.reserve(sc.spec.count);
     for (std::uint64_t seq = 1; seq <= sc.spec.count; ++seq) {
-        packets.push_back(pgen.make_packet(seq, kEpochNs + (seq - 1) * slot_ns));
+        out.push_back(pgen.make_packet(seq, kEpochNs + (seq - 1) * slot_ns));
     }
+}
+
+std::vector<packet::Packet> scenario_packets(const Scenario& sc) {
+    std::vector<packet::Packet> packets;
+    scenario_packets(sc, packets);
     return packets;
 }
 
@@ -74,6 +79,19 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
                           std::size_t batch_size, const MgmtLink* mgmt,
                           ChannelAccounting* acct) {
     DeviceRun run;
+    run_scenario_on(dev, sc, packets, batch_size, run, mgmt, acct);
+    return run;
+}
+
+void run_scenario_on(target::Device& dev, const Scenario& sc,
+                     std::span<const packet::Packet> packets,
+                     std::size_t batch_size, DeviceRun& run,
+                     const MgmtLink* mgmt, ChannelAccounting* acct) {
+    run.config_ok.clear();
+    run.config_wire_fail.clear();
+    run.observed.clear();
+    run.taps.clear();
+    run.injected = 0;
     // Hands over the scenario's shared image: a device that already holds it
     // (every triage replay after the detection run) resets in place
     // instead of rebuilding its tables and engines.
@@ -111,8 +129,8 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
             acct->dedup_hits += transport.server_stats().dedup_hits;
         }
     } else {
-        for (const control::Status& st : dev.apply(sc.config)) {
-            run.config_ok.push_back(st.ok);
+        for (const control::ConfigOp& op : sc.config) {
+            run.config_ok.push_back(dev.apply(op).ok);
             run.config_wire_fail.push_back(false);
         }
     }
@@ -121,37 +139,32 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
     // copy (only FaultLocalizer's traced trigger makes stage copies).
     dev.set_digests_enabled(true);
     const std::size_t batch = std::max<std::size_t>(1, batch_size);
-    // Sized once for the stream: every packet leaves at most one output,
-    // and a drain round sees at most one batch of them.
+    // Sized once for the stream: every packet leaves one digest and at most
+    // one output.
     run.observed.reserve(packets.size());
-    std::vector<packet::Packet> drained;  // reused across every drain round
-    drained.reserve(std::min(batch, packets.size()));
+    run.taps.reserve(packets.size());
     std::size_t i = 0;
     while (i < packets.size()) {
         const std::size_t end = std::min(i + batch, packets.size());
         for (; i < end; ++i) {
             dev.inject(packets[i]);
             ++run.injected;
-        }
-        // One queue sweep per batch amortizes the drain round-trip.
-        for (int p = 0; p < dev.config().num_ports; ++p) {
-            drained.clear();
-            dev.drain_port_into(static_cast<std::uint32_t>(p), drained);
-            for (auto& out : drained) {
-                run.observed.emplace_back(static_cast<std::uint32_t>(p),
-                                          std::move(out));
+            // Only a batch longer than the digest ring fills it.
+            if (dev.digest_records().size() == target::kMaxDigestRecords) {
+                dev.drain_digests_into(run.taps);
             }
         }
-    }
-    // Collect the digest ring (synchronous recording: one record per
-    // injection, unless the stream outran the ring's kMaxDigestRecords).
-    std::vector<TapDigest> records = dev.take_digest_records();
-    if (records.size() == packets.size()) {
-        run.taps = std::move(records);
+        // One ring and queue sweep per batch amortizes the drain round-trip.
+        dev.drain_digests_into(run.taps);
+        for (int p = 0; p < dev.config().num_ports; ++p) {
+            const auto port = static_cast<std::uint32_t>(p);
+            dev.drain_port_each(port, [&run, port](packet::Packet&& out) {
+                run.observed.emplace_back(port, std::move(out));
+            });
+        }
     }
     dev.set_digests_enabled(false);
-    run.snapshot = dev.snapshot();
-    return run;
+    dev.snapshot_into(run.snapshot);
 }
 
 std::optional<RawDivergence> diff_runs(const DeviceRun& dut,
@@ -233,8 +246,9 @@ std::optional<RawDivergence> diff_runs(const DeviceRun& dut,
 
     // Internal visibility next: the taps see divergences (wrong parser
     // verdict, clobbered metadata) that output bytes can hide entirely.
-    // Only comparable when both devices recorded the full stream.
-    if (!dut.taps.empty() && dut.taps.size() == ref.taps.size()) {
+    // Every run keeps one digest per injected packet, so the two lists
+    // line up whenever both devices ran the same stream.
+    if (dut.taps.size() == ref.taps.size()) {
         for (std::size_t i = 0; i < dut.taps.size(); ++i) {
             const TapDigest& d = dut.taps[i];
             const TapDigest& g = ref.taps[i];
@@ -345,7 +359,8 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
                       const std::string& recipe) {
     const std::uint64_t obs_t0 =
         (obs::metrics_on() || obs::trace_on()) ? obs::now_ns() : 0;
-    const std::vector<packet::Packet> packets = scenario_packets(sc);
+    scenario_packets(sc, ctx.stimulus);
+    const std::vector<packet::Packet>& packets = ctx.stimulus;
 
     // Guided mode: each detection run streams its execution edges into the
     // worker's map (attached before run_scenario_on so the load() inside
@@ -364,8 +379,8 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         record_coverage(*ctx.reference);
         outcome.dut_coverage.resize(duts.size());
     }
-    const DeviceRun ref_run =
-        run_scenario_on(*ctx.reference, sc, packets, options.batch_size);
+    const DeviceRun& ref_run = ctx.reference_run;
+    run_scenario_on(*ctx.reference, sc, packets, options.batch_size, ctx.reference_run);
     if (options.coverage) outcome.coverage = take_coverage(*ctx.reference);
     outcome.packets += ref_run.injected;
 
@@ -385,8 +400,9 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         // inside the device); triage replays below run with coverage
         // detached, like the reference's.
         if (options.coverage) record_coverage(dut);
-        const DeviceRun dut_run = run_scenario_on(
-            dut, sc, packets, options.batch_size, mgmt, &outcome.mgmt);
+        const DeviceRun& dut_run = ctx.dut_run;
+        run_scenario_on(dut, sc, packets, options.batch_size, ctx.dut_run, mgmt,
+                        &outcome.mgmt);
         if (options.coverage) outcome.dut_coverage[d] = take_coverage(dut);
         outcome.packets += dut_run.injected;
 
@@ -403,15 +419,18 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         rec.detail = raw->detail;
         rec.first_diverging_packet = raw->first_diverging_packet;
 
+        // Triage replays refill the context's two replay runs.
+        DeviceRun& r = ctx.reference_replay;
+        DeviceRun& u = ctx.dut_replay;
+
         // Minimize: the shortest stimulus prefix that still diverges.
         if (options.minimize) {
             for (std::size_t k = 1; k <= packets.size(); ++k) {
                 const std::span<const packet::Packet> prefix =
                     std::span(packets).first(k);
-                const DeviceRun r = run_scenario_on(*ctx.reference, sc, prefix,
-                                                    options.batch_size);
-                const DeviceRun u = run_scenario_on(
-                    dut, sc, prefix, options.batch_size, mgmt, &outcome.mgmt);
+                run_scenario_on(*ctx.reference, sc, prefix, options.batch_size, r);
+                run_scenario_on(dut, sc, prefix, options.batch_size, u, mgmt,
+                                &outcome.mgmt);
                 outcome.packets += r.injected + u.injected;
                 if (diff_runs(u, r)) {
                     rec.minimized_count = k;
@@ -427,10 +446,9 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         if (options.localize && trigger > 0) {
             const std::span<const packet::Packet> warmup =
                 std::span(packets).first(trigger - 1);
-            const DeviceRun r = run_scenario_on(*ctx.reference, sc, warmup,
-                                                options.batch_size);
-            const DeviceRun u = run_scenario_on(
-                dut, sc, warmup, options.batch_size, mgmt, &outcome.mgmt);
+            run_scenario_on(*ctx.reference, sc, warmup, options.batch_size, r);
+            run_scenario_on(dut, sc, warmup, options.batch_size, u, mgmt,
+                            &outcome.mgmt);
             outcome.packets += r.injected + u.injected;
             FaultLocalizer localizer(dut, *ctx.reference);
             rec.localized = localizer.localize(packets[trigger - 1]);

@@ -3,12 +3,13 @@
 //
 // Everything here is a pure function of (scenario, backend set, options):
 // run one scenario on a device pool, diff each DUT run against the
-// reference run in causal order (control-plane acceptance -> table shape ->
-// stage taps -> output stream -> status counters), and triage divergences
-// (minimize, localize, fingerprint).  Keeping this in one place is what
-// lets a multi-process fabric promise reports byte-identical to the
-// single-process sweep: both sides call execute_scenario() and fold the
-// outcomes through the same ReportBuilder in the same deterministic order.
+// reference run in causal order (config acceptance -> table shape ->
+// extern state -> stage taps -> output stream -> stage counters -> table
+// hits), and triage divergences (minimize, localize, fingerprint).
+// Keeping this in one place is what lets a multi-process fabric promise
+// reports byte-identical to the single-process sweep: both sides call
+// execute_scenario() and fold the outcomes through the same ReportBuilder
+// in the same deterministic order.
 //
 // Management-plane fault injection (ExecOptions::mgmt): DUT configuration
 // is delivered through a control::WireChannel over a fault-injected
@@ -47,14 +48,19 @@ struct StreamItem {
     packet::Packet pkt;
 };
 
-// Everything observable from running one scenario on one device.
+// Everything observable from running one scenario on one device.  A run
+// refilled by run_scenario_on keeps every vector's capacity, so a warm
+// device's run allocates nothing.
 struct DeviceRun {
     std::vector<bool> config_ok;
     // Parallel to config_ok: the op failed at the wire layer (timeout or
     // decode error on the management channel), not in the device runtime.
     std::vector<bool> config_wire_fail;
     std::vector<StreamItem> observed;
-    std::vector<dataplane::TapDigest> taps;  // empty when the stream outran the ring
+    // One stage digest per injected packet, in injection order (the device's
+    // digest ring is emptied into it after every batch, so a stream of any
+    // length keeps them all).
+    std::vector<dataplane::TapDigest> taps;
     control::StatusSnapshot snapshot;
     std::uint64_t injected = 0;
 };
@@ -92,6 +98,14 @@ struct WorkerContext {
     // Guided mode: every detection run records here, and execute_scenario
     // moves the lit slots into the outcome, which leaves the map empty.
     coverage::CoverageMap coverage;
+    // Buffers execute_scenario refills for every scenario, keeping their
+    // capacity: the stimulus stream, the reference's and the current DUT's
+    // detection runs, and the two runs of each triage replay.
+    std::vector<packet::Packet> stimulus;
+    DeviceRun reference_run;
+    DeviceRun dut_run;
+    DeviceRun reference_replay;
+    DeviceRun dut_replay;
 
     // The trailing Engine is accepted and ignored: the interpreter is the
     // only engine, and the parameter goes once no caller passes it.
@@ -107,14 +121,26 @@ struct MgmtLink {
     control::FaultPlan plan;
 };
 
-// The scenario's packet stream on the fixed kEpochNs/kSlotNs timeline.
+// The scenario's packet stream on the fixed kEpochNs/kSlotNs timeline,
+// written into `out` (cleared first; its capacity is kept).
+void scenario_packets(const Scenario& sc, std::vector<packet::Packet>& out);
 std::vector<packet::Packet> scenario_packets(const Scenario& sc);
 
-// Runs one scenario on one device.  `packets` is borrowed, so a triage
-// replay passes a prefix of the stream without copying it.  When `mgmt` is
-// non-null and enabled, configuration is applied through a faulted wire
-// channel (accounting accumulated into `acct` when non-null); otherwise
-// config ops hit the device runtime directly.
+// Runs one scenario on one device into `run`, which is cleared first and
+// keeps every capacity, so a run refilled on the device that holds the
+// scenario's image allocates nothing (a rejected config op allocates its
+// Status message).  `packets` is borrowed, so a triage replay passes a
+// prefix of the stream without copying it.  When `mgmt` is non-null and
+// enabled, configuration is applied through a faulted wire channel
+// (accounting accumulated into `acct` when non-null); otherwise config ops
+// hit the device runtime one at a time.
+void run_scenario_on(target::Device& dev, const Scenario& sc,
+                     std::span<const packet::Packet> packets,
+                     std::size_t batch_size, DeviceRun& run,
+                     const MgmtLink* mgmt = nullptr,
+                     ChannelAccounting* acct = nullptr);
+
+// The same run into a fresh DeviceRun.
 DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
                           std::span<const packet::Packet> packets,
                           std::size_t batch_size,
@@ -122,8 +148,9 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
                           ChannelAccounting* acct = nullptr);
 
 // First observable difference between a DUT run and the reference run, in
-// causal order: control-plane acceptance, then the output stream, then the
-// internal status counters.
+// causal order: config acceptance, table shape (capacity and entries),
+// extern state, stage taps, the output stream, stage counters, and table
+// hits and misses.
 std::optional<RawDivergence> diff_runs(const DeviceRun& dut,
                                        const DeviceRun& ref);
 

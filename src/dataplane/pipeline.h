@@ -28,7 +28,7 @@ class CoverageMap;
 
 namespace ndb::dataplane {
 
-enum class Disposition {
+enum class Disposition : std::uint8_t {
     forwarded,
     dropped_parser,
     dropped_ingress,
@@ -44,7 +44,8 @@ const char* stage_name(Stage stage);
 
 // Compact per-packet view of the internal stage taps, hashed in place by
 // the pipeline (streaming mode): the values hashing full PacketState
-// copies would give, at none of the copy cost.
+// copies would give, at none of the copy cost.  32 bytes (the two enums
+// are one byte each); every scenario run keeps one per packet.
 struct TapDigest {
     ParserVerdict verdict = ParserVerdict::accept;
     Disposition disposition = Disposition::forwarded;

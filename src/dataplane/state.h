@@ -30,7 +30,7 @@
 
 namespace ndb::dataplane {
 
-enum class ParserVerdict {
+enum class ParserVerdict : std::uint8_t {
     accept,
     reject,            // explicit transition to reject
     error_truncated,   // extract past the end of the packet

@@ -171,11 +171,18 @@ MeterColor StatefulSet::meter_execute(int extern_id, std::uint64_t index,
 
 std::vector<StatefulSet::Info> StatefulSet::info() const {
     std::vector<Info> out;
-    out.reserve(externs_.size());
-    for (const auto& s : externs_) {
-        Info inf;
+    info_into(out);
+    return out;
+}
+
+void StatefulSet::info_into(std::vector<Info>& out) const {
+    out.resize(externs_.size());
+    for (std::size_t e = 0; e < externs_.size(); ++e) {
+        const ExternState& s = externs_[e];
+        Info& inf = out[e];
         inf.name = s.name;
         inf.cells = s.size;
+        inf.unconfigured_meters = 0;
         std::uint64_t h = kFnvOffset;
         std::uint64_t next = 0;  // first cell the fold has not reached
         std::uint64_t configured = 0;
@@ -208,9 +215,7 @@ std::vector<StatefulSet::Info> StatefulSet::info() const {
                 break;
         }
         inf.state_hash = h;
-        out.push_back(std::move(inf));
     }
-    return out;
 }
 
 void StatefulSet::reset_state() {

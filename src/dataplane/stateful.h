@@ -58,6 +58,22 @@ private:
     bool configured_ = false;
 };
 
+// One extern's summary, as status snapshots carry it
+// (control::ExternStatus): the device's view of its own per-flow state.
+// Two devices that processed the same traffic but aged, dropped, or
+// misplaced flow entries differently disagree on `state_hash` even when
+// every packet still came out identical -- the "state" divergence class.
+struct ExternInfo {
+    std::string name;
+    std::string kind;  // "register" | "counter" | "meter"
+    std::uint64_t cells = 0;
+    std::uint64_t state_hash = 0;
+    // Meters only: cells still coloring everything green because no
+    // control-plane configure ever reached them.  A policer with a nonzero
+    // value here enforces nothing.
+    std::uint64_t unconfigured_meters = 0;
+};
+
 // Runtime storage for every extern instance of one program.
 class StatefulSet {
 public:
@@ -86,14 +102,13 @@ public:
     // It is the FNV-1a fold of every declared cell in index order; an
     // untouched cell folds only zero bytes, so the fold skips it with one
     // multiply by a power of the FNV prime and the value stays exact.
-    struct Info {
-        std::string name;
-        std::string kind;  // "register" | "counter" | "meter"
-        std::uint64_t cells = 0;
-        std::uint64_t state_hash = 0;
-        std::uint64_t unconfigured_meters = 0;  // 0 for non-meters
-    };
+    using Info = ExternInfo;
     std::vector<Info> info() const;
+
+    // info() written into `out` in place: resized to one entry per extern,
+    // every field overwritten, and the strings and the vector keep their
+    // capacity, so a warm device snapshots without allocating.
+    void info_into(std::vector<Info>& out) const;
 
     // Returns every extern to its power-on value: registers to zero,
     // counters to zero, meters to unconfigured-permissive.  Exactly the

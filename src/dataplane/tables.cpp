@@ -124,6 +124,26 @@ private:
     int nwords_ = 1;
 };
 
+// An entry's action as the indexed engines store it: the action id plus its
+// arguments' place in the engine's one shared argument array, which clear()
+// truncates but keeps allocated, so refilling a table allocates nothing.
+struct StoredAction {
+    int action_id = 0;
+    std::uint32_t first_arg = 0;  // index into the engine's argument array
+    std::uint32_t arg_count = 0;
+};
+
+StoredAction store_action(const TableEntry& entry, std::vector<Bitvec>& args) {
+    const StoredAction stored{entry.action_id, static_cast<std::uint32_t>(args.size()),
+                              static_cast<std::uint32_t>(entry.action_args.size())};
+    args.insert(args.end(), entry.action_args.begin(), entry.action_args.end());
+    return stored;
+}
+
+ActionRef action_ref(const StoredAction& a, const std::vector<Bitvec>& args) {
+    return {a.action_id, {args.data() + a.first_arg, a.arg_count}};
+}
+
 // --- indexed exact ------------------------------------------------------------
 
 // Entries live once each, in insertion order, in flat arrays: the packed key
@@ -160,9 +180,7 @@ public:
             probe(kw, h, pos);  // still absent: finds its slot in the new index
         }
         keys_.insert(keys_.end(), kw.begin(), kw.end());
-        values_.push_back({entry.action_id, static_cast<std::uint32_t>(args_.size()),
-                           static_cast<std::uint32_t>(entry.action_args.size())});
-        args_.insert(args_.end(), entry.action_args.begin(), entry.action_args.end());
+        values_.push_back(store_action(entry, args_));
         index_[pos] = {tag_of(h), static_cast<std::uint32_t>(values_.size())};
         return InsertStatus::ok;
     }
@@ -173,8 +191,7 @@ public:
         key.pack(keys, total_width_);
         std::size_t pos = 0;
         if (!probe(key.words(), key.hash(), pos)) return std::nullopt;
-        const Value& v = values_[index_[pos].entry - 1];
-        return ActionRef{v.action_id, {args_.data() + v.first_arg, v.arg_count}};
+        return action_ref(values_[index_[pos].entry - 1], args_);
     }
 
     std::size_t entry_count() const override { return values_.size(); }
@@ -193,12 +210,6 @@ private:
     struct Slot {
         std::uint32_t tag = 0;
         std::uint32_t entry = 0;  // entry number + 1; 0 = empty
-    };
-
-    struct Value {
-        int action_id = 0;
-        std::uint32_t first_arg = 0;  // index into args_
-        std::uint32_t arg_count = 0;
     };
 
     static std::uint32_t tag_of(std::size_t h) {
@@ -247,7 +258,7 @@ private:
     std::vector<Slot> index_;
     std::size_t mask_;
     std::vector<std::uint64_t> keys_;
-    std::vector<Value> values_;
+    std::vector<StoredAction> values_;
     std::vector<Bitvec> args_;
 };
 
@@ -287,8 +298,9 @@ public:
                 node = child;
             }
         }
-        if (nodes_[node].entry) return InsertStatus::duplicate;
-        nodes_[node].entry = ActionEntry{entry.action_id, entry.action_args};
+        if (nodes_[node].has_entry) return InsertStatus::duplicate;
+        nodes_[node].action = store_action(entry, args_);
+        nodes_[node].has_entry = true;
         ++count_;
         return InsertStatus::ok;
     }
@@ -296,18 +308,18 @@ public:
     std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const override {
         if (keys.size() != 1) return std::nullopt;
         const Bitvec key = keys[0].resize(key_width_);
-        const ActionEntry* best = nullptr;
+        const Node* best = nullptr;
         std::size_t node = 0;
-        if (nodes_[0].entry) best = &*nodes_[0].entry;
+        if (nodes_[0].has_entry) best = &nodes_[0];
         for (int i = 0; i < key_width_; ++i) {
             const bool bit = key.bit(key_width_ - 1 - i);
             const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
             if (child == 0) break;
             node = child;
-            if (nodes_[node].entry) best = &*nodes_[node].entry;
+            if (nodes_[node].has_entry) best = &nodes_[node];
         }
         if (!best) return std::nullopt;
-        return best->ref();
+        return action_ref(best->action, args_);
     }
 
     std::size_t entry_count() const override { return count_; }
@@ -315,6 +327,7 @@ public:
     void clear() override {
         nodes_.clear();
         nodes_.push_back(Node{});
+        args_.clear();
         count_ = 0;
     }
 
@@ -322,11 +335,13 @@ private:
     struct Node {
         std::size_t zero = 0;  // 0 = absent (root is never a child)
         std::size_t one = 0;
-        std::optional<ActionEntry> entry;
+        StoredAction action;  // meaningful when has_entry
+        bool has_entry = false;
     };
     int key_width_;
     std::size_t capacity_;
     std::vector<Node> nodes_;
+    std::vector<Bitvec> args_;
     std::size_t count_ = 0;
 };
 
@@ -350,7 +365,7 @@ public:
         }
         row.priority = entry.priority;
         row.seq = next_seq_++;
-        row.action = {entry.action_id, entry.action_args};
+        row.action = store_action(entry, args_);
         const auto pos = std::upper_bound(
             rows_.begin(), rows_.end(), row,
             [this](const Row& a, const Row& b) { return wins(a, b); });
@@ -372,13 +387,16 @@ public:
                     break;
                 }
             }
-            if (match) return row.action.ref();  // best-first order: done
+            if (match) return action_ref(row.action, args_);  // best-first order: done
         }
         return std::nullopt;
     }
 
     std::size_t entry_count() const override { return rows_.size(); }
-    void clear() override { rows_.clear(); }
+    void clear() override {
+        rows_.clear();
+        args_.clear();
+    }
 
 private:
     struct Row {
@@ -386,7 +404,7 @@ private:
         PackedKey mask;
         int priority = 0;
         std::uint64_t seq = 0;
-        ActionEntry action;
+        StoredAction action;
     };
 
     // Strict-weak order: does `a` win over `b`?
@@ -415,6 +433,7 @@ private:
     bool inverted_;
     std::uint64_t next_seq_ = 0;
     std::vector<Row> rows_;
+    std::vector<Bitvec> args_;
 };
 
 // --- naive exact (reference) --------------------------------------------------
@@ -569,8 +588,11 @@ InsertStatus TableSet::insert(int table_id, const TableEntry& entry) {
     return slots_.at(static_cast<std::size_t>(table_id)).engine->insert(entry);
 }
 
-void TableSet::set_default_action(int table_id, ActionEntry entry) {
-    slots_.at(static_cast<std::size_t>(table_id)).default_action = std::move(entry);
+void TableSet::set_default_action(int table_id, int action_id,
+                                  std::span<const Bitvec> args) {
+    ActionEntry& entry = slots_.at(static_cast<std::size_t>(table_id)).default_action;
+    entry.action_id = action_id;
+    entry.args.assign(args.begin(), args.end());
 }
 
 ActionRef TableSet::lookup(int table_id, std::span<const Bitvec> keys, bool& hit) {

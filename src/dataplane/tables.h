@@ -14,6 +14,11 @@
 //   * ternary keeps its rows priority-sorted so the first match wins and
 //     the scan exits early.
 //
+// Each keeps its entries' action arguments in one shared array, and
+// TableSet::reset() and set_default_action() assign into storage the table
+// already holds, so a warm device re-applies a scenario's config without
+// allocating.
+//
 // Exact and ternary also keep their original straight-line implementations
 // (make_naive_*) as the semantic reference for differential tests and
 // benchmarks, byte-identical in behaviour including the quirk interplay
@@ -108,7 +113,9 @@ public:
     TableSet(const p4::ir::Program& prog, int size_clamp, bool inverted_priority);
 
     InsertStatus insert(int table_id, const TableEntry& entry);
-    void set_default_action(int table_id, ActionEntry entry);
+    // Assigned into the slot's own entry, whose argument vector keeps its
+    // capacity.
+    void set_default_action(int table_id, int action_id, std::span<const Bitvec> args);
 
     // Lookup; falls back to the table's default action on miss.
     // `hit` reports whether an entry matched.  The view stays valid until

@@ -177,11 +177,7 @@ std::vector<packet::Packet> Device::drain_port(std::uint32_t port) {
 }
 
 void Device::drain_port_into(std::uint32_t port, std::vector<packet::Packet>& out) {
-    if (port >= egress_queues_.size()) return;
-    auto& q = egress_queues_[port];
-    out.insert(out.end(), std::make_move_iterator(q.begin()),
-               std::make_move_iterator(q.end()));
-    q.clear();  // keeps capacity: the queue never re-grows in steady state
+    drain_port_each(port, [&out](packet::Packet&& pkt) { out.push_back(std::move(pkt)); });
 }
 
 void Device::set_digests_enabled(bool on) {
@@ -191,26 +187,20 @@ void Device::set_digests_enabled(bool on) {
 
 // --- management plane ---------------------------------------------------------
 
+Status Device::apply(const control::ConfigOp& op) {
+    switch (op.kind) {
+        case control::ConfigOp::Kind::add_entry: return add_entry(op);
+        case control::ConfigOp::Kind::set_default_action: return set_default_action(op);
+        case control::ConfigOp::Kind::write_register: return write_register(op);
+        case control::ConfigOp::Kind::configure_meter: return configure_meter(op);
+    }
+    return Status::failure("unknown config op");
+}
+
 std::vector<Status> Device::apply(std::span<const control::ConfigOp> ops) {
     std::vector<Status> statuses;
     statuses.reserve(ops.size());
-    for (const control::ConfigOp& op : ops) {
-        switch (op.kind) {
-            case control::ConfigOp::Kind::add_entry:
-                statuses.push_back(add_entry(op));
-                continue;
-            case control::ConfigOp::Kind::set_default_action:
-                statuses.push_back(set_default_action(op));
-                continue;
-            case control::ConfigOp::Kind::write_register:
-                statuses.push_back(write_register(op));
-                continue;
-            case control::ConfigOp::Kind::configure_meter:
-                statuses.push_back(configure_meter(op));
-                continue;
-        }
-        statuses.push_back(Status::failure("unknown config op"));
-    }
+    for (const control::ConfigOp& op : ops) statuses.push_back(apply(op));
     return statuses;
 }
 
@@ -313,13 +303,13 @@ Status Device::add_entry(const control::ConfigOp& op) {
 Status Device::set_default_action(const control::ConfigOp& op) {
     const p4::ir::Table* t = nullptr;
     if (Status s = find_table(op.target, t); !s) return s;
-    dataplane::ActionEntry entry;
-    if (Status s = resolve_action(*t, op.action, op.action_args, entry.action_id,
-                                  entry.args);
+    if (Status s = resolve_action(*t, op.action, op.action_args,
+                                  entry_scratch_.action_id, entry_scratch_.action_args);
         !s) {
         return s;
     }
-    tables_->set_default_action(t->id, std::move(entry));
+    tables_->set_default_action(t->id, entry_scratch_.action_id,
+                                entry_scratch_.action_args);
     return Status::success();
 }
 
@@ -380,38 +370,33 @@ Status Device::read_counter(const std::string& name, std::uint64_t index,
 
 control::StatusSnapshot Device::snapshot() {
     control::StatusSnapshot snap;
+    snapshot_into(snap);
+    return snap;
+}
+
+void Device::snapshot_into(control::StatusSnapshot& snap) {
     snap.taken_at_ns = clock_ns_;
     snap.ports = port_counters_;
     snap.misdirected = misdirected_;
-    if (pipeline_) snap.stages = pipeline_->counters();
-    if (prog_ && tables_) {
-        snap.tables.reserve(prog_->tables.size());
-        for (const auto& t : prog_->tables) {
-            control::TableStatus status;
-            status.name = t.name;
-            status.hits = tables_->stats(t.id).hits;
-            status.misses = tables_->stats(t.id).misses;
-            status.entries = tables_->entry_count(t.id);
-            status.capacity = tables_->capacity(t.id);
-            snap.tables.push_back(std::move(status));
-        }
+    snap.stages = pipeline_ ? pipeline_->counters() : dataplane::StageCounters{};
+    snap.tables.resize(prog_ && tables_ ? prog_->tables.size() : 0);
+    for (std::size_t i = 0; i < snap.tables.size(); ++i) {
+        const p4::ir::Table& t = prog_->tables[i];
+        control::TableStatus& status = snap.tables[i];
+        status.name = t.name;
+        status.hits = tables_->stats(t.id).hits;
+        status.misses = tables_->stats(t.id).misses;
+        status.entries = tables_->entry_count(t.id);
+        status.capacity = tables_->capacity(t.id);
     }
-    if (stateful_) {
-        if (obs::metrics_on()) {
-            obs::record(obs::Hist::stateful_touched_cells,
-                        stateful_->touched_cells());
-        }
-        for (auto& inf : stateful_->info()) {
-            control::ExternStatus status;
-            status.name = std::move(inf.name);
-            status.kind = std::move(inf.kind);
-            status.cells = inf.cells;
-            status.state_hash = inf.state_hash;
-            status.unconfigured_meters = inf.unconfigured_meters;
-            snap.externs.push_back(std::move(status));
-        }
+    if (!stateful_) {
+        snap.externs.clear();
+        return;
     }
-    return snap;
+    if (obs::metrics_on()) {
+        obs::record(obs::Hist::stateful_touched_cells, stateful_->touched_cells());
+    }
+    stateful_->info_into(snap.externs);
 }
 
 Status Device::reset_state() {

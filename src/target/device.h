@@ -121,6 +121,16 @@ public:
     // fresh vector per round).
     void drain_port_into(std::uint32_t port, std::vector<packet::Packet>& out);
 
+    // Hands everything pending on `port` to `sink(packet::Packet&&)`,
+    // oldest first, moving each packet out; the queue keeps its capacity.
+    template <typename Sink>
+    void drain_port_each(std::uint32_t port, Sink&& sink) {
+        if (port >= egress_queues_.size()) return;
+        auto& q = egress_queues_[port];
+        for (packet::Packet& pkt : q) sink(std::move(pkt));
+        q.clear();
+    }
+
     // Drains and discards everything pending on every port; the queues
     // keep their capacity.
     void flush() {
@@ -147,12 +157,18 @@ public:
         return digests_;
     }
 
-    // Hands out the recorded digests in one exactly-sized vector and
-    // empties the ring.  The ring keeps its capacity, so a warm device
-    // records the next run without growing it again.
-    std::vector<dataplane::TapDigest> take_digest_records() {
-        std::vector<dataplane::TapDigest> out(digests_.begin(), digests_.end());
+    // Appends the recorded digests to `out`, oldest first, and empties the
+    // ring.  The ring keeps its capacity, so a warm device records the next
+    // batch without growing it again.
+    void drain_digests_into(std::vector<dataplane::TapDigest>& out) {
+        out.insert(out.end(), digests_.begin(), digests_.end());
         digests_.clear();
+    }
+
+    // The recorded digests in one exactly-sized vector; empties the ring.
+    std::vector<dataplane::TapDigest> take_digest_records() {
+        std::vector<dataplane::TapDigest> out;
+        drain_digests_into(out);
         return out;
     }
 
@@ -171,6 +187,10 @@ public:
     std::uint64_t now_ns() const { return clock_ns_; }
 
     // --- management path (control::RuntimeApi) ------------------------------
+    // Applies one op.  Every write goes through here: the batch apply() is
+    // a loop over it.  An accepted op allocates nothing on a warm device;
+    // a rejected one allocates its Status message.
+    control::Status apply(const control::ConfigOp& op);
     std::vector<control::Status> apply(
         std::span<const control::ConfigOp> ops) override;
     control::Status read_register(const std::string& name, std::uint64_t index,
@@ -178,6 +198,11 @@ public:
     control::Status read_counter(const std::string& name, std::uint64_t index,
                                  control::CounterValue& out) override;
     control::StatusSnapshot snapshot() override;
+
+    // snapshot() written into `out` in place: every field is overwritten,
+    // and its vectors and strings keep their capacity, so snapshotting into
+    // the previous run's snapshot allocates nothing.
+    void snapshot_into(control::StatusSnapshot& out);
 
     // Clears dynamic state (queues, counters, registers, digests) but keeps
     // the loaded image and installed table entries, like a hardware
@@ -190,7 +215,7 @@ private:
     // result.
     dataplane::PipelineResult run_packet(const packet::Packet& pkt, bool taps);
 
-    // One ConfigOp kind each; apply() dispatches on the op's kind.
+    // One ConfigOp kind each; apply(op) dispatches on the op's kind.
     control::Status add_entry(const control::ConfigOp& op);
     control::Status set_default_action(const control::ConfigOp& op);
     control::Status write_register(const control::ConfigOp& op);
@@ -246,7 +271,8 @@ private:
 
     std::uint64_t clock_ns_ = 0;
 
-    // add_entry's translation target, reused by every op.
+    // The translation target of add_entry and set_default_action, reused by
+    // every op so its vectors keep their capacity.
     dataplane::TableEntry entry_scratch_;
 };
 

@@ -197,6 +197,162 @@ TEST(DeviceReload, SameImageReloadMatchesAFreshDevice) {
     }
 }
 
+// A program wider than any in the catalogue: three tables (the catalogue has
+// at most two), four externs (at most three) and every packet forwarded.
+// The meter comes first, so its unconfigured-cell count sits where the
+// catalogue programs keep a register or a counter.
+constexpr const char* kWideSource = R"P4(
+header ethernet_t {
+    bit<48> dstAddr;
+    bit<48> srcAddr;
+    bit<16> etherType;
+}
+
+struct headers { ethernet_t ethernet; }
+struct metadata {
+    bit<32> seen;
+    bit<2> color;
+}
+
+parser MyParser(packet_in pkt, out headers hdr, inout metadata meta,
+                inout standard_metadata_t smeta) {
+    state start {
+        pkt.extract(hdr.ethernet);
+        transition accept;
+    }
+}
+
+control MyIngress(inout headers hdr, inout metadata meta,
+                  inout standard_metadata_t smeta) {
+    meter(8) port_meter;
+    register<bit<32>>(64) seen;
+    register<bit<48>>(16) last_src;
+    counter(64) port_bytes;
+    action nop() { }
+    action set_port(bit<9> port) {
+        smeta.egress_spec = port;
+    }
+    table by_dst {
+        key = { hdr.ethernet.dstAddr : exact; }
+        actions = { set_port; nop; }
+        size = 64;
+        default_action = nop();
+    }
+    table by_src {
+        key = { hdr.ethernet.srcAddr : exact; }
+        actions = { set_port; nop; }
+        size = 64;
+        default_action = nop();
+    }
+    table by_type {
+        key = { hdr.ethernet.etherType : exact; }
+        actions = { set_port; nop; }
+        size = 64;
+        default_action = nop();
+    }
+    apply {
+        smeta.egress_spec = 9w1;
+        by_dst.apply();
+        by_src.apply();
+        by_type.apply();
+        seen.read(meta.seen, smeta.ingress_port);
+        seen.write(smeta.ingress_port, meta.seen + 1);
+        last_src.write(smeta.ingress_port, hdr.ethernet.srcAddr);
+        port_bytes.count(smeta.ingress_port);
+        port_meter.execute(smeta.ingress_port, meta.color);
+    }
+}
+
+control MyDeparser(packet_out pkt, in headers hdr) {
+    apply {
+        pkt.emit(hdr.ethernet);
+    }
+}
+
+NdpSwitch(MyParser(), MyIngress(), MyDeparser()) main;
+)P4";
+
+// A scenario on kWideSource whose config holds one entry per table, a
+// configured meter cell and an op the device rejects, with a 64-packet
+// stream: longer than any catalogue scenario's at the seeds below.
+struct WideRun {
+    core::Scenario sc;
+    std::vector<packet::Packet> packets;
+};
+
+WideRun wide_run() {
+    WideRun w;
+    w.sc.program = "wide_state";
+    w.sc.compiled = p4::compile_source(kWideSource, "wide_state");
+    const auto entry = [&w](const std::string& table, Bitvec key) {
+        control::ConfigOp op;
+        op.target = table;
+        op.entry.key_values = {std::move(key)};
+        op.entry.action = "set_port";
+        op.entry.action_args = {Bitvec(9, 2)};
+        w.sc.config.push_back(std::move(op));
+    };
+    entry("by_dst", Bitvec(48, 0x0a0b0c0d0e0full));
+    entry("by_src", Bitvec(48, 0x010203040506ull));
+    entry("by_type", Bitvec(16, 0x86dd));
+    control::ConfigOp meter;
+    meter.kind = control::ConfigOp::Kind::configure_meter;
+    meter.target = "port_meter";
+    meter.meter = {1e9, 1u << 20, 2e9, 1u << 21};
+    w.sc.config.push_back(meter);
+    control::ConfigOp rejected;
+    rejected.target = "no_such_table";
+    rejected.entry.key_values = {Bitvec(48, 1)};
+    rejected.entry.action = "set_port";
+    w.sc.config.push_back(std::move(rejected));
+    packet::Packet pkt = core::scenario::ipv4_udp_packet();
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        pkt.meta.ingress_port = i % 4;
+        pkt.meta.rx_time_ns = core::kEpochNs + i * core::kSlotNs;
+        w.packets.push_back(pkt);
+    }
+    return w;
+}
+
+TEST(DeviceReload, RefilledRunMatchesAFreshRun) {
+    // run_scenario_on refills the DeviceRun it is given, keeping every
+    // capacity.  The refilled run last held a wider program's run -- more
+    // tables, externs, outputs and digests, and a rejected op -- on the same
+    // device, so any field the refill fails to clear or shrink shows up
+    // against a fresh run on a fresh device.
+    const WideRun wide = wide_run();
+    const std::vector<DeviceKind> kinds = device_kinds();
+    for (const std::string& program : core::SpecGenerator::default_programs()) {
+        const core::SpecGenerator gen({program});
+        for (std::uint64_t seed : {3u, 17u}) {
+            const core::Scenario sc = gen.make(seed);
+            const std::vector<packet::Packet> packets = core::scenario_packets(sc);
+            for (const DeviceKind& kind : kinds) {
+                const std::string where =
+                    program + " seed " + std::to_string(seed) + " on " + kind.label;
+
+                auto fresh = kind.make();
+                const core::DeviceRun want =
+                    core::run_scenario_on(*fresh, sc, packets, 8);
+
+                auto reused = kind.make();
+                core::DeviceRun run;
+                core::run_scenario_on(*reused, wide.sc, wide.packets, 8, run);
+                ASSERT_GT(run.snapshot.tables.size(), want.snapshot.tables.size())
+                    << where;
+                ASSERT_GT(run.snapshot.externs.size(), want.snapshot.externs.size())
+                    << where;
+                ASSERT_GT(run.observed.size(), want.observed.size()) << where;
+                ASSERT_GT(run.taps.size(), want.taps.size()) << where;
+                ASSERT_FALSE(run.config_ok.back()) << where;
+
+                core::run_scenario_on(*reused, sc, packets, 8, run);
+                expect_same_run(run, want, where);
+            }
+        }
+    }
+}
+
 TEST(DeviceReload, ReloadZeroesCellsNullIsRefusedAndCopiesOutliveTheCaller) {
     const core::SpecGenerator gen({"nat_gateway"});
     const core::Scenario sc = gen.make(5);

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/corpus.h"
 #include "core/generator.h"
+#include "core/scenario_exec.h"
 #include "core/specgen.h"
 #include "dataplane/digest.h"
 #include "digest_reference.h"
@@ -118,6 +120,38 @@ TEST(TapDigest, UnreachedStagesReportTheSentinel) {
         }
     }
     EXPECT_TRUE(saw_reject) << "reject_filter seed 3 produced no rejects";
+}
+
+TEST(TapDigest, EveryRunKeepsOneDigestPerPacket) {
+    // The device's digest ring holds target::kMaxDigestRecords (4,096), and
+    // run_scenario_on empties it into the run after every batch (and within
+    // a batch longer than the ring), so a stream of any length is diffed
+    // stage by stage.  metadata_clobber on stats_monitor changes only
+    // internal state: without the taps, the two runs agree on every output
+    // and counter.
+    dataplane::Quirks clobber;
+    clobber.metadata_clobber = true;
+    const core::SpecGenerator gen({"stats_monitor"});
+    core::Scenario sc = gen.make(1);
+    const struct {
+        std::uint64_t count;
+        std::size_t batch;
+    } runs[] = {{4096, 8}, {4097, 8}, {10000, 8}, {10000, 5000}};
+    for (const auto& [count, batch] : runs) {
+        SCOPED_TRACE(std::to_string(count) + " packets in batches of " +
+                     std::to_string(batch));
+        sc.spec.count = count;
+        const std::vector<packet::Packet> packets = core::scenario_packets(sc);
+        auto ref = target::make_device("reference");
+        auto dut = target::make_device("sdnet", clobber);
+        const core::DeviceRun ref_run = core::run_scenario_on(*ref, sc, packets, batch);
+        const core::DeviceRun dut_run = core::run_scenario_on(*dut, sc, packets, batch);
+        EXPECT_EQ(ref_run.taps.size(), count);
+        EXPECT_EQ(dut_run.taps.size(), count);
+        const std::optional<core::RawDivergence> raw = core::diff_runs(dut_run, ref_run);
+        ASSERT_TRUE(raw.has_value());
+        EXPECT_EQ(raw->kind, "internal") << raw->detail;
+    }
 }
 
 }  // namespace
