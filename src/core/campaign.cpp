@@ -290,6 +290,8 @@ CampaignReport CampaignEngine::run() {
         }
         const std::uint64_t round_cap =
             std::max<std::uint64_t>(8, 2 * gen.programs().size());
+        // One outcome buffer per slot, refilled every round.
+        std::vector<ScenarioOutcome> outcomes;
         std::uint64_t done = 0;
         std::uint64_t seed_cursor = 0;
         std::uint64_t round_index = 0;
@@ -355,13 +357,14 @@ CampaignReport CampaignEngine::run() {
                     slots.push_back(std::move(slot));
                 }
             }
-            std::vector<ScenarioOutcome> outcomes(slots.size());
+            outcomes.resize(slots.size());
             run_pool(slots.size(), [&](WorkerContext& ctx, std::uint64_t i) {
                 const Scenario sc =
                     slots[i].is_concolic ? mutator.apply_concolic(slots[i].concolic)
                     : slots[i].recipe_text.empty()
                         ? gen.make_for(slots[i].program, slots[i].seed)
                         : mutator.apply(slots[i].recipe);
+                outcomes[i].clear();
                 run_one(ctx, sc, outcomes[i], slots[i].recipe_text);
             });
             // Round barrier: fold outcomes in slot order, then reward each

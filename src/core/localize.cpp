@@ -53,20 +53,14 @@ std::optional<std::string> diff_states(const p4::ir::Program& prog,
     return std::nullopt;
 }
 
-const std::optional<dataplane::PacketState>& tap_of(
-    const dataplane::PipelineResult& r, Stage stage) {
-    return stage == Stage::parser    ? r.tap_after_parser
-           : stage == Stage::ingress ? r.tap_after_ingress
-                                     : r.tap_after_egress;
-}
-
 // The checks `stage` adds to the walk, DUT against golden: the parser
 // verdict at the parser, then whether both traces reached the stage, then
 // its tap; where neither reached it, the dispositions.
 std::optional<std::string> diff_stage(const p4::ir::Program& prog,
                                       const dataplane::PipelineResult& rd,
+                                      const dataplane::StageTaps& td,
                                       const dataplane::PipelineResult& rg,
-                                      Stage stage) {
+                                      const dataplane::StageTaps& tg, Stage stage) {
     // Header states can agree while the verdicts do not (the SDNet reject
     // bug extracts identical headers and then mis-accepts).
     if (stage == Stage::parser && rd.parser_verdict != rg.parser_verdict) {
@@ -74,13 +68,11 @@ std::optional<std::string> diff_stage(const p4::ir::Program& prog,
                             dataplane::parser_verdict_name(rd.parser_verdict),
                             dataplane::parser_verdict_name(rg.parser_verdict));
     }
-    const auto& tap_d = tap_of(rd, stage);
-    const auto& tap_g = tap_of(rg, stage);
-    if (tap_d.has_value() != tap_g.has_value()) {
+    if (td.has(stage) != tg.has(stage)) {
         return util::format("packet reached %s on only one device",
                             dataplane::stage_name(stage));
     }
-    if (tap_d.has_value()) return diff_states(prog, *tap_d, *tap_g);
+    if (td.has(stage)) return diff_states(prog, td.at(stage), tg.at(stage));
     if (rd.disposition != rg.disposition) {
         return util::format("disposition differs: dut=%s golden=%s",
                             dataplane::disposition_name(rd.disposition),
@@ -93,6 +85,7 @@ std::optional<std::string> diff_stage(const p4::ir::Program& prog,
 
 LocalizeResult FaultLocalizer::localize(const packet::Packet& stimulus) {
     const p4::ir::Program& prog = dut_.program();
+    // Each device keeps its trace's stage taps (Device::taps()).
     const dataplane::PipelineResult rd = dut_.trace(stimulus);
     const dataplane::PipelineResult rg = golden_.trace(stimulus);
     dut_.flush();
@@ -105,7 +98,7 @@ LocalizeResult FaultLocalizer::localize(const packet::Packet& stimulus) {
     // A divergence confined to an early tap may be overwritten by later
     // stages, so the walk goes front to back and stops at the first.
     for (const Stage stage : {Stage::parser, Stage::ingress, Stage::egress}) {
-        if (auto diff = diff_stage(prog, rd, rg, stage)) {
+        if (auto diff = diff_stage(prog, rd, dut_.taps(), rg, golden_.taps(), stage)) {
             result.diverged = true;
             result.stage = stage;
             result.description = std::move(*diff);

@@ -3,9 +3,10 @@
 // "If a bug prevents packets from being correctly forwarded ... users can
 // find where the fault occurred, even inside the data plane" (paper,
 // Section 2).  The localizer traces a stimulus once through the device
-// under test and once through a golden reference (target::Device::trace),
-// walks the two traces parser -> ingress -> egress, and names the first
-// stage whose tap, parser verdict or reach differs.
+// under test and once through a golden reference (target::Device::trace,
+// which leaves the stage copies in the device's own taps()), walks the two
+// traces parser -> ingress -> egress, and names the first stage whose tap,
+// parser verdict or reach differs.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/generator.h"
 #include "obs/metrics.h"
@@ -363,17 +364,19 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
     const std::vector<packet::Packet>& packets = ctx.stimulus;
 
     // Guided mode: each detection run streams its execution edges into the
-    // worker's map (attached before run_scenario_on so the load() inside
-    // re-applies it), and the outcome keeps the lit slots.  Triage replays
-    // below run with coverage off again -- they revisit the same behaviour
-    // and would only re-count edges.
+    // worker's map (the setting survives the load() inside
+    // run_scenario_on), and the outcome's slot lists are refilled with the
+    // lit slots, keeping their capacity.  Triage replays below run with
+    // coverage off again -- they revisit the same behaviour and would only
+    // re-count edges.
     const auto record_coverage = [&](target::Device& dev) {
         ctx.coverage.clear();
         dev.set_coverage(&ctx.coverage);
     };
-    const auto take_coverage = [&](target::Device& dev) {
+    const auto take_coverage = [&](target::Device& dev,
+                                   std::vector<coverage::SlotHits>& out) {
         dev.set_coverage(nullptr);
-        return ctx.coverage.take_hits();
+        ctx.coverage.take_hits_into(out);
     };
     if (options.coverage) {
         record_coverage(*ctx.reference);
@@ -381,7 +384,7 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
     }
     const DeviceRun& ref_run = ctx.reference_run;
     run_scenario_on(*ctx.reference, sc, packets, options.batch_size, ctx.reference_run);
-    if (options.coverage) outcome.coverage = take_coverage(*ctx.reference);
+    if (options.coverage) take_coverage(*ctx.reference, outcome.coverage);
     outcome.packets += ref_run.injected;
 
     for (std::size_t d = 0; d < duts.size(); ++d) {
@@ -403,10 +406,10 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         const DeviceRun& dut_run = ctx.dut_run;
         run_scenario_on(dut, sc, packets, options.batch_size, ctx.dut_run, mgmt,
                         &outcome.mgmt);
-        if (options.coverage) outcome.dut_coverage[d] = take_coverage(dut);
+        if (options.coverage) take_coverage(dut, outcome.dut_coverage[d]);
         outcome.packets += dut_run.injected;
 
-        const auto raw = diff_runs(dut_run, ref_run);
+        auto raw = diff_runs(dut_run, ref_run);
         if (!raw) continue;
 
         DivergenceRecord rec;
@@ -414,9 +417,9 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         rec.recipe = recipe;
         rec.backend = duts[d].label;
         rec.program = sc.program;
-        rec.quirk_signature = dut.config().quirks.signature();
-        rec.kind = raw->kind;
-        rec.detail = raw->detail;
+        rec.quirk_signature = dut.quirk_signature();
+        rec.kind = std::move(raw->kind);
+        rec.detail = std::move(raw->detail);
         rec.first_diverging_packet = raw->first_diverging_packet;
 
         // Triage replays refill the context's two replay runs.
@@ -455,14 +458,20 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
             outcome.packets += rec.localized.packets_replayed;
         }
 
-        const std::string stage =
+        const std::string_view stage =
             rec.localized.diverged
                 ? dataplane::stage_name(rec.localized.stage)
                 : (rec.kind == "config"  ? "control"
                    : rec.kind == "mgmt"  ? "mgmt"
                    : rec.kind == "state" ? "state"
                                          : "unlocalized");
-        rec.fingerprint = rec.backend + "|" + rec.quirk_signature + "|" + stage;
+        rec.fingerprint.reserve(rec.backend.size() + rec.quirk_signature.size() +
+                                stage.size() + 2);
+        rec.fingerprint.append(rec.backend)
+            .append(1, '|')
+            .append(rec.quirk_signature)
+            .append(1, '|')
+            .append(stage);
         outcome.findings.push_back(std::move(rec));
     }
 

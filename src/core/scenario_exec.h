@@ -87,6 +87,17 @@ struct ScenarioOutcome {
     // quirk that bends execution onto a different path lights slots no
     // reference run can -- DUT-side novelty the scheduler can reward.
     std::vector<std::vector<coverage::SlotHits>> dut_coverage;
+
+    // Empties the outcome for another scenario and keeps every vector's
+    // capacity, so a buffer reused from round to round (the guided loop's)
+    // takes the next scenario's lit slots without allocating.
+    void clear() {
+        packets = 0;
+        findings.clear();
+        mgmt = {};
+        coverage.clear();
+        for (auto& lit : dut_coverage) lit.clear();
+    }
 };
 
 // Per-worker device pool: one reference instance plus one instance per DUT
@@ -96,7 +107,8 @@ struct WorkerContext {
     std::unique_ptr<target::Device> reference;
     std::vector<std::unique_ptr<target::Device>> duts;  // parallel to specs
     // Guided mode: every detection run records here, and execute_scenario
-    // moves the lit slots into the outcome, which leaves the map empty.
+    // hands the lit slots to the outcome's lists, which leaves the map
+    // empty.
     coverage::CoverageMap coverage;
     // Buffers execute_scenario refills for every scenario, keeping their
     // capacity: the stimulus stream, the reference's and the current DUT's
@@ -168,8 +180,9 @@ struct ExecOptions {
 };
 
 // Runs `sc` on the pool and appends triaged findings to `outcome` --
-// detection, minimization, localization, fingerprinting.  `recipe` is the
-// slot's mutation parentage ("" = fresh seed).
+// detection, minimization, localization, fingerprinting.  In guided mode
+// the outcome's coverage lists are overwritten with the detection runs'
+// lit slots.  `recipe` is the slot's mutation parentage ("" = fresh seed).
 void execute_scenario(WorkerContext& ctx, const Scenario& sc,
                       const std::vector<BackendSpec>& duts,
                       const ExecOptions& options, ScenarioOutcome& outcome,

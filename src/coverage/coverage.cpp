@@ -45,10 +45,13 @@ std::vector<SlotHits> CoverageMap::hits() const {
     return out;
 }
 
-std::vector<SlotHits> CoverageMap::take_hits() {
-    std::vector<SlotHits> out = hits();
-    clear();
-    return out;
+void CoverageMap::take_hits_into(std::vector<SlotHits>& out) {
+    out.clear();
+    for_each_lit(lit_, [&](std::uint32_t slot) {
+        out.push_back({slot, counts_[slot]});
+        counts_[slot] = 0;
+    });
+    lit_.fill(0);
 }
 
 void CoverageMap::clear() {

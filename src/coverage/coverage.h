@@ -13,8 +13,8 @@
 // A run lights a few dozen of the 4096 slots, so the campaign never
 // copies or scans whole maps per scenario: each worker records into one
 // map, hands the lit (slot, count) pairs to the scenario's outcome with
-// take_hits(), and the round barrier folds those lists into the global
-// map with merge_new_from().
+// take_hits_into(), and the round barrier folds those lists into the
+// global map with merge_new_from().
 //
 // Slot ids are a pure function of the site kind and its operands, so the
 // same program exercising the same behaviour fills the same slots on every
@@ -28,20 +28,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
-#include "util/strings.h"
-
 namespace ndb::coverage {
-
-// Stable per-program salt, folded into every slot operand by the
-// instrumented engines: program A's table #0 and program B's table #0 are
-// different behaviour and must light different slots, or a multi-program
-// campaign's novelty signal collapses onto whichever program ran first.
-inline std::uint64_t program_salt(std::string_view program_name) {
-    return util::fnv1a_64(program_name);
-}
 
 // Instrumentation site kinds; the slot hash folds the kind in so that e.g.
 // table #3 and action #3 never alias by construction of the operands alone.
@@ -100,8 +89,9 @@ public:
     // The lit slots with their counts, in slot order.
     std::vector<SlotHits> hits() const;
 
-    // hits(), then clears the map by zeroing only the lit slots.
-    std::vector<SlotHits> take_hits();
+    // Writes hits() into `out` (cleared first; its capacity is kept), then
+    // clears the map by zeroing only the lit slots.
+    void take_hits_into(std::vector<SlotHits>& out);
 
     // Folds `fresh` into this accumulated map and returns how many of its
     // slots were previously unseen here -- the scheduler's coverage delta.

@@ -44,7 +44,7 @@ std::string EdgeSite::describe(const p4::ir::Program& prog) const {
 }
 
 EdgeIndex::EdgeIndex(const p4::ir::Program& prog, std::uint64_t device_salt)
-    : cov_salt_(program_salt(prog.name) ^ device_salt) {
+    : cov_salt_(prog.coverage_salt ^ device_salt) {
     // Parser transitions: direct targets, select-case targets, and the
     // implicit no-case-matched fall-through to reject.  Deduplicate -- two
     // cases jumping to the same state are one dynamic edge.
@@ -74,13 +74,9 @@ EdgeIndex::EdgeIndex(const p4::ir::Program& prog, std::uint64_t device_salt)
     }
     for (const auto& action : prog.actions) add(Site::action, action.id, 0);
 
-    // Branch ordinals from the same walk the interpreter instruments with.
-    const auto branch_ids = p4::ir::number_branches(prog);
-    std::vector<std::uint32_t> ordinals;
-    ordinals.reserve(branch_ids.size());
-    for (const auto& [stmt, id] : branch_ids) ordinals.push_back(id);
-    std::sort(ordinals.begin(), ordinals.end());
-    for (const std::uint32_t id : ordinals) {
+    // Branch ordinals: the ones the compiler stamped on each if_stmt, which
+    // the interpreter instruments with.
+    for (std::uint32_t id = 0; id < prog.branch_count; ++id) {
         add(Site::branch, id, 0);
         add(Site::branch, id, 1);
     }

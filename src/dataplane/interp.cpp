@@ -133,16 +133,18 @@ void checksum_update_field(const Program& prog, PacketState& state, int header,
 
 }  // namespace
 
-Interpreter::Interpreter(const Program& prog, TableSet& tables, StatefulSet& stateful,
-                         Quirks quirks)
-    : prog_(prog), tables_(tables), stateful_(stateful), quirks_(quirks) {}
+Interpreter::Interpreter(TableSet& tables, StatefulSet& stateful, Quirks quirks)
+    : tables_(tables), stateful_(stateful), quirks_(quirks) {}
+
+void Interpreter::load(const Program& prog) {
+    prog_ = &prog;
+    cov_salt_ = prog.coverage_salt ^ device_salt_;
+}
 
 void Interpreter::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
     coverage_ = map;
-    if (!map) return;
-    cov_salt_ = coverage::program_salt(prog_.name) ^ salt;
-    if (!branch_ids_.empty()) return;
-    branch_ids_ = p4::ir::number_branches(prog_);
+    device_salt_ = salt;
+    if (prog_) cov_salt_ = prog_->coverage_salt ^ salt;
 }
 
 Frame& Interpreter::push_frame() {
@@ -168,7 +170,7 @@ void Interpreter::run_control(const p4::ir::Control& control, PacketState& state
 
 void Interpreter::run_action(int action_id, std::span<const Bitvec> args,
                              PacketState& state) {
-    const auto& action = prog_.actions.at(static_cast<std::size_t>(action_id));
+    const auto& action = prog_->actions.at(static_cast<std::size_t>(action_id));
     if (coverage_) {
         coverage_->record(coverage::Site::action,
                           cov_salt_ ^ static_cast<std::uint64_t>(action_id));
@@ -192,15 +194,15 @@ void Interpreter::exec(const Stmt& s, PacketState& state, Frame& frame) {
     ++state.cycles;
     switch (s.kind) {
         case Stmt::Kind::assign_field:
-            state.set(s.dst, eval_expr(prog_, *s.value, state, frame, quirks_));
+            state.set(s.dst, eval_expr(*prog_, *s.value, state, frame, quirks_));
             return;
         case Stmt::Kind::assign_local:
             frame.locals.at(static_cast<std::size_t>(s.local_index)) =
-                eval_expr(prog_, *s.value, state, frame, quirks_);
+                eval_expr(*prog_, *s.value, state, frame, quirks_);
             return;
         case Stmt::Kind::assign_slice: {
             Bitvec cur = state.get(s.dst);
-            const Bitvec v = eval_expr(prog_, *s.value, state, frame, quirks_);
+            const Bitvec v = eval_expr(*prog_, *s.value, state, frame, quirks_);
             if (v.width() < s.hi - s.lo + 1) {
                 // set_slice zero-fills missing bits; a too-narrow RHS here is
                 // an IR bug and must surface, not silently clear field bits.
@@ -211,27 +213,24 @@ void Interpreter::exec(const Stmt& s, PacketState& state, Frame& frame) {
             return;
         }
         case Stmt::Kind::if_stmt: {
-            const Bitvec c = eval_expr(prog_, *s.cond, state, frame, quirks_);
+            const Bitvec c = eval_expr(*prog_, *s.cond, state, frame, quirks_);
             const bool taken = !c.is_zero();
             if (coverage_) {
-                const auto it = branch_ids_.find(&s);
-                if (it != branch_ids_.end()) {
-                    coverage_->record(coverage::Site::branch,
-                                      cov_salt_ ^ it->second, taken ? 1 : 0);
-                }
+                coverage_->record(coverage::Site::branch, cov_salt_ ^ s.branch,
+                                  taken ? 1 : 0);
             }
             exec_body(taken ? s.then_body : s.else_body, state, frame);
             return;
         }
         case Stmt::Kind::apply_table: {
             state.cycles += 1;  // match stage costs an extra cycle
-            const auto& table = prog_.tables.at(static_cast<std::size_t>(s.table));
+            const auto& table = prog_->tables.at(static_cast<std::size_t>(s.table));
             // The scratch is free for reuse as soon as lookup() returns, so
             // nested applies inside the resulting action are fine.
             keys_scratch_.clear();
             keys_scratch_.reserve(table.keys.size());
             for (const auto& k : table.keys) {
-                keys_scratch_.push_back(eval_expr(prog_, *k.expr, state, frame, quirks_));
+                keys_scratch_.push_back(eval_expr(*prog_, *k.expr, state, frame, quirks_));
             }
             bool hit = false;
             // A view into the table; run_action copies the arguments into its
@@ -251,7 +250,7 @@ void Interpreter::exec(const Stmt& s, PacketState& state, Frame& frame) {
             args_scratch_.clear();
             args_scratch_.reserve(s.action_args.size());
             for (const auto& a : s.action_args) {
-                args_scratch_.push_back(eval_expr(prog_, *a, state, frame, quirks_));
+                args_scratch_.push_back(eval_expr(*prog_, *a, state, frame, quirks_));
             }
             run_action(s.action, args_scratch_, state);
             return;
@@ -270,18 +269,18 @@ void Interpreter::exec(const Stmt& s, PacketState& state, Frame& frame) {
 
 void Interpreter::exec_extern(const Stmt& s, PacketState& state, Frame& frame) {
     const auto index_of = [&](const p4::ir::ExprPtr& e) -> std::uint64_t {
-        return e ? eval_expr(prog_, *e, state, frame, quirks_).to_u64() : 0;
+        return e ? eval_expr(*prog_, *e, state, frame, quirks_).to_u64() : 0;
     };
     // Only the counter and meter ops bill the packet's length.
-    const auto pkt_bytes = [&] { return state.get(prog_.f_packet_length).to_u64(); };
+    const auto pkt_bytes = [&] { return state.get(prog_->f_packet_length).to_u64(); };
 
     switch (s.ext) {
         case p4::ir::ExternKind::mark_to_drop:
-            state.set(prog_.f_egress_spec, Bitvec(9, p4::ir::kDropPort));
+            state.set(prog_->f_egress_spec, Bitvec(9, p4::ir::kDropPort));
             return;
         case p4::ir::ExternKind::register_read: {
             const Bitvec v = stateful_.register_read(s.extern_id, index_of(s.index_expr));
-            state.set(s.ext_dst, v.resize(prog_.field(s.ext_dst).width));
+            state.set(s.ext_dst, v.resize(prog_->field(s.ext_dst).width));
             return;
         }
         case p4::ir::ExternKind::register_write: {
@@ -294,7 +293,7 @@ void Interpreter::exec_extern(const Stmt& s, PacketState& state, Frame& frame) {
                 !stateful_.register_read(s.extern_id, index).is_zero()) {
                 return;
             }
-            const Bitvec value = eval_expr(prog_, *s.value, state, frame, quirks_);
+            const Bitvec value = eval_expr(*prog_, *s.value, state, frame, quirks_);
             if (obs::metrics_on()) {
                 // Occupancy telemetry: a write that replaces live state (an
                 // evicted or rebound flow entry), not one that fills a cell.
@@ -312,14 +311,14 @@ void Interpreter::exec_extern(const Stmt& s, PacketState& state, Frame& frame) {
         case p4::ir::ExternKind::meter_execute: {
             const MeterColor color = stateful_.meter_execute(
                 s.extern_id, index_of(s.index_expr), state.meta.rx_time_ns, pkt_bytes());
-            state.set(s.ext_dst, Bitvec(prog_.field(s.ext_dst).width,
+            state.set(s.ext_dst, Bitvec(prog_->field(s.ext_dst).width,
                                         static_cast<std::uint64_t>(color)));
             return;
         }
         case p4::ir::ExternKind::hash: {
             bytes_scratch_.clear();
             for (const auto& input : s.hash_inputs) {
-                const Bitvec v = eval_expr(prog_, *input, state, frame, quirks_);
+                const Bitvec v = eval_expr(*prog_, *input, state, frame, quirks_);
                 const std::size_t old = bytes_scratch_.size();
                 bytes_scratch_.resize(old + static_cast<std::size_t>((v.width() + 7) / 8));
                 v.write_bytes(std::span<std::uint8_t>(bytes_scratch_).subspan(old));
@@ -332,12 +331,12 @@ void Interpreter::exec_extern(const Stmt& s, PacketState& state, Frame& frame) {
                 h &= (1u << quirks_.hash_collision_misdirect) - 1u;
             }
             state.set(s.ext_dst,
-                      Bitvec(32, h).resize(prog_.field(s.ext_dst).width));
+                      Bitvec(32, h).resize(prog_->field(s.ext_dst).width));
             return;
         }
         case p4::ir::ExternKind::checksum_update:
             if (!quirks_.skip_checksum_update) {
-                checksum_update_field(prog_, state, s.hash_header, s.checksum_field,
+                checksum_update_field(*prog_, state, s.hash_header, s.checksum_field,
                                       bytes_scratch_);
             }
             return;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "dataplane/quirks.h"
@@ -35,12 +34,17 @@ Bitvec eval_expr(const p4::ir::Program& prog, const p4::ir::Expr& e,
 // Executes ingress/egress controls over a PacketState.
 //
 // The execution machinery (call frames, table-key scratch, extern byte
-// buffers) is pooled on the interpreter and reused across packets, so a
-// steady-state packet traversal performs no heap allocation of its own.
+// buffers) is pooled on the interpreter and reused across packets and
+// programs, so a steady-state packet traversal performs no heap allocation
+// of its own, and neither does switching to another program.
 class Interpreter {
 public:
-    Interpreter(const p4::ir::Program& prog, TableSet& tables, StatefulSet& stateful,
-                Quirks quirks = {});
+    // Executes nothing until load() names a program.
+    Interpreter(TableSet& tables, StatefulSet& stateful, Quirks quirks = {});
+
+    // Runs `prog` from now on, keeping the pooled machinery.  The program
+    // must outlive its use here.
+    void load(const p4::ir::Program& prog);
 
     // Runs a control body.
     void run_control(const p4::ir::Control& control, PacketState& state);
@@ -50,11 +54,10 @@ public:
 
     // Coverage instrumentation: when a map is set, table hits/misses,
     // action invocations and branch edges are recorded into it, salted by
-    // the program name XOR `salt` (devices pass a per-backend salt so DUT
-    // edges never alias reference edges).  The static branch ordinals are
-    // assigned on the first call (a deterministic pre-order walk of the
-    // controls and actions), so enabling coverage allocates once here and
-    // never on the per-packet path.
+    // the program's coverage salt XOR `salt` (devices pass a per-backend
+    // salt so DUT edges never alias reference edges).  Branch edges use the
+    // ordinals the compiler stamped on each if_stmt.  `salt` survives
+    // load(), which re-salts for the new program.
     void set_coverage(coverage::CoverageMap* map, std::uint64_t salt = 0);
 
 private:
@@ -69,7 +72,7 @@ private:
     Frame& push_frame();
     void pop_frame() { --depth_; }
 
-    const p4::ir::Program& prog_;
+    const p4::ir::Program* prog_ = nullptr;
     TableSet& tables_;
     StatefulSet& stateful_;
     Quirks quirks_;
@@ -81,10 +84,8 @@ private:
     std::vector<std::uint8_t> bytes_scratch_;
 
     coverage::CoverageMap* coverage_ = nullptr;
-    std::uint64_t cov_salt_ = 0;  // program_salt(prog_.name) ^ device salt
-    // if_stmt -> stable ordinal; built once per program when coverage is
-    // first enabled (identical walk order => identical ordinals everywhere).
-    std::unordered_map<const p4::ir::Stmt*, std::uint32_t> branch_ids_;
+    std::uint64_t device_salt_ = 0;
+    std::uint64_t cov_salt_ = 0;  // prog_->coverage_salt ^ device_salt_
 };
 
 }  // namespace ndb::dataplane

@@ -8,11 +8,6 @@ namespace ndb::dataplane {
 using p4::ir::kAccept;
 using p4::ir::kReject;
 
-void ParserEngine::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
-    coverage_ = map;
-    if (map) cov_salt_ = coverage::program_salt(prog_.name) ^ salt;
-}
-
 ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
                                 int* states_visited) {
     std::size_t cursor = 0;  // bit offset into the packet
@@ -20,7 +15,7 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
     int visited = 0;
     int extracts = 0;
     Frame empty_frame;
-    int current = prog_.start_state;
+    int current = prog_->start_state;
 
     const auto finish = [&](ParserVerdict verdict) {
         if (coverage_) {
@@ -54,7 +49,7 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
         if (++visited > kMaxStates) return finish(ParserVerdict::error_loop);
 
         const auto& st =
-            prog_.parser_states.at(static_cast<std::size_t>(current));
+            prog_->parser_states.at(static_cast<std::size_t>(current));
         state.cycles += 1;
 
         for (const auto& op : st.ops) {
@@ -66,7 +61,7 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
                         return finish(ParserVerdict::accept);
                     }
                     const auto& hdr =
-                        prog_.headers.at(static_cast<std::size_t>(op.header));
+                        prog_->headers.at(static_cast<std::size_t>(op.header));
                     if (cursor + static_cast<std::size_t>(hdr.size_bits) > total_bits) {
                         return finish(ParserVerdict::error_truncated);
                     }
@@ -84,8 +79,8 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
                     break;
                 case p4::ir::ParserOp::Kind::assign:
                     state.set(op.dst,
-                              eval_expr(prog_, *op.value, state, empty_frame, quirks_)
-                                  .resize(prog_.field(op.dst).width));
+                              eval_expr(*prog_, *op.value, state, empty_frame, quirks_)
+                                  .resize(prog_->field(op.dst).width));
                     break;
             }
         }
@@ -104,7 +99,7 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
         std::vector<Bitvec>& keys = keys_scratch_;
         keys.clear();
         for (const auto& k : t.keys) {
-            keys.push_back(eval_expr(prog_, *k, state, empty_frame, quirks_));
+            keys.push_back(eval_expr(*prog_, *k, state, empty_frame, quirks_));
         }
         int next = kReject;  // no matching case rejects, per P4-16
         for (const auto& c : t.cases) {

@@ -16,16 +16,31 @@ namespace ndb::dataplane {
 
 class ParserEngine {
 public:
+    // Parses nothing until load() names a program.
+    explicit ParserEngine(Quirks quirks = {}) : quirks_(quirks) {}
     explicit ParserEngine(const p4::ir::Program& prog, Quirks quirks = {})
-        : prog_(prog), quirks_(quirks) {}
+        : ParserEngine(quirks) {
+        load(prog);
+    }
+
+    // Runs `prog`'s state machine from now on, keeping the key scratch.
+    // The program must outlive its use here.
+    void load(const p4::ir::Program& prog) {
+        prog_ = &prog;
+        cov_salt_ = prog.coverage_salt ^ device_salt_;
+    }
 
     // Coverage instrumentation: when set, every state transition (and the
     // terminal state/verdict pair) records an edge into the map, salted by
-    // the program name XOR `salt` (devices pass a per-backend salt so a
-    // DUT's execution of the same path lights distinct slots from the
-    // reference's).  nullptr (the default) reduces the instrumentation to
-    // one untaken branch per transition.
-    void set_coverage(coverage::CoverageMap* map, std::uint64_t salt = 0);
+    // the program's coverage salt XOR `salt` (devices pass a per-backend
+    // salt so a DUT's execution of the same path lights distinct slots from
+    // the reference's).  nullptr (the default) reduces the instrumentation
+    // to one untaken branch per transition.  `salt` survives load().
+    void set_coverage(coverage::CoverageMap* map, std::uint64_t salt = 0) {
+        coverage_ = map;
+        device_salt_ = salt;
+        if (prog_) cov_salt_ = prog_->coverage_salt ^ salt;
+    }
 
     // Fills `state` (headers, payload, verdict) from the packet bytes.
     // With the `reject_as_accept` quirk, explicit rejects and parse errors
@@ -38,10 +53,11 @@ public:
     static constexpr int kMaxStates = 256;
 
 private:
-    const p4::ir::Program& prog_;
+    const p4::ir::Program* prog_ = nullptr;
     Quirks quirks_;
     coverage::CoverageMap* coverage_ = nullptr;
-    std::uint64_t cov_salt_ = 0;  // program_salt(prog_.name) ^ device salt
+    std::uint64_t device_salt_ = 0;
+    std::uint64_t cov_salt_ = 0;  // prog_->coverage_salt ^ device_salt_
     // Select keys, reused across transitions and packets (capacity kept).
     std::vector<util::Bitvec> keys_scratch_;
 };

@@ -6,11 +6,14 @@
 // only what leaves the ports: the campaign diffs tap digests beside the
 // output streams, and the fault localizer diffs the full tap copies of one
 // traced packet.
+//
+// A pipeline is built once per device and switches programs in place:
+// load() rebinds it, its parser and its interpreter to another image and
+// keeps every pooled buffer, so a warm switch allocates nothing.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
 
 #include "dataplane/digest.h"
 #include "dataplane/interp.h"
@@ -64,16 +67,25 @@ struct PipelineResult {
     std::uint32_t egress_port = 0;
     std::uint64_t cycles = 0;
 
-    // Stage taps: copies of the state after each stage the packet reached,
-    // made only when process() is asked for them.
-    std::optional<PacketState> tap_after_parser;
-    std::optional<PacketState> tap_after_ingress;
-    std::optional<PacketState> tap_after_egress;
-
-    // Streaming digests of the same tap points (populated when
-    // capture_digests is enabled); no state copy is ever made for these.
+    // Streaming digests of the stage taps (populated when capture_digests
+    // is enabled); no state copy is ever made for these.
     std::array<std::uint64_t, 3> stage_hash = {
         kStageNotReachedHash, kStageNotReachedHash, kStageNotReachedHash};
+};
+
+// Stage taps of one traced packet: a copy of the state after each stage it
+// reached.  Stages are reached in order, so `reached` counts them: 1 when
+// the parser dropped the packet, 2 when ingress did or the program has no
+// egress, else 3.  Tracing into the same StageTaps again copies into states
+// that keep their storage, so a warm traced packet allocates nothing.
+struct StageTaps {
+    std::array<PacketState, 3> state;  // indexed by Stage
+    int reached = 0;
+
+    bool has(Stage stage) const { return static_cast<int>(stage) < reached; }
+    const PacketState& at(Stage stage) const {
+        return state[static_cast<std::size_t>(stage)];
+    }
 };
 
 struct PipelineOptions {
@@ -94,22 +106,23 @@ struct StageCounters {
 
 class Pipeline {
 public:
-    Pipeline(const p4::ir::Program& prog, TableSet& tables, StatefulSet& stateful,
-             PipelineOptions options = {});
-    // Defined out of line on purpose: with g++ 12 -O3 the inlined teardown
-    // bloats every caller that replaces a pipeline (Device::load, on each
-    // program switch), which cost the guided campaign benchmark ~5% of its
-    // scenario rate on a 4-core x86-64 host.
-    ~Pipeline();
+    // Runs nothing until load() names a program.  `tables` and `stateful`
+    // are the stores the loaded program's tables and externs live in.
+    Pipeline(TableSet& tables, StatefulSet& stateful, PipelineOptions options = {});
+
+    // Runs `prog` from now on, with zeroed counters.  The parser, the
+    // interpreter and the packet state keep every buffer they pooled, so
+    // switching between programs a pipeline has already run allocates
+    // nothing.  The program must outlive its use here.
+    void load(const p4::ir::Program& prog);
 
     // Runs one packet: `in` supplies the bytes, `meta` the ingress port and
     // rx time (the device's stamped copy; in.meta is not read).  With
-    // `taps`, the result also carries a copy of the state after each stage
-    // the packet reached.
+    // `taps`, a copy of the state after each stage the packet reached is
+    // written into it.
     PipelineResult process(const packet::Packet& in, const packet::PacketMeta& meta,
-                           bool taps);
+                           StageTaps* taps);
 
-    const p4::ir::Program& program() const { return prog_; }
     const StageCounters& counters() const { return counters_; }
     void reset_counters() { counters_ = {}; }
     void set_capture_digests(bool on) { options_.capture_digests = on; }
@@ -118,16 +131,17 @@ public:
     // parser and the interpreter into `map`.  Off (nullptr) by default; when
     // off the only cost is a null check per instrumentation site, and when
     // on no per-packet allocation is ever made (the map is a fixed array).
+    // The setting survives load().
     void set_coverage(coverage::CoverageMap* map, std::uint64_t salt = 0);
 
 private:
-    const p4::ir::Program& prog_;
+    const p4::ir::Program* prog_ = nullptr;
     PipelineOptions options_;
     ParserEngine parser_;
     Interpreter interp_;
     StageCounters counters_;
     // expiry_off_by_one is active AND the program reads the aging clock
-    // (precomputed IR scan; see program_reads_timestamp in pipeline.cpp).
+    // (the compiler's Program::reads_timestamp).
     bool quirk_expiry_clock_ = false;
     // Per-packet execution state, reset in place each process() call so the
     // steady-state hot path performs no per-packet allocation.

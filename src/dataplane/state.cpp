@@ -45,68 +45,18 @@ PacketState PacketState::initial(const p4::ir::Program& prog,
 }
 
 void PacketState::shape(const p4::ir::Program& prog) {
-    auto layout = std::make_shared<Layout>();
-    std::size_t word = 0;
-    for (const auto& h : prog.headers) {
-        Layout::Header lh;
-        lh.word = word;
-        lh.bits = static_cast<std::size_t>(h.size_bits);
-        lh.first_field = layout->fields.size();
-        lh.field_count = h.fields.size();
-        std::size_t end = lh.bits;
-        for (const auto& f : h.fields) {
-            const std::size_t field_end = static_cast<std::size_t>(f.offset + f.width);
-            end = std::max(end, field_end);
-            layout->fields.push_back(
-                {word * 64 + static_cast<std::size_t>(f.offset), f.width});
-        }
-        const std::size_t words = (end + 63) / 64;
-        layout->headers.push_back(lh);
-        layout->digest.push_back({static_cast<std::uint32_t>(word),
-                                  static_cast<std::uint32_t>(words), h.is_metadata});
-        word += words;
+    if (!prog.layout) {
+        throw std::invalid_argument("PacketState: program '" + prog.name +
+                                    "' has no state layout");
     }
-    // reset() writes these without a per-packet lookup or width check, so
-    // both happen here, once per program.
-    const auto resolve = [&](p4::ir::FieldRef ref, int width) {
-        const Layout::Field& f = layout->field(ref);
-        if (f.width != width) throw_width_mismatch();
-        return f;
-    };
-    layout->ingress_port = resolve(prog.f_ingress_port, 9);
-    layout->packet_length = resolve(prog.f_packet_length, 32);
-    layout->timestamp = resolve(prog.f_timestamp, 48);
-    const std::size_t image_words = word + 1;  // plus the trailing zero word
-
-    layout->initial_valid.assign((prog.headers.size() + 63) / 64, 0);
-    layout->clobber_image.assign(image_words, 0);
-    auto* clobber = reinterpret_cast<std::uint8_t*>(layout->clobber_image.data());
-    for (std::size_t hi = 0; hi < prog.headers.size(); ++hi) {
-        const auto& h = prog.headers[hi];
-        if (!h.is_metadata) continue;
-        layout->initial_valid[hi / 64] |= 1ull << (hi % 64);
-        if (h.name == "standard_metadata") continue;
-        // Alternate bit pattern (value bits 0, 2, 4, ...) models
-        // uninitialized device memory.
-        for (std::size_t fi = 0; fi < h.fields.size(); ++fi) {
-            const Layout::Field& f = layout->fields[layout->headers[hi].first_field + fi];
-            for (int lo = 0; lo < f.width; lo += 64) {
-                const int chunk = std::min(64, f.width - lo);
-                write_bits(clobber, f.bit + static_cast<std::size_t>(f.width - lo - chunk),
-                           chunk, 0x5555555555555555ull);
-            }
-        }
-    }
-
-    image_.assign(image_words, 0);
-    valid_ = layout->initial_valid;
-    layout_ = std::move(layout);
-    shaped_for_ = &prog;
+    layout_ = prog.layout;
+    image_.resize(layout_->clobber_image.size());
+    valid_.resize(layout_->initial_valid.size());
 }
 
 void PacketState::reset(const p4::ir::Program& prog, const packet::PacketMeta& m,
                         std::uint32_t packet_len, bool clobber_meta) {
-    if (shaped_for_ != &prog) shape(prog);
+    if (layout_ != prog.layout || !layout_) shape(prog);
     meta = m;
     parser_verdict = ParserVerdict::accept;
     cycles = 0;

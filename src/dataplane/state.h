@@ -5,9 +5,10 @@
 // a word-aligned offset; the bits between a header's last field and the
 // next word boundary are always zero, and one zero word trails the last
 // header so 8-byte field accesses never leave the buffer.  The layout is
-// built once per program and is private to this file, state.cpp and the
-// stage digest (hash_packet_state, a friend): everything else reads and
-// writes fields through get()/set(), moves whole headers in and out with
+// the program's own (p4::ir::StateLayout, built once per image by the
+// compiler), and only this file, state.cpp and the stage digest
+// (hash_packet_state, a friend) read it: everything else reads and writes
+// fields through get()/set(), moves whole headers in and out with
 // extract_header()/emit_header(), and sees the raw image only as the
 // header bytes a checksum sums.
 //
@@ -62,9 +63,11 @@ struct PacketState {
 
     // Re-initializes the state in place, equivalent to initial() but
     // reusing every allocation: the pipeline's per-packet scratch path.
-    // The layout is (re)built only when `prog` is not the program object
-    // the state was last shaped for; ingress_port, packet_length and
-    // timestamp are then written straight into their resolved slots.
+    // When `prog`'s layout is not the one the state holds, the state takes
+    // it and resizes its buffers, which keep their capacity; ingress_port,
+    // packet_length and timestamp are written straight into their slots.
+    // Throws std::invalid_argument when `prog` has no layout (it was never
+    // finalized).
     void reset(const p4::ir::Program& prog, const packet::PacketMeta& m,
                std::uint32_t packet_len, bool clobber_meta = false);
 
@@ -117,42 +120,7 @@ struct PacketState {
 private:
     friend std::uint64_t hash_packet_state(const PacketState& state);
 
-    // Where each header and field lives in image_, plus the initial image
-    // and validity a reset restores.
-    struct Layout {
-        struct Field {
-            std::size_t bit = 0;  // wire bit offset into the whole buffer
-            int width = 0;
-        };
-        struct Header {
-            std::size_t word = 0;   // first word of the image
-            std::size_t bits = 0;   // size_bits: the wire length
-            std::size_t first_field = 0;
-            std::size_t field_count = 0;
-        };
-        // What a stage digest folds for one header: its image padded to
-        // whole words, always for a metadata header, else only while valid.
-        struct DigestRun {
-            std::uint32_t word = 0;   // first word of the image
-            std::uint32_t words = 0;  // padded length in words
-            bool metadata = false;
-        };
-        std::vector<Header> headers;
-        std::vector<Field> fields;
-        std::vector<DigestRun> digest;  // parallel to headers
-        std::vector<std::uint64_t> clobber_image;  // metadata_clobber's initial image
-        std::vector<std::uint64_t> initial_valid;  // metadata headers set
-        // The standard metadata reset() writes for every packet.
-        Field ingress_port, packet_length, timestamp;
-
-        // Bounds-checked slot lookup; throws std::out_of_range.
-        const Field& field(p4::ir::FieldRef ref) const {
-            const auto h = static_cast<std::size_t>(ref.header);  // -1 wraps high
-            const auto f = static_cast<std::size_t>(ref.field);
-            if (h >= headers.size() || f >= headers[h].field_count) throw_bad_field();
-            return fields[headers[h].first_field + f];
-        }
-    };
+    using Layout = p4::ir::StateLayout;
 
     void shape(const p4::ir::Program& prog);
     // Bounds-checked header index; throws std::out_of_range.
@@ -164,7 +132,12 @@ private:
     // Bounds-checked field slot; throws std::out_of_range.
     const Layout::Field& field(p4::ir::FieldRef ref) const {
         if (!layout_) throw_bad_header();
-        return layout_->field(ref);
+        const auto h = static_cast<std::size_t>(ref.header);  // -1 wraps high
+        const auto f = static_cast<std::size_t>(ref.field);
+        if (h >= layout_->headers.size() || f >= layout_->headers[h].field_count) {
+            throw_bad_field();
+        }
+        return layout_->fields[layout_->headers[h].first_field + f];
     }
     [[noreturn]] static void throw_bad_header();
     [[noreturn]] static void throw_bad_field();
@@ -232,11 +205,9 @@ private:
         return reinterpret_cast<const std::uint8_t*>(image_.data());
     }
 
-    // Built for the program `shaped_for_` (identity, not equivalence, so a
-    // different Program object always gets its own layout); shared by the
-    // state's copies (stage taps).
+    // The layout of the program the state was last reset for, shared with
+    // that image and with the state's copies (stage taps).
     std::shared_ptr<const Layout> layout_;
-    const p4::ir::Program* shaped_for_ = nullptr;
     std::vector<std::uint64_t> image_;  // every header's wire image
     std::vector<std::uint64_t> valid_;  // validity bitmap
 };

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <stdexcept>
+#include <type_traits>
 
 namespace ndb::dataplane {
 
@@ -31,7 +34,7 @@ std::uint64_t pow_mod64(std::uint64_t base, std::uint64_t n) {
 
 // Calls fn(index) for every set bit, in index order.
 template <typename Fn>
-void for_each_set(const std::vector<std::uint64_t>& bits, Fn&& fn) {
+void for_each_set(std::span<const std::uint64_t> bits, Fn&& fn) {
     for (std::size_t w = 0; w < bits.size(); ++w) {
         for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
             fn(w * 64 + static_cast<std::uint64_t>(std::countr_zero(word)));
@@ -87,86 +90,156 @@ MeterColor MeterCell::execute(std::uint64_t now_ns, std::uint64_t bytes) {
     return MeterColor::red;
 }
 
-StatefulSet::StatefulSet(const p4::ir::Program& prog) {
-    externs_.resize(prog.externs.size());
+namespace {
+
+// A meter cell is stored as its bytes in the set's word buffer.
+static_assert(std::is_trivially_copyable_v<MeterCell>);
+constexpr std::size_t kMeterWords = (sizeof(MeterCell) + 7) / 8;
+
+MeterCell load_meter(const std::uint64_t* words) {
+    MeterCell m;
+    std::memcpy(static_cast<void*>(&m), words, sizeof m);
+    return m;
+}
+
+void store_meter(std::uint64_t* words, const MeterCell& m) {
+    std::memcpy(words, &m, sizeof m);
+}
+
+}  // namespace
+
+void StatefulSet::load(const p4::ir::Program& prog) {
+    if (externs_.size() < prog.externs.size()) externs_.resize(prog.externs.size());
+    count_ = prog.externs.size();
+    std::size_t cells = 0;
+    std::size_t touched = 0;
     for (const auto& e : prog.externs) {
-        auto& slot = externs_[static_cast<std::size_t>(e.id)];
-        slot.kind = e.kind;
-        slot.name = e.name;
-        slot.elem_width = e.elem_width;
-        const auto n = static_cast<std::size_t>(e.array_size);
-        slot.size = n;
-        slot.touched.assign((n + 63) / 64, 0);
-        // Zero bytes an untouched cell contributes to the info() fold.
-        std::uint64_t zero_bytes = 0;
+        ExternState& s = externs_[static_cast<std::size_t>(e.id)];
+        s.kind = e.kind;
+        s.name = e.name;
+        s.elem_width = e.elem_width;
+        s.size = static_cast<std::uint64_t>(e.array_size);
         switch (e.kind) {
             case p4::ir::ExternDecl::Kind::reg:
-                slot.cells.assign(n, Bitvec(e.elem_width));
-                zero_bytes = 8 * Bitvec(e.elem_width).word_span().size();
+                // As many words as the value's Bitvec::word_span().
+                s.cell_words =
+                    static_cast<std::size_t>(std::max(1, (e.elem_width + 63) / 64));
                 break;
             case p4::ir::ExternDecl::Kind::counter:
-                slot.packets.assign(n, 0);
-                slot.bytes.assign(n, 0);
-                zero_bytes = 16;  // packets, then bytes
+                s.cell_words = 2;  // packets, then bytes
                 break;
             case p4::ir::ExternDecl::Kind::meter:
-                slot.meters.assign(n, MeterCell{});
-                zero_bytes = 8;  // fold_config of an unconfigured cell
+                s.cell_words = kMeterWords;
                 break;
         }
-        slot.untouched_pow = pow_mod64(kFnvPrime, zero_bytes);
+        s.first_cell = cells;
+        s.first_touched = touched;
+        cells += s.size * s.cell_words;
+        touched += (s.size + 63) / 64;
+        // Zero bytes an untouched cell contributes to the info() fold: a
+        // register's words, a counter's two counts, and fold_config of an
+        // unconfigured meter.
+        const std::uint64_t zero_bytes =
+            e.kind == p4::ir::ExternDecl::Kind::meter ? 8 : 8 * s.cell_words;
+        s.untouched_pow = pow_mod64(kFnvPrime, zero_bytes);
+    }
+    // Power-on values: every word zero, then each meter cell unconfigured.
+    cells_.assign(cells, 0);
+    touched_.assign(touched, 0);
+    for (std::size_t e = 0; e < count_; ++e) {
+        const ExternState& s = externs_[e];
+        if (s.kind != p4::ir::ExternDecl::Kind::meter) continue;
+        for (std::uint64_t i = 0; i < s.size; ++i) clear_cell(s, i);
+    }
+}
+
+const StatefulSet::ExternState& StatefulSet::slot(int extern_id) const {
+    const auto i = static_cast<std::size_t>(extern_id);  // -1 wraps high
+    if (i >= count_) throw std::out_of_range("StatefulSet: extern id out of range");
+    return externs_[i];
+}
+
+void StatefulSet::clear_cell(const ExternState& s, std::uint64_t index) {
+    std::uint64_t* c = cell(s, index);
+    if (s.kind == p4::ir::ExternDecl::Kind::meter) {
+        store_meter(c, MeterCell{});
+    } else {
+        std::fill(c, c + s.cell_words, 0);
     }
 }
 
 Bitvec StatefulSet::register_read(int extern_id, std::uint64_t index) const {
-    const auto& s = externs_.at(static_cast<std::size_t>(extern_id));
-    if (index >= s.cells.size()) return Bitvec(s.elem_width);  // OOB reads 0
-    return s.cells[index];
+    const ExternState& s = slot(extern_id);
+    if (s.kind != p4::ir::ExternDecl::Kind::reg || index >= s.size) {
+        return Bitvec(s.elem_width);  // OOB reads 0
+    }
+    const std::uint64_t* c = cell(s, index);
+    if (s.cell_words == 1) return Bitvec(s.elem_width, c[0]);
+    Bitvec v(s.elem_width);
+    for (std::size_t k = 0; k < s.cell_words; ++k) {
+        const int lo = static_cast<int>(k) * 64;
+        const int chunk = std::min(64, s.elem_width - lo);
+        v.set_slice(lo + chunk - 1, lo, Bitvec(chunk, c[k]));
+    }
+    return v;
 }
 
 void StatefulSet::register_write(int extern_id, std::uint64_t index,
                                  const Bitvec& value) {
-    auto& s = externs_.at(static_cast<std::size_t>(extern_id));
-    if (index >= s.cells.size()) return;  // OOB writes are dropped
-    s.cells[index] = value.resize(s.elem_width);
-    s.mark(index);
+    const ExternState& s = slot(extern_id);
+    if (s.kind != p4::ir::ExternDecl::Kind::reg || index >= s.size) {
+        return;  // OOB writes are dropped
+    }
+    const Bitvec v = value.resize(s.elem_width);
+    const auto words = v.word_span();
+    std::copy(words.begin(), words.end(), cell(s, index));
+    mark(s, index);
 }
 
 void StatefulSet::counter_count(int extern_id, std::uint64_t index,
                                 std::uint64_t bytes) {
-    auto& s = externs_.at(static_cast<std::size_t>(extern_id));
-    if (index >= s.packets.size()) return;
-    ++s.packets[index];
-    s.bytes[index] += bytes;
-    s.mark(index);
+    const ExternState& s = slot(extern_id);
+    if (s.kind != p4::ir::ExternDecl::Kind::counter || index >= s.size) return;
+    std::uint64_t* c = cell(s, index);
+    ++c[0];
+    c[1] += bytes;
+    mark(s, index);
 }
 
 std::uint64_t StatefulSet::counter_packets(int extern_id, std::uint64_t index) const {
-    const auto& s = externs_.at(static_cast<std::size_t>(extern_id));
-    return index < s.packets.size() ? s.packets[index] : 0;
+    const ExternState& s = slot(extern_id);
+    if (s.kind != p4::ir::ExternDecl::Kind::counter || index >= s.size) return 0;
+    return cell(s, index)[0];
 }
 
 std::uint64_t StatefulSet::counter_bytes(int extern_id, std::uint64_t index) const {
-    const auto& s = externs_.at(static_cast<std::size_t>(extern_id));
-    return index < s.bytes.size() ? s.bytes[index] : 0;
+    const ExternState& s = slot(extern_id);
+    if (s.kind != p4::ir::ExternDecl::Kind::counter || index >= s.size) return 0;
+    return cell(s, index)[1];
 }
 
 void StatefulSet::meter_configure(int extern_id, std::uint64_t index,
                                   double committed_rate, std::uint64_t committed_burst,
                                   double excess_rate, std::uint64_t excess_burst) {
-    auto& s = externs_.at(static_cast<std::size_t>(extern_id));
-    if (index >= s.meters.size()) return;
-    s.meters[index].configure(committed_rate, committed_burst, excess_rate,
-                              excess_burst);
-    s.mark(index);
+    const ExternState& s = slot(extern_id);
+    if (s.kind != p4::ir::ExternDecl::Kind::meter || index >= s.size) return;
+    MeterCell m = load_meter(cell(s, index));
+    m.configure(committed_rate, committed_burst, excess_rate, excess_burst);
+    store_meter(cell(s, index), m);
+    mark(s, index);
 }
 
 MeterColor StatefulSet::meter_execute(int extern_id, std::uint64_t index,
                                       std::uint64_t now_ns, std::uint64_t bytes) {
-    auto& s = externs_.at(static_cast<std::size_t>(extern_id));
-    if (index >= s.meters.size()) return MeterColor::red;
-    s.mark(index);  // token buckets drain even on an unconfigured meter
-    return s.meters[index].execute(now_ns, bytes);
+    const ExternState& s = slot(extern_id);
+    if (s.kind != p4::ir::ExternDecl::Kind::meter || index >= s.size) {
+        return MeterColor::red;
+    }
+    mark(s, index);  // token buckets drain even on an unconfigured meter
+    MeterCell m = load_meter(cell(s, index));
+    const MeterColor color = m.execute(now_ns, bytes);
+    store_meter(cell(s, index), m);
+    return color;
 }
 
 std::vector<StatefulSet::Info> StatefulSet::info() const {
@@ -176,8 +249,8 @@ std::vector<StatefulSet::Info> StatefulSet::info() const {
 }
 
 void StatefulSet::info_into(std::vector<Info>& out) const {
-    out.resize(externs_.size());
-    for (std::size_t e = 0; e < externs_.size(); ++e) {
+    out.resize(count_);
+    for (std::size_t e = 0; e < count_; ++e) {
         const ExternState& s = externs_[e];
         Info& inf = out[e];
         inf.name = s.name;
@@ -186,23 +259,17 @@ void StatefulSet::info_into(std::vector<Info>& out) const {
         std::uint64_t h = kFnvOffset;
         std::uint64_t next = 0;  // first cell the fold has not reached
         std::uint64_t configured = 0;
-        for_each_set(s.touched, [&](std::uint64_t i) {
+        for_each_set(touched(s), [&](std::uint64_t i) {
             h *= pow_mod64(s.untouched_pow, i - next);
             next = i + 1;
-            switch (s.kind) {
-                case p4::ir::ExternDecl::Kind::reg:
-                    for (const std::uint64_t w : s.cells[i].word_span()) {
-                        h = fnv(h, w);
-                    }
-                    break;
-                case p4::ir::ExternDecl::Kind::counter:
-                    h = fnv(h, s.packets[i]);
-                    h = fnv(h, s.bytes[i]);
-                    break;
-                case p4::ir::ExternDecl::Kind::meter:
-                    h = s.meters[i].fold_config(h);
-                    if (s.meters[i].configured()) ++configured;
-                    break;
+            const std::uint64_t* c = cell(s, i);
+            if (s.kind == p4::ir::ExternDecl::Kind::meter) {
+                const MeterCell m = load_meter(c);
+                h = m.fold_config(h);
+                if (m.configured()) ++configured;
+            } else {
+                // A register's words, or a counter's packets then bytes.
+                for (std::size_t k = 0; k < s.cell_words; ++k) h = fnv(h, c[k]);
             }
         });
         h *= pow_mod64(s.untouched_pow, s.size - next);
@@ -219,27 +286,17 @@ void StatefulSet::info_into(std::vector<Info>& out) const {
 }
 
 void StatefulSet::reset_state() {
-    for (auto& s : externs_) {
-        for_each_set(s.touched, [&](std::uint64_t i) {
-            switch (s.kind) {
-                case p4::ir::ExternDecl::Kind::reg: s.cells[i].zero(); break;
-                case p4::ir::ExternDecl::Kind::counter:
-                    s.packets[i] = 0;
-                    s.bytes[i] = 0;
-                    break;
-                case p4::ir::ExternDecl::Kind::meter: s.meters[i] = MeterCell{}; break;
-            }
-        });
-        std::fill(s.touched.begin(), s.touched.end(), 0);
+    for (std::size_t e = 0; e < count_; ++e) {
+        const ExternState& s = externs_[e];
+        for_each_set(touched(s), [&](std::uint64_t i) { clear_cell(s, i); });
     }
+    std::fill(touched_.begin(), touched_.end(), 0);
 }
 
 std::uint64_t StatefulSet::touched_cells() const {
     std::uint64_t n = 0;
-    for (const auto& s : externs_) {
-        for (const std::uint64_t word : s.touched) {
-            n += static_cast<std::uint64_t>(std::popcount(word));
-        }
+    for (const std::uint64_t word : touched_) {
+        n += static_cast<std::uint64_t>(std::popcount(word));
     }
     return n;
 }

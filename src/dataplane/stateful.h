@@ -1,10 +1,13 @@
 // Stateful externs: register arrays, counters, meters.
 //
-// One program's extern instances live in a single dense vector indexed by
-// extern id; each slot is typed by its ExternDecl kind.  The accessors
-// below are the only state surface the interpreter and the control
-// plane touch, so a snapshot of `info()` plus `reset_state()` fully
-// captures and clears a device's per-flow state.
+// Every cell of the loaded program's externs lives in one buffer of 64-bit
+// words, extern after extern: a register cell holds its value's words, a
+// counter cell its packet then byte count, a meter cell a MeterCell's
+// bytes.  One buffer serves every kind, so a set that switches among
+// programs keeps the largest program's storage rather than the largest of
+// each kind.  The accessors below are the only state surface the
+// interpreter and the control plane touch, so a snapshot of `info()` plus
+// `reset_state()` fully captures and clears a device's per-flow state.
 //
 // Each extern also keeps a bitmap of the cells touched since the last
 // reset: written, counted, configured or executed.  A run touches a
@@ -14,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,10 +78,17 @@ struct ExternInfo {
     std::uint64_t unconfigured_meters = 0;
 };
 
-// Runtime storage for every extern instance of one program.
+// Runtime storage for every extern instance of the loaded program.
 class StatefulSet {
 public:
-    explicit StatefulSet(const p4::ir::Program& prog);
+    // Holds no externs until load().
+    StatefulSet() = default;
+    explicit StatefulSet(const p4::ir::Program& prog) { load(prog); }
+
+    // Takes `prog`'s externs at their power-on values.  The cell buffer
+    // keeps its capacity, so loading a program whose externs fit in what
+    // the set has held before allocates nothing.
+    void load(const p4::ir::Program& prog);
 
     // Registers.
     Bitvec register_read(int extern_id, std::uint64_t index) const;
@@ -119,26 +130,46 @@ public:
     std::uint64_t touched_cells() const;
 
 private:
+    // Where one extern's cells and touched bits live.
     struct ExternState {
         p4::ir::ExternDecl::Kind kind = p4::ir::ExternDecl::Kind::reg;
         std::string name;
         int elem_width = 0;
-        std::uint64_t size = 0;              // declared cells
-        std::vector<Bitvec> cells;           // registers
-        std::vector<std::uint64_t> packets;  // counters
-        std::vector<std::uint64_t> bytes;
-        std::vector<MeterCell> meters;       // meters
-        // Bit i is set once cell i is touched; cleared by reset_state().
-        std::vector<std::uint64_t> touched;
+        std::uint64_t size = 0;     // declared cells
+        std::size_t cell_words = 0;  // words per cell in cells_
+        std::size_t first_cell = 0;  // offset in cells_
+        std::size_t first_touched = 0;  // offset in touched_
         // FNV prime raised to the zero-byte count an untouched cell folds.
         std::uint64_t untouched_pow = 1;
-
-        void mark(std::uint64_t index) {
-            touched[index / 64] |= 1ull << (index % 64);
-        }
     };
 
-    std::vector<ExternState> externs_;  // dense, indexed by extern id
+    // The loaded extern `extern_id`; throws std::out_of_range past the
+    // loaded program's externs.
+    const ExternState& slot(int extern_id) const;
+
+    std::uint64_t* cell(const ExternState& s, std::uint64_t index) {
+        return cells_.data() + s.first_cell + index * s.cell_words;
+    }
+    const std::uint64_t* cell(const ExternState& s, std::uint64_t index) const {
+        return cells_.data() + s.first_cell + index * s.cell_words;
+    }
+    std::span<const std::uint64_t> touched(const ExternState& s) const {
+        return {touched_.data() + s.first_touched, (s.size + 63) / 64};
+    }
+    void mark(const ExternState& s, std::uint64_t index) {
+        touched_[s.first_touched + index / 64] |= 1ull << (index % 64);
+    }
+    // Writes cell `index`'s power-on value.
+    void clear_cell(const ExternState& s, std::uint64_t index);
+
+    // Indexed by extern id.  Never shrinks: the entries past the loaded
+    // program's `count_` keep their strings for the next program.
+    std::vector<ExternState> externs_;
+    std::size_t count_ = 0;
+    std::vector<std::uint64_t> cells_;
+    // Bit i of an extern's run is set once its cell i is touched; cleared
+    // by reset_state().
+    std::vector<std::uint64_t> touched_;
 };
 
 }  // namespace ndb::dataplane

@@ -204,6 +204,14 @@ public:
         args_.clear();
     }
 
+    // The index keeps the size it grew to.
+    void reshape(int width, std::size_t capacity) override {
+        clear();
+        total_width_ = width;
+        words_ = static_cast<std::size_t>(PackedKey::words_for(width));
+        capacity_ = capacity;
+    }
+
 private:
     static constexpr std::size_t kMinSlots = 16;
 
@@ -331,6 +339,12 @@ public:
         count_ = 0;
     }
 
+    void reshape(int width, std::size_t capacity) override {
+        clear();
+        key_width_ = width;
+        capacity_ = capacity;
+    }
+
 private:
     struct Node {
         std::size_t zero = 0;  // 0 = absent (root is never a child)
@@ -397,6 +411,11 @@ public:
         rows_.clear();
         args_.clear();
     }
+    void reshape(int width, std::size_t capacity) override {
+        clear();
+        total_width_ = width;
+        capacity_ = capacity;
+    }
 
 private:
     struct Row {
@@ -460,6 +479,11 @@ public:
 
     std::size_t entry_count() const override { return map_.size(); }
     void clear() override { map_.clear(); }
+    void reshape(int width, std::size_t capacity) override {
+        clear();
+        total_width_ = width;
+        capacity_ = capacity;
+    }
 
 private:
     int total_width_;
@@ -513,6 +537,11 @@ public:
 
     std::size_t entry_count() const override { return entries_.size(); }
     void clear() override { entries_.clear(); }
+    void reshape(int width, std::size_t capacity) override {
+        clear();
+        total_width_ = width;
+        capacity_ = capacity;
+    }
 
 private:
     struct Row {
@@ -557,46 +586,69 @@ std::unique_ptr<MatchEngine> make_naive_ternary_engine(int total_width,
 
 // --- TableSet -------------------------------------------------------------------
 
-TableSet::TableSet(const p4::ir::Program& prog, int size_clamp,
-                   bool inverted_priority) {
-    slots_.reserve(prog.tables.size());
-    declared_defaults_.reserve(prog.tables.size());
-    for (const auto& t : prog.tables) {
-        Slot slot;
+void TableSet::load(const p4::ir::Program& prog) {
+    if (slots_.size() < prog.tables.size()) slots_.resize(prog.tables.size());
+    tables_ = prog.tables.size();
+    std::array<std::size_t, 3> taken{};  // engines of each kind handed out
+    for (std::size_t i = 0; i < tables_; ++i) {
+        const p4::ir::Table& t = prog.tables[i];
+        Slot& slot = slots_[i];
         std::size_t cap = static_cast<std::size_t>(std::max<std::int64_t>(t.size, 1));
-        if (size_clamp > 0) {
-            cap = std::min(cap, static_cast<std::size_t>(size_clamp));
-        }
+        if (size_clamp_ > 0) cap = std::min(cap, static_cast<std::size_t>(size_clamp_));
         slot.capacity = cap;
-        if (t.has_lpm()) {
-            slot.engine = make_lpm_engine(t.keys[0].width, cap);
-            slot.kind = p4::ir::MatchKind::lpm;
-        } else if (t.has_ternary()) {
-            slot.engine = make_ternary_engine(t.total_key_width(), cap, inverted_priority);
-            slot.kind = p4::ir::MatchKind::ternary;
+        slot.kind = t.has_lpm()       ? p4::ir::MatchKind::lpm
+                    : t.has_ternary() ? p4::ir::MatchKind::ternary
+                                      : p4::ir::MatchKind::exact;
+        const int width = slot.kind == p4::ir::MatchKind::lpm ? t.keys[0].width
+                                                             : t.total_key_width();
+        const auto k = static_cast<std::size_t>(slot.kind);
+        std::vector<std::unique_ptr<MatchEngine>>& pool = engines_[k];
+        if (taken[k] == pool.size()) {
+            switch (slot.kind) {
+                case p4::ir::MatchKind::exact:
+                    pool.push_back(make_exact_engine(width, cap));
+                    break;
+                case p4::ir::MatchKind::lpm:
+                    pool.push_back(make_lpm_engine(width, cap));
+                    break;
+                case p4::ir::MatchKind::ternary:
+                    pool.push_back(make_ternary_engine(width, cap, inverted_priority_));
+                    break;
+            }
         } else {
-            slot.engine = make_exact_engine(t.total_key_width(), cap);
-            slot.kind = p4::ir::MatchKind::exact;
+            pool[taken[k]]->reshape(width, cap);
         }
-        slot.default_action = {t.default_action, t.default_args};
-        declared_defaults_.push_back(slot.default_action);
-        slots_.push_back(std::move(slot));
+        slot.engine = pool[taken[k]++].get();
+        slot.declared_default.action_id = t.default_action;
+        slot.declared_default.args.assign(t.default_args.begin(), t.default_args.end());
+        slot.default_action = slot.declared_default;
+        slot.stats = {};
     }
 }
 
+TableSet::Slot& TableSet::slot(int table_id) {
+    const auto i = static_cast<std::size_t>(table_id);  // -1 wraps high
+    if (i >= tables_) throw std::out_of_range("TableSet: table id out of range");
+    return slots_[i];
+}
+
+const TableSet::Slot& TableSet::slot(int table_id) const {
+    return const_cast<TableSet&>(*this).slot(table_id);
+}
+
 InsertStatus TableSet::insert(int table_id, const TableEntry& entry) {
-    return slots_.at(static_cast<std::size_t>(table_id)).engine->insert(entry);
+    return slot(table_id).engine->insert(entry);
 }
 
 void TableSet::set_default_action(int table_id, int action_id,
                                   std::span<const Bitvec> args) {
-    ActionEntry& entry = slots_.at(static_cast<std::size_t>(table_id)).default_action;
+    ActionEntry& entry = slot(table_id).default_action;
     entry.action_id = action_id;
     entry.args.assign(args.begin(), args.end());
 }
 
 ActionRef TableSet::lookup(int table_id, std::span<const Bitvec> keys, bool& hit) {
-    Slot& slot = slots_.at(static_cast<std::size_t>(table_id));
+    Slot& slot = this->slot(table_id);
     if (obs::metrics_on()) [[unlikely]] {
         return lookup_timed(slot, keys, hit);
     }
@@ -641,26 +693,26 @@ ActionRef TableSet::lookup_timed(Slot& slot, std::span<const Bitvec> keys, bool&
 }
 
 const TableSet::Stats& TableSet::stats(int table_id) const {
-    return slots_.at(static_cast<std::size_t>(table_id)).stats;
+    return slot(table_id).stats;
 }
 
 std::size_t TableSet::entry_count(int table_id) const {
-    return slots_.at(static_cast<std::size_t>(table_id)).engine->entry_count();
+    return slot(table_id).engine->entry_count();
 }
 
 std::size_t TableSet::capacity(int table_id) const {
-    return slots_.at(static_cast<std::size_t>(table_id)).capacity;
+    return slot(table_id).capacity;
 }
 
 void TableSet::reset_stats() {
-    for (auto& slot : slots_) slot.stats = {};
+    for (std::size_t i = 0; i < tables_; ++i) slots_[i].stats = {};
 }
 
 void TableSet::reset() {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
+    for (std::size_t i = 0; i < tables_; ++i) {
         Slot& slot = slots_[i];
         slot.engine->clear();
-        slot.default_action = declared_defaults_[i];
+        slot.default_action = slot.declared_default;
         slot.stats = {};
     }
 }

@@ -17,7 +17,9 @@
 // Each keeps its entries' action arguments in one shared array, and
 // TableSet::reset() and set_default_action() assign into storage the table
 // already holds, so a warm device re-applies a scenario's config without
-// allocating.
+// allocating.  A TableSet also outlives the programs it serves: load()
+// hands its engines to the next program in place (reshape()), so a device
+// switching between programs it has already run allocates nothing.
 //
 // Exact and ternary also keep their original straight-line implementations
 // (make_naive_*) as the semantic reference for differential tests and
@@ -27,6 +29,7 @@
 // L bits at priority L, so the naive ternary engine checks the trie.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -84,6 +87,9 @@ public:
     virtual std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const = 0;
     virtual std::size_t entry_count() const = 0;
     virtual void clear() = 0;
+    // Empties the engine and gives it another key width (LPM: the one key's)
+    // and capacity, keeping its storage.
+    virtual void reshape(int width, std::size_t capacity) = 0;
 };
 
 // Production engines.
@@ -100,8 +106,8 @@ std::unique_ptr<MatchEngine> make_naive_ternary_engine(int total_width,
                                                        std::size_t capacity,
                                                        bool inverted_priority);
 
-// Per-program collection of table engines plus default actions and
-// hit/miss statistics (the statistics feed the status-monitoring use-case).
+// The loaded program's table engines plus default actions and hit/miss
+// statistics (the statistics feed the status-monitoring use-case).
 class TableSet {
 public:
     struct Stats {
@@ -109,8 +115,17 @@ public:
         std::uint64_t misses = 0;
     };
 
-    // `size_clamp` models vendor table-capacity limits (0 = none).
-    TableSet(const p4::ir::Program& prog, int size_clamp, bool inverted_priority);
+    // Holds no tables until load().  `size_clamp` models vendor
+    // table-capacity limits (0 = none).
+    TableSet(int size_clamp, bool inverted_priority)
+        : size_clamp_(size_clamp), inverted_priority_(inverted_priority) {}
+
+    // Takes `prog`'s tables in their freshly loaded state: no entries, the
+    // declared default actions, zero statistics.  The k-th table of a match
+    // kind reuses the set's k-th engine of that kind, reshaped, and every
+    // slot keeps its storage, so loading a program whose tables this set
+    // has held before allocates nothing.
+    void load(const p4::ir::Program& prog);
 
     InsertStatus insert(int table_id, const TableEntry& entry);
     // Assigned into the slot's own entry, whose argument vector keeps its
@@ -134,8 +149,9 @@ public:
 private:
     // One table's engine plus its default action and statistics.
     struct Slot {
-        std::unique_ptr<MatchEngine> engine;
+        MatchEngine* engine = nullptr;  // one of engines_[kind]
         ActionEntry default_action;
+        ActionEntry declared_default;  // what reset() restores
         Stats stats;
         std::size_t capacity = 0;
         // Which engine family backs this slot (telemetry's per-kind
@@ -143,13 +159,25 @@ private:
         p4::ir::MatchKind kind = p4::ir::MatchKind::exact;
     };
 
+    // The loaded table `table_id`; throws std::out_of_range past the
+    // loaded program's tables.
+    Slot& slot(int table_id);
+    const Slot& slot(int table_id) const;
+
     // lookup() with telemetry: per-kind lookup counters (exact) plus a
     // 1/64-sampled latency histogram.  Separate so the instrumented path
     // costs the fast path nothing but the one enabled check.
     static ActionRef lookup_timed(Slot& slot, std::span<const Bitvec> keys, bool& hit);
 
+    int size_clamp_;
+    bool inverted_priority_;
+    // Indexed by table id.  Never shrinks: the slots past the loaded
+    // program's `tables_` keep their storage for the next program.
     std::vector<Slot> slots_;
-    std::vector<ActionEntry> declared_defaults_;  // parallel to slots_
+    std::size_t tables_ = 0;
+    // Engines by match kind, as many of each as the most tables of that
+    // kind a loaded program has declared.
+    std::array<std::vector<std::unique_ptr<MatchEngine>>, 3> engines_;
 };
 
 }  // namespace ndb::dataplane

@@ -1252,7 +1252,10 @@ CompileResult Compiler::run() {
 
     CompileResult result;
     result.ok = !diags_.has_errors();
-    if (result.ok) result.program = std::move(out_);
+    if (result.ok) {
+        ir::finalize(*out_);
+        result.program = std::move(out_);
+    }
     return result;
 }
 

@@ -1,6 +1,9 @@
 #include "p4/ir.h"
+
+#include <algorithm>
 #include <stdexcept>
 
+#include "util/strings.h"
 
 namespace ndb::p4::ir {
 
@@ -63,6 +66,7 @@ StmtPtr Stmt::clone() const {
     for (const auto& h : hash_inputs) s->hash_inputs.push_back(h->clone());
     s->hash_header = hash_header;
     s->checksum_field = checksum_field;
+    s->branch = branch;
     return s;
 }
 
@@ -218,32 +222,147 @@ Program Program::clone() const {
     p.f_egress_port = f_egress_port;
     p.f_packet_length = f_packet_length;
     p.f_timestamp = f_timestamp;
+    p.layout = layout;
+    p.coverage_salt = coverage_salt;
+    p.reads_timestamp = reads_timestamp;
+    p.branch_count = branch_count;
     return p;
 }
 
 namespace {
 
-void collect_branches(const std::vector<StmtPtr>& body,
-                      std::unordered_map<const Stmt*, std::uint32_t>& ids) {
-    for (const auto& s : body) {
+void number_branches(std::vector<StmtPtr>& body, std::uint32_t& next) {
+    for (auto& s : body) {
         if (s->kind != Stmt::Kind::if_stmt) continue;
-        const auto ordinal = static_cast<std::uint32_t>(ids.size());
-        ids.emplace(s.get(), ordinal);
-        collect_branches(s->then_body, ids);
-        collect_branches(s->else_body, ids);
+        s->branch = next++;
+        number_branches(s->then_body, next);
+        number_branches(s->else_body, next);
     }
+}
+
+// Does any expression in the program read the ingress timestamp?
+bool expr_reads(const Expr& e, FieldRef ts) {
+    if (e.kind == Expr::Kind::field && e.fref == ts) return true;
+    if (e.a && expr_reads(*e.a, ts)) return true;
+    if (e.b && expr_reads(*e.b, ts)) return true;
+    if (e.c && expr_reads(*e.c, ts)) return true;
+    return false;
+}
+
+bool body_reads(const std::vector<StmtPtr>& body, FieldRef ts) {
+    for (const auto& stmt : body) {
+        if (stmt->value && expr_reads(*stmt->value, ts)) return true;
+        if (stmt->cond && expr_reads(*stmt->cond, ts)) return true;
+        if (stmt->index_expr && expr_reads(*stmt->index_expr, ts)) return true;
+        for (const auto& arg : stmt->action_args) {
+            if (arg && expr_reads(*arg, ts)) return true;
+        }
+        for (const auto& input : stmt->hash_inputs) {
+            if (input && expr_reads(*input, ts)) return true;
+        }
+        if (body_reads(stmt->then_body, ts)) return true;
+        if (body_reads(stmt->else_body, ts)) return true;
+    }
+    return false;
+}
+
+bool reads_timestamp(const Program& prog) {
+    const FieldRef ts = prog.f_timestamp;
+    if (!ts.valid()) return false;
+    if (body_reads(prog.ingress.body, ts)) return true;
+    if (prog.egress && body_reads(prog.egress->body, ts)) return true;
+    for (const auto& action : prog.actions) {
+        if (body_reads(action.body, ts)) return true;
+    }
+    for (const auto& st : prog.parser_states) {
+        for (const auto& op : st.ops) {
+            if (op.value && expr_reads(*op.value, ts)) return true;
+        }
+        for (const auto& key : st.transition.keys) {
+            if (key && expr_reads(*key, ts)) return true;
+        }
+    }
+    return false;
+}
+
+// Sets wire bit `bit` (bit 0 is the MSB of byte 0) of a word image.
+void set_wire_bit(std::vector<std::uint64_t>& image, std::size_t bit) {
+    auto* bytes = reinterpret_cast<std::uint8_t*>(image.data());
+    bytes[bit / 8] |= static_cast<std::uint8_t>(0x80u >> (bit % 8));
+}
+
+std::shared_ptr<const StateLayout> build_layout(const Program& prog) {
+    auto layout = std::make_shared<StateLayout>();
+    std::size_t field_count = 0;
+    for (const auto& h : prog.headers) field_count += h.fields.size();
+    layout->headers.reserve(prog.headers.size());
+    layout->digest.reserve(prog.headers.size());
+    layout->fields.reserve(field_count);
+    std::size_t word = 0;
+    for (const auto& h : prog.headers) {
+        StateLayout::Header lh;
+        lh.word = word;
+        lh.bits = static_cast<std::size_t>(h.size_bits);
+        lh.first_field = layout->fields.size();
+        lh.field_count = h.fields.size();
+        std::size_t end = lh.bits;
+        for (const auto& f : h.fields) {
+            end = std::max(end, static_cast<std::size_t>(f.offset + f.width));
+            layout->fields.push_back(
+                {word * 64 + static_cast<std::size_t>(f.offset), f.width});
+        }
+        const std::size_t words = (end + 63) / 64;
+        layout->headers.push_back(lh);
+        layout->digest.push_back({static_cast<std::uint32_t>(word),
+                                  static_cast<std::uint32_t>(words), h.is_metadata});
+        word += words;
+    }
+    // Every packet's reset writes these three without a lookup or a width
+    // check, so both happen here.
+    const auto resolve = [&](FieldRef ref, int width) {
+        if (!ref.valid() || prog.field(ref).width != width) {
+            throw std::logic_error("finalize: malformed standard metadata field " +
+                                   prog.field_name(ref));
+        }
+        const StateLayout::Header& h =
+            layout->headers[static_cast<std::size_t>(ref.header)];
+        return layout->fields[h.first_field + static_cast<std::size_t>(ref.field)];
+    };
+    layout->ingress_port = resolve(prog.f_ingress_port, 9);
+    layout->packet_length = resolve(prog.f_packet_length, 32);
+    layout->timestamp = resolve(prog.f_timestamp, 48);
+
+    layout->initial_valid.assign((prog.headers.size() + 63) / 64, 0);
+    layout->clobber_image.assign(word + 1, 0);  // plus the trailing zero word
+    for (std::size_t hi = 0; hi < prog.headers.size(); ++hi) {
+        const auto& h = prog.headers[hi];
+        if (!h.is_metadata) continue;
+        layout->initial_valid[hi / 64] |= 1ull << (hi % 64);
+        if (h.name == "standard_metadata") continue;
+        for (std::size_t fi = 0; fi < h.fields.size(); ++fi) {
+            const StateLayout::Field& f =
+                layout->fields[layout->headers[hi].first_field + fi];
+            // Value bit i sits at wire bit f.bit + width - 1 - i.
+            for (int i = 0; i < f.width; i += 2) {
+                set_wire_bit(layout->clobber_image,
+                             f.bit + static_cast<std::size_t>(f.width - 1 - i));
+            }
+        }
+    }
+    return layout;
 }
 
 }  // namespace
 
-std::unordered_map<const Stmt*, std::uint32_t> number_branches(const Program& prog) {
-    std::unordered_map<const Stmt*, std::uint32_t> ids;
-    collect_branches(prog.ingress.body, ids);
-    if (prog.egress) collect_branches(prog.egress->body, ids);
-    for (const auto& action : prog.actions) {
-        collect_branches(action.body, ids);
-    }
-    return ids;
+void finalize(Program& prog) {
+    prog.layout = build_layout(prog);
+    prog.coverage_salt = util::fnv1a_64(prog.name);
+    prog.reads_timestamp = reads_timestamp(prog);
+    std::uint32_t next = 0;
+    number_branches(prog.ingress.body, next);
+    if (prog.egress) number_branches(prog.egress->body, next);
+    for (auto& action : prog.actions) number_branches(action.body, next);
+    prog.branch_count = next;
 }
 
 }  // namespace ndb::p4::ir

@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "p4/ast.h"
@@ -139,6 +138,9 @@ struct Stmt {
     int hash_header = -1;        // checksum_update target header
     int checksum_field = -1;     // field index of the checksum within that header
 
+    // if_stmt: the branch's stable ordinal, assigned by finalize().
+    std::uint32_t branch = 0;
+
     StmtPtr clone() const;
 };
 
@@ -237,6 +239,44 @@ struct Control {
     std::vector<StmtPtr> body;
 };
 
+// --- packed state layout ---------------------------------------------------------------
+
+// Where a packet's parsed state lives in dataplane::PacketState: one buffer
+// of 64-bit words holding every header instance's wire image (network bit
+// order: bit 0 is the MSB of byte 0) at a word-aligned offset, followed by
+// one zero word so 8-byte field accesses never leave the buffer.  A pure
+// function of the headers, built once per image by finalize() and shared
+// read-only by every packet state of every device that loads the image.
+struct StateLayout {
+    struct Field {
+        std::size_t bit = 0;  // wire bit offset into the whole buffer
+        int width = 0;
+    };
+    struct Header {
+        std::size_t word = 0;   // first word of the image
+        std::size_t bits = 0;   // size_bits: the wire length
+        std::size_t first_field = 0;
+        std::size_t field_count = 0;
+    };
+    // What a stage digest folds for one header: its image padded to whole
+    // words, always for a metadata header, else only while valid.
+    struct DigestRun {
+        std::uint32_t word = 0;   // first word of the image
+        std::uint32_t words = 0;  // padded length in words
+        bool metadata = false;
+    };
+    std::vector<Header> headers;
+    std::vector<Field> fields;
+    std::vector<DigestRun> digest;  // parallel to headers
+    // The initial image under the metadata_clobber quirk, trailing zero
+    // word included, so its size is the image's: user metadata holds the
+    // alternating pattern (value bits 0, 2, 4, ...) of uninitialized memory.
+    std::vector<std::uint64_t> clobber_image;
+    std::vector<std::uint64_t> initial_valid;  // metadata headers set
+    // The standard metadata every packet's reset writes.
+    Field ingress_port, packet_length, timestamp;
+};
+
 // --- whole program -------------------------------------------------------------------
 
 struct Program {
@@ -271,19 +311,35 @@ struct Program {
     const Action* action_by_name(std::string_view name) const;
     const ExternDecl* extern_by_name(std::string_view name) const;
 
+    // What every device derives from the program alone, written once by
+    // finalize() and carried by clone(): each device and thread that loads
+    // the image reads these, and a program switch recomputes none of them.
+    std::shared_ptr<const StateLayout> layout;
+    // fnv1a_64(name), folded into every coverage slot the program's
+    // execution lights: program A's table #0 and program B's table #0 are
+    // different behaviour and must light different slots.
+    std::uint64_t coverage_salt = 0;
+    // Some expression reads f_timestamp (the expiry_off_by_one quirk only
+    // perturbs programs that age state off the clock).
+    bool reads_timestamp = false;
+    // if_stmt count; their `branch` ordinals are 0 .. branch_count - 1.
+    std::uint32_t branch_count = 0;
+
     // Deep copy: how target::Device::load(const Program&) makes a shared
-    // image that outlives the caller's program.
+    // image that outlives the caller's program.  The derived data above is
+    // copied, not recomputed (the layout is shared).
     Program clone() const;
 };
 
 // Value of egress_spec that marks a packet for drop.
 inline constexpr std::uint64_t kDropPort = 511;
 
-// Stable pre-order ordinal for every if_stmt in the program, walking
-// ingress, then egress, then actions by id.  The interpreter's runtime
-// branch-coverage slots and coverage::EdgeIndex's static site list both
-// derive from this single walk, so the ordinals can never drift between
-// them.
-std::unordered_map<const Stmt*, std::uint32_t> number_branches(const Program& prog);
+// Fills in the program's derived data: the state layout, the coverage
+// salt, the timestamp flag and the branch ordinals.  Ordinals follow one
+// stable pre-order walk of the if_stmts -- ingress, then egress, then
+// actions by id -- so the interpreter's runtime branch-coverage slots,
+// coverage::EdgeIndex's static site list and the concolic synthesizer all
+// read the same numbers.  The compiler calls it last.
+void finalize(Program& prog);
 
 }  // namespace ndb::p4::ir

@@ -44,10 +44,13 @@ const char* cell_kind_name(p4::ir::ExternDecl::Kind kind) {
 }
 }  // namespace
 
-Device::Device(DeviceConfig config) : config_(std::move(config)) {
+Device::Device(DeviceConfig config)
+    : config_(std::move(config)),
+      quirk_signature_(config_.quirks.signature()),
+      tables_(config_.quirks.table_size_clamp, config_.quirks.ternary_priority_inverted),
+      pipeline_(tables_, stateful_, dataplane::PipelineOptions{config_.quirks}) {
     config_.num_ports = std::max(config_.num_ports, 1);
-    cov_salt_ = util::fnv1a_64(config_.backend) ^
-                util::fnv1a_64(config_.quirks.signature());
+    cov_salt_ = util::fnv1a_64(config_.backend) ^ util::fnv1a_64(quirk_signature_);
     clock_ns_ = kClockEpochNs;
     egress_queues_.resize(static_cast<std::size_t>(config_.num_ports));
     for (auto& q : egress_queues_) q.reserve(kEgressQueueReserve);
@@ -57,38 +60,28 @@ Device::Device(DeviceConfig config) : config_(std::move(config)) {
 Status Device::load(std::shared_ptr<const p4::ir::Program> image) {
     if (!image) return Status::failure("load: null program image");
     if (image == prog_) {
-        // The image the device was built from: everything derived from it
-        // (table layout, extern shapes, pipeline) still holds, so only the
-        // dynamic state goes back to its freshly loaded values.
-        tables_->reset();
-        reset_state();
-        return Status::success();
+        // The image the device holds: its tables, externs and pipeline are
+        // already shaped for it, so only the dynamic state goes back to its
+        // freshly loaded values.
+        tables_.reset();
+        return reset_state();
+    }
+    if (!image->layout) {
+        return Status::failure("load: program '" + image->name +
+                               "' was not finalized by the compiler");
     }
     if (obs::metrics_on()) obs::count(obs::Counter::image_builds);
-    // Tear down what references the old image before it can be released.
-    pipeline_.reset();
-    stateful_.reset();
-    tables_.reset();
     prog_ = std::move(image);
-    tables_ = std::make_unique<dataplane::TableSet>(
-        *prog_, config_.quirks.table_size_clamp,
-        config_.quirks.ternary_priority_inverted);
-    stateful_ = std::make_unique<dataplane::StatefulSet>(*prog_);
-    dataplane::PipelineOptions options;
-    options.quirks = config_.quirks;
-    options.capture_digests = digests_enabled_;
-    pipeline_ = std::make_unique<dataplane::Pipeline>(*prog_, *tables_, *stateful_,
-                                                      std::move(options));
-    // A new image replaces the pipeline wholesale, so coverage mode must be
-    // re-applied here for the setting to survive an image swap.
-    pipeline_->set_coverage(coverage_, cov_salt_);
+    tables_.load(*prog_);
+    stateful_.load(*prog_);
+    pipeline_.load(*prog_);
     clear_dynamic_state();
     return Status::success();
 }
 
 void Device::set_coverage(coverage::CoverageMap* map) {
     coverage_ = map;
-    if (pipeline_) pipeline_->set_coverage(map, cov_salt_);
+    pipeline_.set_coverage(map, cov_salt_);
 }
 
 void Device::clear_dynamic_state() {
@@ -97,6 +90,7 @@ void Device::clear_dynamic_state() {
               control::PortCounters{});
     misdirected_ = 0;
     digests_.clear();
+    taps_.reached = 0;
 }
 
 const p4::ir::Program& Device::program() const {
@@ -110,15 +104,16 @@ const p4::ir::Program& Device::program() const {
 // that its one return is the named result, which the compiler builds in
 // the caller's frame instead of moving the whole result out per packet.
 void Device::inject(const packet::Packet& pkt) {
-    if (pipeline_) run_packet(pkt, false);
+    if (prog_) run_packet(pkt, nullptr);
 }
 
 dataplane::PipelineResult Device::trace(const packet::Packet& pkt) {
-    if (!pipeline_) return {};
-    return run_packet(pkt, true);
+    if (!prog_) return {};
+    return run_packet(pkt, &taps_);
 }
 
-dataplane::PipelineResult Device::run_packet(const packet::Packet& pkt, bool taps) {
+dataplane::PipelineResult Device::run_packet(const packet::Packet& pkt,
+                                             dataplane::StageTaps* taps) {
     packet::PacketMeta meta = pkt.meta;
     if (meta.rx_time_ns == 0) meta.rx_time_ns = clock_ns_;
     // The virtual clock tracks the line: one packet slot per injection, and
@@ -131,7 +126,7 @@ dataplane::PipelineResult Device::run_packet(const packet::Packet& pkt, bool tap
         rx.rx_bytes += pkt.size();
     }
 
-    dataplane::PipelineResult result = pipeline_->process(pkt, meta, taps);
+    dataplane::PipelineResult result = pipeline_.process(pkt, meta, taps);
 
     if (result.disposition == dataplane::Disposition::forwarded) {
         result.output.meta.tx_time_ns = meta.rx_time_ns + result.cycles * kNsPerCycle;
@@ -182,7 +177,7 @@ void Device::drain_port_into(std::uint32_t port, std::vector<packet::Packet>& ou
 
 void Device::set_digests_enabled(bool on) {
     digests_enabled_ = on;
-    if (pipeline_) pipeline_->set_capture_digests(on);
+    pipeline_.set_capture_digests(on);
 }
 
 // --- management plane ---------------------------------------------------------
@@ -291,7 +286,7 @@ Status Device::add_entry(const control::ConfigOp& op) {
         return Status::failure("add_entry requires an action");
     }
     if (Status s = translate_entry(*t, op.entry, entry_scratch_); !s) return s;
-    const dataplane::InsertStatus result = tables_->insert(t->id, entry_scratch_);
+    const dataplane::InsertStatus result = tables_.insert(t->id, entry_scratch_);
     if (result != dataplane::InsertStatus::ok) {
         return Status::failure(util::format("insert into '%s' failed: %s",
                                             t->name.c_str(),
@@ -308,8 +303,8 @@ Status Device::set_default_action(const control::ConfigOp& op) {
         !s) {
         return s;
     }
-    tables_->set_default_action(t->id, entry_scratch_.action_id,
-                                entry_scratch_.action_args);
+    tables_.set_default_action(t->id, entry_scratch_.action_id,
+                               entry_scratch_.action_args);
     return Status::success();
 }
 
@@ -319,7 +314,7 @@ Status Device::write_register(const control::ConfigOp& op) {
         !s) {
         return s;
     }
-    stateful_->register_write(e->id, op.index, op.value);
+    stateful_.register_write(e->id, op.index, op.value);
     return Status::success();
 }
 
@@ -340,7 +335,7 @@ Status Device::configure_meter(const control::ConfigOp& op) {
                 e->name.c_str(), which, rate));
         }
     }
-    stateful_->meter_configure(e->id, op.index, m.committed_rate_bps,
+    stateful_.meter_configure(e->id, op.index, m.committed_rate_bps,
                                m.committed_burst, m.excess_rate_bps,
                                m.excess_burst);
     return Status::success();
@@ -352,7 +347,7 @@ Status Device::read_register(const std::string& name, std::uint64_t index,
     if (Status s = find_cell(name, p4::ir::ExternDecl::Kind::reg, index, e); !s) {
         return s;
     }
-    out = stateful_->register_read(e->id, index);
+    out = stateful_.register_read(e->id, index);
     return Status::success();
 }
 
@@ -363,8 +358,8 @@ Status Device::read_counter(const std::string& name, std::uint64_t index,
         !s) {
         return s;
     }
-    out.packets = stateful_->counter_packets(e->id, index);
-    out.bytes = stateful_->counter_bytes(e->id, index);
+    out.packets = stateful_.counter_packets(e->id, index);
+    out.bytes = stateful_.counter_bytes(e->id, index);
     return Status::success();
 }
 
@@ -378,32 +373,32 @@ void Device::snapshot_into(control::StatusSnapshot& snap) {
     snap.taken_at_ns = clock_ns_;
     snap.ports = port_counters_;
     snap.misdirected = misdirected_;
-    snap.stages = pipeline_ ? pipeline_->counters() : dataplane::StageCounters{};
-    snap.tables.resize(prog_ && tables_ ? prog_->tables.size() : 0);
+    snap.stages = pipeline_.counters();
+    snap.tables.resize(prog_ ? prog_->tables.size() : 0);
     for (std::size_t i = 0; i < snap.tables.size(); ++i) {
         const p4::ir::Table& t = prog_->tables[i];
         control::TableStatus& status = snap.tables[i];
         status.name = t.name;
-        status.hits = tables_->stats(t.id).hits;
-        status.misses = tables_->stats(t.id).misses;
-        status.entries = tables_->entry_count(t.id);
-        status.capacity = tables_->capacity(t.id);
+        status.hits = tables_.stats(t.id).hits;
+        status.misses = tables_.stats(t.id).misses;
+        status.entries = tables_.entry_count(t.id);
+        status.capacity = tables_.capacity(t.id);
     }
-    if (!stateful_) {
+    if (!prog_) {
         snap.externs.clear();
         return;
     }
     if (obs::metrics_on()) {
-        obs::record(obs::Hist::stateful_touched_cells, stateful_->touched_cells());
+        obs::record(obs::Hist::stateful_touched_cells, stateful_.touched_cells());
     }
-    stateful_->info_into(snap.externs);
+    stateful_.info_into(snap.externs);
 }
 
 Status Device::reset_state() {
     clear_dynamic_state();
-    if (pipeline_) pipeline_->reset_counters();
-    if (tables_) tables_->reset_stats();
-    if (stateful_) stateful_->reset_state();
+    pipeline_.reset_counters();
+    tables_.reset_stats();
+    stateful_.reset_state();
     return Status::success();
 }
 

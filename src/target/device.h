@@ -16,7 +16,7 @@
 //                            faultable control/transport.h link, which is
 //                            how the multi-process campaign fabric and the
 //                            management-plane fuzzing mode drive a device);
-//   * the debug path      -- trace(), an inject() that also hands back the
+//   * the debug path      -- trace(), an inject() that also keeps the
 //                            packet's stage taps, and the streaming digest
 //                            ring: the internal visibility external testers
 //                            lack.
@@ -82,31 +82,45 @@ struct DeviceConfig {
 class Device final : public control::RuntimeApi {
 public:
     explicit Device(DeviceConfig config);
+    // The pipeline refers to the device's own table and extern stores.
+    Device(const Device&) = delete;
+    Device& operator=(const Device&) = delete;
 
-    // Installs a compiled program image.  The image is shared and
+    // Installs a compiled program image and leaves the device in its
+    // freshly loaded state: no entries, declared default actions, zeroed
+    // extern cells, counters, queues and digests.  The image is shared and
     // immutable: the device keeps the pointer, not a copy, so many devices
-    // (and worker threads) may hold one image at once.  Loading a different
-    // image replaces the previous program, its tables and its dynamic
-    // state.  Loading the image the device already holds returns it to its
-    // freshly loaded state in place -- no entries, declared default
-    // actions, zeroed extern cells, counters, queues and digests --
-    // without rebuilding the pipeline.  A null image is refused.
+    // (and worker threads) may hold one image at once, and everything
+    // derived from the program alone (state layout, branch ordinals,
+    // coverage salt) comes with the image instead of being rebuilt.
+    //
+    // A device builds its table set, extern store and pipeline once and
+    // switches images in place.  Loading the image it already holds resets
+    // that state.  Loading a different image refills the same storage for
+    // the new program: each table takes over an engine of its match kind,
+    // each extern a slot, and the pipeline, parser, interpreter and packet
+    // state keep every buffer they pooled.  So once a device has run a set
+    // of programs, switching among them allocates nothing.  A null image,
+    // or one the compiler never finalized, is refused.
     control::Status load(std::shared_ptr<const p4::ir::Program> image);
 
     // Convenience for callers that own a plain program: copies `prog` once
     // into a new shared image and loads that, so `prog` may be discarded
     // as soon as this returns.  A new image never matches the held one, so
-    // this path always rebuilds.
+    // this path always switches images (and copies the program).
     control::Status load(const p4::ir::Program& prog) {
         return load(std::make_shared<const p4::ir::Program>(prog.clone()));
     }
 
-    bool loaded() const { return pipeline_ != nullptr; }
+    bool loaded() const { return prog_ != nullptr; }
 
     // The installed image.  Throws std::logic_error when nothing is loaded.
     const p4::ir::Program& program() const;
 
     const DeviceConfig& config() const { return config_; }
+
+    // config().quirks.signature(), computed once.
+    const std::string& quirk_signature() const { return quirk_signature_; }
 
     // --- data path ----------------------------------------------------------
     // Runs one packet through the pipeline.  The stimulus is borrowed, not
@@ -140,12 +154,18 @@ public:
     // --- debug path ---------------------------------------------------------
     // Injects `pkt` exactly as inject() does -- the clock, counters, egress
     // queues and digest ring move the same way -- and returns everything
-    // the pipeline did with it, including a copy of the state after each
-    // stage the packet reached.  A forwarded packet is queued as usual and
-    // also stays in the result's `output`.  FaultLocalizer traces one
-    // stimulus on each of its two devices.  With no image loaded nothing
-    // runs and the result is default-constructed, no stage reached.
+    // the pipeline did with it.  A forwarded packet is queued as usual and
+    // also stays in the result's `output`.  A copy of the state after each
+    // stage the packet reached goes to taps(), overwriting the previous
+    // trace's copies in place, so a warm traced inject allocates nothing.
+    // FaultLocalizer traces one stimulus on each of its two devices.  With
+    // no image loaded nothing runs: the result is default-constructed and
+    // taps() holds no stage.
     dataplane::PipelineResult trace(const packet::Packet& pkt);
+
+    // The stage taps of the last trace(); no stage after a load or a
+    // reset_state().
+    const dataplane::StageTaps& taps() const { return taps_; }
 
     // Streaming digest mode: per-packet TapDigest records hashed in place
     // by the pipeline, with none of trace()'s PacketState copies.  Recording
@@ -210,10 +230,11 @@ public:
     control::Status reset_state() override;
 
 private:
-    // The body of inject() and trace() on a loaded device: `taps` asks the
-    // pipeline for its stage copies and keeps the forwarded packet in the
-    // result.
-    dataplane::PipelineResult run_packet(const packet::Packet& pkt, bool taps);
+    // The body of inject() and trace() on a loaded device: with `taps` the
+    // pipeline writes its stage copies there and the forwarded packet also
+    // stays in the result.
+    dataplane::PipelineResult run_packet(const packet::Packet& pkt,
+                                         dataplane::StageTaps* taps);
 
     // One ConfigOp kind each; apply(op) dispatches on the op's kind.
     control::Status add_entry(const control::ConfigOp& op);
@@ -243,15 +264,19 @@ private:
                                    const std::vector<util::Bitvec>& args,
                                    int& action_id,
                                    std::vector<util::Bitvec>& out_args) const;
-    // Clears queues, port counters and digests (shared by load and soft reset).
+    // Clears queues, port counters, digests and taps (shared by load and
+    // soft reset).
     void clear_dynamic_state();
 
     DeviceConfig config_;
+    std::string quirk_signature_;
 
     std::shared_ptr<const p4::ir::Program> prog_;  // shared, never mutated
-    std::unique_ptr<dataplane::TableSet> tables_;
-    std::unique_ptr<dataplane::StatefulSet> stateful_;
-    std::unique_ptr<dataplane::Pipeline> pipeline_;
+    // Built with the device and refilled by every load of another image.
+    dataplane::TableSet tables_;
+    dataplane::StatefulSet stateful_;
+    dataplane::Pipeline pipeline_;
+    dataplane::StageTaps taps_;
 
     // Per-port egress queues: pre-reserved vectors drained by moving the
     // elements out and keeping the capacity, so batched inject/drain rounds

@@ -29,12 +29,6 @@ void ConcolicSynthesizer::ensure_explored() {
     SymExecResult result = exec.explore();
     paths_ = std::move(result.paths);
     paths_exhausted_ = result.paths_exhausted;
-
-    const auto branch_ids = p4::ir::number_branches(prog_);
-    for (const auto& [stmt, id] : branch_ids) {
-        if (id >= branch_by_ordinal_.size()) branch_by_ordinal_.resize(id + 1);
-        branch_by_ordinal_[id] = stmt;
-    }
 }
 
 std::vector<const SymPath*> ConcolicSynthesizer::candidates(
@@ -68,17 +62,14 @@ std::vector<const SymPath*> ConcolicSynthesizer::candidates(
                                   static_cast<int>(site.a)) !=
                         path.actions_run.end();
                 break;
-            case Site::branch: {
-                const std::size_t ord = static_cast<std::size_t>(site.a);
-                const p4::ir::Stmt* stmt =
-                    ord < branch_by_ordinal_.size() ? branch_by_ordinal_[ord]
-                                                    : nullptr;
-                if (!stmt) break;
-                const std::pair<const p4::ir::Stmt*, bool> want{stmt, site.b != 0};
-                match = std::find(path.branches.begin(), path.branches.end(),
-                                  want) != path.branches.end();
+            case Site::branch:
+                match = std::any_of(
+                    path.branches.begin(), path.branches.end(),
+                    [&site](const std::pair<const p4::ir::Stmt*, bool>& b) {
+                        return b.first->branch == static_cast<std::uint64_t>(site.a) &&
+                               b.second == (site.b != 0);
+                    });
                 break;
-            }
         }
         if (match) out.push_back(&path);
     }

@@ -102,8 +102,6 @@ private:
     std::vector<SymPath> paths_;
     bool explored_ = false;
     bool paths_exhausted_ = false;
-    // Coverage branch ordinal -> if_stmt, for branch-site candidate lookup.
-    std::vector<const p4::ir::Stmt*> branch_by_ordinal_;
 };
 
 }  // namespace ndb::verify

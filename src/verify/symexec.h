@@ -53,8 +53,8 @@ struct SymPath {
     // State the parser terminated in: kAccept or kReject.
     int final_parser_state = p4::ir::kAccept;
     // Every if_stmt evaluated, with the direction taken.  Stmt pointers are
-    // stable (the IR is owned by the Program) and map to coverage ordinals
-    // via p4::ir::number_branches.
+    // stable (the IR is owned by the Program), and each carries its
+    // coverage ordinal (Stmt::branch).
     std::vector<std::pair<const p4::ir::Stmt*, bool>> branches;
     // Every action body entered (table hits and direct calls), in order.
     std::vector<int> actions_run;

@@ -2,10 +2,11 @@
 // (widths <= 64 never allocate) and word-level operation correctness
 // against a bit-at-a-time reference.  Plus the packet path's allocation
 // budget -- once warm, a device forwards and drops without allocating, a
-// whole scenario run refilled in place allocates nothing, and a traced
-// inject allocates only its stage-tap copies -- and the control path's:
-// re-applying exact entries after a same-image reload allocates nothing per
-// entry.
+// whole scenario run refilled in place allocates nothing, a traced inject
+// copies its stage taps into storage the device keeps, and switching among
+// programs a device has already run allocates nothing -- and the control
+// path's: re-applying exact entries after a same-image reload allocates
+// nothing per entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,8 @@
 #include "core/scenario_exec.h"
 #include "core/specgen.h"
 #include "core/tools.h"
+#include "coverage/coverage.h"
+#include "quirk_fixture.h"
 #include "target/device.h"
 #include "util/bitvec.h"
 #include "util/random.h"
@@ -231,10 +234,11 @@ TEST(PacketPathAlloc, WarmRefillAllocatesNothing) {
 
 TEST(PacketPathAlloc, WarmTappedInjectAllocatesOnlyItsStageCopies) {
     // Every catalogue program traced, as the localizer traces its trigger:
-    // once warm, a trace() allocates only the stage-tap PacketState copies
-    // the pipeline makes.  The result comes back by value and the queued
-    // output copy stays inline, so at most six allocations remain whether
-    // the packet is forwarded or dropped.
+    // once warm, a trace() copies the state after each stage into the
+    // device's tap states, which keep their storage from trace to trace.
+    // The result comes back by value and the queued output copy stays
+    // inline, so nothing is allocated whether the packet is forwarded or
+    // dropped.
     constexpr std::uint64_t kStream = 128;
     const ndb::core::SpecGenerator gen;
     std::uint64_t total = 0;
@@ -261,8 +265,12 @@ TEST(PacketPathAlloc, WarmTappedInjectAllocatesOnlyItsStageCopies) {
             const ndb::dataplane::PipelineResult traced = dev->trace(stream[i]);
             drain_all(*dev, drained);
             const std::uint64_t used = allocations() - before;
-            ASSERT_TRUE(traced.tap_after_parser.has_value()) << "packet " << i + 1;
-            EXPECT_LE(used, 6u) << "packet " << i + 1;
+            ASSERT_TRUE(dev->taps().has(ndb::dataplane::Stage::parser))
+                << "packet " << i + 1;
+            ASSERT_EQ(dev->taps().has(ndb::dataplane::Stage::ingress),
+                      traced.parser_verdict == ndb::dataplane::ParserVerdict::accept)
+                << "packet " << i + 1;
+            EXPECT_EQ(used, 0u) << "packet " << i + 1;
             program_total += used;
         }
         std::cout << sc.program << ": "
@@ -273,6 +281,65 @@ TEST(PacketPathAlloc, WarmTappedInjectAllocatesOnlyItsStageCopies) {
     }
     std::cout << "catalogue: " << static_cast<double>(total) / static_cast<double>(packets)
               << " allocations per traced inject\n";
+}
+
+TEST(ImageSwitchAlloc, WarmSwitchAllocatesNothing) {
+    // Each device configuration a campaign runs -- the reference and the
+    // ten single-flag DUTs -- cycles through the 18 catalogue programs the
+    // way a guided worker does: every program's scenario refilled into one
+    // DeviceRun with coverage attached, then one packet traced.  Once the
+    // device has run every program, loading another one refills its
+    // tables, externs, pipeline and packet state in place, so the switch
+    // allocates nothing, and the rest of the run allocates at most once per
+    // config op the device rejects (its Status message).
+    constexpr std::uint64_t kStream = 16;
+    const ndb::core::SpecGenerator gen;
+    std::vector<ndb::core::Scenario> scenarios;
+    std::vector<std::vector<ndb::packet::Packet>> streams;
+    for (std::size_t p = 0; p < gen.programs().size(); ++p) {
+        scenarios.push_back(gen.make_for(p, 11));
+        streams.push_back(catalogue_stream(scenarios.back(), kStream));
+    }
+    std::vector<ndb::core::BackendSpec> kinds{{"reference", std::nullopt, "reference"}};
+    for (const auto& fx : {ndb_test::seven_flag_fixture(), ndb_test::state_quirk_fixture()}) {
+        kinds.insert(kinds.end(), fx.duts.begin(), fx.duts.end());
+    }
+    ASSERT_EQ(kinds.size(), 11u);
+    for (const ndb::core::BackendSpec& kind : kinds) {
+        SCOPED_TRACE(kind.label);
+        auto dev = ndb::target::make_device(kind.name, kind.quirks);
+        ASSERT_NE(dev, nullptr);
+        ndb::coverage::CoverageMap map;
+        std::vector<ndb::coverage::SlotHits> lit;
+        ndb::core::DeviceRun run;
+        dev->set_coverage(&map);
+        std::uint64_t switch_total = 0;
+        std::uint64_t run_total = 0;
+        for (int cycle = 0; cycle < 2; ++cycle) {
+            for (std::size_t p = 0; p < scenarios.size(); ++p) {
+                SCOPED_TRACE(scenarios[p].program);
+                const std::uint64_t before = allocations();
+                ASSERT_TRUE(dev->load(scenarios[p].compiled));
+                const std::uint64_t switched = allocations();
+                ndb::core::run_scenario_on(*dev, scenarios[p], streams[p], 8, run);
+                (void)dev->trace(streams[p].front());
+                dev->flush();
+                map.take_hits_into(lit);
+                const std::uint64_t after = allocations();
+                if (cycle < 1) continue;  // the first cycle warms up
+                ASSERT_FALSE(lit.empty());
+                const auto rejected = static_cast<std::uint64_t>(
+                    std::count(run.config_ok.begin(), run.config_ok.end(), false));
+                EXPECT_EQ(switched - before, 0u) << "load() allocated";
+                EXPECT_LE(after - switched, rejected);
+                switch_total += switched - before;
+                run_total += after - switched;
+            }
+        }
+        std::cout << kind.label << ": " << switch_total << " allocations over "
+                  << scenarios.size() << " switches, " << run_total
+                  << " in their runs\n";
+    }
 }
 
 TEST(ControlPathAlloc, WarmReapplyAllocatesNothingPerExactEntry) {

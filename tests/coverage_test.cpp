@@ -112,8 +112,11 @@ TEST(CoverageMap, SlotAccountingAndMerge) {
         EXPECT_EQ(sparse.count(s), dense[s]) << "slot " << s;
     }
 
-    // take_hits() hands over the same list and leaves an empty map.
-    EXPECT_EQ(run.take_hits(), lit);
+    // take_hits_into() hands over the same list, in place of what the
+    // buffer held, and leaves an empty map.
+    std::vector<coverage::SlotHits> taken(3, coverage::SlotHits{1, 1});
+    run.take_hits_into(taken);
+    EXPECT_EQ(taken, lit);
     EXPECT_EQ(run, coverage::CoverageMap{});
     EXPECT_TRUE(run.hits().empty());
 }

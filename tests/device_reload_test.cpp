@@ -1,8 +1,9 @@
-// Same-image reload: a device asked to load the image it already holds
-// resets in place instead of rebuilding its tables and engines.  These tests
-// pin that the shortcut is invisible -- a dirtied device reloaded with the
+// Reloads in place: a device asked to load the image it already holds
+// resets its state, and a device switched to another image refills the
+// tables, externs and pipeline it already has.  These tests pin that both
+// are invisible -- a dirtied device reloaded with, or switched to, the
 // scenario's image runs the scenario exactly like a freshly built one -- and
-// that the load contract around it (zeroed cells, null images, callers
+// that the load contract around them (zeroed cells, null images, callers
 // discarding their program) still holds.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "core/scenario_exec.h"
 #include "core/specgen.h"
 #include "core/tools.h"
+#include "coverage/coverage.h"
 #include "p4/compiler.h"
 #include "p4/programs.h"
 #include "quirk_fixture.h"
@@ -192,6 +194,57 @@ TEST(DeviceReload, SameImageReloadMatchesAFreshDevice) {
                 const core::DeviceRun got =
                     core::run_scenario_on(*reused, sc, packets, 8);
                 expect_same_run(got, want, where);
+            }
+        }
+    }
+}
+
+TEST(DeviceReload, SwitchedImageMatchesAFreshDevice) {
+    // For every ordered pair (A, B) of catalogue programs on every device
+    // kind: one device runs A's scenario with coverage on and is left dirty
+    // (extra entries and changed defaults on every table, written
+    // registers, a configured meter, unread queues and digests, and A's
+    // coverage salt in its engines), then switches to B and refills the
+    // same DeviceRun with B's scenario.  B's run -- config, outputs, taps,
+    // snapshot -- and the coverage slots it lit must equal those of a
+    // fresh device.
+    const core::SpecGenerator gen;
+    std::vector<core::Scenario> scenarios;
+    std::vector<std::vector<packet::Packet>> streams;
+    for (std::size_t p = 0; p < gen.programs().size(); ++p) {
+        scenarios.push_back(gen.make_for(p, 17));
+        streams.push_back(core::scenario_packets(scenarios.back()));
+    }
+    ASSERT_EQ(scenarios.size(), 18u);
+    const std::vector<DeviceKind> kinds = device_kinds();
+    for (const DeviceKind& kind : kinds) {
+        std::vector<core::DeviceRun> want;
+        std::vector<std::vector<coverage::SlotHits>> want_lit;
+        for (std::size_t b = 0; b < scenarios.size(); ++b) {
+            auto fresh = kind.make();
+            coverage::CoverageMap map;
+            fresh->set_coverage(&map);
+            want.push_back(core::run_scenario_on(*fresh, scenarios[b], streams[b], 8));
+            want_lit.push_back(map.hits());
+            ASSERT_FALSE(want_lit.back().empty()) << scenarios[b].program;
+        }
+
+        auto reused = kind.make();
+        coverage::CoverageMap map;
+        reused->set_coverage(&map);
+        core::DeviceRun run;
+        for (std::size_t a = 0; a < scenarios.size(); ++a) {
+            for (std::size_t b = 0; b < scenarios.size(); ++b) {
+                if (a == b) continue;
+                const std::string where = scenarios[a].program + " -> " +
+                                          scenarios[b].program + " on " + kind.label;
+                core::run_scenario_on(*reused, scenarios[a], streams[a], 8, run);
+                dirty(*reused, scenarios[a], streams[a]);
+                map.clear();
+                core::run_scenario_on(*reused, scenarios[b], streams[b], 8, run);
+                EXPECT_EQ(&reused->program(), scenarios[b].compiled.get()) << where;
+                expect_same_run(run, want[b], where);
+                EXPECT_EQ(map.hits(), want_lit[b]) << where;
             }
         }
     }

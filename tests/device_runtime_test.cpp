@@ -410,7 +410,7 @@ TEST(DeviceRuntime, InjectBorrowsTheStimulusAndStampsItsOwnMeta) {
     EXPECT_EQ(traced.output.meta.id, 7u);
     EXPECT_EQ(traced.output.meta.tx_time_ns,
               stamp + traced.cycles * target::kNsPerCycle);
-    ASSERT_TRUE(traced.tap_after_parser.has_value());
+    ASSERT_TRUE(device->taps().has(dataplane::Stage::parser));
 
     const auto out = device->drain_port(1);
     ASSERT_EQ(out.size(), 1u);

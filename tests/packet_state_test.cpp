@@ -322,10 +322,12 @@ void expect_wide_pipeline_matches_model(std::vector<packet::Packet> sent) {
     dev->set_digests_enabled(true);
 
     std::vector<dataplane::PipelineResult> traced;
+    std::vector<dataplane::StageTaps> taps;
     for (std::size_t i = 0; i < sent.size(); ++i) {
         sent[i].meta.ingress_port = 0;
         sent[i].meta.rx_time_ns = 1'000'000 + i * 672;
         traced.push_back(dev->trace(sent[i]));
+        taps.push_back(dev->taps());
     }
     ASSERT_EQ(dev->digest_records().size(), sent.size());
     const std::vector<packet::Packet> out = dev->drain_port(1);
@@ -336,6 +338,7 @@ void expect_wide_pipeline_matches_model(std::vector<packet::Packet> sent) {
             "packet " + std::to_string(i) + " (" + std::to_string(sent[i].size()) + "B)";
         const packet::Packet& pkt = sent[i];
         const dataplane::PipelineResult& r = traced[i];
+        const dataplane::StageTaps& t = taps[i];
         const auto& d = dev->digest_records()[i];
         ASSERT_EQ(r.disposition, dataplane::Disposition::forwarded) << where;
 
@@ -344,8 +347,8 @@ void expect_wide_pipeline_matches_model(std::vector<packet::Packet> sent) {
         model_extract(*prog, model, first, pkt, 3);
         model_extract(*prog, model, second, pkt, 78);
         model.payload.assign(pkt.data().begin() + 20, pkt.data().end());
-        ASSERT_TRUE(r.tap_after_parser.has_value());
-        expect_agree(*prog, *r.tap_after_parser, model, where + " after parser");
+        ASSERT_TRUE(t.has(dataplane::Stage::parser));
+        expect_agree(*prog, t.at(dataplane::Stage::parser), model, where + " after parser");
         EXPECT_EQ(d.stage_hash[0], model_digest(*prog, model)) << where;
 
         // Ingress, field by field.
@@ -355,8 +358,9 @@ void expect_wide_pipeline_matches_model(std::vector<packet::Packet> sent) {
         f[fi(second)][1] = f[fi(first)][1].add(f[fi(second)][1]);
         f[fi(first)][2] = f[fi(second)][2];
         f[fi(prog->f_egress_spec.header)][fi(prog->f_egress_spec.field)] = Bitvec(9, 1);
-        ASSERT_TRUE(r.tap_after_ingress.has_value());
-        expect_agree(*prog, *r.tap_after_ingress, model, where + " after ingress");
+        ASSERT_TRUE(t.has(dataplane::Stage::ingress));
+        expect_agree(*prog, t.at(dataplane::Stage::ingress), model,
+                     where + " after ingress");
         EXPECT_EQ(d.stage_hash[1], model_digest(*prog, model)) << where;
 
         // The traced output and the drained one are the same packet.

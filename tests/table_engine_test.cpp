@@ -256,6 +256,46 @@ TEST(TableEngineDifferential, ClearResetsBothFamilies) {
     }
 }
 
+TEST(TableEngineDifferential, ReshapeActsLikeAFreshEngine) {
+    // A TableSet hands its engines from one program's tables to the next
+    // with reshape().  Each family, driven at one key shape, reshaped to
+    // another width and capacity, and driven again, must agree with its
+    // reference reshaped the same way: no entry, width or capacity of the
+    // earlier shape may survive.  The reshapes go wide -> narrow (with a
+    // capacity small enough to fill) -> wide.
+    struct Step {
+        KeyShape shape;
+        std::size_t capacity;
+    };
+    const std::vector<Step> exact_steps = {
+        {kShapes[3], 1024}, {kShapes[0], 4}, {kShapes[2], 256}};
+    const std::vector<Step> lpm_steps = {{{{48}}, 1024}, {{{16}}, 4}, {{{32}}, 256}};
+    for (const int family : {0, 1, 2}) {  // exact, lpm, ternary
+        SCOPED_TRACE(family);
+        const std::vector<Step>& steps = family == 1 ? lpm_steps : exact_steps;
+        const int width = steps[0].shape.total();
+        const std::size_t capacity = steps[0].capacity;
+        std::unique_ptr<MatchEngine> engine =
+            family == 0 ? dataplane::make_exact_engine(width, capacity)
+            : family == 1 ? dataplane::make_lpm_engine(width, capacity)
+                          : dataplane::make_ternary_engine(width, capacity, false);
+        std::unique_ptr<MatchEngine> naive =
+            family == 0 ? dataplane::make_naive_exact_engine(width, capacity)
+                        : dataplane::make_naive_ternary_engine(width, capacity, false);
+        Rng rng(4242 + static_cast<std::uint64_t>(family));
+        for (std::size_t i = 0; i < steps.size(); ++i) {
+            if (i > 0) {
+                engine->reshape(steps[i].shape.total(), steps[i].capacity);
+                naive->reshape(steps[i].shape.total(), steps[i].capacity);
+                ASSERT_EQ(engine->entry_count(), 0u);
+                ASSERT_EQ(naive->entry_count(), 0u);
+            }
+            drive_pair(*engine, *naive, rng, steps[i].shape, family == 1, family == 2,
+                       "reshaped");
+        }
+    }
+}
+
 TEST(TableEngineDifferential, TernaryTieBreaksOnInsertionOrder) {
     // Two overlapping rows with equal priority: the first inserted must win
     // in both families, under both priority orders.

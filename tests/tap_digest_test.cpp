@@ -31,11 +31,13 @@ using namespace ndb;
 
 // The digest of a materialized tap copy, rebuilt from its get() values.
 std::uint64_t copy_based_hash(const p4::ir::Program& prog,
-                              const std::optional<dataplane::PacketState>& tap) {
-    if (!tap) return 0x9e3779b97f4a7c15ull;  // sentinel: stage never reached
+                              const dataplane::StageTaps& taps,
+                              dataplane::Stage stage) {
+    if (!taps.has(stage)) return 0x9e3779b97f4a7c15ull;  // sentinel: not reached
+    const dataplane::PacketState& tap = taps.at(stage);
     return testutil::reference_digest(
-        prog, [&](int h) { return tap->header_valid(h); },
-        [&](int h, int f) { return tap->get({h, f}); });
+        prog, [&](int h) { return tap.header_valid(h); },
+        [&](int h, int f) { return tap.get({h, f}); });
 }
 
 // Traces a scenario's packet stream with streaming digests enabled and
@@ -49,8 +51,10 @@ void check_device(target::Device& dev, const core::Scenario& sc) {
 
     core::TestPacketGenerator pgen(sc.spec);
     std::vector<dataplane::PipelineResult> traced;
+    std::vector<dataplane::StageTaps> taps;
     for (std::uint64_t seq = 1; seq <= sc.spec.count; ++seq) {
         traced.push_back(dev.trace(pgen.make_packet(seq, 1'000'000 + (seq - 1) * 672)));
+        taps.push_back(dev.taps());
     }
     dev.flush();
 
@@ -64,11 +68,11 @@ void check_device(target::Device& dev, const core::Scenario& sc) {
         const dataplane::TapDigest& d = digests[i];
         EXPECT_EQ(d.verdict, r.parser_verdict) << "packet " << i + 1;
         EXPECT_EQ(d.disposition, r.disposition) << "packet " << i + 1;
-        EXPECT_EQ(d.stage_hash[0], copy_based_hash(prog, r.tap_after_parser))
+        EXPECT_EQ(d.stage_hash[0], copy_based_hash(prog, taps[i], dataplane::Stage::parser))
             << "parser tap, packet " << i + 1;
-        EXPECT_EQ(d.stage_hash[1], copy_based_hash(prog, r.tap_after_ingress))
+        EXPECT_EQ(d.stage_hash[1], copy_based_hash(prog, taps[i], dataplane::Stage::ingress))
             << "ingress tap, packet " << i + 1;
-        EXPECT_EQ(d.stage_hash[2], copy_based_hash(prog, r.tap_after_egress))
+        EXPECT_EQ(d.stage_hash[2], copy_based_hash(prog, taps[i], dataplane::Stage::egress))
             << "egress tap, packet " << i + 1;
     }
 }
