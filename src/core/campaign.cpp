@@ -50,61 +50,89 @@ std::string json_string_array(const std::vector<std::string>& items) {
 
 // --- engine -------------------------------------------------------------------
 
-std::vector<BackendSpec> resolve_duts(const CampaignConfig& config) {
-    std::vector<BackendSpec> duts = config.duts;
-    if (duts.empty()) {
-        for (const auto& name : target::registered_backends()) {
+SweepSetup prepare_sweep(const CampaignConfig& config) {
+    // Checked first: a malformed spec costs no compile.
+    const control::FaultPlan mgmt_plan =
+        control::FaultPlan::parse(config.mgmt_fault_plan);
+    // Mutants need the scheduler and synthesis needs the map, so either
+    // implies coverage.
+    const bool guided = config.coverage || config.mutate || config.concolic;
+    const SweepMode mode = !config.mutation_recipe.empty() ? SweepMode::replay
+                           : guided                        ? SweepMode::guided
+                                                           : SweepMode::uniform;
+    SweepSetup s{mode, SpecGenerator(config.programs), {}, {}, {}};
+
+    // An unknown backend is refused here, so neither engine starts (or
+    // forks) a worker that could only fail to build its devices.
+    const std::vector<std::string> backends = target::registered_backends();
+    const auto registered = [&backends](const std::string& name) {
+        return std::binary_search(backends.begin(), backends.end(), name);
+    };
+    if (!registered(config.reference_backend)) {
+        throw std::invalid_argument("campaign: unknown reference backend '" +
+                                    config.reference_backend + "'");
+    }
+    s.duts = config.duts;
+    if (s.duts.empty()) {
+        for (const auto& name : backends) {
             if (name == config.reference_backend) continue;
-            duts.push_back(BackendSpec{name, std::nullopt, name});
+            s.duts.push_back(BackendSpec{name, std::nullopt, name});
         }
     }
-    for (auto& d : duts) {
+    for (auto& d : s.duts) {
+        if (!registered(d.name)) {
+            throw std::invalid_argument("campaign: unknown backend '" + d.name + "'");
+        }
         if (d.label.empty()) d.label = d.name;
     }
-    return duts;
+
+    s.exec.batch_size = config.batch_size;
+    s.exec.minimize = config.minimize;
+    s.exec.localize = config.localize;
+    s.exec.coverage = guided;
+    s.exec.mgmt_plan = mgmt_plan;
+
+    CampaignReport& report = s.report;
+    report.base_seed = config.base_seed;
+    report.scenarios = s.mode == SweepMode::replay ? 1 : config.scenarios;
+    report.programs = s.gen.programs();
+    report.engine = dataplane::engine_name(dataplane::default_engine());
+    for (const auto& d : s.duts) report.backends.push_back(d.label);
+    report.coverage_enabled = guided;
+    report.concolic_enabled = config.concolic;
+    report.mgmt_enabled = s.exec.mgmt_plan.enabled();
+    if (guided) {
+        report.coverage_map_slots = coverage::CoverageMap::kSlots;
+        report.coverage_edges_dut.assign(s.duts.size(), 0);
+    }
+    return s;
+}
+
+CampaignStats sweep_stats(const CampaignReport& report,
+                          std::chrono::steady_clock::time_point t0) {
+    CampaignStats stats;
+    stats.wall_seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    if (stats.wall_seconds > 0) {
+        stats.scenarios_per_sec =
+            static_cast<double>(report.scenarios) / stats.wall_seconds;
+        stats.packets_per_sec =
+            static_cast<double>(report.packets_injected) / stats.wall_seconds;
+    }
+    return stats;
 }
 
 CampaignEngine::CampaignEngine(CampaignConfig config)
     : config_(std::move(config)) {}
 
 CampaignReport CampaignEngine::run() {
-    const std::vector<BackendSpec> duts = resolve_duts(config_);
-
-    if (config_.mutate) config_.coverage = true;    // mutants need the scheduler
-    if (config_.concolic) config_.coverage = true;  // synthesis needs the map
-
-    const SpecGenerator gen(config_.programs);
-
-    ExecOptions exec;
-    exec.batch_size = config_.batch_size;
-    exec.minimize = config_.minimize;
-    exec.localize = config_.localize;
-    exec.coverage = config_.coverage;
-    // throws std::invalid_argument on a malformed spec, before any work
-    exec.mgmt.plan = control::FaultPlan::parse(config_.mgmt_fault_plan);
-    exec.mgmt.enabled = exec.mgmt.plan.enabled();
-
-    CampaignReport report;
-    report.base_seed = config_.base_seed;
-    report.scenarios = config_.scenarios;
-    report.programs = gen.programs();
-    report.engine = dataplane::engine_name(dataplane::default_engine());
-    for (const auto& d : duts) report.backends.push_back(d.label);
-    report.coverage_enabled = config_.coverage;
-    report.concolic_enabled = config_.concolic;
-    report.mgmt_enabled = exec.mgmt.enabled;
-    if (config_.coverage) {
-        report.coverage_map_slots = coverage::CoverageMap::kSlots;
-        report.coverage_edges_dut.assign(duts.size(), 0);
-    }
-
-    // `recipe` is the slot's mutation parentage ("" = fresh seed); it rides
-    // into every DivergenceRecord so reports stay replayable.
-    const auto run_one = [&](WorkerContext& ctx, const Scenario& sc,
-                             ScenarioOutcome& outcome,
-                             const std::string& recipe) {
-        execute_scenario(ctx, sc, duts, exec, outcome, recipe);
-    };
+    SweepSetup sweep = prepare_sweep(config_);
+    const SpecGenerator& gen = sweep.gen;
+    const Mutator mutator(gen);
+    const std::vector<BackendSpec>& duts = sweep.duts;
+    const ExecOptions& exec = sweep.exec;
+    CampaignReport& report = sweep.report;
 
     // An exception anywhere in a worker (unknown backend, a device refusing
     // an image) must surface to the caller, not std::terminate the process:
@@ -161,19 +189,30 @@ CampaignReport CampaignEngine::run() {
     // Merge in scenario order so the report never depends on scheduling
     // (see ReportBuilder::fold).
     ReportBuilder builder(report);
-    const auto fold_outcome = [&](ScenarioOutcome& outcome) {
-        return builder.fold(outcome);
+    // With coverage on, each outcome's lit slots merge into one campaign
+    // map, reference first, and the fresh edges are credited to the report;
+    // returns the fresh reference and DUT edge counts.
+    coverage::CoverageMap global;
+    const auto merge_coverage = [&](const ScenarioOutcome& outcome) {
+        const std::size_t ref_edges = global.merge_new_from(outcome.coverage);
+        report.coverage_edges_reference += ref_edges;
+        std::size_t dut_edges = 0;
+        for (std::size_t d = 0; d < outcome.dut_coverage.size(); ++d) {
+            const std::size_t fresh = global.merge_new_from(outcome.dut_coverage[d]);
+            report.coverage_edges_dut[d] += fresh;
+            dut_edges += fresh;
+        }
+        return std::pair{ref_edges, dut_edges};
     };
 
     const auto t0 = std::chrono::steady_clock::now();
-    if (!config_.mutation_recipe.empty()) {
+    if (sweep.mode == SweepMode::replay) {
         // Single-recipe replay: run exactly the recorded scenario through
         // the ordinary detection/triage path.  This is how a mutated or
         // concolically synthesized corpus entry (or a report's parentage
         // recipe) reproduces its divergence.  The two recipe grammars are
         // mutually unparseable ('#' vs '@' head), so trying concolic first
         // can never misread a mutation recipe.
-        const Mutator mutator(gen);
         Scenario sc;
         if (const auto conc = ConcolicRecipe::parse(config_.mutation_recipe)) {
             sc = mutator.apply_concolic(*conc);
@@ -186,26 +225,18 @@ CampaignReport CampaignEngine::run() {
             throw std::invalid_argument("campaign: unparseable recipe '" +
                                         config_.mutation_recipe + "'");
         }
-        report.scenarios = 1;
         std::vector<ScenarioOutcome> outcomes(1);
         run_pool(1, [&](WorkerContext& ctx, std::uint64_t) {
-            run_one(ctx, sc, outcomes[0], config_.mutation_recipe);
+            execute_scenario(ctx, sc, duts, exec, outcomes[0],
+                             config_.mutation_recipe);
         });
-        fold_outcome(outcomes[0]);
-        if (config_.coverage) {
-            coverage::CoverageMap global;
-            report.coverage_edges_reference +=
-                global.merge_new_from(outcomes[0].coverage);
-            for (std::size_t d = 0; d < outcomes[0].dut_coverage.size(); ++d) {
-                report.coverage_edges_dut[d] +=
-                    global.merge_new_from(outcomes[0].dut_coverage[d]);
-            }
-            report.coverage_edges =
-                static_cast<std::uint64_t>(global.edges_covered());
-            report.coverage_series.push_back({1, report.coverage_edges});
-            if (config_.coverage_map_out) *config_.coverage_map_out = global;
+        builder.fold(outcomes[0]);
+        if (exec.coverage) {
+            merge_coverage(outcomes[0]);
+            report.coverage_series.push_back(
+                {1, static_cast<std::uint64_t>(global.edges_covered())});
         }
-    } else if (!config_.coverage) {
+    } else if (sweep.mode == SweepMode::uniform) {
         // Uniform sweep: every seed in [base, base + scenarios) once.  Jobs
         // claim the seeds grouped by program (seed order within a program),
         // so a worker's devices build each image once and reset in place
@@ -219,9 +250,10 @@ CampaignReport CampaignEngine::run() {
                  [&](WorkerContext& ctx, std::uint64_t position) {
                      const std::uint64_t index = order[position];
                      const Scenario sc = gen.make(config_.base_seed + index);
-                     run_one(ctx, sc, outcomes[index], std::string());
+                     execute_scenario(ctx, sc, duts, exec, outcomes[index],
+                                      std::string());
                  });
-        for (auto& outcome : outcomes) fold_outcome(outcome);
+        for (auto& outcome : outcomes) builder.fold(outcome);
     } else {
         // Guided mode: deterministic rounds.  Each round the scheduler
         // apportions the budget across programs from the feedback merged so
@@ -229,8 +261,6 @@ CampaignReport CampaignEngine::run() {
         // recipe -- are fixed before any worker starts, so thread count
         // never changes what runs or how it merges.
         coverage::CorpusScheduler scheduler(gen.programs().size());
-        coverage::CoverageMap global;
-        const Mutator mutator(gen);
         ScenarioCorpus corpus;
         if (config_.mutate && !config_.corpus_dir.empty()) {
             // A damaged recipe file is an error, like a malformed fault
@@ -281,11 +311,6 @@ CampaignReport CampaignEngine::run() {
         std::uint64_t ref_salt = 0;
         if (config_.concolic) {
             oracle = target::make_device(config_.reference_backend);
-            if (!oracle) {
-                throw std::invalid_argument(
-                    "campaign: unknown reference backend '" +
-                    config_.reference_backend + "'");
-            }
             ref_salt = oracle->coverage_salt();
         }
         const std::uint64_t round_cap =
@@ -365,7 +390,10 @@ CampaignReport CampaignEngine::run() {
                         ? gen.make_for(slots[i].program, slots[i].seed)
                         : mutator.apply(slots[i].recipe);
                 outcomes[i].clear();
-                run_one(ctx, sc, outcomes[i], slots[i].recipe_text);
+                // The slot's parentage rides into every finding, so reports
+                // stay replayable.
+                execute_scenario(ctx, sc, duts, exec, outcomes[i],
+                                 slots[i].recipe_text);
             });
             // Round barrier: fold outcomes in slot order, then reward each
             // program with its per-scenario energy gain (new reference and
@@ -374,18 +402,8 @@ CampaignReport CampaignEngine::run() {
             // mutation corpus.
             std::vector<double> gain(plan.size(), 0.0);
             for (std::size_t i = 0; i < slots.size(); ++i) {
-                const bool fresh = fold_outcome(outcomes[i]);
-                const std::size_t ref_edges =
-                    global.merge_new_from(outcomes[i].coverage);
-                report.coverage_edges_reference += ref_edges;
-                std::size_t dut_edges = 0;
-                for (std::size_t d = 0; d < outcomes[i].dut_coverage.size();
-                     ++d) {
-                    const std::size_t fresh_dut =
-                        global.merge_new_from(outcomes[i].dut_coverage[d]);
-                    report.coverage_edges_dut[d] += fresh_dut;
-                    dut_edges += fresh_dut;
-                }
+                const bool fresh = builder.fold(outcomes[i]);
+                const auto [ref_edges, dut_edges] = merge_coverage(outcomes[i]);
                 gain[slots[i].program] +=
                     static_cast<double>(ref_edges) / 8.0 +
                     static_cast<double>(dut_edges) / 16.0 + (fresh ? 1.0 : 0.0);
@@ -485,7 +503,7 @@ CampaignReport CampaignEngine::run() {
                             recipe.defaults.push_back(std::move(d));
                         }
                         // Relight check: inject the synthesized scenario on
-                        // the oracle exactly the way run_one will and
+                        // the oracle exactly the way its slot will run and
                         // require the target slot to light.  A model the
                         // interpreter disagrees with is a verify-layer bug
                         // and must not pollute the corpus.
@@ -494,8 +512,7 @@ CampaignReport CampaignEngine::run() {
                             scenario_packets(sc);
                         coverage::CoverageMap scratch;
                         oracle->set_coverage(&scratch);
-                        run_scenario_on(*oracle, sc, packets,
-                                        config_.batch_size);
+                        run_scenario_on(*oracle, sc, packets, exec.batch_size);
                         oracle->set_coverage(nullptr);
                         if (scratch.count(seed.target.slot) == 0) {
                             ++report.concolic_mismatched;
@@ -529,21 +546,13 @@ CampaignReport CampaignEngine::run() {
             }
             ++round_index;
         }
-        report.coverage_edges =
-            static_cast<std::uint64_t>(global.edges_covered());
+    }
+    if (exec.coverage) {
+        report.coverage_edges = static_cast<std::uint64_t>(global.edges_covered());
         if (config_.coverage_map_out) *config_.coverage_map_out = global;
     }
-    const auto t1 = std::chrono::steady_clock::now();
-
-    stats_.wall_seconds =
-        std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0).count();
-    if (stats_.wall_seconds > 0) {
-        stats_.scenarios_per_sec =
-            static_cast<double>(config_.scenarios) / stats_.wall_seconds;
-        stats_.packets_per_sec =
-            static_cast<double>(report.packets_injected) / stats_.wall_seconds;
-    }
-    return report;
+    stats_ = sweep_stats(report, t0);
+    return std::move(report);
 }
 
 // --- report rendering ---------------------------------------------------------

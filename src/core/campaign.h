@@ -135,12 +135,6 @@ struct CampaignConfig {
     std::string mgmt_fault_plan;
 };
 
-// The per-DUT backend list with defaults applied: empty `duts` expands to
-// every registered backend except the reference, and empty labels default
-// to the backend name.  Shared by CampaignEngine and FabricEngine so both
-// sweep the identical backend set in the identical order.
-std::vector<BackendSpec> resolve_duts(const CampaignConfig& config);
-
 struct DivergenceRecord {
     std::uint64_t seed = 0;
     std::string backend;   // BackendSpec label

@@ -139,12 +139,14 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
 // --- worker process -----------------------------------------------------------
 
 // Event loop of one forked worker: answer heartbeats, execute job shards
-// through the shared execute_scenario() core, stream results back.  Exits
-// via _Exit (never returns into the parent's stack): the forked child must
-// not run the parent's atexit/static-destructor chain.
+// through the shared execute_scenario() core, stream results back.  The
+// sweep and its run order are the parent's, inherited through fork(); a
+// job's start and count name positions in `order`.  Exits via _Exit (never
+// returns into the parent's stack): the forked child must not run the
+// parent's atexit/static-destructor chain.
 [[noreturn]] void worker_main(int fd, const FabricConfig& cfg,
-                              const std::vector<BackendSpec>& duts,
-                              const ExecOptions& exec,
+                              const SweepSetup& sweep,
+                              const std::vector<std::uint64_t>& order,
                               const control::FaultPlan& link_plan,
                               std::uint64_t link_salt) {
     try {
@@ -155,11 +157,6 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
         control::FdTransport transport(fd);
         control::FaultInjector out(link_plan, link_salt);
         wire::FrameReader reader;
-        const SpecGenerator gen(cfg.campaign.programs);
-        // The parent's run order, rebuilt here: a job's start and count
-        // name positions in it.
-        const std::vector<std::uint64_t> order = gen.program_grouped_order(
-            cfg.campaign.base_seed, cfg.campaign.scenarios);
         std::unique_ptr<WorkerContext> ctx;
         // Injector decisions already reported to the parent (each result
         // frame carries the delta, so the parent can aggregate link faults
@@ -233,7 +230,7 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
                         }
                         if (!ctx) {
                             ctx = std::make_unique<WorkerContext>(
-                                cfg.campaign.reference_backend, duts);
+                                cfg.campaign.reference_backend, sweep.duts);
                         }
                         wire::Writer w;
                         w.u64(frame.seq);  // shard id
@@ -241,11 +238,11 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
                         faults_reported = out.faults();
                         w.u32(count);
                         for (std::uint32_t k = 0; k < count; ++k) {
-                            const Scenario sc = gen.make(
+                            const Scenario sc = sweep.gen.make(
                                 cfg.campaign.base_seed + order[start + k]);
                             ScenarioOutcome outcome;
-                            execute_scenario(*ctx, sc, duts, exec, outcome,
-                                             std::string());
+                            execute_scenario(*ctx, sc, sweep.duts, sweep.exec,
+                                             outcome, std::string());
                             write_outcome(w, outcome);
                         }
                         wire::Frame res;
@@ -295,7 +292,7 @@ FabricEngine::FabricEngine(FabricConfig config)
     : config_(std::move(config)) {}
 
 CampaignReport FabricEngine::run() {
-    CampaignConfig& cc = config_.campaign;
+    const CampaignConfig& cc = config_.campaign;
 
     if (config_.workers < 1 || config_.workers > 64) {
         throw std::invalid_argument("fabric: workers must be in [1, 64]");
@@ -305,35 +302,18 @@ CampaignReport FabricEngine::run() {
         throw std::invalid_argument(util::format(
             "fabric: shard size must be in [1, %zu]", wire::kMaxSequenceItems));
     }
-    if (cc.coverage || cc.mutate || cc.concolic || !cc.mutation_recipe.empty()) {
+    // Parsed up front, before any fork: a malformed spec must be a clean
+    // invalid_argument, not a worker crash loop.
+    const control::FaultPlan link_plan =
+        control::FaultPlan::parse(config_.link_fault_plan);
+    SweepSetup sweep = prepare_sweep(cc);
+    if (sweep.mode != SweepMode::uniform) {
         throw std::invalid_argument(
             "fabric: only the uniform sweep shards across processes "
             "(coverage/mutation/concolic modes keep their feedback loops at "
             "round barriers inside one process)");
     }
-
-    const std::vector<BackendSpec> duts = resolve_duts(cc);
-    const SpecGenerator gen(cc.programs);
-
-    ExecOptions exec;
-    exec.batch_size = cc.batch_size;
-    exec.minimize = cc.minimize;
-    exec.localize = cc.localize;
-    exec.coverage = false;
-    // Both plans parse up front, before any fork: a malformed spec must be
-    // a clean invalid_argument, not a worker crash loop.
-    exec.mgmt.plan = control::FaultPlan::parse(cc.mgmt_fault_plan);
-    exec.mgmt.enabled = exec.mgmt.plan.enabled();
-    const control::FaultPlan link_plan =
-        control::FaultPlan::parse(config_.link_fault_plan);
-
-    CampaignReport report;
-    report.base_seed = cc.base_seed;
-    report.scenarios = cc.scenarios;
-    report.programs = gen.programs();
-    report.engine = dataplane::engine_name(dataplane::default_engine());
-    for (const auto& d : duts) report.backends.push_back(d.label);
-    report.mgmt_enabled = exec.mgmt.enabled;
+    CampaignReport& report = sweep.report;
     report.fabric_enabled = true;
     report.fabric.workers = static_cast<std::uint64_t>(config_.workers);
     if (obs::metrics_on()) {
@@ -347,7 +327,7 @@ CampaignReport FabricEngine::run() {
     // so each worker meets the programs in order and its devices build
     // each image once; outcomes land at their seed's index.
     const std::vector<std::uint64_t> order =
-        gen.program_grouped_order(cc.base_seed, cc.scenarios);
+        sweep.gen.program_grouped_order(cc.base_seed, cc.scenarios);
     std::deque<Shard> pending;
     const std::uint64_t total_shards =
         (cc.scenarios + config_.shard_size - 1) / config_.shard_size;
@@ -402,7 +382,7 @@ CampaignReport FabricEngine::run() {
                 util::fnv1a_64("ndb.fabric.worker") ^
                 (slot_index + 1) * 0x9e3779b97f4a7c15ull ^
                 static_cast<std::uint64_t>(s.restarts) * 0xc2b2ae3d27d4eb4full;
-            worker_main(sv[1], config_, duts, exec, link_plan, salt);
+            worker_main(sv[1], config_, sweep, order, link_plan, salt);
         }
         ::close(sv[1]);
         if (obs::metrics_on()) obs::count(obs::Counter::worker_spawns);
@@ -633,17 +613,8 @@ CampaignReport FabricEngine::run() {
         builder.fold(*outcomes[i]);
     }
 
-    const auto t1 = Clock::now();
-    stats_.wall_seconds =
-        std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-            .count();
-    if (stats_.wall_seconds > 0) {
-        stats_.scenarios_per_sec =
-            static_cast<double>(cc.scenarios) / stats_.wall_seconds;
-        stats_.packets_per_sec =
-            static_cast<double>(report.packets_injected) / stats_.wall_seconds;
-    }
-    return report;
+    stats_ = sweep_stats(report, t0);
+    return std::move(report);
 }
 
 }  // namespace ndb::core

@@ -51,8 +51,10 @@ public:
     explicit FabricEngine(FabricConfig config);
 
     // Forks the workers, runs the sweep, reaps everything.  Throws
-    // std::invalid_argument for unsupported campaign modes and
-    // std::runtime_error when a worker slot exceeds its respawn budget.
+    // std::invalid_argument before any fork for a worker count or shard size
+    // out of range, a malformed fault plan (link or management) or a
+    // campaign mode other than the uniform sweep, and std::runtime_error
+    // when a worker slot exceeds its respawn budget.
     CampaignReport run();
 
     const CampaignStats& stats() const { return stats_; }

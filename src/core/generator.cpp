@@ -1,11 +1,13 @@
 #include "core/generator.h"
 
+#include "packet/protocols.h"
+
 namespace ndb::core {
 
 void TestPacketGenerator::write_stamp(packet::Packet& pkt, std::uint64_t seq,
                                       std::uint64_t t_ns) {
-    if (pkt.size() < kStampBytes + 14) pkt.resize(kStampBytes + 14);
-    const std::size_t base = pkt.size() - kStampBytes;
+    if (pkt.size() < packet::kMinStampedBytes) pkt.resize(packet::kMinStampedBytes);
+    const std::size_t base = pkt.size() - packet::kStampBytes;
     for (int i = 0; i < 8; ++i) {
         pkt.set_byte(base + static_cast<std::size_t>(i),
                      static_cast<std::uint8_t>(seq >> (56 - 8 * i)));
@@ -16,8 +18,8 @@ void TestPacketGenerator::write_stamp(packet::Packet& pkt, std::uint64_t seq,
 
 bool TestPacketGenerator::read_stamp(const packet::Packet& pkt, std::uint64_t& seq,
                                      std::uint64_t& t_ns) {
-    if (pkt.size() < kStampBytes) return false;
-    const std::size_t base = pkt.size() - kStampBytes;
+    if (pkt.size() < packet::kStampBytes) return false;
+    const std::size_t base = pkt.size() - packet::kStampBytes;
     seq = 0;
     t_ns = 0;
     for (int i = 0; i < 8; ++i) {

@@ -14,9 +14,8 @@
 
 namespace ndb::core {
 
-// Payload stamp layout (from the packet tail): 8-byte seq, 8-byte timestamp.
-inline constexpr std::size_t kStampBytes = 16;
-
+// Stamps every packet with its sequence number and inject time in the
+// layout packet::kStampBytes describes.
 class TestPacketGenerator {
 public:
     explicit TestPacketGenerator(const TestSpec& spec) : spec_(spec) {}

@@ -410,14 +410,11 @@ Scenario Mutator::apply(const MutationRecipe& recipe) const {
                 const Scenario donor = gen_->make_for(idx, op.b);
                 const std::size_t prefix = op.a % (s.config.size() + 1);
                 s.config.resize(prefix);
-                const std::string name = s.spec.name;
                 s.spec = donor.spec;
-                s.spec.name = name;
                 break;
             }
         }
     }
-    s.spec.name += util::format("~m%zu", recipe.ops.size());
     return s;
 }
 
@@ -474,8 +471,6 @@ Scenario Mutator::apply_concolic(const ConcolicRecipe& recipe) const {
     }
 
     TestSpec spec;
-    spec.name = util::format("%s~c%llu", recipe.program.c_str(),
-                             static_cast<unsigned long long>(recipe.slot));
     spec.tmpl.base = packet::Packet(recipe.packet);
     spec.inject_port = recipe.ingress_port;
     spec.count = 1;

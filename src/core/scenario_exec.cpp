@@ -1,6 +1,7 @@
 #include "core/scenario_exec.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string_view>
 
@@ -23,9 +24,9 @@ std::uint64_t stamp_seq(const packet::Packet& pkt) {
 // Mixes (plan seed, program, scenario seed, DUT index) into the per-run
 // fault-schedule seed.  Pure, so the identical schedule replays in any
 // thread, worker process, or standalone reproduction of the scenario.
-std::uint64_t derive_mgmt_seed(const MgmtLink& base, const Scenario& sc,
-                               std::size_t dut_index) {
-    std::uint64_t h = base.plan.seed;
+std::uint64_t derive_mgmt_seed(const control::FaultPlan& base,
+                               const Scenario& sc, std::size_t dut_index) {
+    std::uint64_t h = base.seed;
     h ^= util::fnv1a_64(sc.program);
     h ^= sc.seed * 0x9e3779b97f4a7c15ull;
     h ^= (dut_index + 1) * 0xc2b2ae3d27d4eb4full;
@@ -60,12 +61,13 @@ void scenario_packets(const Scenario& sc, std::vector<packet::Packet>& out) {
     const std::uint64_t slot_ns =
         sc.spec.rate_pps > 0
             ? static_cast<std::uint64_t>(1e9 / sc.spec.rate_pps + 0.5)
-            : kSlotNs;
+            : target::kNsPerPacket;
     TestPacketGenerator pgen(sc.spec);
     out.clear();
     out.reserve(sc.spec.count);
     for (std::uint64_t seq = 1; seq <= sc.spec.count; ++seq) {
-        out.push_back(pgen.make_packet(seq, kEpochNs + (seq - 1) * slot_ns));
+        out.push_back(
+            pgen.make_packet(seq, target::kClockEpochNs + (seq - 1) * slot_ns));
     }
 }
 
@@ -77,7 +79,8 @@ std::vector<packet::Packet> scenario_packets(const Scenario& sc) {
 
 DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
                           std::span<const packet::Packet> packets,
-                          std::size_t batch_size, const MgmtLink* mgmt,
+                          std::size_t batch_size,
+                          const control::FaultPlan* mgmt,
                           ChannelAccounting* acct) {
     DeviceRun run;
     run_scenario_on(dev, sc, packets, batch_size, run, mgmt, acct);
@@ -87,7 +90,7 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
 void run_scenario_on(target::Device& dev, const Scenario& sc,
                      std::span<const packet::Packet> packets,
                      std::size_t batch_size, DeviceRun& run,
-                     const MgmtLink* mgmt, ChannelAccounting* acct) {
+                     const control::FaultPlan* mgmt, ChannelAccounting* acct) {
     run.config_ok.clear();
     run.config_wire_fail.clear();
     run.observed.clear();
@@ -102,12 +105,12 @@ void run_scenario_on(target::Device& dev, const Scenario& sc,
     }
     run.config_ok.reserve(sc.config.size());
     run.config_wire_fail.reserve(sc.config.size());
-    if (mgmt != nullptr && mgmt->enabled) {
+    if (mgmt != nullptr && mgmt->enabled()) {
         // Deliver the configuration the way the paper's management
         // interface would: serialized frames over a (faultable) link, with
         // the resilient client retrying under its budget.
         control::LoopbackTransport transport(dev);
-        transport.set_fault_plan(mgmt->plan);
+        transport.set_fault_plan(*mgmt);
         control::WireChannel channel(transport);
         control::RuntimeClient client(channel);
         // The whole scenario's configuration rides one ApplyConfigReq frame;
@@ -168,48 +171,62 @@ void run_scenario_on(target::Device& dev, const Scenario& sc,
     dev.snapshot_into(run.snapshot);
 }
 
-std::optional<RawDivergence> diff_runs(const DeviceRun& dut,
-                                       const DeviceRun& ref) {
+namespace {
+
+// Where a DUT run first differs from the reference run: the check that
+// failed and the position it failed at (a config op, table, extern, packet,
+// output or stage-counter index).
+struct RunDifference {
+    enum class Check : std::uint8_t {
+        config_op, table_shape, extern_state, meter_config, tap, output_port,
+        output_bytes, output_length, stage_counter, table_stats
+    };
+    Check check;
+    std::size_t index;
+};
+
+struct StageCounter {
+    const char* name;
+    std::uint64_t dut, ref;
+};
+
+std::array<StageCounter, 8> stage_counters(const DeviceRun& dut,
+                                           const DeviceRun& ref) {
+    const auto& ds = dut.snapshot.stages;
+    const auto& gs = ref.snapshot.stages;
+    return {{
+        {"parser_in", ds.parser_in, gs.parser_in},
+        {"parser_accepted", ds.parser_accepted, gs.parser_accepted},
+        {"parser_rejected", ds.parser_rejected, gs.parser_rejected},
+        {"parser_errors", ds.parser_errors, gs.parser_errors},
+        {"ingress_dropped", ds.ingress_dropped, gs.ingress_dropped},
+        {"egress_dropped", ds.egress_dropped, gs.egress_dropped},
+        {"forwarded", ds.forwarded, gs.forwarded},
+        {"misdirected", dut.snapshot.misdirected, ref.snapshot.misdirected},
+    }};
+}
+
+// diff_runs' search, in its causal order.  It compares and never formats,
+// so minimize asks whether a replay diverges without allocating.
+std::optional<RunDifference> first_difference(const DeviceRun& dut,
+                                              const DeviceRun& ref) {
+    using Check = RunDifference::Check;
     for (std::size_t i = 0; i < dut.config_ok.size() && i < ref.config_ok.size();
          ++i) {
         if (dut.config_ok[i] != ref.config_ok[i]) {
-            // A wire-layer loss on the DUT's (faulted) management channel
-            // where the reference's clean channel delivered: the management
-            // plane itself diverged, not the device runtime.
-            if (i < dut.config_wire_fail.size() && dut.config_wire_fail[i]) {
-                return RawDivergence{
-                    "mgmt",
-                    util::format("config op #%zu lost on the management wire: "
-                                 "dut=timed-out golden=%s",
-                                 i, ref.config_ok[i] ? "ok" : "rejected"),
-                    0};
-            }
-            return RawDivergence{
-                "config",
-                util::format("config op #%zu: dut=%s golden=%s", i,
-                             dut.config_ok[i] ? "ok" : "rejected",
-                             ref.config_ok[i] ? "ok" : "rejected"),
-                0};
+            return RunDifference{Check::config_op, i};
         }
     }
 
     // Static table shape is control-plane visible before any packet flows:
     // a clamped capacity or a rejected insert shows up here.
-    for (std::size_t i = 0;
-         i < dut.snapshot.tables.size() && i < ref.snapshot.tables.size(); ++i) {
+    const std::size_t tables =
+        std::min(dut.snapshot.tables.size(), ref.snapshot.tables.size());
+    for (std::size_t i = 0; i < tables; ++i) {
         const auto& dt = dut.snapshot.tables[i];
         const auto& gt = ref.snapshot.tables[i];
         if (dt.capacity != gt.capacity || dt.entries != gt.entries) {
-            return RawDivergence{
-                "config",
-                util::format("table %s shape: dut entries=%llu/%llu golden "
-                             "entries=%llu/%llu",
-                             dt.name.c_str(),
-                             static_cast<unsigned long long>(dt.entries),
-                             static_cast<unsigned long long>(dt.capacity),
-                             static_cast<unsigned long long>(gt.entries),
-                             static_cast<unsigned long long>(gt.capacity)),
-                0};
+            return RunDifference{Check::table_shape, i};
         }
     }
 
@@ -224,24 +241,10 @@ std::optional<RawDivergence> diff_runs(const DeviceRun& dut,
         const auto& de = dut.snapshot.externs[i];
         const auto& ge = ref.snapshot.externs[i];
         if (de.state_hash != ge.state_hash) {
-            return RawDivergence{
-                "state",
-                util::format("%s %s state hash: dut=%016llx golden=%016llx",
-                             de.kind.c_str(), de.name.c_str(),
-                             static_cast<unsigned long long>(de.state_hash),
-                             static_cast<unsigned long long>(ge.state_hash)),
-                0};
+            return RunDifference{Check::extern_state, i};
         }
         if (de.unconfigured_meters != ge.unconfigured_meters) {
-            return RawDivergence{
-                "state",
-                util::format("meter %s unconfigured cells: dut=%llu golden=%llu",
-                             de.name.c_str(),
-                             static_cast<unsigned long long>(
-                                 de.unconfigured_meters),
-                             static_cast<unsigned long long>(
-                                 ge.unconfigured_meters)),
-                0};
+            return RunDifference{Check::meter_config, i};
         }
     }
 
@@ -251,9 +254,90 @@ std::optional<RawDivergence> diff_runs(const DeviceRun& dut,
     // line up whenever both devices ran the same stream.
     if (dut.taps.size() == ref.taps.size()) {
         for (std::size_t i = 0; i < dut.taps.size(); ++i) {
-            const TapDigest& d = dut.taps[i];
-            const TapDigest& g = ref.taps[i];
-            if (d == g) continue;
+            if (!(dut.taps[i] == ref.taps[i])) return RunDifference{Check::tap, i};
+        }
+    }
+
+    const std::size_t n = std::min(dut.observed.size(), ref.observed.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        const StreamItem& d = dut.observed[i];
+        const StreamItem& g = ref.observed[i];
+        if (d.port != g.port) return RunDifference{Check::output_port, i};
+        if (!d.pkt.same_bytes(g.pkt)) return RunDifference{Check::output_bytes, i};
+    }
+    if (dut.observed.size() != ref.observed.size()) {
+        return RunDifference{Check::output_length, n};
+    }
+
+    const std::array<StageCounter, 8> counters = stage_counters(dut, ref);
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+        if (counters[i].dut != counters[i].ref) {
+            return RunDifference{Check::stage_counter, i};
+        }
+    }
+    for (std::size_t i = 0; i < tables; ++i) {
+        const auto& dt = dut.snapshot.tables[i];
+        const auto& gt = ref.snapshot.tables[i];
+        if (dt.hits != gt.hits || dt.misses != gt.misses) {
+            return RunDifference{Check::table_stats, i};
+        }
+    }
+    return std::nullopt;
+}
+
+// The finding first_difference() located: its kind, the human-readable
+// detail with both runs' values, and the 1-based packet it names (0 when
+// the check is not about one packet).
+RawDivergence describe(const RunDifference& diff, const DeviceRun& dut,
+                       const DeviceRun& ref) {
+    using Check = RunDifference::Check;
+    using ull = unsigned long long;
+    const std::size_t i = diff.index;
+    const char* const acceptance[] = {"rejected", "ok"};
+    switch (diff.check) {
+        case Check::config_op:
+            // A wire-layer loss on the DUT's (faulted) management channel
+            // where the reference's clean channel delivered: the management
+            // plane itself diverged, not the device runtime.
+            if (i < dut.config_wire_fail.size() && dut.config_wire_fail[i]) {
+                return {"mgmt",
+                        util::format("config op #%zu lost on the management "
+                                     "wire: dut=timed-out golden=%s",
+                                     i, acceptance[ref.config_ok[i]]),
+                        0};
+            }
+            return {"config",
+                    util::format("config op #%zu: dut=%s golden=%s", i,
+                                 acceptance[dut.config_ok[i]],
+                                 acceptance[ref.config_ok[i]]),
+                    0};
+        case Check::table_shape: {
+            const auto &dt = dut.snapshot.tables[i], &gt = ref.snapshot.tables[i];
+            return {"config",
+                    util::format("table %s shape: dut entries=%llu/%llu golden "
+                                 "entries=%llu/%llu",
+                                 dt.name.c_str(), ull(dt.entries), ull(dt.capacity),
+                                 ull(gt.entries), ull(gt.capacity)),
+                    0};
+        }
+        case Check::extern_state: {
+            const auto &de = dut.snapshot.externs[i], &ge = ref.snapshot.externs[i];
+            return {"state",
+                    util::format("%s %s state hash: dut=%016llx golden=%016llx",
+                                 de.kind.c_str(), de.name.c_str(),
+                                 ull(de.state_hash), ull(ge.state_hash)),
+                    0};
+        }
+        case Check::meter_config: {
+            const auto &de = dut.snapshot.externs[i], &ge = ref.snapshot.externs[i];
+            return {"state",
+                    util::format("meter %s unconfigured cells: dut=%llu golden=%llu",
+                                 de.name.c_str(), ull(de.unconfigured_meters),
+                                 ull(ge.unconfigured_meters)),
+                    0};
+        }
+        case Check::tap: {
+            const TapDigest &d = dut.taps[i], &g = ref.taps[i];
             std::string what;
             if (d.verdict != g.verdict) {
                 what = util::format("parser verdict dut=%s golden=%s",
@@ -273,85 +357,57 @@ std::optional<RawDivergence> diff_runs(const DeviceRun& dut,
                 what = util::format("egress port dut=%u golden=%u", d.egress_port,
                                     g.egress_port);
             }
-            return RawDivergence{
-                "internal",
-                util::format("packet #%zu: %s", i + 1, what.c_str()),
-                static_cast<std::uint64_t>(i + 1)};
+            return {"internal", util::format("packet #%zu: %s", i + 1, what.c_str()),
+                    static_cast<std::uint64_t>(i + 1)};
+        }
+        case Check::output_port: {
+            const StreamItem &d = dut.observed[i], &g = ref.observed[i];
+            return {"output",
+                    util::format("output #%zu egress port: dut=%u golden=%u", i,
+                                 d.port, g.port),
+                    stamp_seq(g.pkt)};
+        }
+        case Check::output_bytes: {
+            const StreamItem &d = dut.observed[i], &g = ref.observed[i];
+            return {"output",
+                    util::format("output #%zu bytes differ on port %u (%zuB vs %zuB)",
+                                 i, d.port, d.pkt.size(), g.pkt.size()),
+                    stamp_seq(g.pkt)};
+        }
+        case Check::output_length: {
+            const bool dut_longer = dut.observed.size() > ref.observed.size();
+            return {"output",
+                    util::format("output stream length: dut=%zu golden=%zu",
+                                 dut.observed.size(), ref.observed.size()),
+                    stamp_seq((dut_longer ? dut.observed : ref.observed)[i].pkt)};
+        }
+        case Check::stage_counter: {
+            const StageCounter c = stage_counters(dut, ref)[i];
+            return {"snapshot",
+                    util::format("stage counter %s: dut=%llu golden=%llu", c.name,
+                                 ull(c.dut), ull(c.ref)),
+                    0};
+        }
+        case Check::table_stats: {
+            const auto &dt = dut.snapshot.tables[i], &gt = ref.snapshot.tables[i];
+            return {"snapshot",
+                    util::format("table %s: dut hits=%llu misses=%llu, golden "
+                                 "hits=%llu misses=%llu",
+                                 dt.name.c_str(), ull(dt.hits), ull(dt.misses),
+                                 ull(gt.hits), ull(gt.misses)),
+                    0};
         }
     }
+    throw std::logic_error("diff_runs: unknown check");
+}
 
-    const std::size_t n = std::min(dut.observed.size(), ref.observed.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        const StreamItem& d = dut.observed[i];
-        const StreamItem& g = ref.observed[i];
-        if (d.port != g.port) {
-            return RawDivergence{
-                "output",
-                util::format("output #%zu egress port: dut=%u golden=%u", i,
-                             d.port, g.port),
-                stamp_seq(g.pkt)};
-        }
-        if (!d.pkt.same_bytes(g.pkt)) {
-            return RawDivergence{
-                "output",
-                util::format("output #%zu bytes differ on port %u (%zuB vs %zuB)",
-                             i, d.port, d.pkt.size(), g.pkt.size()),
-                stamp_seq(g.pkt)};
-        }
-    }
-    if (dut.observed.size() != ref.observed.size()) {
-        const bool dut_longer = dut.observed.size() > ref.observed.size();
-        const StreamItem& extra = dut_longer ? dut.observed[n] : ref.observed[n];
-        return RawDivergence{
-            "output",
-            util::format("output stream length: dut=%zu golden=%zu",
-                         dut.observed.size(), ref.observed.size()),
-            stamp_seq(extra.pkt)};
-    }
+}  // namespace
 
-    const auto& ds = dut.snapshot.stages;
-    const auto& gs = ref.snapshot.stages;
-    const struct {
-        const char* name;
-        std::uint64_t d, g;
-    } counters[] = {
-        {"parser_in", ds.parser_in, gs.parser_in},
-        {"parser_accepted", ds.parser_accepted, gs.parser_accepted},
-        {"parser_rejected", ds.parser_rejected, gs.parser_rejected},
-        {"parser_errors", ds.parser_errors, gs.parser_errors},
-        {"ingress_dropped", ds.ingress_dropped, gs.ingress_dropped},
-        {"egress_dropped", ds.egress_dropped, gs.egress_dropped},
-        {"forwarded", ds.forwarded, gs.forwarded},
-        {"misdirected", dut.snapshot.misdirected, ref.snapshot.misdirected},
-    };
-    for (const auto& c : counters) {
-        if (c.d != c.g) {
-            return RawDivergence{
-                "snapshot",
-                util::format("stage counter %s: dut=%llu golden=%llu", c.name,
-                             static_cast<unsigned long long>(c.d),
-                             static_cast<unsigned long long>(c.g)),
-                0};
-        }
-    }
-    for (std::size_t i = 0;
-         i < dut.snapshot.tables.size() && i < ref.snapshot.tables.size(); ++i) {
-        const auto& dt = dut.snapshot.tables[i];
-        const auto& gt = ref.snapshot.tables[i];
-        if (dt.hits != gt.hits || dt.misses != gt.misses) {
-            return RawDivergence{
-                "snapshot",
-                util::format("table %s: dut hits=%llu misses=%llu, golden "
-                             "hits=%llu misses=%llu",
-                             dt.name.c_str(),
-                             static_cast<unsigned long long>(dt.hits),
-                             static_cast<unsigned long long>(dt.misses),
-                             static_cast<unsigned long long>(gt.hits),
-                             static_cast<unsigned long long>(gt.misses)),
-                0};
-        }
-    }
-    return std::nullopt;
+std::optional<RawDivergence> diff_runs(const DeviceRun& dut,
+                                       const DeviceRun& ref) {
+    const std::optional<RunDifference> diff = first_difference(dut, ref);
+    if (!diff) return std::nullopt;
+    return describe(*diff, dut, ref);
 }
 
 void execute_scenario(WorkerContext& ctx, const Scenario& sc,
@@ -393,11 +449,11 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         // DUT) derived schedule seed.  Triage replays below reuse the same
         // link, so they see the identical fault schedule the detection run
         // did -- the divergence reproduces, deterministically.
-        MgmtLink link = options.mgmt;
-        const MgmtLink* mgmt = nullptr;
-        if (link.enabled) {
-            link.plan.seed = derive_mgmt_seed(options.mgmt, sc, d);
-            mgmt = &link;
+        control::FaultPlan plan = options.mgmt_plan;
+        const control::FaultPlan* mgmt = nullptr;
+        if (plan.enabled()) {
+            plan.seed = derive_mgmt_seed(options.mgmt_plan, sc, d);
+            mgmt = &plan;
         }
         // The DUT's detection run records the same way (backend-salted
         // inside the device); triage replays below run with coverage
@@ -435,7 +491,7 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
                 run_scenario_on(dut, sc, prefix, options.batch_size, u, mgmt,
                                 &outcome.mgmt);
                 outcome.packets += r.injected + u.injected;
-                if (diff_runs(u, r)) {
+                if (first_difference(u, r)) {
                     rec.minimized_count = k;
                     rec.minimized_reproduces = true;
                     break;

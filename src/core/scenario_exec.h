@@ -11,7 +11,7 @@
 // execute_scenario() and fold the outcomes through the same ReportBuilder
 // in the same deterministic order.
 //
-// Management-plane fault injection (ExecOptions::mgmt): DUT configuration
+// Management-plane fault injection (ExecOptions::mgmt_plan): DUT configuration
 // is delivered through a control::WireChannel over a fault-injected
 // loopback transport while the reference's channel stays clean.  A config
 // op that exhausts its retry budget fails with a "wire: ..." Status; the
@@ -19,6 +19,7 @@
 // management plane itself as a divergence surface.
 #pragma once
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,6 +28,7 @@
 
 #include "control/transport.h"
 #include "core/campaign.h"
+#include "core/specgen.h"
 #include "coverage/coverage.h"
 #include "dataplane/digest.h"
 #include "dataplane/engine.h"
@@ -34,14 +36,6 @@
 #include "target/device.h"
 
 namespace ndb::core {
-
-// Injection timeline: fixed epoch + one 84-byte wire slot per packet, the
-// same on every device.  Pinning rx_time explicitly (instead of letting each
-// device stamp its own clock) keeps scenario behaviour independent of how
-// many scenarios a worker's reused devices have already processed -- the
-// determinism-under-sharding contract depends on it.
-inline constexpr std::uint64_t kEpochNs = 1'000'000;
-inline constexpr std::uint64_t kSlotNs = 672;
 
 struct StreamItem {
     std::uint32_t port = 0;
@@ -126,15 +120,13 @@ struct WorkerContext {
                   dataplane::Engine = dataplane::Engine::interpreter);
 };
 
-// A DUT's management-channel configuration: the fault plan applied to its
-// config delivery (the client retries under WireChannel's default budget).
-struct MgmtLink {
-    bool enabled = false;
-    control::FaultPlan plan;
-};
-
-// The scenario's packet stream on the fixed kEpochNs/kSlotNs timeline,
-// written into `out` (cleared first; its capacity is kept).
+// The scenario's packet stream on the device clock's timeline: packet `seq`
+// is stamped target::kClockEpochNs + (seq - 1) slots, a slot being
+// target::kNsPerPacket unless the spec sets a rate.  Pinning rx_time
+// explicitly (instead of letting each device stamp its own clock) keeps
+// scenario behaviour independent of how many scenarios a worker's reused
+// devices have already processed -- the determinism-under-sharding contract
+// depends on it.  Written into `out` (cleared first; its capacity is kept).
 void scenario_packets(const Scenario& sc, std::vector<packet::Packet>& out);
 std::vector<packet::Packet> scenario_packets(const Scenario& sc);
 
@@ -142,41 +134,44 @@ std::vector<packet::Packet> scenario_packets(const Scenario& sc);
 // keeps every capacity, so a run refilled on the device that holds the
 // scenario's image allocates nothing (a rejected config op allocates its
 // Status message).  `packets` is borrowed, so a triage replay passes a
-// prefix of the stream without copying it.  When `mgmt` is non-null and
-// enabled, configuration is applied through a faulted wire channel
-// (accounting accumulated into `acct` when non-null); otherwise config ops
-// hit the device runtime one at a time.
+// prefix of the stream without copying it.  When `mgmt` names an enabled
+// fault plan, configuration is applied through a wire channel faulted by it
+// (the client retries under WireChannel's default budget; accounting
+// accumulates into `acct` when non-null); otherwise config ops hit the
+// device runtime one at a time.
 void run_scenario_on(target::Device& dev, const Scenario& sc,
                      std::span<const packet::Packet> packets,
                      std::size_t batch_size, DeviceRun& run,
-                     const MgmtLink* mgmt = nullptr,
+                     const control::FaultPlan* mgmt = nullptr,
                      ChannelAccounting* acct = nullptr);
 
 // The same run into a fresh DeviceRun.
 DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
                           std::span<const packet::Packet> packets,
                           std::size_t batch_size,
-                          const MgmtLink* mgmt = nullptr,
+                          const control::FaultPlan* mgmt = nullptr,
                           ChannelAccounting* acct = nullptr);
 
 // First observable difference between a DUT run and the reference run, in
 // causal order: config acceptance, table shape (capacity and entries),
 // extern state, stage taps, the output stream, stage counters, and table
-// hits and misses.
+// hits and misses.  The search itself formats nothing; only a difference
+// it finds is described.
 std::optional<RawDivergence> diff_runs(const DeviceRun& dut,
                                        const DeviceRun& ref);
 
-// Knobs execute_scenario() needs from CampaignConfig (kept separate so the
-// fabric worker ships options, not the whole config).
+// Knobs execute_scenario() needs from CampaignConfig, derived once by
+// prepare_sweep().  Fabric workers inherit them through fork().
 struct ExecOptions {
     std::size_t batch_size = 8;
     bool minimize = true;
     bool localize = true;
     bool coverage = false;
-    // Base management link; execute_scenario derives the per-(scenario,
-    // DUT) plan seed from it, so the schedule is identical no matter which
-    // thread, worker or process runs the slot.
-    MgmtLink mgmt;
+    // Fault plan for every DUT's management channel (disabled = config ops
+    // go straight to the device runtime).  execute_scenario derives the
+    // per-(scenario, DUT) plan seed from it, so the schedule is identical no
+    // matter which thread, worker or process runs the slot.
+    control::FaultPlan mgmt_plan;
 };
 
 // Runs `sc` on the pool and appends triaged findings to `outcome` --
@@ -187,6 +182,38 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
                       const std::vector<BackendSpec>& duts,
                       const ExecOptions& options, ScenarioOutcome& outcome,
                       const std::string& recipe);
+
+// How a campaign runs its scenarios.
+enum class SweepMode {
+    uniform,  // every seed in [base_seed, base_seed + scenarios) once
+    guided,   // coverage, mutate or concolic: scheduler rounds
+    replay,   // exactly the scenario of CampaignConfig::mutation_recipe
+};
+
+// Everything a sweep needs from its CampaignConfig, derived once and shared
+// by CampaignEngine and FabricEngine, so the two cannot drift apart.
+struct SweepSetup {
+    SweepMode mode = SweepMode::uniform;
+    SpecGenerator gen;
+    std::vector<BackendSpec> duts;  // sweep order, labels filled in
+    ExecOptions exec;
+    // The report before any scenario runs: seeds, programs, backend labels,
+    // engine and which optional blocks it renders.
+    CampaignReport report;
+};
+
+// Derives the sweep: the mode; the generator over config.programs; the
+// DUTs, where an empty list means every registered backend but the
+// reference and an empty label the backend name; the execution options,
+// where coverage, mutate and concolic each turn coverage recording on
+// (also in a replay); and the report header.  Throws std::invalid_argument
+// for an unknown program or backend or a malformed mgmt_fault_plan, before
+// any scenario runs or any worker forks.
+SweepSetup prepare_sweep(const CampaignConfig& config);
+
+// Wall-clock throughput of `report`'s scenarios and packets since `t0`.
+CampaignStats sweep_stats(const CampaignReport& report,
+                          std::chrono::steady_clock::time_point t0);
 
 // Folds outcomes into a CampaignReport in call order.  Callers feed
 // outcomes in deterministic scenario order; dedup keeps the first finding

@@ -9,7 +9,6 @@
 #include "p4/programs.h"
 #include "packet/protocols.h"
 #include "util/random.h"
-#include "util/strings.h"
 
 namespace ndb::core {
 
@@ -532,8 +531,6 @@ Scenario SpecGenerator::build(Rng& rng, std::size_t which,
     s.seed = seed;
     s.program = programs_[which];
     s.compiled = compiled_[which];
-    s.spec.name = util::format("%s#%llu", s.program.c_str(),
-                               static_cast<unsigned long long>(seed));
     s.spec.inject_port = static_cast<std::uint32_t>(rng.next_range(0, 3));
     s.spec.count = rng.next_range(4, 12);
     s.spec.tmpl.seed = rng.next_u64();

@@ -6,7 +6,6 @@
 // loop derives it by running the same stream on the reference backend.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "packet/packet.h"
@@ -38,7 +37,6 @@ struct PacketTemplate {
 };
 
 struct TestSpec {
-    std::string name;
     PacketTemplate tmpl;
     std::uint32_t inject_port = 0;
     std::uint64_t count = 1;

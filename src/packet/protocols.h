@@ -36,6 +36,13 @@ struct EthernetHeader {
     void write(Packet& p, std::size_t offset) const;
 };
 
+// The test packet generator's stamp (core::TestPacketGenerator): the last
+// kStampBytes of every generated packet hold its 8-byte sequence number and
+// 8-byte inject time, and a shorter packet first grows to kMinStampedBytes
+// (an Ethernet header plus the stamp).
+inline constexpr std::size_t kStampBytes = 16;
+inline constexpr std::size_t kMinStampedBytes = EthernetHeader::kSize + kStampBytes;
+
 struct Ipv4Header {
     static constexpr std::size_t kSize = 20;  // no options in this model
     std::uint8_t version = 4;

@@ -426,9 +426,13 @@ dataplane::Quirks sdnet_quirks() {
 
 namespace {
 
+// Keyed by backend name; the builtins are there before any registration.
 struct Registry {
     std::mutex mutex;
-    std::map<std::string, DeviceFactory> factories;
+    std::map<std::string, DeviceConfig, std::less<>> backends{
+        {"reference", DeviceConfig{}},
+        {"sdnet", DeviceConfig{.backend = "sdnet", .quirks = sdnet_quirks()}},
+    };
 };
 
 Registry& registry() {
@@ -436,74 +440,37 @@ Registry& registry() {
     return r;
 }
 
-bool register_locked(const std::string& name, DeviceFactory factory) {
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    return r.factories.emplace(name, std::move(factory)).second;
-}
-
-void ensure_builtin_backends() {
-    static const bool once = [] {
-        register_locked("reference", [](std::optional<dataplane::Quirks> q) {
-            DeviceConfig cfg;
-            if (q) cfg.quirks = *q;
-            return make_reference_device(std::move(cfg));
-        });
-        register_locked("sdnet", [](std::optional<dataplane::Quirks> q) {
-            // Build directly so an explicit all-defaults override yields a
-            // quirk-free device (make_sdnet_device would re-apply the
-            // catalogue, which is right for it but wrong for an override).
-            DeviceConfig cfg;
-            cfg.backend = "sdnet";
-            cfg.quirks = q ? *q : sdnet_quirks();
-            return std::make_unique<Device>(std::move(cfg));
-        });
-        return true;
-    }();
-    (void)once;
-}
-
 }  // namespace
 
-std::unique_ptr<Device> make_reference_device(DeviceConfig config) {
-    if (config.backend.empty()) config.backend = "reference";
-    return std::make_unique<Device>(std::move(config));
-}
-
-std::unique_ptr<Device> make_sdnet_device(DeviceConfig config) {
-    if (config.backend.empty()) config.backend = "sdnet";
-    if (!config.quirks.any()) config.quirks = sdnet_quirks();
-    return std::make_unique<Device>(std::move(config));
-}
-
-bool register_backend(const std::string& name, DeviceFactory factory) {
-    // Builtins first, so a client registration can never shadow them.
-    ensure_builtin_backends();
-    return register_locked(name, std::move(factory));
+bool register_backend(DeviceConfig config) {
+    if (config.backend.empty()) return false;
+    Registry& r = registry();
+    const std::lock_guard<std::mutex> lock(r.mutex);
+    std::string name = config.backend;
+    return r.backends.emplace(std::move(name), std::move(config)).second;
 }
 
 std::vector<std::string> registered_backends() {
-    ensure_builtin_backends();
     Registry& r = registry();
     const std::lock_guard<std::mutex> lock(r.mutex);
     std::vector<std::string> names;
-    names.reserve(r.factories.size());
-    for (const auto& [name, factory] : r.factories) names.push_back(name);
+    names.reserve(r.backends.size());
+    for (const auto& [name, config] : r.backends) names.push_back(name);
     return names;
 }
 
 std::unique_ptr<Device> make_device(std::string_view name,
                                     std::optional<dataplane::Quirks> quirks_override) {
-    ensure_builtin_backends();
-    DeviceFactory factory;
+    DeviceConfig config;
     {
         Registry& r = registry();
         const std::lock_guard<std::mutex> lock(r.mutex);
-        const auto it = r.factories.find(std::string(name));
-        if (it == r.factories.end()) return nullptr;
-        factory = it->second;
+        const auto it = r.backends.find(name);
+        if (it == r.backends.end()) return nullptr;
+        config = it->second;
     }
-    return factory(std::move(quirks_override));
+    if (quirks_override) config.quirks = *quirks_override;
+    return std::make_unique<Device>(std::move(config));
 }
 
 }  // namespace ndb::target

@@ -23,14 +23,13 @@
 //
 // Backends differ only in how faithfully they execute P4: the reference
 // backend implements the language semantics exactly, the SDNet-like backend
-// carries the paper's bug catalogue as a dataplane::Quirks value.  New
-// backends register themselves with register_backend() so campaigns and the
-// fault localizer (which needs a DUT *and* a golden device) compose without
-// touching callers.
+// carries the paper's bug catalogue as a dataplane::Quirks value.  A backend
+// is a registered DeviceConfig, so new ones join with register_backend() and
+// campaigns and the fault localizer (which needs a DUT *and* a golden
+// device) build them by name through make_device() without touching callers.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -65,8 +64,11 @@ inline constexpr std::uint64_t kNsPerCycle = 4;
 inline constexpr std::size_t kMaxDigestRecords = 4096;
 
 // Static device parameters, fixed for the lifetime of one device instance.
+// A registered DeviceConfig is a backend (see register_backend()).
 struct DeviceConfig {
-    std::string backend;  // filled in by the factory when left empty
+    // The backend's registry name.  It salts the device's coverage slots,
+    // so two backends tracing the same path light different slots.
+    std::string backend = "reference";
     int num_ports = 4;
 
     // Backend behaviour deviations; all-defaults = faithful P4 semantics.
@@ -305,31 +307,21 @@ private:
 // Section-4 discovery that the parser reject state was never implemented.
 dataplane::Quirks sdnet_quirks();
 
-// Faithful P4 semantics: the golden device of every comparison.
-std::unique_ptr<Device> make_reference_device(DeviceConfig config = {});
-
-// The vendor backend.  When `config.quirks` is all-defaults the full
-// sdnet_quirks() catalogue is applied; a config with any quirk already set
-// replaces the catalogue wholesale (use make_device("sdnet", override) for
-// the same semantics by name).
-std::unique_ptr<Device> make_sdnet_device(DeviceConfig config = {});
-
 // --- backend registry ---------------------------------------------------------
 
-// A factory receives the quirks override requested through make_device();
-// std::nullopt means "use the backend's own catalogue".
-using DeviceFactory =
-    std::function<std::unique_ptr<Device>(std::optional<dataplane::Quirks>)>;
-
-// Registers a backend under `name`; returns false (and changes nothing)
-// when the name is already taken.  "reference" and "sdnet" are pre-registered.
-bool register_backend(const std::string& name, DeviceFactory factory);
+// Registers `config` as the backend named config.backend: its port count
+// and catalogue quirks.  Returns false (and changes nothing) when the name
+// is empty or already taken.  "reference" (faithful P4 semantics, the golden
+// device of every comparison) and "sdnet" (sdnet_quirks()) are registered
+// from the start and cannot be shadowed.
+bool register_backend(DeviceConfig config);
 
 // Names of every registered backend, sorted.
 std::vector<std::string> registered_backends();
 
-// Instantiates a backend by name, optionally overriding its quirk catalogue.
-// Returns nullptr for an unknown name.
+// Builds the backend registered as `name`.  A quirks override replaces its
+// catalogue wholesale, so make_device("sdnet", dataplane::Quirks{}) is a
+// faithful device named "sdnet".  Returns nullptr for an unknown name.
 std::unique_ptr<Device> make_device(
     std::string_view name,
     std::optional<dataplane::Quirks> quirks_override = std::nullopt);

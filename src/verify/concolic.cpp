@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "packet/packet.h"
+#include "packet/protocols.h"
+#include "target/device.h"
 #include "util/strings.h"
 #include "verify/solver.h"
 
@@ -80,25 +82,28 @@ TargetStatus ConcolicSynthesizer::solve_path(const SymPath& path,
                                              ConcolicSeed& seed,
                                              std::string& detail) {
     // Packet geometry first: the length constraint must name the exact size
-    // of the packet we will emit, or length-sensitive paths drift.
+    // of the packet we will emit, or length-sensitive paths drift.  The
+    // generator's trailing stamp stays out of the parsed bytes, and a packet
+    // is never shorter than the generator makes one.
     int parsed_bits = 0;
     for (const auto& chunk : path.wire) parsed_bits += chunk.bits;
-    const int parsed_bytes = (parsed_bits + 7) / 8;
-    const int length = std::max(parsed_bytes + options_.pad_bytes,
-                                options_.min_packet_bytes);
+    const std::size_t parsed_bytes = static_cast<std::size_t>(parsed_bits + 7) / 8;
+    const std::size_t length =
+        std::max(parsed_bytes + packet::kStampBytes, packet::kMinStampedBytes);
 
     Solver solver;
     solver.add(path.condition);
     // Pin the execution environment to what target::Device + the generator
     // actually present: otherwise the model picks, say, port 300, and the
-    // synthesized seed dies in injection instead of lighting its edge.
+    // synthesized seed dies in injection instead of lighting its edge.  A
+    // seed is one packet on a reference device's ports, stamped at the
+    // stream epoch (std.timestamp counts microseconds).
     const SExpr port = pool_.get("std.ingress_port", 9);
     solver.add(sv_ult(port, sv_const_u(9, static_cast<std::uint64_t>(
-                                              options_.num_ports))));
-    solver.add(sv_eq(pool_.get("std.packet_length", 32),
-                     sv_const_u(32, static_cast<std::uint64_t>(length))));
+                                              target::DeviceConfig{}.num_ports))));
+    solver.add(sv_eq(pool_.get("std.packet_length", 32), sv_const_u(32, length)));
     solver.add(sv_eq(pool_.get("std.timestamp", 48),
-                     sv_const_u(48, options_.timestamp_us)));
+                     sv_const_u(48, target::kClockEpochNs / 1000)));
     // Device state at scenario start: registers zeroed, meters unconfigured
     // (= everything green, color 0).  Hash outputs stay free -- they cannot
     // be steered, so hash-dependent seeds may fail the caller's relight
@@ -129,7 +134,7 @@ TargetStatus ConcolicSynthesizer::solve_path(const SymPath& path,
     // ParserEngine::run copies headers in).  Advanced-over and padding bytes
     // stay zero -- unconstrained variables read back as zero from the
     // blaster, so the two agree.
-    packet::Packet pkt = packet::Packet::zeros(static_cast<std::size_t>(length));
+    packet::Packet pkt = packet::Packet::zeros(length);
     std::size_t cursor = 0;
     for (const auto& chunk : path.wire) {
         if (chunk.header < 0) {
@@ -177,7 +182,7 @@ TargetStatus ConcolicSynthesizer::solve_path(const SymPath& path,
             return TargetStatus::no_path;
         }
     }
-    detail = util::format("%s path, %d wire bytes, %zu defaults",
+    detail = util::format("%s path, %zu wire bytes, %zu defaults",
                           path_end_name(path.end), length,
                           seed.defaults.size());
     return TargetStatus::solved;

@@ -32,15 +32,6 @@ struct ConcolicOptions {
     int max_paths = 4096;            // symexec exploration budget
     std::uint64_t max_conflicts = 200'000;  // SAT budget per candidate path
     int max_attempts_per_site = 4;   // candidate paths tried per dark site
-    // Concrete environment the model must live in (mirrors target::Device +
-    // Generator defaults: 4 ports, stamps written at virtual time 1ms).
-    int num_ports = 4;
-    std::uint64_t timestamp_us = 1000;
-    // Packet sizing: parsed bytes + pad, floored at min.  The pad keeps the
-    // generator's 16 trailing stamp bytes out of the parsed region; the
-    // floor matches Generator::write_stamp's minimum resize.
-    int pad_bytes = 16;
-    int min_packet_bytes = 30;
 };
 
 // One synthesized corpus seed: a packet + the control-plane programming

@@ -136,7 +136,7 @@ std::vector<ndb::packet::Packet> catalogue_stream(const ndb::core::Scenario& sc,
     std::vector<ndb::packet::Packet> stream;
     for (std::uint64_t seq = 1; seq <= count; ++seq) {
         stream.push_back(pgen.make_packet(
-            seq, ndb::core::kEpochNs + (seq - 1) * ndb::core::kSlotNs));
+            seq, ndb::target::kClockEpochNs + (seq - 1) * ndb::target::kNsPerPacket));
     }
     return stream;
 }

@@ -2,11 +2,15 @@
 // minimization, and registry-driven backend sweeps.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <stdexcept>
 
 #include "core/campaign.h"
+#include "core/generator.h"
 #include "core/scenario_exec.h"
 #include "core/specgen.h"
+#include "core/tools.h"
 #include "dataplane/engine.h"
 #include "obs/telemetry.h"
 #include "target/device.h"
@@ -187,28 +191,203 @@ TEST(CampaignEngine, UniformSweepMatchesSeedOrderExecution) {
     EXPECT_EQ(grouped.to_json(), in_order.to_json());
 }
 
+TEST(CampaignEngine, DiffRunsNamesEachFirstDifferenceInCausalOrder) {
+    // A reference run that touches every check diff_runs makes.
+    core::DeviceRun ref;
+    ref.config_ok = {true, false};
+    ref.config_wire_fail = {false, false};
+    ref.snapshot.tables = {control::TableStatus{"ingress.fwd", 5, 2, 3, 16}};
+    ref.snapshot.externs = {
+        dataplane::ExternInfo{"ingress.policer", "meter", 4, 0xabc, 1}};
+    ref.taps.resize(2);
+    for (std::uint32_t seq : {1u, 2u}) {
+        packet::Packet pkt = core::scenario::ipv4_udp_packet();
+        core::TestPacketGenerator::write_stamp(pkt, seq, 0);
+        ref.observed.push_back({seq, std::move(pkt)});
+    }
+    ref.snapshot.stages.parser_in = 2;
+    ref.snapshot.stages.forwarded = 2;
+    ASSERT_FALSE(core::diff_runs(ref, ref).has_value());
+
+    // One edit per check, in diff_runs' causal order, each with the finding
+    // it alone produces: kind, detail and 1-based packet (0 = none).
+    struct Case {
+        const char* kind;
+        const char* detail;
+        std::uint64_t packet;
+        std::function<void(core::DeviceRun&)> edit;
+    };
+    const std::vector<Case> cases = {
+        {"mgmt", "config op #0 lost on the management wire: dut=timed-out golden=ok",
+         0, [](core::DeviceRun& d) {
+             d.config_ok[0] = false;
+             d.config_wire_fail[0] = true;
+         }},
+        {"config", "config op #1: dut=ok golden=rejected", 0,
+         [](core::DeviceRun& d) { d.config_ok[1] = true; }},
+        {"config", "table ingress.fwd shape: dut entries=2/16 golden entries=3/16", 0,
+         [](core::DeviceRun& d) { d.snapshot.tables[0].entries = 2; }},
+        {"state",
+         "meter ingress.policer state hash: dut=0000000000000abd "
+         "golden=0000000000000abc",
+         0, [](core::DeviceRun& d) { d.snapshot.externs[0].state_hash = 0xabd; }},
+        {"state", "meter ingress.policer unconfigured cells: dut=0 golden=1", 0,
+         [](core::DeviceRun& d) { d.snapshot.externs[0].unconfigured_meters = 0; }},
+        {"internal", "packet #1: parser verdict dut=reject golden=accept", 1,
+         [](core::DeviceRun& d) { d.taps[0].verdict = dataplane::ParserVerdict::reject; }},
+        {"internal", "packet #1: state differs at the parser tap", 1,
+         [](core::DeviceRun& d) { d.taps[0].stage_hash[0] = 1; }},
+        {"internal", "packet #1: state differs at the ingress tap", 1,
+         [](core::DeviceRun& d) { d.taps[0].stage_hash[1] = 1; }},
+        {"internal", "packet #1: state differs at the egress tap", 1,
+         [](core::DeviceRun& d) { d.taps[0].stage_hash[2] = 1; }},
+        {"internal", "packet #1: disposition dut=dropped(ingress) golden=forwarded", 1,
+         [](core::DeviceRun& d) {
+             d.taps[0].disposition = dataplane::Disposition::dropped_ingress;
+         }},
+        {"internal", "packet #1: egress port dut=3 golden=0", 1,
+         [](core::DeviceRun& d) { d.taps[0].egress_port = 3; }},
+        {"output", "output #0 egress port: dut=3 golden=1", 1,
+         [](core::DeviceRun& d) { d.observed[0].port = 3; }},
+        {"output", "output #0 bytes differ on port 1 (106B vs 106B)", 1,
+         [](core::DeviceRun& d) { d.observed[0].pkt.set_byte(0, 0xff); }},
+        {"output", "output stream length: dut=1 golden=2", 2,
+         [](core::DeviceRun& d) { d.observed.pop_back(); }},
+        {"snapshot", "stage counter forwarded: dut=1 golden=2", 0,
+         [](core::DeviceRun& d) { d.snapshot.stages.forwarded = 1; }},
+        {"snapshot", "stage counter misdirected: dut=1 golden=0", 0,
+         [](core::DeviceRun& d) { d.snapshot.misdirected = 1; }},
+        {"snapshot", "table ingress.fwd: dut hits=4 misses=2, golden hits=5 misses=2",
+         0, [](core::DeviceRun& d) { d.snapshot.tables[0].hits = 4; }},
+    };
+    for (const Case& c : cases) {
+        core::DeviceRun dut = ref;
+        c.edit(dut);
+        const std::optional<core::RawDivergence> raw = core::diff_runs(dut, ref);
+        ASSERT_TRUE(raw.has_value()) << c.detail;
+        EXPECT_EQ(raw->kind, c.kind);
+        EXPECT_EQ(raw->detail, c.detail);
+        EXPECT_EQ(raw->first_diverging_packet, c.packet) << c.detail;
+    }
+    // Stacking the edits from the last check to the first, each new edit
+    // outranks every difference already there.
+    core::DeviceRun dut = ref;
+    for (std::size_t k = cases.size(); k-- > 0;) {
+        cases[k].edit(dut);
+        const std::optional<core::RawDivergence> raw = core::diff_runs(dut, ref);
+        ASSERT_TRUE(raw.has_value());
+        EXPECT_EQ(raw->detail, cases[k].detail);
+    }
+}
+
 TEST(CampaignEngine, UnknownProgramOrBackendIsAnError) {
     EXPECT_THROW(core::SpecGenerator({"no_such_program"}), std::invalid_argument);
     core::CampaignConfig config = default_config(1, 1);
     config.duts = {core::BackendSpec{"no_such_backend", std::nullopt, ""}};
     core::CampaignEngine engine(config);
     EXPECT_THROW(engine.run(), std::invalid_argument);
+    core::CampaignConfig reference = default_config(1, 1);
+    reference.reference_backend = "no_such_backend";
+    reference.concolic = true;
+    EXPECT_THROW(core::CampaignEngine(reference).run(), std::invalid_argument);
+}
+
+TEST(CampaignEngine, SweepSetupDerivesModeDutsAndHeaderOnce) {
+    core::CampaignConfig config = default_config(8, 1);
+    config.programs = {"passthrough", "reject_filter"};
+    config.batch_size = 3;
+    config.minimize = false;
+    {
+        const core::SweepSetup s = core::prepare_sweep(config);
+        EXPECT_EQ(s.mode, core::SweepMode::uniform);
+        EXPECT_FALSE(s.exec.coverage);
+        EXPECT_FALSE(s.exec.minimize);
+        EXPECT_EQ(s.exec.batch_size, 3u);
+        EXPECT_FALSE(s.exec.mgmt_plan.enabled());
+        EXPECT_EQ(s.gen.programs(), config.programs);
+        EXPECT_EQ(s.report.programs, config.programs);
+        EXPECT_EQ(s.report.scenarios, 8u);
+        EXPECT_FALSE(s.report.coverage_enabled);
+        EXPECT_FALSE(s.report.mgmt_enabled);
+        EXPECT_TRUE(s.report.coverage_edges_dut.empty());
+    }
+    // Mutation and concolic synthesis each imply coverage; the config that
+    // asked for them is left as it was.
+    for (const bool concolic : {false, true}) {
+        core::CampaignConfig guided = config;
+        guided.mutate = !concolic;
+        guided.concolic = concolic;
+        const core::SweepSetup s = core::prepare_sweep(guided);
+        EXPECT_EQ(s.mode, core::SweepMode::guided);
+        EXPECT_TRUE(s.exec.coverage);
+        EXPECT_FALSE(guided.coverage);
+        EXPECT_TRUE(s.report.coverage_enabled);
+        EXPECT_EQ(s.report.concolic_enabled, concolic);
+        EXPECT_EQ(s.report.coverage_map_slots, coverage::CoverageMap::kSlots);
+        EXPECT_EQ(s.report.coverage_edges_dut.size(), 1u);
+    }
+    // A recipe replays one scenario, with coverage only when asked for.
+    core::CampaignConfig replay = config;
+    replay.mutation_recipe = "#anything";
+    replay.mgmt_fault_plan = "seed=3,drop=0.5";
+    {
+        const core::SweepSetup s = core::prepare_sweep(replay);
+        EXPECT_EQ(s.mode, core::SweepMode::replay);
+        EXPECT_FALSE(s.exec.coverage);
+        EXPECT_EQ(s.report.scenarios, 1u);
+        EXPECT_TRUE(s.exec.mgmt_plan.enabled());
+        EXPECT_EQ(s.exec.mgmt_plan.seed, 3u);
+        EXPECT_TRUE(s.report.mgmt_enabled);
+    }
+    replay.coverage = true;
+    EXPECT_TRUE(core::prepare_sweep(replay).exec.coverage);
+
+    // An empty DUT list is every registered backend but the reference, and
+    // an empty label is the backend name.
+    core::CampaignConfig open = config;
+    open.duts.clear();
+    const core::SweepSetup all = core::prepare_sweep(open);
+    std::vector<std::string> expected;
+    for (const auto& name : target::registered_backends()) {
+        if (name != open.reference_backend) expected.push_back(name);
+    }
+    EXPECT_EQ(all.report.backends, expected);
+    ASSERT_EQ(all.duts.size(), expected.size());
+    for (const auto& d : all.duts) {
+        EXPECT_EQ(d.label, d.name);
+        EXPECT_FALSE(d.quirks.has_value());
+    }
+    open.duts = {core::BackendSpec{"sdnet", std::nullopt, ""}};
+    EXPECT_EQ(core::prepare_sweep(open).duts[0].label, "sdnet");
+}
+
+TEST(CampaignEngine, MalformedMgmtFaultPlanIsRefusedBeforeAnyScenario) {
+    obs::Telemetry::set_enabled(true, false);
+    obs::Telemetry::reset();
+    for (const char* plan : {"drop", "drop=0.5,bogus=1", "seed=x"}) {
+        for (const bool guided : {false, true}) {
+            core::CampaignConfig config = default_config(8, 2);
+            config.mgmt_fault_plan = plan;
+            config.mutate = guided;
+            core::CampaignEngine engine(config);
+            EXPECT_THROW(engine.run(), std::invalid_argument) << plan;
+        }
+    }
+    const obs::MetricsSnapshot snap = obs::Metrics::instance().snapshot();
+    obs::Telemetry::set_enabled(false, false);
+    obs::Telemetry::reset();
+    EXPECT_EQ(snap.counters[static_cast<std::size_t>(obs::Counter::scenarios)], 0u);
+    EXPECT_EQ(snap.counters[static_cast<std::size_t>(obs::Counter::image_builds)],
+              0u);
 }
 
 TEST(CampaignEngine, RegisteredBackendsJoinTheSweepByDefault) {
     // Third-party backends become DUTs without touching the engine: an
     // empty dut list sweeps everything in the registry but the reference.
-    target::register_backend(
-        "shifty_sim", [](std::optional<dataplane::Quirks> quirks) {
-            target::DeviceConfig cfg;
-            cfg.backend = "shifty_sim";
-            if (quirks) {
-                cfg.quirks = *quirks;
-            } else {
-                cfg.quirks.shift_miscompile = true;
-            }
-            return target::make_reference_device(std::move(cfg));
-        });
+    target::DeviceConfig shifty;
+    shifty.backend = "shifty_sim";
+    shifty.quirks.shift_miscompile = true;
+    target::register_backend(shifty);
 
     core::CampaignConfig config;
     config.base_seed = 7;

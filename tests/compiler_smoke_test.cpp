@@ -34,7 +34,7 @@ TEST(CompilerSmoke, AllSamplesCompile) {
 
 TEST(CompilerSmoke, PassthroughForwardsToPortOne) {
     auto prog = p4::compile_source(p4::programs::passthrough(), "passthrough");
-    auto device = target::make_reference_device();
+    auto device = target::make_device("reference");
     ASSERT_TRUE(device->load(*prog));
 
     packet::Packet pkt = packet::PacketBuilder()
@@ -54,7 +54,7 @@ TEST(CompilerSmoke, PassthroughForwardsToPortOne) {
 
 TEST(CompilerSmoke, RejectFilterDropsNonIpv4OnReference) {
     auto prog = p4::compile_source(p4::programs::reject_filter(), "reject_filter");
-    auto device = target::make_reference_device();
+    auto device = target::make_device("reference");
     ASSERT_TRUE(device->load(*prog));
 
     packet::ArpMessage arp;
@@ -75,7 +75,7 @@ TEST(CompilerSmoke, RejectFilterDropsNonIpv4OnReference) {
 TEST(CompilerSmoke, RejectFilterForwardsNonIpv4OnSdnet) {
     // The paper's bug: the SDNet-like target has no reject state.
     auto prog = p4::compile_source(p4::programs::reject_filter(), "reject_filter");
-    auto device = target::make_sdnet_device();
+    auto device = target::make_device("sdnet");
     ASSERT_TRUE(device->load(*prog));
 
     packet::ArpMessage arp;
@@ -142,7 +142,7 @@ TEST(CompilerSmoke, HostileSourcesFailWithDiagnostics) {
             return;
         }
         ASSERT_NE(result.program, nullptr);
-        auto device = target::make_reference_device();
+        auto device = target::make_device("reference");
         ASSERT_TRUE(device->load(
             std::shared_ptr<const p4::ir::Program>(std::move(result.program))));
         for (packet::Packet pkt :

@@ -361,7 +361,7 @@ WideRun wide_run() {
     packet::Packet pkt = core::scenario::ipv4_udp_packet();
     for (std::uint32_t i = 0; i < 64; ++i) {
         pkt.meta.ingress_port = i % 4;
-        pkt.meta.rx_time_ns = core::kEpochNs + i * core::kSlotNs;
+        pkt.meta.rx_time_ns = target::kClockEpochNs + i * target::kNsPerPacket;
         w.packets.push_back(pkt);
     }
     return w;

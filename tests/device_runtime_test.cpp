@@ -24,7 +24,7 @@ using namespace ndb;
 // A host-side client reaching the device through the wire protocol over a
 // clean loopback link.
 struct Rig {
-    std::unique_ptr<target::Device> device = target::make_reference_device();
+    std::unique_ptr<target::Device> device = target::make_device("reference");
     control::LoopbackTransport transport{*device};
     control::WireChannel channel{transport};
     control::RuntimeClient client{channel};
@@ -326,7 +326,7 @@ TEST(DeviceRuntime, MisdirectedPacketsAreCountedFirstClass) {
     // queue.  The snapshot must name that loss instead of hiding it.
     target::DeviceConfig one_port;
     one_port.num_ports = 1;
-    auto device = target::make_reference_device(one_port);
+    auto device = std::make_unique<target::Device>(one_port);
     const auto prog = p4::compile_source(p4::programs::passthrough(), "passthrough");
     ASSERT_TRUE(device->load(*prog));
 
@@ -351,7 +351,7 @@ TEST(DeviceRuntime, DigestRingStaysWithinItsCapAndTheDeviceForwards) {
     packet::Packet pkt = core::scenario::ipv4_udp_packet();
     pkt.meta.ingress_port = 0;
 
-    auto device = target::make_reference_device();
+    auto device = target::make_device("reference");
     ASSERT_TRUE(device->load(*prog));
     device->set_digests_enabled(true);
     constexpr std::size_t kSent = target::kMaxDigestRecords + 10;
@@ -369,7 +369,7 @@ TEST(DeviceRuntime, DigestRingStaysWithinItsCapAndTheDeviceForwards) {
 TEST(DeviceRuntime, EgressStampAddsPipelineCycles) {
     // Forwarded packets leave stamped tx = rx + cycles * kNsPerCycle, with
     // at least the deparser cycle, so latency is observable from the ports.
-    auto device = target::make_reference_device();
+    auto device = target::make_device("reference");
     const auto prog = p4::compile_source(p4::programs::passthrough(), "passthrough");
     ASSERT_TRUE(device->load(*prog));
 
@@ -391,7 +391,7 @@ TEST(DeviceRuntime, InjectBorrowsTheStimulusAndStampsItsOwnMeta) {
     // own copy of the meta, which the output carries, and the caller's
     // packet comes back exactly as it went in.  trace() injects the same
     // way and also returns the output.
-    auto device = target::make_reference_device();
+    auto device = target::make_device("reference");
     const auto prog = p4::compile_source(p4::programs::passthrough(), "passthrough");
     ASSERT_TRUE(device->load(*prog));
 
@@ -453,32 +453,52 @@ TEST(DeviceRuntime, BackendRegistryListsAndBuilds) {
     EXPECT_FALSE(shallow->config().quirks.reject_as_accept);
     EXPECT_EQ(shallow->config().quirks.parser_depth_limit, 2);
 
-    // An explicit all-defaults override yields a quirk-free sdnet device.
+    // An explicit all-defaults override yields a quirk-free sdnet device:
+    // "sdnet" has one meaning, whatever the override.
     auto clean = target::make_device("sdnet", dataplane::Quirks{});
     ASSERT_NE(clean, nullptr);
     EXPECT_FALSE(clean->config().quirks.any());
+    EXPECT_EQ(clean->config().backend, "sdnet");
 
-    // Builtins cannot be shadowed, even by the very first registration.
-    EXPECT_FALSE(target::register_backend(
-        "sdnet", [](std::optional<dataplane::Quirks>) {
-            return target::make_reference_device();
-        }));
+    // Builtins cannot be shadowed, even by the very first registration, and
+    // a config without a name is no backend.
+    target::DeviceConfig impostor;
+    impostor.backend = "sdnet";
+    EXPECT_FALSE(target::register_backend(impostor));
     EXPECT_TRUE(target::make_device("sdnet")->config().quirks.reject_as_accept);
+    target::DeviceConfig nameless;
+    nameless.backend.clear();
+    EXPECT_FALSE(target::register_backend(nameless));
 
-    // Third-party backends register and build by name.
-    EXPECT_TRUE(target::register_backend(
-        "tofino_sim", [](std::optional<dataplane::Quirks> q) {
-            target::DeviceConfig cfg;
-            cfg.backend = "tofino_sim";
-            cfg.num_ports = 32;
-            if (q) cfg.quirks = *q;
-            return target::make_reference_device(std::move(cfg));
-        }));
+    // Third-party backends register a config and build by name, keeping
+    // its name, its ports and its catalogue unless overridden.
+    target::DeviceConfig tofino;
+    tofino.backend = "tofino_sim";
+    tofino.num_ports = 32;
+    tofino.quirks.skip_checksum_update = true;
+    EXPECT_TRUE(target::register_backend(tofino));
+    EXPECT_FALSE(target::register_backend(tofino));
     auto custom = target::make_device("tofino_sim");
     ASSERT_NE(custom, nullptr);
     EXPECT_EQ(custom->config().num_ports, 32);
-    // The factory's backend name survives make_reference_device.
     EXPECT_EQ(custom->config().backend, "tofino_sim");
+    EXPECT_TRUE(custom->config().quirks.skip_checksum_update);
+    auto faithful = target::make_device("tofino_sim", dataplane::Quirks{});
+    ASSERT_NE(faithful, nullptr);
+    EXPECT_EQ(faithful->config().num_ports, 32);
+    EXPECT_FALSE(faithful->config().quirks.any());
+    const auto after = target::registered_backends();
+    EXPECT_NE(std::find(after.begin(), after.end(), "tofino_sim"), after.end());
+    EXPECT_TRUE(std::is_sorted(after.begin(), after.end()));
+
+    // The backend name salts coverage: an unnamed config is the reference.
+    EXPECT_EQ(target::DeviceConfig{}.backend, "reference");
+    EXPECT_EQ(target::make_device("reference")->config().backend, "reference");
+    EXPECT_EQ(std::make_unique<target::Device>(target::DeviceConfig{})
+                  ->coverage_salt(),
+              target::make_device("reference")->coverage_salt());
+    EXPECT_NE(faithful->coverage_salt(),
+              target::make_device("reference")->coverage_salt());
 
     // The deterministic clock starts at the epoch and only moves on traffic.
     auto dev = target::make_device("reference");

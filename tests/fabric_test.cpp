@@ -213,6 +213,41 @@ TEST(Fabric, UniformSweepBuildsEachImageOncePerProgramPerWorker) {
               cfg.scenarios);
 }
 
+TEST(Fabric, MalformedConfigIsRefusedBeforeAnyWorkerForks) {
+    obs::Telemetry::set_enabled(true, false);
+    obs::Telemetry::reset();
+    FabricConfig f;
+    f.campaign = base_config();
+    f.workers = 2;
+    {
+        FabricConfig g = f;
+        g.campaign.mgmt_fault_plan = "drop=0.5,bogus=1";
+        EXPECT_THROW(FabricEngine(g).run(), std::invalid_argument);
+    }
+    {
+        FabricConfig g = f;
+        g.link_fault_plan = "drop";
+        EXPECT_THROW(FabricEngine(g).run(), std::invalid_argument);
+    }
+    // A worker could only die building its devices, respawn after respawn.
+    {
+        FabricConfig g = f;
+        g.campaign.duts = {BackendSpec{"no_such_backend", std::nullopt, ""}};
+        EXPECT_THROW(FabricEngine(g).run(), std::invalid_argument);
+    }
+    {
+        FabricConfig g = f;
+        g.campaign.reference_backend = "no_such_backend";
+        EXPECT_THROW(FabricEngine(g).run(), std::invalid_argument);
+    }
+    const obs::MetricsSnapshot snap = obs::Metrics::instance().snapshot();
+    obs::Telemetry::set_enabled(false, false);
+    obs::Telemetry::reset();
+    EXPECT_EQ(snap.counters[static_cast<std::size_t>(obs::Counter::worker_spawns)],
+              0u);
+    EXPECT_EQ(snap.counters[static_cast<std::size_t>(obs::Counter::scenarios)], 0u);
+}
+
 TEST(Fabric, RejectsModesThatNeedASharedFeedbackLoop) {
     FabricConfig f;
     f.campaign = base_config();
@@ -226,6 +261,11 @@ TEST(Fabric, RejectsModesThatNeedASharedFeedbackLoop) {
     {
         FabricConfig g = f;
         g.campaign.mutate = true;
+        EXPECT_THROW(FabricEngine(g).run(), std::invalid_argument);
+    }
+    {
+        FabricConfig g = f;
+        g.campaign.concolic = true;
         EXPECT_THROW(FabricEngine(g).run(), std::invalid_argument);
     }
     {

@@ -149,7 +149,7 @@ std::uint32_t acl_winner(target::Device& device) {
 }
 
 TEST(Quirks, TernaryPriorityInvertedPicksTheWrongAclEntry) {
-    auto reference = target::make_reference_device();
+    auto reference = target::make_device("reference");
     EXPECT_EQ(acl_winner(*reference), 2u);  // highest priority wins
 
     dataplane::Quirks quirks;
@@ -165,8 +165,8 @@ TEST(Quirks, RejectAsAcceptLocalizesToTheParserStage) {
     // only the verdicts diverge at the parser tap.
     const auto prog =
         p4::compile_source(p4::programs::reject_filter(), "reject_filter");
-    auto dut = target::make_sdnet_device();
-    auto golden = target::make_reference_device();
+    auto dut = target::make_device("sdnet");
+    auto golden = target::make_device("reference");
     ASSERT_TRUE(dut->load(*prog));
     ASSERT_TRUE(golden->load(*prog));
 
@@ -194,7 +194,7 @@ TEST(Quirks, MetadataClobberConfinedToParserIsFound) {
     dataplane::Quirks clobber;
     clobber.metadata_clobber = true;
     auto dut = target::make_device("reference", clobber);
-    auto golden = target::make_reference_device();
+    auto golden = target::make_device("reference");
     ASSERT_TRUE(dut->load(*prog));
     ASSERT_TRUE(golden->load(*prog));
 
@@ -218,7 +218,7 @@ TEST(Quirks, LocalizeTracesTheTriggerOncePerDevice) {
     dataplane::Quirks stale;
     stale.stale_entry = true;
     auto dut = target::make_device("sdnet", stale);
-    auto golden = target::make_reference_device();
+    auto golden = target::make_device("reference");
     control::ConfigOp seed_count;
     seed_count.kind = control::ConfigOp::Kind::write_register;
     seed_count.target = "port_pkts";
@@ -253,7 +253,7 @@ TEST(Quirks, ParserDepthLimitLocalizesToTheParserStage) {
     dataplane::Quirks quirks;
     quirks.parser_depth_limit = 4;  // ethernet + three labels, then give up
     auto dut = target::make_device("sdnet", quirks);
-    auto golden = target::make_reference_device();
+    auto golden = target::make_device("reference");
     ASSERT_TRUE(dut->load(*prog));
     ASSERT_TRUE(golden->load(*prog));
 

@@ -24,7 +24,7 @@ using namespace ndb;
 using namespace ndb::control;
 
 std::unique_ptr<target::Device> make_loaded_device() {
-    auto dev = target::make_reference_device();
+    auto dev = target::make_device("reference");
     const auto prog = p4::compile_source(p4::programs::l2_switch(), "l2_switch");
     if (!dev->load(*prog)) throw std::runtime_error("l2_switch load failed");
     return dev;

@@ -411,7 +411,8 @@ TEST(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
             dev->apply(sc.config);
             core::TestPacketGenerator pgen(sc.spec);
             for (std::uint64_t seq = 1; seq <= sc.spec.count; ++seq) {
-                dev->inject(pgen.make_packet(seq, 1'000'000 + (seq - 1) * 672));
+                dev->inject(pgen.make_packet(
+                    seq, target::kClockEpochNs + (seq - 1) * target::kNsPerPacket));
             }
             dev->flush();
             EXPECT_GT(map.count(static_cast<std::uint32_t>(seed.target.slot)),

@@ -99,7 +99,8 @@ ProgramBench bench_program(const std::string& name, std::uint64_t target_packets
     std::vector<ndb::packet::Packet> stream;
     stream.reserve(sc.spec.count);
     for (std::uint64_t seq = 1; seq <= sc.spec.count; ++seq) {
-        stream.push_back(pgen.make_packet(seq, 1'000'000 + (seq - 1) * 672));
+        stream.push_back(pgen.make_packet(
+            seq, ndb::target::kClockEpochNs + (seq - 1) * ndb::target::kNsPerPacket));
     }
 
     ProgramBench out;

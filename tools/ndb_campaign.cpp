@@ -261,15 +261,10 @@ int main(int argc, char** argv) {
     }
 
     std::fputs(report.to_string().c_str(), stdout);
-    if (workers > 0) {
-        std::printf("throughput: %.0f scenarios/sec, %.0f packets/sec (%.3fs wall, %d worker process(es))\n",
-                    stats.scenarios_per_sec, stats.packets_per_sec,
-                    stats.wall_seconds, workers);
-    } else {
-        std::printf("throughput: %.0f scenarios/sec, %.0f packets/sec (%.3fs wall, %d thread(s))\n",
-                    stats.scenarios_per_sec, stats.packets_per_sec,
-                    stats.wall_seconds, config.threads);
-    }
+    std::printf("throughput: %.0f scenarios/sec, %.0f packets/sec (%.3fs wall, %d %s)\n",
+                stats.scenarios_per_sec, stats.packets_per_sec, stats.wall_seconds,
+                workers > 0 ? workers : config.threads,
+                workers > 0 ? "worker process(es)" : "thread(s)");
 
     if (soak) {
         const core::SoakResult grown =
@@ -318,26 +313,17 @@ int main(int argc, char** argv) {
 
     // Telemetry exports come last and never change the exit code: losing an
     // observability file is a diagnostic, not a failed campaign.
-    if (!metrics_out.empty()) {
+    const auto export_file = [](const std::string& path, const std::string& text) {
         std::string error;
-        if (obs::Telemetry::write_file(metrics_out, obs::Telemetry::metrics_json(),
-                                       error)) {
-            std::printf("wrote %s\n", metrics_out.c_str());
+        if (obs::Telemetry::write_file(path, text, error)) {
+            std::printf("wrote %s\n", path.c_str());
         } else {
-            std::fprintf(stderr, "warning: cannot write %s: %s\n",
-                         metrics_out.c_str(), error.c_str());
+            std::fprintf(stderr, "warning: cannot write %s: %s\n", path.c_str(),
+                         error.c_str());
         }
-    }
-    if (!trace_out.empty()) {
-        std::string error;
-        if (obs::Telemetry::write_file(trace_out, obs::Telemetry::trace_json(),
-                                       error)) {
-            std::printf("wrote %s\n", trace_out.c_str());
-        } else {
-            std::fprintf(stderr, "warning: cannot write %s: %s\n",
-                         trace_out.c_str(), error.c_str());
-        }
-    }
+    };
+    if (!metrics_out.empty()) export_file(metrics_out, obs::Telemetry::metrics_json());
+    if (!trace_out.empty()) export_file(trace_out, obs::Telemetry::trace_json());
 
     return 0;
 }
