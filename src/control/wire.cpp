@@ -234,6 +234,10 @@ bool Reader::fail(std::string reason) {
     return false;
 }
 
+bool Reader::unknown(const char* what, unsigned value) {
+    return fail(util::format("unknown %s %u", what, value));
+}
+
 bool Reader::need(std::size_t n, const char* what) {
     if (!ok()) return false;
     if (bytes_.size() - pos_ < n) {
@@ -267,6 +271,13 @@ bool Reader::i32(std::int32_t& out) {
     std::uint32_t v;
     if (!u32(v)) return false;
     out = static_cast<std::int32_t>(v);
+    return true;
+}
+
+bool Reader::i64(std::int64_t& out) {
+    std::uint64_t v = 0;
+    if (!u64(v)) return false;
+    out = static_cast<std::int64_t>(v);
     return true;
 }
 
@@ -311,6 +322,14 @@ bool Reader::bitvec(util::Bitvec& out) {
     return true;
 }
 
+bool Reader::flag(bool& out) {
+    std::uint8_t raw = 0;
+    if (!u8(raw)) return false;
+    if (raw > 1) return fail(util::format("flag byte %u is neither 0 nor 1", raw));
+    out = raw == 1;
+    return true;
+}
+
 bool Reader::count(std::uint32_t& out, std::size_t cap) {
     if (!u32(out)) return false;
     if (out > cap) {
@@ -320,389 +339,226 @@ bool Reader::count(std::uint32_t& out, std::size_t cap) {
     return true;
 }
 
-// --- request/response payload codec -------------------------------------------
+bool Reader::section(std::size_t want, const char* what) {
+    std::uint32_t n = 0;
+    if (!u32(n)) return false;
+    if (n != want) {
+        return fail(util::format("%s count %u, this build has %zu", what, n, want));
+    }
+    return true;
+}
+
+Decode Reader::finish(const char* what) const {
+    if (!ok()) {
+        return Decode::bad(util::format("malformed %s: %s", what, error_.c_str()));
+    }
+    if (pos_ != bytes_.size()) {
+        return Decode::bad(util::format("trailing %zu byte(s) after the %s",
+                                        bytes_.size() - pos_, what));
+    }
+    return Decode::good();
+}
+
+// --- message field lists ------------------------------------------------------
+//
+// One function per message, fields in wire order (see "payload primitives"
+// in wire.h).
 
 namespace {
 
-void write_bitvec_seq(Writer& w, const std::vector<util::Bitvec>& seq) {
-    w.u32(static_cast<std::uint32_t>(seq.size()));
-    for (const auto& v : seq) w.bitvec(v);
+template <class IO>
+void bitvecs(IO& io, Fields<IO, std::vector<util::Bitvec>>& values) {
+    io.seq(values, [&](auto& v) { io.bitvec(v); });
 }
 
-bool read_bitvec_seq(Reader& r, std::vector<util::Bitvec>& out) {
-    std::uint32_t n;
-    if (!r.count(n)) return false;
-    out.resize(n);
-    for (auto& v : out) {
-        if (!r.bitvec(v)) return false;
-    }
-    return true;
+template <class IO>
+void fields(IO& io, Fields<IO, EntrySpec>& e) {
+    bitvecs(io, e.key_values);
+    bitvecs(io, e.key_masks);
+    io.i32(e.prefix_len);
+    io.i32(e.priority);
+    io.str(e.action);
+    bitvecs(io, e.action_args);
 }
 
-void write_entry(Writer& w, const EntrySpec& e) {
-    write_bitvec_seq(w, e.key_values);
-    write_bitvec_seq(w, e.key_masks);
-    w.i32(e.prefix_len);
-    w.i32(e.priority);
-    w.str(e.action);
-    write_bitvec_seq(w, e.action_args);
+template <class IO>
+void fields(IO& io, Fields<IO, MeterConfig>& m) {
+    io.f64(m.committed_rate_bps);
+    io.u64(m.committed_burst);
+    io.f64(m.excess_rate_bps);
+    io.u64(m.excess_burst);
 }
 
-bool read_entry(Reader& r, EntrySpec& e) {
-    return read_bitvec_seq(r, e.key_values) && read_bitvec_seq(r, e.key_masks) &&
-           r.i32(e.prefix_len) && r.i32(e.priority) && r.str(e.action) &&
-           read_bitvec_seq(r, e.action_args);
-}
-
-void write_meter(Writer& w, const MeterConfig& m) {
-    w.f64(m.committed_rate_bps);
-    w.u64(m.committed_burst);
-    w.f64(m.excess_rate_bps);
-    w.u64(m.excess_burst);
-}
-
-bool read_meter(Reader& r, MeterConfig& m) {
-    return r.f64(m.committed_rate_bps) && r.u64(m.committed_burst) &&
-           r.f64(m.excess_rate_bps) && r.u64(m.excess_burst);
-}
-
-void write_config_op(Writer& w, const ConfigOp& op) {
-    w.u8(static_cast<std::uint8_t>(op.kind));
-    w.str(op.target);
+template <class IO>
+void fields(IO& io, Fields<IO, ConfigOp>& op) {
+    io.tag(op.kind, ConfigOp::Kind::configure_meter, "config op kind");
+    io.str(op.target);
     switch (op.kind) {
         case ConfigOp::Kind::add_entry:
-            write_entry(w, op.entry);
+            fields(io, op.entry);
             break;
         case ConfigOp::Kind::set_default_action:
-            w.str(op.action);
-            write_bitvec_seq(w, op.action_args);
+            io.str(op.action);
+            bitvecs(io, op.action_args);
             break;
         case ConfigOp::Kind::write_register:
-            w.u64(op.index);
-            w.bitvec(op.value);
+            io.u64(op.index);
+            io.bitvec(op.value);
             break;
         case ConfigOp::Kind::configure_meter:
-            w.u64(op.index);
-            write_meter(w, op.meter);
+            io.u64(op.index);
+            fields(io, op.meter);
             break;
     }
 }
 
-bool read_config_op(Reader& r, ConfigOp& op) {
-    std::uint8_t kind;
-    if (!(r.u8(kind) && r.str(op.target))) return false;
-    if (kind > static_cast<std::uint8_t>(ConfigOp::Kind::configure_meter)) {
-        return r.fail(util::format("unknown config op kind %u", kind));
-    }
-    op.kind = static_cast<ConfigOp::Kind>(kind);
-    switch (op.kind) {
-        case ConfigOp::Kind::add_entry:
-            return read_entry(r, op.entry);
-        case ConfigOp::Kind::set_default_action:
-            return r.str(op.action) && read_bitvec_seq(r, op.action_args);
-        case ConfigOp::Kind::write_register:
-            return r.u64(op.index) && r.bitvec(op.value);
-        case ConfigOp::Kind::configure_meter:
-            return r.u64(op.index) && read_meter(r, op.meter);
-    }
-    return false;
-}
-
-void write_status_seq(Writer& w, const std::vector<Status>& statuses) {
-    w.u32(static_cast<std::uint32_t>(statuses.size()));
-    for (const Status& st : statuses) {
-        w.u8(st.ok ? 1 : 0);
-        w.str(st.message);
-    }
-}
-
-bool read_status_seq(Reader& r, std::vector<Status>& statuses) {
-    std::uint32_t n;
-    if (!r.count(n)) return false;
-    statuses.resize(n);
-    for (Status& st : statuses) {
-        std::uint8_t ok_flag;
-        if (!(r.u8(ok_flag) && r.str(st.message))) return false;
-        if (ok_flag > 1) return r.fail("status flag is neither 0 nor 1");
-        st.ok = ok_flag == 1;
-    }
-    return true;
-}
-
-void write_snapshot(Writer& w, const StatusSnapshot& s) {
-    w.u64(s.taken_at_ns);
-    w.u64(s.stages.parser_in);
-    w.u64(s.stages.parser_accepted);
-    w.u64(s.stages.parser_rejected);
-    w.u64(s.stages.parser_errors);
-    w.u64(s.stages.ingress_dropped);
-    w.u64(s.stages.egress_dropped);
-    w.u64(s.stages.forwarded);
-    w.u64(s.misdirected);
-    w.u32(static_cast<std::uint32_t>(s.ports.size()));
-    for (const auto& p : s.ports) {
-        w.u64(p.rx_packets);
-        w.u64(p.rx_bytes);
-        w.u64(p.tx_packets);
-        w.u64(p.tx_bytes);
-    }
-    w.u32(static_cast<std::uint32_t>(s.tables.size()));
-    for (const auto& t : s.tables) {
-        w.str(t.name);
-        w.u64(t.hits);
-        w.u64(t.misses);
-        w.u64(t.entries);
-        w.u64(t.capacity);
-    }
-    w.u32(static_cast<std::uint32_t>(s.externs.size()));
-    for (const auto& e : s.externs) {
-        w.str(e.name);
-        w.str(e.kind);
-        w.u64(e.cells);
-        w.u64(e.state_hash);
-        w.u64(e.unconfigured_meters);
-    }
-}
-
-bool read_snapshot(Reader& r, StatusSnapshot& s) {
-    std::uint32_t n;
-    if (!(r.u64(s.taken_at_ns) && r.u64(s.stages.parser_in) &&
-          r.u64(s.stages.parser_accepted) && r.u64(s.stages.parser_rejected) &&
-          r.u64(s.stages.parser_errors) && r.u64(s.stages.ingress_dropped) &&
-          r.u64(s.stages.egress_dropped) && r.u64(s.stages.forwarded) &&
-          r.u64(s.misdirected) && r.count(n))) {
-        return false;
-    }
-    s.ports.resize(n);
-    for (auto& p : s.ports) {
-        if (!(r.u64(p.rx_packets) && r.u64(p.rx_bytes) && r.u64(p.tx_packets) &&
-              r.u64(p.tx_bytes))) {
-            return false;
+// The tag is the variant index.
+template <class IO>
+void fields(IO& io, Fields<IO, Request>& request) {
+    io.variant(request, "request tag", [&](auto& req) {
+        using T = std::remove_cvref_t<decltype(req)>;
+        if constexpr (std::is_same_v<T, ReadRegisterReq> ||
+                      std::is_same_v<T, ReadCounterReq>) {
+            io.str(req.name);
+            io.u64(req.index);
+        } else if constexpr (std::is_same_v<T, ApplyConfigReq>) {
+            io.seq(req.ops, [&](auto& op) { fields(io, op); });
         }
+        // SnapshotReq / ResetReq carry no fields beyond the tag.
+    });
+}
+
+template <class IO>
+void fields(IO& io, Fields<IO, Status>& st) {
+    io.flag(st.ok);
+    io.str(st.message);
+}
+
+template <class IO>
+void fields(IO& io, Fields<IO, StatusSnapshot>& s) {
+    io.u64(s.taken_at_ns);
+    io.u64(s.stages.parser_in);
+    io.u64(s.stages.parser_accepted);
+    io.u64(s.stages.parser_rejected);
+    io.u64(s.stages.parser_errors);
+    io.u64(s.stages.ingress_dropped);
+    io.u64(s.stages.egress_dropped);
+    io.u64(s.stages.forwarded);
+    io.u64(s.misdirected);
+    io.seq(s.ports, [&](auto& p) {
+        io.u64(p.rx_packets);
+        io.u64(p.rx_bytes);
+        io.u64(p.tx_packets);
+        io.u64(p.tx_bytes);
+    });
+    io.seq(s.tables, [&](auto& t) {
+        io.str(t.name);
+        io.u64(t.hits);
+        io.u64(t.misses);
+        io.u64(t.entries);
+        io.u64(t.capacity);
+    });
+    io.seq(s.externs, [&](auto& e) {
+        io.str(e.name);
+        io.str(e.kind);
+        io.u64(e.cells);
+        io.u64(e.state_hash);
+        io.u64(e.unconfigured_meters);
+    });
+}
+
+template <class IO>
+void fields(IO& io, Fields<IO, Response>& r) {
+    io.tag(r.payload, Response::Payload::op_statuses, "response payload kind");
+    fields(io, r.status);
+    switch (r.payload) {
+        case Response::Payload::none: break;
+        case Response::Payload::register_value:
+            io.bitvec(r.register_value);
+            break;
+        case Response::Payload::counter_value:
+            io.u64(r.counter_value.packets);
+            io.u64(r.counter_value.bytes);
+            break;
+        case Response::Payload::snapshot:
+            fields(io, r.snapshot);
+            break;
+        case Response::Payload::op_statuses:
+            io.seq(r.op_statuses, [&](auto& st) { fields(io, st); });
+            break;
     }
-    if (!r.count(n)) return false;
-    s.tables.resize(n);
-    for (auto& t : s.tables) {
-        if (!(r.str(t.name) && r.u64(t.hits) && r.u64(t.misses) &&
-              r.u64(t.entries) && r.u64(t.capacity))) {
-            return false;
-        }
+}
+
+template <class IO>
+void fields(IO& io, Fields<IO, obs::TelemetryDelta>& d) {
+    io.u64(d.pid);
+    io.section(obs::kNumCounters, "counter");
+    for (auto& c : d.metrics.counters) io.u64(c);
+    io.section(obs::kNumGauges, "gauge");
+    for (auto& g : d.metrics.gauges) io.i64(g);
+    io.section(obs::kNumHists, "histogram");
+    io.section(obs::kHistBuckets, "histogram bucket");
+    for (auto& h : d.metrics.hists) {
+        for (auto& b : h.buckets) io.u64(b);
     }
-    if (!r.count(n)) return false;
-    s.externs.resize(n);
-    for (auto& e : s.externs) {
-        if (!(r.str(e.name) && r.str(e.kind) && r.u64(e.cells) &&
-              r.u64(e.state_hash) && r.u64(e.unconfigured_meters))) {
-            return false;
-        }
-    }
-    return true;
+    io.seq(
+        d.events,
+        [&](auto& ev) {
+            io.str(ev.name);
+            io.str(ev.arg0);
+            io.str(ev.arg1);
+            io.u64(ev.ts_ns);
+            io.u64(ev.dur_ns);
+            io.u64(ev.v0);
+            io.u64(ev.v1);
+            io.u32(ev.tid);
+        },
+        kMaxTelemetryEvents);
 }
 
 }  // namespace
 
+// --- request/response payload codec -------------------------------------------
+
 std::vector<std::uint8_t> encode_request(const Request& request) {
     Writer w;
-    w.u8(static_cast<std::uint8_t>(request.index()));
-    std::visit(
-        [&](const auto& req) {
-            using T = std::decay_t<decltype(req)>;
-            if constexpr (std::is_same_v<T, ReadRegisterReq> ||
-                          std::is_same_v<T, ReadCounterReq>) {
-                w.str(req.name);
-                w.u64(req.index);
-            } else if constexpr (std::is_same_v<T, ApplyConfigReq>) {
-                w.u32(static_cast<std::uint32_t>(req.ops.size()));
-                for (const ConfigOp& op : req.ops) write_config_op(w, op);
-            }
-            // SnapshotReq / ResetReq carry no fields beyond the tag.
-        },
-        request);
+    fields(w, request);
     return w.take();
 }
 
 Decode decode_request(std::span<const std::uint8_t> payload, Request& out) {
     Reader r(payload);
-    std::uint8_t tag;
-    if (!r.u8(tag)) return Decode::bad("request payload is empty: " + r.error());
-    bool ok = true;
-    switch (tag) {
-        case 0: {
-            ReadRegisterReq req;
-            ok = r.str(req.name) && r.u64(req.index);
-            out = std::move(req);
-            break;
-        }
-        case 1: {
-            ReadCounterReq req;
-            ok = r.str(req.name) && r.u64(req.index);
-            out = std::move(req);
-            break;
-        }
-        case 2: out = SnapshotReq{}; break;
-        case 3: out = ResetReq{}; break;
-        case 4: {
-            ApplyConfigReq req;
-            std::uint32_t n = 0;
-            ok = r.count(n);
-            if (ok) {
-                req.ops.resize(n);
-                for (ConfigOp& op : req.ops) {
-                    if (!read_config_op(r, op)) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            out = std::move(req);
-            break;
-        }
-        default:
-            return Decode::bad(util::format("unknown request tag %u", tag));
-    }
-    if (!ok) return Decode::bad("malformed request: " + r.error());
-    if (!r.done()) {
-        return Decode::bad(util::format("trailing %zu byte(s) after the request",
-                                        r.remaining()));
-    }
-    return Decode::good();
+    fields(r, out);
+    return r.finish("request");
 }
 
 std::vector<std::uint8_t> encode_response(const Response& response) {
     Writer w;
-    w.u8(static_cast<std::uint8_t>(response.payload));
-    w.u8(response.status.ok ? 1 : 0);
-    w.str(response.status.message);
-    switch (response.payload) {
-        case Response::Payload::none: break;
-        case Response::Payload::register_value:
-            w.bitvec(response.register_value);
-            break;
-        case Response::Payload::counter_value:
-            w.u64(response.counter_value.packets);
-            w.u64(response.counter_value.bytes);
-            break;
-        case Response::Payload::snapshot:
-            write_snapshot(w, response.snapshot);
-            break;
-        case Response::Payload::op_statuses:
-            write_status_seq(w, response.op_statuses);
-            break;
-    }
+    fields(w, response);
     return w.take();
 }
 
 Decode decode_response(std::span<const std::uint8_t> payload, Response& out) {
+    out = Response{};  // the fields other payload kinds carry stay default
     Reader r(payload);
-    std::uint8_t kind, ok_flag;
-    if (!r.u8(kind)) return Decode::bad("response payload is empty: " + r.error());
-    if (kind > static_cast<std::uint8_t>(Response::Payload::op_statuses)) {
-        return Decode::bad(util::format("unknown response payload kind %u", kind));
-    }
-    out = Response{};
-    out.payload = static_cast<Response::Payload>(kind);
-    bool ok = r.u8(ok_flag) && r.str(out.status.message);
-    if (ok && ok_flag > 1) return Decode::bad("status flag is neither 0 nor 1");
-    out.status.ok = ok_flag == 1;
-    if (ok) {
-        switch (out.payload) {
-            case Response::Payload::none: break;
-            case Response::Payload::register_value:
-                ok = r.bitvec(out.register_value);
-                break;
-            case Response::Payload::counter_value:
-                ok = r.u64(out.counter_value.packets) &&
-                     r.u64(out.counter_value.bytes);
-                break;
-            case Response::Payload::snapshot:
-                ok = read_snapshot(r, out.snapshot);
-                break;
-            case Response::Payload::op_statuses:
-                ok = read_status_seq(r, out.op_statuses);
-                break;
-        }
-    }
-    if (!ok) return Decode::bad("malformed response: " + r.error());
-    if (!r.done()) {
-        return Decode::bad(util::format("trailing %zu byte(s) after the response",
-                                        r.remaining()));
-    }
-    return Decode::good();
+    fields(r, out);
+    return r.finish("response");
 }
 
 // --- telemetry delta payload codec --------------------------------------------
 
 std::vector<std::uint8_t> encode_telemetry_delta(const obs::TelemetryDelta& delta) {
     Writer w;
-    w.u64(delta.pid);
-    w.u32(static_cast<std::uint32_t>(obs::kNumCounters));
-    for (const std::uint64_t c : delta.metrics.counters) w.u64(c);
-    w.u32(static_cast<std::uint32_t>(obs::kNumGauges));
-    for (const std::int64_t g : delta.metrics.gauges) {
-        w.u64(static_cast<std::uint64_t>(g));
-    }
-    w.u32(static_cast<std::uint32_t>(obs::kNumHists));
-    w.u32(static_cast<std::uint32_t>(obs::kHistBuckets));
-    for (const obs::HistogramData& h : delta.metrics.hists) {
-        for (const std::uint64_t b : h.buckets) w.u64(b);
-    }
-    w.u32(static_cast<std::uint32_t>(delta.events.size()));
-    for (const obs::TraceEventRecord& ev : delta.events) {
-        w.str(ev.name);
-        w.str(ev.arg0);
-        w.str(ev.arg1);
-        w.u64(ev.ts_ns);
-        w.u64(ev.dur_ns);
-        w.u64(ev.v0);
-        w.u64(ev.v1);
-        w.u32(ev.tid);
-    }
+    fields(w, delta);
     return w.take();
 }
 
 Decode decode_telemetry_delta(std::span<const std::uint8_t> payload,
                               obs::TelemetryDelta& out) {
     Reader r(payload);
-    // Reads a section's element count; it must equal this build's.
-    const auto expect = [&r](std::size_t want, const char* what) {
-        std::uint32_t n = 0;
-        if (r.u32(n) && n != want) {
-            r.fail(util::format("%s count %u, this build has %zu", what, n, want));
-        }
-    };
-    out = obs::TelemetryDelta{};
-    r.u64(out.pid);
-    expect(obs::kNumCounters, "counter");
-    for (std::uint64_t& c : out.metrics.counters) r.u64(c);
-    expect(obs::kNumGauges, "gauge");
-    for (std::int64_t& g : out.metrics.gauges) {
-        std::uint64_t raw = 0;
-        r.u64(raw);
-        g = static_cast<std::int64_t>(raw);
-    }
-    expect(obs::kNumHists, "histogram");
-    expect(obs::kHistBuckets, "histogram bucket");
-    for (obs::HistogramData& h : out.metrics.hists) {
-        for (std::uint64_t& b : h.buckets) r.u64(b);
-    }
-    std::uint32_t events = 0;
-    r.count(events, kMaxTelemetryEvents);
-    // Grown per decoded event, so a hostile count allocates nothing.
-    for (std::uint32_t i = 0; r.ok() && i < events; ++i) {
-        obs::TraceEventRecord ev;
-        if (r.str(ev.name) && r.str(ev.arg0) && r.str(ev.arg1) &&
-            r.u64(ev.ts_ns) && r.u64(ev.dur_ns) && r.u64(ev.v0) &&
-            r.u64(ev.v1) && r.u32(ev.tid)) {
-            ev.pid = out.pid;
-            out.events.push_back(std::move(ev));
-        }
-    }
-    if (!r.ok()) return Decode::bad("malformed telemetry delta: " + r.error());
-    if (!r.done()) {
-        return Decode::bad(util::format(
-            "trailing %zu byte(s) after the telemetry delta", r.remaining()));
-    }
-    return Decode::good();
+    fields(r, out);
+    for (obs::TraceEventRecord& ev : out.events) ev.pid = out.pid;
+    return r.finish("telemetry delta");
 }
 
 }  // namespace ndb::control::wire

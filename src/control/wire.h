@@ -5,10 +5,12 @@
 // checksummed binary frames, so the paper's "dedicated management
 // interface" is a real byte protocol that can cross a process boundary --
 // and, just as importantly, one that a fault injector can drop, truncate,
-// corrupt and reorder.  Decoding is strict and diagnostic-rich: every
-// malformed input is rejected with a human-readable reason, never a crash
-// or a silently-wrong value (the same hardening recipe the corpus recipe
-// parsers follow).
+// corrupt and reorder.  Each payload's layout is spelled once, as one field
+// list per message that both the Writer and the strict Reader run (see
+// "payload primitives" below), so an encoder and its decoder cannot drift
+// apart.  Decoding is strict and diagnostic-rich: every malformed input is
+// rejected with a human-readable reason, never a crash or a silently-wrong
+// value (the same hardening recipe the corpus recipe parsers follow).
 //
 // Frame layout (all integers little-endian):
 //
@@ -29,6 +31,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "control/channel.h"
@@ -112,21 +118,59 @@ private:
 };
 
 // --- payload primitives -------------------------------------------------------
+//
+// Every payload has one field list: a function template over `IO` that
+// names the message's fields in wire order, for example
+//
+//     template <class IO>
+//     void fields(IO& io, Fields<IO, MeterConfig>& m) {
+//         io.f64(m.committed_rate_bps);
+//         io.u64(m.committed_burst);
+//         ...
+//     }
+//
+// Instantiated with Writer it serializes the message; with Reader it parses
+// it back, so the two directions cannot drift apart.  Writer and Reader
+// share every method name, and the Reader's shapes carry the checks: a flag
+// must be 0 or 1, a tag must not pass its enum's last value, a sequence
+// count is capped and its vector grows one decoded element at a time (a
+// hostile count never sizes an allocation), and a section count fixed by
+// the build must equal this build's.
 
-// Bounds-checked little-endian serializer, shared by the Request/Response
-// codec, the telemetry delta codec and the fabric's job/result messages.
+// Little-endian serializer.  The arguments that only the Reader checks
+// (a tag's last value, a sequence cap, a name for the error) are ignored.
 class Writer {
 public:
     void u8(std::uint8_t v) { buf_.push_back(v); }
     void u32(std::uint32_t v);
     void u64(std::uint64_t v);
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     void f64(double v);  // IEEE-754 bit pattern
     void str(std::string_view s);
     void bitvec(const util::Bitvec& v);
 
+    void flag(bool v) { u8(v ? 1 : 0); }
+    template <class E>
+    void tag(E v, E /*last*/, const char* /*what*/) {
+        u8(static_cast<std::uint8_t>(v));
+    }
+    template <class... Ts, class Fn>
+    void variant(const std::variant<Ts...>& v, const char* /*what*/, Fn&& alternative) {
+        u8(static_cast<std::uint8_t>(v.index()));
+        std::visit(alternative, v);
+    }
+    template <class T, class Fn>
+    void seq(const std::vector<T>& items, Fn&& item,
+             std::size_t /*cap*/ = kMaxSequenceItems) {
+        u32(static_cast<std::uint32_t>(items.size()));
+        for (const T& x : items) item(x);
+    }
+    void section(std::size_t count, const char* /*what*/) {
+        u32(static_cast<std::uint32_t>(count));
+    }
+
     std::vector<std::uint8_t> take() { return std::move(buf_); }
-    const std::vector<std::uint8_t>& data() const { return buf_; }
 
 private:
     std::vector<std::uint8_t> buf_;
@@ -134,7 +178,8 @@ private:
 
 // Strict cursor over an untrusted payload.  Every getter returns false and
 // records a reason once the input is exhausted or malformed; the first
-// failure sticks, so callers can chain reads and check once.
+// failure sticks and turns every later read into a no-op, so a field list
+// reads on and the caller checks once, through finish().
 class Reader {
 public:
     explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -143,27 +188,73 @@ public:
     bool u32(std::uint32_t& out);
     bool u64(std::uint64_t& out);
     bool i32(std::int32_t& out);
+    bool i64(std::int64_t& out);
     bool f64(double& out);
     bool str(std::string& out);
     bool bitvec(util::Bitvec& out);
 
-    // Sequence header: reads a u32 count and rejects anything above `cap`.
-    bool count(std::uint32_t& out, std::size_t cap = kMaxSequenceItems);
+    // A byte that must be 0 or 1.
+    bool flag(bool& out);
+    // An enum byte that must not exceed `last`; `what` names it in the error.
+    template <class E>
+    bool tag(E& out, E last, const char* what) {
+        std::uint8_t raw = 0;
+        if (!u8(raw)) return false;
+        if (raw > static_cast<unsigned>(last)) return unknown(what, raw);
+        out = static_cast<E>(raw);
+        return true;
+    }
+    // An alternative index that must name one of `v`'s alternatives, which
+    // becomes `v`'s value and is filled in by `alternative`.
+    template <class... Ts, class Fn>
+    bool variant(std::variant<Ts...>& v, const char* what, Fn&& alternative) {
+        std::uint8_t index = 0;
+        if (!u8(index)) return false;
+        if (index >= sizeof...(Ts)) return unknown(what, index);
+        emplace_alternative(v, index, std::index_sequence_for<Ts...>{});
+        std::visit(alternative, v);
+        return ok();
+    }
+    // A count of at most `cap`, then that many elements, each appended
+    // before `item` fills it in.
+    template <class T, class Fn>
+    bool seq(std::vector<T>& out, Fn&& item, std::size_t cap = kMaxSequenceItems) {
+        out.clear();
+        std::uint32_t n = 0;
+        if (!count(n, cap)) return false;
+        for (std::uint32_t i = 0; i < n && ok(); ++i) item(out.emplace_back());
+        return ok();
+    }
+    // A count fixed by the build: it must equal `want`.
+    bool section(std::size_t want, const char* what);
+
+    // The verdict on a whole `what` payload: the first error, or bytes left
+    // over after the field list.
+    Decode finish(const char* what) const;
 
     bool ok() const { return error_.empty(); }
-    // True when every byte has been consumed (strict decodes require it).
-    bool done() const { return ok() && pos_ == bytes_.size(); }
-    std::size_t remaining() const { return bytes_.size() - pos_; }
     const std::string& error() const { return error_; }
-    bool fail(std::string reason);
 
 private:
     bool need(std::size_t n, const char* what);
+    bool fail(std::string reason);
+    bool unknown(const char* what, unsigned value);
+    bool count(std::uint32_t& out, std::size_t cap);
+
+    template <class V, std::size_t... I>
+    static void emplace_alternative(V& v, std::size_t index, std::index_sequence<I...>) {
+        ((index == I ? void(v.template emplace<I>()) : void()), ...);
+    }
 
     std::span<const std::uint8_t> bytes_;
     std::size_t pos_ = 0;
     std::string error_;
 };
+
+// A field list's view of its message: const under a Writer, which only reads
+// it; mutable under a Reader, which fills it in.
+template <class IO, class T>
+using Fields = std::conditional_t<std::is_same_v<IO, Writer>, const T, T>;
 
 // --- request/response payload codec -------------------------------------------
 

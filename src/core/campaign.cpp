@@ -152,6 +152,8 @@ CampaignReport CampaignEngine::run() {
     // Runs `jobs` indexed work items over the worker pool.  Guided mode
     // calls this once per scheduler round; the job body only writes its own
     // outcome slot, so results are mergeable in index order afterwards.
+    // At most one worker starts per job, so no slot builds a pool it would
+    // never use.
     const auto run_pool =
         [&](std::uint64_t jobs,
             const std::function<void(WorkerContext&, std::uint64_t)>& job) {
@@ -173,14 +175,14 @@ CampaignReport CampaignEngine::run() {
                     failed.store(true, std::memory_order_relaxed);
                 }
             };
-            if (threads <= 1) {
+            const auto workers = static_cast<std::size_t>(
+                std::min<std::uint64_t>(static_cast<std::uint64_t>(threads), jobs));
+            if (workers == 1) {
                 worker(0);
             } else {
                 std::vector<std::thread> pool;
-                pool.reserve(static_cast<std::size_t>(threads));
-                for (int i = 0; i < threads; ++i) {
-                    pool.emplace_back(worker, static_cast<std::size_t>(i));
-                }
+                pool.reserve(workers);
+                for (std::size_t i = 0; i < workers; ++i) pool.emplace_back(worker, i);
                 for (auto& t : pool) t.join();
             }
             if (first_error) std::rethrow_exception(first_error);

@@ -42,98 +42,61 @@ constexpr std::chrono::milliseconds kJobResend{200};
 // campaign (it is failing deterministically, not crashing by injection).
 constexpr int kMaxRestartsPerWorker = 3;
 
-// --- outcome serialization ----------------------------------------------------
+// --- shard message field lists -----------------------------------------------
 //
-// A job_result payload carries the shard's ScenarioOutcomes: everything the
-// parent's ReportBuilder needs to fold findings exactly as the in-process
-// engine would.  duplicates/discovered_at are fold outputs, not worker
-// observations, so they do not cross the wire.
+// One function per message, fields in wire order (see "payload primitives"
+// in control/wire.h).
 
-void write_localize(wire::Writer& w, const LocalizeResult& l) {
-    w.u8(l.diverged ? 1 : 0);
-    w.u8(static_cast<std::uint8_t>(l.stage));
-    w.str(l.description);
-    w.i32(l.probes);
-    w.u64(l.packets_replayed);
-    w.u8(l.conclusive ? 1 : 0);
+template <class IO>
+void fields(IO& io, wire::Fields<IO, LocalizeResult>& l) {
+    io.flag(l.diverged);
+    io.tag(l.stage, dataplane::Stage::egress, "stage");
+    io.str(l.description);
+    io.i32(l.probes);
+    io.u64(l.packets_replayed);
+    io.flag(l.conclusive);
 }
 
-bool read_localize(wire::Reader& r, LocalizeResult& out) {
-    std::uint8_t diverged = 0;
-    std::uint8_t stage = 0;
-    std::uint8_t conclusive = 0;
-    r.u8(diverged);
-    r.u8(stage);
-    r.str(out.description);
-    r.i32(out.probes);
-    r.u64(out.packets_replayed);
-    if (!r.u8(conclusive)) return false;
-    out.diverged = diverged != 0;
-    out.stage = static_cast<dataplane::Stage>(stage);
-    out.conclusive = conclusive != 0;
-    return true;
+template <class IO>
+void fields(IO& io, wire::Fields<IO, DivergenceRecord>& rec) {
+    io.u64(rec.seed);
+    io.str(rec.backend);
+    io.str(rec.program);
+    io.str(rec.quirk_signature);
+    io.str(rec.kind);
+    io.str(rec.detail);
+    io.u64(rec.first_diverging_packet);
+    io.u64(rec.minimized_count);
+    io.flag(rec.minimized_reproduces);
+    fields(io, rec.localized);
+    io.str(rec.recipe);
+    io.str(rec.fingerprint);
 }
 
-void write_record(wire::Writer& w, const DivergenceRecord& rec) {
-    w.u64(rec.seed);
-    w.str(rec.backend);
-    w.str(rec.program);
-    w.str(rec.quirk_signature);
-    w.str(rec.kind);
-    w.str(rec.detail);
-    w.u64(rec.first_diverging_packet);
-    w.u64(rec.minimized_count);
-    w.u8(rec.minimized_reproduces ? 1 : 0);
-    write_localize(w, rec.localized);
-    w.str(rec.recipe);
-    w.str(rec.fingerprint);
+template <class IO>
+void fields(IO& io, wire::Fields<IO, ScenarioOutcome>& o) {
+    io.u64(o.packets);
+    io.u64(o.mgmt.requests);
+    io.u64(o.mgmt.frames_sent);
+    io.u64(o.mgmt.retries);
+    io.u64(o.mgmt.timeouts);
+    io.u64(o.mgmt.decode_errors);
+    io.u64(o.mgmt.faults_injected);
+    io.u64(o.mgmt.dedup_hits);
+    io.seq(o.findings, [&](auto& rec) { fields(io, rec); });
 }
 
-bool read_record(wire::Reader& r, DivergenceRecord& out) {
-    std::uint8_t reproduces = 0;
-    r.u64(out.seed);
-    r.str(out.backend);
-    r.str(out.program);
-    r.str(out.quirk_signature);
-    r.str(out.kind);
-    r.str(out.detail);
-    r.u64(out.first_diverging_packet);
-    r.u64(out.minimized_count);
-    if (!r.u8(reproduces)) return false;
-    out.minimized_reproduces = reproduces != 0;
-    if (!read_localize(r, out.localized)) return false;
-    r.str(out.recipe);
-    return r.str(out.fingerprint);
+template <class IO>
+void fields(IO& io, wire::Fields<IO, ShardJob>& job) {
+    io.u64(job.start);
+    io.u32(job.count);
 }
 
-void write_outcome(wire::Writer& w, const ScenarioOutcome& o) {
-    w.u64(o.packets);
-    w.u64(o.mgmt.requests);
-    w.u64(o.mgmt.frames_sent);
-    w.u64(o.mgmt.retries);
-    w.u64(o.mgmt.timeouts);
-    w.u64(o.mgmt.decode_errors);
-    w.u64(o.mgmt.faults_injected);
-    w.u64(o.mgmt.dedup_hits);
-    w.u32(static_cast<std::uint32_t>(o.findings.size()));
-    for (const auto& rec : o.findings) write_record(w, rec);
-}
-
-bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
-    r.u64(out.packets);
-    r.u64(out.mgmt.requests);
-    r.u64(out.mgmt.frames_sent);
-    r.u64(out.mgmt.retries);
-    r.u64(out.mgmt.timeouts);
-    r.u64(out.mgmt.decode_errors);
-    r.u64(out.mgmt.faults_injected);
-    std::uint32_t findings = 0;
-    if (!r.u64(out.mgmt.dedup_hits) || !r.count(findings)) return false;
-    out.findings.resize(findings);
-    for (auto& rec : out.findings) {
-        if (!read_record(r, rec)) return false;
-    }
-    return r.ok();
+template <class IO>
+void fields(IO& io, wire::Fields<IO, ShardResult>& result) {
+    io.u64(result.shard_id);
+    io.u64(result.link_faults);
+    io.seq(result.outcomes, [&](auto& o) { fields(io, o); });
 }
 
 // --- worker process -----------------------------------------------------------
@@ -219,37 +182,31 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
                         }
                         std::_Exit(0);
                     case wire::FrameKind::job: {
-                        wire::Reader r(frame.payload);
-                        std::uint64_t start = 0;
-                        std::uint32_t count = 0;
                         // A malformed job is dropped; the parent's
                         // retransmit path recovers it.
-                        if (!r.u64(start) || !r.u32(count) || !r.done() ||
-                            start > order.size() || count > order.size() - start) {
+                        ShardJob job;
+                        if (!decode_shard_job(frame.payload, job) ||
+                            job.start > order.size() ||
+                            job.count > order.size() - job.start) {
                             break;
                         }
                         if (!ctx) {
                             ctx = std::make_unique<WorkerContext>(
                                 cfg.campaign.reference_backend, sweep.duts);
                         }
-                        wire::Writer w;
-                        w.u64(frame.seq);  // shard id
-                        w.u64(out.faults() - faults_reported);
+                        ShardResult result;
+                        result.shard_id = frame.seq;
+                        result.link_faults = out.faults() - faults_reported;
                         faults_reported = out.faults();
-                        w.u32(count);
-                        for (std::uint32_t k = 0; k < count; ++k) {
+                        result.outcomes.resize(job.count);
+                        for (std::uint32_t k = 0; k < job.count; ++k) {
                             const Scenario sc = sweep.gen.make(
-                                cfg.campaign.base_seed + order[start + k]);
-                            ScenarioOutcome outcome;
+                                cfg.campaign.base_seed + order[job.start + k]);
                             execute_scenario(*ctx, sc, sweep.duts, sweep.exec,
-                                             outcome, std::string());
-                            write_outcome(w, outcome);
+                                             result.outcomes[k], std::string());
                         }
-                        wire::Frame res;
-                        res.kind = wire::FrameKind::job_result;
-                        res.seq = frame.seq;
-                        res.payload = w.take();
-                        send_frame(res);
+                        send_frame({wire::FrameKind::job_result, frame.seq,
+                                    encode_shard_result(result)});
                         break;
                     }
                     default:
@@ -268,9 +225,8 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
 // --- parent-side bookkeeping --------------------------------------------------
 
 struct Shard {
-    std::uint64_t id = 0;     // ordinal; doubles as the job frame seq
-    std::uint64_t start = 0;  // first position in the run order
-    std::uint32_t count = 0;
+    std::uint64_t id = 0;  // ordinal; doubles as the job frame seq
+    ShardJob job;
 };
 
 struct WorkerSlot {
@@ -287,6 +243,31 @@ struct WorkerSlot {
 };
 
 }  // namespace
+
+std::vector<std::uint8_t> encode_shard_job(const ShardJob& job) {
+    wire::Writer w;
+    fields(w, job);
+    return w.take();
+}
+
+wire::Decode decode_shard_job(std::span<const std::uint8_t> payload, ShardJob& out) {
+    wire::Reader r(payload);
+    fields(r, out);
+    return r.finish("shard job");
+}
+
+std::vector<std::uint8_t> encode_shard_result(const ShardResult& result) {
+    wire::Writer w;
+    fields(w, result);
+    return w.take();
+}
+
+wire::Decode decode_shard_result(std::span<const std::uint8_t> payload,
+                                 ShardResult& out) {
+    wire::Reader r(payload);
+    fields(r, out);
+    return r.finish("shard result");
+}
 
 FabricEngine::FabricEngine(FabricConfig config)
     : config_(std::move(config)) {}
@@ -334,9 +315,8 @@ CampaignReport FabricEngine::run() {
     for (std::uint64_t sid = 0; sid < total_shards; ++sid) {
         const std::uint64_t start = sid * config_.shard_size;
         pending.push_back(
-            {sid, start,
-             static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                 config_.shard_size, cc.scenarios - start))});
+            {sid, {start, static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                              config_.shard_size, cc.scenarios - start))}});
     }
     std::vector<std::unique_ptr<ScenarioOutcome>> outcomes(cc.scenarios);
     std::vector<bool> shard_done(total_shards, false);
@@ -418,47 +398,37 @@ CampaignReport FabricEngine::run() {
         }
     };
     const auto send_job = [&](WorkerSlot& s) {
-        wire::Frame job;
-        job.kind = wire::FrameKind::job;
-        job.seq = s.inflight->id;
-        wire::Writer w;
-        w.u64(s.inflight->start);
-        w.u32(s.inflight->count);
-        job.payload = w.take();
-        send_frame(s, job);
+        send_frame(s, {wire::FrameKind::job, s.inflight->id,
+                       encode_shard_job(s.inflight->job)});
         s.job_sent = Clock::now();
     };
 
     const auto handle_result = [&](WorkerSlot& s, const wire::Frame& frame) {
-        wire::Reader r(frame.payload);
-        std::uint64_t shard_id = 0;
-        std::uint64_t faults_delta = 0;
-        std::uint32_t count = 0;
-        if (!r.u64(shard_id) || !r.u64(faults_delta) || !r.count(count)) return;
-        if (shard_id >= total_shards) return;
-        const std::uint64_t start = shard_id * config_.shard_size;
-        const auto expected = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(config_.shard_size, cc.scenarios - start));
-        if (count != expected) return;
-        // Decode the whole payload before committing anything: a result
-        // that goes bad half-way is treated as lost, not half-applied.
-        std::vector<ScenarioOutcome> decoded(count);
-        for (auto& o : decoded) {
-            if (!read_outcome(r, o)) return;
+        // The whole payload decodes before anything commits: a result that
+        // is refused, names no shard or holds the wrong number of outcomes
+        // is treated as lost, never half-applied.
+        ShardResult result;
+        if (!decode_shard_result(frame.payload, result) ||
+            result.shard_id >= total_shards) {
+            return;
         }
-        if (!r.done()) return;
+        const std::uint64_t start = result.shard_id * config_.shard_size;
+        if (result.outcomes.size() !=
+            std::min<std::uint64_t>(config_.shard_size, cc.scenarios - start)) {
+            return;
+        }
 
-        report.fabric.link_faults += faults_delta;
+        report.fabric.link_faults += result.link_faults;
         ++results_received;
-        if (s.inflight && s.inflight->id == shard_id) s.inflight.reset();
+        if (s.inflight && s.inflight->id == result.shard_id) s.inflight.reset();
         // A retransmitted job or a re-dispatched shard can complete twice;
         // first result wins, duplicates are dropped whole.
-        if (shard_done[shard_id]) return;
-        shard_done[shard_id] = true;
+        if (shard_done[result.shard_id]) return;
+        shard_done[result.shard_id] = true;
         --shards_left;
-        for (std::uint32_t k = 0; k < count; ++k) {
+        for (std::size_t k = 0; k < result.outcomes.size(); ++k) {
             outcomes[order[start + k]] =
-                std::make_unique<ScenarioOutcome>(std::move(decoded[k]));
+                std::make_unique<ScenarioOutcome>(std::move(result.outcomes[k]));
         }
     };
 

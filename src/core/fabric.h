@@ -19,13 +19,50 @@
 // resync, job retransmission and, in the limit, the watchdog's
 // kill-and-re-dispatch path -- the same degradation ladder a real
 // distributed test harness needs.
+//
+// A job frame carries a ShardJob and a job_result frame a ShardResult.
+// Each is one field list run by control/wire.h's Writer and strict Reader,
+// so a result frame with a stage byte past egress, a flag byte other than 0
+// or 1, or any truncation is refused with a reason; the parent treats a
+// refused result like a lost one, and the job-resend path recovers it.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "control/wire.h"
 #include "core/campaign.h"
+#include "core/scenario_exec.h"
 
 namespace ndb::core {
+
+// A job frame's payload: `count` positions of the sweep's run order from
+// `start`.  The frame's seq is the shard id.
+struct ShardJob {
+    std::uint64_t start = 0;
+    std::uint32_t count = 0;
+};
+
+// A job_result frame's payload: the shard's outcomes, one per scenario in
+// run order.  Only what the parent's ReportBuilder folds crosses the wire
+// (the packet count, management accounting and findings; a finding's
+// duplicates and discovery ordinal are fold outputs).  `link_faults` is
+// what the worker's own link injector did since its previous result, which
+// the parent cannot observe.
+struct ShardResult {
+    std::uint64_t shard_id = 0;
+    std::uint64_t link_faults = 0;
+    std::vector<ScenarioOutcome> outcomes;
+};
+
+std::vector<std::uint8_t> encode_shard_job(const ShardJob& job);
+control::wire::Decode decode_shard_job(std::span<const std::uint8_t> payload,
+                                       ShardJob& out);
+std::vector<std::uint8_t> encode_shard_result(const ShardResult& result);
+control::wire::Decode decode_shard_result(std::span<const std::uint8_t> payload,
+                                          ShardResult& out);
 
 struct FabricConfig {
     // The sweep to run.  Fabric supports the uniform sweep only: guided

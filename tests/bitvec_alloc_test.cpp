@@ -6,7 +6,8 @@
 // copies its stage taps into storage the device keeps, and switching among
 // programs a device has already run allocates nothing -- and the control
 // path's: re-applying exact entries after a same-image reload allocates
-// nothing per entry.
+// nothing per entry.  And a campaign run builds device pools only for the
+// threads that get a job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/generator.h"
 #include "core/scenario_exec.h"
 #include "core/specgen.h"
@@ -51,10 +53,25 @@ void* operator new[](std::size_t n) {
     throw std::bad_alloc();
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer) as well: under
+// AddressSanitizer they would otherwise come from its allocator and reach
+// the free() below.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -480,6 +497,28 @@ Bitvec random_bitvec(Rng& rng, int width) {
         }
     }
     return v;
+}
+
+TEST(CampaignAlloc, IdleThreadsBuildNoDevicePool) {
+    // A worker builds its device pool -- a reference device plus every DUT
+    // -- when it starts, and a run starts at most one worker per job.  So a
+    // one-scenario sweep at eight threads builds the one pool the same sweep
+    // builds at one thread, and allocates no more.
+    ndb::core::CampaignConfig config;
+    config.base_seed = 1;
+    config.scenarios = 1;
+    const auto run_at = [&](int threads) {
+        config.threads = threads;
+        const std::uint64_t before = allocations();
+        (void)ndb::core::CampaignEngine(config).run();
+        return allocations() - before;
+    };
+    (void)run_at(1);  // warm-up
+    const std::uint64_t one = run_at(1);
+    const std::uint64_t eight = run_at(8);
+    std::cout << "one-scenario sweep: " << one << " allocations at 1 thread, "
+              << eight << " at 8\n";
+    EXPECT_LE(eight, one);
 }
 
 TEST(BitvecWordOps, MatchBitwiseReferenceAcrossWidths) {

@@ -2,13 +2,17 @@
 // byte-identical to the single-process uniform sweep -- with clean links,
 // with a SIGKILLed worker plus lossy fault-injected links (graceful
 // degradation), and with management-plane fault injection layered on top.
+// The shard-result codec refuses truncated and out-of-range bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/fabric.h"
@@ -211,6 +215,105 @@ TEST(Fabric, UniformSweepBuildsEachImageOncePerProgramPerWorker) {
     EXPECT_LE(builds, 2u * devices * 18u + slack);
     EXPECT_GE(merged.counters[static_cast<std::size_t>(obs::Counter::scenarios)],
               cfg.scenarios);
+}
+
+// The offset of the one byte at which two encodings differ.
+std::size_t only_difference(const std::vector<std::uint8_t>& a,
+                            const std::vector<std::uint8_t>& b) {
+    EXPECT_EQ(a.size(), b.size());
+    std::size_t at = a.size();
+    int differences = 0;
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        if (a[i] != b[i]) {
+            at = i;
+            ++differences;
+        }
+    }
+    EXPECT_EQ(differences, 1);
+    return at;
+}
+
+TEST(Fabric, ShardResultCodecRefusesHostileBytes) {
+    // Outcomes that carry findings, management accounting and localization
+    // at every stage survive the round trip.
+    ShardResult result;
+    result.shard_id = 7;
+    result.link_faults = 3;
+    for (int i = 0; i < 3; ++i) {
+        ScenarioOutcome o;
+        o.packets = 10u + static_cast<std::uint64_t>(i);
+        o.mgmt = {2, 5, 3, 1, 1, 6, static_cast<std::uint64_t>(i)};
+        DivergenceRecord rec;
+        rec.seed = 100u + static_cast<std::uint64_t>(i);
+        rec.backend = "sdnet";
+        rec.program = "reject_filter";
+        rec.quirk_signature = "accept_on_reject";
+        rec.kind = i == 0 ? "mgmt" : "output";
+        rec.detail = "first difference";
+        rec.first_diverging_packet = 2;
+        rec.minimized_count = 1;
+        rec.minimized_reproduces = i != 1;
+        rec.localized.diverged = true;
+        rec.localized.stage = static_cast<dataplane::Stage>(i);
+        rec.localized.description = "stage differs";
+        rec.localized.probes = 1;
+        rec.localized.packets_replayed = 2;
+        rec.localized.conclusive = true;
+        rec.recipe = i == 2 ? "#recipe" : "";
+        rec.fingerprint = "sdnet|q|" + std::to_string(i);
+        o.findings.assign(static_cast<std::size_t>(i), rec);
+        result.outcomes.push_back(std::move(o));
+    }
+    const std::vector<std::uint8_t> bytes = encode_shard_result(result);
+    ShardResult back;
+    const control::wire::Decode good = decode_shard_result(bytes, back);
+    ASSERT_TRUE(good) << good.reason;
+    EXPECT_EQ(encode_shard_result(back), bytes);
+    ASSERT_EQ(back.outcomes.size(), 3u);
+    EXPECT_EQ(back.shard_id, 7u);
+    EXPECT_EQ(back.link_faults, 3u);
+    EXPECT_EQ(back.outcomes[2].mgmt.faults_injected, 6u);
+    ASSERT_EQ(back.outcomes[2].findings.size(), 2u);
+    EXPECT_EQ(back.outcomes[2].findings[1].localized.stage, dataplane::Stage::egress);
+    EXPECT_EQ(back.outcomes[2].findings[1].recipe, "#recipe");
+    EXPECT_TRUE(back.outcomes[2].findings[1].localized.conclusive);
+
+    // Every truncation, and a trailing byte, is refused with a reason.
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        const control::wire::Decode d = decode_shard_result(
+            std::span<const std::uint8_t>(bytes.data(), cut), back);
+        EXPECT_FALSE(d) << "cut at " << cut;
+        EXPECT_FALSE(d.reason.empty());
+    }
+    std::vector<std::uint8_t> padded = bytes;
+    padded.push_back(0);
+    EXPECT_FALSE(decode_shard_result(padded, back));
+
+    // A stage byte past egress, and a flag byte of 2 in each of a finding's
+    // three flags, are refused.  Each byte is found by changing that one
+    // field and diffing the encodings.
+    const auto refused = [&](std::size_t at, std::uint8_t value, const char* why) {
+        std::vector<std::uint8_t> bad = bytes;
+        bad[at] = value;
+        const control::wire::Decode d = decode_shard_result(bad, back);
+        EXPECT_FALSE(d) << "byte " << at << " = " << int{value};
+        EXPECT_NE(d.reason.find(why), std::string::npos) << d.reason;
+    };
+    const auto changed = [&](const auto& edit) {
+        ShardResult r = result;
+        edit(r.outcomes[1].findings[0]);
+        return only_difference(bytes, encode_shard_result(r));
+    };
+    refused(changed([](DivergenceRecord& d) {
+                d.localized.stage = dataplane::Stage::egress;
+            }),
+            3, "unknown stage 3");
+    refused(changed([](DivergenceRecord& d) { d.localized.diverged = false; }), 2,
+            "neither 0 nor 1");
+    refused(changed([](DivergenceRecord& d) { d.localized.conclusive = false; }), 2,
+            "neither 0 nor 1");
+    refused(changed([](DivergenceRecord& d) { d.minimized_reproduces = true; }), 2,
+            "neither 0 nor 1");
 }
 
 TEST(Fabric, MalformedConfigIsRefusedBeforeAnyWorkerForks) {

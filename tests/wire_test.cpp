@@ -1,16 +1,21 @@
 // Wire codec: randomized round-trips for every request/response variant,
-// adversarial decoding (truncation, bit flips, hostile length fields, wrong
-// version), the fabric's telemetry delta payload, FrameReader
+// the version 2 bytes of every message kind, adversarial decoding
+// (truncation, bit flips, hostile length fields and tags, wrong version),
+// the fabric's telemetry delta payload, FrameReader
 // resynchronization over a mangled stream, and the RuntimeClient
 // payload-discriminator regression test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "control/transport.h"
 #include "control/wire.h"
+#include "core/fabric.h"
 #include "util/random.h"
 #include "util/strings.h"
 
@@ -332,6 +337,186 @@ TEST(WireCodec, FrameRoundTrip) {
     }
 }
 
+// --- format pin ---------------------------------------------------------------
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const std::uint8_t b : bytes) {
+        out += kDigits[b >> 4];
+        out += kDigits[b & 15];
+    }
+    return out;
+}
+
+// Encodes `value`, compares the bytes with `want`, then decodes them and
+// re-encodes what came back: the reader must restore every field the
+// writer put down.
+template <class T, class EncodeFn, class DecodeFn>
+void expect_pinned(const T& value, EncodeFn encode, DecodeFn decode,
+                   std::string_view want) {
+    const std::vector<std::uint8_t> bytes = encode(value);
+    EXPECT_EQ(hex(bytes), want);
+    T back;
+    const wire::Decode d = decode(bytes, back);
+    ASSERT_TRUE(d.ok) << d.reason;
+    EXPECT_EQ(hex(encode(back)), want) << "the decode lost a field";
+}
+
+TEST(WireCodec, EncodingsMatchVersion2Bytes) {
+    // One fixed value of every message the wire carries, with the bytes its
+    // kVersion 2 encoding had when they were recorded.  A layout change
+    // shows up here as a byte diff; a deliberate one bumps wire::kVersion
+    // and re-records.
+    ASSERT_EQ(wire::kVersion, 2);
+
+    ConfigOp add;
+    add.kind = ConfigOp::Kind::add_entry;
+    add.target = "acl";
+    add.entry.key_values = {util::Bitvec(12, 0xabc), util::Bitvec(1, 1)};
+    add.entry.key_masks = {util::Bitvec(12, 0xff0)};
+    add.entry.prefix_len = -1;
+    add.entry.priority = 7;
+    add.entry.action = "drop";
+    add.entry.action_args = {util::Bitvec(9, 0x101)};
+    ConfigOp def;
+    def.kind = ConfigOp::Kind::set_default_action;
+    def.target = "routes";
+    def.action = "fwd";
+    def.action_args = {util::Bitvec(16, 0x0102)};
+    ConfigOp reg;
+    reg.kind = ConfigOp::Kind::write_register;
+    reg.target = "reg";
+    reg.index = 5;
+    reg.value = util::Bitvec(70);
+    reg.value.set_bit(69, true);
+    reg.value.set_bit(0, true);
+    ConfigOp meter;
+    meter.kind = ConfigOp::Kind::configure_meter;
+    meter.target = "m";
+    meter.index = 2;
+    meter.meter = {1.5e6, 3000, 2.5e6, 6000};
+    const std::pair<Request, std::string_view> requests[] = {
+        {ReadRegisterReq{"reg", 7}, "0003000000726567" "0700000000000000"},
+        {ReadCounterReq{"hits", 258}, "010400000068697473" "0201000000000000"},
+        {SnapshotReq{}, "02"},
+        {ResetReq{}, "03"},
+        {ApplyConfigReq{{add, def, reg, meter}},
+         "0404000000000300000061636c020000000c0000000abc010000000101000000"
+         "0c0000000ff0ffffffff070000000400000064726f7001000000090000000101"
+         "0106000000726f75746573030000006677640100000010000000010202030000"
+         "0072656705000000000000004600000020000000000000000103010000006d02"
+         "000000000000000000000060e33641b80b00000000000000000000d012434170"
+         "17000000000000"},
+    };
+    for (const auto& [request, want] : requests) {
+        SCOPED_TRACE(request.index());
+        expect_pinned(request, wire::encode_request, wire::decode_request, want);
+    }
+
+    Response none;
+    none.status = Status::failure("no such table");
+    Response value;
+    value.payload = Response::Payload::register_value;
+    value.register_value = util::Bitvec(12, 0x5a5);
+    Response counter;
+    counter.payload = Response::Payload::counter_value;
+    counter.counter_value = {3, 180};
+    Response snapshot;
+    snapshot.payload = Response::Payload::snapshot;
+    snapshot.snapshot.taken_at_ns = 1000;
+    snapshot.snapshot.stages = {9, 8, 1, 0, 2, 1, 5};
+    snapshot.snapshot.misdirected = 1;
+    snapshot.snapshot.ports = {{4, 256, 3, 192}};
+    snapshot.snapshot.tables = {{"acl", 6, 2, 1, 64}};
+    snapshot.snapshot.externs = {{"seen", "register", 16, 0xfeed, 0}};
+    Response statuses;
+    statuses.payload = Response::Payload::op_statuses;
+    statuses.op_statuses = {Status::success(), Status::failure("dup")};
+    const std::pair<Response, std::string_view> responses[] = {
+        {none, "00000d0000006e6f2073756368207461626c65"},
+        {value, "0101000000000c00000005a5"},
+        {counter, "0201000000000300000000000000b400000000000000"},
+        {snapshot,
+         "030100000000e803000000000000090000000000000008000000000000000100"
+         "0000000000000000000000000000020000000000000001000000000000000500"
+         "0000000000000100000000000000010000000400000000000000000100000000"
+         "00000300000000000000c000000000000000010000000300000061636c060000"
+         "0000000000020000000000000001000000000000004000000000000000010000"
+         "00040000007365656e0800000072656769737465721000000000000000edfe00"
+         "00000000000000000000000000"},
+        {statuses, "0401000000000200000001000000000003000000647570"},
+    };
+    for (const auto& [response, want] : responses) {
+        SCOPED_TRACE(static_cast<int>(response.payload));
+        expect_pinned(response, wire::encode_response, wire::decode_response, want);
+    }
+
+    // The delta's length follows obs's counter, gauge and histogram counts,
+    // so its bytes are pinned by length and FNV-1a digest.
+    obs::TelemetryDelta delta;
+    delta.pid = 77;
+    delta.metrics.counters[static_cast<std::size_t>(obs::Counter::packets)] = 12;
+    delta.metrics.gauges[static_cast<std::size_t>(obs::Gauge::fabric_workers)] = -2;
+    delta.metrics.hists[static_cast<std::size_t>(obs::Hist::scenario_ns)].buckets[3] = 4;
+    obs::TraceEventRecord ev;
+    ev.name = "scenario";
+    ev.arg0 = "seed";
+    ev.v0 = 17;
+    ev.ts_ns = 1000;
+    ev.dur_ns = 250;
+    ev.tid = 9;
+    delta.events.push_back(ev);
+    const std::vector<std::uint8_t> delta_bytes = wire::encode_telemetry_delta(delta);
+    EXPECT_EQ(delta_bytes.size(), 5360u);
+    EXPECT_EQ(util::fnv1a_64(std::string_view(
+                  reinterpret_cast<const char*>(delta_bytes.data()), delta_bytes.size())),
+              0x2029d373805ddefdull);
+    obs::TelemetryDelta delta_back;
+    ASSERT_TRUE(wire::decode_telemetry_delta(delta_bytes, delta_back));
+    EXPECT_EQ(wire::encode_telemetry_delta(delta_back), delta_bytes);
+
+    expect_pinned(core::ShardJob{40, 4}, core::encode_shard_job, core::decode_shard_job,
+                  "280000000000000004000000");
+
+    core::DivergenceRecord finding;
+    finding.seed = 11;
+    finding.backend = "sdnet";
+    finding.program = "reject_filter";
+    finding.quirk_signature = "accept_on_reject";
+    finding.kind = "output";
+    finding.detail = "pkt 1 dropped";
+    finding.first_diverging_packet = 1;
+    finding.minimized_count = 1;
+    finding.minimized_reproduces = true;
+    finding.localized.diverged = true;
+    finding.localized.stage = dataplane::Stage::ingress;
+    finding.localized.description = "table acl";
+    finding.localized.probes = 1;
+    finding.localized.packets_replayed = 2;
+    finding.localized.conclusive = true;
+    finding.recipe = "#r";
+    finding.fingerprint = "sdnet|q|ingress";
+    core::ScenarioOutcome found;
+    found.packets = 6;
+    found.mgmt = {1, 3, 2, 1, 1, 4, 1};
+    found.findings = {finding};
+    core::ScenarioOutcome clean;
+    clean.packets = 3;
+    expect_pinned(core::ShardResult{9, 2, {found, clean}}, core::encode_shard_result,
+                  core::decode_shard_result,
+                  "0900000000000000020000000000000002000000060000000000000001000000"
+                  "0000000003000000000000000200000000000000010000000000000001000000"
+                  "0000000004000000000000000100000000000000010000000b00000000000000"
+                  "0500000073646e65740d00000072656a6563745f66696c746572100000006163"
+                  "636570745f6f6e5f72656a656374060000006f75747075740d000000706b7420"
+                  "312064726f707065640100000000000000010000000000000001010109000000"
+                  "7461626c652061636c010000000200000000000000010200000023720f000000"
+                  "73646e65747c717c696e67726573730300000000000000000000000000000000"
+                  "0000000000000000000000000000000000000000000000000000000000000000"
+                  "00000000000000000000000000000000000000");
+}
+
 // --- adversarial decoding -----------------------------------------------------
 
 TEST(WireCodec, TruncatedFrameEveryPrefixRejected) {
@@ -455,6 +640,71 @@ TEST(WireCodec, RequestDecoderSurvivesTruncationAndGarbage) {
         EXPECT_FALSE(d.ok) << "tag " << tag;
         EXPECT_NE(d.reason.find("unknown request tag"), std::string::npos)
             << d.reason;
+    }
+}
+
+Response random_response(util::Rng& rng, Response::Payload kind) {
+    Response r;
+    r.status = rng.next_bool() ? Status::success() : Status::failure("failed");
+    r.payload = kind;
+    switch (kind) {
+        case Response::Payload::none: break;
+        case Response::Payload::register_value:
+            r.register_value = random_bitvec(rng);
+            break;
+        case Response::Payload::counter_value:
+            r.counter_value = {rng.next_u64(), rng.next_u64()};
+            break;
+        case Response::Payload::snapshot:
+            r.snapshot = random_snapshot(rng);
+            break;
+        case Response::Payload::op_statuses:
+            for (std::size_t i = rng.next_below(4); i > 0; --i) {
+                r.op_statuses.push_back(rng.next_bool() ? Status::success()
+                                                        : Status::failure("op"));
+            }
+            break;
+    }
+    return r;
+}
+
+TEST(WireCodec, ResponseDecoderSurvivesTruncationAndGarbage) {
+    util::Rng rng(4321);
+    for (int iter = 0; iter < 100; ++iter) {
+        const auto kind = static_cast<Response::Payload>(iter % 5);
+        const auto payload = wire::encode_response(random_response(rng, kind));
+        // Every strict prefix fails with a reason, including the one that
+        // ends right after the kind byte, before the status flag.
+        for (std::size_t len = 0; len < payload.size(); ++len) {
+            Response out;
+            const wire::Decode d = wire::decode_response(
+                std::span<const std::uint8_t>(payload.data(), len), out);
+            EXPECT_FALSE(d.ok) << "kind " << iter % 5 << ", prefix of " << len
+                               << " bytes decoded";
+            EXPECT_FALSE(d.reason.empty());
+        }
+        std::vector<std::uint8_t> noise(rng.next_below(64));
+        for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_below(256));
+        Response out;
+        (void)wire::decode_response(noise, out);
+    }
+    // Kinds past op_statuses name no payload; a status flag must be 0 or 1.
+    // Each payload is otherwise well-formed: the kind byte, the flag byte and
+    // an empty status message.
+    for (unsigned byte = 2; byte <= 255; ++byte) {
+        const auto b = static_cast<std::uint8_t>(byte);
+        Response out;
+        if (byte >= 5) {
+            const wire::Decode d = wire::decode_response(
+                std::vector<std::uint8_t>{b, 1, 0, 0, 0, 0}, out);
+            EXPECT_FALSE(d.ok) << "kind " << byte;
+            EXPECT_NE(d.reason.find("unknown response payload kind"), std::string::npos)
+                << d.reason;
+        }
+        const wire::Decode d = wire::decode_response(
+            std::vector<std::uint8_t>{0, b, 0, 0, 0, 0}, out);
+        EXPECT_FALSE(d.ok) << "flag " << byte;
+        EXPECT_NE(d.reason.find("neither 0 nor 1"), std::string::npos) << d.reason;
     }
 }
 
