@@ -728,24 +728,28 @@ std::string CampaignReport::to_json() const {
         s += "]},\n";
     }
     if (mgmt_enabled || fabric_enabled) {
-        // Byte-identity consumers: "mgmt" is deterministic like the rest of
-        // the report; "fabric" is timing-dependent (which worker dies with
-        // which shard in flight) and must be excluded from comparisons.
+        // Each block only when its mode is on.  Byte-identity consumers:
+        // "mgmt" is deterministic like the rest of the report; "fabric" is
+        // timing-dependent (which worker dies with which shard in flight)
+        // and must be excluded from comparisons.
         s += "  \"robustness\": {";
-        s += util::format(
-            "\"mgmt\": {\"requests\": %llu, \"frames_sent\": %llu, "
-            "\"retries\": %llu, \"timeouts\": %llu, \"decode_errors\": %llu, "
-            "\"faults_injected\": %llu, \"dedup_hits\": %llu}",
-            static_cast<unsigned long long>(mgmt.requests),
-            static_cast<unsigned long long>(mgmt.frames_sent),
-            static_cast<unsigned long long>(mgmt.retries),
-            static_cast<unsigned long long>(mgmt.timeouts),
-            static_cast<unsigned long long>(mgmt.decode_errors),
-            static_cast<unsigned long long>(mgmt.faults_injected),
-            static_cast<unsigned long long>(mgmt.dedup_hits));
-        if (fabric_enabled) {
+        if (mgmt_enabled) {
             s += util::format(
-                ", \"fabric\": {\"workers\": %llu, \"worker_restarts\": %llu, "
+                "\"mgmt\": {\"requests\": %llu, \"frames_sent\": %llu, "
+                "\"retries\": %llu, \"timeouts\": %llu, \"decode_errors\": %llu, "
+                "\"faults_injected\": %llu, \"dedup_hits\": %llu}",
+                static_cast<unsigned long long>(mgmt.requests),
+                static_cast<unsigned long long>(mgmt.frames_sent),
+                static_cast<unsigned long long>(mgmt.retries),
+                static_cast<unsigned long long>(mgmt.timeouts),
+                static_cast<unsigned long long>(mgmt.decode_errors),
+                static_cast<unsigned long long>(mgmt.faults_injected),
+                static_cast<unsigned long long>(mgmt.dedup_hits));
+        }
+        if (fabric_enabled) {
+            if (mgmt_enabled) s += ", ";
+            s += util::format(
+                "\"fabric\": {\"workers\": %llu, \"worker_restarts\": %llu, "
                 "\"shards_redispatched\": %llu, \"jobs_resent\": %llu, "
                 "\"link_frames\": %llu, \"link_corrupt\": %llu, "
                 "\"link_faults\": %llu}",

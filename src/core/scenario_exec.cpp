@@ -133,10 +133,8 @@ void run_scenario_on(target::Device& dev, const Scenario& sc,
             acct->dedup_hits += transport.server_stats().dedup_hits;
         }
     } else {
-        for (const control::ConfigOp& op : sc.config) {
-            run.config_ok.push_back(dev.apply(op).ok);
-            run.config_wire_fail.push_back(false);
-        }
+        dev.apply(sc.config, run.config_ok);
+        run.config_wire_fail.assign(sc.config.size(), false);
     }
     // Streaming digest mode: the pipeline hashes each stage's state in
     // place, so detection gets the tap signal without a single PacketState

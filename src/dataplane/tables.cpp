@@ -40,8 +40,14 @@ public:
 
     void pack(std::span<const Bitvec> keys, int total_width) {
         nwords_ = words_for(total_width);
-        std::uint64_t* w = data();
-        for (int i = 0; i < nwords_; ++i) w[i] = 0;
+        pack_into(keys, total_width, data());
+    }
+
+    // The image of `keys` written to `w`, words_for(total_width) words.
+    static void pack_into(std::span<const Bitvec> keys, int total_width,
+                          std::uint64_t* w) {
+        const int nwords = words_for(total_width);
+        for (int i = 0; i < nwords; ++i) w[i] = 0;
         // Last key occupies the low bits: walk the elements back to front.
         int bitpos = 0;
         for (std::size_t k = keys.size(); k-- > 0;) {
@@ -50,15 +56,15 @@ public:
             const int off = bitpos % 64;
             for (std::size_t i = 0; i < src.size(); ++i) {
                 const int base = bitpos / 64 + static_cast<int>(i);
-                if (base < nwords_) w[base] |= src[i] << off;
-                if (off != 0 && base + 1 < nwords_) {
+                if (base < nwords) w[base] |= src[i] << off;
+                if (off != 0 && base + 1 < nwords) {
                     w[base + 1] |= src[i] >> (64 - off);
                 }
             }
             bitpos += key.width();
         }
         const int rem = total_width % 64;
-        if (rem != 0) w[nwords_ - 1] &= ~0ull >> (64 - rem);
+        if (rem != 0) w[nwords - 1] &= ~0ull >> (64 - rem);
     }
 
     // In-place AND with a mask image of the same word count.
@@ -158,6 +164,12 @@ ActionRef action_ref(const StoredAction& a, const std::vector<Bitvec>& args) {
 // clear() zeroes the index and truncates the arrays but keeps all their
 // capacity, so refilling a table after a same-image reload neither regrows
 // the index nor allocates.
+//
+// A large table's index outgrows the caches, so each insert's probe waits
+// on a random slot.  insert_batch() therefore packs and hashes up to
+// kChunk keys first, then places them in order while prefetching the slot
+// of the entry kPrefetchDistance places ahead.  insert() packs its one key
+// on the stack and places it with the same body, place().
 class IndexedExactEngine final : public MatchEngine {
 public:
     IndexedExactEngine(int total_width, std::size_t capacity)
@@ -170,19 +182,31 @@ public:
     InsertStatus insert(const TableEntry& entry) override {
         PackedKey key;
         key.pack(entry.key_values, total_width_);
-        const auto kw = key.words();
-        const std::size_t h = key.hash();
-        std::size_t pos = 0;
-        if (probe(kw, h, pos)) return InsertStatus::duplicate;
-        if (values_.size() >= capacity_) return InsertStatus::table_full;
-        if ((values_.size() + 1) * 10 >= index_.size() * 7) {
-            grow();
-            probe(kw, h, pos);  // still absent: finds its slot in the new index
+        return place(entry, key.words(), key.hash());
+    }
+
+    void insert_batch(std::span<const TableEntry> entries,
+                      std::span<InsertStatus> statuses) override {
+        for (std::size_t at = 0; at < entries.size(); at += kChunk) {
+            const std::size_t n = std::min(kChunk, entries.size() - at);
+            chunk_keys_.resize(n * words_);
+            for (std::size_t i = 0; i < n; ++i) {
+                std::uint64_t* kw = chunk_keys_.data() + i * words_;
+                PackedKey::pack_into(entries[at + i].key_values, total_width_, kw);
+                chunk_hashes_[i] = PackedKey::hash_words({kw, words_});
+            }
+            for (std::size_t i = 0; i < std::min(kPrefetchDistance, n); ++i) {
+                prefetch_slot(chunk_hashes_[i]);
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                if (i + kPrefetchDistance < n) {
+                    prefetch_slot(chunk_hashes_[i + kPrefetchDistance]);
+                }
+                statuses[at + i] = place(entries[at + i],
+                                         {chunk_keys_.data() + i * words_, words_},
+                                         chunk_hashes_[i]);
+            }
         }
-        keys_.insert(keys_.end(), kw.begin(), kw.end());
-        values_.push_back(store_action(entry, args_));
-        index_[pos] = {tag_of(h), static_cast<std::uint32_t>(values_.size())};
-        return InsertStatus::ok;
     }
 
     std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const override {
@@ -214,6 +238,10 @@ public:
 
 private:
     static constexpr std::size_t kMinSlots = 16;
+    // Keys packed and hashed ahead of their inserts, and how far ahead of
+    // its probe an index slot is prefetched.
+    static constexpr std::size_t kChunk = 64;
+    static constexpr std::size_t kPrefetchDistance = 8;
 
     struct Slot {
         std::uint32_t tag = 0;
@@ -222,6 +250,28 @@ private:
 
     static std::uint32_t tag_of(std::size_t h) {
         return static_cast<std::uint32_t>(h >> 32);
+    }
+
+    // The slot a probe for hash `h` starts at, fetched for writing.  If the
+    // index grows before the probe, the hint was merely wasted.
+    void prefetch_slot(std::size_t h) const {
+        __builtin_prefetch(&index_[h & mask_], 1);
+    }
+
+    // The body of every insert: `kw` is the entry's packed key, `h` its hash.
+    InsertStatus place(const TableEntry& entry, std::span<const std::uint64_t> kw,
+                       std::size_t h) {
+        std::size_t pos = 0;
+        if (probe(kw, h, pos)) return InsertStatus::duplicate;
+        if (values_.size() >= capacity_) return InsertStatus::table_full;
+        if ((values_.size() + 1) * 10 >= index_.size() * 7) {
+            grow();
+            probe(kw, h, pos);  // still absent: finds its slot in the new index
+        }
+        keys_.insert(keys_.end(), kw.begin(), kw.end());
+        values_.push_back(store_action(entry, args_));
+        index_[pos] = {tag_of(h), static_cast<std::uint32_t>(values_.size())};
+        return InsertStatus::ok;
     }
 
     std::span<const std::uint64_t> key_of(std::size_t entry) const {
@@ -268,13 +318,18 @@ private:
     std::vector<std::uint64_t> keys_;
     std::vector<StoredAction> values_;
     std::vector<Bitvec> args_;
+    // insert_batch()'s packed keys (words_ per entry) and their hashes.
+    std::vector<std::uint64_t> chunk_keys_;
+    std::array<std::size_t, kChunk> chunk_hashes_{};
 };
 
 // --- lpm ----------------------------------------------------------------------
 
 // Binary trie over the key bits, most significant bit first.  The longest
 // prefix on the lookup path wins, so a lookup costs at most key_width node
-// steps however many prefixes and distinct lengths the table holds.
+// steps however many prefixes and distinct lengths the table holds.  A key
+// of at most 64 bits is walked as one machine word; wider keys read their
+// bits from the Bitvec.
 class TrieLpmEngine final : public MatchEngine {
 public:
     TrieLpmEngine(int key_width, std::size_t capacity)
@@ -288,46 +343,26 @@ public:
             return InsertStatus::bad_entry;
         }
         if (count_ >= capacity_) return InsertStatus::table_full;
-        const Bitvec value = entry.key_values[0].resize(key_width_);
-        std::size_t node = 0;
-        for (int i = 0; i < entry.prefix_len; ++i) {
-            const bool bit = value.bit(key_width_ - 1 - i);
-            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
-            if (child == 0) {
-                const std::size_t fresh = nodes_.size();
-                nodes_.push_back(Node{});
-                if (bit) {
-                    nodes_[node].one = fresh;
-                } else {
-                    nodes_[node].zero = fresh;
-                }
-                node = fresh;
-            } else {
-                node = child;
-            }
+        if (key_width_ <= 64) {
+            // A Bitvec keeps the bits above its width zero, so the low word
+            // reads as the key resized to key_width_.
+            const std::uint64_t value = entry.key_values[0].to_u64();
+            return insert_walk(entry, [&](int i) {
+                return ((value >> (key_width_ - 1 - i)) & 1) != 0;
+            });
         }
-        if (nodes_[node].has_entry) return InsertStatus::duplicate;
-        nodes_[node].action = store_action(entry, args_);
-        nodes_[node].has_entry = true;
-        ++count_;
-        return InsertStatus::ok;
+        const Bitvec value = entry.key_values[0].resize(key_width_);
+        return insert_walk(entry, [&](int i) { return value.bit(key_width_ - 1 - i); });
     }
 
     std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const override {
         if (keys.size() != 1) return std::nullopt;
-        const Bitvec key = keys[0].resize(key_width_);
-        const Node* best = nullptr;
-        std::size_t node = 0;
-        if (nodes_[0].has_entry) best = &nodes_[0];
-        for (int i = 0; i < key_width_; ++i) {
-            const bool bit = key.bit(key_width_ - 1 - i);
-            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
-            if (child == 0) break;
-            node = child;
-            if (nodes_[node].has_entry) best = &nodes_[node];
+        if (key_width_ <= 64) {
+            const std::uint64_t key = keys[0].to_u64();
+            return lookup_walk([&](int i) { return ((key >> (key_width_ - 1 - i)) & 1) != 0; });
         }
-        if (!best) return std::nullopt;
-        return action_ref(best->action, args_);
+        const Bitvec key = keys[0].resize(key_width_);
+        return lookup_walk([&](int i) { return key.bit(key_width_ - 1 - i); });
     }
 
     std::size_t entry_count() const override { return count_; }
@@ -352,6 +387,50 @@ private:
         StoredAction action;  // meaningful when has_entry
         bool has_entry = false;
     };
+
+    // insert() and lookup() past their checks; `bit_at(i)` is the key's bit
+    // at depth i, most significant first.
+    template <class BitAt>
+    InsertStatus insert_walk(const TableEntry& entry, BitAt bit_at) {
+        std::size_t node = 0;
+        for (int i = 0; i < entry.prefix_len; ++i) {
+            const bool bit = bit_at(i);
+            const std::size_t child = bit ? nodes_[node].one : nodes_[node].zero;
+            if (child == 0) {
+                const std::size_t fresh = nodes_.size();
+                nodes_.push_back(Node{});
+                if (bit) {
+                    nodes_[node].one = fresh;
+                } else {
+                    nodes_[node].zero = fresh;
+                }
+                node = fresh;
+            } else {
+                node = child;
+            }
+        }
+        if (nodes_[node].has_entry) return InsertStatus::duplicate;
+        nodes_[node].action = store_action(entry, args_);
+        nodes_[node].has_entry = true;
+        ++count_;
+        return InsertStatus::ok;
+    }
+
+    template <class BitAt>
+    std::optional<ActionRef> lookup_walk(BitAt bit_at) const {
+        const Node* best = nullptr;
+        std::size_t node = 0;
+        if (nodes_[0].has_entry) best = &nodes_[0];
+        for (int i = 0; i < key_width_; ++i) {
+            const std::size_t child = bit_at(i) ? nodes_[node].one : nodes_[node].zero;
+            if (child == 0) break;
+            node = child;
+            if (nodes_[node].has_entry) best = &nodes_[node];
+        }
+        if (!best) return std::nullopt;
+        return action_ref(best->action, args_);
+    }
+
     int key_width_;
     std::size_t capacity_;
     std::vector<Node> nodes_;
@@ -636,8 +715,9 @@ const TableSet::Slot& TableSet::slot(int table_id) const {
     return const_cast<TableSet&>(*this).slot(table_id);
 }
 
-InsertStatus TableSet::insert(int table_id, const TableEntry& entry) {
-    return slot(table_id).engine->insert(entry);
+void TableSet::insert_batch(int table_id, std::span<const TableEntry> entries,
+                            std::span<InsertStatus> statuses) {
+    slot(table_id).engine->insert_batch(entries, statuses);
 }
 
 void TableSet::set_default_action(int table_id, int action_id,

@@ -9,8 +9,10 @@
 //     words, action values, one shared argument array) and finds it through
 //     an open-addressing index of 8-byte slots; clear() keeps every array's
 //     capacity, so refilling a table after a reload neither regrows nor
-//     allocates;
-//   * LPM walks a binary trie over the key bits, most significant first;
+//     allocates.  insert_batch() packs and hashes a run of keys first and
+//     prefetches each one's index slot a few entries ahead of its probe;
+//   * LPM walks a binary trie over the key bits, most significant first
+//     (a key of at most 64 bits as one machine word);
 //   * ternary keeps its rows priority-sorted so the first match wins and
 //     the scan exits early.
 //
@@ -82,6 +84,16 @@ class MatchEngine {
 public:
     virtual ~MatchEngine() = default;
     virtual InsertStatus insert(const TableEntry& entry) = 0;
+    // Inserts the entries in order, writing entries[i]'s outcome to
+    // statuses[i] (`statuses` holds at least entries.size()): by definition
+    // an insert() of each in turn, duplicates within the batch included.
+    // The exact engine overrides it to pack and hash a run of keys before
+    // placing them, so each index slot is prefetched ahead of its probe;
+    // the others keep this loop.
+    virtual void insert_batch(std::span<const TableEntry> entries,
+                              std::span<InsertStatus> statuses) {
+        for (std::size_t i = 0; i < entries.size(); ++i) statuses[i] = insert(entries[i]);
+    }
     // Returns the matched action, or nullopt on miss.  The view stays valid
     // until the engine is next mutated.
     virtual std::optional<ActionRef> lookup(std::span<const Bitvec> keys) const = 0;
@@ -127,7 +139,10 @@ public:
     // has held before allocates nothing.
     void load(const p4::ir::Program& prog);
 
-    InsertStatus insert(int table_id, const TableEntry& entry);
+    // The table engine's insert_batch(): an insert() of each entry in turn.
+    // Every control-plane write of an entry comes through here.
+    void insert_batch(int table_id, std::span<const TableEntry> entries,
+                      std::span<InsertStatus> statuses);
     // Assigned into the slot's own entry, whose argument vector keeps its
     // capacity.
     void set_default_action(int table_id, int action_id, std::span<const Bitvec> args);

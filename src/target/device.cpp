@@ -1,6 +1,7 @@
 #include "target/device.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -182,61 +183,170 @@ void Device::set_digests_enabled(bool on) {
 
 // --- management plane ---------------------------------------------------------
 
-Status Device::apply(const control::ConfigOp& op) {
-    switch (op.kind) {
-        case control::ConfigOp::Kind::add_entry: return add_entry(op);
-        case control::ConfigOp::Kind::set_default_action: return set_default_action(op);
-        case control::ConfigOp::Kind::write_register: return write_register(op);
-        case control::ConfigOp::Kind::configure_meter: return configure_meter(op);
+namespace {
+
+// Records a failed check: the message is formatted into *why only when the
+// caller wants one.
+template <class Message>
+bool reject(std::string* why, Message&& message) {
+    if (why != nullptr) *why = message();
+    return false;
+}
+
+// Where the batch core reports each op (see Device::apply_ops): a Status
+// per op with its message, or one acceptance bit per op and no message.
+struct StatusOut {
+    std::span<Status> statuses;
+    std::string* message(std::size_t i) { return &statuses[i].message; }
+    void result(std::size_t i, bool ok) { statuses[i].ok = ok; }
+};
+
+struct AcceptedOut {
+    std::vector<bool>& accepted;
+    std::string* message(std::size_t) { return nullptr; }
+    void result(std::size_t, bool ok) { accepted.push_back(ok); }
+};
+
+}  // namespace
+
+template <class Out>
+void Device::apply_ops(std::span<const control::ConfigOp> ops, Out& out) {
+    using Kind = control::ConfigOp::Kind;
+    std::size_t i = 0;
+    while (i < ops.size()) {
+        const control::ConfigOp& op = ops[i];
+        if (op.kind == Kind::add_entry) {
+            std::size_t end = i + 1;
+            while (end < ops.size() && end - i < kEntryChunk &&
+                   ops[end].kind == Kind::add_entry && ops[end].target == op.target) {
+                ++end;
+            }
+            add_entries(ops.subspan(i, end - i), i, out);
+            i = end;
+            continue;
+        }
+        std::string* why = out.message(i);
+        bool ok = false;
+        switch (op.kind) {
+            case Kind::set_default_action: ok = set_default_action(op, why); break;
+            case Kind::write_register: ok = write_register(op, why); break;
+            case Kind::configure_meter: ok = configure_meter(op, why); break;
+            default:
+                ok = reject(why, [] { return std::string("unknown config op"); });
+                break;
+        }
+        out.result(i, ok);
+        ++i;
     }
-    return Status::failure("unknown config op");
+}
+
+template <class Out>
+void Device::add_entries(std::span<const control::ConfigOp> chunk, std::size_t first,
+                         Out& out) {
+    const p4::ir::Table* t = nullptr;
+    if (!find_table(chunk.front().target, t, nullptr)) {
+        for (std::size_t j = 0; j < chunk.size(); ++j) {
+            out.result(first + j, find_table(chunk[j].target, t, out.message(first + j)));
+        }
+        return;
+    }
+    // Translate every op, then insert the ones that translated in one batch:
+    // an op that fails translation never reaches the table, so leaving it
+    // out keeps the batch equal to inserting op by op.
+    dataplane::TableEntry* entries = &entry_scratch_;
+    if (chunk.size() > 1) {
+        if (chunk_entries_.size() < chunk.size()) chunk_entries_.resize(chunk.size());
+        entries = chunk_entries_.data();
+    }
+    std::array<bool, kEntryChunk> translated{};
+    std::array<dataplane::InsertStatus, kEntryChunk> inserted{};
+    const p4::ir::Action* action = nullptr;
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < chunk.size(); ++j) {
+        translated[j] = translate_entry(*t, chunk[j].entry, action, entries[n],
+                                        out.message(first + j));
+        n += translated[j];
+    }
+    tables_.insert_batch(t->id, {entries, n}, {inserted.data(), n});
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < chunk.size(); ++j) {
+        bool ok = translated[j];
+        if (ok) {
+            const dataplane::InsertStatus result = inserted[k++];
+            ok = result == dataplane::InsertStatus::ok ||
+                 reject(out.message(first + j), [&] {
+                     return util::format("insert into '%s' failed: %s", t->name.c_str(),
+                                         dataplane::insert_status_name(result));
+                 });
+        }
+        out.result(first + j, ok);
+    }
+}
+
+Status Device::apply(const control::ConfigOp& op) {
+    Status status;
+    StatusOut out{{&status, 1}};
+    apply_ops({&op, 1}, out);
+    return status;
 }
 
 std::vector<Status> Device::apply(std::span<const control::ConfigOp> ops) {
-    std::vector<Status> statuses;
-    statuses.reserve(ops.size());
-    for (const control::ConfigOp& op : ops) statuses.push_back(apply(op));
+    std::vector<Status> statuses(ops.size());
+    StatusOut out{statuses};
+    apply_ops(ops, out);
     return statuses;
 }
 
-Status Device::find_table(const std::string& name,
-                          const p4::ir::Table*& out) const {
-    if (!prog_) return Status::failure("no program loaded");
-    out = prog_->table_by_name(name);
-    if (!out) return Status::failure("unknown table '" + name + "'");
-    return Status::success();
+void Device::apply(std::span<const control::ConfigOp> ops, std::vector<bool>& accepted) {
+    AcceptedOut out{accepted};
+    apply_ops(ops, out);
 }
 
-Status Device::find_cell(const std::string& name, p4::ir::ExternDecl::Kind kind,
-                         std::uint64_t index,
-                         const p4::ir::ExternDecl*& out) const {
-    if (!prog_) return Status::failure("no program loaded");
+bool Device::find_table(const std::string& name, const p4::ir::Table*& out,
+                        std::string* why) const {
+    if (!prog_) return reject(why, [] { return std::string("no program loaded"); });
+    out = prog_->table_by_name(name);
+    if (!out) return reject(why, [&] { return "unknown table '" + name + "'"; });
+    return true;
+}
+
+bool Device::find_cell(const std::string& name, p4::ir::ExternDecl::Kind kind,
+                       std::uint64_t index, const p4::ir::ExternDecl*& out,
+                       std::string* why) const {
+    if (!prog_) return reject(why, [] { return std::string("no program loaded"); });
     out = prog_->extern_by_name(name);
-    if (!out) return Status::failure("unknown extern '" + name + "'");
+    if (!out) return reject(why, [&] { return "unknown extern '" + name + "'"; });
     if (out->kind != kind) {
-        return Status::failure("extern '" + name + "' has the wrong kind");
+        return reject(why, [&] { return "extern '" + name + "' has the wrong kind"; });
     }
     if (index >= static_cast<std::uint64_t>(out->array_size)) {
-        return Status::failure(util::format("%s '%s': index %llu out of range",
-                                            cell_kind_name(kind), name.c_str(),
-                                            static_cast<unsigned long long>(index)));
+        return reject(why, [&] {
+            return util::format("%s '%s': index %llu out of range", cell_kind_name(kind),
+                                name.c_str(), static_cast<unsigned long long>(index));
+        });
     }
-    return Status::success();
+    return true;
 }
 
-Status Device::translate_entry(const p4::ir::Table& table,
-                               const control::EntrySpec& entry,
-                               dataplane::TableEntry& out) const {
-    if (entry.key_values.size() != table.keys.size()) {
-        return Status::failure(util::format(
-            "table '%s' expects %zu key(s), got %zu", table.name.c_str(),
-            table.keys.size(), entry.key_values.size()));
+bool Device::translate_entry(const p4::ir::Table& table, const control::EntrySpec& entry,
+                             const p4::ir::Action*& action, dataplane::TableEntry& out,
+                             std::string* why) const {
+    if (entry.action.empty()) {
+        return reject(why, [] { return std::string("add_entry requires an action"); });
     }
-    if (!entry.key_masks.empty() &&
-        entry.key_masks.size() != table.keys.size()) {
-        return Status::failure(util::format(
-            "table '%s': %zu mask(s) for %zu key(s)", table.name.c_str(),
-            entry.key_masks.size(), table.keys.size()));
+    if (entry.key_values.size() != table.keys.size()) {
+        return reject(why, [&] {
+            return util::format("table '%s' expects %zu key(s), got %zu",
+                                table.name.c_str(), table.keys.size(),
+                                entry.key_values.size());
+        });
+    }
+    if (!entry.key_masks.empty() && entry.key_masks.size() != table.keys.size()) {
+        return reject(why, [&] {
+            return util::format("table '%s': %zu mask(s) for %zu key(s)",
+                                table.name.c_str(), entry.key_masks.size(),
+                                table.keys.size());
+        });
     }
     out.key_values.resize(table.keys.size());
     out.key_masks.clear();
@@ -251,116 +361,109 @@ Status Device::translate_entry(const p4::ir::Table& table,
         out.prefix_len = table.keys[0].width;  // exact-as-lpm convenience
     }
     out.priority = entry.priority;
-    return resolve_action(table, entry.action, entry.action_args, out.action_id,
-                          out.action_args);
+    if ((action == nullptr || action->name != entry.action) &&
+        !find_action(table, entry.action, action, why)) {
+        return false;
+    }
+    out.action_id = action->id;
+    return bind_args(*action, entry.action_args, out.action_args, why);
 }
 
-Status Device::resolve_action(const p4::ir::Table& table,
-                              const std::string& action,
-                              const std::vector<Bitvec>& args, int& action_id,
-                              std::vector<Bitvec>& out_args) const {
-    const p4::ir::Action* a = prog_->action_by_name(action);
-    if (!a) return Status::failure("unknown action '" + action + "'");
+bool Device::find_action(const p4::ir::Table& table, const std::string& name,
+                         const p4::ir::Action*& out, std::string* why) const {
+    const p4::ir::Action* a = prog_->action_by_name(name);
+    if (!a) return reject(why, [&] { return "unknown action '" + name + "'"; });
     if (std::find(table.actions.begin(), table.actions.end(), a->id) ==
         table.actions.end()) {
-        return Status::failure("action '" + action + "' not permitted on table '" +
-                               table.name + "'");
+        return reject(why, [&] {
+            return "action '" + name + "' not permitted on table '" + table.name + "'";
+        });
     }
-    if (args.size() != a->param_widths.size()) {
-        return Status::failure(util::format("action '%s' expects %zu arg(s), got %zu",
-                                            action.c_str(), a->param_widths.size(),
-                                            args.size()));
+    out = a;
+    return true;
+}
+
+bool Device::bind_args(const p4::ir::Action& action, const std::vector<Bitvec>& args,
+                       std::vector<Bitvec>& out, std::string* why) const {
+    if (args.size() != action.param_widths.size()) {
+        return reject(why, [&] {
+            return util::format("action '%s' expects %zu arg(s), got %zu",
+                                action.name.c_str(), action.param_widths.size(),
+                                args.size());
+        });
     }
-    action_id = a->id;
-    out_args.clear();
+    out.clear();
     for (std::size_t i = 0; i < args.size(); ++i) {
-        out_args.push_back(args[i].resize(a->param_widths[i]));
+        out.push_back(args[i].resize(action.param_widths[i]));
     }
-    return Status::success();
+    return true;
 }
 
-Status Device::add_entry(const control::ConfigOp& op) {
+bool Device::set_default_action(const control::ConfigOp& op, std::string* why) {
     const p4::ir::Table* t = nullptr;
-    if (Status s = find_table(op.target, t); !s) return s;
-    if (op.entry.action.empty()) {
-        return Status::failure("add_entry requires an action");
+    const p4::ir::Action* a = nullptr;
+    if (!find_table(op.target, t, why) || !find_action(*t, op.action, a, why) ||
+        !bind_args(*a, op.action_args, entry_scratch_.action_args, why)) {
+        return false;
     }
-    if (Status s = translate_entry(*t, op.entry, entry_scratch_); !s) return s;
-    const dataplane::InsertStatus result = tables_.insert(t->id, entry_scratch_);
-    if (result != dataplane::InsertStatus::ok) {
-        return Status::failure(util::format("insert into '%s' failed: %s",
-                                            t->name.c_str(),
-                                            dataplane::insert_status_name(result)));
-    }
-    return Status::success();
+    tables_.set_default_action(t->id, a->id, entry_scratch_.action_args);
+    return true;
 }
 
-Status Device::set_default_action(const control::ConfigOp& op) {
-    const p4::ir::Table* t = nullptr;
-    if (Status s = find_table(op.target, t); !s) return s;
-    if (Status s = resolve_action(*t, op.action, op.action_args,
-                                  entry_scratch_.action_id, entry_scratch_.action_args);
-        !s) {
-        return s;
-    }
-    tables_.set_default_action(t->id, entry_scratch_.action_id,
-                               entry_scratch_.action_args);
-    return Status::success();
-}
-
-Status Device::write_register(const control::ConfigOp& op) {
+bool Device::write_register(const control::ConfigOp& op, std::string* why) {
     const p4::ir::ExternDecl* e = nullptr;
-    if (Status s = find_cell(op.target, p4::ir::ExternDecl::Kind::reg, op.index, e);
-        !s) {
-        return s;
+    if (!find_cell(op.target, p4::ir::ExternDecl::Kind::reg, op.index, e, why)) {
+        return false;
     }
     stateful_.register_write(e->id, op.index, op.value);
-    return Status::success();
+    return true;
 }
 
-Status Device::configure_meter(const control::ConfigOp& op) {
+bool Device::configure_meter(const control::ConfigOp& op, std::string* why) {
     const p4::ir::ExternDecl* e = nullptr;
-    if (Status s = find_cell(op.target, p4::ir::ExternDecl::Kind::meter, op.index, e);
-        !s) {
-        return s;
+    if (!find_cell(op.target, p4::ir::ExternDecl::Kind::meter, op.index, e, why)) {
+        return false;
     }
     // Rates arrive from the management wire as raw doubles; NaN, infinite
     // or negative ones would poison the token buckets.
     const control::MeterConfig& m = op.meter;
-    for (const auto& [which, rate] : {std::pair{"committed", m.committed_rate_bps},
-                                      std::pair{"excess", m.excess_rate_bps}}) {
-        if (!std::isfinite(rate) || rate < 0) {
-            return Status::failure(util::format(
-                "meter '%s': %s rate %g is not finite and non-negative",
-                e->name.c_str(), which, rate));
+    for (const std::pair<const char*, double>& rate :
+         {std::pair{"committed", m.committed_rate_bps},
+          std::pair{"excess", m.excess_rate_bps}}) {
+        if (!std::isfinite(rate.second) || rate.second < 0) {
+            return reject(why, [&] {
+                return util::format(
+                    "meter '%s': %s rate %g is not finite and non-negative",
+                    e->name.c_str(), rate.first, rate.second);
+            });
         }
     }
     stateful_.meter_configure(e->id, op.index, m.committed_rate_bps,
                                m.committed_burst, m.excess_rate_bps,
                                m.excess_burst);
-    return Status::success();
+    return true;
 }
 
 Status Device::read_register(const std::string& name, std::uint64_t index,
                              Bitvec& out) {
+    Status status;
     const p4::ir::ExternDecl* e = nullptr;
-    if (Status s = find_cell(name, p4::ir::ExternDecl::Kind::reg, index, e); !s) {
-        return s;
-    }
-    out = stateful_.register_read(e->id, index);
-    return Status::success();
+    status.ok = find_cell(name, p4::ir::ExternDecl::Kind::reg, index, e, &status.message);
+    if (status) out = stateful_.register_read(e->id, index);
+    return status;
 }
 
 Status Device::read_counter(const std::string& name, std::uint64_t index,
                             control::CounterValue& out) {
+    Status status;
     const p4::ir::ExternDecl* e = nullptr;
-    if (Status s = find_cell(name, p4::ir::ExternDecl::Kind::counter, index, e);
-        !s) {
-        return s;
+    status.ok =
+        find_cell(name, p4::ir::ExternDecl::Kind::counter, index, e, &status.message);
+    if (status) {
+        out.packets = stateful_.counter_packets(e->id, index);
+        out.bytes = stateful_.counter_bytes(e->id, index);
     }
-    out.packets = stateful_.counter_packets(e->id, index);
-    out.bytes = stateful_.counter_bytes(e->id, index);
-    return Status::success();
+    return status;
 }
 
 control::StatusSnapshot Device::snapshot() {

@@ -63,6 +63,10 @@ inline constexpr std::uint64_t kNsPerCycle = 4;
 // Digest ring size; the oldest half is discarded when it fills.
 inline constexpr std::size_t kMaxDigestRecords = 4096;
 
+// The most consecutive add_entry ops on one table that reach its engine as
+// one MatchEngine::insert_batch().
+inline constexpr std::size_t kEntryChunk = 64;
+
 // Static device parameters, fixed for the lifetime of one device instance.
 // A registered DeviceConfig is a backend (see register_backend()).
 struct DeviceConfig {
@@ -209,12 +213,23 @@ public:
     std::uint64_t now_ns() const { return clock_ns_; }
 
     // --- management path (control::RuntimeApi) ------------------------------
-    // Applies one op.  Every write goes through here: the batch apply() is
-    // a loop over it.  An accepted op allocates nothing on a warm device;
-    // a rejected one allocates its Status message.
+    // Every write goes through one batch core, which applies the ops in
+    // order.  A run of consecutive add_entry ops on one table reaches the
+    // table's engine in chunks of at most kEntryChunk entries: the table is
+    // resolved once per chunk, an action once per run of its name, and the
+    // entries are translated into storage the device keeps.  The three
+    // forms below differ only in how they report each op's outcome.  An
+    // accepted op allocates nothing on a warm device.
+    //
+    // One op; a rejected one allocates its Status message.
     control::Status apply(const control::ConfigOp& op);
+    // One Status per op, in order.
     std::vector<control::Status> apply(
         std::span<const control::ConfigOp> ops) override;
+    // Appends one acceptance bit per op to `accepted` and formats no
+    // failure message, so a warm device allocates nothing even for the ops
+    // it rejects.
+    void apply(std::span<const control::ConfigOp> ops, std::vector<bool>& accepted);
     control::Status read_register(const std::string& name, std::uint64_t index,
                                   util::Bitvec& out) override;
     control::Status read_counter(const std::string& name, std::uint64_t index,
@@ -238,34 +253,50 @@ private:
     dataplane::PipelineResult run_packet(const packet::Packet& pkt,
                                          dataplane::StageTaps* taps);
 
-    // One ConfigOp kind each; apply(op) dispatches on the op's kind.
-    control::Status add_entry(const control::ConfigOp& op);
-    control::Status set_default_action(const control::ConfigOp& op);
-    control::Status write_register(const control::ConfigOp& op);
-    control::Status configure_meter(const control::ConfigOp& op);
+    // The batch core behind the three apply() forms.  It hands op i's
+    // outcome to out.result(i, ok), in order, and writes a rejected op's
+    // message to *out.message(i) unless that is null.
+    template <class Out>
+    void apply_ops(std::span<const control::ConfigOp> ops, Out& out);
+    // A chunk of consecutive add_entry ops on one table, the first of them
+    // op `first` of the batch.
+    template <class Out>
+    void add_entries(std::span<const control::ConfigOp> chunk, std::size_t first,
+                     Out& out);
+
+    // The other ConfigOp kinds, one each.  Like every check below, each
+    // returns whether it succeeded and, on failure, writes its message to
+    // *why unless `why` is null.
+    bool set_default_action(const control::ConfigOp& op, std::string* why);
+    bool write_register(const control::ConfigOp& op, std::string* why);
+    bool configure_meter(const control::ConfigOp& op, std::string* why);
 
     // By-name lookups against the loaded image, failing with a message
     // that names what is missing.  find_cell also checks the extern's kind
     // and that `index` addresses one of its cells.
-    control::Status find_table(const std::string& name,
-                               const p4::ir::Table*& out) const;
-    control::Status find_cell(const std::string& name,
-                              p4::ir::ExternDecl::Kind kind, std::uint64_t index,
-                              const p4::ir::ExternDecl*& out) const;
+    bool find_table(const std::string& name, const p4::ir::Table*& out,
+                    std::string* why) const;
+    bool find_cell(const std::string& name, p4::ir::ExternDecl::Kind kind,
+                   std::uint64_t index, const p4::ir::ExternDecl*& out,
+                   std::string* why) const;
     // Maps a control-plane EntrySpec onto the table's engine entry.  On
     // success every field of `out` has been written, so nothing carries
     // over from the entry it held before, and its vectors keep their
     // capacity, so add_entry on a warm device translates without allocating.
-    control::Status translate_entry(const p4::ir::Table& table,
-                                    const control::EntrySpec& entry,
-                                    dataplane::TableEntry& out) const;
-    // Resolves an action name + args against a table's permitted actions,
-    // writing the action id and the args resized to its parameter widths.
-    control::Status resolve_action(const p4::ir::Table& table,
-                                   const std::string& action,
-                                   const std::vector<util::Bitvec>& args,
-                                   int& action_id,
-                                   std::vector<util::Bitvec>& out_args) const;
+    // `action` is the action an earlier entry on this table resolved (or
+    // null): it is reused when the entry names it, and replaced when the
+    // entry names another action that resolves.
+    bool translate_entry(const p4::ir::Table& table, const control::EntrySpec& entry,
+                         const p4::ir::Action*& action, dataplane::TableEntry& out,
+                         std::string* why) const;
+    // Resolves an action name against a table's permitted actions; `out`
+    // is written only on success.
+    bool find_action(const p4::ir::Table& table, const std::string& name,
+                     const p4::ir::Action*& out, std::string* why) const;
+    // Checks `args` against the action's parameters and writes them to
+    // `out` resized to its parameter widths.
+    bool bind_args(const p4::ir::Action& action, const std::vector<util::Bitvec>& args,
+                   std::vector<util::Bitvec>& out, std::string* why) const;
     // Clears queues, port counters, digests and taps (shared by load and
     // soft reset).
     void clear_dynamic_state();
@@ -298,9 +329,12 @@ private:
 
     std::uint64_t clock_ns_ = 0;
 
-    // The translation target of add_entry and set_default_action, reused by
-    // every op so its vectors keep their capacity.
+    // The translation target of set_default_action and of a chunk of one
+    // add_entry op, reused by every op so its vectors keep their capacity.
     dataplane::TableEntry entry_scratch_;
+    // The translation targets of a longer chunk, grown on first use to the
+    // longest chunk seen (at most kEntryChunk) and kept, vectors and all.
+    std::vector<dataplane::TableEntry> chunk_entries_;
 };
 
 // The paper's bug catalogue for the SDNet-like backend, headed by the

@@ -58,6 +58,39 @@ TEST(Fabric, CleanRunByteIdenticalToSingleProcess) {
     EXPECT_EQ(b.fabric.worker_restarts, 0u);
     EXPECT_GT(b.fabric.link_frames, 0u);
     EXPECT_EQ(a.to_json(), json_without_fabric(b));
+    // No management plan, so the robustness block holds the fabric's
+    // accounting alone.
+    EXPECT_NE(b.to_json().find("\"robustness\": {\"fabric\": {"), std::string::npos);
+}
+
+TEST(Fabric, RobustnessBlockWritesOnlyTheModesThatRan) {
+    // "mgmt" is written only with a management fault plan and "fabric" only
+    // by the fabric, so a fabric run without a plan carries no all-zero mgmt
+    // block, and without either mode there is no robustness block at all.
+    CampaignReport r;
+    r.fabric.workers = 2;
+    r.mgmt.requests = 7;
+    EXPECT_EQ(r.to_json().find("\"robustness\""), std::string::npos);
+
+    r.fabric_enabled = true;
+    const std::string fabric_only = r.to_json();
+    EXPECT_NE(fabric_only.find("\"robustness\": {\"fabric\": {\"workers\": 2,"),
+              std::string::npos)
+        << fabric_only;
+    EXPECT_EQ(fabric_only.find("\"mgmt\""), std::string::npos) << fabric_only;
+
+    r.mgmt_enabled = true;
+    const std::string both = r.to_json();
+    EXPECT_NE(both.find("\"robustness\": {\"mgmt\": {\"requests\": 7,"), std::string::npos)
+        << both;
+    EXPECT_NE(both.find("}, \"fabric\": {\"workers\": 2,"), std::string::npos) << both;
+
+    r.fabric_enabled = false;
+    const std::string mgmt_only = r.to_json();
+    EXPECT_NE(mgmt_only.find("\"robustness\": {\"mgmt\": {\"requests\": 7,"),
+              std::string::npos)
+        << mgmt_only;
+    EXPECT_EQ(mgmt_only.find("\"fabric\""), std::string::npos) << mgmt_only;
 }
 
 TEST(Fabric, SurvivesWorkerKillAndLossyLinks) {

@@ -6,6 +6,7 @@
 // against the naive ternary engine fed each prefix as its ternary row.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -141,8 +142,10 @@ TEST(TableEngineDifferential, ExactMatchesNaive) {
 }
 
 TEST(TableEngineDifferential, LpmMatchesNaive) {
-    // LPM tables have a single key element.
-    for (const int width : {16, 32, 48}) {
+    // LPM tables have a single key element.  Keys of at most 64 bits walk
+    // the trie as one word, wider ones bit by bit from the Bitvec: both
+    // sides of that line, and the narrowest key.
+    for (const int width : {1, 16, 32, 48, 64, 65}) {
         for (const std::size_t capacity : {4ul, 1024ul}) {
             Rng rng(width * 1000 + capacity);
             const KeyShape shape{{width}};
@@ -319,6 +322,117 @@ TEST(TableEngineDifferential, TernaryTieBreaksOnInsertionOrder) {
             const std::optional<ActionRef> hit = eng->lookup(probe);
             ASSERT_TRUE(hit.has_value());
             EXPECT_EQ(hit->action_id, 1) << "inverted=" << inverted;
+        }
+    }
+}
+
+TEST(TableEngineDifferential, InsertBatchEqualsAnInsertLoop) {
+    // insert_batch() is an insert() of each entry in turn.  Each family gets
+    // one stream of entries over a small key space (so a batch holds
+    // duplicates of itself and of earlier batches) and a capacity the stream
+    // overflows (so batches run into table_full).  One engine inserts the
+    // stream entry by entry; a twin takes it in batches of 1 to 150 entries,
+    // across the exact engine's 64-entry chunks; a third takes it in one
+    // call, so a fresh exact engine's index grows from 16 slots several
+    // times within the batch.  Statuses, counts and lookups must agree.
+    struct Family {
+        const char* name;
+        std::unique_ptr<MatchEngine> (*make)(int width, std::size_t capacity);
+        bool lpm;
+        bool ternary;
+    };
+    const std::vector<Family> families = {
+        {"exact", [](int w, std::size_t c) { return dataplane::make_exact_engine(w, c); },
+         false, false},
+        {"lpm", [](int w, std::size_t c) { return dataplane::make_lpm_engine(w, c); }, true,
+         false},
+        {"ternary",
+         [](int w, std::size_t c) { return dataplane::make_ternary_engine(w, c, false); },
+         false, true},
+        {"ternary(inverted)",
+         [](int w, std::size_t c) { return dataplane::make_ternary_engine(w, c, true); },
+         false, true},
+        {"naive exact",
+         [](int w, std::size_t c) { return dataplane::make_naive_exact_engine(w, c); },
+         false, false},
+        {"naive ternary",
+         [](int w, std::size_t c) {
+             return dataplane::make_naive_ternary_engine(w, c, false);
+         },
+         false, true},
+    };
+    const std::vector<KeyShape> lpm_shapes = {{{32}}, {{65}}};
+    for (const Family& family : families) {
+        for (const KeyShape& shape : family.lpm ? lpm_shapes : kShapes) {
+            for (const std::size_t capacity : {48ul, 4096ul}) {
+                SCOPED_TRACE(testing::Message() << family.name << ", " << shape.total()
+                                                << "-bit key, capacity " << capacity);
+                Rng rng(shape.total() * 1000 + capacity + 17);
+                std::vector<TableEntry> entries(600);
+                for (std::size_t i = 0; i < entries.size(); ++i) {
+                    TableEntry& e = entries[i];
+                    if (i > 0 && rng.next_bool(0.15)) {
+                        // The key of one of the last few entries, so most
+                        // of these repeat a key within their own batch.
+                        const TableEntry& earlier =
+                            entries[i - 1 - rng.next_below(std::min<std::size_t>(i, 8))];
+                        e.key_values = earlier.key_values;
+                        e.key_masks = earlier.key_masks;
+                        e.prefix_len = earlier.prefix_len;
+                    } else {
+                        e.key_values = random_keys(rng, shape);
+                        if (family.lpm) {
+                            e.prefix_len = static_cast<int>(rng.next_below(
+                                static_cast<std::uint64_t>(shape.total()) + 1));
+                        }
+                        if (family.ternary && rng.next_bool(0.7)) {
+                            for (const int w : shape.widths) {
+                                e.key_masks.push_back(rng.next_bool(0.3)
+                                                          ? Bitvec::ones(w)
+                                                          : random_value(rng, w));
+                            }
+                        }
+                    }
+                    e.priority = static_cast<int>(rng.next_below(6));
+                    e.action_id = static_cast<int>(rng.next_below(8));
+                    e.action_args = {Bitvec(9, rng.next_below(512))};
+                }
+                const int width = shape.total();
+                auto one = family.make(width, capacity);
+                auto batched = family.make(width, capacity);
+                auto whole = family.make(width, capacity);
+                std::vector<InsertStatus> expected;
+                for (const TableEntry& e : entries) expected.push_back(one->insert(e));
+                std::vector<InsertStatus> got(entries.size(), InsertStatus::bad_entry);
+                for (std::size_t at = 0; at < entries.size();) {
+                    const std::size_t n =
+                        std::min<std::size_t>(1 + rng.next_below(150), entries.size() - at);
+                    batched->insert_batch({entries.data() + at, n}, {got.data() + at, n});
+                    at += n;
+                }
+                std::vector<InsertStatus> got_whole(entries.size(), InsertStatus::bad_entry);
+                whole->insert_batch(entries, got_whole);
+                EXPECT_EQ(got, expected);
+                EXPECT_EQ(got_whole, expected);
+                EXPECT_NE(std::count(expected.begin(), expected.end(), InsertStatus::duplicate),
+                          0);
+                if (capacity == 48) {
+                    EXPECT_NE(std::count(expected.begin(), expected.end(),
+                                         InsertStatus::table_full),
+                              0);
+                }
+                ASSERT_EQ(batched->entry_count(), one->entry_count());
+                ASSERT_EQ(whole->entry_count(), one->entry_count());
+                for (const TableEntry& e : entries) {
+                    expect_same_lookup(*batched, *one, e.key_values, family.name);
+                    expect_same_lookup(*whole, *one, e.key_values, family.name);
+                }
+                for (int probe = 0; probe < 200; ++probe) {
+                    const auto keys = random_keys(rng, shape);
+                    expect_same_lookup(*batched, *one, keys, family.name);
+                    expect_same_lookup(*whole, *one, keys, family.name);
+                }
+            }
         }
     }
 }

@@ -16,8 +16,9 @@
 //                  (64k-entry exact and its naive reference, 64k exact keys
 //                  with zero low bits, 64k-prefix LPM, 256-row ternary and
 //                  its naive reference), plus inserts/sec refilling a
-//                  cleared 64k-entry exact engine with 168-bit keys (the
-//                  control plane's write path);
+//                  cleared 64k-entry exact engine with 168-bit keys in the
+//                  device's insert_batch() chunks (the control plane's
+//                  write path);
 //   * campaign  -- scenarios/sec and packets/sec of a bounded differential
 //                  campaign sweep (the end-to-end number CI tracks).
 //
@@ -210,7 +211,8 @@ std::vector<EngineBench> bench_tables(std::uint64_t target_lookups) {
 
     {  // exact_refill: 64k entries with flow_wide's 168-bit five-element key,
        // installed once, then cleared and refilled; the median of 5 timed
-       // refills.  The control plane's write path after a same-image reload.
+       // refills.  The control plane's write path after a same-image reload:
+       // insert_batch() in the chunks a device hands its engines.
         constexpr std::size_t kEntries = 65536;
         constexpr int kRounds = 5;
         auto engine = make_exact_engine(48 + 48 + 32 + 32 + 8, kEntries);
@@ -223,12 +225,19 @@ std::vector<EngineBench> bench_tables(std::uint64_t target_lookups) {
             entries[i].action_id = static_cast<int>(i & 7);
             entries[i].action_args = {Bitvec(9, i & 3)};
         }
-        for (const auto& e : entries) engine->insert(e);
+        std::vector<InsertStatus> statuses(ndb::target::kEntryChunk);
+        const auto refill = [&] {
+            for (std::size_t at = 0; at < kEntries; at += ndb::target::kEntryChunk) {
+                const std::size_t n = std::min(ndb::target::kEntryChunk, kEntries - at);
+                engine->insert_batch({entries.data() + at, n}, {statuses.data(), n});
+            }
+        };
+        refill();
         std::vector<double> rounds;
         for (int r = 0; r < kRounds; ++r) {
             const auto t0 = Clock::now();
             engine->clear();
-            for (const auto& e : entries) engine->insert(e);
+            refill();
             rounds.push_back(seconds_since(t0));
         }
         if (engine->entry_count() != kEntries) {
