@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -212,20 +213,18 @@ CampaignReport CampaignEngine::run() {
         // Single-recipe replay: run exactly the recorded scenario through
         // the ordinary detection/triage path.  This is how a mutated or
         // concolically synthesized corpus entry (or a report's parentage
-        // recipe) reproduces its divergence.  The two recipe grammars are
-        // mutually unparseable ('#' vs '@' head), so trying concolic first
-        // can never misread a mutation recipe.
-        Scenario sc;
-        if (const auto conc = ConcolicRecipe::parse(config_.mutation_recipe)) {
-            sc = mutator.apply_concolic(*conc);
-            report.scenarios_concolic = 1;
-        } else if (const auto parsed =
-                       MutationRecipe::parse(config_.mutation_recipe)) {
-            sc = mutator.apply(*parsed);
-            report.scenarios_mutated = 1;
-        } else {
+        // recipe) reproduces its divergence.  Its findings carry the text
+        // as given.
+        const std::optional<Recipe> recipe = Recipe::parse(config_.mutation_recipe);
+        if (!recipe) {
             throw std::invalid_argument("campaign: unparseable recipe '" +
                                         config_.mutation_recipe + "'");
+        }
+        const Scenario sc = mutator.build(*recipe);
+        if (recipe->concolic()) {
+            report.scenarios_concolic = 1;
+        } else {
+            report.scenarios_mutated = 1;
         }
         std::vector<ScenarioOutcome> outcomes(1);
         run_pool(1, [&](WorkerContext& ctx, std::uint64_t) {
@@ -278,20 +277,11 @@ CampaignReport CampaignEngine::run() {
                 throw std::invalid_argument(why);
             }
         }
-        struct GuidedSlot {
-            std::size_t program = 0;
-            std::uint64_t seed = 0;
-            std::string recipe_text;  // empty = fresh seed
-            MutationRecipe recipe;    // valid when recipe_text is non-empty
-            bool is_concolic = false;
-            ConcolicRecipe concolic;  // valid when is_concolic
-        };
         // Concolic synthesis state, per catalogue program, built lazily the
         // first time a program's dark sites are attempted.  `attempted`
         // remembers every slot ever handed to the solver so a hard target
         // is not re-solved at each barrier.
         struct ConcolicState {
-            std::shared_ptr<const p4::ir::Program> compiled;
             std::unique_ptr<coverage::EdgeIndex> index;
             std::unique_ptr<verify::ConcolicSynthesizer> synth;
             std::set<std::uint32_t> attempted;
@@ -300,21 +290,7 @@ CampaignReport CampaignEngine::run() {
             config_.concolic ? gen.programs().size() : 0);
         // Seeds synthesized at one barrier, scheduled ahead of the next
         // round's plan.
-        struct PendingSeed {
-            std::size_t program = 0;
-            ConcolicRecipe recipe;
-        };
-        std::vector<PendingSeed> pending;
-        // Relight oracle: a dedicated reference instance.  Its salt is what
-        // EdgeIndex must be built with -- the campaign's
-        // own reference devices fold the identical salt into their maps, so
-        // "dark in `global`" and "dark for this oracle" agree.
-        std::unique_ptr<target::Device> oracle;
-        std::uint64_t ref_salt = 0;
-        if (config_.concolic) {
-            oracle = target::make_device(config_.reference_backend);
-            ref_salt = oracle->coverage_salt();
-        }
+        std::vector<Recipe> pending;
         const std::uint64_t round_cap =
             std::max<std::uint64_t>(8, 2 * gen.programs().size());
         // One outcome buffer per slot, refilled every round.
@@ -327,107 +303,88 @@ CampaignReport CampaignEngine::run() {
                 obs::trace_on() ? obs::now_ns() : 0;
             const std::uint64_t round =
                 std::min(config_.scenarios - done, round_cap);
-            std::vector<GuidedSlot> slots;
+            // A slot is one recipe: a fresh (program, seed) pair, a mutant
+            // or a synthesized seed.
+            std::vector<Recipe> slots;
             slots.reserve(static_cast<std::size_t>(round));
             // Synthesized seeds first: they were solved specifically to
             // light still-dark slots, so they outrank anything the
             // scheduler would plan.  Each consumes one slot of the round's
-            // budget; its "seed" is the target slot id (that is what
-            // replays it via the corpus).
+            // budget.
             const std::size_t take = static_cast<std::size_t>(
                 std::min<std::uint64_t>(pending.size(), round));
-            for (std::size_t i = 0; i < take; ++i) {
-                GuidedSlot slot;
-                slot.program = pending[i].program;
-                slot.seed = pending[i].recipe.slot;
-                slot.is_concolic = true;
-                slot.concolic = std::move(pending[i].recipe);
-                slot.recipe_text = slot.concolic.encode();
-                slots.push_back(std::move(slot));
-            }
+            std::move(pending.begin(),
+                      pending.begin() + static_cast<std::ptrdiff_t>(take),
+                      std::back_inserter(slots));
             pending.erase(pending.begin(),
                           pending.begin() + static_cast<std::ptrdiff_t>(take));
             report.scenarios_concolic += take;
             const std::vector<std::uint64_t> plan =
                 scheduler.plan_round(round - take);
             for (std::size_t p = 0; p < plan.size(); ++p) {
+                const std::string& program = gen.programs()[p];
+                // Mutation parents: the program's catalogue recipes.
+                // Concolic entries replay whole, never as parents: their
+                // packet is a solver model with no field plan for havoc ops
+                // to perturb.
+                std::vector<const Recipe::Catalogue*> parents;
+                if (config_.mutate) {
+                    for (const Recipe& e : corpus.entries(program)) {
+                        if (const Recipe::Catalogue* c = e.catalogue()) {
+                            parents.push_back(c);
+                        }
+                    }
+                }
                 for (std::uint64_t k = 0; k < plan[p]; ++k) {
-                    GuidedSlot slot;
-                    slot.program = p;
-                    slot.seed = config_.base_seed + seed_cursor++;
+                    const std::uint64_t seed = config_.base_seed + seed_cursor++;
+                    slots.push_back(Recipe::Catalogue{program, seed, {}});
                     // Fresh-vs-mutant draw: corpus membership only changes
                     // at round barriers, and the coin is a pure function of
                     // the slot seed, so the mix is schedule-independent.
-                    if (config_.mutate) {
-                        const auto& pool = corpus.entries(gen.programs()[p]);
-                        // Concolic entries replay whole, never as mutation
-                        // parents: their packet is a solver model with no
-                        // field plan for havoc ops to perturb (and their
-                        // recipe text is not a MutationRecipe chain).
-                        std::vector<const CorpusEntry*> parents;
-                        parents.reserve(pool.size());
-                        for (const CorpusEntry& e : pool) {
-                            if (!e.concolic) parents.push_back(&e);
-                        }
-                        if (!parents.empty()) {
-                            util::Rng coin(slot.seed ^ kMutateCoinSalt);
-                            if (coin.next_double() < config_.mutation_rate) {
-                                const CorpusEntry& parent =
-                                    *parents[coin.next_below(parents.size())];
-                                slot.recipe =
-                                    mutator.derive(corpus, parent, slot.seed);
-                                slot.recipe_text = slot.recipe.encode();
-                                ++report.scenarios_mutated;
-                            }
-                        }
+                    if (parents.empty()) continue;
+                    util::Rng coin(seed ^ kMutateCoinSalt);
+                    if (coin.next_double() < config_.mutation_rate) {
+                        slots.back() = mutator.derive(
+                            corpus, *parents[coin.next_below(parents.size())],
+                            seed);
+                        ++report.scenarios_mutated;
                     }
-                    slots.push_back(std::move(slot));
                 }
             }
             outcomes.resize(slots.size());
             run_pool(slots.size(), [&](WorkerContext& ctx, std::uint64_t i) {
-                const Scenario sc =
-                    slots[i].is_concolic ? mutator.apply_concolic(slots[i].concolic)
-                    : slots[i].recipe_text.empty()
-                        ? gen.make_for(slots[i].program, slots[i].seed)
-                        : mutator.apply(slots[i].recipe);
+                const Scenario sc = mutator.build(slots[i]);
                 outcomes[i].clear();
                 // The slot's parentage rides into every finding, so reports
-                // stay replayable.
+                // stay replayable; a fresh slot's seed alone replays it.
                 execute_scenario(ctx, sc, duts, exec, outcomes[i],
-                                 slots[i].recipe_text);
+                                 slots[i].fresh() ? std::string()
+                                                  : slots[i].encode());
             });
             // Round barrier: fold outcomes in slot order, then reward each
             // program with its per-scenario energy gain (new reference and
             // DUT coverage edges plus a bonus per fresh divergence
             // fingerprint), and retain every interesting scenario in the
-            // mutation corpus.
+            // mutation corpus.  Per-program slot counts include concolic
+            // slots, so their edge gains reward the program at the same
+            // per-scenario scale as planned slots.
             std::vector<double> gain(plan.size(), 0.0);
+            std::vector<std::uint64_t> ran(plan.size(), 0);
             for (std::size_t i = 0; i < slots.size(); ++i) {
+                const std::size_t p = gen.index_of(slots[i].program());
                 const bool fresh = builder.fold(outcomes[i]);
                 const auto [ref_edges, dut_edges] = merge_coverage(outcomes[i]);
-                gain[slots[i].program] +=
-                    static_cast<double>(ref_edges) / 8.0 +
-                    static_cast<double>(dut_edges) / 16.0 + (fresh ? 1.0 : 0.0);
-                if (config_.mutate && !slots[i].is_concolic &&
+                gain[p] += static_cast<double>(ref_edges) / 8.0 +
+                           static_cast<double>(dut_edges) / 16.0 +
+                           (fresh ? 1.0 : 0.0);
+                ++ran[p];
+                // Concolic slots are already corpus entries: they were
+                // added when their seed passed the relight check.
+                if (config_.mutate && !slots[i].concolic() &&
                     (fresh || ref_edges > 0 || dut_edges > 0)) {
-                    // (Concolic slots are already corpus entries: they were
-                    // added when their seed passed the relight check.)
-                    if (slots[i].recipe_text.empty()) {
-                        corpus.add(gen.programs()[slots[i].program],
-                                   slots[i].seed);
-                    } else {
-                        corpus.add(gen.programs()[slots[i].program],
-                                   slots[i].recipe.parent_seed,
-                                   slots[i].recipe_text);
-                    }
+                    corpus.add(slots[i]);
                 }
             }
-            // Per-program slot counts include concolic slots, so their edge
-            // gains reward the program at the same per-scenario scale as
-            // planned slots.
-            std::vector<std::uint64_t> ran(plan.size(), 0);
-            for (const GuidedSlot& slot : slots) ++ran[slot.program];
             for (std::size_t p = 0; p < plan.size(); ++p) {
                 if (ran[p] == 0) continue;
                 const double energy = gain[p] / static_cast<double>(ran[p]);
@@ -441,23 +398,27 @@ CampaignReport CampaignEngine::run() {
 
             // Concolic synthesis at the barrier: map still-dark reference
             // slots back to IR sites, solve for covering seeds, verify each
-            // actually lights its slot on the oracle, and queue the
-            // survivors for the next round.  Sequential and driven by
-            // barrier-merged state only -- thread count cannot change what
-            // gets synthesized.
+            // actually lights its slot, and queue the survivors for the
+            // next round.  Sequential and driven by barrier-merged state
+            // only -- thread count cannot change what gets synthesized.
+            //
+            // The relight check runs on worker slot 0's reference device:
+            // the first round created slot 0's context, the device is idle
+            // at the barrier, and the next scenario's load leaves it equal
+            // to a fresh one.  EdgeIndex takes that device's salt, so "dark in
+            // `global`" and "dark for the relight device" agree.
             if (config_.concolic) {
+                target::Device& relight = *contexts[0]->reference;
                 std::uint64_t budget = config_.concolic_per_round;
                 for (std::size_t p = 0;
                      p < gen.programs().size() && budget > 0; ++p) {
                     ConcolicState& st = concolic_states[p];
                     if (!st.index) {
-                        st.compiled =
-                            gen.make_for(p, config_.base_seed).compiled;
+                        const p4::ir::Program& image = *gen.image(p);
                         st.index = std::make_unique<coverage::EdgeIndex>(
-                            *st.compiled, ref_salt);
+                            image, relight.coverage_salt());
                         st.synth =
-                            std::make_unique<verify::ConcolicSynthesizer>(
-                                *st.compiled);
+                            std::make_unique<verify::ConcolicSynthesizer>(image);
                     }
                     std::vector<coverage::EdgeSite> targets;
                     for (const coverage::EdgeSite& site :
@@ -468,8 +429,7 @@ CampaignReport CampaignEngine::run() {
                     }
                     if (targets.empty()) continue;
                     budget -= targets.size();
-                    const verify::ConcolicResult result =
-                        st.synth->synthesize(targets);
+                    verify::ConcolicResult result = st.synth->synthesize(targets);
                     if (result.paths_exhausted) {
                         report.concolic_paths_exhausted = true;
                     }
@@ -489,52 +449,36 @@ CampaignReport CampaignEngine::run() {
                                 break;
                         }
                     }
-                    for (const verify::ConcolicSeed& seed : result.seeds) {
-                        ConcolicRecipe recipe;
-                        recipe.program = gen.programs()[p];
-                        recipe.slot = seed.target.slot;
-                        recipe.ingress_port = seed.ingress_port;
-                        recipe.packet = seed.packet;
-                        for (const auto& def : seed.defaults) {
-                            ConcolicRecipe::Default d;
-                            d.table = def.table;
-                            d.action = def.action;
-                            for (const util::Bitvec& arg : def.args) {
-                                d.args.push_back(arg.to_bytes());
-                            }
-                            recipe.defaults.push_back(std::move(d));
-                        }
-                        // Relight check: inject the synthesized scenario on
-                        // the oracle exactly the way its slot will run and
-                        // require the target slot to light.  A model the
-                        // interpreter disagrees with is a verify-layer bug
-                        // and must not pollute the corpus.
-                        const Scenario sc = mutator.apply_concolic(recipe);
+                    for (verify::ConcolicRecipe& seed : result.seeds) {
+                        const std::uint64_t slot = seed.slot;
+                        Recipe recipe(std::move(seed));
+                        // Relight check: inject the synthesized scenario
+                        // exactly the way its slot will run and require the
+                        // target slot to light.  A model the interpreter
+                        // disagrees with is a verify-layer bug and must not
+                        // pollute the corpus.
+                        const Scenario sc = mutator.build(recipe);
                         const std::vector<packet::Packet> packets =
                             scenario_packets(sc);
                         coverage::CoverageMap scratch;
-                        oracle->set_coverage(&scratch);
-                        run_scenario_on(*oracle, sc, packets, exec.batch_size);
-                        oracle->set_coverage(nullptr);
-                        if (scratch.count(seed.target.slot) == 0) {
+                        relight.set_coverage(&scratch);
+                        run_scenario_on(relight, sc, packets, exec.batch_size);
+                        relight.set_coverage(nullptr);
+                        if (scratch.count(static_cast<std::uint32_t>(slot)) == 0) {
                             ++report.concolic_mismatched;
                             continue;
                         }
-                        const std::string text = recipe.encode();
-                        if (!corpus.add(recipe.program, recipe.slot, text,
-                                        /*concolic=*/true)) {
-                            continue;  // slot-colliding duplicate
-                        }
+                        if (!corpus.add(recipe)) continue;  // already stored
                         ++report.concolic_injected;
                         if (obs::metrics_on()) {
                             obs::count(obs::Counter::concolic_injected);
                         }
                         if (obs::trace_on()) {
                             obs::trace_instant("concolic_inject", "program", p,
-                                               "slot", recipe.slot);
+                                               "slot", slot);
                         }
-                        report.concolic_recipes.push_back(text);
-                        pending.push_back({p, std::move(recipe)});
+                        report.concolic_recipes.push_back(recipe.encode());
+                        pending.push_back(std::move(recipe));
                     }
                 }
             }

@@ -34,15 +34,16 @@
 // series included) keeps the byte-identical-across-thread-counts contract.
 //
 // Mutation mode (config.mutate, implies coverage): the full greybox loop.
-// Interesting scenarios -- fresh coverage edges or a fresh fingerprint --
-// are retained in a ScenarioCorpus (optionally preloaded from `.corpus`
-// recipes), and subsequent rounds draw a scheduler-controlled mix of fresh
-// seeds and splice/havoc mutants over that corpus (src/core/mutate.h).
-// Coverage feedback now includes per-backend-salted *DUT* edge maps, so
-// quirk-divergent paths -- not just reference-side novelty -- earn energy.
-// Every divergence records its parentage: a bare seed for fresh scenarios,
-// an encoded mutation recipe (replayable via config.mutation_recipe) for
-// mutants.
+// Every guided slot is one core::Recipe (src/core/mutate.h): a fresh
+// (program, seed) pair, a splice/havoc mutant, or a synthesized concolic
+// seed.  Interesting scenarios -- fresh coverage edges or a fresh
+// fingerprint -- are retained in a ScenarioCorpus (optionally preloaded
+// from `.corpus` recipes), and subsequent rounds draw a scheduler-
+// controlled mix of fresh seeds and mutants over that corpus.  Coverage
+// feedback includes per-backend-salted *DUT* edge maps, so quirk-divergent
+// paths -- not just reference-side novelty -- earn energy.  Every
+// divergence records its parentage: a bare seed for fresh scenarios, the
+// encoded recipe (replayable via config.mutation_recipe) otherwise.
 #pragma once
 
 #include <cstdint>
@@ -100,11 +101,12 @@ struct CampaignConfig {
     // A file the corpus reader (core/corpus.h) rejects makes run() throw
     // std::invalid_argument, naming it, before any scenario runs.
     std::string corpus_dir;
-    // Single-scenario replay of one encoded recipe: when non-empty the
-    // engine runs exactly that scenario (`scenarios` is ignored).  A '#'
-    // head parses as a MutationRecipe, an '@' head as a ConcolicRecipe --
-    // this is how a mutated or synthesized divergence replays through the
-    // ordinary detection path.
+    // Single-scenario replay of one encoded core::Recipe of either kind
+    // (catalogue '#' head, concolic '@' head): when non-empty the engine
+    // runs exactly that scenario (`scenarios` is ignored), and run() throws
+    // std::invalid_argument when Recipe::parse refuses the text.  This is
+    // how a mutated or synthesized divergence replays through the ordinary
+    // detection path; its findings carry the text as given.
     std::string mutation_recipe;
 
     // Concolic seed synthesis (src/verify/concolic.h; implies coverage).
@@ -112,9 +114,9 @@ struct CampaignConfig {
     // never-lit coverage slots back to IR sites (coverage::EdgeIndex), asks
     // the symbolic layer to solve a packet + default-action programming
     // reaching each, verifies that every solved seed actually lights its
-    // target slot on a dedicated reference device, and schedules
-    // the survivors ahead of the next round's plan as high-energy corpus
-    // entries.  Synthesis consumes only barrier-merged state, so the report
+    // target slot on the worker pool's first reference device, and
+    // schedules the survivors ahead of the next round's plan as high-energy
+    // corpus entries.  Synthesis consumes only barrier-merged state, so the report
     // keeps the byte-identical-across-thread-counts contract.
     bool concolic = false;
     // Dark sites attempted per round barrier (bounds solver time per round).
@@ -150,7 +152,7 @@ struct DivergenceRecord {
     LocalizeResult localized;
 
     // Parentage: empty for a fresh seed (the seed field alone replays it),
-    // otherwise the encoded MutationRecipe whose replay -- through
+    // otherwise the encoded Recipe whose replay -- through
     // CampaignConfig::mutation_recipe -- reproduces this divergence.
     std::string recipe;
 
@@ -248,7 +250,7 @@ struct CampaignReport {
     // at least one program: a no_path target then means "not found within
     // budget", never "unreachable".
     bool concolic_paths_exhausted = false;
-    // Encoded ConcolicRecipe text of every injected seed, injection order;
+    // Encoded concolic Recipe text of every injected seed, injection order;
     // each is a replayable `concolic=` corpus line.
     std::vector<std::string> concolic_recipes;
 

@@ -13,13 +13,21 @@ namespace ndb::core {
 
 namespace {
 
+// The key a recipe of each kind is written under.
+const char* recipe_key(const Recipe& recipe) {
+    return recipe.concolic() ? "concolic" : "mutate";
+}
+
 // Reads one file into `rec`; returns why it is rejected, or "" when it is
 // accepted.
 std::string read_corpus_file(const std::filesystem::path& path,
                              CorpusRecord& rec) {
     rec.file = path.filename().string();
     std::ifstream in(path);
-    std::string line, mutate, concolic;
+    // `key` is the recipe line's key, "mutate" or "concolic", and `text`
+    // its value; both stay empty for a fresh entry.
+    std::string line, program, key, text;
+    std::uint64_t seed = 0;
     std::set<std::string> seen;
     bool seed_ok = false;
     int lineno = 0;
@@ -30,75 +38,75 @@ std::string read_corpus_file(const std::filesystem::path& path,
         if (eq == std::string::npos) {
             return util::format("line %d: no '=' separator", lineno);
         }
-        const std::string key = line.substr(0, eq);
+        const std::string name = line.substr(0, eq);
         const std::string value = line.substr(eq + 1);
         // Each key once: a second value must not silently replace the first.
-        if (!seen.insert(key).second) {
+        if (!seen.insert(name).second) {
             return util::format("line %d: repeated key '%s'", lineno,
-                                key.c_str());
+                                name.c_str());
         }
         // seed= and quirks= get the same strict parse as recipe operands: a
         // damaged line must reject the entry, not load a different one.
-        if (key == "seed") {
-            seed_ok = util::parse_u64(value, rec.seed);
+        if (name == "seed") {
+            seed_ok = util::parse_u64(value, seed);
             if (!seed_ok) {
                 return util::format("line %d: unparseable seed '%s'", lineno,
                                     value.c_str());
             }
-        } else if (key == "program") {
-            rec.program = value;
-        } else if (key == "backend") {
+        } else if (name == "program") {
+            program = value;
+        } else if (name == "backend") {
             rec.backend = value;
-        } else if (key == "quirks") {
+        } else if (name == "quirks") {
             if (!dataplane::Quirks::parse(value)) {
                 return util::format("line %d: unparseable quirks '%s'", lineno,
                                     value.c_str());
             }
             rec.quirks = value;
-        } else if (key == "stage") {
+        } else if (name == "stage") {
             rec.stage = value;
-        } else if (key == "mutate" || key == "concolic") {
+        } else if (name == "mutate" || name == "concolic") {
             // An empty recipe would read as a fresh seed: a different entry.
             if (value.empty()) {
                 return util::format("line %d: empty %s= recipe", lineno,
-                                    key.c_str());
+                                    name.c_str());
             }
-            (key == "mutate" ? mutate : concolic) = value;
+            if (!key.empty()) {
+                return "both mutate= and concolic= present; an entry is one kind";
+            }
+            key = name;
+            text = value;
         } else {
-            return util::format("line %d: unknown key '%s'", lineno, key.c_str());
+            return util::format("line %d: unknown key '%s'", lineno, name.c_str());
         }
     }
-    if (rec.program.empty() || !seed_ok) return "missing program= or seed= line";
-    if (!mutate.empty() && !concolic.empty()) {
-        return "both mutate= and concolic= present; an entry is one kind";
+    if (program.empty() || !seed_ok) return "missing program= or seed= line";
+    if (key.empty()) {
+        rec.recipe = Recipe::Catalogue{program, seed, {}};
+        return {};
     }
-    // A recipe must both parse and name the entry's own program: an
-    // inconsistent file would otherwise smuggle an out-of-catalogue (or
-    // misfiled) parent past the campaign's catalogue filter and blow up a
-    // worker at apply() time.
-    if (!mutate.empty()) {
-        const auto parsed = MutationRecipe::parse(mutate);
-        if (!parsed) return "malformed mutate= recipe: " + mutate;
-        if (parsed->program != rec.program) {
-            return "mutate= recipe names program '" + parsed->program +
-                   "' but entry is for '" + rec.program + "'";
-        }
+    // A recipe must parse as its key's kind and name the entry's own program
+    // and seed: an inconsistent file would otherwise smuggle an
+    // out-of-catalogue (or misfiled) parent past the campaign's catalogue
+    // filter and blow up a worker when its scenario is built.
+    std::optional<Recipe> parsed = Recipe::parse(text);
+    if (!parsed || recipe_key(*parsed) != key) {
+        return "malformed " + key + "= recipe: " + text;
     }
-    if (!concolic.empty()) {
-        const auto parsed = ConcolicRecipe::parse(concolic);
-        if (!parsed) return "malformed concolic= recipe: " + concolic;
-        if (parsed->program != rec.program) {
-            return "concolic= recipe names program '" + parsed->program +
-                   "' but entry is for '" + rec.program + "'";
-        }
-        if (parsed->slot != rec.seed) {
-            return util::format("concolic= slot %llu disagrees with seed=%llu",
-                                static_cast<unsigned long long>(parsed->slot),
-                                static_cast<unsigned long long>(rec.seed));
-        }
+    if (parsed->fresh()) {
+        return "mutate= recipe has no ops; a fresh seed has no mutate= line";
     }
-    rec.concolic = !concolic.empty();
-    rec.recipe = rec.concolic ? concolic : mutate;
+    if (parsed->program() != program) {
+        return key + "= recipe names program '" + parsed->program() +
+               "' but entry is for '" + program + "'";
+    }
+    if (parsed->seed() != seed) {
+        return util::format("%s= %s %llu disagrees with seed=%llu", key.c_str(),
+                            parsed->concolic() ? "slot" : "seed",
+                            static_cast<unsigned long long>(parsed->seed()),
+                            static_cast<unsigned long long>(seed));
+    }
+    rec.recipe = std::move(*parsed);
     return {};
 }
 
@@ -188,11 +196,14 @@ SoakResult append_unique_corpus_entries(const CampaignReport& report,
         out << "backend=" << rec.backend << "\n";
         out << "quirks=" << rec.quirk_signature << "\n";
         out << "stage=" << stage << "\n";
-        // The recipe replays the exact scenario; a concolic recipe ('@'
-        // head, never parseable as a MutationRecipe) gets its own key.
+        // The recipe replays the exact scenario, under its kind's key; the
+        // seed= and program= lines above already spell a fresh one.
         if (!rec.recipe.empty()) {
-            const bool concolic = ConcolicRecipe::parse(rec.recipe).has_value();
-            out << (concolic ? "concolic=" : "mutate=") << rec.recipe << "\n";
+            const std::optional<Recipe> recipe = Recipe::parse(rec.recipe);
+            if (!recipe || !recipe->fresh()) {
+                out << (recipe ? recipe_key(*recipe) : "mutate") << '='
+                    << rec.recipe << "\n";
+            }
         }
         result.written.push_back(name);
     }

@@ -8,16 +8,19 @@
 //   backend=B     registry backend the entry diverges on   } the fingerprint
 //   quirks=Q      dataplane::Quirks::signature() text      } it reproduces
 //   stage=S       first diverging stage                    }
-//   mutate=R      an encoded MutationRecipe naming P, or
-//   concolic=R    an encoded ConcolicRecipe naming P whose slot is N
+//   mutate=R      a catalogue core::Recipe of P and N with 1..12 ops, or
+//   concolic=R    a concolic core::Recipe of P whose slot is N
 //
-// Any other key, a line without '=', a key given twice, a seed or quirk
-// signature that does not parse strictly, a missing seed= or program=,
-// both recipe kinds at once, an empty recipe, a recipe that does not parse
-// or names another program, or a concolic slot other than the seed rejects
-// the whole file with a diagnostic.  The mutation engine (ScenarioCorpus::load_dir), soak mode
-// and the regression replay test all read through read_corpus_dir, so a
-// file gets the same verdict in each.
+// Without a recipe line the entry is the fresh (P, N) scenario; a mutate=
+// recipe without ops would spell that scenario a second way, so the reader
+// refuses it.  Any other key, a line without '=', a key given twice, a seed
+// or quirk signature that does not parse strictly, a missing seed= or
+// program=, both recipe keys at once, an empty recipe, a recipe that does
+// not parse (core::Recipe::parse) or is of the other key's kind, or one
+// whose program or seed/slot disagrees with program= or seed= rejects the
+// whole file with a diagnostic.  The mutation engine
+// (ScenarioCorpus::load_dir), soak mode and the regression replay test all
+// read through read_corpus_dir, so a file gets the same verdict in each.
 //
 // Soak mode is the writer: it appends every finding whose (backend,
 // quirk-signature, stage) fingerprint the directory does not hold yet.
@@ -31,19 +34,19 @@
 #include <vector>
 
 #include "core/campaign.h"
+#include "core/mutate.h"
 
 namespace ndb::core {
 
 // One accepted `.corpus` file.
 struct CorpusRecord {
     std::string file;     // file name within the directory
-    std::uint64_t seed = 0;
-    std::string program;
     std::string backend;  // empty when the file has no backend= line
     std::string quirks;   // empty when the file has no quirks= line
     std::string stage;
-    std::string recipe;   // encoded recipe; empty = fresh seed
-    bool concolic = false;  // recipe is a ConcolicRecipe, else a MutationRecipe
+    // The entry's scenario: program= and seed=, with its mutate= or
+    // concolic= line when it has one.
+    Recipe recipe = Recipe::Catalogue{};
 };
 
 struct CorpusDir {
@@ -67,10 +70,11 @@ std::string soak_corpus_filename(const DivergenceRecord& rec);
 
 // Writes every record of `report` whose fingerprint no accepted file in
 // `corpus_dir` holds yet, with its recipe as a mutate= or concolic= line
-// when it has one.  Rejected files hold no fingerprint; their diagnostics
-// come back in `ignored`.  The record's backend label must be a registry
-// name for the written recipe to replay -- true for every sweep
-// ndb_campaign builds.  Creates the directory when missing.
+// when it has one (a fresh recipe needs none).  Rejected files hold no
+// fingerprint; their diagnostics come back in `ignored`.  The record's
+// backend label must be a registry name for the written recipe to replay
+// -- true for every sweep ndb_campaign builds.  Creates the directory when
+// missing.
 SoakResult append_unique_corpus_entries(const CampaignReport& report,
                                         const std::string& corpus_dir);
 

@@ -85,107 +85,52 @@ const char* mutation_op_name(MutationOp::Kind kind) {
     return "?";
 }
 
-// --- recipe text form ---------------------------------------------------------
+// --- recipe ------------------------------------------------------------------
 
-std::string MutationRecipe::encode() const {
-    std::string out = util::format(
-        "%s#%llu", program.c_str(),
-        static_cast<unsigned long long>(parent_seed));
-    for (const MutationOp& op : ops) {
-        out += util::format("|%s:%llu:%llu", mutation_op_name(op.kind),
-                            static_cast<unsigned long long>(op.a),
-                            static_cast<unsigned long long>(op.b));
-    }
-    return out;
-}
+namespace {
 
-std::optional<MutationRecipe> MutationRecipe::parse(std::string_view text) {
-    MutationRecipe recipe;
-    std::size_t start = 0;
-    bool first = true;
-    while (start <= text.size()) {
-        const std::size_t bar = text.find('|', start);
-        const std::string_view item = text.substr(
-            start, bar == std::string_view::npos ? std::string_view::npos
-                                                 : bar - start);
-        if (first) {
-            const std::size_t hash = item.find('#');
-            if (hash == std::string_view::npos || hash == 0) return std::nullopt;
-            recipe.program = std::string(item.substr(0, hash));
-            if (!parse_u64(item.substr(hash + 1), recipe.parent_seed)) {
-                return std::nullopt;
-            }
-            first = false;
-        } else {
-            // Strictly name:a:b -- the encoder always writes both operands,
-            // so a missing one means truncation or hand-editing damage and
-            // must fail loudly rather than replay a different mutation.
-            const std::size_t c1 = item.find(':');
-            if (c1 == std::string_view::npos) return std::nullopt;
-            const std::size_t c2 = item.find(':', c1 + 1);
-            if (c2 == std::string_view::npos) return std::nullopt;
-            MutationOp op;
-            const std::string_view name = item.substr(0, c1);
-            bool known = false;
-            for (const auto& e : kOpNames) {
-                if (name == e.name) {
-                    op.kind = e.kind;
-                    known = true;
-                    break;
-                }
-            }
-            if (!known) return std::nullopt;
-            if (!parse_u64(item.substr(c1 + 1, c2 - c1 - 1), op.a)) {
-                return std::nullopt;
-            }
-            if (!parse_u64(item.substr(c2 + 1), op.b)) return std::nullopt;
-            recipe.ops.push_back(op);
+std::optional<Recipe> parse_catalogue(std::string program, std::uint64_t seed,
+                                      std::span<const std::string> items) {
+    if (items.size() > Mutator::kMaxChainOps) return std::nullopt;
+    Recipe::Catalogue recipe{std::move(program), seed, {}};
+    for (const std::string& item : items) {
+        // Strictly name:a:b -- the encoder always writes both operands, so
+        // a missing one means truncation or hand-editing damage and must
+        // fail loudly rather than replay a different mutation.
+        const std::size_t c1 = item.find(':');
+        if (c1 == std::string::npos) return std::nullopt;
+        const std::size_t c2 = item.find(':', c1 + 1);
+        if (c2 == std::string::npos) return std::nullopt;
+        const std::string_view name = std::string_view(item).substr(0, c1);
+        const auto known = std::find_if(
+            std::begin(kOpNames), std::end(kOpNames),
+            [name](const OpNameEntry& e) { return name == e.name; });
+        if (known == std::end(kOpNames)) return std::nullopt;
+        MutationOp op;
+        op.kind = known->kind;
+        if (!parse_u64(std::string_view(item).substr(c1 + 1, c2 - c1 - 1), op.a) ||
+            !parse_u64(std::string_view(item).substr(c2 + 1), op.b)) {
+            return std::nullopt;
         }
-        if (bar == std::string_view::npos) break;
-        start = bar + 1;
+        recipe.ops.push_back(op);
     }
-    if (first) return std::nullopt;  // empty input
-    return recipe;
+    return Recipe(std::move(recipe));
 }
 
-// --- concolic recipe text form ------------------------------------------------
-
-std::string ConcolicRecipe::encode() const {
-    std::string out = util::format("%s@%llu|port:%u|pkt:%s", program.c_str(),
-                                   static_cast<unsigned long long>(slot),
-                                   ingress_port, hex_encode(packet).c_str());
-    for (const Default& def : defaults) {
-        out += util::format("|def:%s:%s", def.table.c_str(), def.action.c_str());
-        for (const auto& arg : def.args) {
-            out += ':';
-            out += hex_encode(arg);
-        }
-    }
-    return out;
-}
-
-std::optional<ConcolicRecipe> ConcolicRecipe::parse(std::string_view text) {
-    ConcolicRecipe recipe;
-    const auto items = util::split(text, '|');
-    if (items.empty()) return std::nullopt;
-
-    // Head: "program@slot".  '@' is never part of a MutationRecipe head, so
-    // the two parsers reject each other's text by construction.
-    const std::string_view head = items[0];
-    const std::size_t at = head.find('@');
-    if (at == std::string_view::npos || at == 0) return std::nullopt;
-    recipe.program = std::string(head.substr(0, at));
-    if (!parse_u64(head.substr(at + 1), recipe.slot)) return std::nullopt;
+std::optional<Recipe> parse_concolic(std::string program, std::uint64_t slot,
+                                     std::span<const std::string> items) {
+    verify::ConcolicRecipe recipe;
+    recipe.program = std::move(program);
+    recipe.slot = slot;
     if (recipe.slot >= coverage::CoverageMap::kSlots) return std::nullopt;
 
     bool have_port = false;
     bool have_packet = false;
-    for (std::size_t i = 1; i < items.size(); ++i) {
-        const std::string_view item = items[i];
+    for (const std::string& item : items) {
         const std::size_t colon = item.find(':');
-        if (colon == std::string_view::npos) return std::nullopt;
-        const std::string_view key = item.substr(0, colon);
-        const std::string_view value = item.substr(colon + 1);
+        if (colon == std::string::npos) return std::nullopt;
+        const std::string_view key = std::string_view(item).substr(0, colon);
+        const std::string_view value = std::string_view(item).substr(colon + 1);
         if (key == "port") {
             std::uint64_t port = 0;
             if (have_port || !parse_u64(value, port)) return std::nullopt;
@@ -207,7 +152,7 @@ std::optional<ConcolicRecipe> ConcolicRecipe::parse(std::string_view text) {
             if (parts.size() < 2 || parts[0].empty() || parts[1].empty()) {
                 return std::nullopt;
             }
-            Default def;
+            verify::ConcolicRecipe::Default def;
             def.table = parts[0];
             def.action = parts[1];
             for (std::size_t p = 2; p < parts.size(); ++p) {
@@ -217,7 +162,7 @@ std::optional<ConcolicRecipe> ConcolicRecipe::parse(std::string_view text) {
             }
             // One default per table: two would be a self-contradictory
             // control plane, not a replayable scenario.
-            for (const Default& prev : recipe.defaults) {
+            for (const auto& prev : recipe.defaults) {
                 if (prev.table == def.table) return std::nullopt;
             }
             recipe.defaults.push_back(std::move(def));
@@ -226,7 +171,66 @@ std::optional<ConcolicRecipe> ConcolicRecipe::parse(std::string_view text) {
         }
     }
     if (!have_port || !have_packet) return std::nullopt;
-    return recipe;
+    return Recipe(std::move(recipe));
+}
+
+}  // namespace
+
+const std::string& Recipe::program() const {
+    const Catalogue* c = catalogue();
+    return c ? c->program : concolic()->program;
+}
+
+std::uint64_t Recipe::seed() const {
+    const Catalogue* c = catalogue();
+    return c ? c->seed : concolic()->slot;
+}
+
+bool Recipe::fresh() const {
+    const Catalogue* c = catalogue();
+    return c && c->ops.empty();
+}
+
+std::string Recipe::encode() const {
+    if (const Catalogue* c = catalogue()) {
+        std::string out = util::format("%s#%llu", c->program.c_str(),
+                                       static_cast<unsigned long long>(c->seed));
+        for (const MutationOp& op : c->ops) {
+            out += util::format("|%s:%llu:%llu", mutation_op_name(op.kind),
+                                static_cast<unsigned long long>(op.a),
+                                static_cast<unsigned long long>(op.b));
+        }
+        return out;
+    }
+    const verify::ConcolicRecipe& m = *concolic();
+    std::string out = util::format("%s@%llu|port:%u|pkt:%s", m.program.c_str(),
+                                   static_cast<unsigned long long>(m.slot),
+                                   m.ingress_port, hex_encode(m.packet).c_str());
+    for (const auto& def : m.defaults) {
+        out += util::format("|def:%s:%s", def.table.c_str(), def.action.c_str());
+        for (const auto& arg : def.args) {
+            out += ':';
+            out += hex_encode(arg);
+        }
+    }
+    return out;
+}
+
+std::optional<Recipe> Recipe::parse(std::string_view text) {
+    // Head: the program, then '#' and a seed or '@' and a slot.  The first
+    // separator decides the kind and everything after it must be a number,
+    // so no text parses as both kinds.
+    const std::vector<std::string> items = util::split(text, '|');
+    const std::string& head = items[0];
+    const std::size_t sep = head.find_first_of("#@");
+    std::uint64_t number = 0;
+    if (sep == std::string::npos || sep == 0 ||
+        !parse_u64(std::string_view(head).substr(sep + 1), number)) {
+        return std::nullopt;
+    }
+    const std::span<const std::string> rest(items.begin() + 1, items.end());
+    return head[sep] == '#' ? parse_catalogue(head.substr(0, sep), number, rest)
+                            : parse_concolic(head.substr(0, sep), number, rest);
 }
 
 // --- corpus -------------------------------------------------------------------
@@ -237,67 +241,102 @@ std::size_t ScenarioCorpus::load_dir(const std::string& dir,
     diagnostics_ = std::move(read.diagnostics);
     std::size_t loaded = 0;
     for (const CorpusRecord& rec : read.records) {
-        if (std::find(programs.begin(), programs.end(), rec.program) ==
+        if (std::find(programs.begin(), programs.end(), rec.recipe.program()) ==
             programs.end()) {
             continue;  // outside this campaign's catalogue slice
         }
-        if (add(rec.program, rec.seed, rec.recipe, rec.concolic)) ++loaded;
+        if (add(rec.recipe)) ++loaded;
     }
     return loaded;
 }
 
-bool ScenarioCorpus::add(const std::string& program, std::uint64_t seed,
-                         const std::string& recipe, bool concolic) {
-    const std::string key = util::format(
-        "%s#%llu#%s%s", program.c_str(), static_cast<unsigned long long>(seed),
-        concolic ? "c!" : "", recipe.c_str());
-    if (!keys_.insert(key).second) return false;
-    by_program_[program].push_back(CorpusEntry{program, seed, recipe, concolic});
-    ++total_;
+bool ScenarioCorpus::add(const Recipe& recipe) {
+    if (!keys_.insert(recipe.encode()).second) return false;
+    by_program_[recipe.program()].push_back(recipe);
     return true;
 }
 
-const std::vector<CorpusEntry>& ScenarioCorpus::entries(
+const std::vector<Recipe>& ScenarioCorpus::entries(
     const std::string& program) const {
-    static const std::vector<CorpusEntry> kEmpty;
+    static const std::vector<Recipe> kEmpty;
     const auto it = by_program_.find(program);
     return it == by_program_.end() ? kEmpty : it->second;
 }
 
 // --- mutator ------------------------------------------------------------------
 
-std::size_t Mutator::program_index(const std::string& program) const {
-    const auto& programs = gen_->programs();
-    const auto it = std::find(programs.begin(), programs.end(), program);
-    if (it == programs.end()) {
-        throw std::invalid_argument("mutate: recipe names program '" + program +
-                                    "' outside the generator's catalogue");
+namespace {
+
+// A concolic recipe's scenario: the program's shared image, the solver's
+// packet on its port, and the control plane reduced to its defaults, so the
+// scenario is a pure function of the recipe.
+Scenario build_concolic(const SpecGenerator& gen, std::size_t idx,
+                        const verify::ConcolicRecipe& recipe) {
+    Scenario s;
+    s.seed = recipe.slot;
+    s.program = gen.programs()[idx];
+    s.compiled = gen.image(idx);
+    const p4::ir::Program& prog = *s.compiled;
+
+    const auto bad = [&](const std::string& why) {
+        throw std::invalid_argument("concolic: " + why + " (program " +
+                                    recipe.program + ")");
+    };
+
+    for (const auto& def : recipe.defaults) {
+        const p4::ir::Table* table = prog.table_by_name(def.table);
+        if (!table) bad("unknown table '" + def.table + "'");
+        const p4::ir::Action* action = prog.action_by_name(def.action);
+        if (!action) bad("unknown action '" + def.action + "'");
+        if (std::find(table->actions.begin(), table->actions.end(),
+                      action->id) == table->actions.end()) {
+            bad("action '" + def.action + "' not allowed on table '" +
+                def.table + "'");
+        }
+        if (def.args.size() != action->param_widths.size()) {
+            bad(util::format("action '%s' takes %zu args, recipe has %zu",
+                             def.action.c_str(), action->param_widths.size(),
+                             def.args.size()));
+        }
+        ConfigOp op;
+        op.kind = ConfigOp::Kind::set_default_action;
+        op.target = def.table;
+        op.action = def.action;
+        for (std::size_t i = 0; i < def.args.size(); ++i) {
+            const int width = action->param_widths[i];
+            const auto& bytes = def.args[i];
+            if (bytes.size() != static_cast<std::size_t>((width + 7) / 8)) {
+                bad(util::format("arg %zu of '%s' must be %d bytes, got %zu",
+                                 i, def.action.c_str(), (width + 7) / 8,
+                                 bytes.size()));
+            }
+            const int excess = static_cast<int>(bytes.size()) * 8 - width;
+            if (excess > 0 && (bytes[0] >> (8 - excess)) != 0) {
+                bad(util::format("arg %zu of '%s' overflows its %d-bit width",
+                                 i, def.action.c_str(), width));
+            }
+            op.action_args.push_back(Bitvec::from_bytes(bytes, width));
+        }
+        s.config.push_back(std::move(op));
     }
-    return static_cast<std::size_t>(it - programs.begin());
+
+    s.spec.tmpl.base = packet::Packet(recipe.packet);
+    s.spec.inject_port = recipe.ingress_port;
+    s.spec.count = 1;
+    return s;
 }
 
-MutationRecipe Mutator::derive(const ScenarioCorpus& corpus,
-                               const CorpusEntry& parent,
-                               std::uint64_t seed) const {
-    MutationRecipe recipe;
-    if (!parent.recipe.empty()) {
-        // Chain: extend the mutant parent's own op list, unless this
-        // derivation's worst case (one splice + four havoc ops) would push
-        // past the cap -- then restart from its root seed so a recipe
-        // never exceeds kMaxChainOps ops.
-        if (auto parsed = MutationRecipe::parse(parent.recipe)) {
-            if (parsed->ops.size() + kMaxOpsPerDerive <= kMaxChainOps) {
-                recipe = std::move(*parsed);
-            } else {
-                recipe.program = parsed->program;
-                recipe.parent_seed = parsed->parent_seed;
-            }
-        }
-    }
-    if (recipe.program.empty()) {
-        recipe.program = parent.program;
-        recipe.parent_seed = parent.seed;
-    }
+}  // namespace
+
+Recipe::Catalogue Mutator::derive(const ScenarioCorpus& corpus,
+                                  const Recipe::Catalogue& parent,
+                                  std::uint64_t seed) const {
+    // Chain: extend the parent's own op list, unless this derivation's
+    // worst case (one splice + four havoc ops) would push past the cap --
+    // then restart from its root seed so a recipe never exceeds
+    // kMaxChainOps ops.
+    Recipe::Catalogue recipe = parent;
+    if (recipe.ops.size() + kMaxOpsPerDerive > kMaxChainOps) recipe.ops.clear();
 
     Rng rng(seed ^ kDeriveSalt);
 
@@ -308,12 +347,9 @@ MutationRecipe Mutator::derive(const ScenarioCorpus& corpus,
     // inherited (and new) havoc ops perturb the spliced result instead.
     // Donors are fresh same-program corpus entries -- a donor seed is all
     // the recipe needs to rebuild the donor's packet plan on replay.
-    const std::vector<CorpusEntry>& pool = corpus.entries(recipe.program);
-    std::vector<const CorpusEntry*> donors;
-    for (const CorpusEntry& e : pool) {
-        if (e.recipe.empty() && e.seed != recipe.parent_seed) {
-            donors.push_back(&e);
-        }
+    std::vector<std::uint64_t> donors;
+    for (const Recipe& e : corpus.entries(recipe.program)) {
+        if (e.fresh() && e.seed() != recipe.seed) donors.push_back(e.seed());
     }
     const bool chain_has_splice = std::any_of(
         recipe.ops.begin(), recipe.ops.end(), [](const MutationOp& op) {
@@ -322,8 +358,8 @@ MutationRecipe Mutator::derive(const ScenarioCorpus& corpus,
     if (!donors.empty() && !chain_has_splice && rng.next_bool(0.3)) {
         MutationOp op;
         op.kind = MutationOp::Kind::splice;
-        op.a = rng.next_below(9);  // config prefix kept (mod at apply)
-        op.b = donors[rng.next_below(donors.size())]->seed;
+        op.a = rng.next_below(9);  // config prefix kept (mod at build)
+        op.b = donors[rng.next_below(donors.size())];
         recipe.ops.insert(recipe.ops.begin(), op);
     }
 
@@ -344,11 +380,13 @@ MutationRecipe Mutator::derive(const ScenarioCorpus& corpus,
     return recipe;
 }
 
-Scenario Mutator::apply(const MutationRecipe& recipe) const {
-    const std::size_t idx = program_index(recipe.program);
-    Scenario s = gen_->make_for(idx, recipe.parent_seed);
+Scenario Mutator::build(const Recipe& recipe) const {
+    const std::size_t idx = gen_->index_of(recipe.program());
+    const Recipe::Catalogue* c = recipe.catalogue();
+    if (!c) return build_concolic(*gen_, idx, *recipe.concolic());
+    Scenario s = gen_->make_for(idx, c->seed);
 
-    for (const MutationOp& op : recipe.ops) {
+    for (const MutationOp& op : c->ops) {
         switch (op.kind) {
             case MutationOp::Kind::field_flip: {
                 auto& muts = s.spec.tmpl.mutations;
@@ -415,66 +453,6 @@ Scenario Mutator::apply(const MutationRecipe& recipe) const {
             }
         }
     }
-    return s;
-}
-
-Scenario Mutator::apply_concolic(const ConcolicRecipe& recipe) const {
-    const std::size_t idx = program_index(recipe.program);
-    // make_for supplies the compiled program handle; everything else -- the
-    // control plane and the packet plan -- is replaced by the solver's
-    // model, so the scenario is a pure function of the recipe text.
-    Scenario s = gen_->make_for(idx, recipe.slot);
-    s.seed = recipe.slot;
-    const p4::ir::Program& prog = *s.compiled;
-
-    const auto bad = [&](const std::string& why) {
-        throw std::invalid_argument("concolic: " + why + " (program " +
-                                    recipe.program + ")");
-    };
-
-    s.config.clear();
-    for (const ConcolicRecipe::Default& def : recipe.defaults) {
-        const p4::ir::Table* table = prog.table_by_name(def.table);
-        if (!table) bad("unknown table '" + def.table + "'");
-        const p4::ir::Action* action = prog.action_by_name(def.action);
-        if (!action) bad("unknown action '" + def.action + "'");
-        if (std::find(table->actions.begin(), table->actions.end(),
-                      action->id) == table->actions.end()) {
-            bad("action '" + def.action + "' not allowed on table '" +
-                def.table + "'");
-        }
-        if (def.args.size() != action->param_widths.size()) {
-            bad(util::format("action '%s' takes %zu args, recipe has %zu",
-                             def.action.c_str(), action->param_widths.size(),
-                             def.args.size()));
-        }
-        ConfigOp op;
-        op.kind = ConfigOp::Kind::set_default_action;
-        op.target = def.table;
-        op.action = def.action;
-        for (std::size_t i = 0; i < def.args.size(); ++i) {
-            const int width = action->param_widths[i];
-            const auto& bytes = def.args[i];
-            if (bytes.size() != static_cast<std::size_t>((width + 7) / 8)) {
-                bad(util::format("arg %zu of '%s' must be %d bytes, got %zu",
-                                 i, def.action.c_str(), (width + 7) / 8,
-                                 bytes.size()));
-            }
-            const int excess = static_cast<int>(bytes.size()) * 8 - width;
-            if (excess > 0 && (bytes[0] >> (8 - excess)) != 0) {
-                bad(util::format("arg %zu of '%s' overflows its %d-bit width",
-                                 i, def.action.c_str(), width));
-            }
-            op.action_args.push_back(Bitvec::from_bytes(bytes, width));
-        }
-        s.config.push_back(std::move(op));
-    }
-
-    TestSpec spec;
-    spec.tmpl.base = packet::Packet(recipe.packet);
-    spec.inject_port = recipe.ingress_port;
-    spec.count = 1;
-    s.spec = std::move(spec);
     return s;
 }
 

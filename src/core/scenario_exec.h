@@ -177,7 +177,7 @@ struct ExecOptions {
 // Runs `sc` on the pool and appends triaged findings to `outcome` --
 // detection, minimization, localization, fingerprinting.  In guided mode
 // the outcome's coverage lists are overwritten with the detection runs'
-// lit slots.  `recipe` is the slot's mutation parentage ("" = fresh seed).
+// lit slots.  `recipe` is the slot's encoded parentage ("" = fresh seed).
 void execute_scenario(WorkerContext& ctx, const Scenario& sc,
                       const std::vector<BackendSpec>& duts,
                       const ExecOptions& options, ScenarioOutcome& outcome,

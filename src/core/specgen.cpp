@@ -482,6 +482,15 @@ SpecGenerator::SpecGenerator(std::vector<std::string> programs)
     }
 }
 
+std::size_t SpecGenerator::index_of(const std::string& program) const {
+    const auto it = std::find(programs_.begin(), programs_.end(), program);
+    if (it == programs_.end()) {
+        throw std::invalid_argument("specgen: program '" + program +
+                                    "' is outside the generator's catalogue");
+    }
+    return static_cast<std::size_t>(it - programs_.begin());
+}
+
 std::size_t SpecGenerator::pick_program(Rng& rng) const {
     return static_cast<std::size_t>(rng.next_below(programs_.size()));
 }

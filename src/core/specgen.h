@@ -43,6 +43,17 @@ public:
 
     const std::vector<std::string>& programs() const { return programs_; }
 
+    // The index of `program` in programs(); throws std::invalid_argument
+    // when the generator does not carry it.
+    std::size_t index_of(const std::string& program) const;
+
+    // The compiled image every scenario of programs()[program_index]
+    // shares, without building a scenario.
+    const std::shared_ptr<const p4::ir::Program>& image(
+        std::size_t program_index) const {
+        return compiled_.at(program_index);
+    }
+
     // The catalogue subset a default-constructed generator sweeps.
     static std::vector<std::string> default_programs();
 

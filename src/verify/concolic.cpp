@@ -79,7 +79,7 @@ std::vector<const SymPath*> ConcolicSynthesizer::candidates(
 }
 
 TargetStatus ConcolicSynthesizer::solve_path(const SymPath& path,
-                                             ConcolicSeed& seed,
+                                             ConcolicRecipe& seed,
                                              std::string& detail) {
     // Packet geometry first: the length constraint must name the exact size
     // of the packet we will emit, or length-sensitive paths drift.  The
@@ -161,11 +161,11 @@ TargetStatus ConcolicSynthesizer::solve_path(const SymPath& path,
         const auto& [table_id, action_id] = path.table_choices[i];
         const auto& table = prog_.tables[static_cast<std::size_t>(table_id)];
         const auto& action = prog_.actions[static_cast<std::size_t>(action_id)];
-        ConcolicSeed::Default def;
+        ConcolicRecipe::Default def;
         def.table = table.name;
         def.action = action.name;
         for (const SExpr& arg : path.table_args[i]) {
-            def.args.push_back(solver.eval(arg));
+            def.args.push_back(solver.eval(arg).to_bytes());
         }
         const auto prev = std::find_if(
             seed.defaults.begin(), seed.defaults.end(),
@@ -209,8 +209,9 @@ ConcolicResult ConcolicSynthesizer::synthesize(
         const int attempts = std::min<int>(options_.max_attempts_per_site,
                                            static_cast<int>(paths.size()));
         for (int i = 0; i < attempts; ++i) {
-            ConcolicSeed seed;
-            seed.target = site;
+            ConcolicRecipe seed;
+            seed.program = prog_.name;
+            seed.slot = site.slot;
             std::string detail;
             const TargetStatus status = solve_path(*paths[static_cast<std::size_t>(i)],
                                                    seed, detail);

@@ -22,7 +22,6 @@
 
 #include "coverage/edge_index.h"
 #include "p4/ir.h"
-#include "util/bitvec.h"
 #include "verify/expr.h"
 #include "verify/symexec.h"
 
@@ -34,17 +33,23 @@ struct ConcolicOptions {
     int max_attempts_per_site = 4;   // candidate paths tried per dark site
 };
 
-// One synthesized corpus seed: a packet + the control-plane programming
-// that makes the reference image light `target`.
-struct ConcolicSeed {
-    coverage::EdgeSite target;
-    std::vector<std::uint8_t> packet;
+// One synthesized corpus seed, fully concrete: the packet, ingress port
+// and table default-action programming that make `program`'s reference
+// image light coverage slot `slot`.  The solver's model IS the scenario, so
+// this is also the concolic kind of core::Recipe, which gives it its text
+// form and replays it.
+struct ConcolicRecipe {
+    std::string program;
+    std::uint64_t slot = 0;  // target coverage slot; doubles as the seed
     std::uint32_t ingress_port = 0;
+    std::vector<std::uint8_t> packet;
 
     struct Default {
         std::string table;
         std::string action;
-        std::vector<util::Bitvec> args;
+        // Big-endian action-argument images, ceil(width/8) bytes each
+        // (checked against the program when the recipe is built).
+        std::vector<std::vector<std::uint8_t>> args;
     };
     std::vector<Default> defaults;  // set_default_action ops, in table order
 };
@@ -63,7 +68,7 @@ struct TargetOutcome {
 };
 
 struct ConcolicResult {
-    std::vector<ConcolicSeed> seeds;
+    std::vector<ConcolicRecipe> seeds;
     std::vector<TargetOutcome> outcomes;  // one per requested target
     // True when symexec hit max_paths: a no_path outcome then means "not
     // found within budget", never "unreachable".
@@ -84,7 +89,7 @@ private:
     void ensure_explored();
     std::vector<const SymPath*> candidates(const coverage::EdgeSite& site) const;
     // Solves one candidate; fills `seed` on sat.
-    TargetStatus solve_path(const SymPath& path, ConcolicSeed& seed,
+    TargetStatus solve_path(const SymPath& path, ConcolicRecipe& seed,
                             std::string& detail);
 
     const p4::ir::Program& prog_;

@@ -29,31 +29,32 @@ TEST(CorpusReplay, EveryKnownDivergenceStillTriggers) {
 
     for (const core::CorpusRecord& entry : corpus.records) {
         SCOPED_TRACE(entry.file);
+        const core::Recipe& recipe = entry.recipe;
         const auto quirks = dataplane::Quirks::parse(entry.quirks);
         ASSERT_TRUE(quirks.has_value()) << "no quirks= line";
 
         core::CampaignConfig config;
-        config.base_seed = entry.seed;
+        config.base_seed = recipe.seed();
         config.scenarios = 1;
         config.threads = 1;
-        config.programs = {entry.program};
+        config.programs = {recipe.program()};
         config.duts = {core::BackendSpec{entry.backend, *quirks, "dut"}};
-        // "" = fresh-seed replay; the mutate/concolic grammars are mutually
-        // unparseable ('#' vs '@' head), so one field carries either.
-        config.mutation_recipe = entry.recipe;
+        // A fresh entry replays as a one-seed sweep, any other recipe
+        // through the single-recipe path.
+        if (!recipe.fresh()) config.mutation_recipe = recipe.encode();
         coverage::CoverageMap map;
-        if (entry.concolic) {
+        if (recipe.concolic()) {
             config.coverage = true;
             config.coverage_map_out = &map;
         }
         core::CampaignEngine engine(config);
         const core::CampaignReport report = engine.run();
 
-        if (entry.concolic) {
+        if (recipe.concolic()) {
             // A concolic entry's seed IS its target coverage slot; the
             // replayed scenario must still light it.
             EXPECT_EQ(report.scenarios_concolic, 1u);
-            EXPECT_GT(map.count(static_cast<std::uint32_t>(entry.seed)), 0u)
+            EXPECT_GT(map.count(static_cast<std::uint32_t>(recipe.seed())), 0u)
                 << "synthesized seed no longer lights its target slot";
         }
 
@@ -61,8 +62,8 @@ TEST(CorpusReplay, EveryKnownDivergenceStillTriggers) {
             << "known-bug scenario no longer diverges\n"
             << report.to_string();
         const core::DivergenceRecord& d = report.divergences[0];
-        EXPECT_EQ(d.seed, entry.seed);
-        EXPECT_EQ(d.program, entry.program);
+        EXPECT_EQ(d.seed, recipe.seed());
+        EXPECT_EQ(d.program, recipe.program());
         EXPECT_EQ(d.quirk_signature, entry.quirks);
         EXPECT_EQ(d.fingerprint, "dut|" + entry.quirks + "|" + entry.stage)
             << report.to_string();

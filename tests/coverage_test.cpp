@@ -379,10 +379,10 @@ TEST(Soak, DeterministicCorpusGrowthAndReplay) {
     for (const core::CorpusRecord& rec : written.records) {
         SCOPED_TRACE(rec.file);
         core::CampaignConfig replay;
-        replay.base_seed = rec.seed;
+        replay.base_seed = rec.recipe.seed();
         replay.scenarios = 1;
         replay.threads = 1;
-        replay.programs = {rec.program};
+        replay.programs = {rec.recipe.program()};
         replay.duts = {core::BackendSpec{rec.backend, std::nullopt, "dut"}};
         core::CampaignEngine replayer(replay);
         const core::CampaignReport rr = replayer.run();

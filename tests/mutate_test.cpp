@@ -1,5 +1,5 @@
 // Mutation-engine contracts: recipe text round-trips, corpus loading and
-// dedup, deterministic derive/apply, splice semantics, byte-identical
+// dedup, deterministic derive/build, splice semantics, byte-identical
 // mutate-mode reports across thread counts, recipe-based replay of every
 // mutated divergence, soak recipe lines, and the acceptance sweep: the
 // mutation-guided campaign discovers all seven quirk fingerprints within
@@ -30,62 +30,91 @@ namespace {
 
 using namespace ndb;
 
+// A catalogue recipe of `program` and `seed` with `n` byte ops.
+core::Recipe::Catalogue byte_chain(const std::string& program,
+                                   std::uint64_t seed, std::size_t n) {
+    return {program, seed,
+            std::vector<core::MutationOp>(
+                n, core::MutationOp{core::MutationOp::Kind::packet_byte, 1, 1})};
+}
+
 TEST(MutationRecipe, EncodeParseRoundTrip) {
-    core::MutationRecipe recipe;
-    recipe.program = "reject_filter";
-    recipe.parent_seed = 42;
-    recipe.ops = {
-        {core::MutationOp::Kind::field_flip, 3, 0xdeadbeefull},
-        {core::MutationOp::Kind::field_boundary, 1, 2},
-        {core::MutationOp::Kind::packet_byte, 17, 255},
-        {core::MutationOp::Kind::config_drop, 2, 0},
-        {core::MutationOp::Kind::config_dup, 0, 4},
-        {core::MutationOp::Kind::config_swap, 1, 3},
-        {core::MutationOp::Kind::splice, 2, 977},
-    };
+    const core::Recipe recipe = core::Recipe::Catalogue{
+        "reject_filter",
+        42,
+        {
+            {core::MutationOp::Kind::field_flip, 3, 0xdeadbeefull},
+            {core::MutationOp::Kind::field_boundary, 1, 2},
+            {core::MutationOp::Kind::packet_byte, 17, 255},
+            {core::MutationOp::Kind::config_drop, 2, 0},
+            {core::MutationOp::Kind::config_dup, 0, 4},
+            {core::MutationOp::Kind::config_swap, 1, 3},
+            {core::MutationOp::Kind::splice, 2, 977},
+        }};
 
     const std::string text = recipe.encode();
     EXPECT_EQ(text.substr(0, text.find('|')), "reject_filter#42");
 
-    const auto parsed = core::MutationRecipe::parse(text);
+    const auto parsed = core::Recipe::parse(text);
     ASSERT_TRUE(parsed.has_value()) << text;
-    EXPECT_EQ(parsed->program, recipe.program);
-    EXPECT_EQ(parsed->parent_seed, recipe.parent_seed);
-    ASSERT_EQ(parsed->ops.size(), recipe.ops.size());
-    for (std::size_t i = 0; i < recipe.ops.size(); ++i) {
-        EXPECT_EQ(parsed->ops[i].kind, recipe.ops[i].kind) << "op " << i;
-        EXPECT_EQ(parsed->ops[i].a, recipe.ops[i].a) << "op " << i;
-        EXPECT_EQ(parsed->ops[i].b, recipe.ops[i].b) << "op " << i;
+    ASSERT_NE(parsed->catalogue(), nullptr);
+    EXPECT_EQ(parsed->concolic(), nullptr);
+    EXPECT_EQ(parsed->program(), "reject_filter");
+    EXPECT_EQ(parsed->seed(), 42u);
+    EXPECT_FALSE(parsed->fresh());
+    const auto& want = recipe.catalogue()->ops;
+    const auto& got = parsed->catalogue()->ops;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].kind, want[i].kind) << "op " << i;
+        EXPECT_EQ(got[i].a, want[i].a) << "op " << i;
+        EXPECT_EQ(got[i].b, want[i].b) << "op " << i;
     }
     EXPECT_EQ(parsed->encode(), text);
 
+    // No ops is the fresh scenario of the pair.
+    const auto fresh = core::Recipe::parse("reject_filter#42");
+    ASSERT_TRUE(fresh.has_value());
+    EXPECT_TRUE(fresh->fresh());
+    EXPECT_EQ(fresh->encode(), "reject_filter#42");
+
     // Junk must be rejected, not half-parsed.
-    EXPECT_FALSE(core::MutationRecipe::parse(""));
-    EXPECT_FALSE(core::MutationRecipe::parse("no_seed_marker"));
-    EXPECT_FALSE(core::MutationRecipe::parse("prog#notanumber"));
-    EXPECT_FALSE(core::MutationRecipe::parse("prog#1|unknown_op:1:2"));
-    EXPECT_FALSE(core::MutationRecipe::parse("prog#1|flip:abc:2"));
-    EXPECT_FALSE(core::MutationRecipe::parse("#1|flip:1:2"));
+    EXPECT_FALSE(core::Recipe::parse(""));
+    EXPECT_FALSE(core::Recipe::parse("no_seed_marker"));
+    EXPECT_FALSE(core::Recipe::parse("prog#notanumber"));
+    EXPECT_FALSE(core::Recipe::parse("prog#1|unknown_op:1:2"));
+    EXPECT_FALSE(core::Recipe::parse("prog#1|flip:abc:2"));
+    EXPECT_FALSE(core::Recipe::parse("#1|flip:1:2"));
+    EXPECT_FALSE(core::Recipe::parse("prog#1|"));
     // A truncated op (missing second operand) must fail, not replay a
     // different mutation with b=0.
-    EXPECT_FALSE(core::MutationRecipe::parse("prog#1|flip:1"));
-    EXPECT_FALSE(core::MutationRecipe::parse("prog#1|bound:13289271728200100208"));
+    EXPECT_FALSE(core::Recipe::parse("prog#1|flip:1"));
+    EXPECT_FALSE(core::Recipe::parse("prog#1|bound:13289271728200100208"));
     // Overflowing operands must fail too, not wrap mod 2^64 onto a
     // different mutation.
-    EXPECT_FALSE(core::MutationRecipe::parse("prog#1|byte:99999999999999999999999:1"));
-    EXPECT_FALSE(core::MutationRecipe::parse("prog#99999999999999999999999|byte:1:1"));
+    EXPECT_FALSE(core::Recipe::parse("prog#1|byte:99999999999999999999999:1"));
+    EXPECT_FALSE(core::Recipe::parse("prog#99999999999999999999999|byte:1:1"));
     // 2^64-1 itself is the largest legal operand.
-    EXPECT_TRUE(core::MutationRecipe::parse("prog#1|byte:18446744073709551615:1"));
-    EXPECT_FALSE(core::MutationRecipe::parse("prog#1|byte:18446744073709551616:1"));
+    EXPECT_TRUE(core::Recipe::parse("prog#1|byte:18446744073709551615:1"));
+    EXPECT_FALSE(core::Recipe::parse("prog#1|byte:18446744073709551616:1"));
+    // The op cap bounds recipe text and replay cost at parse: kMaxChainOps
+    // ops parse, one more does not.
+    const std::string at_cap =
+        core::Recipe(byte_chain("prog", 1, core::Mutator::kMaxChainOps)).encode();
+    EXPECT_TRUE(core::Recipe::parse(at_cap)) << at_cap;
+    const std::string over_cap =
+        core::Recipe(byte_chain("prog", 1, core::Mutator::kMaxChainOps + 1))
+            .encode();
+    EXPECT_FALSE(core::Recipe::parse(over_cap)) << over_cap;
 }
 
 TEST(ScenarioCorpus, AddDedupAndLoadDir) {
     core::ScenarioCorpus corpus;
-    EXPECT_TRUE(corpus.add("reject_filter", 1));
-    EXPECT_FALSE(corpus.add("reject_filter", 1));  // identical triple
-    EXPECT_TRUE(corpus.add("reject_filter", 1, "reject_filter#1|byte:3:7"));
-    EXPECT_TRUE(corpus.add("deep_parser", 9));
-    EXPECT_EQ(corpus.size(), 3u);
+    EXPECT_TRUE(corpus.add(core::Recipe::Catalogue{"reject_filter", 1, {}}));
+    // Identical recipe.
+    EXPECT_FALSE(corpus.add(core::Recipe::Catalogue{"reject_filter", 1, {}}));
+    EXPECT_TRUE(corpus.add(*core::Recipe::parse("reject_filter#1|byte:3:7")));
+    EXPECT_TRUE(corpus.add(core::Recipe::Catalogue{"deep_parser", 9, {}}));
     EXPECT_EQ(corpus.entries("reject_filter").size(), 2u);
     EXPECT_EQ(corpus.entries("deep_parser").size(), 1u);
     EXPECT_TRUE(corpus.entries("unknown").empty());
@@ -104,7 +133,7 @@ TEST(ScenarioCorpus, AddDedupAndLoadDir) {
     write("c_other.corpus", "seed=3\nprogram=deep_parser\n");
     write("d_badrecipe.corpus", "seed=4\nprogram=reject_filter\nmutate=junk\n");
     // Recipe naming a different program than the entry: inconsistent file,
-    // must be skipped or a worker would throw at apply() time.
+    // must be skipped or a worker would throw when building its scenario.
     write("e_mismatch.corpus",
           "seed=6\nprogram=reject_filter\nmutate=deep_parser#6|byte:1:1\n");
     // Damaged seed lines (overflow, trailing junk) must skip the entry,
@@ -118,8 +147,9 @@ TEST(ScenarioCorpus, AddDedupAndLoadDir) {
     // deep_parser filtered out: this campaign only fuzzes reject_filter.
     EXPECT_EQ(loaded.load_dir(dir.string(), {"reject_filter"}), 2u);
     ASSERT_EQ(loaded.entries("reject_filter").size(), 2u);
-    EXPECT_TRUE(loaded.entries("reject_filter")[0].recipe.empty());
-    EXPECT_EQ(loaded.entries("reject_filter")[1].recipe,
+    EXPECT_TRUE(loaded.entries("reject_filter")[0].fresh());
+    EXPECT_EQ(loaded.entries("reject_filter")[0].seed(), 5u);
+    EXPECT_EQ(loaded.entries("reject_filter")[1].encode(),
               "reject_filter#5|byte:2:9");
     EXPECT_TRUE(loaded.entries("deep_parser").empty());
 
@@ -131,44 +161,57 @@ TEST(ScenarioCorpus, AddDedupAndLoadDir) {
 }
 
 TEST(ConcolicRecipe, EncodeParseRoundTripAndStrictRejection) {
-    core::ConcolicRecipe recipe;
-    recipe.program = "deep_parser";
-    recipe.slot = 2044;
-    recipe.ingress_port = 3;
-    recipe.packet = {0x88, 0x47, 0x00, 0x01};
-    recipe.defaults.push_back({"label_fib", "pop_forward", {{0x01, 0xff}}});
-    recipe.defaults.push_back({"other", "NoAction", {}});
+    verify::ConcolicRecipe model;
+    model.program = "deep_parser";
+    model.slot = 2044;
+    model.ingress_port = 3;
+    model.packet = {0x88, 0x47, 0x00, 0x01};
+    model.defaults.push_back({"label_fib", "pop_forward", {{0x01, 0xff}}});
+    model.defaults.push_back({"other", "NoAction", {}});
+    const core::Recipe recipe(model);
 
     const std::string text = recipe.encode();
-    const auto parsed = core::ConcolicRecipe::parse(text);
+    const auto parsed = core::Recipe::parse(text);
     ASSERT_TRUE(parsed.has_value()) << text;
-    EXPECT_EQ(parsed->program, recipe.program);
-    EXPECT_EQ(parsed->slot, recipe.slot);
-    EXPECT_EQ(parsed->ingress_port, recipe.ingress_port);
-    EXPECT_EQ(parsed->packet, recipe.packet);
-    ASSERT_EQ(parsed->defaults.size(), 2u);
-    EXPECT_EQ(parsed->defaults[0].args, recipe.defaults[0].args);
+    ASSERT_NE(parsed->concolic(), nullptr);
+    EXPECT_EQ(parsed->catalogue(), nullptr);
+    EXPECT_FALSE(parsed->fresh());
+    EXPECT_EQ(parsed->program(), model.program);
+    EXPECT_EQ(parsed->seed(), model.slot);
+    EXPECT_EQ(parsed->concolic()->ingress_port, model.ingress_port);
+    EXPECT_EQ(parsed->concolic()->packet, model.packet);
+    ASSERT_EQ(parsed->concolic()->defaults.size(), 2u);
+    EXPECT_EQ(parsed->concolic()->defaults[0].args, model.defaults[0].args);
     EXPECT_EQ(parsed->encode(), text);
 
-    // A mutation recipe never parses as concolic and vice versa: the two
-    // grammars have different head separators.
-    EXPECT_FALSE(core::ConcolicRecipe::parse("prog#1|byte:3:7"));
-    EXPECT_FALSE(core::MutationRecipe::parse(text));
+    // The head's first separator decides the kind: '#' a catalogue recipe,
+    // '@' a concolic one, and the rest of the head must be a number, so no
+    // text reads as both.
+    ASSERT_TRUE(core::Recipe::parse("prog#1|byte:3:7"));
+    EXPECT_NE(core::Recipe::parse("prog#1|byte:3:7")->catalogue(), nullptr);
+    EXPECT_FALSE(core::Recipe::parse("p#1@7|port:0|pkt:00"));
+    EXPECT_FALSE(core::Recipe::parse("p@7#1|byte:3:7"));
+    // A concolic section never parses as an op, nor an op as a section.
+    EXPECT_FALSE(core::Recipe::parse("p#7|port:0|pkt:00"));
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0|pkt:00|byte:3:7"));
 
     // Every structural defect rejects the whole text.
-    EXPECT_FALSE(core::ConcolicRecipe::parse(""));
-    EXPECT_FALSE(core::ConcolicRecipe::parse("deep_parser"));
-    EXPECT_FALSE(core::ConcolicRecipe::parse("@7|port:0|pkt:00"));       // no program
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@x|port:0|pkt:00"));      // bad slot
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@7|port:z|pkt:00"));      // bad port
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@7|pkt:00"));             // no port
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@7|port:0"));             // no packet
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@7|port:0|pkt:0"));       // odd hex
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@7|port:0|pkt:0g"));      // non-hex
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@7|port:0|pkt:00|def:"));  // empty def
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@7|port:0|pkt:00|def:t"));  // no action
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@7|port:0|pkt:00|def:t:a:xyz"));
-    EXPECT_FALSE(core::ConcolicRecipe::parse("p@7|port:0|pkt:00|bogus:1"));
+    EXPECT_FALSE(core::Recipe::parse("deep_parser"));
+    EXPECT_FALSE(core::Recipe::parse("@7|port:0|pkt:00"));       // no program
+    EXPECT_FALSE(core::Recipe::parse("p@x|port:0|pkt:00"));      // bad slot
+    EXPECT_FALSE(core::Recipe::parse("p@4096|port:0|pkt:00"));   // slot >= map
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:z|pkt:00"));      // bad port
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:512|pkt:00"));    // port > 9 bits
+    EXPECT_FALSE(core::Recipe::parse("p@7|pkt:00"));             // no port
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0"));             // no packet
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0|pkt:0"));       // odd hex
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0|pkt:0g"));      // non-hex
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0|port:1|pkt:00"));  // twice
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0|pkt:00|def:"));  // empty def
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0|pkt:00|def:t"));  // no action
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0|pkt:00|def:t:a:xyz"));
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0|pkt:00|def:t:a|def:t:b"));
+    EXPECT_FALSE(core::Recipe::parse("p@7|port:0|pkt:00|bogus:1"));
 }
 
 // Adversarial `.corpus` inputs: every malformed file is rejected with a
@@ -204,12 +247,26 @@ TEST(ScenarioCorpus, MalformedFilesAreRejectedWithDiagnostics) {
           "seed=1\nprogram=reject_filter\nquirks=reject_as_accept=1\n");
     write("l_repeated_key.corpus", "seed=1\nseed=2\nprogram=reject_filter\n");
     write("m_empty_recipe.corpus", "seed=1\nprogram=reject_filter\nmutate=\n");
+    // One op past the cap: the reader refuses what the parser refuses.
+    const std::string long_chain =
+        core::Recipe(byte_chain("reject_filter", 1, core::Mutator::kMaxChainOps + 1))
+            .encode();
+    write("n_too_many_ops.corpus",
+          "seed=1\nprogram=reject_filter\nmutate=" + long_chain + "\n");
+    // A mutate= recipe without ops is the fresh seed under a second
+    // spelling; a fresh seed has no recipe line.
+    write("o_no_ops.corpus",
+          "seed=1\nprogram=reject_filter\nmutate=reject_filter#1\n");
+    write("p_seed_mismatch.corpus",
+          "seed=2\nprogram=reject_filter\nmutate=reject_filter#1|byte:1:1\n");
+    write("q_kind_mismatch.corpus",
+          "seed=7\nprogram=reject_filter\nmutate=reject_filter@7|port:0|pkt:00\n");
 
     core::ScenarioCorpus corpus;
     EXPECT_EQ(corpus.load_dir(dir.string(), {"reject_filter"}), 1u);
     ASSERT_EQ(corpus.entries("reject_filter").size(), 1u);
-    EXPECT_TRUE(corpus.entries("reject_filter")[0].concolic);
-    EXPECT_EQ(corpus.entries("reject_filter")[0].seed, 7u);
+    EXPECT_NE(corpus.entries("reject_filter")[0].concolic(), nullptr);
+    EXPECT_EQ(corpus.entries("reject_filter")[0].seed(), 7u);
 
     // One diagnostic per damaged file, in file order, naming the file.
     const std::vector<std::string> expected = {
@@ -228,6 +285,12 @@ TEST(ScenarioCorpus, MalformedFilesAreRejectedWithDiagnostics) {
         "k_bad_quirks.corpus: line 3: unparseable quirks 'reject_as_accept=1'",
         "l_repeated_key.corpus: line 2: repeated key 'seed'",
         "m_empty_recipe.corpus: line 3: empty mutate= recipe",
+        "n_too_many_ops.corpus: malformed mutate= recipe: " + long_chain,
+        "o_no_ops.corpus: mutate= recipe has no ops; a fresh seed has no "
+        "mutate= line",
+        "p_seed_mismatch.corpus: mutate= seed 1 disagrees with seed=2",
+        "q_kind_mismatch.corpus: malformed mutate= recipe: "
+        "reject_filter@7|port:0|pkt:00",
     };
     EXPECT_EQ(corpus.diagnostics(), expected);
 
@@ -243,27 +306,28 @@ TEST(Mutator, DeriveAndApplyAreDeterministic) {
     const core::SpecGenerator gen;
     const core::Mutator mutator(gen);
     core::ScenarioCorpus corpus;
-    corpus.add("l2_switch", 3);
-    corpus.add("l2_switch", 11);
-    corpus.add("l2_switch", 19);
+    corpus.add(core::Recipe::Catalogue{"l2_switch", 3, {}});
+    corpus.add(core::Recipe::Catalogue{"l2_switch", 11, {}});
+    corpus.add(core::Recipe::Catalogue{"l2_switch", 19, {}});
 
-    const core::CorpusEntry& parent = corpus.entries("l2_switch")[0];
-    const core::MutationRecipe a = mutator.derive(corpus, parent, 101);
-    const core::MutationRecipe b = mutator.derive(corpus, parent, 101);
-    EXPECT_EQ(a.encode(), b.encode());
+    const core::Recipe::Catalogue& parent =
+        *corpus.entries("l2_switch")[0].catalogue();
+    const core::Recipe::Catalogue a = mutator.derive(corpus, parent, 101);
+    const core::Recipe::Catalogue b = mutator.derive(corpus, parent, 101);
+    EXPECT_EQ(core::Recipe(a).encode(), core::Recipe(b).encode());
     EXPECT_FALSE(a.ops.empty());
     EXPECT_EQ(a.program, "l2_switch");
-    EXPECT_EQ(a.parent_seed, 3u);
+    EXPECT_EQ(a.seed, 3u);
 
     // Different seeds derive different recipes (with overwhelming
     // probability over the havoc operand space).
-    const core::MutationRecipe c = mutator.derive(corpus, parent, 102);
-    EXPECT_NE(a.encode(), c.encode());
+    const core::Recipe::Catalogue c = mutator.derive(corpus, parent, 102);
+    EXPECT_NE(core::Recipe(a).encode(), core::Recipe(c).encode());
 
-    // apply() is a pure function of the recipe: byte-identical packet
+    // build() is a pure function of the recipe: byte-identical packet
     // streams and config shapes on every call.
-    const core::Scenario s1 = mutator.apply(a);
-    const core::Scenario s2 = mutator.apply(a);
+    const core::Scenario s1 = mutator.build(a);
+    const core::Scenario s2 = mutator.build(a);
     EXPECT_EQ(s1.program, "l2_switch");
     EXPECT_EQ(s1.seed, 3u);
     EXPECT_EQ(s1.config.size(), s2.config.size());
@@ -273,14 +337,25 @@ TEST(Mutator, DeriveAndApplyAreDeterministic) {
                         .same_bytes(core::instantiate(s2.spec.tmpl, seq)));
     }
 
+    // A fresh recipe builds exactly the generator's scenario for its pair.
+    const core::Scenario fresh =
+        mutator.build(core::Recipe::Catalogue{"l2_switch", 3, {}});
+    const core::Scenario made = gen.make_for(gen.index_of("l2_switch"), 3);
+    EXPECT_EQ(fresh.compiled, made.compiled);
+    EXPECT_EQ(fresh.config.size(), made.config.size());
+    ASSERT_EQ(fresh.spec.count, made.spec.count);
+    for (std::uint64_t seq = 1; seq <= made.spec.count; ++seq) {
+        EXPECT_TRUE(core::instantiate(fresh.spec.tmpl, seq)
+                        .same_bytes(core::instantiate(made.spec.tmpl, seq)));
+    }
+
     // Chaining: deriving from a mutant parent inherits and extends its
     // ops.  A new splice (if drawn) goes to the *front* of the chain, so
     // the inherited ops must appear contiguously at offset 0 or 1.
-    core::CorpusEntry mutant{"l2_switch", a.parent_seed, a.encode()};
-    const core::MutationRecipe chained = mutator.derive(corpus, mutant, 103);
+    const core::Recipe::Catalogue chained = mutator.derive(corpus, a, 103);
     EXPECT_GT(chained.ops.size(), a.ops.size());
     EXPECT_LE(chained.ops.size(), core::Mutator::kMaxChainOps);
-    EXPECT_EQ(chained.parent_seed, a.parent_seed);
+    EXPECT_EQ(chained.seed, a.seed);
     const auto inherited_at = [&](std::size_t off) {
         if (off + a.ops.size() > chained.ops.size()) return false;
         for (std::size_t i = 0; i < a.ops.size(); ++i) {
@@ -292,41 +367,34 @@ TEST(Mutator, DeriveAndApplyAreDeterministic) {
         }
         return true;
     };
-    EXPECT_TRUE(inherited_at(0) || inherited_at(1)) << chained.encode();
+    EXPECT_TRUE(inherited_at(0) || inherited_at(1))
+        << core::Recipe(chained).encode();
 
     // Chains that could overflow kMaxChainOps restart from the root
     // parent: a recipe is never longer than the documented cap.
-    core::MutationRecipe longr;
-    longr.program = "l2_switch";
-    longr.parent_seed = 3;
-    longr.ops.assign(core::Mutator::kMaxChainOps - 1,
-                     {core::MutationOp::Kind::packet_byte, 1, 1});
-    core::CorpusEntry capped{"l2_switch", 3, longr.encode()};
-    const core::MutationRecipe restarted = mutator.derive(corpus, capped, 104);
+    const core::Recipe::Catalogue longr =
+        byte_chain("l2_switch", 3, core::Mutator::kMaxChainOps - 1);
+    const core::Recipe::Catalogue restarted = mutator.derive(corpus, longr, 104);
     EXPECT_LE(restarted.ops.size(), core::Mutator::kMaxOpsPerDerive);
-    EXPECT_EQ(restarted.parent_seed, 3u);
+    EXPECT_EQ(restarted.seed, 3u);
 
     // At most one splice per chain: a second one would wipe the first
     // donor's packet plan and degrade to a config trim.
-    core::MutationRecipe spliced;
-    spliced.program = "l2_switch";
-    spliced.parent_seed = 3;
-    spliced.ops = {{core::MutationOp::Kind::splice, 2, 11}};
-    core::CorpusEntry splice_parent{"l2_switch", 3, spliced.encode()};
+    const core::Recipe::Catalogue spliced{
+        "l2_switch", 3, {{core::MutationOp::Kind::splice, 2, 11}}};
     for (std::uint64_t seed = 200; seed < 230; ++seed) {
-        const core::MutationRecipe r =
-            mutator.derive(corpus, splice_parent, seed);
+        const core::Recipe::Catalogue r = mutator.derive(corpus, spliced, seed);
         const auto splices = std::count_if(
             r.ops.begin(), r.ops.end(), [](const core::MutationOp& op) {
                 return op.kind == core::MutationOp::Kind::splice;
             });
-        EXPECT_LE(splices, 1) << r.encode();
+        EXPECT_LE(splices, 1) << core::Recipe(r).encode();
     }
 
-    // Unknown program: apply must throw, not mis-replay.
-    core::MutationRecipe bad = a;
+    // Unknown program: build must throw, not mis-replay.
+    core::Recipe::Catalogue bad = a;
     bad.program = "no_such_program";
-    EXPECT_THROW(mutator.apply(bad), std::invalid_argument);
+    EXPECT_THROW(mutator.build(bad), std::invalid_argument);
 }
 
 TEST(Mutator, SpliceCrossesConfigPrefixWithDonorPacketPlan) {
@@ -337,12 +405,8 @@ TEST(Mutator, SpliceCrossesConfigPrefixWithDonorPacketPlan) {
     const core::Scenario donor = gen.make_for(0, 11);
     ASSERT_FALSE(parent.config.empty());
 
-    core::MutationRecipe recipe;
-    recipe.program = "l2_switch";
-    recipe.parent_seed = 3;
-    recipe.ops = {{core::MutationOp::Kind::splice, 1, 11}};
-
-    const core::Scenario spliced = mutator.apply(recipe);
+    const core::Scenario spliced = mutator.build(core::Recipe::Catalogue{
+        "l2_switch", 3, {{core::MutationOp::Kind::splice, 1, 11}}});
     // Config: exactly the parent's length-1 prefix.
     ASSERT_EQ(spliced.config.size(), 1u);
     EXPECT_EQ(spliced.config[0].target, parent.config[0].target);
@@ -394,9 +458,10 @@ TEST(MutateCampaign, EveryMutatedDivergenceReplaysFromItsRecipe) {
     for (const auto& d : report.divergences) {
         SCOPED_TRACE(d.fingerprint);
         ASSERT_FALSE(d.recipe.empty()) << "mutated divergence lost its recipe";
-        const auto parsed = core::MutationRecipe::parse(d.recipe);
+        const auto parsed = core::Recipe::parse(d.recipe);
         ASSERT_TRUE(parsed.has_value()) << d.recipe;
-        EXPECT_EQ(parsed->parent_seed, d.seed);
+        ASSERT_NE(parsed->catalogue(), nullptr) << d.recipe;
+        EXPECT_EQ(parsed->seed(), d.seed);
 
         core::CampaignConfig replay;
         replay.scenarios = 1;
@@ -517,21 +582,32 @@ TEST(Soak, MutantRecipesCarryAMutateLine) {
     rec.minimized_count = 1;
     rec.minimized_reproduces = true;
     report.divergences.push_back(rec);
+    // A replayed fresh recipe: its seed= and program= lines already spell
+    // it, so it gets no mutate= line the reader would refuse.
+    core::DivergenceRecord fresh = rec;
+    fresh.seed = 2;
+    fresh.recipe = "reject_filter#2";
+    fresh.fingerprint = "sdnet|reject_as_accept|ingress";
+    report.divergences.push_back(fresh);
 
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() / "ndb_mutate_soak_test";
     std::filesystem::remove_all(dir);
     const core::SoakResult grown =
         core::append_unique_corpus_entries(report, dir.string());
-    ASSERT_EQ(grown.written.size(), 1u);
+    ASSERT_EQ(grown.written.size(), 2u);
 
     const core::CorpusDir written = core::read_corpus_dir(dir.string());
     EXPECT_TRUE(written.diagnostics.empty())
         << ::testing::PrintToString(written.diagnostics);
-    ASSERT_EQ(written.records.size(), 1u);
-    EXPECT_EQ(written.records[0].file, grown.written[0]);
-    EXPECT_FALSE(written.records[0].concolic);
-    EXPECT_EQ(written.records[0].recipe, rec.recipe);
+    ASSERT_EQ(written.records.size(), 2u);
+    std::set<std::string> texts;
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(written.records[i].file, grown.written[i]);
+        EXPECT_NE(written.records[i].recipe.catalogue(), nullptr);
+        texts.insert(written.records[i].recipe.encode());
+    }
+    EXPECT_EQ(texts, (std::set<std::string>{rec.recipe, fresh.recipe}));
     std::filesystem::remove_all(dir);
 }
 

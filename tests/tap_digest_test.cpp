@@ -85,8 +85,8 @@ TEST(TapDigest, CorpusSeedsHashIdenticallyToCopyBasedTaps) {
         SCOPED_TRACE(entry.file);
         const auto quirks = dataplane::Quirks::parse(entry.quirks);
         ASSERT_TRUE(quirks.has_value()) << "no quirks= line";
-        const core::SpecGenerator gen({entry.program});
-        const core::Scenario sc = gen.make(entry.seed);
+        const core::SpecGenerator gen({entry.recipe.program()});
+        const core::Scenario sc = gen.make(entry.recipe.seed());
 
         // Golden image and the corpus entry's quirked image both stream the
         // same digests their tap copies would hash to.

@@ -356,25 +356,6 @@ TEST(SymExecBudget, PathsExhaustedIsSurfaced) {
 
 // --- layer 2: concolic end-to-end ---------------------------------------------
 
-// Builds the replayable recipe for one synthesized seed, exactly as the
-// campaign's round-barrier synthesis does.
-core::ConcolicRecipe recipe_for(const std::string& program,
-                                const verify::ConcolicSeed& seed) {
-    core::ConcolicRecipe recipe;
-    recipe.program = program;
-    recipe.slot = seed.target.slot;
-    recipe.ingress_port = seed.ingress_port;
-    recipe.packet = seed.packet;
-    for (const auto& def : seed.defaults) {
-        core::ConcolicRecipe::Default d;
-        d.table = def.table;
-        d.action = def.action;
-        for (const auto& arg : def.args) d.args.push_back(arg.to_bytes());
-        recipe.defaults.push_back(std::move(d));
-    }
-    return recipe;
-}
-
 TEST(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
     const core::SpecGenerator gen;
     const core::Mutator mutator(gen);
@@ -392,18 +373,18 @@ TEST(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
         const verify::ConcolicResult result = synth.synthesize(index.sites());
         EXPECT_FALSE(result.paths_exhausted);
 
-        for (const auto& seed : result.seeds) {
-            SCOPED_TRACE(seed.target.describe(*base.compiled));
-            const core::ConcolicRecipe recipe = recipe_for(program, seed);
-
-            // The recipe text round-trips exactly.
-            const std::string text = recipe.encode();
-            const auto reparsed = core::ConcolicRecipe::parse(text);
+        for (const verify::ConcolicRecipe& seed : result.seeds) {
+            // The synthesizer's seed is the replayable recipe itself, and
+            // its text round-trips exactly.
+            const std::string text = core::Recipe(seed).encode();
+            SCOPED_TRACE(text);
+            EXPECT_EQ(seed.program, program);
+            const auto reparsed = core::Recipe::parse(text);
             ASSERT_TRUE(reparsed.has_value()) << text;
             EXPECT_EQ(reparsed->encode(), text);
 
             // The decoded scenario lights the target slot on a real device.
-            const core::Scenario sc = mutator.apply_concolic(*reparsed);
+            const core::Scenario sc = mutator.build(*reparsed);
             coverage::CoverageMap map;
             auto dev = target::make_device("reference");
             dev->set_coverage(&map);
@@ -415,8 +396,7 @@ TEST(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
                     seq, target::kClockEpochNs + (seq - 1) * target::kNsPerPacket));
             }
             dev->flush();
-            EXPECT_GT(map.count(static_cast<std::uint32_t>(seed.target.slot)),
-                      0u)
+            EXPECT_GT(map.count(static_cast<std::uint32_t>(seed.slot)), 0u)
                 << "synthesized seed failed to light its target slot";
             ++seeds_total;
         }
@@ -457,9 +437,10 @@ TEST(ConcolicCampaign, LightsEdgesDarkUnderPureGreyboxAtEqualBudget) {
     // with the identical budget but is lit in the assisted run.
     std::size_t newly_lit = 0;
     for (const std::string& text : assisted.concolic_recipes) {
-        const auto recipe = core::ConcolicRecipe::parse(text);
+        const auto recipe = core::Recipe::parse(text);
         ASSERT_TRUE(recipe.has_value()) << text;
-        const auto slot = static_cast<std::uint32_t>(recipe->slot);
+        ASSERT_NE(recipe->concolic(), nullptr) << text;
+        const auto slot = static_cast<std::uint32_t>(recipe->seed());
         if (greybox_map.count(slot) == 0 && concolic_map.count(slot) > 0) {
             ++newly_lit;
         }
@@ -481,9 +462,9 @@ TEST(ConcolicCampaign, LightsEdgesDarkUnderPureGreyboxAtEqualBudget) {
         core::CampaignEngine engine(config);
         const core::CampaignReport report = engine.run();
         EXPECT_EQ(report.scenarios_concolic, 1u);
-        const auto recipe = core::ConcolicRecipe::parse(text);
+        const auto recipe = core::Recipe::parse(text);
         ASSERT_TRUE(recipe.has_value());
-        EXPECT_GT(replay_map.count(static_cast<std::uint32_t>(recipe->slot)), 0u)
+        EXPECT_GT(replay_map.count(static_cast<std::uint32_t>(recipe->seed())), 0u)
             << "replayed concolic recipe no longer lights its slot";
     }
 }

@@ -45,7 +45,7 @@
 // scheduled ahead of the next round (report lines `concolic+ <recipe>`).
 //
 // --replay RECIPE runs exactly one recorded scenario -- an encoded
-// MutationRecipe ('#' head) or ConcolicRecipe ('@' head) -- through the
+// core::Recipe, catalogue ('#' head) or concolic ('@' head) -- through the
 // ordinary detection/triage path.
 //
 // --mgmt-fault-plan SPEC delivers every DUT's configuration through a
