@@ -1,9 +1,10 @@
 // Control-plane value types and the replayable configuration op.
 //
 // This header is the bottom of the control-plane layering: the plain value
-// types every management surface exchanges (Status, EntrySpec, MeterConfig)
-// plus ConfigOp, the single replayable programming step that scenarios,
-// campaign recipes, and the batched wire request all carry.  runtime.h
+// types every management surface exchanges (Status, EntrySpec, MeterConfig,
+// the wire's ChannelStats) plus ConfigOp, the single replayable programming
+// step that scenarios, campaign recipes, and the batched wire request all
+// carry.  runtime.h
 // builds the RuntimeApi interface on top of these; nothing here depends on
 // it, so channel codecs and scenario synthesis can share the types without
 // dragging in the API surface.
@@ -48,6 +49,29 @@ struct MeterConfig {
     std::uint64_t committed_burst = 0;
     double excess_rate_bps = 0;
     std::uint64_t excess_burst = 0;
+};
+
+// Management-wire traffic counters.  WireChannel counts the client side;
+// LoopbackTransport adds the link's fault decisions and the device end's
+// dedup hits.
+struct ChannelStats {
+    std::uint64_t requests = 0;         // transact() calls
+    std::uint64_t frames_sent = 0;      // request frames emitted (incl. retries)
+    std::uint64_t retries = 0;          // re-sends after a timed-out attempt
+    std::uint64_t timeouts = 0;         // requests that exhausted every attempt
+    std::uint64_t decode_errors = 0;    // response frames that failed to decode
+    std::uint64_t faults_injected = 0;  // fault decisions, both directions
+    std::uint64_t dedup_hits = 0;       // retries answered from the dedup cache
+
+    void add(const ChannelStats& o) {
+        requests += o.requests;
+        frames_sent += o.frames_sent;
+        retries += o.retries;
+        timeouts += o.timeouts;
+        decode_errors += o.decode_errors;
+        faults_injected += o.faults_injected;
+        dedup_hits += o.dedup_hits;
+    }
 };
 
 // One replayable control-plane programming step, and the only way to write

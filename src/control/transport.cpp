@@ -80,25 +80,28 @@ std::string FaultPlan::spec() const {
         truncate, corrupt, delay, delay_ticks);
 }
 
-FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed_salt)
+// --- frame link ---------------------------------------------------------------
+
+FrameLink::FrameLink(const FaultPlan& plan, std::uint64_t seed_salt)
     : plan_(plan), rng_(plan.seed ^ seed_salt * 0x9e3779b97f4a7c15ull) {}
 
-void FaultInjector::send(std::vector<std::uint8_t> frame) {
+void FrameLink::send(const wire::Frame& frame) {
+    std::vector<std::uint8_t> bytes = wire::encode_frame(frame);
     if (!plan_.enabled()) {
-        ready_.push_back(std::move(frame));
+        ready_.push_back(std::move(bytes));
         return;
     }
     if (rng_.next_bool(plan_.drop)) {
         ++faults_;
         return;
     }
-    if (rng_.next_bool(plan_.truncate) && frame.size() > 1) {
-        frame.resize(1 + rng_.next_below(frame.size() - 1));
+    if (rng_.next_bool(plan_.truncate) && bytes.size() > 1) {
+        bytes.resize(1 + rng_.next_below(bytes.size() - 1));
         ++faults_;
     }
-    if (rng_.next_bool(plan_.corrupt) && !frame.empty()) {
-        const std::uint64_t bit = rng_.next_below(frame.size() * 8);
-        frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    if (rng_.next_bool(plan_.corrupt) && !bytes.empty()) {
+        const std::uint64_t bit = rng_.next_below(bytes.size() * 8);
+        bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
         ++faults_;
     }
     const bool dup = rng_.next_bool(plan_.duplicate);
@@ -112,24 +115,24 @@ void FaultInjector::send(std::vector<std::uint8_t> frame) {
         ++faults_;
     }
     std::vector<std::uint8_t> copy;
-    if (dup) copy = frame;
+    if (dup) copy = bytes;
     if (hold > 0) {
-        held_.push_back({hold, std::move(frame)});
+        held_.push_back({hold, std::move(bytes)});
         if (dup) held_.push_back({hold + 1, std::move(copy)});
     } else {
-        ready_.push_back(std::move(frame));
+        ready_.push_back(std::move(bytes));
         if (dup) ready_.push_back(std::move(copy));
     }
 }
 
-void FaultInjector::tick(std::vector<std::vector<std::uint8_t>>& out) {
-    for (auto& bytes : ready_) out.push_back(std::move(bytes));
+void FrameLink::tick(std::vector<std::uint8_t>& out) {
+    for (const auto& bytes : ready_) out.insert(out.end(), bytes.begin(), bytes.end());
     ready_.clear();
     std::vector<Held> still;
     still.reserve(held_.size());
     for (auto& held : held_) {
         if (held.ticks <= 1) {
-            out.push_back(std::move(held.bytes));
+            out.insert(out.end(), held.bytes.begin(), held.bytes.end());
         } else {
             --held.ticks;
             still.push_back(std::move(held));
@@ -140,44 +143,40 @@ void FaultInjector::tick(std::vector<std::vector<std::uint8_t>>& out) {
 
 // --- device-side endpoint -----------------------------------------------------
 
-std::vector<std::uint8_t> ControlServer::handle(const wire::Frame& frame) {
+wire::Frame ControlServer::handle(const wire::Frame& frame) {
     wire::Frame reply;
     reply.kind = wire::FrameKind::control_response;
     reply.seq = frame.seq;
 
     if (frame.kind != wire::FrameKind::control_request) {
-        ++stats_.decode_errors;
         Response resp;
         resp.status = Status::failure(
             util::format("wire: unexpected %s frame on the control link",
                          wire::frame_kind_name(frame.kind)));
         reply.payload = wire::encode_response(resp);
-        return wire::encode_frame(reply);
+        return reply;
     }
 
     // A retried request carries its original seq: answer from cache so the
     // device never executes a non-idempotent op twice.
-    for (const auto& [seq, bytes] : cache_) {
-        if (seq == frame.seq) {
-            ++stats_.dedup_hits;
-            return bytes;
+    for (const wire::Frame& cached : cache_) {
+        if (cached.seq == frame.seq) {
+            ++dedup_hits_;
+            return cached;
         }
     }
 
     Request request;
     Response resp;
     if (const wire::Decode d = wire::decode_request(frame.payload, request); !d) {
-        ++stats_.decode_errors;
         resp.status = Status::failure("wire: " + d.reason);
     } else {
-        ++stats_.requests;
         resp = dispatch(*device_, request);
     }
     reply.payload = wire::encode_response(resp);
-    std::vector<std::uint8_t> bytes = wire::encode_frame(reply);
-    cache_.emplace_back(frame.seq, bytes);
+    cache_.push_back(reply);
     if (cache_.size() > kDedupCacheEntries) cache_.pop_front();
-    return bytes;
+    return reply;
 }
 
 // --- loopback transport -------------------------------------------------------
@@ -185,39 +184,30 @@ std::vector<std::uint8_t> ControlServer::handle(const wire::Frame& frame) {
 void LoopbackTransport::set_fault_plan(const FaultPlan& plan) {
     // Direction-salted seeds: the two links fault independently, yet the
     // whole schedule replays from the one plan seed.
-    to_server_ = FaultInjector(plan, util::fnv1a_64("ndb.wire.c2s"));
-    to_client_ = FaultInjector(plan, util::fnv1a_64("ndb.wire.s2c"));
-}
-
-void LoopbackTransport::send(std::span<const std::uint8_t> bytes) {
-    to_server_.send({bytes.begin(), bytes.end()});
-}
-
-bool LoopbackTransport::receive(std::vector<std::uint8_t>& out) {
-    if (client_rx_.empty()) return false;
-    out.insert(out.end(), client_rx_.begin(), client_rx_.end());
-    client_rx_.clear();
-    return true;
+    client_ = FrameLink(plan, util::fnv1a_64("ndb.wire.c2s"));
+    device_ = FrameLink(plan, util::fnv1a_64("ndb.wire.s2c"));
 }
 
 void LoopbackTransport::tick() {
-    std::vector<std::vector<std::uint8_t>> due;
-    to_server_.tick(due);
-    for (const auto& chunk : due) server_reader_.feed(chunk);
+    std::vector<std::uint8_t> due;
+    client_.tick(due);
+    device_.feed(due);
     wire::Frame frame;
-    while (server_reader_.next(frame)) {
-        to_client_.send(server_.handle(frame));
-    }
+    while (device_.next(frame)) device_.send(server_.handle(frame));
     due.clear();
-    to_client_.tick(due);
-    for (const auto& chunk : due) {
-        client_rx_.insert(client_rx_.end(), chunk.begin(), chunk.end());
-    }
+    device_.tick(due);
+    client_.feed(due);
+}
+
+void LoopbackTransport::count(ChannelStats& stats) const {
+    stats.faults_injected += client_.faults() + device_.faults();
+    stats.dedup_hits += server_.dedup_hits();
 }
 
 // --- fd transport -------------------------------------------------------------
 
-FdTransport::FdTransport(int fd) : fd_(fd) {
+FdTransport::FdTransport(int fd, const FaultPlan& plan, std::uint64_t seed_salt)
+    : fd_(fd), link_(plan, seed_salt) {
     const int flags = ::fcntl(fd_, F_GETFL, 0);
     if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
 }
@@ -232,7 +222,7 @@ void FdTransport::close() {
     alive_ = false;
 }
 
-void FdTransport::send(std::span<const std::uint8_t> bytes) {
+void FdTransport::write_all(std::span<const std::uint8_t> bytes) {
     std::size_t off = 0;
     while (alive_ && off < bytes.size()) {
         // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not SIGPIPE.
@@ -255,14 +245,26 @@ void FdTransport::send(std::span<const std::uint8_t> bytes) {
     }
 }
 
-bool FdTransport::receive(std::vector<std::uint8_t>& out) {
-    bool any = false;
+void FdTransport::flush() {
+    std::vector<std::uint8_t> due;
+    link_.tick(due);
+    write_all(due);
+}
+
+void FdTransport::send_unfaulted(const wire::Frame& frame) {
+    write_all(wire::encode_frame(frame));
+}
+
+void FdTransport::tick() {
+    flush();
+    if (fd_ < 0) return;
+    struct pollfd pfd{fd_, POLLIN, 0};
+    ::poll(&pfd, 1, 1);
     std::uint8_t buf[4096];
     while (fd_ >= 0) {
         const ssize_t n = ::read(fd_, buf, sizeof buf);
         if (n > 0) {
-            out.insert(out.end(), buf, buf + n);
-            any = true;
+            link_.feed(std::span(buf, static_cast<std::size_t>(n)));
             continue;
         }
         if (n == 0) {  // orderly close by the peer
@@ -274,13 +276,6 @@ bool FdTransport::receive(std::vector<std::uint8_t>& out) {
         alive_ = false;
         break;
     }
-    return any;
-}
-
-void FdTransport::tick() {
-    if (fd_ < 0) return;
-    struct pollfd pfd{fd_, POLLIN, 0};
-    ::poll(&pfd, 1, 1);
 }
 
 // --- wire channel -------------------------------------------------------------
@@ -289,10 +284,8 @@ bool WireChannel::wait_for(std::uint64_t seq, std::uint32_t ticks,
                            Response& out) {
     for (std::uint32_t t = 0; t < ticks; ++t) {
         transport_->tick();
-        std::vector<std::uint8_t> rx;
-        if (transport_->receive(rx)) reader_.feed(rx);
         wire::Frame frame;
-        while (reader_.next(frame)) {
+        while (transport_->next(frame)) {
             if (frame.kind != wire::FrameKind::control_response ||
                 frame.seq != seq) {
                 continue;  // stale response from an abandoned attempt
@@ -347,7 +340,6 @@ Response WireChannel::transact(const Request& request) {
     }
     const std::uint64_t seq = ++next_seq_;
     frame.seq = seq;
-    const std::vector<std::uint8_t> bytes = wire::encode_frame(frame);
 
     const std::uint32_t attempts = std::max<std::uint32_t>(1, policy_.max_attempts);
     Response resp;
@@ -359,7 +351,7 @@ Response WireChannel::transact(const Request& request) {
                 obs::trace_instant("wire_retry", "seq", seq, "attempt", attempt);
             }
         }
-        transport_->send(bytes);
+        transport_->send(frame);
         ++stats_.frames_sent;
         if (wait_for(seq, policy_.timeout_ticks, resp)) return resp;
         if (attempt + 1 < attempts) {

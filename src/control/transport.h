@@ -1,4 +1,4 @@
-// Faultable byte-stream transports + the resilient wire client.
+// Faultable framed transports + the resilient wire client.
 //
 // Three layers sit between RuntimeClient and the device once the control
 // plane leaves the same address space:
@@ -6,23 +6,27 @@
 //   WireChannel          sequence numbers, per-request timeouts, bounded
 //                        exponential-backoff retry; surfaces link failures
 //                        as first-class Status values ("wire: ...")
-//   Transport            one endpoint of a byte-stream link: in-process
+//   Transport            one endpoint of a framed link: in-process
 //                        LoopbackTransport (deterministic virtual time) or
 //                        FdTransport over a pipe/socketpair
-//   FaultInjector        seeded, deterministic per-frame fault decisions --
-//                        drop, duplicate, reorder, truncate, bit-corrupt,
-//                        delay-N-virtual-ticks -- parsed from a FaultPlan
-//                        spec string
+//   FrameLink            the link end every transport is built from:
+//                        outbound frames take seeded, deterministic
+//                        per-frame fault decisions -- drop, duplicate,
+//                        reorder, truncate, bit-corrupt, delay-N-virtual-
+//                        ticks -- from a FaultPlan spec string, and inbound
+//                        bytes pass a resynchronizing wire::FrameReader
 //
-// The device side is ControlServer: it decodes request frames, executes
-// them, and keeps a bounded seq->response cache so a retry of a
-// non-idempotent op (ApplyConfigReq) is answered from cache instead of being
-// executed twice -- exactly-once effects under at-least-once delivery.
+// The device side is ControlServer: it executes request frames and keeps a
+// bounded seq->response cache so a retry of a non-idempotent op
+// (ApplyConfigReq) is answered from cache instead of being executed twice
+// -- exactly-once effects under at-least-once delivery.  The campaign
+// fabric's parent<->worker sockets are FdTransports too, so every framed
+// stream in the system faults and resynchronizes the same way.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,23 +64,31 @@ struct FaultPlan {
     std::string spec() const;
 };
 
-// Applies a FaultPlan to a stream of outbound frames.  Each send() makes
-// the per-frame fault decisions; tick() advances virtual time and yields
-// the byte chunks that are due for delivery (a truncated or corrupted
-// frame is still delivered -- as garbage the receiving FrameReader must
-// survive).
-class FaultInjector {
+// One end of a framed byte stream.  Outbound, send() encodes a frame and
+// makes its per-frame fault decisions under the end's FaultPlan, and tick()
+// advances one virtual tick and yields the bytes due for delivery (a
+// truncated or corrupted frame is still delivered -- as garbage the peer's
+// reader must survive).  Inbound, feed() takes the bytes that arrived and
+// next() extracts the well-formed frames among them.
+class FrameLink {
 public:
-    FaultInjector() = default;
-    explicit FaultInjector(const FaultPlan& plan, std::uint64_t seed_salt = 0);
+    FrameLink() = default;  // the clean plan
+    // The fault RNG is seeded with plan.seed ^ seed_salt * 0x9e3779b97f4a7c15,
+    // so ends that share a plan fault independently but reproducibly.
+    FrameLink(const FaultPlan& plan, std::uint64_t seed_salt);
 
-    void send(std::vector<std::uint8_t> frame);
+    void send(const wire::Frame& frame);
 
-    // Advances one virtual tick; appends due byte chunks to `out`.
-    void tick(std::vector<std::vector<std::uint8_t>>& out);
+    // Advances one virtual tick; appends the bytes now due to `out`: the
+    // frames sent since the last tick, then the held frames whose wait is
+    // over, in the order they were sent.
+    void tick(std::vector<std::uint8_t>& out);
 
-    std::size_t pending() const { return held_.size() + ready_.size(); }
+    void feed(std::span<const std::uint8_t> bytes) { reader_.feed(bytes); }
+    bool next(wire::Frame& out) { return reader_.next(out); }
+
     std::uint64_t faults() const { return faults_; }
+    const wire::FrameReader::Stats& received() const { return reader_.stats(); }
 
 private:
     struct Held {
@@ -89,111 +101,123 @@ private:
     std::vector<Held> held_;                     // delayed / reordered
     std::vector<std::vector<std::uint8_t>> ready_;  // due next tick
     std::uint64_t faults_ = 0;
+    wire::FrameReader reader_;
 };
 
 // --- device-side endpoint -----------------------------------------------------
 
 // Decodes control_request frames, executes them against the device runtime,
-// and encodes the response frame.  The seq->response cache (bounded FIFO)
+// and builds the response frame.  The seq->response cache (bounded FIFO)
 // makes retried non-idempotent requests exactly-once: a seq seen before is
 // answered from cache without touching the device.
 class ControlServer {
 public:
-    struct Stats {
-        std::uint64_t requests = 0;      // frames executed against the device
-        std::uint64_t dedup_hits = 0;    // retries answered from cache
-        std::uint64_t decode_errors = 0; // checksum-valid frames with bad payloads
-    };
-
     explicit ControlServer(RuntimeApi& device) : device_(&device) {}
 
-    // Handles one well-formed frame; returns the encoded response frame.
+    // Handles one well-formed frame; returns the response frame.
     // Non-request frames and undecodable payloads yield a failure-Status
     // response (same seq), so the client sees a diagnostic, not a timeout.
-    std::vector<std::uint8_t> handle(const wire::Frame& frame);
+    wire::Frame handle(const wire::Frame& frame);
 
-    const Stats& stats() const { return stats_; }
+    // Retries answered from cache.
+    std::uint64_t dedup_hits() const { return dedup_hits_; }
 
 private:
     static constexpr std::size_t kDedupCacheEntries = 64;
 
     RuntimeApi* device_;
-    std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> cache_;
-    Stats stats_;
+    std::deque<wire::Frame> cache_;  // responses, matched by seq
+    std::uint64_t dedup_hits_ = 0;
 };
 
 // --- transports ---------------------------------------------------------------
 
-// One endpoint of a byte-stream link.
+// One endpoint of a framed link.
 class Transport {
 public:
     virtual ~Transport() = default;
 
-    // Queues bytes toward the peer.  Callers send whole encoded frames, so
-    // fault injection can treat each send() as one frame.
-    virtual void send(std::span<const std::uint8_t> bytes) = 0;
+    // Queues one frame toward the peer, through the endpoint's fault plan.
+    virtual void send(const wire::Frame& frame) = 0;
 
-    // Appends newly arrived bytes to `out`; returns whether any arrived.
-    virtual bool receive(std::vector<std::uint8_t>& out) = 0;
+    // Extracts the next well-formed frame that has arrived; false when none
+    // has (tick and try again).
+    virtual bool next(wire::Frame& out) = 0;
 
     // Advances time: one virtual tick (loopback) or a short real-time poll
-    // (fd transport).  Delayed frames move closer to delivery.
+    // (fd transport).  Queued frames leave, delayed frames move closer to
+    // delivery, and arrived bytes are taken in.
     virtual void tick() = 0;
 };
 
 // In-process transport: the peer is a ControlServer in the same address
-// space, reached through two FaultInjector-mediated directions.  Time is
-// virtual (ticks), so every fault schedule is deterministic and tests run
-// at full speed.
+// space.  A client end carries requests to a device end, which answers
+// through its own end, each under the fault plan.  Time is virtual
+// (ticks), so every fault schedule is deterministic and tests run at full
+// speed.
 class LoopbackTransport final : public Transport {
 public:
     explicit LoopbackTransport(RuntimeApi& device) : server_(device) {}
 
     // Applies `plan` to both directions (direction-salted seeds, so the
     // request and response links fault independently but reproducibly).
+    // Call before any traffic: it restarts both ends.
     void set_fault_plan(const FaultPlan& plan);
 
-    void send(std::span<const std::uint8_t> bytes) override;
-    bool receive(std::vector<std::uint8_t>& out) override;
+    void send(const wire::Frame& frame) override { client_.send(frame); }
+    bool next(wire::Frame& out) override { return client_.next(out); }
     void tick() override;
 
-    const ControlServer::Stats& server_stats() const { return server_.stats(); }
-    std::uint64_t faults_injected() const {
-        return to_server_.faults() + to_client_.faults();
-    }
+    // Adds the link's share of the traffic counters to `stats`: fault
+    // decisions in both directions and retries answered from the server's
+    // dedup cache.  WireChannel counts the rest.
+    void count(ChannelStats& stats) const;
 
 private:
     ControlServer server_;
-    FaultInjector to_server_;
-    FaultInjector to_client_;
-    wire::FrameReader server_reader_;
-    std::vector<std::uint8_t> client_rx_;
+    FrameLink client_;  // sends requests, receives responses
+    FrameLink device_;  // receives requests, sends responses
 };
 
 // Transport over an OS file descriptor (socketpair/pipe), used by the
-// campaign fabric for parent<->worker links.  Writes use MSG_NOSIGNAL so a
-// dead peer surfaces as an error, not SIGPIPE; reads are non-blocking with
-// a poll()-based tick.
+// campaign fabric for parent<->worker links.  Frames leave through the
+// end's FrameLink, so its fault plan applies; tick() writes the frames due,
+// polls the fd for up to 1ms and reads what arrived.  Writes use
+// MSG_NOSIGNAL so a dead peer surfaces as an error, not SIGPIPE; reads are
+// non-blocking.
 class FdTransport final : public Transport {
 public:
-    // Takes ownership of `fd` (closed on destruction).
-    explicit FdTransport(int fd);
+    // Takes ownership of `fd` (closed on destruction).  The end's FrameLink
+    // is built from `plan` and `seed_salt`; the default plan is clean.
+    explicit FdTransport(int fd, const FaultPlan& plan = {},
+                         std::uint64_t seed_salt = 0);
     ~FdTransport() override;
     FdTransport(const FdTransport&) = delete;
     FdTransport& operator=(const FdTransport&) = delete;
 
-    void send(std::span<const std::uint8_t> bytes) override;
-    bool receive(std::vector<std::uint8_t>& out) override;
-    void tick() override;  // polls the fd for up to 1ms
+    void send(const wire::Frame& frame) override { link_.send(frame); }
+    bool next(wire::Frame& out) override { return link_.next(out); }
+    void tick() override;
+
+    // Writes the frames the link has due now, without polling: one tick of
+    // the link's clock.
+    void flush();
+    // Writes `frame` now, past the fault plan: teardown housekeeping, not
+    // the experiment.
+    void send_unfaulted(const wire::Frame& frame);
 
     // True until a write fails or the peer closes the stream.
     bool alive() const { return alive_; }
-    int fd() const { return fd_; }
     void close();
 
+    const FrameLink& link() const { return link_; }
+
 private:
+    void write_all(std::span<const std::uint8_t> bytes);
+
     int fd_ = -1;
     bool alive_ = true;
+    FrameLink link_;
 };
 
 // --- resilient client channel -------------------------------------------------
@@ -205,15 +229,6 @@ private:
 struct RetryPolicy {
     std::uint32_t max_attempts = 4;       // total tries, including the first
     std::uint32_t timeout_ticks = 16;     // per-attempt response wait
-};
-
-// Client-side channel counters, surfaced in campaign reports.
-struct ChannelStats {
-    std::uint64_t requests = 0;      // transact() calls
-    std::uint64_t frames_sent = 0;   // request frames emitted (incl. retries)
-    std::uint64_t retries = 0;       // re-sends after a timed-out attempt
-    std::uint64_t timeouts = 0;      // requests that exhausted every attempt
-    std::uint64_t decode_errors = 0; // response frames that failed to decode
 };
 
 // Sends Requests as sequence-numbered wire frames over a Transport and
@@ -233,6 +248,7 @@ public:
 
     Response transact(const Request& request);
 
+    // The client side's counters: requests through decode_errors.
     const ChannelStats& stats() const { return stats_; }
 
 private:
@@ -242,7 +258,6 @@ private:
     Transport* transport_;
     RetryPolicy policy_;
     ChannelStats stats_;
-    wire::FrameReader reader_;
     std::uint64_t next_seq_ = 0;
 };
 

@@ -168,7 +168,6 @@ bool FrameReader::next(Frame& out) {
             const std::size_t limit = synced ? start : buffer_.size() - std::min<std::size_t>(3, buffer_.size());
             if (limit > pos_) {
                 stats_.bytes_skipped += limit - pos_;
-                ++stats_.resyncs;
                 pos_ = limit;
             }
         }

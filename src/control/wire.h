@@ -98,7 +98,6 @@ public:
     struct Stats {
         std::uint64_t frames = 0;           // well-formed frames extracted
         std::uint64_t corrupt_frames = 0;   // headers/checksums rejected
-        std::uint64_t resyncs = 0;          // forward scans to a new magic
         std::uint64_t bytes_skipped = 0;    // garbage bytes discarded
         std::string last_error;             // most recent rejection reason
     };

@@ -221,9 +221,12 @@ CampaignReport CampaignEngine::run() {
                                         config_.mutation_recipe + "'");
         }
         const Scenario sc = mutator.build(*recipe);
+        // The report is headed with the seed the findings carry, and a
+        // catalogue recipe without ops is the fresh scenario, not a mutant.
+        report.base_seed = recipe->seed();
         if (recipe->concolic()) {
             report.scenarios_concolic = 1;
-        } else {
+        } else if (!recipe->fresh()) {
             report.scenarios_mutated = 1;
         }
         std::vector<ScenarioOutcome> outcomes(1);

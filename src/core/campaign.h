@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "control/config.h"
 #include "core/localize.h"
 #include "core/specgen.h"
 #include "dataplane/quirks.h"
@@ -171,29 +172,6 @@ struct CoveragePoint {
     std::uint64_t edges = 0;      // distinct coverage-map slots lit so far
 };
 
-// Aggregated wire-channel traffic counters (management plane), summed over
-// every scenario in deterministic merge order.  Deterministic: the loopback
-// transport runs on virtual ticks.
-struct ChannelAccounting {
-    std::uint64_t requests = 0;
-    std::uint64_t frames_sent = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t decode_errors = 0;
-    std::uint64_t faults_injected = 0;
-    std::uint64_t dedup_hits = 0;
-
-    void add(const ChannelAccounting& o) {
-        requests += o.requests;
-        frames_sent += o.frames_sent;
-        retries += o.retries;
-        timeouts += o.timeouts;
-        decode_errors += o.decode_errors;
-        faults_injected += o.faults_injected;
-        dedup_hits += o.dedup_hits;
-    }
-};
-
 // Multi-process fabric accounting (FabricEngine only).  Unlike the rest of
 // the report these counters are timing-dependent -- which worker dies with
 // which shard in flight depends on the OS scheduler -- so byte-identity
@@ -205,8 +183,8 @@ struct FabricAccounting {
     std::uint64_t shards_redispatched = 0;  // shards re-run after a death
     std::uint64_t jobs_resent = 0;          // job frames retransmitted
     std::uint64_t link_frames = 0;          // well-formed frames parent saw
-    std::uint64_t link_corrupt = 0;         // frames the parent reader rejected
-    std::uint64_t link_faults = 0;          // injector decisions on both ends
+    std::uint64_t link_corrupt = 0;         // frames the parent's ends rejected
+    std::uint64_t link_faults = 0;          // fault decisions on both ends
 };
 
 struct CampaignReport {
@@ -255,11 +233,12 @@ struct CampaignReport {
     std::vector<std::string> concolic_recipes;
 
     // Robustness outputs.  mgmt sums the DUT management-channel traffic
-    // (deterministic); fabric is filled by FabricEngine only and is the one
+    // over every scenario in merge order (deterministic: the loopback runs
+    // on virtual ticks); fabric is filled by FabricEngine only and is the one
     // timing-dependent part of the report.  Neither block is rendered when
     // its mode is off, so pre-existing report bytes are unchanged.
     bool mgmt_enabled = false;
-    ChannelAccounting mgmt;
+    control::ChannelStats mgmt;
     bool fabric_enabled = false;
     FabricAccounting fabric;
 

@@ -117,39 +117,24 @@ void fields(IO& io, wire::Fields<IO, ShardResult>& result) {
         // the fork; zero the inherited samples so this worker's deltas
         // cover only what it records itself.
         if (obs::Telemetry::any_enabled()) obs::Telemetry::reset();
-        control::FdTransport transport(fd);
-        control::FaultInjector out(link_plan, link_salt);
-        wire::FrameReader reader;
+        control::FdTransport transport(fd, link_plan, link_salt);
         std::unique_ptr<WorkerContext> ctx;
-        // Injector decisions already reported to the parent (each result
-        // frame carries the delta, so the parent can aggregate link faults
-        // it never directly observed).
+        // Link faults already reported to the parent (each result frame
+        // carries the delta, so the parent can aggregate link faults it
+        // never directly observed).
         std::uint64_t faults_reported = 0;
 
-        const auto pump = [&] {
-            std::vector<std::vector<std::uint8_t>> due;
-            out.tick(due);
-            for (const auto& chunk : due) transport.send(chunk);
-        };
-        const auto send_frame = [&](const wire::Frame& f) {
-            out.send(wire::encode_frame(f));
-            pump();
-        };
-
         for (;;) {
-            transport.tick();  // ~1ms poll
-            std::vector<std::uint8_t> rx;
-            if (transport.receive(rx)) reader.feed(rx);
+            transport.tick();  // sends what is due, then a ~1ms poll
             if (!transport.alive()) std::_Exit(0);  // parent is gone
-            pump();  // delayed frames drain even while idle
 
             wire::Frame frame;
-            while (reader.next(frame)) {
+            while (transport.next(frame)) {
                 switch (frame.kind) {
                     case wire::FrameKind::heartbeat: {
                         // The ack doubles as the telemetry ship: its payload
                         // is the delta since the last ack (empty payload =
-                        // nothing new).  It rides the injected link, so a
+                        // nothing new).  It rides the faulted link, so a
                         // dropped ack loses that delta -- acceptable for
                         // observe-only cargo.
                         wire::Frame ack;
@@ -162,22 +147,21 @@ void fields(IO& io, wire::Fields<IO, ShardResult>& result) {
                                 ack.payload = wire::encode_telemetry_delta(delta);
                             }
                         }
-                        send_frame(ack);
+                        transport.send(ack);
                         break;
                     }
                     case wire::FrameKind::shutdown:
-                        // Last telemetry delta goes out on the raw transport:
-                        // like the shutdown frame itself, teardown
-                        // housekeeping bypasses fault injection.
+                        // Frames this batch queued go out, then the last
+                        // telemetry delta: like the shutdown frame itself,
+                        // teardown housekeeping bypasses fault injection.
+                        transport.flush();
                         if (obs::Telemetry::any_enabled()) {
                             const obs::TelemetryDelta delta =
                                 obs::Telemetry::take_delta();
                             if (!delta.empty()) {
-                                wire::Frame fin;
-                                fin.kind = wire::FrameKind::heartbeat_ack;
-                                fin.seq = frame.seq;
-                                fin.payload = wire::encode_telemetry_delta(delta);
-                                transport.send(wire::encode_frame(fin));
+                                transport.send_unfaulted(
+                                    {wire::FrameKind::heartbeat_ack, frame.seq,
+                                     wire::encode_telemetry_delta(delta)});
                             }
                         }
                         std::_Exit(0);
@@ -196,8 +180,8 @@ void fields(IO& io, wire::Fields<IO, ShardResult>& result) {
                         }
                         ShardResult result;
                         result.shard_id = frame.seq;
-                        result.link_faults = out.faults() - faults_reported;
-                        faults_reported = out.faults();
+                        result.link_faults = transport.link().faults() - faults_reported;
+                        faults_reported = transport.link().faults();
                         result.outcomes.resize(job.count);
                         for (std::uint32_t k = 0; k < job.count; ++k) {
                             const Scenario sc = sweep.gen.make(
@@ -205,8 +189,8 @@ void fields(IO& io, wire::Fields<IO, ShardResult>& result) {
                             execute_scenario(*ctx, sc, sweep.duts, sweep.exec,
                                              result.outcomes[k], std::string());
                         }
-                        send_frame({wire::FrameKind::job_result, frame.seq,
-                                    encode_shard_result(result)});
+                        transport.send({wire::FrameKind::job_result, frame.seq,
+                                        encode_shard_result(result)});
                         break;
                     }
                     default:
@@ -232,8 +216,6 @@ struct Shard {
 struct WorkerSlot {
     pid_t pid = -1;
     std::unique_ptr<control::FdTransport> transport;
-    wire::FrameReader reader;
-    control::FaultInjector out;
     std::optional<Shard> inflight;
     Clock::time_point job_sent{};
     Clock::time_point last_frame{};  // any well-formed frame received
@@ -328,11 +310,21 @@ CampaignReport FabricEngine::run() {
     std::vector<WorkerSlot> slots(static_cast<std::size_t>(config_.workers));
 
     // Link-layer accounting survives a slot's respawn by folding the dying
-    // incarnation's reader/injector stats into the report first.
+    // incarnation's link end into the report first.
     const auto retire_link = [&](WorkerSlot& s) {
-        report.fabric.link_frames += s.reader.stats().frames;
-        report.fabric.link_corrupt += s.reader.stats().corrupt_frames;
-        report.fabric.link_faults += s.out.faults();
+        const control::FrameLink& link = s.transport->link();
+        report.fabric.link_frames += link.received().frames;
+        report.fabric.link_corrupt += link.received().corrupt_frames;
+        report.fabric.link_faults += link.faults();
+    };
+    // Salted by end, slot and respawn generation: a respawned worker must
+    // not replay its predecessor's exact fault schedule, or a
+    // deterministically-dropped result frame could live-lock the shard into
+    // the restart cap.
+    const auto link_salt = [&](const char* end, std::size_t slot_index) {
+        return util::fnv1a_64(end) ^ (slot_index + 1) * 0x9e3779b97f4a7c15ull ^
+               static_cast<std::uint64_t>(slots[slot_index].restarts) *
+                   0xc2b2ae3d27d4eb4full;
     };
 
     const auto spawn = [&](std::size_t slot_index) {
@@ -354,15 +346,8 @@ CampaignReport FabricEngine::run() {
             for (auto& other : slots) {
                 if (other.transport) other.transport->close();
             }
-            // Salt by slot and respawn generation: a respawned worker must
-            // not replay its predecessor's exact fault schedule, or a
-            // deterministically-dropped result frame could live-lock the
-            // shard into the restart cap.
-            const std::uint64_t salt =
-                util::fnv1a_64("ndb.fabric.worker") ^
-                (slot_index + 1) * 0x9e3779b97f4a7c15ull ^
-                static_cast<std::uint64_t>(s.restarts) * 0xc2b2ae3d27d4eb4full;
-            worker_main(sv[1], config_, sweep, order, link_plan, salt);
+            worker_main(sv[1], config_, sweep, order, link_plan,
+                        link_salt("ndb.fabric.worker", slot_index));
         }
         ::close(sv[1]);
         if (obs::metrics_on()) obs::count(obs::Counter::worker_spawns);
@@ -372,21 +357,13 @@ CampaignReport FabricEngine::run() {
                                "pid", static_cast<std::uint64_t>(pid));
         }
         s.pid = pid;
-        s.transport = std::make_unique<control::FdTransport>(sv[0]);
-        s.reader = wire::FrameReader();
-        s.out = control::FaultInjector(
-            link_plan, util::fnv1a_64("ndb.fabric.parent") ^
-                           (slot_index + 1) * 0x9e3779b97f4a7c15ull ^
-                           static_cast<std::uint64_t>(s.restarts) *
-                               0xc2b2ae3d27d4eb4full);
+        s.transport = std::make_unique<control::FdTransport>(
+            sv[0], link_plan, link_salt("ndb.fabric.parent", slot_index));
         s.inflight.reset();
         const auto now = Clock::now();
         s.job_sent = s.last_frame = s.last_ack = s.last_hb = now;
     };
 
-    const auto send_frame = [&](WorkerSlot& s, const wire::Frame& f) {
-        s.out.send(wire::encode_frame(f));
-    };
     // Heartbeat acks carry the worker's telemetry delta as payload; fold it
     // into the parent's imported accumulators (a bad payload is dropped
     // whole -- telemetry never poisons the run).
@@ -398,8 +375,8 @@ CampaignReport FabricEngine::run() {
         }
     };
     const auto send_job = [&](WorkerSlot& s) {
-        send_frame(s, {wire::FrameKind::job, s.inflight->id,
-                       encode_shard_job(s.inflight->job)});
+        s.transport->send({wire::FrameKind::job, s.inflight->id,
+                           encode_shard_job(s.inflight->job)});
         s.job_sent = Clock::now();
     };
 
@@ -444,7 +421,7 @@ CampaignReport FabricEngine::run() {
                 send_job(s);
             }
             if (now - s.last_hb >= kHeartbeatInterval) {
-                send_frame(s, {wire::FrameKind::heartbeat, ++hb_seq, {}});
+                s.transport->send({wire::FrameKind::heartbeat, ++hb_seq, {}});
                 s.last_hb = now;
             }
             // The worker answered a heartbeat sent after its job went out,
@@ -456,15 +433,10 @@ CampaignReport FabricEngine::run() {
                 ++report.fabric.jobs_resent;
                 send_job(s);
             }
-            // Flush injector-held frames, then collect inbound traffic.
-            std::vector<std::vector<std::uint8_t>> due;
-            s.out.tick(due);
-            for (const auto& chunk : due) s.transport->send(chunk);
+            // Send what is due, then collect inbound traffic.
             s.transport->tick();
-            std::vector<std::uint8_t> rx;
-            if (s.transport->receive(rx)) s.reader.feed(rx);
             wire::Frame frame;
-            while (s.reader.next(frame)) {
+            while (s.transport->next(frame)) {
                 s.last_frame = now;
                 if (frame.kind == wire::FrameKind::heartbeat_ack) {
                     s.last_ack = now;
@@ -526,13 +498,10 @@ CampaignReport FabricEngine::run() {
         }
     }
 
-    // Orderly teardown: shutdown frames bypass the fault injector (this is
+    // Orderly teardown: shutdown frames bypass the fault plan (this is
     // housekeeping, not the experiment), stragglers get SIGKILL.
     for (auto& s : slots) {
-        if (s.pid <= 0) continue;
-        wire::Frame bye;
-        bye.kind = wire::FrameKind::shutdown;
-        s.transport->send(wire::encode_frame(bye));
+        if (s.pid > 0) s.transport->send_unfaulted({wire::FrameKind::shutdown, 0, {}});
     }
     // Each worker's final telemetry delta lands on its link right before
     // exit; pump the transport while waiting to reap (no-op when telemetry
@@ -540,10 +509,8 @@ CampaignReport FabricEngine::run() {
     const auto drain_telemetry = [&](WorkerSlot& s) {
         if (!s.transport || !obs::Telemetry::any_enabled()) return;
         s.transport->tick();
-        std::vector<std::uint8_t> rx;
-        if (s.transport->receive(rx)) s.reader.feed(rx);
         wire::Frame frame;
-        while (s.reader.next(frame)) {
+        while (s.transport->next(frame)) {
             if (frame.kind == wire::FrameKind::heartbeat_ack) {
                 import_telemetry(frame);
             }

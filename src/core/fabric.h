@@ -14,11 +14,14 @@
 // run (the fabric's own accounting block is the one timing-dependent
 // addition, and it is excluded from byte-identity by construction).
 //
-// The parent<->worker links are themselves faultable (FabricConfig::
-// link_fault_plan): dropped/corrupted/delayed frames are absorbed by frame
-// resync, job retransmission and, in the limit, the watchdog's
-// kill-and-re-dispatch path -- the same degradation ladder a real
-// distributed test harness needs.
+// Each parent<->worker link is a pair of control::FdTransports, so its
+// frames move through the same control::FrameLink as the management wire's:
+// both ends fault what they send under FabricConfig::link_fault_plan and
+// resynchronize what they receive.  Dropped/corrupted/delayed frames are
+// absorbed by frame resync, job retransmission and, in the limit, the
+// watchdog's kill-and-re-dispatch path -- the same degradation ladder a
+// real distributed test harness needs.  Teardown frames (shutdown, a
+// worker's last telemetry delta) bypass the plan.
 //
 // A job frame carries a ShardJob and a job_result frame a ShardResult.
 // Each is one field list run by control/wire.h's Writer and strict Reader,
@@ -48,9 +51,9 @@ struct ShardJob {
 // A job_result frame's payload: the shard's outcomes, one per scenario in
 // run order.  Only what the parent's ReportBuilder folds crosses the wire
 // (the packet count, management accounting and findings; a finding's
-// duplicates and discovery ordinal are fold outputs).  `link_faults` is
-// what the worker's own link injector did since its previous result, which
-// the parent cannot observe.
+// duplicates and discovery ordinal are fold outputs).  `link_faults` counts
+// the fault decisions of the worker's own link end since its previous
+// result, which the parent cannot observe.
 struct ShardResult {
     std::uint64_t shard_id = 0;
     std::uint64_t link_faults = 0;

@@ -81,7 +81,7 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
                           std::span<const packet::Packet> packets,
                           std::size_t batch_size,
                           const control::FaultPlan* mgmt,
-                          ChannelAccounting* acct) {
+                          control::ChannelStats* acct) {
     DeviceRun run;
     run_scenario_on(dev, sc, packets, batch_size, run, mgmt, acct);
     return run;
@@ -90,7 +90,7 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
 void run_scenario_on(target::Device& dev, const Scenario& sc,
                      std::span<const packet::Packet> packets,
                      std::size_t batch_size, DeviceRun& run,
-                     const control::FaultPlan* mgmt, ChannelAccounting* acct) {
+                     const control::FaultPlan* mgmt, control::ChannelStats* acct) {
     run.config_ok.clear();
     run.config_wire_fail.clear();
     run.observed.clear();
@@ -123,14 +123,8 @@ void run_scenario_on(target::Device& dev, const Scenario& sc,
                 !st.ok && util::starts_with(st.message, "wire:"));
         }
         if (acct != nullptr) {
-            const control::ChannelStats& cs = channel.stats();
-            acct->requests += cs.requests;
-            acct->frames_sent += cs.frames_sent;
-            acct->retries += cs.retries;
-            acct->timeouts += cs.timeouts;
-            acct->decode_errors += cs.decode_errors;
-            acct->faults_injected += transport.faults_injected();
-            acct->dedup_hits += transport.server_stats().dedup_hits;
+            acct->add(channel.stats());
+            transport.count(*acct);
         }
     } else {
         dev.apply(sc.config, run.config_ok);

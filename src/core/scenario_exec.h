@@ -71,7 +71,7 @@ struct ScenarioOutcome {
     std::vector<DivergenceRecord> findings;
     // Management-channel traffic of this scenario's DUT runs (zero when
     // mgmt fault injection is off).
-    ChannelAccounting mgmt;
+    control::ChannelStats mgmt;
     // Reference-device coverage of the detection run (guided mode only):
     // just the lit slots, so an outcome costs what the run lit, not a
     // whole map.
@@ -143,14 +143,14 @@ void run_scenario_on(target::Device& dev, const Scenario& sc,
                      std::span<const packet::Packet> packets,
                      std::size_t batch_size, DeviceRun& run,
                      const control::FaultPlan* mgmt = nullptr,
-                     ChannelAccounting* acct = nullptr);
+                     control::ChannelStats* acct = nullptr);
 
 // The same run into a fresh DeviceRun.
 DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
                           std::span<const packet::Packet> packets,
                           std::size_t batch_size,
                           const control::FaultPlan* mgmt = nullptr,
-                          ChannelAccounting* acct = nullptr);
+                          control::ChannelStats* acct = nullptr);
 
 // First observable difference between a DUT run and the reference run, in
 // causal order: config acceptance, table shape (capacity and entries),

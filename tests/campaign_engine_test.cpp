@@ -361,6 +361,32 @@ TEST(CampaignEngine, SweepSetupDerivesModeDutsAndHeaderOnce) {
     EXPECT_EQ(core::prepare_sweep(open).duts[0].label, "sdnet");
 }
 
+TEST(CampaignEngine, ReplayIsHeadedByItsRecipeSeedAndCountsOnlyMutants) {
+    // A replay's findings carry the recipe's seed, so the report is headed
+    // with it rather than the config's base seed.  A catalogue recipe
+    // without ops is the fresh scenario: replaying it draws no mutant.
+    const struct {
+        const char* recipe;
+        std::uint64_t mutated;
+    } cases[] = {{"reject_filter#5", 0}, {"reject_filter#5|byte:0:1", 1}};
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.recipe);
+        core::CampaignConfig config = default_config(1, 1);
+        config.programs = {"reject_filter"};
+        config.mutation_recipe = c.recipe;
+        const core::CampaignReport report = core::CampaignEngine(config).run();
+        EXPECT_EQ(report.scenarios, 1u);
+        EXPECT_EQ(report.base_seed, 5u);
+        EXPECT_EQ(report.scenarios_mutated, c.mutated);
+        EXPECT_EQ(report.scenarios_concolic, 0u);
+        EXPECT_EQ(report.to_string().rfind("campaign: 1 scenario(s) from seed 5,", 0),
+                  0u)
+            << report.to_string();
+        ASSERT_FALSE(report.divergences.empty());
+        for (const auto& d : report.divergences) EXPECT_EQ(d.seed, 5u);
+    }
+}
+
 TEST(CampaignEngine, MalformedMgmtFaultPlanIsRefusedBeforeAnyScenario) {
     obs::Telemetry::set_enabled(true, false);
     obs::Telemetry::reset();

@@ -2,11 +2,11 @@
 //
 // The campaign engine used to deep-copy three PacketState taps per packet
 // and hash the copies; the pipeline now hashes the live state in place.
-// These tests pin the values: for every corpus seed (and both the golden
-// and quirked device images), the in-place TapDigest must be bit-identical
-// to hashing materialized tap copies with the reference digest of
-// digest_reference.h, which rebuilds every header's wire image field by
-// field from the copy's get() values.
+// These tests pin the values: for every corpus entry's recorded scenario
+// (and both the golden and quirked device images), the in-place TapDigest
+// must be bit-identical to hashing materialized tap copies with the
+// reference digest of digest_reference.h, which rebuilds every header's
+// wire image field by field from the copy's get() values.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,6 +15,7 @@
 
 #include "core/corpus.h"
 #include "core/generator.h"
+#include "core/mutate.h"
 #include "core/scenario_exec.h"
 #include "core/specgen.h"
 #include "dataplane/digest.h"
@@ -40,20 +41,20 @@ std::uint64_t copy_based_hash(const p4::ir::Program& prog,
         [&](int h, int f) { return tap.get({h, f}); });
 }
 
-// Traces a scenario's packet stream with streaming digests enabled and
-// asserts each digest describes the identical execution as the traced
-// stage copies.
+// Traces a scenario's packet stream -- the one the campaign injects, on its
+// timeline -- with streaming digests enabled and asserts each digest
+// describes the identical execution as the traced stage copies.
 void check_device(target::Device& dev, const core::Scenario& sc) {
     ASSERT_TRUE(dev.load(*sc.compiled));
     dev.apply(sc.config);
 
     dev.set_digests_enabled(true);
 
-    core::TestPacketGenerator pgen(sc.spec);
+    const std::vector<packet::Packet> packets = core::scenario_packets(sc);
     std::vector<dataplane::PipelineResult> traced;
     std::vector<dataplane::StageTaps> taps;
-    for (std::uint64_t seq = 1; seq <= sc.spec.count; ++seq) {
-        traced.push_back(dev.trace(pgen.make_packet(seq, 1'000'000 + (seq - 1) * 672)));
+    for (const packet::Packet& pkt : packets) {
+        traced.push_back(dev.trace(pkt));
         taps.push_back(dev.taps());
     }
     dev.flush();
@@ -85,8 +86,10 @@ TEST(TapDigest, CorpusSeedsHashIdenticallyToCopyBasedTaps) {
         SCOPED_TRACE(entry.file);
         const auto quirks = dataplane::Quirks::parse(entry.quirks);
         ASSERT_TRUE(quirks.has_value()) << "no quirks= line";
+        // The recorded scenario: a mutant's ops or a solver model's packet,
+        // not the fresh scenario of the recipe's seed.
         const core::SpecGenerator gen({entry.recipe.program()});
-        const core::Scenario sc = gen.make(entry.recipe.seed());
+        const core::Scenario sc = core::Mutator(gen).build(entry.recipe);
 
         // Golden image and the corpus entry's quirked image both stream the
         // same digests their tap copies would hash to.

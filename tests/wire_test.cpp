@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <string>
 #include <string_view>
@@ -877,29 +878,23 @@ TEST(FrameReader, CorruptFrameDoesNotPoisonSuccessors) {
 // response, whatever the request asked for.
 class CounterAnsweringTransport final : public Transport {
 public:
-    void send(std::span<const std::uint8_t> bytes) override {
-        wire::Frame request;
-        if (!wire::decode_frame(bytes, request)) return;
+    void send(const wire::Frame& request) override {
         Response r;
         r.payload = Response::Payload::counter_value;
         r.counter_value = {5, 5};
-        wire::Frame reply;
-        reply.kind = wire::FrameKind::control_response;
-        reply.seq = request.seq;
-        reply.payload = wire::encode_response(r);
-        const std::vector<std::uint8_t> frame = wire::encode_frame(reply);
-        pending_.insert(pending_.end(), frame.begin(), frame.end());
+        pending_.push_back({wire::FrameKind::control_response, request.seq,
+                            wire::encode_response(r)});
     }
-    bool receive(std::vector<std::uint8_t>& out) override {
+    bool next(wire::Frame& out) override {
         if (pending_.empty()) return false;
-        out.insert(out.end(), pending_.begin(), pending_.end());
-        pending_.clear();
+        out = std::move(pending_.front());
+        pending_.pop_front();
         return true;
     }
     void tick() override {}
 
 private:
-    std::vector<std::uint8_t> pending_;
+    std::deque<wire::Frame> pending_;
 };
 
 TEST(RuntimeClient, PayloadDiscriminatorMismatchIsAProtocolError) {
